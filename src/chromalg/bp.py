@@ -461,10 +461,6 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
     return TorTable(entries, degs)
 
 
-def _col(mat, j):
-    return [row[j] for row in mat]
-
-
 def fp_poly_dims(weights: list[int], N: int) -> list[int]:
     """dims of F_p[t_i] by weighted-monomial count (independent of rref work)."""
     out = [0] * (N + 1)

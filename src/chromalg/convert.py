@@ -66,16 +66,6 @@ def reduce_scalar(value, target: Ring):
     raise TypeError(f"no reduction into {target!r}")
 
 
-def lift_scalar(value, target: Ring):
-    """Tautological lift of Z/2^k-flavored scalars to a rational carrier
-    (integer representatives)."""
-    if isinstance(value, int):
-        return target.from_int(value)
-    if isinstance(value, Series) and isinstance(target, SeriesRing):
-        return value.map_coefficients(lambda c: lift_scalar(c, target.base), target.base)
-    raise TypeError(f"cannot lift {type(value)}")
-
-
 def series_reduce(s: Series, target_ring: Ring) -> Series:
     """Coefficientwise reduce_scalar over a whole (possibly multivariate) series."""
     out = {}

@@ -144,20 +144,27 @@ def _gen1(F: Series, i: int) -> Series:
 # -- formal group --------------------------------------------------------------
 
 def curve_w_series(E: WeierstrassCurve, prec: int) -> Series:
-    """w(z) with w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3."""
+    """w(z) with w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3.
+
+    An error of order k in w leaves one of order k + 1 after a pass, so pass
+    i (from w = z^3, exact below z^4) runs at precision min(5 + i, prec).  A
+    last pass at full precision must reproduce w."""
     R = E.ring
     a1, a2, a3, a4, a6 = E.coefficients()
     ctx = SeriesCtx(R, ("z",), prec)
-    z = ctx.gen("z")
-    z3 = z * z * z
-    w = z3
-    for _ in range(prec):
+
+    def fixed_point_pass(w: Series) -> Series:
+        z = w.ctx.gen("z")
         w2 = w * w
-        new = (z3 + (z * w).scale(a1) + (z * z * w).scale(a2) + w2.scale(a3)
-               + (z * w2).scale(a4) + (w2 * w).scale(a6))
-        if new == w:
-            break
-        w = new
+        return (z * z * z + (z * w).scale(a1) + (z * z * w).scale(a2) + w2.scale(a3)
+                + (z * w2).scale(a4) + (w2 * w).scale(a6))
+
+    w = ctx.series({(3,): R.one()})
+    for p in range(5, prec + 1):
+        w = fixed_point_pass(Series(ctx.at_prec(p), w.terms))
+    w = Series(ctx, w.terms)
+    if fixed_point_pass(w) != w:
+        raise AlgebraError(f"w-series did not converge at precision {prec}")
     return w
 
 

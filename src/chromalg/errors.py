@@ -72,10 +72,3 @@ class FreenessViolation(AlgebraError):
 class InvalidKernel(AlgebraError):
     """Kernel polynomial does not match the distinguished factor of [2](x)."""
 
-
-class Mismatch(AlgebraError):
-    """A sought transformation or identification does not exist; carries a residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -310,7 +310,10 @@ def strict_apply(F: FormalGroupLaw, phi: Series) -> FormalGroupLaw:
 def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
              N: int | None = None, unit_candidates=None):
     """phi with phi(F(x,y)) = G(phi x, phi y) to degree N, solved degree by
-    degree; returns IsoResult or Obstruction (a value, not an error)."""
+    degree; returns IsoResult or Obstruction (a value, not an error).
+
+    Step d reads the residual only in total degree d, so it composes at
+    precision d + 1."""
     R = F.ring
     if N is None:
         N = min(F.prec, G.prec) - 1
@@ -324,12 +327,14 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
         phi_terms = {(1,): c1}
         ok = True
         for d in range(2, N + 1):
-            phi = Series(ctx1, dict(phi_terms))
-            u, v = F.ctx.gen("x"), F.ctx.gen("y")
+            # only total degree d of the residual is read: work at prec d + 1
+            phi = Series(ctx1.at_prec(d + 1), dict(phi_terms))
+            Fd, Gd = F.F.truncate(d + 1), G.F.truncate(d + 1)
+            u, v = Fd.ctx.gen("x"), Fd.ctx.gen("y")
             phiu = phi.compose({"t": u})
             phiv = phi.compose({"t": v})
-            lhs = phi.compose({"t": F.F})
-            rhs = G.F.compose({"x": phiu, "y": phiv})
+            lhs = phi.compose({"t": Fd})
+            rhs = Gd.compose({"x": phiu, "y": phiv})
             resid = rhs - lhs
             rows = [(a, d - a) for a in range(1, d)]
             target = [resid.coefficient(e) for e in rows]

@@ -133,11 +133,6 @@ class FieldOps:
             rank += 1
         return mat[:rank], pivots
 
-    def solve(self, columns: list[list], target: list):
-        """Coefficient vector x with sum x_j columns[j] = target, or None."""
-        out = self.solve_many(columns, [target])
-        return out[0]
-
     def solve_many(self, columns: list[list], targets: list[list]):
         """Solve the same system for many right-hand sides with one reduction.
         Pivots are restricted to the coefficient block."""
@@ -180,19 +175,6 @@ class FieldOps:
 
 
 # -- integer lattices ----------------------------------------------------------
-
-def _as_int_matrix(rows):
-    out = []
-    den = 1
-    from math import gcd
-    for r in rows:
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-    for r in rows:
-        out.append([int(x * den) if isinstance(x, Fraction) else int(x) * den for x in r])
-    return out
-
 
 def hnf_rows(mat: list[list[int]]) -> list[list[int]]:
     """Row Hermite-ish normal form by integer row operations (no column ops)."""
@@ -312,26 +294,29 @@ def p_local_structure(diag: list[int], ncols: int, p: int) -> tuple[int, list[in
 
 
 def solve_int_exact(columns: list[list[int]], target: list[int]):
-    """Integer solution x of sum x_j columns[j] = target, or None."""
+    """Integer solution x of sum x_j columns[j] = target, or None.
+
+    Row-reduces [columns[j] | e_j] to echelon form (hnf_rows), then
+    back-substitutes the target down the pivots; the identity block records
+    the combination.  Complete over Z: None means no integer solution."""
     n = len(columns)
+    height = len(target)
     if n == 0:
         return [] if all(t == 0 for t in target) else None
-    # rational solve then integrality check via kernel adjustment is overkill
-    # at desk scale: use Fraction rref and accept only integral results.
-    fops = FieldOps(_FractionField())
-    cols = [[Fraction(v) for v in col] for col in columns]
-    tgt = [Fraction(v) for v in target]
-    x = fops.solve(cols, tgt)
-    if x is None:
-        return None
-    if all(v.denominator == 1 for v in x):
-        return [int(v) for v in x]
-    # try shifting by kernel vectors to reach integrality (denominator 1)
-    ker = int_kernel(columns, n)
-    if not ker:
-        return None
-    # small search over kernel combinations is unnecessary for our uses
-    return None
+    aug = [list(columns[j]) + [1 if k == j else 0 for k in range(n)] for j in range(n)]
+    resid = list(target)
+    x = [0] * n
+    for row in hnf_rows(aug):
+        piv = next((c for c in range(height) if row[c] != 0), None)
+        if piv is None:
+            break
+        q, r = divmod(resid[piv], row[piv])
+        if r:
+            return None
+        if q:
+            resid = [a - q * b for a, b in zip(resid, row)]
+            x = [a + q * b for a, b in zip(x, row[height:])]
+    return x if not any(resid) else None
 
 
 class _FractionField:

@@ -158,17 +158,6 @@ class PolyRing(Ring):
         target = PolyRing(rbase, self.gens, self.weights, self.laurent)
         return target, lambda p: Poly(target, {e: f(c) for e, c in p.terms.items()})
 
-    def map_into(self, target: "PolyRing", coeff_map):
-        """Coefficientwise transport into a PolyRing with the same generators."""
-        def go(p):
-            out = {}
-            for e, c in p.terms.items():
-                v = coeff_map(c)
-                if not target.base.is_zero(v):
-                    out[e] = v
-            return Poly(target, out)
-        return go
-
     def render(self, p) -> str:
         if not p.terms:
             return "0"

@@ -4,6 +4,19 @@ A Series stores terms of total degree < prec.  Binary operations require the
 same variable tuple (no implicit unions) and truncate to the minimum prec.
 SeriesRing wraps univariate series as a coefficient Ring, giving carriers such
 as Z/4[[b]] or Q[[b]] whose elements in turn coefficient other series.
+
+Precision contracts of the iterative algorithms (Brent & Kung, J. ACM 25,
+1978).  Each result is exact below its prec, and no step works above the
+precision it needs:
+  * inverse: Newton g <- g*(2 - f*g); step i runs at min(2^i, prec), so
+    ceil(log2 prec) steps of two multiplications each.
+  * reverse: Newton reversion g <- g - (f(g) - x) * f'(g)^-1 from precision
+    2, doubling up to prec: ceil(log2 prec) - 1 steps of two compose calls
+    each.  It divides by no integer, so any ring where f'(0) is a unit works.
+  * elliptic.curve_w_series: the fixed-point pass i runs at min(5 + i, prec),
+    fixing one more degree each, then one full-precision pass must reproduce
+    w (AlgebraError otherwise).
+  * fgl.find_iso: degree step d composes at precision d + 1.
 """
 
 from __future__ import annotations
@@ -293,20 +306,21 @@ class Series:
         return self.terms.get((k,), self.ctx.ring.zero())
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; constant term must be a unit."""
-        self_ctx = self.ctx
-        R = self_ctx.ring
+        """Multiplicative inverse; constant term must be a unit.
+
+        Newton g <- g*(2 - f*g) doubles the correct total degree per step, so
+        step i runs with f and g truncated to min(2^i, prec)."""
+        R = self.ctx.ring
         c0 = self.constant_term()
         if not R.is_unit(c0):
             raise NotInvertible("constant term is not a unit")
-        u = R.inv(c0)
-        # Newton: g <- g*(2 - f*g), doubling correct order each step
-        g = self_ctx.const(u)
+        g = self.ctx.at_prec(1).const(R.inv(c0))
         order = 1
-        two = self_ctx.from_int(2)
-        while order < self_ctx.prec:
-            g = (g * (two - self * g))
-            order *= 2
+        while order < self.ctx.prec:
+            order = min(2 * order, self.ctx.prec)
+            f = self.truncate(order)
+            g = Series(f.ctx, g.terms)
+            g = g * (f.ctx.from_int(2) - f * g)
         return g
 
     def derivative(self, name: str | None = None) -> "Series":
@@ -339,7 +353,11 @@ class Series:
         return Series(ctx, out)
 
     def reverse(self) -> "Series":
-        """Compositional inverse g with f(g(x)) = x, for f(0)=0, f'(0) a unit."""
+        """Compositional inverse g with f(g(x)) = x, for f(0)=0, f'(0) a unit.
+
+        Newton reversion g <- g - (f(g) - x) * f'(g)^-1 doubles the correct
+        precision per step, from 2 up to prec: two compose calls per step and
+        no division by integers."""
         self._univar()
         R = self.ctx.ring
         if not R.is_zero(self.constant_term()):
@@ -347,19 +365,21 @@ class Series:
         f1 = self.ucoeff(1)
         if not R.is_unit(f1):
             raise NotInvertible("linear coefficient is not a unit")
-        inv_f1 = R.inv(f1)
-        prec = self.ctx.prec
-        ctx = self.ctx
-        g_terms = {(1,): inv_f1}
-        for n in range(2, prec):
-            g = Series(ctx, dict(g_terms))
-            comp = self.compose({ctx.vars[0]: g})
-            resid = comp.ucoeff(n)  # want 0
-            # f(g + c x^n) adds f1*c at degree n
-            c = R.neg(R.mul(inv_f1, resid))
-            if not R.is_zero(c):
-                g_terms[(n,)] = c
-        return Series(ctx, g_terms)
+        var = self.ctx.vars[0]
+        df = self.derivative()
+        order = 2
+        g = Series(self.ctx.at_prec(order), {(1,): R.inv(f1)})
+        while order < self.ctx.prec:
+            known, order = order, min(2 * order, self.ctx.prec)
+            ctx = self.ctx.at_prec(order)
+            g = Series(ctx, g.terms)
+            resid = self.truncate(order).compose({var: g}) - ctx.gen(var)
+            # resid has order >= known, so f'(g)^-1 is needed only below
+            # order - known; its terms are then exact enough at prec `order`.
+            lo = order - known
+            h = df.truncate(lo).compose({var: g.truncate(lo)}).inverse()
+            g = g - resid * Series(ctx, h.terms)
+        return Series(self.ctx, g.terms)
 
 
 # -- Weierstrass preparation -------------------------------------------------
@@ -408,21 +428,6 @@ def weierstrass_prepare(f: Series):
     dist = [R.neg(r.ucoeff(k)) for k in range(d)] + [R.one()]
     unit = q.inverse()
     return unit, dist, d
-
-
-def series_div_oracle(num: list, den: list, ring: Ring, n: int) -> list:
-    """Long-division oracle: first n coefficients of num/den (den[0] a unit).
-    Kept independent of Series.inverse for cross-checks."""
-    out = []
-    inv0 = ring.inv(den[0])
-    rem = list(num) + [ring.zero()] * n
-    for k in range(n):
-        c = ring.mul(rem[k], inv0)
-        out.append(c)
-        for j, dj in enumerate(den):
-            if k + j < len(rem):
-                rem[k + j] = ring.sub(rem[k + j], ring.mul(c, dj))
-    return out
 
 
 class SeriesRing(Ring):

@@ -70,3 +70,14 @@ def test_smith_and_local_structure():
 def test_solve_int_exact():
     assert solve_int_exact([[2, 0], [0, 3]], [4, 3]) == [2, 1]
     assert solve_int_exact([[2]], [1]) is None
+
+
+def test_solve_int_exact_needs_no_integral_rational_solution():
+    # 2a + 3b = 1 has no solution with b = 0, but (-1, 1) solves it over Z
+    x = solve_int_exact([[2], [3]], [1])
+    assert x is not None and 2 * x[0] + 3 * x[1] == 1
+    assert solve_int_exact([[2, 4], [6, 2]], [1, 1]) is None
+    cols = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    x = solve_int_exact(cols, [3, 7, 10])
+    assert [sum(x[j] * cols[j][i] for j in range(3)) for i in range(3)] == [3, 7, 10]
+    assert solve_int_exact([[0, 0]], [0, 0]) == [0]

@@ -1,0 +1,226 @@
+"""Differential and operation-count tests for the precision-doubling series
+algorithms: Newton inverse and reversion, the growing-precision w-series and
+the degree-truncated find_iso, each against its full-precision oracle."""
+
+from fractions import Fraction
+from math import ceil, log2
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chromalg import fgl
+from chromalg.elliptic import curve, curve_w_series
+from chromalg.rings import QQ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
+from chromalg.series import Series, SeriesCtx, SeriesRing
+
+from oracles import (curve_w_series_oracle, find_iso_oracle, inverse_oracle,
+                     reverse_oracle)
+
+SETTINGS = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def exact(v):
+    """Precision and terms, recursively, for exact comparison: Series.__eq__
+    would compare at the smaller precision."""
+    if isinstance(v, Series):
+        return (v.ctx.prec, {e: exact(c) for e, c in v.terms.items()})
+    return v
+
+
+# -- carriers: (ring, element strategy, unit strategy) ------------------------
+
+def _rationals():
+    elem = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    return QQ, elem, elem.filter(lambda a: a != 0)
+
+
+def _mod_2k(k):
+    R = ModularIntegers(2 ** k)
+    return R, st.integers(0, R.m - 1), st.integers(0, R.m // 2 - 1).map(lambda a: 2 * a + 1)
+
+
+def _series_over_mod_2k(k, bprec):
+    base, belem, bunit = _mod_2k(k)
+    SR = SeriesRing(base, "b", bprec)
+
+    def series(first):
+        rest = st.lists(belem, min_size=bprec - 1, max_size=bprec - 1)
+        return st.tuples(first, rest).map(
+            lambda cs: SR.ctx.series({(i,): c for i, c in enumerate([cs[0]] + cs[1])}))
+
+    return SR, series(belem), series(bunit)
+
+
+def _omega():
+    W = omega_ring()
+    coord = st.builds(lambda n, j: Fraction(n, 3 ** j), st.integers(-6, 6), st.integers(0, 1))
+    return W, st.tuples(coord, coord), st.sampled_from(W.unit_candidates(1))
+
+
+CARRIERS = {
+    "QQ": _rationals(),
+    "Z/2": _mod_2k(1),
+    "Z/32": _mod_2k(5),
+    "Z/8[[b]]<3>": _series_over_mod_2k(3, 3),
+    "Z/4[[b]]<5>": _series_over_mod_2k(2, 5),
+    "omega": _omega(),
+}
+
+
+def _draw_series(data, ctx, elems, units, unit_at):
+    """Series in ctx with a unit coefficient in degree unit_at and zero below."""
+    terms = {}
+    for k in range(unit_at, ctx.prec):
+        c = data.draw(units if k == unit_at else elems)
+        if not ctx.ring.is_zero(c):
+            terms[(k,)] = c
+    return ctx.series(terms)
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@SETTINGS
+@given(data=st.data(), prec=st.integers(1, 10))
+def test_inverse_matches_full_precision_oracle(carrier, data, prec):
+    R, elem, unit = CARRIERS[carrier]
+    f = _draw_series(data, SeriesCtx(R, ("x",), prec), elem, unit, 0)
+    assert exact(f.inverse()) == exact(inverse_oracle(f))
+
+
+@SETTINGS
+@given(data=st.data(), prec=st.integers(1, 8))
+def test_bivariate_inverse_matches_oracle(data, prec):
+    R, elem, unit = CARRIERS["QQ"]
+    ctx = SeriesCtx(R, ("x", "y"), prec)
+    terms = {(0, 0): data.draw(unit)}
+    for i in range(prec):
+        for j in range(prec - i):
+            if (i, j) != (0, 0):
+                terms[(i, j)] = data.draw(elem)
+    f = ctx.series(terms)
+    assert exact(f.inverse()) == exact(inverse_oracle(f))
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@SETTINGS
+@given(data=st.data(), prec=st.integers(2, 10))
+def test_reverse_matches_degree_by_degree_oracle(carrier, data, prec):
+    R, elem, unit = CARRIERS[carrier]
+    f = _draw_series(data, SeriesCtx(R, ("x",), prec), elem, unit, 1)
+    g = f.reverse()
+    assert exact(g) == exact(reverse_oracle(f))
+    x = SeriesCtx(R, ("x",), prec).gen("x")
+    assert exact(f.compose({"x": g})) == exact(x)
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@SETTINGS
+@given(data=st.data(), prec=st.integers(1, 9))
+def test_w_series_matches_full_precision_oracle(carrier, data, prec):
+    R, elem, _ = CARRIERS[carrier]
+    E = curve(R, *(data.draw(elem) for _ in range(5)))
+    assert exact(curve_w_series(E, prec)) == exact(curve_w_series_oracle(E, prec))
+
+
+def _same_iso_result(new, old):
+    assert type(new) is type(old)
+    if isinstance(old, fgl.IsoResult):
+        assert exact(new.phi) == exact(old.phi)
+        assert new.linear == old.linear
+    else:
+        assert (new.degree, new.details) == (old.degree, old.details)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@settings(max_examples=15, deadline=None)
+@given(b=st.integers(-3, 3), c=st.integers(-3, 3), b2=st.integers(-3, 3),
+       c2=st.integers(-3, 3), N=st.integers(2, 6))
+def test_find_iso_matches_full_precision_oracle(k, b, c, b2, c2, N):
+    """Over Q (k = 0) strict isomorphisms always exist; over Z/2^k some
+    searches end in an Obstruction, whose degree must agree too."""
+    R = QQ if k == 0 else ModularIntegers(2 ** k)
+    F = fgl.conic_fgl(R, R.from_int(b), R.from_int(c), N + 1)
+    G = fgl.conic_fgl(R, R.from_int(b2), R.from_int(c2), N + 1)
+    _same_iso_result(fgl.find_iso(F, G, "strict", N=N), find_iso_oracle(F, G, "strict", N=N))
+
+
+def test_find_iso_omega_matches_oracle():
+    W = omega_ring()
+    Fc = fgl.conic_fgl(W, W.from_int(3), W.from_int(3), 9)
+    Fm = fgl.conic_fgl(W, sqrt_minus3(W), W.zero(), 9)
+    for F, G in ((Fc, Fm), (Fm, Fc)):
+        res = fgl.find_iso(F, G, "strict", N=8)
+        assert isinstance(res, fgl.IsoResult)
+        _same_iso_result(res, find_iso_oracle(F, G, "strict", N=8))
+
+
+def test_find_iso_obstruction_degree_on_noniso_z13_inputs():
+    Z13 = Z_inverted(3)
+    Fc = fgl.conic_fgl(Z13, Fraction(3), Fraction(3), 7)
+    cands = Z13.unit_candidates(3)
+    for u in cands:
+        Fm = fgl.conic_fgl(Z13, u, Fraction(0), 7)
+        new = fgl.find_iso(Fc, Fm, "linear-unit", N=6, unit_candidates=cands)
+        assert isinstance(new, fgl.Obstruction)
+        _same_iso_result(new, find_iso_oracle(Fc, Fm, "linear-unit", N=6,
+                                              unit_candidates=cands))
+
+
+# -- deterministic operation counts --------------------------------------------
+
+@pytest.fixture
+def compose_log(monkeypatch):
+    """Records, per Series.compose call, the largest precision among the
+    series composed and the result."""
+    log = []
+    real = Series.compose
+
+    def counted(self, subs):
+        out = real(self, subs)
+        log.append(max([self.ctx.prec, out.ctx.prec] + [s.ctx.prec for s in subs.values()]))
+        return out
+
+    monkeypatch.setattr(Series, "compose", counted)
+    return log
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 33])
+def test_reverse_makes_logarithmically_many_compositions(compose_log, n):
+    ctx = SeriesCtx(QQ, ("x",), n)
+    x = ctx.gen("x")
+    f = x + (x * x).scale(Fraction(1, 2)) - (x * x * x).scale(3)
+    g = f.reverse()
+    assert len(compose_log) <= 2 * ceil(log2(n))
+    assert exact(f.compose({"x": g})) == exact(x)
+
+
+def test_inverse_step_i_multiplies_at_doubling_precision(monkeypatch):
+    precs = []
+    real = Series.__mul__
+
+    def counted(a, b):
+        out = real(a, b)
+        precs.append(out.ctx.prec)
+        return out
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    ctx = SeriesCtx(QQ, ("x",), 13)
+    x = ctx.gen("x")
+    f = ctx.one() + x + (x * x).scale(Fraction(1, 3))
+    precs.clear()
+    f.inverse()
+    assert precs == [2, 2, 4, 4, 8, 8, 13, 13]
+
+
+def test_find_iso_step_d_composes_at_precision_d_plus_one(compose_log):
+    N = 9
+    F = fgl.conic_fgl(QQ, QQ.from_int(1), QQ.from_int(2), N + 1)
+    G = fgl.multiplicative_fgl(QQ, QQ.from_int(3), N + 1)
+    del compose_log[:]
+    res = fgl.find_iso(F, G, "strict", N=N)
+    assert isinstance(res, fgl.IsoResult)
+    # four compositions per degree step d = 2..N
+    assert len(compose_log) == 4 * (N - 1)
+    for i, prec in enumerate(compose_log):
+        assert prec <= i // 4 + 3
