@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IntegralityFailure, TruncationError
-from .linalg import (f2_rref, f2_in_span, int_kernel, p_local_structure,
-                     smith_normal_form, solve_int_exact)
+from .linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
+                     p_local_structure, smith_normal_form, solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
 
@@ -282,23 +282,13 @@ def _poly_kernel_mod_p(pring, prefix, prior, s, N):
                 tgt = tuple(a + b for a, b in zip(m, se))
                 vec ^= 1 << dst_at[tgt]
             cols.append(vec)
-        reduced_cols = [f2_reduce_bits(bas_de, piv_de, c) for c in cols]
-        null = _f2_nullspace_cols(reduced_cols, len(src))
+        reduced_cols = [f2_reduce(bas_de, piv_de, c) for c in cols]
+        null = f2_nullspace(reduced_cols, len(src))
         for vec in null:
             if not f2_in_span(bas_d, piv_d, vec):
                 mono = src[(vec & -vec).bit_length() - 1]
                 return (d, f"class of {mono} at degree {d}")
     return None
-
-
-def f2_reduce_bits(basis, pivots, v):
-    from .linalg import f2_reduce
-    return f2_reduce(basis, pivots, v)
-
-
-def _f2_nullspace_cols(cols, n):
-    from .linalg import f2_nullspace
-    return f2_nullspace(cols, n)
 
 
 def _f2_span_rows(pring, gens, d, index, p):
@@ -447,17 +437,12 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
                     if coords is None or any(v.denominator != 1 for v in coords):
                         raise IntegralityFailure("image not contained in saturated kernel")
                     rel.append([int(v) for v in coords])
-            if rel:
-                diag = smith_normal_form(rel)
-            else:
-                diag = []
-            free, torsion = p_local_structure(diag, len(kcols), 2 if char == 0 else char)
+            diag = smith_normal_form(rel) if rel else []
             if char:
                 # over F_p everything is vector spaces: torsion reading is moot
-                rank = len(smith_normal_form(rel)) if rel else 0
-                entries[(s, d)] = (len(kcols) - rank, [])
+                entries[(s, d)] = (len(kcols) - len(diag), [])
             else:
-                entries[(s, d)] = (free, torsion)
+                entries[(s, d)] = p_local_structure(diag, len(kcols), 2)
     return TorTable(entries, degs)
 
 

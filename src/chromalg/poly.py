@@ -175,6 +175,9 @@ class PolyRing(Ring):
                 parts.append(cs)
         return " + ".join(parts)
 
+    def structure(self):
+        return (type(self), self.base.structure(), self.gens, self.weights, self.laurent)
+
     def __repr__(self):
         desc = ",".join(
             f"{g}:{w}" + ("~" if i in self.laurent else "")

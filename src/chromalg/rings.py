@@ -104,6 +104,11 @@ class Ring:
     def render(self, a) -> str:
         return str(a)
 
+    def structure(self) -> tuple:
+        """The class and the defining parameters, with the base ring's own
+        structure in place of the base: equal tuples mean the same ring."""
+        return (type(self),)
+
     def __repr__(self):
         return self.__class__.__name__
 
@@ -294,6 +299,9 @@ class LocalizedIntegers(Ring):
             out = [Fraction(1), Fraction(-1)]
         return out
 
+    def structure(self):
+        return (type(self), self.at_prime, self.inverted)
+
     def __repr__(self):
         if self.at_prime is not None:
             return f"Z_({self.at_prime})"
@@ -376,6 +384,9 @@ class ModularIntegers(Ring):
                 k += 1
             return k
         return None
+
+    def structure(self):
+        return (type(self), self.m)
 
     def __repr__(self):
         return f"Z/{self.m}"
@@ -575,6 +586,9 @@ class QuotientExtension(Ring):
                 head = self.gen_name if i == 1 else f"{self.gen_name}^{i}"
                 parts.append(head if B.eq(c, B.one()) else f"({B.render(c)})*{head}")
         return " + ".join(parts) if parts else "0"
+
+    def structure(self):
+        return (type(self), self.base.structure(), self.modulus, self.gen_name)
 
     def __repr__(self):
         return f"{self.base!r}[{self.gen_name}]/(deg {self.deg})"

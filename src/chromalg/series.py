@@ -17,13 +17,43 @@ precision it needs:
     fixing one more degree each, then one full-precision pass must reproduce
     w (AlgebraError otherwise).
   * fgl.find_iso: degree step d composes at precision d + 1.
+
+Multiplication contract.  Series.__mul__ meets both operands at the smaller
+precision, then multiplies univariate series over packed carriers with one
+big-integer product (Kronecker substitution; Harvey, J. Symb. Comput. 44,
+2009), and everything else with the term-by-term loop _mul_dict:
+  * packed carriers: scalars of exactly Integers, Rationals,
+    LocalizedIntegers, ModularIntegers or PrimeField (one level), or a
+    SeriesRing of precision Pb over one of those whose coefficients all sit
+    at the ring's own context (two levels);
+  * slot layout: x^j goes to slot j; in the tower x^i b^j goes to slot
+    i*(2Pb - 1) + j, so b^j1 * b^j2 (j1 + j2 <= 2Pb - 2) stays in its block
+    and unpacking keeps j < Pb and the slots below the x-precision;
+  * scalars: Z/m residues pack unsigned in [0, m) and unpack with % m;
+    Z, Q and Z_(p) pack as signed integers, Q and Z_(p) scaled by the lcm of
+    each operand's denominators, and the coefficients come back as
+    Fraction(C, Da*Db).  An operand that mixes int and Fraction scalars takes
+    the loop, so every result has the loop's values and Python types;
+  * width: a slot has w >= bitlen(max|a|) + bitlen(max|b|) + bitlen(pairs)
+    + 2 bits, whole bytes, where pairs = min(terms of a, terms of b) bounds the
+    products summed into one slot: |slot| < 2^(w-2), so no slot carries into
+    the next and signed slots decode with a borrow-free 2^(w-1) offset;
+  * an operand with one term over packed scalars makes no sums: each
+    coefficient is one scalar product, computed as the ring's mul computes it;
+  * the loop runs for multivariate series, every other ring (QuotientExtension,
+    PolyRing, deeper towers), tower coefficients at another precision or
+    context, and mixed int/Fraction operands.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import (CompositionError, MixedVariablesError, NotInvertible,
                      PreparationFailed, TruncationError)
-from .rings import Ring
+from .rings import (Integers, LocalizedIntegers, ModularIntegers, PrimeField,
+                    Rationals, Ring)
 
 
 class SeriesCtx:
@@ -39,7 +69,7 @@ class SeriesCtx:
     def compatible(self, other: "SeriesCtx"):
         if self.vars != other.vars:
             raise MixedVariablesError(f"{self.vars} vs {other.vars}")
-        if self.ring is not other.ring and repr(self.ring) != repr(other.ring):
+        if self.ring is not other.ring and self.ring.structure() != other.ring.structure():
             raise MixedVariablesError(
                 f"coefficient rings differ: {self.ring!r} vs {other.ring!r}")
 
@@ -110,7 +140,8 @@ class Series:
         return min(sum(e) for e in self.terms)
 
     def truncate(self, prec: int) -> "Series":
-        prec = min(prec, self.ctx.prec)
+        if prec >= self.ctx.prec:
+            return self
         ctx = self.ctx.at_prec(prec)
         return Series(ctx, {e: c for e, c in self.terms.items() if sum(e) < prec})
 
@@ -118,6 +149,8 @@ class Series:
 
     def _meet(self, other: "Series"):
         self.ctx.compatible(other.ctx)
+        if self.ctx.prec == other.ctx.prec:
+            return self, other
         prec = min(self.ctx.prec, other.ctx.prec)
         return self.truncate(prec), other.truncate(prec)
 
@@ -145,28 +178,8 @@ class Series:
 
     def __mul__(self, other):
         a, b = self._meet(self._co(other))
-        R = a.ctx.ring
-        prec = a.ctx.prec
-        out = {}
-        bitems = sorted(b.terms.items(), key=lambda kv: sum(kv[0]))
-        for e1, c1 in a.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in bitems:
-                if d1 + sum(e2) >= prec:
-                    break
-                e = tuple(x + y for x, y in zip(e1, e2))
-                p = R.mul(c1, c2)
-                if R.is_zero(p):
-                    continue
-                if e in out:
-                    s = R.add(out[e], p)
-                    if R.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = p
-        return Series(a.ctx, out)
+        out = _mul_packed(a, b)
+        return out if out is not None else _mul_dict(a, b)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -382,6 +395,172 @@ class Series:
         return Series(self.ctx, g.terms)
 
 
+# -- multiplication ------------------------------------------------------------
+# Both products are private module functions, so a tracer that wraps public
+# names counts their time as Series.__mul__.
+
+def _mul_dict(a: Series, b: Series) -> Series:
+    """a*b by the term-by-term loop; a and b share one precision.
+
+    The general product: any number of variables, any coefficient ring.  It
+    is also the reference the packed product is tested against."""
+    R = a.ctx.ring
+    prec = a.ctx.prec
+    out = {}
+    bitems = sorted(b.terms.items(), key=lambda kv: sum(kv[0]))
+    for e1, c1 in a.terms.items():
+        d1 = sum(e1)
+        for e2, c2 in bitems:
+            if d1 + sum(e2) >= prec:
+                break
+            e = tuple(x + y for x, y in zip(e1, e2))
+            p = R.mul(c1, c2)
+            if R.is_zero(p):
+                continue
+            if e in out:
+                s = R.add(out[e], p)
+                if R.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = p
+    return Series(a.ctx, out)
+
+
+def _scalar_modulus(R: Ring):
+    """m when R is Z/m or F_m, 0 when R is Z, Q or a localization of Z, and
+    None for every other ring: the scalars _mul_packed can pack."""
+    t = type(R)
+    if t is ModularIntegers or t is PrimeField:
+        return R.m
+    if t is Integers or t is Rationals or t is LocalizedIntegers:
+        return 0
+    return None
+
+
+def _integers(vals: list, m: int):
+    """vals as the integers to pack, their common denominator and whether
+    they were Fractions.  None when ints and Fractions mix: the loop would
+    give some product coefficients as int and some as Fraction."""
+    kinds = set(map(type, vals))
+    if kinds == {int}:
+        return ([v % m for v in vals] if m else vals), 1, False
+    if kinds == {Fraction} and not m:
+        den = math.lcm(*[v.denominator for v in vals])
+        return [v.numerator * (den // v.denominator) for v in vals], den, True
+    return None
+
+
+def _operand(s: Series, inner):
+    """(blocks, slots, scalars) of a univariate series for packing: blocks
+    lists (block index, entry count) in the order of the flat slots and
+    scalars.  Without inner the series is one block, x^j at slot j.  With
+    inner (the context of a SeriesRing's elements) coefficient x^i is block
+    i, b^j at slot j; None when a coefficient is not at that context."""
+    if inner is None:
+        return [(0, len(s.terms))], [j for (j,) in s.terms], list(s.terms.values())
+    blocks, slots, vals = [], [], []
+    for (i,), c in s.terms.items():
+        cc = c.ctx
+        if cc is not inner and (cc.prec != inner.prec or cc.vars != inner.vars
+                                or cc.ring is not inner.ring):
+            return None
+        blocks.append((i, len(c.terms)))
+        slots += [j for (j,) in c.terms]
+        vals += c.terms.values()
+    return blocks, slots, vals
+
+
+def _pack(blocks: list, slots: list, ints: list, w: int, stride: int) -> int:
+    """Sum of ints[k] * 2^(w * (i*stride + slots[k])) over the entries k of
+    each block i: inner sums first, so no shift is longer than needed."""
+    x = start = 0
+    for i, n in blocks:
+        y = 0
+        for k in range(start, start + n):
+            y += ints[k] << (w * slots[k])
+        start += n
+        x += y << (w * stride * i)
+    return x
+
+
+def _mul_monomial(a: Series, b: Series, m: int) -> Series:
+    """a*b over packed scalars when a or b has one term: no two products
+    share an exponent, so each coefficient is one scalar product, computed
+    as R.mul computes it (c*v, reduced mod m for Z/m)."""
+    prec = a.ctx.prec
+    out = {}
+    for (i,), c in a.terms.items():
+        for (j,), v in b.terms.items():
+            if i + j < prec:
+                p = c * v % m if m else c * v
+                if p:
+                    out[(i + j,)] = p
+    return Series(a.ctx, out)
+
+
+def _mul_packed(a: Series, b: Series):
+    """a*b by one big-integer product (Kronecker substitution), or None when
+    the carrier is not packed; a and b share one precision."""
+    ctx = a.ctx
+    R = ctx.ring
+    if len(ctx.vars) != 1:
+        return None
+    m = _scalar_modulus(R)
+    if m is not None:
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            return _mul_monomial(a, b, m)
+        inner, width, stride = None, 1, 1
+    elif type(R) is SeriesRing:
+        m = _scalar_modulus(R.base)
+        if m is None:
+            return None
+        inner, width, stride = R.ctx, R.prec, 2 * R.prec - 1
+    else:
+        return None
+    op_a, op_b = _operand(a, inner), _operand(b, inner)
+    if op_a is None or op_b is None:
+        return None
+    (blocks_a, slots_a, vals_a), (blocks_b, slots_b, vals_b) = op_a, op_b
+    if not vals_a or not vals_b:
+        return Series(ctx, {})
+    int_a, int_b = _integers(vals_a, m), _integers(vals_b, m)
+    if int_a is None or int_b is None:
+        return None
+    (ints_a, den_a, frac_a), (ints_b, den_b, frac_b) = int_a, int_b
+    # |slot| <= pairs * max|a| * max|b| < 2^(w - 2): no carry into the next
+    # slot, and a spare bit for the sign
+    if m:
+        bits = 2 * (m - 1).bit_length()
+    else:
+        bits = max(map(abs, ints_a)).bit_length() + max(map(abs, ints_b)).bit_length()
+    size = (bits + min(len(ints_a), len(ints_b)).bit_length() + 2 + 7) // 8
+    w = 8 * size
+    top = (max(blocks_a)[0] + max(blocks_b)[0]) * stride + max(slots_a) + max(slots_b)
+    nslots = min((ctx.prec - 1) * stride + width, top + 1)
+    prod = _pack(blocks_a, slots_a, ints_a, w, stride) * _pack(blocks_b, slots_b, ints_b, w, stride)
+    # signed slots: 2^(w-1) added to each makes every slot read as unsigned
+    half = 0 if m else 1 << (w - 1)
+    if half:
+        prod += int.from_bytes((bytes(size - 1) + b"\x80") * nslots, "little")
+    data = (prod & ((1 << (w * nslots)) - 1)).to_bytes(size * nslots, "little")
+    den = den_a * den_b
+    frac = frac_a or frac_b
+    out = {}
+    for i in range(-(-nslots // stride)):
+        terms = {}
+        for s in range(i * stride, min(i * stride + width, nslots)):
+            v = int.from_bytes(data[s * size:(s + 1) * size], "little") - half
+            if m:
+                v %= m
+            if v:
+                terms[(s - i * stride,)] = Fraction(v, den) if frac else v
+        if terms:
+            out[(i,)] = terms[(0,)] if inner is None else Series(inner, terms)
+    return Series(ctx, out)
+
+
 # -- Weierstrass preparation -------------------------------------------------
 
 def weierstrass_prepare(f: Series):
@@ -536,6 +715,9 @@ class SeriesRing(Ring):
                 head = self.var if k == 1 else f"{self.var}^{k}"
                 parts.append(head if c == "1" else f"({c})*{head}")
         return " + ".join(parts) + f" + O({self.var}^{self.prec})"
+
+    def structure(self):
+        return (type(self), self.base.structure(), self.var, self.prec)
 
     def __repr__(self):
         return f"{self.base!r}[[{self.var}]]<{self.prec}>"

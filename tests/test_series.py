@@ -4,7 +4,7 @@ import pytest
 
 from chromalg.errors import (CompositionError, MixedVariablesError,
                              NotInvertible, PreparationFailed)
-from chromalg.rings import ModularIntegers, QQ, ZZ
+from chromalg.rings import ModularIntegers, QQ, QuotientExtension, ZZ
 from chromalg.series import SeriesCtx, SeriesRing, weierstrass_prepare
 
 from oracles import series_div_oracle
@@ -94,6 +94,25 @@ def test_mixing_variable_sets_is_an_error():
     b = SeriesCtx(ZZ, ("y",), 5).gen("y")
     with pytest.raises(MixedVariablesError):
         a + b
+
+
+def test_series_over_different_quotient_rings_do_not_mix():
+    # Q[w]/(w^2+w+1) and Q[w]/(w^2+3) print alike; their structure differs
+    R1 = QuotientExtension(QQ, (1, 1, 1))
+    R2 = QuotientExtension(QQ, (3, 0, 1))
+    assert repr(R1) == repr(R2)
+    a = SeriesCtx(R1, ("x",), 4).gen("x")
+    b = SeriesCtx(R2, ("x",), 4).gen("x")
+    with pytest.raises(MixedVariablesError):
+        a * b
+    same = SeriesCtx(QuotientExtension(QQ, (1, 1, 1)), ("x",), 4).gen("x")
+    assert (a * same).ucoeff(2) == R1.one()
+    # towers compare their base, variable and precision the same way
+    b3, b4 = SeriesRing(ModularIntegers(4), "b", 3), SeriesRing(ModularIntegers(4), "b", 4)
+    with pytest.raises(MixedVariablesError):
+        SeriesCtx(b3, ("x",), 4).gen("x") * SeriesCtx(b4, ("x",), 4).gen("x")
+    twin = SeriesRing(ModularIntegers(4), "b", 3)
+    assert (SeriesCtx(b3, ("x",), 4).gen("x") * SeriesCtx(twin, ("x",), 4).gen("x")).ucoeff(2) == b3.one()
 
 
 def test_truncation_min_rule():
