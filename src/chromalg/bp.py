@@ -208,7 +208,7 @@ def regular_sequence_check(seq: list[SequenceElement], module: GradedModule,
                 if bad is not None:
                     failures.append((step, bad[0], bad[1]))
                 continue
-        if char == 0 and any(_contains_scalar_p(e.poly) for e in seq[:step]):
+        if char == 0 and any(_is_int_scalar(e.poly) for e in seq[:step]):
             bad = _poly_kernel_mod_p(pring, prefix, seq[:step], s, N)
             if bad is not None:
                 failures.append((step, bad[0], bad[1]))
@@ -227,10 +227,6 @@ def _scalar_value(s: Poly) -> int:
     if not s.terms:
         return 0
     return _poly_int_coeff(next(iter(s.terms.values())))
-
-
-def _contains_scalar_p(s: Poly) -> bool:
-    return _is_int_scalar(s)
 
 
 def _scalar_kernel_degree(pring, prefix, n, N):

@@ -8,15 +8,13 @@ from fractions import Fraction
 
 from .errors import IntegralityFailure
 from .poly import Poly, PolyRing
-from .rings import ModularIntegers, Ring
+from .rings import ModularIntegers, Rationals, Ring
 from .series import Series, SeriesCtx, SeriesRing
 
 
 def fraction_mod(q: Fraction, m: int) -> int:
     """Image of a rational with denominator prime to m in Z/m."""
     q = Fraction(q)
-    if q.denominator % _shared_prime(m) == 0 and m % q.denominator == 0:
-        raise IntegralityFailure(f"{q} has denominator sharing a factor with {m}")
     try:
         dinv = pow(q.denominator, -1, m)
     except ValueError:
@@ -24,8 +22,27 @@ def fraction_mod(q: Fraction, m: int) -> int:
     return (q.numerator * dinv) % m
 
 
-def _shared_prime(m: int) -> int:
-    return 2 if m % 2 == 0 else m
+def descend_scalar(value, target: Ring):
+    """Inverse of rationalize on elements that happen to be integral: each
+    Fraction, coordinate and coefficient descends on its own."""
+    if isinstance(value, Fraction):
+        if isinstance(target, Rationals):
+            return value
+        q = target.divide(target.from_int(value.numerator),
+                          target.from_int(value.denominator))
+        if q is None:
+            raise IntegralityFailure(f"{value} not integral for {target!r}")
+        return q
+    if isinstance(value, Poly):
+        out = {}
+        for e, c in value.terms.items():
+            out[e] = descend_scalar(c, target.base)
+        return Poly(target, out)
+    if isinstance(value, Series):
+        return value.map_coefficients(lambda c: descend_scalar(c, target.base), target.base)
+    if isinstance(value, tuple):
+        return tuple(descend_scalar(c, target.base) for c in value)
+    raise IntegralityFailure(f"cannot descend {type(value)}")
 
 
 def is_local_integral(value, p: int = 2) -> bool:

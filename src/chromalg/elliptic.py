@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .convert import descend_scalar
 from .errors import (AlgebraError, JUndefined, NotInvertible, NotNodal,
                      NotOnCurve)
 from .poly import PolyRing
 from .rings import Ring
-from .series import Series, SeriesCtx
+from .series import Laurent, Series, SeriesCtx
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,9 @@ def curve_log(E: WeierstrassCurve, N: int) -> Series:
     ctx = SeriesCtx(R, ("z",), N)
     z = ctx.gen("z")
     w = curve_w_series(E, N + 4)
-    V = Series(SeriesCtx(R, ("z",), N + 1),
-               {(n - 3,): c for (n,), c in w.terms.items() if n - 3 < N + 1})
+    V = Laurent(w).S
     Vp = V.derivative("z")
-    zt = SeriesCtx(R, ("z",), N + 1).gen("z")
-    numer = ctx.from_int(-2) - (zt * Vp * V.inverse()).truncate(N)
+    numer = ctx.from_int(-2) - (V.ctx.gen("z") * Vp * V.inverse()).truncate(N)
     wN = w.truncate(N)
     den = ctx.from_int(-2) + z.scale(E.a1) + wN.scale(E.a3)
     lp = numer * den.inverse()
@@ -461,8 +460,8 @@ def find_node(E: WeierstrassCurve):
         a1q, a3q = lift(E.a1), lift(E.a3)
         y0q = Q.divide(Q.neg(Q.add(Q.mul(a1q, x0q), a3q)), Q.from_int(2))
         # map back into the curve ring when possible
-        x0 = _descend(R, Q, x0q)
-        y0 = _descend(R, Q, y0q)
+        x0 = descend_scalar(x0q, R)
+        y0 = descend_scalar(y0q, R)
     else:
         x0 = y0 = None
         for xe in R.elements():
@@ -479,34 +478,6 @@ def find_node(E: WeierstrassCurve):
     return (x0, y0)
 
 
-def _descend(R: Ring, Q: Ring, val):
-    """Bring a rationalized scalar back into R (desk cases: denominators clear)."""
-    q = R.divide(_numer_in(R, Q, val), _denom_in(R, Q, val))
-    if q is None:
-        raise AlgebraError("node coordinates do not lie in the base ring")
-    return q
-
-
-def _numer_in(R, Q, val):
-    from fractions import Fraction
-    if isinstance(val, Fraction):
-        return R.from_int(val.numerator)
-    if isinstance(val, tuple):  # quotient extension coordinates
-        return tuple(_numer_in(R.base, Q.base, v) for v in val)
-    return val
-
-
-def _denom_in(R, Q, val):
-    from fractions import Fraction
-    if isinstance(val, Fraction):
-        return R.from_int(val.denominator)
-    if isinstance(val, tuple):
-        from math import lcm
-        dens = [v.denominator for v in val]
-        return R.from_int(lcm(*dens)) if dens else R.one()
-    return R.one()
-
-
 def tangent_gradient(E: WeierstrassCurve, P):
     """(F_x, F_y) of the defining polynomial at an affine point; the tangent is
     horizontal exactly when F_x = 0 with F_y invertible-or-nonzero."""
@@ -521,15 +492,10 @@ def tangent_gradient(E: WeierstrassCurve, P):
 
 
 def _is_singular_at(E: WeierstrassCurve, x0, y0) -> bool:
-    R = E.ring
-    a1, a2, a3, a4, a6 = E.coefficients()
     if not on_curve(E, (x0, y0)):
         return False
-    fy = R.add(R.scale_int(y0, 2), R.add(R.mul(a1, x0), a3))
-    fx = R.sub(R.mul(a1, y0),
-               R.add(R.scale_int(R.mul(x0, x0), 3),
-                     R.add(R.scale_int(R.mul(a2, x0), 2), a4)))
-    return R.is_zero(fy) and R.is_zero(fx)
+    fx, fy = tangent_gradient(E, (x0, y0))
+    return E.ring.is_zero(fy) and E.ring.is_zero(fx)
 
 
 def node_uniformization(E: WeierstrassCurve, N: int = 8) -> NodeData:

@@ -14,17 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .convert import assert_two_integral, series_reduce
+from .convert import assert_two_integral, descend_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
                        formal_group_of_curve, gamma1_3_curve)
-from .errors import (AlgebraError, HeightExceedsPrecision, IntegralityFailure,
+from .errors import (AlgebraError, HeightExceedsPrecision,
                      InvalidKernel, NotOrdinary, PreparationFailed,
                      QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
 from .poly import Poly, PolyRing
 from .rings import ModularIntegers, PrimeField, QQ, Ring
-from .series import Series, SeriesCtx, SeriesRing, weierstrass_prepare
+from .series import Laurent, Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
 # -- the law object ------------------------------------------------------------
@@ -254,31 +254,8 @@ def hazewinkel_generators(F: FormalGroupLaw, p: int, n: int) -> PTypicalData:
         for i in range(1, m):
             acc = Qring.sub(acc, Qring.mul(ells[i], Qring.pow(vs_q[m - i - 1], p ** i)))
         vs_q.append(acc)
-    vs = [_descend_scalar(v, F.ring, Qring) for v in vs_q]
+    vs = [descend_scalar(v, F.ring) for v in vs_q]
     return PTypicalData(p, ells[1:], vs)
-
-
-def _descend_scalar(value, target: Ring, source: Ring):
-    """Inverse of rationalize on elements that happen to be integral."""
-    if isinstance(value, Fraction):
-        if isinstance(target, type(QQ)) or target is QQ:
-            return value
-        q = target.divide(target.from_int(value.numerator),
-                          target.from_int(value.denominator))
-        if q is None:
-            raise IntegralityFailure(f"{value} not integral for {target!r}")
-        return q
-    if isinstance(value, Poly):
-        out = {}
-        for e, c in value.terms.items():
-            out[e] = _descend_scalar(c, target.base, source.base)
-        return Poly(target, out)
-    if isinstance(value, Series):
-        return value.map_coefficients(
-            lambda c: _descend_scalar(c, target.base, source.base), target.base)
-    if isinstance(value, tuple):
-        return tuple(_descend_scalar(c, target.base, source.base) for c in value)
-    raise IntegralityFailure(f"cannot descend {type(value)}")
 
 
 # -- isomorphism search --------------------------------------------------------------
@@ -561,73 +538,21 @@ def _formal_two_torsion(EQ: WeierstrassCurve):
     return x, y
 
 
-class _Laur:
-    """z^k * S with S a unit-constant (or zero) univariate series; k may be
-    negative.  Minimal Laurent arithmetic for chord computations."""
-
-    def __init__(self, S: Series, k: int):
-        if not S.is_zero():
-            m = min(e[0] for e in S.terms)
-            if m:
-                S = Series(S.ctx, {(e[0] - m,): c for e, c in S.terms.items()})
-                k += m
-        self.S = S
-        self.k = k
-
-    @classmethod
-    def const(cls, ctx, c):
-        return cls(ctx.const(c), 0)
-
-    def __add__(self, o):
-        k = min(self.k, o.k)
-        a = _shift(self.S, self.k - k)
-        b = _shift(o.S, o.k - k)
-        return _Laur(a + b, k)
-
-    def __sub__(self, o):
-        return self + o.neg()
-
-    def neg(self):
-        return _Laur(-self.S, self.k)
-
-    def __mul__(self, o):
-        return _Laur(self.S * o.S, self.k + o.k)
-
-    def inverse(self):
-        return _Laur(self.S.inverse(), -self.k)
-
-    def to_series(self, prec):
-        if self.S.is_zero():
-            return self.S.truncate(prec)
-        if self.k < 0:
-            raise AlgebraError("pole remains; not a power series")
-        return _shift(self.S, self.k).truncate(prec)
-
-
-def _shift(S: Series, m: int) -> Series:
-    if m == 0:
-        return S
-    return Series(S.ctx, {(e[0] + m,): c for e, c in S.terms.items()
-                          if e[0] + m < S.ctx.prec})
-
-
 def _sum_with_point(E: WeierstrassCurve, x0, y0, N: int) -> Series:
     """z-coordinate of P(z) + (x0, y0) as a power series in z; constant term is
     the formal coordinate -x0/y0 of the fixed point."""
-    R = E.ring
     P = N + 8
-    ctx = SeriesCtx(R, ("x",), P)
-    w = curve_w_series(E, P + 3)
-    V = Series(ctx, {(n - 3,): c for (n,), c in w.terms.items() if n - 3 < P})
+    w = curve_w_series(E, P + 3).rename(("x",))
+    V = Laurent(w).S
     Vinv = V.inverse()
     a1, a2, a3, a4, a6 = E.coefficients()
-    X = _Laur(Vinv, -2)
-    Yl = _Laur(-Vinv, -3)
-    c = lambda v: _Laur.const(ctx, v)
+    X = Laurent(Vinv, -2)
+    Yl = Laurent(-Vinv, -3)
+    c = lambda v: Laurent(V.ctx.const(v))
     mu = (Yl - c(y0)) * (X - c(x0)).inverse()
     x3 = mu * mu + c(a1) * mu - c(a2) - X - c(x0)
     y3 = mu * (X - x3) - Yl - c(a1) * x3 - c(a3)
-    s = x3.neg() * y3.inverse()
+    s = -x3 * y3.inverse()
     return s.to_series(N)
 
 

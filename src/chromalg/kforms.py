@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .elliptic import gamma1_3_curve, invariants, transform, curves_equal
-from .linalg import int_kernel, smith_normal_form
+from .errors import IntegralityFailure
+from .linalg import int_kernel, smith_normal_form, solve_int_exact
 from .poly import PolyRing
 from .rings import (PrimeField, QuotientExtension, Ring, omega_ring,
                     sqrt_minus3)
@@ -47,9 +48,17 @@ def eigenspace(T: QuotientExtension, sigma, sign: int, degree: int = 0):
 
 
 def c2_cohomology(T: QuotientExtension, sigma, invert: tuple[int, ...] = (3,)):
-    """H^1 = ker(Norm)/im(sigma - 1), H^2 = ker(sigma - 1)/im(Norm), computed
-    by integer lattices with the primes in `invert` discarded from torsion."""
-    M = sigma_matrix(T, sigma)
+    """H^1 and H^2 of C_2 acting on T by sigma, with the primes in `invert`
+    discarded from torsion (see c2_lattice_cohomology)."""
+    return c2_lattice_cohomology(sigma_matrix(T, sigma), invert)
+
+
+def c2_lattice_cohomology(M: list[list[int]], invert: tuple[int, ...] = ()):
+    """H^1 = ker(Norm)/im(sigma - 1), H^2 = ker(sigma - 1)/im(Norm) for sigma
+    acting on Z^n by the integer matrix M (columns are images), computed by
+    integer lattices with the primes in `invert` discarded from torsion.
+    IntegralityFailure when an image leaves the kernel lattice, which happens
+    exactly when sigma^2 != 1."""
     n = len(M)
     ident = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     norm = [[M[j][i] + ident[j][i] for i in range(n)] for j in range(n)]
@@ -61,13 +70,11 @@ def c2_cohomology(T: QuotientExtension, sigma, invert: tuple[int, ...] = (3,)):
             return (0, [])
         kcols = [list(k) for k in ker]
         rel = []
-        from .linalg import solve_int_exact
         for j in range(n):
             col = [im_of[j][i] for i in range(n)]
             coords = solve_int_exact(kcols, col)
             if coords is None:
-                # image not inside the kernel lattice: project by solving over Q
-                continue
+                raise IntegralityFailure("image not contained in the kernel lattice")
             rel.append(coords)
         diag = smith_normal_form(rel) if rel else []
         free = len(kcols) - len(diag)
@@ -88,9 +95,7 @@ def c2_cohomology(T: QuotientExtension, sigma, invert: tuple[int, ...] = (3,)):
 def c2_cohomology_trivial_Z():
     """Contrast case: T = Z with trivial action: H^1 = 0, H^2 = Z/2."""
     # norm = multiplication by 2, sigma - 1 = 0, on the rank-1 lattice
-    h1 = (0, [])                       # ker(2) = 0
-    h2 = (0, [2])                      # Z / 2Z
-    return {"H1": h1, "H2": h2}
+    return c2_lattice_cohomology([[1]])
 
 
 def c2_cohomology_F2_trivial():

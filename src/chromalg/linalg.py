@@ -2,7 +2,8 @@
 
 Three levels, each used where it fits:
   * GF(2) matrices as lists of int bitmasks (fast rref / solve / nullspace);
-  * generic rref over any field-like Ring (Fractions, F_p, quotient fields);
+  * generic row reduction over any field-like Ring (Fractions, F_p, quotient
+    fields);
   * integer lattice routines (saturated kernel via row HNF, Smith normal form)
     for homology over Z localized at a prime.
 """
@@ -99,7 +100,7 @@ def f2_nullspace(columns: list[int], ncols: int) -> list[int]:
     return null
 
 
-# -- generic field rref --------------------------------------------------------
+# -- generic field solves ------------------------------------------------------
 
 class FieldOps:
     """Adapter turning a Ring with total inversion of nonzero elements into
@@ -107,31 +108,6 @@ class FieldOps:
 
     def __init__(self, ring):
         self.ring = ring
-
-    def rref(self, rows: list[list]):
-        R = self.ring
-        mat = [list(r) for r in rows]
-        pivots = []
-        rank = 0
-        ncols = len(mat[0]) if mat else 0
-        for col in range(ncols):
-            piv = None
-            for i in range(rank, len(mat)):
-                if not R.is_zero(mat[i][col]):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = R.inv(mat[rank][col])
-            mat[rank] = [R.mul(inv, x) for x in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and not R.is_zero(mat[i][col]):
-                    f = mat[i][col]
-                    mat[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(mat[i], mat[rank])]
-            pivots.append(col)
-            rank += 1
-        return mat[:rank], pivots
 
     def solve_many(self, columns: list[list], targets: list[list]):
         """Solve the same system for many right-hand sides with one reduction.

@@ -12,8 +12,8 @@ from .elliptic import (formal_group_of_curve, gamma1_3_curve, transform,
                        curves_equal)
 from .errors import AlgebraError
 from .poly import PolyRing
-from .rings import Z_local
-from .series import Series
+from .rings import ZZ, Z_local
+from .series import Laurent, Series, SeriesCtx
 
 
 WEIGHTS = (1, 3)
@@ -139,85 +139,12 @@ def chart_transition_check(prec: int = 8) -> dict:
 
 # -- q-expansions -----------------------------------------------------------------
 
-class QSeries:
-    """Integer Laurent q-series supported in [n0, prec)."""
-
-    __slots__ = ("coeffs", "n0", "prec")
-
-    def __init__(self, coeffs: dict, prec: int):
-        self.coeffs = {n: c for n, c in coeffs.items() if c != 0 and n < prec}
-        self.n0 = min(self.coeffs) if self.coeffs else 0
-        self.prec = prec
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs.get(n, 0)
-
-    def __add__(self, o):
-        prec = min(self.prec, o.prec)
-        out = dict(self.coeffs)
-        for n, c in o.coeffs.items():
-            out[n] = out.get(n, 0) + c
-        return QSeries(out, prec)
-
-    def __sub__(self, o):
-        return self + o.scale(-1)
-
-    def scale(self, k: int):
-        return QSeries({n: k * c for n, c in self.coeffs.items()}, self.prec)
-
-    def __mul__(self, o):
-        prec = min(self.prec, o.prec)
-        out = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in o.coeffs.items():
-                n = n1 + n2
-                if n < prec:
-                    out[n] = out.get(n, 0) + c1 * c2
-        return QSeries(out, prec)
-
-    def __pow__(self, k: int):
-        out = QSeries({0: 1}, self.prec)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def divide_exact(self, k: int):
-        out = {}
-        for n, c in self.coeffs.items():
-            if c % k:
-                raise AlgebraError(f"coefficient {c} of q^{n} not divisible by {k}")
-            out[n] = c // k
-        return QSeries(out, self.prec)
-
-    def shift(self, m: int):
-        return QSeries({n + m: c for n, c in self.coeffs.items()}, self.prec + m)
-
-    def inverse_unit(self):
-        """Inverse of a series with leading coefficient +-1 at its lowest order."""
-        m = self.n0
-        lead = self[m]
-        if lead not in (1, -1):
-            raise AlgebraError("leading coefficient must be a unit")
-        prec = self.prec - m
-        norm = self.shift(-m)   # starts at 0
-        inv = {0: lead}
-        for n in range(1, prec):
-            acc = 0
-            for k in range(1, n + 1):
-                acc += norm[k] * inv.get(n - k, 0)
-            inv[n] = -lead * acc
-        return QSeries(inv, prec).shift(-m)
-
-    def __eq__(self, o):
-        prec = min(self.prec, o.prec)
-        for n in set(self.coeffs) | set(o.coeffs):
-            if n < prec and self[n] != o[n]:
-                return False
-        return True
-
-    def __repr__(self):
-        parts = [f"{c}*q^{n}" for n, c in sorted(self.coeffs.items())]
-        return " + ".join(parts[:8]) + (" + ..." if len(parts) > 8 else "")
+def QSeries(coeffs: dict, prec: int) -> Laurent:
+    """The integer Laurent q-series with these coefficients, known below q^prec."""
+    coeffs = {n: c for n, c in coeffs.items() if c and n < prec}
+    val = min(coeffs, default=min(0, prec - 1))
+    ctx = SeriesCtx(ZZ, ("q",), prec - val)
+    return Laurent(Series(ctx, {(n - val,): c for n, c in coeffs.items()}), val)
 
 
 def _sigma(k: int, n: int) -> int:
@@ -231,16 +158,16 @@ def eisenstein_j(nterms: int):
     e4 = QSeries({0: 1, **{n: 240 * _sigma(3, n) for n in range(1, nterms)}}, nterms)
     e6 = QSeries({0: 1, **{n: -504 * _sigma(5, n) for n in range(1, nterms)}}, nterms)
     delta = (e4 ** 3 - e6 ** 2).divide_exact(1728)
-    j = e4 ** 3 * delta.inverse_unit()
-    j_inv = delta * (e4 ** 3).inverse_unit()
+    j = e4 ** 3 * delta.inverse()
+    j_inv = delta * (e4 ** 3).inverse()
     return e4, e6, delta, j, j_inv
 
 
-def psi_operator(f: QSeries) -> QSeries:
-    """f(q) -> f(q^2)."""
-    return QSeries({2 * n: c for n, c in f.coeffs.items()}, f.prec)
+def psi_operator(f: Laurent) -> Laurent:
+    """f(q) -> f(q^2), known below twice the precision of f."""
+    return QSeries({2 * n: c for n, c in f.coeffs.items()}, 2 * f.prec)
 
 
-def psi_defect(f: QSeries) -> QSeries:
+def psi_defect(f: Laurent) -> Laurent:
     """f(q^2) - f(q); its constant term always vanishes."""
     return psi_operator(f) - f

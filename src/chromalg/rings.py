@@ -446,11 +446,6 @@ class QuotientExtension(Ring):
         out[0] = self.base.from_int(n)
         return self._tup(out)
 
-    def from_base(self, a):
-        out = [self.base.zero()] * self.deg
-        out[0] = a
-        return self._tup(out)
-
     def add(self, a, b):
         return self._tup([self.base.add(x, y) for x, y in zip(a, b)])
 

@@ -2,16 +2,17 @@
 
 Each one is the plain algorithm that the library's faster version replaced:
 full-precision Newton inversion, degree-by-degree reversion, the fixed-point
-w-series at full precision, full-precision `find_iso`, and long division.
-They share no code path with the functions they check, beyond `Series`
-arithmetic and `compose`.
+w-series at full precision, full-precision `find_iso`, long division, and the
+dict-based integer q-series with its psi operator.  They share no code path
+with the functions they check, beyond `Series` arithmetic and `compose`
+(`QSeries` shares none).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from chromalg.errors import NotInvertible
+from chromalg.errors import AlgebraError, NotInvertible
 from chromalg.fgl import FormalGroupLaw, IsoResult, Obstruction
 from chromalg.rings import Ring
 from chromalg.series import Series, SeriesCtx
@@ -119,3 +120,86 @@ def series_div_oracle(num: list, den: list, ring: Ring, n: int) -> list:
             if k + j < len(rem):
                 rem[k + j] = ring.sub(rem[k + j], ring.mul(c, dj))
     return out
+
+
+class QSeries:
+    """Integer Laurent q-series supported in [n0, prec): quadratic product,
+    repeated multiplication for powers and a degree-by-degree inverse."""
+
+    __slots__ = ("coeffs", "n0", "prec")
+
+    def __init__(self, coeffs: dict, prec: int):
+        self.coeffs = {n: c for n, c in coeffs.items() if c != 0 and n < prec}
+        self.n0 = min(self.coeffs) if self.coeffs else 0
+        self.prec = prec
+
+    def __getitem__(self, n: int) -> int:
+        return self.coeffs.get(n, 0)
+
+    def __add__(self, o):
+        prec = min(self.prec, o.prec)
+        out = dict(self.coeffs)
+        for n, c in o.coeffs.items():
+            out[n] = out.get(n, 0) + c
+        return QSeries(out, prec)
+
+    def __sub__(self, o):
+        return self + o.scale(-1)
+
+    def scale(self, k: int):
+        return QSeries({n: k * c for n, c in self.coeffs.items()}, self.prec)
+
+    def __mul__(self, o):
+        prec = min(self.prec, o.prec)
+        out = {}
+        for n1, c1 in self.coeffs.items():
+            for n2, c2 in o.coeffs.items():
+                n = n1 + n2
+                if n < prec:
+                    out[n] = out.get(n, 0) + c1 * c2
+        return QSeries(out, prec)
+
+    def __pow__(self, k: int):
+        out = QSeries({0: 1}, self.prec)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def divide_exact(self, k: int):
+        out = {}
+        for n, c in self.coeffs.items():
+            if c % k:
+                raise AlgebraError(f"coefficient {c} of q^{n} not divisible by {k}")
+            out[n] = c // k
+        return QSeries(out, self.prec)
+
+    def shift(self, m: int):
+        return QSeries({n + m: c for n, c in self.coeffs.items()}, self.prec + m)
+
+    def inverse_unit(self):
+        """Inverse of a series with leading coefficient +-1 at its lowest order."""
+        m = self.n0
+        lead = self[m]
+        if lead not in (1, -1):
+            raise AlgebraError("leading coefficient must be a unit")
+        prec = self.prec - m
+        norm = self.shift(-m)   # starts at 0
+        inv = {0: lead}
+        for n in range(1, prec):
+            acc = 0
+            for k in range(1, n + 1):
+                acc += norm[k] * inv.get(n - k, 0)
+            inv[n] = -lead * acc
+        return QSeries(inv, prec).shift(-m)
+
+    def __eq__(self, o):
+        prec = min(self.prec, o.prec)
+        for n in set(self.coeffs) | set(o.coeffs):
+            if n < prec and self[n] != o[n]:
+                return False
+        return True
+
+
+def psi_defect_oracle(f: QSeries) -> QSeries:
+    """f(q^2) - f(q), with f(q^2) taken at the precision of f."""
+    return QSeries({2 * n: c for n, c in f.coeffs.items()}, f.prec) - f

@@ -7,7 +7,7 @@ from chromalg.elliptic import (ADDITIVE, NODAL, SMOOTH_ORDINARY,
                                SMOOTH_SUPERSINGULAR)
 from chromalg.errors import JUndefined, NotNodal, NotOnCurve
 from chromalg.poly import PolyRing
-from chromalg.rings import GF, QQ, Z_inverted, ZZ
+from chromalg.rings import GF, QQ, Z_inverted, ZZ, omega_ring
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,18 @@ def test_node_beta_curve():
     nd = elliptic.node_uniformization(E, N=6)
     assert nd.node == (P.zero(), P.zero())
     assert nd.law.b == P.gen("beta") and nd.law.c.is_zero()
+
+
+def test_node_over_omega_ring_descends_each_coordinate():
+    # node (1/3 + w/9, 0) on y^2 = x^3 + a2 x^2 + a4 x + a6 over Z[1/3][w]
+    T = omega_ring()
+    x0 = (Fraction(1, 3), Fraction(1, 9))
+    sq = T.mul(x0, x0)
+    a2 = T.sub(T.one(), T.scale_int(x0, 3))
+    a4 = T.sub(T.scale_int(sq, 3), T.scale_int(x0, 2))
+    a6 = T.sub(sq, T.mul(sq, x0))
+    E = elliptic.curve(T, T.zero(), a2, T.zero(), a4, a6)
+    assert elliptic.find_node(E) == (x0, T.zero())
 
 
 def test_node_refused_on_smooth_or_additive():

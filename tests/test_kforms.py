@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from chromalg import kforms
+from chromalg.errors import IntegralityFailure
 from chromalg.rings import Z_inverted, ZZ, omega_ring, sqrt_minus3
 
 
@@ -41,6 +42,20 @@ def test_c2_cohomology_cases(T, sigma):
     assert coh["H1"] == (0, []) and coh["H2"] == (0, [])
     assert kforms.c2_cohomology_trivial_Z() == {"H1": (0, []), "H2": (0, [2])}
     assert kforms.c2_cohomology_F2_trivial()["H1"] == (0, [2])
+
+
+def test_c2_cohomology_refuses_an_action_that_is_not_an_involution(T):
+    # sigma(a + bw) = (b - a) - bw has sigma^2 != 1: an image of sigma - 1
+    # leaves the kernel lattice of the norm
+    B = T.base
+    bad = lambda x: (B.sub(x[1], x[0]), B.neg(x[1]))
+    assert not T.eq(bad(bad(T.gen())), T.gen())
+    with pytest.raises(IntegralityFailure):
+        kforms.c2_cohomology(T, bad)
+
+
+def test_c2_cohomology_of_the_sign_action_on_Z():
+    assert kforms.c2_lattice_cohomology([[-1]]) == {"H1": (0, [2]), "H2": (0, [])}
 
 
 def test_twisted_k_graded_ring(T, sigma):

@@ -80,6 +80,6 @@ def test_psi_operator_and_defect():
 
 def test_qseries_inverse():
     f = QSeries({0: 1, 1: -24}, 6)
-    g = f.inverse_unit()
+    g = f.inverse()
     assert (f * g) == QSeries({0: 1}, 6)
     assert g[3] == 24 ** 3

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from chromalg.convert import descend_scalar, fraction_mod
+from chromalg.errors import IntegralityFailure
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
                             QuotientExtension, Z_inverted, Z_local, ZZ,
                             omega_ring, sqrt_minus3)
@@ -94,3 +96,17 @@ def test_divide_semantics():
     Z8 = ModularIntegers(8)
     assert Z8.divide(6, 2) in (3, 7)
     assert Z8.divide(1, 2) is None
+
+
+def test_fraction_mod_needs_a_denominator_prime_to_m():
+    for q in (Fraction(1, 2), Fraction(1, 6)):
+        with pytest.raises(IntegralityFailure):
+            fraction_mod(q, 8)
+    assert fraction_mod(Fraction(1, 3), 8) == 3
+
+
+def test_descend_scalar_keeps_each_coordinate():
+    T = omega_ring()
+    assert descend_scalar((Fraction(1, 3), Fraction(1, 9)), T) == (Fraction(1, 3), Fraction(1, 9))
+    with pytest.raises(IntegralityFailure):
+        descend_scalar(Fraction(1, 2), Z_local(2))
