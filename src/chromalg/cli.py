@@ -4,7 +4,8 @@
            [--q-terms N] [--json PATH] [--out PATH] [--figures DIR] [--list]
 
 Exit codes: 0 all checks pass, 1 failures, 2 usage errors.  VERIFY_SEED seeds
-the randomized property checks (default 0)."""
+the randomized property checks (default 0); a value that is not an integer
+is a usage error."""
 
 from __future__ import annotations
 
@@ -42,15 +43,15 @@ def main(argv=None) -> int:
     if args.list or list(suites) == ["list"]:
         sys.stdout.write(render_suite_table())
         return 0
-    cfg = RunConfig(
-        max_degree=args.max_degree,
-        series_prec=args.series_prec,
-        two_adic_prec=args.two_adic_prec,
-        q_terms=args.q_terms,
-        suites=suites,
-        seed=env_seed(),
-    )
     try:
+        cfg = RunConfig(
+            max_degree=args.max_degree,
+            series_prec=args.series_prec,
+            two_adic_prec=args.two_adic_prec,
+            q_terms=args.q_terms,
+            suites=suites,
+            seed=env_seed(),
+        )
         cfg.validate()
     except ValueError as exc:
         parser.error(str(exc))     # exits with code 2

@@ -127,8 +127,12 @@ def render_suite_table() -> str:
 
 
 def env_seed(default: int = 0) -> int:
+    """VERIFY_SEED as an int, or default when it is unset or empty; ValueError
+    when it is not an integer."""
     raw = os.environ.get("VERIFY_SEED", "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
+    if not raw:
         return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"VERIFY_SEED must be an integer, got {raw!r}") from None

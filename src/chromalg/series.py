@@ -19,30 +19,49 @@ precision it needs:
   * fgl.find_iso: degree step d composes at precision d + 1.
 
 Multiplication contract.  Series.__mul__ meets both operands at the smaller
-precision, then multiplies univariate series over packed carriers with one
-big-integer product (Kronecker substitution; Harvey, J. Symb. Comput. 44,
-2009), and everything else with the term-by-term loop _mul_dict:
+precision P, then multiplies over packed carriers with one big-integer
+product (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), and
+everything else with the term-by-term loop _mul_dict:
   * packed carriers: scalars of exactly Integers, Rationals,
-    LocalizedIntegers, ModularIntegers or PrimeField (one level), or a
-    SeriesRing of precision Pb over one of those whose coefficients all sit
-    at the ring's own context (two levels);
-  * slot layout: x^j goes to slot j; in the tower x^i b^j goes to slot
-    i*(2Pb - 1) + j, so b^j1 * b^j2 (j1 + j2 <= 2Pb - 2) stays in its block
-    and unpacking keeps j < Pb and the slots below the x-precision;
+    LocalizedIntegers, ModularIntegers or PrimeField; a SeriesRing of
+    precision Pb over one of those whose coefficients all sit at the ring's
+    own context; a QuotientExtension over one of those whose modulus has
+    integer coefficients (omega_ring(), GF(4));
+  * slot layout, for n variables: exponent e has the index
+    |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2, and inner slot j of it
+    sits at slot index*r + j.  The inner radix r is 1 for scalars (j = 0),
+    2Pb - 1 for a SeriesRing (j the b-degree) and 2*deg - 1 for a
+    QuotientExtension (j the w-coordinate), so an inner product stays in its
+    block.  Total degree is the top digit: a product term of total degree
+    < P has digits e_k < P and decodes uniquely, and a digit sum that
+    reaches P carries only into blocks of total degree >= P, which are
+    dropped.  For n = 1 the index is the degree;
+  * QuotientExtension blocks are reduced after unpacking: the 2*deg - 1
+    integers of a block are reduced by the monic integer modulus from the
+    top, x^k -> x^k - x^(k-deg) * f, then taken mod m or over the common
+    denominator;
+  * density rule: pack only when E_a * E_b >= S, where E counts an operand's
+    packed scalar entries (scalars, b-coefficients, or w-coordinates: deg
+    per term) and S is the number of slots the product spans, up to the
+    last slot of total degree < P.  E_a * E_b is the number of scalar
+    products the loop makes, so sparse operands take the loop;
   * scalars: Z/m residues pack unsigned in [0, m) and unpack with % m;
     Z, Q and Z_(p) pack as signed integers, Q and Z_(p) scaled by the lcm of
     each operand's denominators, and the coefficients come back as
     Fraction(C, Da*Db).  An operand that mixes int and Fraction scalars takes
-    the loop, so every result has the loop's values and Python types;
+    the loop, so every result has the loop's values and Python types.  Over
+    a QuotientExtension whose base zero is Fraction(0) every coordinate comes
+    back as a Fraction, as the loop's sums into that zero give;
   * width: a slot has w >= bitlen(max|a|) + bitlen(max|b|) + bitlen(pairs)
-    + 2 bits, whole bytes, where pairs = min(terms of a, terms of b) bounds the
-    products summed into one slot: |slot| < 2^(w-2), so no slot carries into
-    the next and signed slots decode with a borrow-free 2^(w-1) offset;
+    + 2 bits, whole bytes, where pairs = min(E_a, E_b) bounds the products
+    summed into one slot: |slot| < 2^(w-2), so no slot carries into the
+    next and signed slots decode with a borrow-free 2^(w-1) offset;
   * an operand with one term over packed scalars makes no sums: each
     coefficient is one scalar product, computed as the ring's mul computes it;
-  * the loop runs for multivariate series, every other ring (QuotientExtension,
-    PolyRing, deeper towers), tower coefficients at another precision or
-    context, and mixed int/Fraction operands.
+  * the loop runs for every other ring (PolyRing, deeper towers,
+    QuotientExtension with a non-integral modulus or another base), tower
+    coefficients at another precision or context, mixed int/Fraction
+    operands and operands below the density rule.
 
 Laurent precision contract.  A Laurent is x^val * S with S a univariate
 Series whose constant term is nonzero (or S = 0); it is known below the
@@ -61,12 +80,13 @@ the multiplication above and Newton inversion:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (AlgebraError, CompositionError, MixedVariablesError,
                      NotInvertible, PreparationFailed, TruncationError)
 from .rings import (Integers, LocalizedIntegers, ModularIntegers, PrimeField,
-                    Rationals, Ring)
+                    QuotientExtension, Rationals, Ring)
 
 
 class SeriesCtx:
@@ -452,6 +472,30 @@ def _scalar_modulus(R: Ring):
     return None
 
 
+def _integral(modulus: tuple):
+    """The modulus as ints, or None when a coefficient is not an integer."""
+    out = []
+    for c in modulus:
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        if type(c) is not int:
+            return None
+        out.append(c)
+    return out
+
+
+def _reduce(c: list, mod: list, m: int) -> list:
+    """c (low first, 2d - 1 integers) modulo the monic modulus mod of degree
+    d, with x^k -> x^k - x^(k-d) * mod from the top; then mod m when m."""
+    d = len(mod) - 1
+    for k in range(len(c) - 1, d - 1, -1):
+        q = c[k]
+        if q:
+            for j in range(d):
+                c[k - d + j] -= q * mod[j]
+    return [v % m for v in c[:d]] if m else c[:d]
+
+
 def _integers(vals: list, m: int):
     """vals as the integers to pack, their common denominator and whether
     they were Fractions.  None when ints and Fractions mix: the loop would
@@ -465,16 +509,29 @@ def _integers(vals: list, m: int):
     return None
 
 
-def _operand(s: Series, inner):
-    """(blocks, slots, scalars) of a univariate series for packing: blocks
-    lists (block index, entry count) in the order of the flat slots and
-    scalars.  Without inner the series is one block, x^j at slot j.  With
-    inner (the context of a SeriesRing's elements) coefficient x^i is block
-    i, b^j at slot j; None when a coefficient is not at that context."""
-    if inner is None:
-        return [(0, len(s.terms))], [j for (j,) in s.terms], list(s.terms.values())
+def _operand(s: Series, inner, P: int):
+    """(blocks, slots, scalars) of a series for packing: blocks lists (block
+    index, entry count) in the order of the flat slots and scalars.  Exponent
+    e has index |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2.  Over scalars
+    (inner None) the series is one block, e at slot index(e).  Otherwise e is
+    block index(e): a SeriesRing coefficient (inner its elements' context)
+    puts b^j at slot j, a QuotientExtension coefficient (inner tuple) its
+    coordinate j at slot j.  None when a SeriesRing coefficient is not at
+    that context."""
     blocks, slots, vals = [], [], []
-    for (i,), c in s.terms.items():
+    for e, c in s.terms.items():
+        i = sum(e)
+        for k in e[1:]:
+            i = i * P + k
+        if inner is None:
+            slots.append(i)
+            vals.append(c)
+            continue
+        if inner is tuple:
+            blocks.append((i, len(c)))
+            slots += range(len(c))
+            vals += c
+            continue
         cc = c.ctx
         if cc is not inner and (cc.prec != inner.prec or cc.vars != inner.vars
                                 or cc.ring is not inner.ring):
@@ -482,6 +539,8 @@ def _operand(s: Series, inner):
         blocks.append((i, len(c.terms)))
         slots += [j for (j,) in c.terms]
         vals += c.terms.values()
+    if inner is None:
+        blocks.append((0, len(vals)))
     return blocks, slots, vals
 
 
@@ -498,50 +557,92 @@ def _pack(blocks: list, slots: list, ints: list, w: int, stride: int) -> int:
     return x
 
 
+def _exponents(n: int, P: int, nblocks: int):
+    """(block index, exponent) for every exponent of n variables and total
+    degree < P whose block index is below nblocks."""
+    tails = [((), 0, 0)]            # (e_2..e_n, their part of the index, sum)
+    for _ in range(n - 1):
+        tails = [(t + (k,), i * P + k, s + k) for t, i, s in tails for k in range(P - s)]
+    base = P ** (n - 1)
+    for d in range(min(P, -(-nblocks // base))):
+        for t, i, s in tails:
+            if s <= d and d * base + i < nblocks:
+                yield d * base + i, (d - s,) + t
+
+
 def _mul_monomial(a: Series, b: Series, m: int) -> Series:
     """a*b over packed scalars when a or b has one term: no two products
     share an exponent, so each coefficient is one scalar product, computed
     as R.mul computes it (c*v, reduced mod m for Z/m)."""
     prec = a.ctx.prec
+    if len(a.terms) != 1:
+        a, b = b, a
+    ((e, c),) = a.terms.items()
+    top = prec - sum(e)
     out = {}
-    for (i,), c in a.terms.items():
+    if len(e) == 1:
+        (i,) = e
         for (j,), v in b.terms.items():
-            if i + j < prec:
+            if j < top:
                 p = c * v % m if m else c * v
                 if p:
                     out[(i + j,)] = p
+        return Series(a.ctx, out)
+    for f, v in b.terms.items():
+        if sum(f) < top:
+            p = c * v % m if m else c * v
+            if p:
+                out[tuple(map(operator.add, e, f))] = p
     return Series(a.ctx, out)
 
 
 def _mul_packed(a: Series, b: Series):
     """a*b by one big-integer product (Kronecker substitution), or None when
-    the carrier is not packed; a and b share one precision."""
+    the carrier is not packed or the operands are too sparse for it; a and b
+    share one precision."""
     ctx = a.ctx
     R = ctx.ring
-    if len(ctx.vars) != 1:
-        return None
     m = _scalar_modulus(R)
     if m is not None:
         if len(a.terms) == 1 or len(b.terms) == 1:
             return _mul_monomial(a, b, m)
-        inner, width, stride = None, 1, 1
+        inner, stride, width = None, 1, 1
     elif type(R) is SeriesRing:
         m = _scalar_modulus(R.base)
-        if m is None:
+        inner, stride, width = R.ctx, 2 * R.prec - 1, R.prec
+    elif type(R) is QuotientExtension:
+        m, mod = _scalar_modulus(R.base), _integral(R.modulus)
+        if mod is None:
             return None
-        inner, width, stride = R.ctx, R.prec, 2 * R.prec - 1
-    else:
+        inner = tuple
+        stride = width = 2 * R.deg - 1
+    if m is None:
         return None
-    op_a, op_b = _operand(a, inner), _operand(b, inner)
+    P, n = ctx.prec, len(ctx.vars)
+    op_a, op_b = _operand(a, inner, P), _operand(b, inner, P)
     if op_a is None or op_b is None:
         return None
     (blocks_a, slots_a, vals_a), (blocks_b, slots_b, vals_b) = op_a, op_b
     if not vals_a or not vals_b:
         return Series(ctx, {})
+    # the product spans the slots up to the last one that holds a term of
+    # total degree < P; packing pays when the loop's scalar products cover them
+    top = (max(blocks_a)[0] + max(blocks_b)[0]) * stride + max(slots_a) + max(slots_b)
+    nslots = min((P ** n - 1) * stride + width, top + 1)
+    if len(vals_a) * len(vals_b) < nslots:
+        return None
     int_a, int_b = _integers(vals_a, m), _integers(vals_b, m)
     if int_a is None or int_b is None:
         return None
     (ints_a, den_a, frac_a), (ints_b, den_b, frac_b) = int_a, int_b
+    frac = frac_a or frac_b
+    if inner is tuple:
+        # the loop adds into the base ring's zero: a Fraction zero makes every
+        # coordinate a Fraction, and an int zero beside Fractions mixes types
+        zero_frac = type(R.base.zero()) is Fraction
+        if frac and not zero_frac:
+            return None
+        frac = zero_frac
     # |slot| <= pairs * max|a| * max|b| < 2^(w - 2): no carry into the next
     # slot, and a spare bit for the sign
     if m:
@@ -550,27 +651,33 @@ def _mul_packed(a: Series, b: Series):
         bits = max(map(abs, ints_a)).bit_length() + max(map(abs, ints_b)).bit_length()
     size = (bits + min(len(ints_a), len(ints_b)).bit_length() + 2 + 7) // 8
     w = 8 * size
-    top = (max(blocks_a)[0] + max(blocks_b)[0]) * stride + max(slots_a) + max(slots_b)
-    nslots = min((ctx.prec - 1) * stride + width, top + 1)
     prod = _pack(blocks_a, slots_a, ints_a, w, stride) * _pack(blocks_b, slots_b, ints_b, w, stride)
     # signed slots: 2^(w-1) added to each makes every slot read as unsigned
     half = 0 if m else 1 << (w - 1)
     if half:
         prod += int.from_bytes((bytes(size - 1) + b"\x80") * nslots, "little")
     data = (prod & ((1 << (w * nslots)) - 1)).to_bytes(size * nslots, "little")
+    slots = range(0, size * nslots, size)
+    if m:
+        digits = [int.from_bytes(data[k:k + size], "little") % m for k in slots]
+    else:
+        digits = [int.from_bytes(data[k:k + size], "little") - half for k in slots]
     den = den_a * den_b
-    frac = frac_a or frac_b
     out = {}
-    for i in range(-(-nslots // stride)):
-        terms = {}
-        for s in range(i * stride, min(i * stride + width, nslots)):
-            v = int.from_bytes(data[s * size:(s + 1) * size], "little") - half
-            if m:
-                v %= m
+    for i, e in _exponents(n, P, -(-nslots // stride)):
+        if inner is None:
+            v = digits[i]
             if v:
-                terms[(s - i * stride,)] = Fraction(v, den) if frac else v
-        if terms:
-            out[(i,)] = terms[(0,)] if inner is None else Series(inner, terms)
+                out[e] = Fraction(v, den) if frac else v
+        elif inner is tuple:
+            c = _reduce(digits[i * stride:(i + 1) * stride], mod, m)
+            if any(c):
+                out[e] = tuple(Fraction(v, den) for v in c) if frac else tuple(c)
+        else:
+            terms = {(j,): Fraction(v, den) if frac else v
+                     for j, v in enumerate(digits[i * stride:i * stride + width]) if v}
+            if terms:
+                out[e] = Series(inner, terms)
     return Series(ctx, out)
 
 

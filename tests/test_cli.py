@@ -84,6 +84,15 @@ def test_verify_seed_env(monkeypatch):
     monkeypatch.setenv("VERIFY_SEED", "7")
     assert env_seed() == 7
     monkeypatch.setenv("VERIFY_SEED", "junk")
-    assert env_seed() == 0
+    with pytest.raises(ValueError):
+        env_seed()
     monkeypatch.delenv("VERIFY_SEED")
     assert env_seed() == 0
+
+
+def test_junk_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("VERIFY_SEED", "junk")
+    with pytest.raises(SystemExit) as exc:
+        main(["all"])
+    assert exc.value.code == 2
+    assert "VERIFY_SEED" in capsys.readouterr().err

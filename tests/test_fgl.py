@@ -166,6 +166,38 @@ def test_quotient_rejects_trivial_kernel():
         fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(Z8.zero(), Z8, 8))
 
 
+def test_quotient_checks_the_kernel_without_recomputing_it(monkeypatch):
+    """The caller's kernel is validated by divisibility: x(x + alpha) must
+    divide [2](x) = 2x + x^2 with a unit quotient, so alpha = 2 only."""
+    Z8 = ModularIntegers(8)
+    Fm = fgl.multiplicative_fgl(Z8, 1, 8)
+    K = fgl.canonical_subgroup(Fm)
+    calls = []
+    monkeypatch.setattr(fgl, "canonical_subgroup", lambda F: calls.append(F))
+    res = fgl.quotient_by_subgroup(Fm, K)
+    assert calls == []
+    assert res.fgl.coefficient(1, 1) == 7
+    for alpha in (6, 1, 4):
+        with pytest.raises(InvalidKernel):
+            fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(alpha, Z8, 8))
+
+
+def test_sum_with_point_working_precision_is_exact():
+    """The chord at N + 3 working degrees gives what a wider run gives."""
+    F = fgl.two_adic_family_fgl(2, 4, 6)
+    E = F.origin.lift_curve
+    x0, y0 = fgl._formal_two_torsion(E)
+
+    def exact(s):
+        return (s.ctx.vars, s.prec,
+                {e: (c.prec, {k: (type(v), v) for k, v in c.terms.items()})
+                 for e, c in s.terms.items()})
+    for N in (3, 8):
+        s = fgl._sum_with_point(E, x0, y0, N)
+        assert s.prec == N
+        assert exact(s) == exact(fgl._sum_with_point(E, x0, y0, N + 5).truncate(N))
+
+
 def test_quotient_frobenius_twist():
     F1 = fgl.two_adic_family_fgl(1, 8, 9)
     K1 = fgl.canonical_subgroup(F1)

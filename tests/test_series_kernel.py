@@ -1,7 +1,8 @@
 """Differential and operation-count tests for the packed series product: the
 Kronecker-packed multiplication of series.py against the term-by-term loop
-it replaces for univariate series over Z, Q, Z_(p), Z/m, F_p and one level of
-SeriesRing over those."""
+_mul_dict, for series in one, two and three variables over Z, Q, Z_(p),
+Z[1/3], Z/m and F_p, over one level of SeriesRing over those, and over
+QuotientExtension rings of those with an integral modulus."""
 
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chromalg.rings import (QQ, ZZ, ModularIntegers, PrimeField, Rationals,
-                            Z_local, omega_ring)
+from chromalg.poly import PolyRing
+from chromalg.rings import (GF, QQ, ZZ, LocalizedIntegers, ModularIntegers,
+                            PrimeField, QuotientExtension, Rationals,
+                            Z_inverted, Z_local, omega_ring)
 from chromalg.series import (Series, SeriesCtx, SeriesRing, _mul_dict,
                              _mul_packed)
 
@@ -23,7 +26,49 @@ def exact(v):
     product must give the loop's int or Fraction, not an equal value."""
     if isinstance(v, Series):
         return (v.ctx.vars, v.ctx.prec, {e: exact(c) for e, c in v.terms.items()})
+    if isinstance(v, tuple):
+        return tuple(exact(c) for c in v)
     return (type(v), v)
+
+
+def density(a, b):
+    """(E_a * E_b, S) as the multiplication contract states them: E counts an
+    operand's packed scalar entries, S the slots its product spans.  Exponent
+    e has index |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2, and inner slot
+    j of index i sits at slot i*r + j."""
+    R, P, n = a.ctx.ring, a.ctx.prec, len(a.ctx.vars)
+    if isinstance(R, SeriesRing):
+        r, width = 2 * R.prec - 1, R.prec
+        inner = lambda c: [j for (j,) in c.terms]
+    elif isinstance(R, QuotientExtension):
+        r = width = 2 * R.deg - 1
+        inner = lambda c: list(range(R.deg))
+    else:
+        r = width = 1
+        inner = lambda c: [0]
+
+    def index(e):
+        return sum(e) * P ** (n - 1) + sum(e[k] * P ** (n - 1 - k) for k in range(1, n))
+
+    def top(s):
+        return max(map(index, s.terms)) * r + max(j for c in s.terms.values() for j in inner(c))
+
+    def entries(s):
+        return sum(len(inner(c)) for c in s.terms.values())
+
+    return entries(a) * entries(b), min((P ** n - 1) * r + width, top(a) + top(b) + 1)
+
+
+def packs(a, b):
+    """Whether the contract packs a * b: a packed carrier (the callers'
+    concern), no one-term operand over scalars, and E_a * E_b >= S."""
+    if not a.terms or not b.terms:
+        return True
+    if not isinstance(a.ctx.ring, (SeriesRing, QuotientExtension)) and (
+            len(a.terms) == 1 or len(b.terms) == 1):
+        return True
+    products, slots = density(a, b)
+    return products >= slots
 
 
 # -- scalars ------------------------------------------------------------------
@@ -66,11 +111,13 @@ def tower_series(draw, ctx, elems, inner_prec=None):
 
 
 def check_packed(a, b):
-    """The packed product ran and equals the loop, as does a * b."""
+    """The packed product ran exactly when the density rule asks for it, and
+    it equals the loop, as does a * b."""
     want = exact(_mul_dict(a, b))
     got = _mul_packed(a, b)
-    assert got is not None
-    assert exact(got) == want
+    assert (got is not None) == packs(a, b)
+    if got is not None:
+        assert exact(got) == want
     assert exact(a * b) == want
 
 
@@ -139,15 +186,34 @@ def test_slot_width_holds_extreme_heights():
         check_packed(a, a)
 
 
+def exponents(n, P):
+    """Every exponent of n variables and total degree < P."""
+    if n == 0:
+        return [()] if P > 0 else []
+    return [(i,) + rest for i in range(P) for rest in exponents(n - 1, P - i)]
+
+
+def full(ctx, coeff):
+    """coeff(e) at every exponent e of total degree < prec: the densest
+    operand there is, so only its carrier can send it to the loop."""
+    return ctx.series({e: coeff(e) for e in exponents(len(ctx.vars), ctx.prec)})
+
+
 def test_other_carriers_take_the_loop():
-    W = omega_ring()
-    w = SeriesCtx(W, ("t",), 5).gen("t")
-    assert _mul_packed(w + w * w, w) is None
-    xy = SeriesCtx(ZZ, ("x", "y"), 5)
-    assert _mul_packed(xy.gen("x") + xy.gen("y"), xy.gen("x")) is None
+    """Dense operands, so that the carrier alone decides: PolyRing, a tower
+    two SeriesRings deep, and a QuotientExtension with a non-integral
+    modulus take the loop."""
+    half = QuotientExtension(QQ, (Fraction(1, 2), Fraction(0), Fraction(1)))
     deep = SeriesRing(SeriesRing(ZZ, "c", 3), "b", 3)
-    x = SeriesCtx(deep, ("x",), 4).gen("x")
-    assert _mul_packed(x + x * x, x + x * x) is None
+    P = PolyRing(ZZ, ("a",))
+    cases = [(half, lambda e: (Fraction(sum(e) + 1), Fraction(1, 3))),
+             (deep, lambda e: deep.from_int(sum(e) + 2)),
+             (P, lambda e: P.gen("a") + P.from_int(sum(e)))]
+    for R, coeff in cases:
+        for vars in (("x",), ("x", "y")):
+            a = full(SeriesCtx(R, vars, 4), coeff)
+            assert _mul_packed(a, a) is None
+            assert exact(a * a) == exact(_mul_dict(a, a))
 
 
 # -- two levels: x-series over base[[b]] --------------------------------------
@@ -214,3 +280,133 @@ def test_tower_product_makes_no_coefficient_ring_calls(monkeypatch):
     assert exact(prod) == exact(_mul_dict(a, b))
     _mul_dict(a.terms[(1,)], b.terms[(1,)])
     assert calls["SeriesRing.mul"] > 0 and calls["Rationals.mul"] > 0
+
+
+
+# -- several variables: x, y (and z) series -----------------------------------
+
+_third = st.builds(lambda n, k: Fraction(n, 3 ** k), st.integers(-10 ** 6, 10 ** 6), st.integers(0, 4))
+_omega = omega_ring()
+_qb = SeriesRing(QQ, "b", 4)
+
+MULTI = {
+    "Z": (ZZ, st.integers(-2 ** 70, 2 ** 70)),
+    "Q": SCALARS["Q"],
+    "Z_(2)": SCALARS["Z_(2)"],
+    "Z/8": SCALARS["Z/8"],
+    "F2": (PrimeField(2), st.integers(0, 1)),
+    "Z[1/3]": (Z_inverted(3), _third),
+    "Z/8[[b]]": (TOWERS["Z/8[[b]]"][0], series(TOWERS["Z/8[[b]]"][0].ctx, SCALARS["Z/8"][1])),
+    "Q[[b]]": (_qb, series(_qb.ctx, st.one_of(_small_q, _tall_q))),
+    "omega": (_omega, st.tuples(_third, _third)),
+    # int coordinates: the loop adds their products into Fraction(0)
+    "omega(int)": (_omega, st.tuples(st.integers(-50, 50), st.integers(-50, 50))),
+    "GF(4)": (GF(4), st.tuples(st.integers(0, 1), st.integers(0, 1))),
+}
+
+
+@st.composite
+def multi_series(draw, ctx, elems):
+    """A series in ctx: every exponent half the time, else any support."""
+    exps = exponents(len(ctx.vars), ctx.prec)
+    if not draw(st.booleans()):
+        exps = draw(st.lists(st.sampled_from(exps), unique=True, max_size=len(exps)))
+    return ctx.series({e: draw(elems) for e in exps})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(MULTI))
+@SETTINGS
+@given(data=st.data())
+def test_multivariate_matches_loop(name, n, data):
+    R, elems = MULTI[name]
+    prec = data.draw(st.integers(1, 7 if n == 2 else 5))
+    ctx = SeriesCtx(R, ("x", "y", "z")[:n], prec)
+    check_packed(data.draw(multi_series(ctx, elems)), data.draw(multi_series(ctx, elems)))
+
+
+@pytest.mark.parametrize("name", ["Z/8", "Q", "omega", "Z/8[[b]]"])
+def test_top_exponents_stay_in_their_block(name):
+    """Operands with every exponent, so with e_k = P - 1 in each variable:
+    digit sums that reach P carry only into blocks of total degree >= P,
+    which are dropped."""
+    R, _ = MULTI[name]
+    for n, P in ((2, 6), (3, 4)):
+        ctx = SeriesCtx(R, ("x", "y", "z")[:n], P)
+        if name == "omega":
+            coeff = lambda e: (Fraction(1 + e[-1], 3), Fraction(sum(e) - 2))
+        elif name == "Z/8[[b]]":
+            coeff = lambda e: R.ctx.series({(j,): 7 - e[-1] for j in range(R.prec)})
+        else:
+            coeff = lambda e: R.from_int(3 + e[0] - 2 * e[-1])
+        a = full(ctx, coeff)
+        b = full(ctx, lambda e: R.one())
+        assert any(max(e) == P - 1 for e in a.terms)
+        assert _mul_packed(a, b) is not None
+        check_packed(a, b)
+
+
+def test_density_rule_boundary():
+    """E_a * E_b >= S packs, and one product fewer takes the loop."""
+    Z = SeriesCtx(ZZ, ("x",), 10)
+    x = Z.gen("x")
+    # univariate: S = top + 1 below the cap
+    cases = [(1 + x ** 3, 1 + x + x * x, (6, 6), True),
+             (1 + x ** 4, 1 + x + x * x, (6, 7), False)]
+    # bivariate over Z at P = 3: index(x) = 3, index(x y) = 7, index(y^2) = 8,
+    # and S reaches the cap P^2 = 9
+    Zxy = SeriesCtx(ZZ, ("x", "y"), 3)
+    X, Y = Zxy.gen("x"), Zxy.gen("y")
+    cases += [(1 + X + X * Y, 1 + Y * Y + X, (9, 9), True),
+              (Y * Y + X * X, 1 + Y + Y * Y + X, (8, 9), False)]
+    # x, y over Z/8[[b]]<2> at P = 3: r = 3, an entry per b-coefficient;
+    # S = (index(y) + index(x)) * 3 + 1 + 1 + 1 = 24
+    T = SeriesRing(ModularIntegers(8), "b", 2)
+    Txy = SeriesCtx(T, ("x", "y"), 3)
+    one_b = T.one() + T.gen()
+    u, v = Txy.gen("x"), Txy.gen("y")
+    cases += [((1 + u + v).scale(one_b), (1 + u).scale(one_b), (24, 24), True),
+              (1 + (u + v).scale(one_b), (1 + u).scale(one_b), (20, 24), False)]
+    # x, y over GF(4) at P = 3: r = 3, two coordinates per coefficient
+    G = SeriesCtx(GF(4), ("x", "y"), 3)
+    g, h = G.gen("x"), G.gen("y")
+    cases += [(1 + g + h, 1 + g, (24, 24), True),
+              (1 + g + h, g + h, (24, 27), False)]
+    for a, b, rule, packed in cases:
+        assert density(a, b) == rule
+        assert (_mul_packed(a, b) is not None) == packed
+        check_packed(a, b)
+
+
+def test_mixed_int_and_fraction_multivariate_take_the_loop():
+    ctx = SeriesCtx(QQ, ("x", "y"), 4)
+    a = full(ctx, lambda e: Fraction(1, 2) if e[0] else 3)
+    b = full(ctx, lambda e: Fraction(e[1] + 1, 5))
+    assert _mul_packed(a, b) is None
+    assert exact(a * b) == exact(_mul_dict(a, b))
+
+
+def test_omega_product_makes_no_coefficient_ring_calls(monkeypatch):
+    """A dense bivariate product over Z[1/3][w]/(w^2 + w + 1) at precision 8
+    is one big-integer product: no QuotientExtension.mul and no
+    LocalizedIntegers.mul."""
+    calls = {"QuotientExtension.mul": 0, "LocalizedIntegers.mul": 0}
+
+    def counting(cls, name):
+        orig = getattr(cls, name)
+
+        def fn(self, *args):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return orig(self, *args)
+        monkeypatch.setattr(cls, name, fn)
+
+    counting(QuotientExtension, "mul")
+    counting(LocalizedIntegers, "mul")
+    ctx = SeriesCtx(_omega, ("x", "y"), 8)
+    a = full(ctx, lambda e: (Fraction(e[0] - 3, 3 ** e[1]), Fraction(1 + e[1], 9)))
+    b = full(ctx, lambda e: (Fraction(5 - e[1]), Fraction(e[0], 27)))
+    prod = a * b
+    assert calls == {"QuotientExtension.mul": 0, "LocalizedIntegers.mul": 0}
+    # the counters count: the loop calls both
+    assert exact(prod) == exact(_mul_dict(a, b))
+    assert calls["QuotientExtension.mul"] > 0 and calls["LocalizedIntegers.mul"] > 0
