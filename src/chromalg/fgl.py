@@ -366,11 +366,22 @@ def canonical_subgroup(F: FormalGroupLaw) -> KernelPolynomial:
     alpha = dist[1]
     if R.solve_int(2, alpha) == []:
         raise NotOrdinary("alpha is not divisible by 2")
-    # closure: [2](-alpha) vanishes to working depth (kernel closed under F)
-    val = two.eval_scalars({"x": R.neg(alpha)})
-    if _two_b_valuation(val, R) < min(F.prec - 1, _nilpotency(R)):
+    # -alpha is a 2-torsion point, so the kernel is closed under F
+    if not _divides_two_series(F, two, alpha):
         raise NotOrdinary("kernel points are not closed under the law")
     return KernelPolynomial(alpha, R, F.prec)
+
+
+def _divides_two_series(F: FormalGroupLaw, two: Series, alpha) -> bool:
+    """Whether x + alpha divides g = [2](x)/x to working depth: g(-alpha) has
+    (2, b)-valuation at least min(F.prec - 1, nilpotency).  For alpha in the
+    maximal ideal that is as far as a law known below degree F.prec fixes
+    alpha: a term a_k x^k of [2](x) with k >= F.prec moves g(-alpha) by
+    a_k alpha^(k-1), of valuation at least F.prec - 1."""
+    R = F.ring
+    g = Series(two.ctx.at_prec(two.prec - 1), {(k - 1,): c for (k,), c in two.terms.items()})
+    rem = g.eval_scalars({"x": R.neg(alpha)})
+    return _two_b_valuation(rem, R) >= min(F.prec - 1, _nilpotency(R))
 
 
 def _nilpotency(R: Ring):
@@ -462,13 +473,15 @@ def _check_kernel(F: FormalGroupLaw, K: KernelPolynomial):
     a unit quotient exactly when g(-alpha) vanishes to working depth and that
     coefficient is a unit; for alpha in the maximal ideal, the uniqueness half
     of Weierstrass preparation then makes x(x + alpha) the canonical
-    subgroup's kernel polynomial."""
+    subgroup's kernel polynomial, to the depth the law determines it.  The
+    law has height one exactly when [2](x) has Weierstrass degree 2: a
+    non-unit x coefficient and a unit x^2 coefficient (a law known only
+    below degree 2 shows none)."""
     R = F.ring
     two = m_series(F, 2)
-    g = Series(two.ctx.at_prec(two.prec - 1), {(k - 1,): c for (k,), c in two.terms.items()})
-    rem = g.eval_scalars({"x": R.neg(K.alpha)})
-    if (R.is_unit(K.alpha) or not R.is_unit(g.ucoeff(1))
-            or _two_b_valuation(rem, R) < min(F.prec - 1, _nilpotency(R))):
+    if R.is_unit(two.ucoeff(1)) or not R.is_unit(two.ucoeff(2)):
+        raise NotOrdinary("Weierstrass degree of [2](x) is not 2 (height != 1)")
+    if R.is_unit(K.alpha) or not _divides_two_series(F, two, K.alpha):
         raise InvalidKernel("kernel polynomial does not divide [2](x) as the "
                             "distinguished factor")
 

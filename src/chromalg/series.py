@@ -580,14 +580,6 @@ def _mul_monomial(a: Series, b: Series, m: int) -> Series:
     ((e, c),) = a.terms.items()
     top = prec - sum(e)
     out = {}
-    if len(e) == 1:
-        (i,) = e
-        for (j,), v in b.terms.items():
-            if j < top:
-                p = c * v % m if m else c * v
-                if p:
-                    out[(i + j,)] = p
-        return Series(a.ctx, out)
     for f, v in b.terms.items():
         if sum(f) < top:
             p = c * v % m if m else c * v

@@ -182,6 +182,32 @@ def test_quotient_checks_the_kernel_without_recomputing_it(monkeypatch):
             fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(alpha, Z8, 8))
 
 
+def test_kernel_check_certifies_alpha_to_valuation_prec_minus_one():
+    """A law known below degree P fixes alpha only modulo (2, b)-valuation
+    P - 1, so the check accepts exactly the alphas that agree that far, even
+    where the ring's nilpotency is deeper (here P - 1 = 3 < 6)."""
+    F = fgl.two_adic_family_fgl(3, 3, 3)
+    R = F.ring
+    assert F.prec - 1 < fgl._nilpotency(R)
+    alpha = fgl.canonical_subgroup(F).alpha
+    b, two, four = R.gen(), R.from_int(2), R.from_int(4)
+    fgl._check_kernel(F, fgl.KernelPolynomial(alpha, R, F.prec))
+    for d in (R.mul(two, b), R.mul(b, b), four):               # valuation P - 2
+        with pytest.raises(InvalidKernel):
+            fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d), R, F.prec))
+    for d in (R.mul(two, R.mul(b, b)), R.mul(four, b)):        # valuation P - 1
+        fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d), R, F.prec))
+
+
+def test_quotient_of_a_law_without_height_one_is_not_ordinary():
+    Z8 = ModularIntegers(8)
+    K = fgl.KernelPolynomial(2, Z8, 8)
+    with pytest.raises(NotOrdinary):
+        fgl.quotient_by_subgroup(fgl.additive_fgl(Z8, 8), K)
+    with pytest.raises(NotOrdinary):
+        fgl.quotient_by_subgroup(fgl.multiplicative_fgl(Z8, 1, 1), K)
+
+
 def test_sum_with_point_working_precision_is_exact():
     """The chord at N + 3 working degrees gives what a wider run gives."""
     F = fgl.two_adic_family_fgl(2, 4, 6)
