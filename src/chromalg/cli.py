@@ -1,7 +1,7 @@
 """The `verify` command line.
 
     verify <suite...> [--max-degree N] [--series-prec N] [--two-adic-prec K]
-           [--q-terms N] [--json PATH] [--out PATH] [--figures DIR] [--list]
+           [--q-terms N] [--json PATH] [--out PATH] [--list]
 
 Exit codes: 0 all checks pass, 1 failures, 2 usage errors.  VERIFY_SEED seeds
 the randomized property checks (default 0); a value that is not an integer
@@ -30,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-terms", type=int, default=16)
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--out", metavar="PATH", help="write the delimited report here")
-    p.add_argument("--figures", metavar="DIR",
-                   help="render summary figures (needs matplotlib) into DIR")
     p.add_argument("--list", action="store_true", help="list suites and exit")
     return p
 
@@ -65,10 +63,6 @@ def main(argv=None) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(render_json(report))
-    if args.figures:
-        from .figures import render_figures
-        for path in render_figures(report, args.figures):
-            sys.stderr.write(f"wrote {path}\n")
     return 0 if report["summary"]["fail"] == 0 else 1
 
 

@@ -287,10 +287,19 @@ def strict_apply(F: FormalGroupLaw, phi: Series) -> FormalGroupLaw:
 def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
              N: int | None = None, unit_candidates=None):
     """phi with phi(F(x,y)) = G(phi x, phi y) to degree N, solved degree by
-    degree; returns IsoResult or Obstruction (a value, not an error).
+    degree (Hazewinkel, Formal Groups and Applications, 1978, section 1);
+    returns IsoResult or Obstruction (a value, not an error).
 
-    Step d reads the residual only in total degree d, so it composes at
-    precision d + 1."""
+    The powers F^k are made once per call at precision N + 1, at most N - 1
+    products, and every candidate linear term c1 reads them.  A candidate
+    keeps L = sum of c_k F^k over the degrees k fixed so far, so step d reads
+    phi(F) in total degree d from L and composes only G(phi x, phi y), at
+    precision d + 1.  The rows comb(d, a) c_d = t_a (0 < a < d) of step d
+    are solved as the one row g c_d = T of _solve_degree, and c_d is the
+    first solution that solve_int gives.  Where that row has more than one
+    solution (g is not a unit, in a ring with torsion such as Z/2^k[[b]]),
+    another choice of c_d might reach further, so an Obstruction at a later
+    degree is not a proof that no isomorphism exists."""
     R = F.ring
     if N is None:
         N = min(F.prec, G.prec) - 1
@@ -300,45 +309,68 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
         candidates = unit_candidates if unit_candidates is not None else R.unit_candidates(2)
     fails = {}
     ctx1 = SeriesCtx(R, ("t",), N + 1)
+    Fpow = [None, F.F.truncate(N + 1)]      # F^k, shared by the candidates
     for c1 in candidates:
         phi_terms = {(1,): c1}
+        L = Fpow[1].scale(c1)
         ok = True
         for d in range(2, N + 1):
             # only total degree d of the residual is read: work at prec d + 1
-            phi = Series(ctx1.at_prec(d + 1), dict(phi_terms))
-            Fd, Gd = F.F.truncate(d + 1), G.F.truncate(d + 1)
-            u, v = Fd.ctx.gen("x"), Fd.ctx.gen("y")
-            phiu = phi.compose({"t": u})
-            phiv = phi.compose({"t": v})
-            lhs = phi.compose({"t": Fd})
-            rhs = Gd.compose({"x": phiu, "y": phiv})
-            resid = rhs - lhs
-            rows = [(a, d - a) for a in range(1, d)]
-            target = [resid.coefficient(e) for e in rows]
-            sols = None
-            for (a, b_), t in zip(rows, target):
-                cand = R.solve_int(comb(d, a), t)
-                if sols is None:
-                    sols = cand
-                else:
-                    sols = [s for s in sols if any(R.eq(s, c) for c in cand)]
-                if not sols:
-                    break
-            pure_bad = any(
-                not R.is_zero(resid.coefficient((i, j)))
-                for (i, j) in [(d, 0), (0, d)]
-            )
-            if not sols or pure_bad:
+            ctx2 = F.ctx.at_prec(d + 1)
+            phiu = Series(ctx2, {(k, 0): c for (k,), c in phi_terms.items()})
+            phiv = Series(ctx2, {(0, k): c for (k,), c in phi_terms.items()})
+            resid = G.F.truncate(d + 1).compose({"x": phiu, "y": phiv}) - L.truncate(d + 1)
+            cd = _solve_degree(R, d, [resid.coefficient((a, d - a)) for a in range(1, d)])
+            pure_bad = not (R.is_zero(resid.coefficient((d, 0)))
+                            and R.is_zero(resid.coefficient((0, d))))
+            if cd is None or pure_bad:
                 fails[R.render(c1)] = d
                 ok = False
                 break
-            cd = sols[0]
             if not R.is_zero(cd):
                 phi_terms[(d,)] = cd
+                if d < N:           # L is read again only by a later step
+                    while len(Fpow) <= d:
+                        Fpow.append(Fpow[-1] * Fpow[1])
+                    L = L + Fpow[d].scale(cd)
         if ok:
             phi = Series(ctx1, dict(phi_terms))
             return IsoResult(phi, c1)
     return Obstruction(max(fails.values()) if fails else 2, fails)
+
+
+def _solve_degree(R: Ring, d: int, t: list):
+    """The first c with comb(d, a) c = t[a - 1] for every 0 < a < d, or None.
+
+    With g = gcd_a comb(d, a) = sum of u_a comb(d, a) (Bezout), the rows hold
+    exactly when g c = T = sum of u_a t_a and t_a = (comb(d, a)/g) T for
+    every a.  One solve_int(g, T) call replaces intersecting the rows'
+    solution lists, which comes out empty whenever solve_int returns one
+    solution per row (SeriesRing, QuotientExtension) and those differ."""
+    combs = [comb(d, a) for a in range(1, d)]
+    g, u = 0, []
+    for n in combs:
+        g, s, r = _bezout(g, n)
+        u = [s * v for v in u] + [r]
+    T = R.zero()
+    for ua, ta in zip(u, t):
+        if ua:
+            T = R.add(T, R.scale_int(ta, ua))
+    sols = R.solve_int(g, T)
+    if not sols or not all(R.eq(ta, R.scale_int(T, n // g)) for n, ta in zip(combs, t)):
+        return None
+    return sols[0]
+
+
+def _bezout(a: int, b: int):
+    """(g, s, r) with g = gcd(a, b) = s a + r b."""
+    s0, s1, r0, r1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        r0, r1 = r1, r0 - q * r1
+    return a, s0, r0
 
 
 # -- canonical subgroup ----------------------------------------------------------------

@@ -16,7 +16,21 @@ precision it needs:
   * elliptic.curve_w_series: the fixed-point pass i runs at min(5 + i, prec),
     fixing one more degree each, then one full-precision pass must reproduce
     w (AlgebraError otherwise).
-  * fgl.find_iso: degree step d composes at precision d + 1.
+  * fgl.find_iso: the powers F^k are made once per call at precision N + 1,
+    and degree step d composes only G(phi x, phi y), at precision d + 1.
+
+Composition contract.  f.compose(subs) groups the terms of f by all
+exponents but the last, and skips terms of total degree >= prec (every
+substitution has order >= 1):
+  * each group is a scalar combination (scales and sums) of the cached
+    powers of the last substitution, without its terms that the head's
+    powers push to total degree >= prec, multiplied once by the cached
+    powers of the head's substitutions;
+  * each power s^k is made once, as s^(k-1) * s; a substitution that uses
+    one variable of a multivariate target (phi(x), phi(y), a bare generator)
+    is powered as a univariate series, where it packs, and then embedded;
+  * no Series product has a one-term operand: a one-term power or group is
+    a shift and a scale of the other factor.
 
 Multiplication contract.  Series.__mul__ meets both operands at the smaller
 precision P, then multiplies over packed carriers with one big-integer
@@ -289,7 +303,9 @@ class Series:
     def compose(self, subs: dict) -> "Series":
         """Substitute subs[var] (a Series in a common target ctx) for each var.
 
-        Every substituted series must have zero constant term.
+        Every substituted series must have zero constant term.  The terms are
+        grouped by all exponents but the last; see the composition contract
+        in the module docstring.
         """
         targets = [s for s in subs.values() if isinstance(s, Series)]
         if not targets:
@@ -300,31 +316,26 @@ class Series:
         prec = min([self.ctx.prec] + [s.ctx.prec for s in targets])
         tctx = tctx.at_prec(prec)
         R = self.ctx.ring
-        vals = []
+        pows = []
         for v in self.ctx.vars:
             if v not in subs:
                 raise ValueError(f"no substitution for {v}")
             s = subs[v]
             if not R.is_zero(s.constant_term()):
                 raise CompositionError(f"substitution for {v} has nonzero constant term")
-            vals.append(s.truncate(prec))
-        # memoized powers per variable
-        pows = [{0: tctx.one()} for _ in vals]
-
-        def power(i, k):
-            cache = pows[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * vals[i]
-            return cache[k]
-
+            pows.append(_Powers(s.truncate(prec), tctx))
+        # every substitution has order >= 1, so a term of total degree >= prec
+        # adds nothing, and a head h leaves the tail prec - |h| degrees
+        groups = {}
+        for e, c in self.terms.items():
+            if sum(e) < prec:
+                groups.setdefault(e[:-1], {})[e[-1]] = c
         out = tctx.zero()
-        for e, c in sorted(self.terms.items(), key=lambda kv: sum(kv[0])):
-            if sum(e) >= prec and sum(e) > 0:
-                continue
-            term = tctx.const(c)
-            for i, k in enumerate(e):
+        for head, tail in groups.items():
+            term = pows[-1].combination(tail, prec - sum(head))
+            for i, k in enumerate(head):
                 if k:
-                    term = term * power(i, k)
+                    term = _times(term, pows[i][k])
             out = out + term
         return out
 
@@ -426,6 +437,72 @@ class Series:
             h = df.truncate(lo).compose({var: g.truncate(lo)}).inverse()
             g = g - resid * Series(ctx, h.terms)
         return Series(self.ctx, g.terms)
+
+
+# -- composition -----------------------------------------------------------------
+
+class _Powers:
+    """The powers of one substitution s, each made once as s^(k-1) * s.  When
+    s uses at most one variable of a multivariate target, its powers are
+    univariate series, which pack, and are embedded into the target only
+    when asked for."""
+
+    __slots__ = ("tctx", "axis", "own", "embedded")
+
+    def __init__(self, s: Series, tctx: SeriesCtx):
+        self.tctx = tctx
+        self.axis = None
+        used = {i for e in s.terms for i, k in enumerate(e) if k}
+        if len(tctx.vars) > 1 and len(used) <= 1:
+            self.axis = i = min(used, default=0)
+            uctx = SeriesCtx(tctx.ring, (tctx.vars[i],), tctx.prec)
+            s = Series(uctx, {(e[i],): c for e, c in s.terms.items()})
+        else:
+            s = Series(tctx, s.terms)
+        self.own = [s.ctx.one(), s]
+        self.embedded = {}
+
+    def power(self, k: int) -> Series:
+        """s^k in its own context."""
+        own = self.own
+        while len(own) <= k:
+            own.append(_times(own[-1], own[1]))
+        return own[k]
+
+    def __getitem__(self, k: int) -> Series:
+        """s^k in the target context."""
+        if self.axis is None:
+            return self.power(k)
+        if k not in self.embedded:
+            self.embedded[k] = self._embed(self.power(k).terms)
+        return self.embedded[k]
+
+    def _embed(self, terms: dict) -> Series:
+        n, i = len(self.tctx.vars), self.axis
+        return Series(self.tctx, {(0,) * i + e + (0,) * (n - i - 1): c
+                                  for e, c in terms.items()})
+
+    def combination(self, coeffs: dict, top: int) -> Series:
+        """The sum of c * s^k over coeffs {k: c}, in the target context,
+        without its terms of total degree >= top: scales and sums only."""
+        R = self.tctx.ring
+        acc = {}
+        for k, c in coeffs.items():
+            for e, v in self.power(k).terms.items():
+                if sum(e) < top:
+                    p = R.mul(c, v) if k else c
+                    acc[e] = R.add(acc[e], p) if e in acc else p
+        terms = {e: v for e, v in acc.items() if not R.is_zero(v)}
+        return Series(self.tctx, terms) if self.axis is None else self._embed(terms)
+
+
+def _times(a: Series, b: Series) -> Series:
+    """a*b for a and b at one precision.  When an operand has at most one
+    term the product is a shift and a scale of the other: _mul_dict makes it
+    with no sums, and without the packing that Series.__mul__ would try."""
+    if len(a.terms) > 1 and len(b.terms) > 1:
+        return a * b
+    return _mul_dict(a, b)
 
 
 # -- multiplication ------------------------------------------------------------

@@ -1,21 +1,62 @@
 """Reference implementations kept only as test oracles.
 
 Each one is the plain algorithm that the library's faster version replaced:
-full-precision Newton inversion, degree-by-degree reversion, the fixed-point
-w-series at full precision, full-precision `find_iso`, long division, and the
-dict-based integer q-series with its psi operator.  They share no code path
-with the functions they check, beyond `Series` arithmetic and `compose`
-(`QSeries` shares none).
+term-by-term composition, full-precision Newton inversion, degree-by-degree
+reversion, the fixed-point w-series at full precision, full-precision
+`find_iso` with its row-by-row solve, long division, and the dict-based
+integer q-series with its psi operator.  They share no code path with the
+functions they check, beyond `Series` arithmetic and `compose`
+(`compose_oracle` uses no `compose`, and `QSeries` shares nothing).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from chromalg.errors import AlgebraError, NotInvertible
+from chromalg.errors import AlgebraError, CompositionError, NotInvertible
 from chromalg.fgl import FormalGroupLaw, IsoResult, Obstruction
 from chromalg.rings import Ring
 from chromalg.series import Series, SeriesCtx
+
+
+def compose_oracle(f: Series, subs: dict) -> Series:
+    """Substitution term by term: each term is tctx.const(c) times cached
+    powers of the substitutions, and the terms are summed in degree order."""
+    targets = [s for s in subs.values() if isinstance(s, Series)]
+    if not targets:
+        raise ValueError("need at least one substitution series")
+    tctx = targets[0].ctx
+    for s in targets:
+        tctx.compatible(s.ctx)
+    prec = min([f.ctx.prec] + [s.ctx.prec for s in targets])
+    tctx = tctx.at_prec(prec)
+    R = f.ctx.ring
+    vals = []
+    for v in f.ctx.vars:
+        if v not in subs:
+            raise ValueError(f"no substitution for {v}")
+        s = subs[v]
+        if not R.is_zero(s.constant_term()):
+            raise CompositionError(f"substitution for {v} has nonzero constant term")
+        vals.append(s.truncate(prec))
+    pows = [{0: tctx.one()} for _ in vals]
+
+    def power(i, k):
+        cache = pows[i]
+        if k not in cache:
+            cache[k] = power(i, k - 1) * vals[i]
+        return cache[k]
+
+    out = tctx.zero()
+    for e, c in sorted(f.terms.items(), key=lambda kv: sum(kv[0])):
+        if sum(e) >= prec and sum(e) > 0:
+            continue
+        term = tctx.const(c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        out = out + term
+    return out
 
 
 def inverse_oracle(f: Series) -> Series:
@@ -72,7 +113,9 @@ def curve_w_series_oracle(E, prec: int) -> Series:
 
 def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
                     N: int | None = None, unit_candidates=None):
-    """find_iso with every degree step composing at precision N + 1."""
+    """find_iso with every degree step composing phi(F) and G(phi x, phi y)
+    at precision N + 1, and intersecting the rows' solve_int lists (complete
+    over Z, Q, Z_(p) and Z/m, where the tests use it)."""
     R = F.ring
     if N is None:
         N = min(F.prec, G.prec) - 1

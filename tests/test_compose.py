@@ -1,0 +1,185 @@
+"""Differential and operation-count tests for the grouped composition: Series.compose
+against the term-by-term compose_oracle over Z, Q, Z/8, Z/8[[b]], Q[[b]] and
+omega_ring(), with one, two and three outer variables and substitutions that
+use several variables, one variable, or are a bare generator."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chromalg.errors import CompositionError
+from chromalg.rings import QQ, ZZ, ModularIntegers, omega_ring
+from chromalg.series import Series, SeriesCtx, SeriesRing
+
+from oracles import compose_oracle
+
+SETTINGS = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def exact(v):
+    """Variables, precision, terms and scalar types, recursively."""
+    if isinstance(v, Series):
+        return (v.ctx.vars, v.ctx.prec, {e: exact(c) for e, c in v.terms.items()})
+    if isinstance(v, tuple):
+        return tuple(exact(c) for c in v)
+    return (type(v), v)
+
+
+# -- carriers: ring and element strategy ----------------------------------------
+
+_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+_Z8 = ModularIntegers(8)
+
+
+def _series_ring(base, elem):
+    SR = SeriesRing(base, "b", 3)
+    return SR, st.lists(elem, min_size=3, max_size=3).map(
+        lambda cs: SR.ctx.series({(i,): c for i, c in enumerate(cs)}))
+
+
+def _omega():
+    W = omega_ring()
+    coord = st.builds(lambda n, j: Fraction(n, 3 ** j), st.integers(-4, 4), st.integers(0, 1))
+    return W, st.one_of(st.tuples(coord, coord),
+                        st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+
+
+CARRIERS = {
+    "Z": (ZZ, st.integers(-9, 9)),
+    "Q": (QQ, _fraction),
+    "Z/8": (_Z8, st.integers(0, 7)),
+    "Z/8[[b]]": _series_ring(_Z8, st.integers(0, 7)),
+    "Q[[b]]": _series_ring(QQ, _fraction),
+    "omega": _omega(),
+}
+
+OUTER = ("a", "b", "c")
+TARGET = ("x", "y", "z")
+
+
+def _exponents(n, prec, low):
+    if n == 0:
+        yield ()
+        return
+    for k in range(prec):
+        for rest in _exponents(n - 1, prec - k, 0):
+            if k + sum(rest) >= low:
+                yield (k,) + rest
+
+
+def _draw_series(data, ctx, elem, low, axes=None):
+    """A series in ctx with no term below total degree low, using only the
+    variables at the indices in axes (all when None)."""
+    terms = {}
+    for e in _exponents(len(ctx.vars), ctx.prec, low):
+        if axes is not None and any(k for i, k in enumerate(e) if i not in axes):
+            continue
+        if data.draw(st.booleans()):
+            terms[e] = data.draw(elem)
+    return ctx.series(terms)
+
+
+def _draw_substitution(data, tctx, elem):
+    kind = data.draw(st.sampled_from(["several", "one", "generator"]))
+    n = len(tctx.vars)
+    if kind == "generator":
+        return tctx.gen(data.draw(st.sampled_from(tctx.vars)))
+    axes = {data.draw(st.integers(0, n - 1))} if kind == "one" else None
+    return _draw_series(data, tctx, elem, 1, axes)
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@pytest.mark.parametrize("n_outer", [1, 2, 3])
+@SETTINGS
+@given(data=st.data())
+def test_compose_matches_term_by_term_oracle(carrier, n_outer, data):
+    """Outer terms of total degree >= prec occur whenever the outer series is
+    known further than the substitutions."""
+    R, elem = CARRIERS[carrier]
+    n_target = data.draw(st.integers(1, 3))
+    prec = data.draw(st.integers(1, 6 if n_outer * n_target < 4 else 4))
+    tctx = SeriesCtx(R, TARGET[:n_target], prec)
+    f_ctx = SeriesCtx(R, OUTER[:n_outer], prec + data.draw(st.integers(0, 2)))
+    f = _draw_series(data, f_ctx, elem, 0)
+    subs = {v: _draw_substitution(data, tctx, elem) for v in f_ctx.vars}
+    assert exact(f.compose(subs)) == exact(compose_oracle(f, subs))
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@SETTINGS
+@given(data=st.data())
+def test_nonzero_constant_term_is_a_composition_error(carrier, data):
+    R, elem = CARRIERS[carrier]
+    tctx = SeriesCtx(R, ("x", "y"), 4)
+    f = _draw_series(data, SeriesCtx(R, ("a", "b"), 4), elem, 0)
+    bad = tctx.const(data.draw(elem.filter(lambda c: not R.is_zero(c))))
+    subs = {"a": tctx.gen("x"), "b": bad + _draw_series(data, tctx, elem, 1)}
+    with pytest.raises(CompositionError):
+        f.compose(subs)
+    with pytest.raises(CompositionError):
+        compose_oracle(f, subs)
+
+
+# -- deterministic operation counts --------------------------------------------
+
+def _dense(ctx, low, axes=None):
+    """Every term of total degree >= low, over the given axes, coefficient 1
+    plus the degree: dense, so no product is sparse by accident."""
+    R = ctx.ring
+    return ctx.series({e: R.from_int(1 + sum(e))
+                       for e in _exponents(len(ctx.vars), ctx.prec, low)
+                       if axes is None or not any(k for i, k in enumerate(e) if i not in axes)})
+
+
+@pytest.mark.parametrize("ring", [QQ, _Z8, omega_ring(), SeriesRing(_Z8, "b", 3)],
+                         ids=["Q", "Z/8", "omega", "Z/8[[b]]"])
+def test_compose_makes_no_product_with_a_one_term_operand(monkeypatch, ring):
+    """Bare generators, scaled monomials, one-variable and several-variable
+    substitutions, under one, two and three outer variables.  Products of
+    the coefficients themselves (over Z/8[[b]]) are the ring's, not compose's."""
+    operands = []
+    real = Series.__mul__
+
+    def counted(a, b):
+        if a.ctx.ring is ring:
+            operands.append(min(len(a.terms), len(b.terms)))
+        return real(a, b)
+
+    tctx = SeriesCtx(ring, ("x", "y", "z"), 6)
+    x, y, z = (tctx.gen(v) for v in tctx.vars)
+    one_var = _dense(tctx, 1, {1})
+    several = _dense(tctx, 1)
+    cases = [({"a": x}, 1), ({"a": one_var}, 1), ({"a": several}, 1),
+             ({"a": x, "b": y}, 2), ({"a": x.scale(ring.from_int(3)), "b": one_var}, 2),
+             ({"a": several, "b": z}, 2), ({"a": one_var, "b": several}, 2),
+             ({"a": x, "b": y, "c": z}, 3), ({"a": several, "b": one_var, "c": y}, 3)]
+    monkeypatch.setattr(Series, "__mul__", counted)
+    for subs, n in cases:
+        f = _dense(SeriesCtx(ring, OUTER[:n], 6), 0)
+        operands.clear()
+        out = f.compose(subs)
+        assert 1 not in operands, subs
+        monkeypatch.setattr(Series, "__mul__", real)
+        assert exact(out) == exact(compose_oracle(f, subs))
+        monkeypatch.setattr(Series, "__mul__", counted)
+
+
+def test_univariate_composition_makes_one_product_per_power(monkeypatch):
+    """f(g) for f with P terms: the P - 2 powers g^2 .. g^(P-1), and no
+    product for the scalar combination of them."""
+    calls = []
+    real = Series.__mul__
+
+    def counted(a, b):
+        calls.append(a.ctx.prec)
+        return real(a, b)
+
+    P = 12
+    ctx = SeriesCtx(QQ, ("x",), P)
+    f, g = _dense(ctx, 0), _dense(ctx, 1)
+    monkeypatch.setattr(Series, "__mul__", counted)
+    f.compose({"x": g})
+    assert calls == [P] * (P - 2)

@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromalg import bp, elliptic, fgl
 from chromalg.errors import (HeightExceedsPrecision, InvalidKernel,
@@ -9,7 +13,7 @@ from chromalg.errors import (HeightExceedsPrecision, InvalidKernel,
 from chromalg.poly import PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
                             ZZ, omega_ring, sqrt_minus3)
-from chromalg.series import SeriesCtx
+from chromalg.series import SeriesCtx, SeriesRing
 
 
 def test_conic_examples():
@@ -129,6 +133,41 @@ def test_find_iso_obstruction_over_z13():
                          "linear-unit", N=6, unit_candidates=cands)
         assert isinstance(r, fgl.Obstruction)
         assert r.degree <= 4
+
+
+def test_find_iso_over_z4_b_finds_every_strict_twist():
+    """Over Z/4[[b]] a row comb(d, a) c = t has many solutions, and solve_int
+    returns only the first; the rows of a degree solved as one still find an
+    isomorphism onto every twist strict_apply(F, phi), and it carries F to
+    the twist below degree N + 1."""
+    R = SeriesRing(ModularIntegers(4), "b", 3)
+    F = fgl.multiplicative_fgl(R, R.one(), 7)
+    ctx = SeriesCtx(R, ("t",), 8)
+    choices = [R.zero(), R.one(), R.gen(), R.add(R.one(), R.gen())]
+    for c2, c3, c4 in itertools.product(choices, repeat=3):
+        phi = ctx.series({(1,): R.one(), (2,): c2, (3,): c3, (4,): c4})
+        G = fgl.strict_apply(F, phi)
+        res = fgl.find_iso(F, G, "strict", N=6)
+        assert isinstance(res, fgl.IsoResult), (c2, c3, c4, res)
+        assert fgl.strict_apply(F, res.phi).F == G.F
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 9), data=st.data())
+def test_solve_degree_is_the_least_solution_of_all_rows_over_z8(d, data):
+    """The rows comb(d, a) c = t_a solved as one give None exactly when no c
+    in Z/8 solves every row, and otherwise the least such c.  Half the draws
+    start from a solution, so both outcomes occur."""
+    R = ModularIntegers(8)
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(0, 7))
+        t = [comb(d, a) * c % 8 for a in range(1, d)]
+        t[data.draw(st.integers(0, d - 2))] += data.draw(st.sampled_from([0, 0, 1, 2, 4]))
+        t = [v % 8 for v in t]
+    else:
+        t = data.draw(st.lists(st.integers(0, 7), min_size=d - 1, max_size=d - 1))
+    sols = [c for c in range(8) if all(comb(d, a) * c % 8 == t[a - 1] for a in range(1, d))]
+    assert fgl._solve_degree(R, d, t) == (sols[0] if sols else None)
 
 
 def test_canonical_subgroup_multiplicative():

@@ -213,14 +213,67 @@ def test_inverse_step_i_multiplies_at_doubling_precision(monkeypatch):
     assert precs == [2, 2, 4, 4, 8, 8, 13, 13]
 
 
-def test_find_iso_step_d_composes_at_precision_d_plus_one(compose_log):
+@pytest.fixture
+def find_iso_log(monkeypatch):
+    """Records the compositions and the products of a find_iso call outside
+    compose: each composition as (step d, largest precision among the series
+    composed and the result), each product by its precision.  Step d ends
+    with its one _solve_degree call."""
+    log = {"steps": 0, "compose": [], "products": [], "depth": 0}
+    real_compose, real_mul, real_solve = Series.compose, Series.__mul__, fgl._solve_degree
+
+    def compose(self, subs):
+        log["depth"] += 1
+        try:
+            out = real_compose(self, subs)
+        finally:
+            log["depth"] -= 1
+        precs = [self.ctx.prec, out.ctx.prec] + [s.ctx.prec for s in subs.values()]
+        log["compose"].append((log["steps"] + 2, max(precs)))
+        return out
+
+    def mul(a, b):
+        if not log["depth"]:
+            log["products"].append(a.ctx.prec)
+        return real_mul(a, b)
+
+    def solve(*args):
+        log["steps"] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(Series, "compose", compose)
+    monkeypatch.setattr(Series, "__mul__", mul)
+    monkeypatch.setattr(fgl, "_solve_degree", solve)
+    return log
+
+
+def test_find_iso_step_d_composes_once_at_precision_d_plus_one(find_iso_log):
+    """Step d composes only G(phi x, phi y), at precision <= d + 1, and reads
+    phi(F) from the powers of F: at most N - 1 products, all at N + 1."""
     N = 9
     F = fgl.conic_fgl(QQ, QQ.from_int(1), QQ.from_int(2), N + 1)
     G = fgl.multiplicative_fgl(QQ, QQ.from_int(3), N + 1)
-    del compose_log[:]
+    find_iso_log.update(steps=0, compose=[], products=[])
     res = fgl.find_iso(F, G, "strict", N=N)
     assert isinstance(res, fgl.IsoResult)
-    # four compositions per degree step d = 2..N
-    assert len(compose_log) == 4 * (N - 1)
-    for i, prec in enumerate(compose_log):
-        assert prec <= i // 4 + 3
+    assert find_iso_log["steps"] == N - 1
+    assert [d for d, _ in find_iso_log["compose"]] == list(range(2, N + 1))
+    assert all(prec <= d + 1 for d, prec in find_iso_log["compose"])
+    assert 0 < len(find_iso_log["products"]) <= N - 1
+    assert set(find_iso_log["products"]) == {N + 1}
+
+
+def test_find_iso_shares_the_powers_of_F_across_candidates(find_iso_log):
+    """Every candidate linear term of a linear-unit search reads the same
+    powers of F: the products stay at most N - 1 over all of them."""
+    N = 6
+    Z13 = Z_inverted(3)
+    cands = Z13.unit_candidates(3)
+    Fc = fgl.conic_fgl(Z13, Fraction(3), Fraction(3), N + 1)
+    Fm = fgl.conic_fgl(Z13, cands[0], Fraction(0), N + 1)
+    find_iso_log.update(steps=0, compose=[], products=[])
+    res = fgl.find_iso(Fc, Fm, "linear-unit", N=N, unit_candidates=cands)
+    assert isinstance(res, fgl.Obstruction)
+    assert find_iso_log["steps"] > N - 1
+    assert len(find_iso_log["products"]) <= N - 1
+    assert set(find_iso_log["products"]) == {N + 1}
