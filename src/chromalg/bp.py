@@ -2,7 +2,7 @@
 
 Right units are solved from the Hazewinkel recursion together with
 eta(ell_n) = sum ell_i t_j^(p^i); regular sequences and Koszul homology are
-checked degreewise with exact linear algebra (bitmask rref over F_p, integer
+checked degreewise with exact linear algebra (bitmask rref over F_2, integer
 lattices Smith-reduced 2-locally).  Degrees are topological throughout:
 |v_i| = |t_i| = 2(p^i - 1).
 """
@@ -17,6 +17,7 @@ from .linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
                      p_local_structure, smith_normal_form, solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
+from .steenrod import bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims
 
 
 # -- right unit ---------------------------------------------------------------
@@ -252,12 +253,15 @@ def _shares_factor(a: int, b: int) -> bool:
 
 
 def _poly_kernel_mod_p(pring, prefix, prior, s, N):
-    """Steps after p: all computations in F_p vector spaces via bitmask rref."""
+    """Steps after the scalar p: computations in F_p vector spaces via bitmask
+    rref, which is F_2 arithmetic, so only p = 2 is supported."""
     p = 2
     for e in prior:
         if _is_int_scalar(e.poly):
             p = abs(_scalar_value(e.poly))
-    F = PrimeField(p)
+    if p != 2:
+        raise ValueError(f"regularity after the scalar {p} needs F_{p} ranks; "
+                         "bitmask elimination covers p = 2 only")
     e = s.wdegree() or 0
     for d in range(N + 1):
         src = monomials_of_weighted_degree(pring.weights, d)
@@ -360,13 +364,16 @@ class TorTable:
 
 def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorTable:
     """Koszul homology of the sequence acting on the module, degreewise, over
-    Z (2-local reading) or F_p coefficient rings."""
+    Z (2-local reading) or F_2.  Over F_2, dim H_s = n_s - rk d_s - rk d_(s+1)
+    with the ranks taken mod 2; other characteristics are not supported."""
     pring = module.pring
     if module.relations:
         raise ValueError("free modules only (present the quotient in the ring)")
     r = len(seq)
     degs = [e.degree for e in seq]
     char = pring.base.char
+    if char not in (0, 2):
+        raise ValueError(f"Koszul Tor over characteristic {char}: only Z and F_2 are supported")
     entries = {}
     from itertools import combinations
     subsets = {s: list(combinations(range(r), s)) for s in range(r + 1)}
@@ -398,7 +405,22 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
             cols.append(vec)
         return cols, src, dst
 
+    def f2_rank(s, d):
+        """Rank mod 2 of d_s in internal degree d (d_0 = d_(r+1) = 0)."""
+        if not 0 < s <= r:
+            return 0
+        cols, _, _ = diff_matrix_int(s, d)
+        return len(f2_rref([sum(1 << i for i, v in enumerate(col) if v % 2)
+                            for col in cols])[0])
+
     for d in range(N + 1):
+        if char:
+            rk = [f2_rank(s, d) for s in range(r + 2)]
+            for s in range(r + 1):
+                n_s = len(chain_basis(s, d))
+                if n_s:
+                    entries[(s, d)] = (n_s - rk[s] - rk[s + 1], [])
+            continue
         for s in range(r + 1):
             src = chain_basis(s, d)
             if not src:
@@ -434,11 +456,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
                         raise IntegralityFailure("image not contained in saturated kernel")
                     rel.append([int(v) for v in coords])
             diag = smith_normal_form(rel) if rel else []
-            if char:
-                # over F_p everything is vector spaces: torsion reading is moot
-                entries[(s, d)] = (len(kcols) - len(diag), [])
-            else:
-                entries[(s, d)] = p_local_structure(diag, len(kcols), 2)
+            entries[(s, d)] = p_local_structure(diag, len(kcols), 2)
     return TorTable(entries, degs)
 
 
@@ -447,18 +465,6 @@ def fp_poly_dims(weights: list[int], N: int) -> list[int]:
     out = [0] * (N + 1)
     for d in range(N + 1):
         out[d] = len(monomials_of_weighted_degree(tuple(weights), d))
-    return out
-
-
-def exterior_pattern_dims(poly_weights: list[int], ext_degrees: list[int], N: int) -> list[int]:
-    """dims of F_p[t_i] tensor Lambda[x_k] by total degree."""
-    out = [1] + [0] * N
-    for w in poly_weights:
-        for d in range(w, N + 1):
-            out[d] += out[d - w]
-    for w in ext_degrees:
-        for d in range(N, w - 1, -1):
-            out[d] += out[d - w]
     return out
 
 
@@ -492,7 +498,6 @@ def tor_degeneration_identity(n: int, p: int, N: int):
     """Both dimension identities behind the collapse: the truncated pattern
     F_p[t] (X) Lambda[x_k : k > n] vs B_*(n), and the full pattern including
     the degree-1 class from p vs the whole dual Steenrod algebra."""
-    from .steenrod import bstar_dims, dims_table, dual_steenrod_dims_odd
     tw = []
     i = 1
     while 2 * (p ** i - 1) <= N:

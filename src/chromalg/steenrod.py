@@ -1,8 +1,19 @@
 """Mod-2 Steenrod algebra in the Milnor basis.
 
 Monomials are tuples (r1, r2, ...) without trailing zeros, of degree
-sum r_i (2^i - 1); elements are frozensets of monomials (F2 sums).  Products
-run over Milnor matrices with carry-free multinomial coefficients.
+sum r_i (2^i - 1); elements are frozensets of monomials (F2 sums).
+
+`milnor_product_mono` enumerates the Milnor matrices of Sq(r) Sq(s) directly:
+one (len r + 1) x (len s + 1) matrix whose row-0 and column-0 entries start at
+s_j and r_i and hold the budgets still unspent; the inner cells are filled in
+row-major order, each value charged against its row (weight 2^j) and column
+budgets in place and refunded after its branch.  A filled matrix contributes
+Sq(t_1, t_2, ...), t_n the sum of its n-th antidiagonal, when that
+multinomial coefficient is odd, i.e. the entries of the antidiagonal share no
+binary digit; an AND/OR accumulator tests this and yields t_n in one pass.
+The product is memoised with `lru_cache` like `basis` and `adem_expand`:
+its arguments are tuples and its result a frozenset, so the cached values are
+immutable and no caller can change what another receives.
 
 Two independent oracles live alongside: an Adem-relation straightener on
 admissible words, and operator actions on polynomial algebras (Cartan for
@@ -13,9 +24,10 @@ Milnor multiplication.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import FreenessViolation
-from .linalg import f2_rref, f2_in_span, f2_reduce
+from .linalg import f2_rref, f2_reduce
 
 
 def mono_degree(r: tuple) -> int:
@@ -76,13 +88,19 @@ def dims_table(N: int) -> list[int]:
 
 def poincare_product_dims(N: int) -> list[int]:
     """Coefficients of prod_{i>=1} 1/(1 - q^(2^i - 1)): an independent count."""
+    weights = [2 ** i - 1 for i in range(1, N.bit_length() + 1) if 2 ** i - 1 <= N]
+    return exterior_pattern_dims(weights, [], N)
+
+
+def exterior_pattern_dims(poly_weights: list[int], ext_degrees: list[int], N: int) -> list[int]:
+    """dims of F_p[t_i] tensor Lambda[x_k] by total degree, through N."""
     out = [1] + [0] * N
-    i = 1
-    while 2 ** i - 1 <= N:
-        w = 2 ** i - 1
+    for w in poly_weights:
         for d in range(w, N + 1):
             out[d] += out[d - w]
-        i += 1
+    for w in ext_degrees:
+        for d in range(N, w - 1, -1):
+            out[d] += out[d - w]
     return out
 
 
@@ -90,64 +108,42 @@ def _carry_free(parts: list[int], total: int) -> bool:
     return sum(bin(p).count("1") for p in parts) == bin(total).count("1")
 
 
+@lru_cache(maxsize=None)
 def milnor_product_mono(r: tuple, s: tuple) -> frozenset:
-    """Product of two Milnor monomials: sum over matrices with row sums
-    weighted by powers of 2 matching r and column sums matching s."""
+    """Product of two Milnor monomials: the F2 sum over the Milnor matrices
+    with weighted row sums r and column sums s (see the module docstring)."""
     k, l = len(r), len(s)
-    if k == 0:
-        return frozenset({s})
-    if l == 0:
-        return frozenset({r})
+    X = [[0] * (l + 1) for _ in range(k + 1)]
+    X[0][1:] = s
+    for i in range(1, k + 1):
+        X[i][0] = r[i - 1]
+    cells = [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
     results = set()
 
-    # inner entries x[i][j], 1<=i<=k, 1<=j<=l; then
-    # x[i][0] = r_i - sum_j 2^j x[i][j] >= 0,  x[0][j] = s_j - sum_i x[i][j] >= 0
-    def rec(i, row_budget, cols_used, inner):
-        if i > k:
-            colsums = [s[j - 1] - cols_used[j] for j in range(1, l + 1)]
-            if any(c < 0 for c in colsums):
-                return
-            X = {}
-            for (a, b), v in inner.items():
-                X[(a, b)] = v
-            for a in range(1, k + 1):
-                X[(a, 0)] = row_budget[a]
-            for b in range(1, l + 1):
-                X[(0, b)] = colsums[b - 1]
-            nmax = k + l
+    def fill(c):
+        if c == len(cells):
             t = []
-            good = True
-            for n in range(1, nmax + 1):
-                parts = [X.get((a, n - a), 0) for a in range(max(0, n - l), min(k, n) + 1)]
-                tot = sum(parts)
-                if not _carry_free([p for p in parts if p], tot):
-                    good = False
-                    break
-                t.append(tot)
-            if good:
-                results.symmetric_difference_update({_strip(t)})
+            for n in range(1, k + l + 1):
+                acc = 0
+                for i in range(max(0, n - l), min(k, n) + 1):
+                    x = X[i][n - i]
+                    if acc & x:
+                        return
+                    acc |= x
+                t.append(acc)
+            results.symmetric_difference_update({_strip(t)})
             return
+        i, j = cells[c]
+        for v in range(min(X[i][0] >> j, X[0][j]) + 1):
+            X[i][j] = v
+            X[i][0] -= v << j
+            X[0][j] -= v
+            fill(c + 1)
+            X[i][0] += v << j
+            X[0][j] += v
+        X[i][j] = 0
 
-        def rec_cols(j, rem, cu, inner2):
-            if j > l:
-                nb = dict(row_budget)
-                nb[i] = rem
-                rec(i + 1, nb, cu, inner2)
-                return
-            maxv = rem // (2 ** j)
-            for v in range(maxv + 1):
-                cu2 = dict(cu)
-                cu2[j] = cu.get(j, 0) + v
-                if cu2[j] > s[j - 1]:
-                    break
-                inner3 = dict(inner2)
-                if v:
-                    inner3[(i, j)] = v
-                rec_cols(j + 1, rem - v * (2 ** j), cu2, inner3)
-
-        rec_cols(1, r[i - 1], cols_used, inner)
-
-    rec(1, {a: r[a - 1] for a in range(1, k + 1)}, {j: 0 for j in range(1, l + 1)}, {})
+    fill(0)
     return frozenset(results)
 
 
@@ -295,19 +291,8 @@ def _milnor_mono_on_mono(r: tuple, mono: tuple) -> frozenset:
 @lru_cache(maxsize=None)
 def _coproduct_splits(r: tuple):
     """Coproduct of Sq(r): all (E, F) with E + F = r componentwise."""
-    if not r:
-        return (((), ()),)
-    out = []
-
-    def rec(i, e, f):
-        if i == len(r):
-            out.append((_strip(e), _strip(f)))
-            return
-        for v in range(r[i] + 1):
-            rec(i + 1, e + [v], f + [r[i] - v])
-
-    rec(0, [], [])
-    return tuple(out)
+    return tuple((_strip(e), _strip(ri - ei for ri, ei in zip(r, e)))
+                 for e in product(*(range(ri + 1) for ri in r)))
 
 
 def element_on_poly(a: frozenset, poly: frozenset, nvars: int) -> frozenset:
@@ -343,16 +328,7 @@ class Profile:
         while self.bound(i) > 1:
             bounds.append(self.bound(i))
             i += 1
-        out = []
-
-        def rec(j, acc):
-            if j == len(bounds):
-                out.append(_strip(acc))
-                return
-            for v in range(bounds[j]):
-                rec(j + 1, acc + [v])
-
-        rec(0, [])
+        out = [_strip(e) for e in product(*(range(b) for b in bounds))]
         return sorted(out, key=lambda r: (mono_degree(r), r))
 
     def closure_check(self) -> bool:
@@ -394,20 +370,21 @@ def exterior_generators_span(n: int) -> list[frozenset]:
 class QuotientModule:
     """A // B = A / A.B+ with lexicographically minimal coset representatives.
 
-    Per degree: `reps[d]` (indices into basis(d)), the rref of the ideal span,
-    and cached left actions of Sq(2^i).
+    Per degree: `index[d]` (monomial -> position in basis(d)), `reps[d]`
+    (indices into basis(d)) and the rref of the ideal span.
     """
 
     def __init__(self, profile: Profile, N: int):
         self.profile = profile
         self.N = N
+        self.index = {}
         self.ideal_basis = {}
         self.ideal_pivots = {}
         self.reps = {}
         bplus = [r for r in profile.algebra_basis() if r != ()]
         for d in range(N + 1):
             mons = basis(d)
-            index = {m: i for i, m in enumerate(mons)}
+            index = self.index[d] = {m: i for i, m in enumerate(mons)}
             span_rows = []
             for b in bplus:
                 e = mono_degree(b)
@@ -436,7 +413,7 @@ class QuotientModule:
         return f2_reduce(self.ideal_basis[d], self.ideal_pivots[d], vec)
 
     def element_vector(self, d: int, elem: frozenset) -> int:
-        index = {m: i for i, m in enumerate(basis(d))}
+        index = self.index[d]
         vec = 0
         for m in elem:
             vec |= 1 << index[m]
@@ -464,37 +441,18 @@ class QuotientModule:
         return cols
 
     def cyclic_check(self) -> bool:
-        """The degree-0 class generates under the Sq(2^i)."""
-        gens = []
-        i = 0
-        while 2 ** i <= self.N:
-            gens.append(sq(2 ** i))
-            i += 1
-        reached = {0: 1}  # degree -> bitmask of reached rep span
-        frontier = [(0, UNIT)]
-        elements = {0: [UNIT]}
-        while frontier:
-            d, elem = frontier.pop()
-            for g in gens:
-                e = element_degree(g)
-                nd = d + e
-                if nd > self.N:
-                    continue
-                img = milnor_product(g, elem)
-                coords = self.coset_coords(nd, img)
-                cur = reached.get(nd, 0)
-                # add to span via simple accumulation and rref later
-                elements.setdefault(nd, [])
-                elements[nd].append(img)
-                if coords and not f2_in_span(*f2_rref(
-                        [self.coset_coords(nd, x) for x in elements[nd][:-1]]), coords):
-                    frontier.append((nd, img))
-                reached[nd] = cur | coords
-        for d in range(self.N + 1):
-            want = self.dim(d)
-            got = len(f2_rref([self.coset_coords(d, x)
-                               for x in elements.get(d, [])])[0])
-            if got != want:
+        """The degree-0 class generates under the Sq(2^i): the span reached
+        in degree d is the image of the spans at d - 2^i under the actions."""
+        span = {0: [1]}
+        for d in range(1, self.N + 1):
+            images = []
+            e = 1
+            while e <= d:
+                act = self.action_matrix(sq(e), d - e)
+                images += compose_f2_matrices(act, span[d - e], self.dim(d - e))
+                e *= 2
+            span[d] = f2_rref(images)[0]
+            if len(span[d]) != self.dim(d):
                 return False
         return True
 
@@ -544,36 +502,27 @@ def square_check(N: int) -> dict:
     A1 = QuotientModule(Profile("A", 1), N)
     A2 = QuotientModule(Profile("A", 2), N)
     out = {"commutes": True, "linear": True, "cyclic": True, "witness": {}}
+    pairs = [(E1, E2), (E1, A1), (E2, A2), (A1, A2)]
+    maps = {(src, dst): [module_map_matrix(src, dst, d) for d in range(N + 1)]
+            for src, dst in pairs}
     for d in range(N + 1):
-        top = module_map_matrix(E2, A2, d)
-        left = module_map_matrix(E1, E2, d)
-        bottom = module_map_matrix(A1, A2, d)
-        right = module_map_matrix(E1, A1, d)
-        via_top = compose_f2_matrices(top, left, E2.dim(d))
-        via_bottom = compose_f2_matrices(bottom, right, A1.dim(d))
+        via_top = compose_f2_matrices(maps[E2, A2][d], maps[E1, E2][d], E2.dim(d))
+        via_bottom = compose_f2_matrices(maps[A1, A2][d], maps[E1, A1][d], A1.dim(d))
         if via_top != via_bottom:
             out["commutes"] = False
             out["witness"][d] = "square"
-    ops = []
-    i = 0
-    while 2 ** i <= N:
-        ops.append((2 ** i, sq(2 ** i)))
-        i += 1
-    pairs = [(E1, E2), (E1, A1), (E2, A2), (A1, A2)]
     for src, dst in pairs:
-        for e, op in ops:
+        t = maps[src, dst]
+        e = 1
+        while e <= N:
+            op = sq(e)
             for d in range(N + 1 - e):
-                t_d = module_map_matrix(src, dst, d)
-                t_de = module_map_matrix(src, dst, d + e)
-                m_src = src.action_matrix(op, d)
-                m_dst = dst.action_matrix(op, d)
-                if m_src is None or m_dst is None:
-                    continue
-                lhs = compose_f2_matrices(t_de, m_src, src.dim(d + e))
-                rhs = compose_f2_matrices(m_dst, t_d, dst.dim(d))
+                lhs = compose_f2_matrices(t[d + e], src.action_matrix(op, d), src.dim(d + e))
+                rhs = compose_f2_matrices(dst.action_matrix(op, d), t[d], dst.dim(d))
                 if lhs != rhs:
                     out["linear"] = False
                     out["witness"][(repr(src.profile), repr(dst.profile), e, d)] = "lin"
+            e *= 2
     for mod in (E1, E2, A1, A2):
         if not mod.cyclic_check():
             out["cyclic"] = False
@@ -588,38 +537,9 @@ def bstar_dims(n: int, p: int, N: int) -> list[int]:
     """dims of B_*: at p = 2 the polynomial algebra on squares of the first
     n+1 dual generators and the rest unsquared; at odd p the polynomial duals
     (degrees 2(p^i - 1)) tensored with the exterior part from index n+1 on."""
-    out = [1] + [0] * N
     if p == 2:
-        gens = []
-        i = 1
-        while True:
-            d = 2 * (2 ** i - 1) if i <= n + 1 else 2 ** i - 1
-            if d > N:
-                if i > n + 1:
-                    break
-                i += 1
-                continue
-            gens.append(d)
-            i += 1
-        for w in gens:
-            for d in range(w, N + 1):
-                out[d] += out[d - w]
-        return out
-    # odd p: polynomial on 2(p^i - 1), exterior on 2 p^j - 1 for j >= n+1
-    i = 1
-    while 2 * (p ** i - 1) <= N:
-        w = 2 * (p ** i - 1)
-        if w:
-            for d in range(w, N + 1):
-                out[d] += out[d - w]
-        i += 1
-    j = n + 1
-    while 2 * p ** j - 1 <= N:
-        w = 2 * p ** j - 1
-        for d in range(N, w - 1, -1):
-            out[d] += out[d - w]
-        j += 1
-    return out
+        return exterior_pattern_dims(bstar_generator_degrees(n, p, N), [], N)
+    return dual_steenrod_dims_odd(p, N, tau_from=n + 1)
 
 
 def bstar_generator_degrees(n: int, p: int, N: int) -> list[int]:
@@ -638,20 +558,17 @@ def bstar_generator_degrees(n: int, p: int, N: int) -> list[int]:
 
 def dual_steenrod_dims_odd(p: int, N: int, tau_from: int = 0) -> list[int]:
     """dims of P(xi_1, ...) tensor E(tau_j : j >= tau_from) at an odd prime."""
-    out = [1] + [0] * N
+    xi = []
     i = 1
     while 2 * (p ** i - 1) <= N:
-        w = 2 * (p ** i - 1)
-        for d in range(w, N + 1):
-            out[d] += out[d - w]
+        xi.append(2 * (p ** i - 1))
         i += 1
+    tau = []
     j = tau_from
     while 2 * p ** j - 1 <= N:
-        w = 2 * p ** j - 1
-        for d in range(N, w - 1, -1):
-            out[d] += out[d - w]
+        tau.append(2 * p ** j - 1)
         j += 1
-    return out
+    return exterior_pattern_dims(xi, tau, N)
 
 
 def duality_dims_check(n: int, N: int) -> bool:

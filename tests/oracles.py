@@ -3,18 +3,24 @@
 Each one is the plain algorithm that the library's faster version replaced:
 term-by-term composition, full-precision Newton inversion, degree-by-degree
 reversion, the fixed-point w-series at full precision, full-precision
-`find_iso` with its row-by-row solve, long division, and the dict-based
-integer q-series with its psi operator.  They share no code path with the
-functions they check, beyond `Series` arithmetic and `compose`
-(`compose_oracle` uses no `compose`, and `QSeries` shares nothing).
+`find_iso` with its row-by-row solve, long division, the dict-based
+integer q-series with its psi operator, the Milnor product by nested
+recursion over dict-copied budgets, the breadth-first cyclicity search over
+Steenrod elements, and one convolution loop per Poincare-series factor.
+They share no code path with the functions they check, beyond `Series`
+arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
+shares nothing), and `milnor_product` and the coset reduction of
+`QuotientModule` that the cyclicity search acts through.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from chromalg import steenrod as st
 from chromalg.errors import AlgebraError, CompositionError, NotInvertible
 from chromalg.fgl import FormalGroupLaw, IsoResult, Obstruction
+from chromalg.linalg import f2_in_span, f2_rref
 from chromalg.rings import Ring
 from chromalg.series import Series, SeriesCtx
 
@@ -246,3 +252,182 @@ class QSeries:
 def psi_defect_oracle(f: QSeries) -> QSeries:
     """f(q^2) - f(q), with f(q^2) taken at the precision of f."""
     return QSeries({2 * n: c for n, c in f.coeffs.items()}, f.prec) - f
+
+
+# -- Steenrod algebra ---------------------------------------------------------
+
+def _strip_oracle(r) -> tuple:
+    r = list(r)
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
+
+
+def _carry_free_oracle(parts: list[int], total: int) -> bool:
+    return sum(bin(p).count("1") for p in parts) == bin(total).count("1")
+
+
+def milnor_product_mono_oracle(r: tuple, s: tuple) -> frozenset:
+    """Milnor product of two monomials by nested row/column recursion that
+    copies its budget dicts at every cell; no cache."""
+    k, l = len(r), len(s)
+    if k == 0:
+        return frozenset({s})
+    if l == 0:
+        return frozenset({r})
+    results = set()
+
+    # inner entries x[i][j], 1<=i<=k, 1<=j<=l; then
+    # x[i][0] = r_i - sum_j 2^j x[i][j] >= 0,  x[0][j] = s_j - sum_i x[i][j] >= 0
+    def rec(i, row_budget, cols_used, inner):
+        if i > k:
+            colsums = [s[j - 1] - cols_used[j] for j in range(1, l + 1)]
+            if any(c < 0 for c in colsums):
+                return
+            X = {}
+            for (a, b), v in inner.items():
+                X[(a, b)] = v
+            for a in range(1, k + 1):
+                X[(a, 0)] = row_budget[a]
+            for b in range(1, l + 1):
+                X[(0, b)] = colsums[b - 1]
+            nmax = k + l
+            t = []
+            good = True
+            for n in range(1, nmax + 1):
+                parts = [X.get((a, n - a), 0) for a in range(max(0, n - l), min(k, n) + 1)]
+                tot = sum(parts)
+                if not _carry_free_oracle([p for p in parts if p], tot):
+                    good = False
+                    break
+                t.append(tot)
+            if good:
+                results.symmetric_difference_update({_strip_oracle(t)})
+            return
+
+        def rec_cols(j, rem, cu, inner2):
+            if j > l:
+                nb = dict(row_budget)
+                nb[i] = rem
+                rec(i + 1, nb, cu, inner2)
+                return
+            maxv = rem // (2 ** j)
+            for v in range(maxv + 1):
+                cu2 = dict(cu)
+                cu2[j] = cu.get(j, 0) + v
+                if cu2[j] > s[j - 1]:
+                    break
+                inner3 = dict(inner2)
+                if v:
+                    inner3[(i, j)] = v
+                rec_cols(j + 1, rem - v * (2 ** j), cu2, inner3)
+
+        rec_cols(1, r[i - 1], cols_used, inner)
+
+    rec(1, {a: r[a - 1] for a in range(1, k + 1)}, {j: 0 for j in range(1, l + 1)}, {})
+    return frozenset(results)
+
+
+def cyclic_check_oracle(qm: st.QuotientModule) -> bool:
+    """Breadth-first search from the unit over actual elements: each image
+    under a Sq(2^i) is kept when it leaves the span reached so far."""
+    gens = []
+    i = 0
+    while 2 ** i <= qm.N:
+        gens.append(st.sq(2 ** i))
+        i += 1
+    reached = {0: 1}  # degree -> bitmask of reached rep span
+    frontier = [(0, st.UNIT)]
+    elements = {0: [st.UNIT]}
+    while frontier:
+        d, elem = frontier.pop()
+        for g in gens:
+            e = st.element_degree(g)
+            nd = d + e
+            if nd > qm.N:
+                continue
+            img = st.milnor_product(g, elem)
+            coords = qm.coset_coords(nd, img)
+            cur = reached.get(nd, 0)
+            # add to span via simple accumulation and rref later
+            elements.setdefault(nd, [])
+            elements[nd].append(img)
+            if coords and not f2_in_span(*f2_rref(
+                    [qm.coset_coords(nd, x) for x in elements[nd][:-1]]), coords):
+                frontier.append((nd, img))
+            reached[nd] = cur | coords
+    for d in range(qm.N + 1):
+        want = qm.dim(d)
+        got = len(f2_rref([qm.coset_coords(d, x)
+                           for x in elements.get(d, [])])[0])
+        if got != want:
+            return False
+    return True
+
+
+def poincare_product_dims_oracle(N: int) -> list[int]:
+    """prod_{i>=1} 1/(1 - q^(2^i - 1)), one convolution loop per factor."""
+    out = [1] + [0] * N
+    i = 1
+    while 2 ** i - 1 <= N:
+        w = 2 ** i - 1
+        for d in range(w, N + 1):
+            out[d] += out[d - w]
+        i += 1
+    return out
+
+
+def bstar_dims_oracle(n: int, p: int, N: int) -> list[int]:
+    """dims of B_*: at p = 2 the polynomial algebra on squares of the first
+    n+1 dual generators and the rest unsquared; at odd p the polynomial duals
+    (degrees 2(p^i - 1)) tensored with the exterior part from index n+1 on."""
+    out = [1] + [0] * N
+    if p == 2:
+        gens = []
+        i = 1
+        while True:
+            d = 2 * (2 ** i - 1) if i <= n + 1 else 2 ** i - 1
+            if d > N:
+                if i > n + 1:
+                    break
+                i += 1
+                continue
+            gens.append(d)
+            i += 1
+        for w in gens:
+            for d in range(w, N + 1):
+                out[d] += out[d - w]
+        return out
+    # odd p: polynomial on 2(p^i - 1), exterior on 2 p^j - 1 for j >= n+1
+    i = 1
+    while 2 * (p ** i - 1) <= N:
+        w = 2 * (p ** i - 1)
+        if w:
+            for d in range(w, N + 1):
+                out[d] += out[d - w]
+        i += 1
+    j = n + 1
+    while 2 * p ** j - 1 <= N:
+        w = 2 * p ** j - 1
+        for d in range(N, w - 1, -1):
+            out[d] += out[d - w]
+        j += 1
+    return out
+
+
+def dual_steenrod_dims_odd_oracle(p: int, N: int, tau_from: int = 0) -> list[int]:
+    """dims of P(xi_1, ...) tensor E(tau_j : j >= tau_from) at an odd prime."""
+    out = [1] + [0] * N
+    i = 1
+    while 2 * (p ** i - 1) <= N:
+        w = 2 * (p ** i - 1)
+        for d in range(w, N + 1):
+            out[d] += out[d - w]
+        i += 1
+    j = tau_from
+    while 2 * p ** j - 1 <= N:
+        w = 2 * p ** j - 1
+        for d in range(N, w - 1, -1):
+            out[d] += out[d - w]
+        j += 1
+    return out

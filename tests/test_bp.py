@@ -53,6 +53,26 @@ def test_regular_sequence_two_on_f2_fails():
     assert not rep.regular
 
 
+def test_regular_sequence_after_odd_scalar_is_unsupported():
+    P = PolyRing(ZZ, ("x", "y"), (2, 2))
+    x, y = P.gen("x"), P.gen("y")
+    for q in (3, 5):
+        seq = [bp.scalar_element(P, q), bp.poly_element(x + y, "x+y"),
+               bp.poly_element(x - y, "x-y")]
+        with pytest.raises(ValueError):
+            bp.regular_sequence_check(seq, bp.GradedModule(P, []), 6)
+
+
+def test_regular_sequence_after_two_reports_mod_2_failure():
+    P = PolyRing(ZZ, ("x", "y"), (2, 2))
+    x, y = P.gen("x"), P.gen("y")
+    seq = [bp.scalar_element(P, 2), bp.poly_element(x + y, "x+y"),
+           bp.poly_element(x - y, "x-y")]
+    rep = bp.regular_sequence_check(seq, bp.GradedModule(P, []), 6)
+    assert not rep.regular
+    assert rep.failures[0][:2] == (2, 0)
+
+
 def test_koszul_regular_case():
     seq, module, P = bp.bp2_shadow_sequence(20)
     tor = bp.koszul_tor(seq, module, 20)
@@ -71,6 +91,24 @@ def test_koszul_exterior_pattern():
            for nm, d in (("p", 0), ("v1", 2), ("v2", 6), ("v3", 14))]
     tor = bp.koszul_tor(seq, module, 16)
     assert tor.total_dims(16) == bp.exterior_pattern_dims([2, 6, 14], [1, 3, 7, 15], 16)
+
+
+def test_koszul_f2_ranks_taken_mod_2():
+    # over Q, (x+z, x+y, y+z) is regular; over F_2 the third is the sum of the
+    # first two, so F_2[x,y,z]/(x+z, x+y) = F_2[x] and H_1 has one class per degree
+    P = PolyRing(PrimeField(2), ("x", "y", "z"), (1, 1, 1))
+    x, y, z = (P.gen(g) for g in "xyz")
+    seq = [bp.poly_element(x + z, "x+z"), bp.poly_element(x + y, "x+y"),
+           bp.poly_element(y + z, "y+z")]
+    tor = bp.koszul_tor(seq, bp.GradedModule(P, []), 3)
+    for d in (1, 2, 3):
+        assert (tor.dim(0, d), tor.dim(1, d), tor.dim(2, d)) == (1, 1, 0), d
+
+
+def test_koszul_odd_characteristic_is_unsupported():
+    P = PolyRing(PrimeField(3), ("x",), (1,))
+    with pytest.raises(ValueError):
+        bp.koszul_tor([bp.poly_element(P.gen("x"), "x")], bp.GradedModule(P, []), 3)
 
 
 def test_koszul_empty_sequence_returns_module():

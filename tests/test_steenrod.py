@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import oracles
 from chromalg import steenrod as st
+
+# every Milnor monomial of degree <= 30, with its degree
+POOL = [(m, st.mono_degree(m)) for d in range(31) for m in st.basis(d)]
 
 
 def test_basis_examples():
@@ -48,6 +54,20 @@ def test_milnor_vs_operator_oracle():
         for tp in polys:
             assert st.element_on_poly(prod, tp, nv) == \
                 st.milnor_on_poly(r, st.milnor_on_poly(s, tp, nv), nv)
+
+
+def test_product_matches_oracle_through_degree_30():
+    pairs = [(a, b) for a, da in POOL for b, db in POOL if da + db <= 30]
+    assert len(pairs) == 16468
+    for a, b in pairs:
+        assert st.milnor_product_mono(a, b) == oracles.milnor_product_mono_oracle(a, b), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from([m for m, d in POOL if 16 <= d <= 28]),
+       hs.sampled_from([m for m, d in POOL if 16 <= d <= 28]))
+def test_product_matches_oracle_large(a, b):
+    assert st.milnor_product_mono(a, b) == oracles.milnor_product_mono_oracle(a, b)
 
 
 def test_adem_oracle():
@@ -124,6 +144,25 @@ def test_quotient_tables_match_and_cyclic():
         assert qm.cyclic_check()
 
 
+@pytest.mark.parametrize("kind", ["E", "A"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_cyclic_check_matches_oracle(kind, n):
+    qm = st.QuotientModule(st.Profile(kind, n), 16)
+    assert qm.cyclic_check() is oracles.cyclic_check_oracle(qm) is True
+
+
+def test_cyclic_check_fails_without_sq1():
+    qm = st.QuotientModule(st.Profile("E", 0), 12)
+    full = qm.action_matrix
+
+    def no_sq1(op, d):
+        cols = full(op, d)
+        return [0] * len(cols) if op == st.sq(1) else cols
+
+    qm.action_matrix = no_sq1
+    assert not qm.cyclic_check()
+
+
 def test_square_commutes_to_16():
     res = st.square_check(16)
     assert res["ok"], res["witness"]
@@ -140,6 +179,17 @@ def test_bstar():
     assert st.bstar_generator_degrees(2, 2, 32) == [2, 6, 14, 15, 31]
     assert st.bstar_dims(0, 2, 8) == [1, 0, 1, 1, 1, 1, 2, 2, 2]
     assert st.bstar_dims(1, 2, 0) == [1]
+
+
+def test_dims_helpers_match_oracles():
+    for N in range(70):
+        assert st.poincare_product_dims(N) == oracles.poincare_product_dims_oracle(N)
+        for n in range(4):
+            for p in (2, 3, 5, 7):
+                assert st.bstar_dims(n, p, N) == oracles.bstar_dims_oracle(n, p, N), (n, p, N)
+            for p in (3, 5, 7):
+                assert st.dual_steenrod_dims_odd(p, N, n) == \
+                    oracles.dual_steenrod_dims_odd_oracle(p, N, n), (n, p, N)
 
 
 def test_duality_dims():
