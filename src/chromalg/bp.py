@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IntegralityFailure, TruncationError
-from .linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
-                     p_local_structure, smith_normal_form, solve_int_exact)
+from .linalg import (FieldOps, _FractionField, f2_in_span, f2_nullspace, f2_reduce,
+                     f2_rref, int_kernel, p_local_structure, smith_normal_form,
+                     solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
 from .steenrod import bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims
@@ -388,9 +389,8 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
                 out.append((S, m))
         return out
 
-    def diff_matrix_int(s, d):
-        src = chain_basis(s, d)
-        dst = chain_basis(s - 1, d)
+    def diff_matrix_int(s, src, dst):
+        """Integer columns of d_s: C_s -> C_(s-1) on the given chain bases."""
         dst_at = {b: i for i, b in enumerate(dst)}
         cols = []
         for (S, m) in src:
@@ -403,60 +403,44 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
                     tgt = tuple(a + b for a, b in zip(m, ge))
                     vec[dst_at[(rest, tgt)]] += sgn * _poly_int_coeff(gc)
             cols.append(vec)
-        return cols, src, dst
+        return cols
 
-    def f2_rank(s, d):
-        """Rank mod 2 of d_s in internal degree d (d_0 = d_(r+1) = 0)."""
-        if not 0 < s <= r:
-            return 0
-        cols, _, _ = diff_matrix_int(s, d)
-        return len(f2_rref([sum(1 << i for i, v in enumerate(col) if v % 2)
-                            for col in cols])[0])
-
+    fops = FieldOps(_FractionField())
     for d in range(N + 1):
+        basis = [chain_basis(s, d) for s in range(r + 1)]
+        # diffs[s] holds d_s in degree d, read both for the kernel at s and the
+        # image at s - 1; d_0 = d_(r+1) = 0
+        diffs = [[]] + [diff_matrix_int(s, basis[s], basis[s - 1])
+                        for s in range(1, r + 1)] + [[]]
         if char:
-            rk = [f2_rank(s, d) for s in range(r + 2)]
+            rk = [len(f2_rref([sum(1 << i for i, v in enumerate(col) if v % 2)
+                               for col in cols])[0]) for cols in diffs]
             for s in range(r + 1):
-                n_s = len(chain_basis(s, d))
+                n_s = len(basis[s])
                 if n_s:
                     entries[(s, d)] = (n_s - rk[s] - rk[s + 1], [])
             continue
         for s in range(r + 1):
-            src = chain_basis(s, d)
+            src = basis[s]
             if not src:
                 continue
-            if s == 0:
+            if s > 0 and basis[s - 1]:
+                ker = int_kernel(diffs[s], len(src))
+            else:
                 ker = [[1 if i == j else 0 for i in range(len(src))]
                        for j in range(len(src))]
-            else:
-                cols, _, dst = diff_matrix_int(s, d)
-                if dst:
-                    ker = int_kernel(cols, len(src))
-                else:
-                    ker = [[1 if i == j else 0 for i in range(len(src))]
-                           for j in range(len(src))]
-            img_cols = []
-            up = chain_basis(s + 1, d) if s + 1 <= r else []
-            if up:
-                ucols, _, _ = diff_matrix_int(s + 1, d)
-                img_cols = ucols
             if not ker:
                 entries[(s, d)] = (0, [])
                 continue
             # express the image in the saturated kernel basis, then Smith-reduce
-            kcols = [list(k) for k in ker]
             rel = []
-            if img_cols:
-                from .linalg import FieldOps, _FractionField
-                fops = FieldOps(_FractionField())
-                sols = fops.solve_many([[Fraction(v) for v in c] for c in kcols],
-                                       [[Fraction(v) for v in c] for c in img_cols])
-                for coords in sols:
+            if diffs[s + 1]:
+                for coords in fops.solve_many(ker, diffs[s + 1]):
                     if coords is None or any(v.denominator != 1 for v in coords):
                         raise IntegralityFailure("image not contained in saturated kernel")
                     rel.append([int(v) for v in coords])
             diag = smith_normal_form(rel) if rel else []
-            entries[(s, d)] = p_local_structure(diag, len(kcols), 2)
+            entries[(s, d)] = p_local_structure(diag, len(ker), 2)
     return TorTable(entries, degs)
 
 
@@ -497,7 +481,10 @@ def bp2_shadow_sequence(N: int):
 def tor_degeneration_identity(n: int, p: int, N: int):
     """Both dimension identities behind the collapse: the truncated pattern
     F_p[t] (X) Lambda[x_k : k > n] vs B_*(n), and the full pattern including
-    the degree-1 class from p vs the whole dual Steenrod algebra."""
+    the degree-1 class from p vs the whole dual Steenrod algebra.  The
+    patterns are convolutions; at odd p the other sides are monomial counts
+    (`steenrod.monomial_count_dims`) over the same degrees, so the two can
+    disagree."""
     tw = []
     i = 1
     while 2 * (p ** i - 1) <= N:

@@ -6,6 +6,12 @@ Three levels, each used where it fits:
     fields);
   * integer lattice routines (saturated kernel via row HNF, Smith normal form)
     for homology over Z localized at a prime.
+
+The field solve, the row HNF and the Smith form update each row in place, at
+the nonzero columns of the pivot row only: their matrices (Koszul
+differentials, kernel bases) are mostly zero.  Pivot order is that of the
+dense eliminations, so results are identical; the Smith pivot search stops at
+the first unit, which is the row-major-first minimum the full scan would pick.
 """
 
 from __future__ import annotations
@@ -129,12 +135,16 @@ class FieldOps:
             if piv is None:
                 continue
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = R.inv(rows[rank][col])
-            rows[rank] = [R.mul(inv, x) for x in rows[rank]]
-            for i in range(len(rows)):
-                if i != rank and not R.is_zero(rows[i][col]):
-                    f = rows[i][col]
-                    rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+            prow = rows[rank]
+            inv = R.inv(prow[col])
+            nz = [j for j, x in enumerate(prow) if not R.is_zero(x)]
+            for j in nz:
+                prow[j] = R.mul(inv, prow[j])
+            for i, row in enumerate(rows):
+                if i != rank and not R.is_zero(row[col]):
+                    f = row[col]
+                    for j in nz:
+                        row[j] = R.sub(row[j], R.mul(f, prow[j]))
             pivots.append(col)
             rank += 1
         outs = []
@@ -167,16 +177,23 @@ def hnf_rows(mat: list[list[int]]) -> list[list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        nz = [j for j, a in enumerate(prow) if a]
         changed = True
         while changed:
             changed = False
             for i in range(r + 1, rows):
-                if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c] != 0:
-                        if abs(m[i][c]) < abs(m[r][c]):
-                            m[r], m[i] = m[i], m[r]
+                row = m[i]
+                if row[c]:
+                    q = row[c] // prow[c]
+                    for j in nz:
+                        row[j] -= q * prow[j]
+                    if row[c]:
+                        if abs(row[c]) < abs(prow[c]):
+                            # the smaller remainder becomes the pivot row
+                            m[r], m[i] = row, prow
+                            prow = row
+                            nz = [j for j, a in enumerate(prow) if a]
                         changed = True
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
@@ -218,10 +235,15 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
         piv = None
         best = None
         for i in range(top, rows):
+            row = m[i]
             for j in range(left, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
+                if row[j] and (best is None or abs(row[j]) < best):
+                    best = abs(row[j])
                     piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         pi, pj = piv
@@ -232,21 +254,30 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
         dirty = True
         while dirty:
             dirty = False
+            prow = m[top]
+            nz = [j for j, a in enumerate(prow) if a]
             for i in range(top + 1, rows):
-                if m[i][left] != 0:
-                    q = m[i][left] // m[top][left]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if m[i][left] != 0:
-                        m[top], m[i] = m[i], m[top]
+                row = m[i]
+                if row[left]:
+                    q = row[left] // prow[left]
+                    for j in nz:
+                        row[j] -= q * prow[j]
+                    if row[left]:
+                        m[top], m[i] = row, prow
+                        prow = row
+                        nz = [j for j, a in enumerate(prow) if a]
                         dirty = True
+            # column operations touch only the rows nonzero in the pivot column
+            nzr = [row for row in m if row[left]]
             for j in range(left + 1, cols):
-                if m[top][j] != 0:
-                    q = m[top][j] // m[top][left]
-                    for i in range(rows):
-                        m[i][j] -= q * m[i][left]
-                    if m[top][j] != 0:
-                        for i in range(rows):
-                            m[i][left], m[i][j] = m[i][j], m[i][left]
+                if prow[j]:
+                    q = prow[j] // prow[left]
+                    for row in nzr:
+                        row[j] -= q * row[left]
+                    if prow[j]:
+                        for row in m:
+                            row[left], row[j] = row[j], row[left]
+                        nzr = [row for row in m if row[left]]
                         dirty = True
         diag.append(abs(m[top][left]))
         top += 1
@@ -323,4 +354,4 @@ class _FractionField:
         return a == 0
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1, a)

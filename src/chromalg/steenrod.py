@@ -24,10 +24,11 @@ Milnor multiplication.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import FreenessViolation
 from .linalg import f2_rref, f2_reduce
+from .poly import monomials_of_weighted_degree
 
 
 def mono_degree(r: tuple) -> int:
@@ -101,6 +102,21 @@ def exterior_pattern_dims(poly_weights: list[int], ext_degrees: list[int], N: in
     for w in ext_degrees:
         for d in range(N, w - 1, -1):
             out[d] += out[d - w]
+    return out
+
+
+def monomial_count_dims(poly_weights: list[int], ext_degrees: list[int], N: int) -> list[int]:
+    """The dims of `exterior_pattern_dims`, counted without its convolution:
+    for each set of exterior generators, the polynomial monomials of the
+    remaining degree."""
+    weights = tuple(poly_weights)
+    poly = [len(monomials_of_weighted_degree(weights, d)) for d in range(N + 1)]
+    out = [0] * (N + 1)
+    for k in range(len(ext_degrees) + 1):
+        for S in combinations(ext_degrees, k):
+            e = sum(S)
+            for d in range(e, N + 1):
+                out[d] += poly[d - e]
     return out
 
 
@@ -557,7 +573,9 @@ def bstar_generator_degrees(n: int, p: int, N: int) -> list[int]:
 
 
 def dual_steenrod_dims_odd(p: int, N: int, tau_from: int = 0) -> list[int]:
-    """dims of P(xi_1, ...) tensor E(tau_j : j >= tau_from) at an odd prime."""
+    """dims of P(xi_1, ...) tensor E(tau_j : j >= tau_from) at an odd prime,
+    by monomial count: `bp.tor_degeneration_identity` compares it with the
+    convolution over the same degrees, so it must not be that convolution."""
     xi = []
     i = 1
     while 2 * (p ** i - 1) <= N:
@@ -568,7 +586,7 @@ def dual_steenrod_dims_odd(p: int, N: int, tau_from: int = 0) -> list[int]:
     while 2 * p ** j - 1 <= N:
         tau.append(2 * p ** j - 1)
         j += 1
-    return exterior_pattern_dims(xi, tau, N)
+    return monomial_count_dims(xi, tau, N)
 
 
 def duality_dims_check(n: int, N: int) -> bool:

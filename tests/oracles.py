@@ -6,7 +6,9 @@ reversion, the fixed-point w-series at full precision, full-precision
 `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, the Milnor product by nested
 recursion over dict-copied budgets, the breadth-first cyclicity search over
-Steenrod elements, and one convolution loop per Poincare-series factor.
+Steenrod elements, one convolution loop per Poincare-series factor, and the
+dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
+every entry of every row they touch.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
 shares nothing), and `milnor_product` and the coset reduction of
@@ -431,3 +433,122 @@ def dual_steenrod_dims_odd_oracle(p: int, N: int, tau_from: int = 0) -> list[int
             out[d] += out[d - w]
         j += 1
     return out
+
+
+def solve_many_oracle(R, columns: list[list], targets: list[list]):
+    """Gauss-Jordan over the field R on [columns | targets], pivots in the
+    coefficient block, each row op rebuilding the whole row."""
+    n = len(columns)
+    m = len(columns[0]) if columns else (len(targets[0]) if targets else 0)
+    k = len(targets)
+    rows = [[columns[j][i] for j in range(n)] + [t[i] for t in targets]
+            for i in range(m)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = None
+        for i in range(rank, len(rows)):
+            if not R.is_zero(rows[i][col]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = R.inv(rows[rank][col])
+        rows[rank] = [R.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not R.is_zero(rows[i][col]):
+                f = rows[i][col]
+                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    outs = []
+    for ti in range(k):
+        if any(not R.is_zero(rows[i][n + ti]) for i in range(rank, len(rows))):
+            outs.append(None)
+            continue
+        x = [R.zero()] * n
+        for r, p in zip(rows[:rank], pivots):
+            x[p] = r[n + ti]
+        outs.append(x)
+    return outs
+
+
+def hnf_rows_oracle(mat: list[list[int]]) -> list[list[int]]:
+    """Row echelon form by integer row operations, whole rows rebuilt."""
+    m = [list(r) for r in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i][c] != 0 and (piv is None or abs(m[i][c]) < abs(m[piv][c])):
+                piv = i
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(r + 1, rows):
+                if m[i][c] != 0:
+                    q = m[i][c] // m[r][c]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    if m[i][c] != 0:
+                        if abs(m[i][c]) < abs(m[r][c]):
+                            m[r], m[i] = m[i], m[r]
+                        changed = True
+        if m[r][c] < 0:
+            m[r] = [-a for a in m[r]]
+        r += 1
+        if r == rows:
+            break
+    return m
+
+
+def smith_normal_form_oracle(mat: list[list[int]]) -> list[int]:
+    """Smith diagonal with a full row-major scan for the smallest pivot."""
+    m = [list(r) for r in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    diag = []
+    top = 0
+    left = 0
+    while top < rows and left < cols:
+        piv = None
+        best = None
+        for i in range(top, rows):
+            for j in range(left, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
+                    best = abs(m[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        m[top], m[pi] = m[pi], m[top]
+        for i in range(rows):
+            m[i][left], m[i][pj] = m[i][pj], m[i][left]
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(top + 1, rows):
+                if m[i][left] != 0:
+                    q = m[i][left] // m[top][left]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+                    if m[i][left] != 0:
+                        m[top], m[i] = m[i], m[top]
+                        dirty = True
+            for j in range(left + 1, cols):
+                if m[top][j] != 0:
+                    q = m[top][j] // m[top][left]
+                    for i in range(rows):
+                        m[i][j] -= q * m[i][left]
+                    if m[top][j] != 0:
+                        for i in range(rows):
+                            m[i][left], m[i][j] = m[i][j], m[i][left]
+                        dirty = True
+        diag.append(abs(m[top][left]))
+        top += 1
+        left += 1
+    return [d for d in diag if d != 0]

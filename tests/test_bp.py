@@ -1,6 +1,8 @@
 import pytest
 
+import oracles
 from chromalg import bp, steenrod
+from chromalg.errors import IntegralityFailure
 from chromalg.poly import PolyRing
 from chromalg.rings import PrimeField, ZZ
 
@@ -83,6 +85,30 @@ def test_koszul_regular_case():
     assert [tor.dim(0, d) for d in range(21)] == bp.fp_poly_dims(twts, 20)
 
 
+def test_koszul_image_outside_kernel_raises(monkeypatch):
+    # bp2_shadow_sequence(8) reads 129 integer coefficients to build its
+    # differentials; the last one is a coefficient of d_3 at degree 8.  One
+    # added to it makes d_2 d_3 != 0, so the image of d_3 leaves ker d_2.
+    seq, module, P = bp.bp2_shadow_sequence(8)
+    real = bp._poly_int_coeff
+    calls = []
+
+    def perturbed(c):
+        calls.append(c)
+        return real(c) + (len(calls) == 129)
+
+    monkeypatch.setattr(bp, "_poly_int_coeff", perturbed)
+    with pytest.raises(IntegralityFailure):
+        bp.koszul_tor(seq, module, 8)
+    assert len(calls) == 129
+    monkeypatch.undo()
+    tor = bp.koszul_tor(seq, module, 8)
+    dims = bp.fp_poly_dims([w for g, w in zip(P.gens, P.weights) if g.startswith("t")], 8)
+    for (s, d), entry in tor.entries.items():
+        assert entry == ((0, [1] * dims[d]) if s == 0 else (0, [])), (s, d)
+    assert (3, 8) in tor.entries
+
+
 def test_koszul_exterior_pattern():
     F2 = PrimeField(2)
     P = PolyRing(F2, ("t1", "t2", "t3"), (2, 6, 14))
@@ -123,6 +149,30 @@ def test_tor_degeneration(n, p, N):
     rep = bp.tor_degeneration_identity(n, p, N)
     assert rep["truncated_equal"], (n, p)
     assert rep["full_equal"], (n, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_tor_degeneration_odd_p_sides_keep_parent_values(p):
+    for n in range(3):
+        for N in range(41):
+            rep = bp.tor_degeneration_identity(n, p, N)
+            assert rep["truncated"][1] == oracles.bstar_dims_oracle(n, p, N), (n, N)
+            assert rep["full"][1] == oracles.dual_steenrod_dims_odd_oracle(p, N), (n, N)
+            assert rep["truncated_equal"] and rep["full_equal"], (n, N)
+
+
+def test_tor_degeneration_odd_p_fails_on_shifted_tau(monkeypatch):
+    # the B_*(n) and dual Steenrod sides are a monomial count; with tau's
+    # degree off by one they no longer match the convolution on the other side
+    count = steenrod.monomial_count_dims
+
+    def shifted(poly_weights, ext_degrees, N):
+        return count(poly_weights, [ext_degrees[0] + 1] + ext_degrees[1:], N)
+
+    monkeypatch.setattr(steenrod, "monomial_count_dims", shifted)
+    rep = bp.tor_degeneration_identity(1, 3, 30)
+    assert not rep["truncated_equal"]
+    assert not rep["full_equal"]
 
 
 def test_degree_zero_trivial():

@@ -1,10 +1,16 @@
-import pytest
+import random
+from fractions import Fraction
 
-from chromalg.linalg import (f2_nullspace, f2_rref, f2_solve, int_kernel,
-                             p_local_structure, smith_normal_form,
-                             solve_int_exact)
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
+
+import oracles
+from chromalg.linalg import (FieldOps, _FractionField, f2_nullspace, f2_rref,
+                             f2_solve, hnf_rows, int_kernel, p_local_structure,
+                             smith_normal_form, solve_int_exact)
 from chromalg.poly import PolyRing, monomials_of_weighted_degree
-from chromalg.rings import ZZ
+from chromalg.rings import PrimeField, ZZ
 
 
 def test_weighted_poly_basics():
@@ -81,3 +87,105 @@ def test_solve_int_exact_needs_no_integral_rational_solution():
     x = solve_int_exact(cols, [3, 7, 10])
     assert [sum(x[j] * cols[j][i] for j in range(3)) for i in range(3)] == [3, 7, 10]
     assert solve_int_exact([[0, 0]], [0, 0]) == [0]
+
+
+def test_fraction_field_inverse_is_exact():
+    inv = _FractionField().inv(3)
+    assert isinstance(inv, Fraction) and inv == Fraction(1, 3)
+
+
+def test_solve_many_on_int_system_is_exact():
+    sols = FieldOps(_FractionField()).solve_many([[3, 0], [0, 2]], [[1, 1], [6, 4]])
+    assert sols == [[Fraction(1, 3), Fraction(1, 2)], [2, 2]]
+    assert all(isinstance(v, (int, Fraction)) for x in sols for v in x)
+
+
+# -- the sparse eliminations against the dense ones they replaced ---------------
+
+@hs.composite
+def sparse_int_matrices(draw):
+    """0-30 rows and columns, 5-40 % nonzero, entries in [-3, 3], with the
+    density capped near one nonzero per row or column of the shorter side.
+    Denser draws send both the sparse and the dense eliminations into
+    entries of thousands of digits (no modular reduction), so that a draw can
+    run for minutes; the Koszul test below covers denser real input."""
+    rows = draw(hs.integers(0, 30))
+    cols = draw(hs.integers(0, 30))
+    density = draw(hs.floats(0.05, max(0.05, min(0.4, 1 / max(min(rows, cols), 1)))))
+    rng = random.Random(draw(hs.integers(0, 2 ** 32 - 1)))
+    return [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+# the first remainder, [1, -1, 1], replaces the pivot row [2, 1, 0] mid-pass
+SWAPS_PIVOT = [[2, 1, 0], [3, 0, 1], [0, 2, 1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices())
+@example(SWAPS_PIVOT)
+def test_hnf_rows_matches_oracle(mat):
+    assert hnf_rows(mat) == oracles.hnf_rows_oracle(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices())
+@example(SWAPS_PIVOT)
+def test_smith_normal_form_matches_oracle(mat):
+    assert smith_normal_form(mat) == oracles.smith_normal_form_oracle(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=sparse_int_matrices(), data=hs.data())
+def test_solve_many_matches_oracle(mat, data):
+    """Columns of a sparse matrix, one of them repeated as the sum of two
+    others (rank-deficient), against targets in the span (consistent) and
+    random ones (inconsistent when the rank falls short of the height)."""
+    height = len(mat)
+    cols = [list(c) for c in zip(*mat)] if height else []
+    if len(cols) >= 2:
+        cols.append([a + b for a, b in zip(cols[0], cols[1])])
+    coeffs = data.draw(hs.lists(hs.lists(hs.integers(-3, 3), min_size=len(cols),
+                                         max_size=len(cols)), max_size=3))
+    targets = [[sum(c * col[i] for c, col in zip(cs, cols)) for i in range(height)]
+               for cs in coeffs]
+    targets += data.draw(hs.lists(hs.lists(hs.integers(-3, 3), min_size=height,
+                                           max_size=height), max_size=3))
+    for R, cast in ((_FractionField(), int), (PrimeField(5), lambda v: v % 5)):
+        C = [[cast(v) for v in col] for col in cols]
+        T = [[cast(v) for v in t] for t in targets]
+        got = FieldOps(R).solve_many(C, T)
+        assert got == oracles.solve_many_oracle(R, C, T)
+        assert all(isinstance(v, (int, Fraction)) for x in got if x for v in x)
+
+
+def test_koszul_eliminations_match_oracles(monkeypatch):
+    """Every elimination of the Koszul Tor at N = 16, against its oracle."""
+    from chromalg import bp, linalg
+    seen = set()
+    hnf, snf, solve = linalg.hnf_rows, linalg.smith_normal_form, FieldOps.solve_many
+
+    def hnf_checked(mat):
+        seen.add("hnf")
+        out = hnf(mat)
+        assert out == oracles.hnf_rows_oracle(mat)
+        return out
+
+    def snf_checked(mat):
+        seen.add("smith")
+        out = snf(mat)
+        assert out == oracles.smith_normal_form_oracle(mat)
+        return out
+
+    def solve_checked(self, columns, targets):
+        seen.add("solve")
+        out = solve(self, columns, targets)
+        assert out == oracles.solve_many_oracle(self.ring, columns, targets)
+        return out
+
+    monkeypatch.setattr(linalg, "hnf_rows", hnf_checked)
+    monkeypatch.setattr(bp, "smith_normal_form", snf_checked)
+    monkeypatch.setattr(FieldOps, "solve_many", solve_checked)
+    seq, module, _ = bp.bp2_shadow_sequence(16)
+    bp.koszul_tor(seq, module, 16)
+    assert seen == {"hnf", "smith", "solve"}
