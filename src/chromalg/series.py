@@ -19,18 +19,31 @@ precision it needs:
   * fgl.find_iso: the powers F^k are made once per call at precision N + 1,
     and degree step d composes only G(phi x, phi y), at precision d + 1.
 
-Composition contract.  f.compose(subs) groups the terms of f by all
-exponents but the last, and skips terms of total degree >= prec (every
-substitution has order >= 1):
-  * each group is a scalar combination (scales and sums) of the cached
-    powers of the last substitution, without its terms that the head's
-    powers push to total degree >= prec, multiplied once by the cached
-    powers of the head's substitutions;
-  * each power s^k is made once, as s^(k-1) * s; a substitution that uses
-    one variable of a multivariate target (phi(x), phi(y), a bare generator)
-    is powered as a univariate series, where it packs, and then embedded;
-  * no Series product has a one-term operand: a one-term power or group is
-    a shift and a scale of the other factor.
+Composition contract.  f.compose(subs) works at the precision P of the
+least precise of f and the substitutions, and every substitution has order
+>= 1, so a term of f of total degree >= P adds nothing.  It writes
+f = sum of x1^i * g_i(x2..xn) and runs Horner's rule in the first outer
+variable, h <- g_i(s2..sn) + s1*h from the top i down:
+  * step i runs at precision P - i, since h is then multiplied by s1^i, of
+    order >= i.  A univariate f (g_i the constant c_i) makes no power and no
+    scalar combination: P - 2 products at precisions 3..P for a dense s1 (at
+    precision 2 it has one term), and a missing c_i is a step s1*h alone;
+  * each g_i is evaluated at precision P - i by groups of its terms that
+    share all exponents but the last: a scalar combination (scales and sums)
+    of the cached powers of the last substitution, without its terms that
+    the head's powers push to total degree >= P - i, multiplied once by the
+    cached powers of the head's substitutions s2..s(n-1);
+  * no power of s1 is made.  Each power s^k of s2..sn is made once, at P,
+    as s^(k-1) * s; a substitution that uses one variable of a multivariate
+    target (phi(x), phi(y), a bare generator) is powered as a univariate
+    series, where it packs, and then embedded.  When f is univariate and s1
+    uses one variable, the Horner steps run univariately and h is embedded
+    once;
+  * no Series product has a one-term operand: a one-term power, group, s1
+    or h is a shift and a scale of the other factor.
+  Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) would make fewer products
+  than Horner's P - 2, but keeps a scalar combination of powers, which over
+  R[[b]] is one b-series product per term per power.
 
 Multiplication contract.  Series.__mul__ meets both operands at the smaller
 precision P, then multiplies over packed carriers with one big-integer
@@ -303,9 +316,9 @@ class Series:
     def compose(self, subs: dict) -> "Series":
         """Substitute subs[var] (a Series in a common target ctx) for each var.
 
-        Every substituted series must have zero constant term.  The terms are
-        grouped by all exponents but the last; see the composition contract
-        in the module docstring.
+        Every substituted series must have zero constant term.  Horner's rule
+        in the first outer variable, at a precision that shrinks by one per
+        step; see the composition contract in the module docstring.
         """
         targets = [s for s in subs.values() if isinstance(s, Series)]
         if not targets:
@@ -324,20 +337,20 @@ class Series:
             if not R.is_zero(s.constant_term()):
                 raise CompositionError(f"substitution for {v} has nonzero constant term")
             pows.append(_Powers(s.truncate(prec), tctx))
-        # every substitution has order >= 1, so a term of total degree >= prec
-        # adds nothing, and a head h leaves the tail prec - |h| degrees
-        groups = {}
+        # f = sum of x1^i * g_i(x2..xn); every substitution has order >= 1, so
+        # a term of total degree >= prec adds nothing
+        rows = {}
         for e, c in self.terms.items():
             if sum(e) < prec:
-                groups.setdefault(e[:-1], {})[e[-1]] = c
-        out = tctx.zero()
-        for head, tail in groups.items():
-            term = pows[-1].combination(tail, prec - sum(head))
-            for i, k in enumerate(head):
-                if k:
-                    term = _times(term, pows[i][k])
-            out = out + term
-        return out
+                rows.setdefault(e[0], {})[e[1:]] = c
+        if not rows:
+            return tctx.zero()
+        first, rest = pows[0], pows[1:]
+        if rest:
+            return _horner(first[1], rows, lambda i, p: _grouped(rows[i], rest, p))
+        s = first.power(1)
+        h = _horner(s, rows, lambda i, p: s.ctx.at_prec(p).const(rows[i][()]))
+        return first.embed(h.terms, prec)
 
     def eval_scalars(self, values: dict):
         """Total evaluation at ring scalars (use only for polynomial content
@@ -474,17 +487,20 @@ class _Powers:
         if self.axis is None:
             return self.power(k)
         if k not in self.embedded:
-            self.embedded[k] = self._embed(self.power(k).terms)
+            self.embedded[k] = self.embed(self.power(k).terms, self.tctx.prec)
         return self.embedded[k]
 
-    def _embed(self, terms: dict) -> Series:
-        n, i = len(self.tctx.vars), self.axis
-        return Series(self.tctx, {(0,) * i + e + (0,) * (n - i - 1): c
-                                  for e, c in terms.items()})
+    def embed(self, terms: dict, prec: int) -> Series:
+        """Terms of s's own context as a series of the target context at prec."""
+        ctx = self.tctx.at_prec(prec)
+        if self.axis is None:
+            return Series(ctx, terms)
+        n, i = len(ctx.vars), self.axis
+        return Series(ctx, {(0,) * i + e + (0,) * (n - i - 1): c for e, c in terms.items()})
 
-    def combination(self, coeffs: dict, top: int) -> Series:
-        """The sum of c * s^k over coeffs {k: c}, in the target context,
-        without its terms of total degree >= top: scales and sums only."""
+    def combination(self, coeffs: dict, top: int, prec: int) -> Series:
+        """The sum of c * s^k over coeffs {k: c}, in the target context at
+        prec, without its terms of total degree >= top: scales and sums only."""
         R = self.tctx.ring
         acc = {}
         for k, c in coeffs.items():
@@ -492,14 +508,48 @@ class _Powers:
                 if sum(e) < top:
                     p = R.mul(c, v) if k else c
                     acc[e] = R.add(acc[e], p) if e in acc else p
-        terms = {e: v for e, v in acc.items() if not R.is_zero(v)}
-        return Series(self.tctx, terms) if self.axis is None else self._embed(terms)
+        return self.embed({e: v for e, v in acc.items() if not R.is_zero(v)}, prec)
+
+
+def _horner(s: Series, rows: dict, value) -> Series:
+    """The sum of s^i * value(i, P - i) over the rows i, for P = s.prec, by
+    Horner's rule h <- value(i, P - i) + s*h from the top row down: step i
+    runs at precision P - i, and a row missing from rows adds nothing.  This
+    is exact because s has order >= 1 and h is later multiplied by s^i."""
+    P = s.ctx.prec
+    top = max(rows)
+    h = value(top, P - top)
+    for i in range(top - 1, -1, -1):
+        h = _times(Series(s.ctx.at_prec(P - i), h.terms), s)
+        if i in rows:
+            h = h + value(i, P - i)
+    return h
+
+
+def _grouped(terms: dict, pows: list, prec: int) -> Series:
+    """The sum of c * prod s_k^e_k over terms {e: c} of total degree < prec,
+    at precision prec, where pows holds the _Powers of the s_k: each group of
+    terms that share all exponents but the last is a scalar combination of
+    the powers of the last substitution, multiplied once by the head's powers."""
+    groups = {}
+    for e, c in terms.items():
+        groups.setdefault(e[:-1], {})[e[-1]] = c
+    out = pows[-1].tctx.at_prec(prec).zero()
+    for head, tail in groups.items():
+        term = pows[-1].combination(tail, prec - sum(head), prec)
+        for k, p in zip(head, pows):
+            if k:
+                term = _times(term, p[k])
+        out = out + term
+    return out
 
 
 def _times(a: Series, b: Series) -> Series:
-    """a*b for a and b at one precision.  When an operand has at most one
-    term the product is a shift and a scale of the other: _mul_dict makes it
-    with no sums, and without the packing that Series.__mul__ would try."""
+    """a*b at the smaller precision of a and b.  When an operand has at most
+    one term there the product is a shift and a scale of the other:
+    _mul_dict makes it with no sums, and without the packing that
+    Series.__mul__ would try."""
+    a, b = a._meet(b)
     if len(a.terms) > 1 and len(b.terms) > 1:
         return a * b
     return _mul_dict(a, b)
@@ -847,19 +897,15 @@ class SeriesRing(Ring):
     def divide(self, a, b):
         if self.is_unit(b):
             return a * b.inverse()
-        # divide through by common power of t, then by the unit part if possible
         if b.is_zero():
             return None
         ob = b.order()
-        if ob and ob > 0:
-            oa = a.order()
-            if a.is_zero():
-                return self.zero()
-            if oa is None or oa < ob:
+        if ob:
+            if not a.is_zero() and a.order() < ob:
                 return None
-            ash = Series(self.ctx, {(e[0] - ob,): c for e, c in a.terms.items()})
-            bsh = Series(self.ctx, {(e[0] - ob,): c for e, c in b.terms.items()})
-            return self.divide(ash, bsh)
+            # q*b = a fixes q only below prec - ob
+            raise TruncationError(f"a quotient by an element of {self.var}-order {ob} "
+                                  f"is known only below {self.prec - ob}, not {self.prec}")
         # non-unit constant term: coefficientwise attempt when b is constant
         if len(b.terms) == 1 and (0,) in b.terms:
             c = b.terms[(0,)]

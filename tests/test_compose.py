@@ -168,8 +168,9 @@ def test_compose_makes_no_product_with_a_one_term_operand(monkeypatch, ring):
 
 
 def test_univariate_composition_makes_one_product_per_power(monkeypatch):
-    """f(g) for f with P terms: the P - 2 powers g^2 .. g^(P-1), and no
-    product for the scalar combination of them."""
+    """f(g) for f with P terms by Horner's rule: step i runs at precision
+    P - i, so the products are at precisions 3 .. P (the step at precision 2
+    has a one-term g), and no product makes a power of g."""
     calls = []
     real = Series.__mul__
 
@@ -182,4 +183,70 @@ def test_univariate_composition_makes_one_product_per_power(monkeypatch):
     f, g = _dense(ctx, 0), _dense(ctx, 1)
     monkeypatch.setattr(Series, "__mul__", counted)
     f.compose({"x": g})
-    assert calls == [P] * (P - 2)
+    assert calls == list(range(3, P + 1))
+
+
+def test_bivariate_composition_makes_no_power_of_the_first_substitution(monkeypatch):
+    """F(phi(x), psi(y)) for a dense F at P = 8: the P - 2 powers of psi(y),
+    made univariately at P, and one Horner step in x per precision 3 .. P.
+    No product has two x-only operands, so no power of phi(x) is made (the
+    grouped schedule made 18 products, 6 of them powers of phi(x))."""
+    calls = []
+    real = Series.__mul__
+
+    def counted(a, b):
+        calls.append((a.ctx.vars, a.ctx.prec))
+        return real(a, b)
+
+    P = 8
+    tctx = SeriesCtx(QQ, ("x", "y"), P)
+    f = _dense(SeriesCtx(QQ, ("a", "b"), P), 0)
+    subs = {"a": _dense(tctx, 1, {0}), "b": _dense(tctx, 1, {1})}
+    monkeypatch.setattr(Series, "__mul__", counted)
+    out = f.compose(subs)
+    monkeypatch.setattr(Series, "__mul__", real)
+    assert sorted(calls) == ([(("x", "y"), p) for p in range(3, P + 1)]
+                             + [(("y",), P)] * (P - 2))
+    assert exact(out) == exact(compose_oracle(f, subs))
+
+
+# -- deterministic differential cases --------------------------------------------
+
+def _edge_cases():
+    """(f, subs) pairs that the random draws rarely reach."""
+    tctx = SeriesCtx(QQ, ("x", "y"), 6)
+    g = _dense(SeriesCtx(QQ, ("x",), 6), 1)
+    ctx8 = SeriesCtx(_Z8, ("x",), 7)
+    t3 = SeriesCtx(ZZ, ("x", "y", "z"), 5)
+    W = omega_ring()
+    wctx = SeriesCtx(W, ("x",), 6)
+    w = wctx.series({(1,): (1, 0), (2,): (Fraction(1, 3), 2), (4,): (0, Fraction(-2, 3))})
+    return {
+        # every term of f at or above the precision of the substitution
+        "all-terms-above-prec": (SeriesCtx(QQ, ("a",), 9).series(
+            {(k,): Fraction(k, 2) for k in range(6, 9)}), {"a": g}),
+        # one term, at degree P - 1
+        "one-term-at-P-1": (SeriesCtx(QQ, ("a",), 6).series({(5,): Fraction(7, 3)}),
+                            {"a": g}),
+        # zero c_i between nonzero ones, and a nonzero constant term
+        "gaps-and-constant": (SeriesCtx(_Z8, ("a",), 7).series({(0,): 3, (2,): 5, (5,): 6}),
+                              {"a": _dense(ctx8, 1)}),
+        "bivariate-gaps-and-constant": (
+            SeriesCtx(QQ, ("a", "b"), 6).series({(0, 0): Fraction(1, 2), (0, 3): 1,
+                                                 (3, 0): Fraction(-4, 5), (3, 2): 2}),
+            {"a": _dense(tctx, 1), "b": _dense(tctx, 1, {1})}),
+        "omega-gaps-and-constant": (wctx.series({(0,): (2, 0), (3,): (0, 1), (5,): (1, 1)}),
+                                    {"x": w}),
+        # s1 a bare generator of a three-variable target
+        "generator-of-3-var-target": (_dense(SeriesCtx(ZZ, ("a", "b", "c"), 5), 0),
+                                      {"a": t3.gen("y"), "b": _dense(t3, 1),
+                                       "c": _dense(t3, 1, {2})}),
+        "univariate-f-at-generator-of-3-var-target": (
+            _dense(SeriesCtx(ZZ, ("a",), 5), 0), {"a": t3.gen("z")}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_compose_edge_cases_match_oracle(case):
+    f, subs = _edge_cases()[case]
+    assert exact(f.compose(subs)) == exact(compose_oracle(f, subs))

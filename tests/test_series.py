@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from chromalg.errors import (CompositionError, MixedVariablesError,
-                             NotInvertible, PreparationFailed)
+                             NotInvertible, PreparationFailed, TruncationError)
 from chromalg.rings import ModularIntegers, QQ, QuotientExtension, ZZ
 from chromalg.series import SeriesCtx, SeriesRing, weierstrass_prepare
 
@@ -162,6 +162,18 @@ def test_prepare_over_series_ring():
     assert d == 2
     recomposed = unit * ctx.series({(1,): dist[1], (2,): dist[2]})
     assert recomposed == f
+
+
+def test_series_ring_divide_by_positive_order_raises():
+    """(b^2 + b^4) / b = b + b^3, but at prec 4 only b + O(b^3) is known:
+    the quotient is not claimed to prec 4.  A dividend of lower order than
+    the divisor still has no quotient."""
+    SR = SeriesRing(ModularIntegers(4), "b", 4)
+    b = SR.gen()
+    with pytest.raises(TruncationError):
+        SR.divide(SR.ctx.series({(2,): 1, (4,): 1}), b)
+    assert SR.divide(b, b * b) is None
+    assert SR.divide(b, SR.add(SR.one(), b)) == SR.ctx.series({(1,): 1, (2,): 3, (3,): 1})
 
 
 def test_integrate_needs_divisibility():
