@@ -2,19 +2,26 @@
 
 Right units are solved from the Hazewinkel recursion together with
 eta(ell_n) = sum ell_i t_j^(p^i); regular sequences and Koszul homology are
-checked degreewise with exact linear algebra (bitmask rref over F_2, integer
-lattices Smith-reduced 2-locally).  Degrees are topological throughout:
-|v_i| = |t_i| = 2(p^i - 1).
+checked degreewise with exact linear algebra.  The regularity test reads the
+integer columns of multiplication by a homogeneous polynomial from one
+builder (`_mult_columns`; an ideal's span concatenates its generators'
+columns, F_2 bitmasks are the columns mod 2).  Each step reads the quotient
+by its prefix over F_2 when the base has characteristic 2 or the prefix holds
+the scalar 2, over Z otherwise, and refuses any other quotient ring, as the
+Tor does.  Over Z the Tor reads ker/im through `linalg.lattice_homology`.
+Degrees are topological throughout: |v_i| = |t_i| = 2(p^i - 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from .errors import IntegralityFailure, TruncationError
-from .linalg import (FieldOps, _FractionField, f2_in_span, f2_nullspace, f2_reduce,
-                     f2_rref, int_kernel, p_local_structure, smith_normal_form,
+from .linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
+                     lattice_homology, p_local_structure, smith_normal_form,
                      solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
@@ -118,15 +125,12 @@ class GradedModule:
     pring: PolyRing
     relations: list = field(default_factory=list)
 
-    def monomials(self, d: int):
-        return monomials_of_weighted_degree(self.pring.weights, d)
-
 
 @dataclass
 class SequenceElement:
     name: str
     degree: int
-    poly: Poly | None    # None encodes the scalar p acting as multiplication
+    poly: Poly           # a scalar n is the constant polynomial n
 
 
 def scalar_element(pring: PolyRing, n: int, name: str | None = None) -> SequenceElement:
@@ -148,39 +152,40 @@ def _poly_int_coeff(c) -> int:
     return int(c)
 
 
-def _mult_matrix_int(pring: PolyRing, s: Poly, d: int):
-    """Integer columns of multiplication by s: monomials_d -> monomials_(d+|s|)."""
-    e = s.wdegree() or 0
-    src = monomials_of_weighted_degree(pring.weights, d)
-    dst = monomials_of_weighted_degree(pring.weights, d + e)
+@lru_cache(maxsize=None)
+def _monomials(weights: tuple, d: int) -> tuple:
+    """The degree-d monomials of a weighted polynomial ring, made once."""
+    return tuple(monomials_of_weighted_degree(weights, d))
+
+
+def _mult_columns(pring: PolyRing, s: Poly, d: int) -> list[list[int]]:
+    """Integer columns of multiplication by the homogeneous s, from the
+    degree-d monomials to those of degree d + |s|."""
+    dst = _monomials(pring.weights, d + (s.wdegree() or 0))
     dst_at = {m: i for i, m in enumerate(dst)}
+    terms = [(se, _poly_int_coeff(sc)) for se, sc in s.terms.items()]
     cols = []
-    for m in src:
+    for m in _monomials(pring.weights, d):
         vec = [0] * len(dst)
-        for se, sc in s.terms.items():
-            tgt = tuple(a + b for a, b in zip(m, se))
-            vec[dst_at[tgt]] += _poly_int_coeff(sc)
+        for se, c in terms:
+            vec[dst_at[tuple(a + b for a, b in zip(m, se))]] += c
         cols.append(vec)
-    return cols, src, dst
+    return cols
 
 
-def _span_columns_int(pring: PolyRing, gens: list[Poly], d: int):
-    """Integer columns spanning (sum g*Lambda)_d inside the degree-d monomials."""
-    dst = monomials_of_weighted_degree(pring.weights, d)
-    dst_at = {m: i for i, m in enumerate(dst)}
+def _span_columns(pring: PolyRing, gens: list[Poly], d: int) -> list[list[int]]:
+    """Nonzero integer columns spanning (sum g Lambda)_d in the degree-d monomials."""
     cols = []
     for g in gens:
-        e = g.wdegree()
-        if e is None or e > d:
-            continue
-        for m in monomials_of_weighted_degree(pring.weights, d - e):
-            vec = [0] * len(dst)
-            for ge, gc in g.terms.items():
-                tgt = tuple(a + b for a, b in zip(m, ge))
-                vec[dst_at[tgt]] += _poly_int_coeff(gc)
-            if any(vec):
-                cols.append(vec)
-    return cols, dst
+        e = g.wdegree() or 0
+        if e <= d:
+            cols += [c for c in _mult_columns(pring, g, d - e) if any(c)]
+    return cols
+
+
+def _f2_mask(col: list[int]) -> int:
+    """An integer column mod 2, as a bitmask."""
+    return sum(1 << i for i, v in enumerate(col) if v & 1)
 
 
 @dataclass
@@ -192,32 +197,23 @@ class RegularityReport:
 def regular_sequence_check(seq: list[SequenceElement], module: GradedModule,
                            N: int) -> RegularityReport:
     """For each prefix, multiplication by the next element is injective on the
-    quotient so far, in every degree <= N."""
+    quotient so far, in every degree <= N: by bitmask ranks over F_2, by
+    integer lattices over Z (the Smith form for a nonzero scalar).
+    ValueError for a base of characteristic p > 2, or a prefix over Z that
+    holds a scalar but not 2."""
     pring = module.pring
     failures = []
-    char = pring.base.char
     for step, elt in enumerate(seq):
         prefix = [e.poly for e in seq[:step]] + list(module.relations)
         s = elt.poly
-        if _is_int_scalar(s):
-            n = _scalar_value(s)
-            if char and n % char == 0:
-                failures.append((step, 0, "1 (scalar acts as zero)"))
-                continue
-            if char == 0:
-                # torsion of the quotient lattice would be the kernel
-                bad = _scalar_kernel_degree(pring, prefix, n, N)
-                if bad is not None:
-                    failures.append((step, bad[0], bad[1]))
-                continue
-        if char == 0 and any(_is_int_scalar(e.poly) for e in seq[:step]):
-            bad = _poly_kernel_mod_p(pring, prefix, seq[:step], s, N)
-            if bad is not None:
-                failures.append((step, bad[0], bad[1]))
-            continue
-        bad = _poly_kernel_lattice(pring, prefix, s, N)
+        if _quotient_char(pring.base.char, prefix) == 2:
+            bad = _kernel_f2(pring, prefix, s, N)
+        elif _is_int_scalar(s) and s.terms:   # *0 kills free classes too
+            bad = _kernel_scalar(pring, prefix, _scalar_value(s), N)
+        else:
+            bad = _kernel_lattice(pring, prefix, s, N)
         if bad is not None:
-            failures.append((step, bad[0], bad[1]))
+            failures.append((step,) + bad)
     return RegularityReport(not failures, failures)
 
 
@@ -231,111 +227,58 @@ def _scalar_value(s: Poly) -> int:
     return _poly_int_coeff(next(iter(s.terms.values())))
 
 
-def _scalar_kernel_degree(pring, prefix, n, N):
-    """Over Z coefficients: does *n have kernel on Lambda_d / prefix?  Happens
-    iff the quotient has q-torsion for q | n: read off the Smith form."""
+def _quotient_char(char: int, prefix: list[Poly]) -> int:
+    """Characteristic of the ring the quotient by prefix is read over: 2 or 0."""
+    scalars = {abs(_scalar_value(g)) for g in prefix if _is_int_scalar(g)}
+    if char == 2 or (char == 0 and 2 in scalars):
+        return 2
+    if char == 0 and not scalars:
+        return 0
+    raise ValueError(f"regularity over characteristic {char} after the scalars "
+                     f"{sorted(scalars)}: only Z and F_2 quotients are supported")
+
+
+def _kernel_scalar(pring, prefix, n, N):
+    """*n has a kernel on Lambda_d / prefix iff the quotient has torsion of an
+    order sharing a prime with n: read off the Smith form."""
     for d in range(N + 1):
-        cols, dst = _span_columns_int(pring, [g for g in prefix if g is not None], d)
-        if not dst:
-            continue
-        if cols:
-            diag = smith_normal_form([list(r) for r in zip(*cols)])
-        else:
-            diag = []
+        cols = _span_columns(pring, prefix, d)
+        diag = smith_normal_form([list(r) for r in zip(*cols)]) if cols else []
         for t in diag:
-            if t != 0 and _shares_factor(t, n):
+            if gcd(t, n) > 1:
                 return (d, f"torsion class of order {t} at degree {d}")
     return None
 
 
-def _shares_factor(a: int, b: int) -> bool:
-    from math import gcd
-    return gcd(abs(a), abs(b)) > 1
-
-
-def _poly_kernel_mod_p(pring, prefix, prior, s, N):
-    """Steps after the scalar p: computations in F_p vector spaces via bitmask
-    rref, which is F_2 arithmetic, so only p = 2 is supported."""
-    p = 2
-    for e in prior:
-        if _is_int_scalar(e.poly):
-            p = abs(_scalar_value(e.poly))
-    if p != 2:
-        raise ValueError(f"regularity after the scalar {p} needs F_{p} ranks; "
-                         "bitmask elimination covers p = 2 only")
+def _kernel_f2(pring, prefix, s, N):
+    """x with s*x in the ideal but x outside it, mod 2."""
     e = s.wdegree() or 0
     for d in range(N + 1):
-        src = monomials_of_weighted_degree(pring.weights, d)
-        dst = monomials_of_weighted_degree(pring.weights, d + e)
-        dst_at = {m: i for i, m in enumerate(dst)}
-        src_at = {m: i for i, m in enumerate(src)}
-        ideal_rows_d = _f2_span_rows(pring, prefix, d, src_at, p)
-        ideal_rows_de = _f2_span_rows(pring, prefix, d + e, dst_at, p)
-        bas_de, piv_de = f2_rref(ideal_rows_de)
-        bas_d, piv_d = f2_rref(ideal_rows_d)
-        # kernel of s on the quotient: vectors x with s*x in ideal, x not in ideal
-        cols = []
-        for m in src:
-            vec = 0
-            for se, sc in s.terms.items():
-                if _poly_int_coeff(sc) % p == 0:
-                    continue
-                tgt = tuple(a + b for a, b in zip(m, se))
-                vec ^= 1 << dst_at[tgt]
-            cols.append(vec)
-        reduced_cols = [f2_reduce(bas_de, piv_de, c) for c in cols]
-        null = f2_nullspace(reduced_cols, len(src))
-        for vec in null:
-            if not f2_in_span(bas_d, piv_d, vec):
-                mono = src[(vec & -vec).bit_length() - 1]
+        ideal_d = f2_rref([_f2_mask(c) for c in _span_columns(pring, prefix, d)])
+        ideal_de = f2_rref([_f2_mask(c) for c in _span_columns(pring, prefix, d + e)])
+        cols = [f2_reduce(*ideal_de, _f2_mask(c)) for c in _mult_columns(pring, s, d)]
+        for vec in f2_nullspace(cols, len(cols)):
+            if not f2_in_span(*ideal_d, vec):
+                mono = _monomials(pring.weights, d)[(vec & -vec).bit_length() - 1]
                 return (d, f"class of {mono} at degree {d}")
     return None
 
 
-def _f2_span_rows(pring, gens, d, index, p):
-    rows = []
-    for g in gens:
-        if g is None:
-            continue
-        e = g.wdegree()
-        if e is None:
-            continue
-        if _is_int_scalar(g):
-            continue  # the scalar p is zero mod p
-        if e > d:
-            continue
-        for m in monomials_of_weighted_degree(pring.weights, d - e):
-            vec = 0
-            for ge, gc in g.terms.items():
-                if _poly_int_coeff(gc) % p == 0:
-                    continue
-                tgt = tuple(a + b for a, b in zip(m, ge))
-                vec ^= 1 << index[tgt]
-            if vec:
-                rows.append(vec)
-    return rows
-
-
-def _poly_kernel_lattice(pring, prefix, s, N):
-    """Char-0 lattice path: x with s*x in span(prefix) but x not in span."""
+def _kernel_lattice(pring, prefix, s, N):
+    """x with s*x in the ideal lattice but x outside it, over Z."""
     e = s.wdegree() or 0
-    gens = [g for g in prefix if g is not None]
     for d in range(N + 1):
-        cols, src, dst = _mult_matrix_int(pring, s, d)
-        span_cols, _ = _span_columns_int(pring, gens, d + e)
-        ncols = len(cols) + len(span_cols)
-        if not src:
+        cols = _mult_columns(pring, s, d)
+        if not cols:
             continue
-        combined = cols + [[-x for x in col] for col in span_cols]
-        ker = int_kernel(combined, ncols)
-        span_d_cols, _ = _span_columns_int(pring, gens, d)
+        span_de = _span_columns(pring, prefix, d + e)
+        ker = int_kernel(cols + [[-x for x in c] for c in span_de], len(cols) + len(span_de))
+        span_d = _span_columns(pring, prefix, d)
         for vec in ker:
             x = vec[:len(cols)]
-            if not any(x):
-                continue
-            if solve_int_exact(span_d_cols, x) is None:
-                nz = next(i for i, v in enumerate(x) if v)
-                return (d, f"class of {src[nz]} at degree {d}")
+            if any(x) and solve_int_exact(span_d, x) is None:
+                mono = _monomials(pring.weights, d)[next(i for i, v in enumerate(x) if v)]
+                return (d, f"class of {mono} at degree {d}")
     return None
 
 
@@ -385,7 +328,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
             rem = d - sum(degs[i] for i in S)
             if rem < 0:
                 continue
-            for m in monomials_of_weighted_degree(pring.weights, rem):
+            for m in _monomials(pring.weights, rem):
                 out.append((S, m))
         return out
 
@@ -405,7 +348,6 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
             cols.append(vec)
         return cols
 
-    fops = FieldOps(_FractionField())
     for d in range(N + 1):
         basis = [chain_basis(s, d) for s in range(r + 1)]
         # diffs[s] holds d_s in degree d, read both for the kernel at s and the
@@ -413,34 +355,16 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
         diffs = [[]] + [diff_matrix_int(s, basis[s], basis[s - 1])
                         for s in range(1, r + 1)] + [[]]
         if char:
-            rk = [len(f2_rref([sum(1 << i for i, v in enumerate(col) if v % 2)
-                               for col in cols])[0]) for cols in diffs]
-            for s in range(r + 1):
-                n_s = len(basis[s])
-                if n_s:
-                    entries[(s, d)] = (n_s - rk[s] - rk[s + 1], [])
-            continue
+            rk = [len(f2_rref([_f2_mask(col) for col in cols])[0]) for cols in diffs]
         for s in range(r + 1):
-            src = basis[s]
-            if not src:
+            n_s = len(basis[s])
+            if not n_s:
                 continue
-            if s > 0 and basis[s - 1]:
-                ker = int_kernel(diffs[s], len(src))
+            if char:
+                entries[(s, d)] = (n_s - rk[s] - rk[s + 1], [])
             else:
-                ker = [[1 if i == j else 0 for i in range(len(src))]
-                       for j in range(len(src))]
-            if not ker:
-                entries[(s, d)] = (0, [])
-                continue
-            # express the image in the saturated kernel basis, then Smith-reduce
-            rel = []
-            if diffs[s + 1]:
-                for coords in fops.solve_many(ker, diffs[s + 1]):
-                    if coords is None or any(v.denominator != 1 for v in coords):
-                        raise IntegralityFailure("image not contained in saturated kernel")
-                    rel.append([int(v) for v in coords])
-            diag = smith_normal_form(rel) if rel else []
-            entries[(s, d)] = p_local_structure(diag, len(ker), 2)
+                free, diag = lattice_homology(diffs[s], n_s, diffs[s + 1])
+                entries[(s, d)] = p_local_structure(diag, free, 2)
     return TorTable(entries, degs)
 
 

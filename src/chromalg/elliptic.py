@@ -120,7 +120,7 @@ def reduction_type(E: WeierstrassCurve) -> str:
         raise AlgebraError("supersingularity test implemented for characteristic 2 fields")
     # height of the 2-series of the formal group, cross-checked with j = 0
     F = formal_group_of_curve(E, 5)
-    two = F.compose({F.ctx.vars[0]: _gen1(F, 0), F.ctx.vars[1]: _gen1(F, 0)})
+    two = F.compose({F.ctx.vars[0]: _gen1(F), F.ctx.vars[1]: _gen1(F)})
     # F(x, x) over the one-variable context
     c2 = two.ucoeff(2)
     c4coeff = two.ucoeff(4)
@@ -136,7 +136,7 @@ def reduction_type(E: WeierstrassCurve) -> str:
     return SMOOTH_SUPERSINGULAR
 
 
-def _gen1(F: Series, i: int) -> Series:
+def _gen1(F: Series) -> Series:
     """Univariate context generator used to collapse F(x, x)."""
     ctx = SeriesCtx(F.ctx.ring, ("x",), F.ctx.prec)
     return ctx.gen("x")
@@ -189,22 +189,9 @@ def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     z1 = ctx2.gen("z1")
     z2 = ctx2.gen("z2")
     # chord slope in the (z, w) plane: sum_n w_n * (z2^n - z1^n)/(z2 - z1)
-    lam = ctx2.zero()
-    for n in range(3, N + 2):
-        wn = wz.ucoeff(n)
-        if R.is_zero(wn):
-            continue
-        sigma = ctx2.zero()
-        for i in range(n):
-            if i + (n - 1 - i) >= prec:
-                continue
-            sigma = sigma + ctx2.series({(i, n - 1 - i): R.one()})
-        lam = lam + sigma.scale(wn)
-    w1 = ctx2.zero()
-    for n in range(3, N + 2):
-        wn = wz.ucoeff(n)
-        if not R.is_zero(wn) and n < prec:
-            w1 = w1 + ctx2.series({(n, 0): wn})
+    ws = [(n, wz.ucoeff(n)) for n in range(3, N + 2)]
+    lam = ctx2.series({(i, n - 1 - i): wn for n, wn in ws for i in range(n)})
+    w1 = ctx2.series({(n, 0): wn for n, wn in ws})
     nu = w1 - lam * z1
     lam2 = lam * lam
     den = ctx2.one() + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)

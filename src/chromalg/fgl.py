@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .convert import assert_two_integral, descend_scalar, series_reduce
+from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
                        formal_group_of_curve, gamma1_3_curve)
 from .errors import (AlgebraError, HeightExceedsPrecision,
@@ -135,15 +135,11 @@ def _to_fraction(ring, v):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(ring, ModularIntegers) and isinstance(v, int):
-        return Fraction(v)
     try:
         _, f = ring.rationalize()
         out = f(v)
         return out if isinstance(out, Fraction) else None
     except Exception:
-        if isinstance(v, int):
-            return Fraction(v)
         return None
 
 
@@ -478,7 +474,7 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     assert_two_integral(fq_out, "isogeny")
     Fbar = series_reduce(Fbar_q, R)
     f_red = series_reduce(fq_out, R)
-    tau_red = _reduce_scalar_via(tau_q, R)
+    tau_red = reduce_scalar(tau_q, R)
     # kernel consistency: tau = -alpha up to one lost 2-adic digit
     diff = R.add(tau_red, K.alpha)
     k_bits = _modulus_bits(R)
@@ -524,11 +520,6 @@ def _modulus_bits(R: Ring) -> int:
     if isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers):
         return R.base.nilpotent_bound() or 1
     return 1
-
-
-def _reduce_scalar_via(v, R: Ring):
-    from .convert import reduce_scalar
-    return reduce_scalar(v, R)
 
 
 def _curve_isogeny_data(EQ: WeierstrassCurve, N: int):

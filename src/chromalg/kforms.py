@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .elliptic import gamma1_3_curve, invariants, transform, curves_equal
-from .errors import IntegralityFailure
-from .linalg import int_kernel, smith_normal_form, solve_int_exact
+from .linalg import f2_rref, int_kernel, lattice_homology
 from .poly import PolyRing
 from .rings import (PrimeField, QuotientExtension, Ring, omega_ring,
                     sqrt_minus3)
@@ -53,6 +52,14 @@ def c2_cohomology(T: QuotientExtension, sigma, invert: tuple[int, ...] = (3,)):
     return c2_lattice_cohomology(sigma_matrix(T, sigma), invert)
 
 
+def _norm_and_sm1(M: list[list[int]]):
+    """Columns of the norm 1 + sigma and of sigma - 1, for sigma = M."""
+    n = len(M)
+    norm = [[M[j][i] + (i == j) for i in range(n)] for j in range(n)]
+    sm1 = [[M[j][i] - (i == j) for i in range(n)] for j in range(n)]
+    return norm, sm1
+
+
 def c2_lattice_cohomology(M: list[list[int]], invert: tuple[int, ...] = ()):
     """H^1 = ker(Norm)/im(sigma - 1), H^2 = ker(sigma - 1)/im(Norm) for sigma
     acting on Z^n by the integer matrix M (columns are images), computed by
@@ -60,36 +67,36 @@ def c2_lattice_cohomology(M: list[list[int]], invert: tuple[int, ...] = ()):
     IntegralityFailure when an image leaves the kernel lattice, which happens
     exactly when sigma^2 != 1."""
     n = len(M)
-    ident = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    norm = [[M[j][i] + ident[j][i] for i in range(n)] for j in range(n)]
-    sm1 = [[M[j][i] - ident[j][i] for i in range(n)] for j in range(n)]
+    norm, sm1 = _norm_and_sm1(M)
 
     def group(ker_of, im_of):
-        ker = int_kernel(ker_of, n)
-        if not ker:
-            return (0, [])
-        kcols = [list(k) for k in ker]
-        rel = []
-        for j in range(n):
-            col = [im_of[j][i] for i in range(n)]
-            coords = solve_int_exact(kcols, col)
-            if coords is None:
-                raise IntegralityFailure("image not contained in the kernel lattice")
-            rel.append(coords)
-        diag = smith_normal_form(rel) if rel else []
-        free = len(kcols) - len(diag)
+        free, diag = lattice_homology(ker_of, n, im_of)
         torsion = []
         for d in diag:
             for p in invert:
                 while d % p == 0:
                     d //= p
-            if abs(d) not in (0, 1):
-                torsion.append(abs(d))
-        return (free, torsion)
+            if d != 1:
+                torsion.append(d)
+        return (free - len(diag), torsion)
 
-    h1 = group(norm, sm1)
-    h2 = group(sm1, norm)
-    return {"H1": h1, "H2": h2}
+    return {"H1": group(norm, sm1), "H2": group(sm1, norm)}
+
+
+def c2_f2_cohomology(M: list[list[int]]):
+    """H^1 and H^2 of C_2 acting on F_2^n by M mod 2, in the form of
+    c2_lattice_cohomology: (0, [2] * dimension).  Over F_2 the norm and
+    sigma - 1 are one matrix, so dim H^1 = dim H^2 = n - rk Norm - rk(sigma - 1).
+    ValueError unless Norm (sigma - 1) = 0 mod 2, i.e. sigma^2 = 1 mod 2."""
+    n = len(M)
+    norm, sm1 = _norm_and_sm1(M)
+    if any(sum(norm[k][i] * c for k, c in enumerate(col)) % 2
+           for col in sm1 for i in range(n)):
+        raise ValueError("not a C_2 action mod 2: Norm (sigma - 1) != 0")
+    rk = [len(f2_rref([sum(1 << i for i, v in enumerate(col) if v % 2) for col in cols])[0])
+          for cols in (norm, sm1)]
+    dim = n - rk[0] - rk[1]
+    return {"H1": (0, [2] * dim), "H2": (0, [2] * dim)}
 
 
 def c2_cohomology_trivial_Z():
@@ -99,8 +106,9 @@ def c2_cohomology_trivial_Z():
 
 
 def c2_cohomology_F2_trivial():
-    """T = F2 with trivial action: norm = 0, sigma - 1 = 0: H^1 = F2."""
-    return {"H1": (0, [2]), "H2": (0, [2])}
+    """Contrast case: T = F_2 with trivial action: Norm = sigma - 1 = 0, so
+    H^1 = H^2 = F_2."""
+    return c2_f2_cohomology([[1]])
 
 
 # -- twisted K homotopy -----------------------------------------------------------

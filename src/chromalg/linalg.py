@@ -7,6 +7,12 @@ Three levels, each used where it fits:
   * integer lattice routines (saturated kernel via row HNF, Smith normal form)
     for homology over Z localized at a prime.
 
+`lattice_homology` is the one reading of ker/im over Z: the saturated kernel,
+the image written in its basis by the field solve over Fractions, and the
+Smith invariants of that image.  The Koszul Tor (`bp.koszul_tor`) and the
+C_2 cohomology (`kforms.c2_lattice_cohomology`) both call it and differ only
+in how they read the invariants.
+
 The field solve, the row HNF and the Smith form update each row in place, at
 the nonzero columns of the pivot row only: their matrices (Koszul
 differentials, kernel bases) are mostly zero.  Pivot order is that of the
@@ -17,6 +23,8 @@ the first unit, which is the row-major-first minimum the full scan would pick.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import IntegralityFailure
 
 
 # -- GF(2), rows as bitmasks ---------------------------------------------------
@@ -298,6 +306,25 @@ def p_local_structure(diag: list[int], ncols: int, p: int) -> tuple[int, list[in
         if v > 0:
             torsion.append(v)
     return free, sorted(torsion)
+
+
+def lattice_homology(kernel_of: list[list[int]], n: int,
+                     image_of: list[list[int]]) -> tuple[int, list[int]]:
+    """ker / im at Z^n, for the maps Z^n -> Z^k with columns kernel_of and
+    Z^m -> Z^n with columns image_of: (rank of the saturated kernel, Smith
+    invariants of the image written in a kernel basis).  No kernel_of columns,
+    or columns of height 0, is the zero map.  IntegralityFailure when an image
+    column leaves the kernel lattice."""
+    if kernel_of and kernel_of[0]:
+        ker = int_kernel(kernel_of, n)
+    else:
+        ker = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    rel = []
+    for coords in FieldOps(_FractionField()).solve_many(ker, image_of):
+        if coords is None or any(v.denominator != 1 for v in coords):
+            raise IntegralityFailure("image not contained in the saturated kernel")
+        rel.append([int(v) for v in coords])
+    return len(ker), (smith_normal_form(rel) if rel else [])
 
 
 def solve_int_exact(columns: list[list[int]], target: list[int]):

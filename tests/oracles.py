@@ -6,23 +6,28 @@ reversion, the fixed-point w-series at full precision, full-precision
 `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, the Milnor product by nested
 recursion over dict-copied budgets, the breadth-first cyclicity search over
-Steenrod elements, one convolution loop per Poincare-series factor, and the
+Steenrod elements, one convolution loop per Poincare-series factor, the
 dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
-every entry of every row they touch.
+every entry of every row they touch, and the regularity test over Z with its
+own multiplication matrices per path.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
-shares nothing), and `milnor_product` and the coset reduction of
-`QuotientModule` that the cyclicity search acts through.
+shares nothing), `milnor_product` and the coset reduction of
+`QuotientModule` that the cyclicity search acts through, and the `linalg`
+eliminations that the regularity oracle calls.
 """
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 from chromalg import steenrod as st
 from chromalg.errors import AlgebraError, CompositionError, NotInvertible
 from chromalg.fgl import FormalGroupLaw, IsoResult, Obstruction
-from chromalg.linalg import f2_in_span, f2_rref
+from chromalg.linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
+                             smith_normal_form, solve_int_exact)
+from chromalg.poly import monomials_of_weighted_degree
 from chromalg.rings import Ring
 from chromalg.series import Series, SeriesCtx
 
@@ -552,3 +557,137 @@ def smith_normal_form_oracle(mat: list[list[int]]) -> list[int]:
         top += 1
         left += 1
     return [d for d in diag if d != 0]
+
+
+def _int_coeff_oracle(c) -> int:
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"{c} not an integer")
+    return int(c)
+
+
+def _is_int_scalar_oracle(s) -> bool:
+    return all(all(x == 0 for x in e) for e in s.terms)
+
+
+def _scalar_value_oracle(s) -> int:
+    return _int_coeff_oracle(next(iter(s.terms.values()))) if s.terms else 0
+
+
+def regular_sequence_check_oracle(seq, module, N: int) -> list:
+    """Failures (step, degree, witness) of the regularity test over a base of
+    characteristic 0: the Smith form for a scalar, bitmask ranks mod 2 after
+    the scalar 2, integer lattices otherwise; each path builds its own
+    multiplication matrices."""
+    pring = module.pring
+    failures = []
+    for step, elt in enumerate(seq):
+        prefix = [e.poly for e in seq[:step]] + list(module.relations)
+        s = elt.poly
+        if _is_int_scalar_oracle(s):
+            bad = _scalar_kernel_oracle(pring, prefix, _scalar_value_oracle(s), N)
+        elif any(_is_int_scalar_oracle(e.poly) for e in seq[:step]):
+            bad = _kernel_mod_2_oracle(pring, prefix, seq[:step], s, N)
+        else:
+            bad = _kernel_lattice_oracle(pring, prefix, s, N)
+        if bad is not None:
+            failures.append((step, bad[0], bad[1]))
+    return failures
+
+
+def _span_columns_oracle(pring, gens, d):
+    dst = monomials_of_weighted_degree(pring.weights, d)
+    dst_at = {m: i for i, m in enumerate(dst)}
+    cols = []
+    for g in gens:
+        e = g.wdegree()
+        if e is None or e > d:
+            continue
+        for m in monomials_of_weighted_degree(pring.weights, d - e):
+            vec = [0] * len(dst)
+            for ge, gc in g.terms.items():
+                vec[dst_at[tuple(a + b for a, b in zip(m, ge))]] += _int_coeff_oracle(gc)
+            if any(vec):
+                cols.append(vec)
+    return cols, dst
+
+
+def _scalar_kernel_oracle(pring, prefix, n, N):
+    for d in range(N + 1):
+        cols, dst = _span_columns_oracle(pring, prefix, d)
+        if not dst:
+            continue
+        diag = smith_normal_form([list(r) for r in zip(*cols)]) if cols else []
+        for t in diag:
+            if t != 0 and gcd(abs(t), abs(n)) > 1:
+                return (d, f"torsion class of order {t} at degree {d}")
+    return None
+
+
+def _kernel_mod_2_oracle(pring, prefix, prior, s, N):
+    p = 2
+    for e in prior:
+        if _is_int_scalar_oracle(e.poly):
+            p = abs(_scalar_value_oracle(e.poly))
+    if p != 2:
+        raise ValueError(f"regularity after the scalar {p}")
+    e = s.wdegree() or 0
+
+    def span_rows(d, index):
+        rows = []
+        for g in prefix:
+            eg = g.wdegree()
+            if eg is None or _is_int_scalar_oracle(g) or eg > d:
+                continue
+            for m in monomials_of_weighted_degree(pring.weights, d - eg):
+                vec = 0
+                for ge, gc in g.terms.items():
+                    if _int_coeff_oracle(gc) % p:
+                        vec ^= 1 << index[tuple(a + b for a, b in zip(m, ge))]
+                if vec:
+                    rows.append(vec)
+        return rows
+
+    for d in range(N + 1):
+        src = monomials_of_weighted_degree(pring.weights, d)
+        dst = monomials_of_weighted_degree(pring.weights, d + e)
+        dst_at = {m: i for i, m in enumerate(dst)}
+        src_at = {m: i for i, m in enumerate(src)}
+        bas_de, piv_de = f2_rref(span_rows(d + e, dst_at))
+        bas_d, piv_d = f2_rref(span_rows(d, src_at))
+        cols = []
+        for m in src:
+            vec = 0
+            for se, sc in s.terms.items():
+                if _int_coeff_oracle(sc) % p:
+                    vec ^= 1 << dst_at[tuple(a + b for a, b in zip(m, se))]
+            cols.append(f2_reduce(bas_de, piv_de, vec))
+        for vec in f2_nullspace(cols, len(src)):
+            if not f2_in_span(bas_d, piv_d, vec):
+                return (d, f"class of {src[(vec & -vec).bit_length() - 1]} at degree {d}")
+    return None
+
+
+def _kernel_lattice_oracle(pring, prefix, s, N):
+    e = s.wdegree() or 0
+    for d in range(N + 1):
+        src = monomials_of_weighted_degree(pring.weights, d)
+        if not src:
+            continue
+        dst = monomials_of_weighted_degree(pring.weights, d + e)
+        dst_at = {m: i for i, m in enumerate(dst)}
+        cols = []
+        for m in src:
+            vec = [0] * len(dst)
+            for se, sc in s.terms.items():
+                vec[dst_at[tuple(a + b for a, b in zip(m, se))]] += _int_coeff_oracle(sc)
+            cols.append(vec)
+        span_cols, _ = _span_columns_oracle(pring, prefix, d + e)
+        combined = cols + [[-x for x in col] for col in span_cols]
+        ker = int_kernel(combined, len(combined))
+        span_d_cols, _ = _span_columns_oracle(pring, prefix, d)
+        for vec in ker:
+            x = vec[:len(cols)]
+            if any(x) and solve_int_exact(span_d_cols, x) is None:
+                return (d, f"class of {src[next(i for i, v in enumerate(x) if v)]} at degree {d}")
+    return None

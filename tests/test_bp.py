@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import oracles
 from chromalg import bp, steenrod
 from chromalg.errors import IntegralityFailure
-from chromalg.poly import PolyRing
+from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
 from chromalg.rings import PrimeField, ZZ
 
 
@@ -73,6 +75,70 @@ def test_regular_sequence_after_two_reports_mod_2_failure():
     rep = bp.regular_sequence_check(seq, bp.GradedModule(P, []), 6)
     assert not rep.regular
     assert rep.failures[0][:2] == (2, 0)
+
+
+def test_regular_sequence_f2_dependent_element_fails():
+    # over F_2, y+z = (x+z) + (x+y): it kills the class of 1 in F_2[x,y,z]/(x+z, x+y)
+    P = PolyRing(PrimeField(2), ("x", "y", "z"), (1, 1, 1))
+    x, y, z = (P.gen(g) for g in "xyz")
+    seq = [bp.poly_element(x + z, "x+z"), bp.poly_element(x + y, "x+y"),
+           bp.poly_element(y + z, "y+z")]
+    rep = bp.regular_sequence_check(seq, bp.GradedModule(P, []), 4)
+    assert [f[:2] for f in rep.failures] == [(2, 0)]
+
+
+def _random_homogeneous(rng, P, coeffs):
+    # at most three terms: the lattice HNF's entries grow on denser input
+    monos = monomials_of_weighted_degree(P.weights, rng.randint(1, 2))
+    picked = rng.sample(monos, rng.randint(1, min(3, len(monos))))
+    return Poly(P, {m: rng.choice(coeffs) for m in picked})
+
+
+def test_regular_sequence_f2_agrees_with_koszul_h1():
+    # Koszul criterion: a homogeneous sequence of positive degree is regular
+    # exactly when H_1 vanishes
+    P = PolyRing(PrimeField(2), ("x", "y", "z"), (1, 1, 1))
+    module = bp.GradedModule(P, [])
+    rng = random.Random(7)
+    N = 5
+    for _ in range(150):
+        seq = [bp.poly_element(_random_homogeneous(rng, P, [1]), f"s{i}")
+               for i in range(rng.randint(1, 3))]
+        rep = bp.regular_sequence_check(seq, module, N)
+        tor = bp.koszul_tor(seq, module, N)
+        assert rep.regular == all(tor.is_zero(1, d) for d in range(N + 1)), \
+            ([str(e.poly) for e in seq], rep.failures)
+
+
+def test_regular_sequence_odd_characteristic_is_unsupported():
+    P = PolyRing(PrimeField(3), ("x",), (1,))
+    with pytest.raises(ValueError):
+        bp.regular_sequence_check([bp.poly_element(P.gen("x"), "x")],
+                                  bp.GradedModule(P, []), 3)
+
+
+def test_regular_sequence_zero_scalar_fails():
+    P = PolyRing(ZZ, ("x",), (1,))
+    rep = bp.regular_sequence_check([bp.scalar_element(P, 0)], bp.GradedModule(P, []), 3)
+    assert [f[:2] for f in rep.failures] == [(0, 0)]
+
+
+@pytest.mark.parametrize("lead_two", [False, True])
+def test_regular_sequence_over_z_matches_oracle(lead_two):
+    P = PolyRing(ZZ, ("x", "y", "z"), (1, 1, 1))
+    module = bp.GradedModule(P, [])
+    rng = random.Random(3 + lead_two)
+    irregular = 0
+    for _ in range(60):
+        seq = [bp.poly_element(_random_homogeneous(rng, P, [-2, -1, 1, 2]), f"s{i}")
+               for i in range(rng.randint(1, 3))]
+        if lead_two:
+            seq.insert(0, bp.scalar_element(P, 2))
+        rep = bp.regular_sequence_check(seq, module, 5)
+        assert rep.failures == oracles.regular_sequence_check_oracle(seq, module, 5), \
+            [str(e.poly) for e in seq]
+        irregular += not rep.regular
+    assert 0 < irregular < 60
 
 
 def test_koszul_regular_case():

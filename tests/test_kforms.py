@@ -58,6 +58,22 @@ def test_c2_cohomology_of_the_sign_action_on_Z():
     assert kforms.c2_lattice_cohomology([[-1]]) == {"H1": (0, [2]), "H2": (0, [])}
 
 
+def test_c2_f2_cohomology_of_the_trivial_action():
+    assert kforms.c2_f2_cohomology([[1]]) == {"H1": (0, [2]), "H2": (0, [2])}
+    assert kforms.c2_cohomology_F2_trivial() == {"H1": (0, [2]), "H2": (0, [2])}
+
+
+def test_c2_f2_cohomology_of_the_swap_vanishes():
+    # F_2[C_2] is free: ker Norm = im(sigma - 1), the line spanned by (1, 1)
+    assert kforms.c2_f2_cohomology([[0, 1], [1, 0]]) == {"H1": (0, []), "H2": (0, [])}
+
+
+def test_c2_f2_cohomology_refuses_an_action_that_is_not_an_involution_mod_2():
+    # sigma(e1) = e2, sigma(e2) = e1 + e2 has order 3 mod 2
+    with pytest.raises(ValueError):
+        kforms.c2_f2_cohomology([[0, 1], [1, 1]])
+
+
 def test_twisted_k_graded_ring(T, sigma):
     rep = kforms.twisted_k_check(T, sigma, 16)
     assert rep["ok"], rep

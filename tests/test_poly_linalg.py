@@ -184,7 +184,7 @@ def test_koszul_eliminations_match_oracles(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "hnf_rows", hnf_checked)
-    monkeypatch.setattr(bp, "smith_normal_form", snf_checked)
+    monkeypatch.setattr(linalg, "smith_normal_form", snf_checked)
     monkeypatch.setattr(FieldOps, "solve_many", solve_checked)
     seq, module, _ = bp.bp2_shadow_sequence(16)
     bp.koszul_tor(seq, module, 16)
