@@ -251,14 +251,22 @@ def _kernel_scalar(pring, prefix, n, N):
 
 
 def _kernel_f2(pring, prefix, s, N):
-    """x with s*x in the ideal but x outside it, mod 2."""
+    """x with s*x in the ideal but x outside it, mod 2.  Generators that
+    vanish mod 2 (the scalar 2) span nothing there and are dropped, and each
+    degree's ideal is row-reduced once, for step d and for step d - |s|."""
+    gens = [g for g in prefix if any(_poly_int_coeff(c) % 2 for c in g.terms.values())]
+    ideals = {}
+
+    def ideal(d):
+        if d not in ideals:
+            ideals[d] = f2_rref([_f2_mask(c) for c in _span_columns(pring, gens, d)])
+        return ideals[d]
+
     e = s.wdegree() or 0
     for d in range(N + 1):
-        ideal_d = f2_rref([_f2_mask(c) for c in _span_columns(pring, prefix, d)])
-        ideal_de = f2_rref([_f2_mask(c) for c in _span_columns(pring, prefix, d + e)])
-        cols = [f2_reduce(*ideal_de, _f2_mask(c)) for c in _mult_columns(pring, s, d)]
+        cols = [f2_reduce(*ideal(d + e), _f2_mask(c)) for c in _mult_columns(pring, s, d)]
         for vec in f2_nullspace(cols, len(cols)):
-            if not f2_in_span(*ideal_d, vec):
+            if not f2_in_span(*ideal(d), vec):
                 mono = _monomials(pring.weights, d)[(vec & -vec).bit_length() - 1]
                 return (d, f"class of {mono} at degree {d}")
     return None

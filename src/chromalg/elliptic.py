@@ -5,6 +5,15 @@ Formal-group arithmetic follows the classical route through the (z, w) plane,
 z = -x/y, w = -1/y, where the curve reads w = z^3 + a1 z w + a2 z^2 w
 + a3 w^2 + a4 z w^2 + a6 w^3 and chord slopes are honest power series.  All
 operations stay over the curve's coefficient ring; no denominators appear.
+formal_group_of_curve builds the w-series once and hands it to
+formal_inverse.
+
+This chord law is run per curve by fgl.fgl_from_curve, by the moduli chart
+transitions, and once per process over Z[A, B] for the universal level-3
+law (fgl.universal_family_law).  Family members over other rings are that
+law's image under base change (fgl.family_law), not chord runs.
+reduction_type keeps its own chord law per fiber: its claim is about
+particular fibers, so base change would make it agree with itself.
 """
 
 from __future__ import annotations
@@ -169,12 +178,13 @@ def curve_w_series(E: WeierstrassCurve, prec: int) -> Series:
     return w
 
 
-def formal_inverse(E: WeierstrassCurve, prec: int) -> Series:
-    """i(z) with [-1](z) = i(z): i = -z / (1 - a1 z - a3 w(z))."""
+def formal_inverse(E: WeierstrassCurve, prec: int, w: Series | None = None) -> Series:
+    """i(z) with [-1](z) = i(z): i = -z / (1 - a1 z - a3 w(z)).  A caller that
+    already has the w-series, to precision at least prec, passes it as w."""
     R = E.ring
     ctx = SeriesCtx(R, ("z",), prec)
     z = ctx.gen("z")
-    w = curve_w_series(E, prec).truncate(prec)
+    w = (w if w is not None else curve_w_series(E, prec)).truncate(prec)
     den = ctx.one() - z.scale(E.a1) - w.scale(E.a3)
     return (-z) * den.inverse()
 
@@ -198,7 +208,7 @@ def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     num = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
            + (lam * nu).scale(R.scale_int(a4, 2)) + (lam2 * nu).scale(R.scale_int(a6, 3)))
     z3 = (-z1) - z2 - num * den.inverse()
-    inv = formal_inverse(E, prec).rename(("z",))
+    inv = formal_inverse(E, prec, wz)
     F = inv.compose({"z": z3})
     # unit axiom check F(z, 0) = z
     restr = F.set_var_zero("z2").drop_var("z2")

@@ -6,6 +6,19 @@ Quotients follow a torsion-free route: the kernel point is located exactly on
 a characteristic-zero lift (curve chord geometry or the closed conic form),
 the quotient law is assembled through logarithms, 2-integrality is asserted,
 and only then is everything reduced back.  All heavy lifting is univariate.
+
+Curve laws come two ways.  fgl_from_curve runs the chord construction
+(elliptic.formal_group_of_curve) for the curve it is given.  The level-3
+family y^2 + A xy + B y = x^3 instead has one universal law over Z[A, B],
+built by the chord once per process and memoised at the largest total
+degree asked for (universal_family_law); every family member over another
+ring is its image under (A, B) -> (a, b) (family_law; Silverman, The
+Arithmetic of Elliptic Curves, IV.1-2).  two_adic_family_fgl, family_fgl_at
+and the F_2[s] law of recognize_in_family are such images, and the checks
+on the universal law read the memo.  The checks whose claim is about
+particular fibers keep the chord as their independent side:
+ell.reduction-table (elliptic.reduction_type) and ell.tate-fgl (against the
+closed form x + y - xy).
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from math import comb
 
 from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
-                       formal_group_of_curve, gamma1_3_curve)
+                       formal_group_of_curve, gamma1_3_curve, universal_gamma1_3)
 from .errors import (AlgebraError, HeightExceedsPrecision,
                      InvalidKernel, NotOrdinary, PreparationFailed,
                      QuotientPrecisionError, RecognitionFailed,
@@ -143,34 +156,94 @@ def _to_fraction(ring, v):
         return None
 
 
+def _rational_origin(E: WeierstrassCurve):
+    """CurveOrigin of E over its rationalised ring in characteristic 0, else None."""
+    if E.ring.char != 0:
+        return None
+    try:
+        Qring, f = E.ring.rationalize()
+        return CurveOrigin(E.map_coefficients(f, Qring))
+    except Exception:
+        return None
+
+
 def fgl_from_curve(E: WeierstrassCurve, N: int, lift_curve: WeierstrassCurve | None = None,
                    check_assoc=None) -> FormalGroupLaw:
+    """The chord law of E to total degree N (elliptic.formal_group_of_curve)."""
     F = formal_group_of_curve(E, N).rename(("x", "y"))
-    origin = CurveOrigin(lift_curve) if lift_curve is not None else None
-    if origin is None and E.ring.char == 0:
-        try:
-            Qring, f = E.ring.rationalize()
-            origin = CurveOrigin(E.map_coefficients(f, Qring))
-        except Exception:
-            origin = None
+    origin = CurveOrigin(lift_curve) if lift_curve is not None else _rational_origin(E)
     return make_fgl(F, E.ring, origin, check_assoc=check_assoc)
+
+
+_universal_law = None     # the largest universal family law built so far
+
+
+def universal_family_law(N: int) -> Series:
+    """The chord law of y^2 + A xy + B y = x^3 over Z[A, B] (|A| = 1,
+    |B| = 3) to total degree N, in ("x", "y").  Built once per process: the
+    memo keeps the largest law built so far, a smaller N truncates it and a
+    larger N replaces it.  Each call returns a fresh terms dict."""
+    global _universal_law
+    if _universal_law is None or _universal_law.prec <= N:
+        E, _ = universal_gamma1_3()
+        _universal_law = formal_group_of_curve(E, N).rename(("x", "y"))
+    U = _universal_law
+    return Series(U.ctx.at_prec(N + 1), {e: c for e, c in U.terms.items() if sum(e) <= N})
+
+
+def universal_family_fgl(N: int, check_assoc=None) -> FormalGroupLaw:
+    """universal_family_law(N), validated, with its Q[A, B] curve as lift."""
+    F = universal_family_law(N)
+    P = F.ctx.ring
+    E = gamma1_3_curve(P, P.gen("A"), P.gen("B"))
+    return make_fgl(F, P, _rational_origin(E), check_assoc=check_assoc)
+
+
+def family_law(ring: Ring, a, b, N: int) -> Series:
+    """The law of y^2 + a xy + b y = x^3 over `ring` to total degree N, as the
+    image of universal_family_law(N) under (A, B) -> (a, b): each
+    coefficient sum k A^i B^j becomes sum k a^i b^j (Silverman, The
+    Arithmetic of Elliptic Curves, IV.1-2).  The powers of a and b, and each
+    monomial a^i b^j, are made once."""
+    U = universal_family_law(N)
+    apow, bpow, mono = [ring.one()], [ring.one()], {}
+
+    def monomial(i, j):
+        if (i, j) not in mono:
+            while len(apow) <= i:
+                apow.append(ring.mul(apow[-1], a))
+            while len(bpow) <= j:
+                bpow.append(ring.mul(bpow[-1], b))
+            mono[(i, j)] = (apow[i] if j == 0 else bpow[j] if i == 0
+                            else ring.mul(apow[i], bpow[j]))
+        return mono[(i, j)]
+
+    out = {}
+    for e, poly in U.terms.items():
+        c = ring.zero()
+        for (i, j), k in poly.terms.items():
+            c = ring.add(c, ring.scale_int(monomial(i, j), k))
+        if not ring.is_zero(c):
+            out[e] = c
+    return Series(SeriesCtx(ring, ("x", "y"), N + 1), out)
 
 
 def two_adic_family_fgl(k: int, bprec: int, xprec: int, bvar: str = "b") -> FormalGroupLaw:
     """The ordinary-locus family law (A = 1, B = b) over Z/2^k[[b]], carrying
     its exact Q[[b]] lift for quotient work."""
     ring_k = SeriesRing(ModularIntegers(2 ** k), bvar, bprec)
-    E_k = gamma1_3_curve(ring_k, ring_k.one(), ring_k.gen())
     ring_q = SeriesRing(QQ, bvar, bprec)
     E_q = gamma1_3_curve(ring_q, ring_q.one(), ring_q.gen())
-    return fgl_from_curve(E_k, xprec, lift_curve=E_q)
+    F = family_law(ring_k, ring_k.one(), ring_k.gen(), xprec)
+    return make_fgl(F, ring_k, CurveOrigin(E_q))
 
 
 def family_fgl_at(ring: SeriesRing, param: Series, xprec: int,
                   check_assoc=False) -> FormalGroupLaw:
     """Family law at A = 1, B = param (a series in the base of `ring`)."""
     E = gamma1_3_curve(ring, ring.one(), param)
-    return fgl_from_curve(E, xprec, check_assoc=check_assoc)
+    F = family_law(ring, ring.one(), param, xprec)
+    return make_fgl(F, ring, _rational_origin(E), check_assoc=check_assoc)
 
 
 # -- m-series and heights --------------------------------------------------------
@@ -741,8 +814,7 @@ def _mod2_series(c: Series, R2: SeriesRing) -> Series:
 def _family_param_derivative(R2: SeriesRing, at_param: Series, xprec: int) -> Series:
     """d/ds of the family law at parameter s, evaluated at s = at_param, mod 2."""
     P = PolyRing(PrimeField(2), ("s",))
-    E = gamma1_3_curve(P, P.one(), P.gen("s"))
-    Fs = formal_group_of_curve(E, xprec - 1).rename(("x", "y"))
+    Fs = family_law(P, P.one(), P.gen("s"), xprec - 1)
     ctx = SeriesCtx(R2, ("x", "y"), xprec)
     out = {}
     for e, poly in Fs.terms.items():

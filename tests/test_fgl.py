@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromalg import bp, elliptic, fgl
+from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.errors import (HeightExceedsPrecision, InvalidKernel,
-                             NeedsTorsionFree, NotAFrobeniusLift, NotOrdinary)
+                             NeedsTorsionFree, NotAFrobeniusLift, NotOrdinary,
+                             TruncationError)
 from chromalg.poly import PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
                             ZZ, omega_ring, sqrt_minus3)
-from chromalg.series import SeriesCtx, SeriesRing
+from chromalg.report import RunConfig
+from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
 def test_conic_examples():
@@ -93,6 +97,21 @@ def test_hazewinkel_tate_specialization():
            "__coeff__": lambda c: Pb.from_int(int(c))}
     assert data.v[1].substitute(sub).is_zero()
     assert data.v[0].substitute(sub) == Pb.gen("beta")
+
+
+def _conic_u(N):
+    P = PolyRing(ZZ, ("u",))
+    return fgl.conic_fgl(P, -P.gen("u"), P.zero(), N)
+
+
+@pytest.mark.parametrize("law", [_conic_u, fgl.universal_family_fgl],
+                         ids=["conic", "family"])
+def test_hazewinkel_precision_guard(law):
+    # hazewinkel_generators(F, p, n) needs F.prec >= p^n + 2
+    with pytest.raises(TruncationError):
+        fgl.hazewinkel_generators(law(2 ** 2), 2, 2)        # prec p^n + 1
+    data = fgl.hazewinkel_generators(law(2 ** 2 + 1), 2, 2)  # prec p^n + 2
+    assert data.v == fgl.hazewinkel_generators(law(9), 2, 2).v
 
 
 def test_hazewinkel_naturality_under_strict_isos():
@@ -273,6 +292,26 @@ def test_quotient_frobenius_twist():
     assert q.fgl.F == twist.F
     assert q.isogeny.ucoeff(1).is_zero()
     assert R.eq(q.isogeny.ucoeff(2), R.one())
+
+
+def test_quotient_frobenius_check_reads_the_top_degree(monkeypatch):
+    """Negative control: one degree-9 coefficient of the quotient law (its
+    x-precision is 10) plus one makes fgl.quotient-frobenius fail."""
+    check = next(c for c in REGISTRY if c.id == "fgl.quotient-frobenius")
+    quotient = fgl.quotient_by_subgroup
+
+    def perturbed(F, K):
+        res = quotient(F, K)
+        law, R = res.fgl.F, res.fgl.ring
+        terms = dict(law.terms)
+        terms[(1, 8)] = R.add(law.coefficient((1, 8)), R.one())
+        bad = fgl.FormalGroupLaw(Series(law.ctx, terms), R, res.fgl.prec, res.fgl.origin)
+        return dataclasses.replace(res, fgl=bad)
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "quotient_by_subgroup", perturbed)
+    with pytest.raises(CheckFailure):
+        check.fn(RunConfig(), random.Random(0))
 
 
 def test_isogeny_identity_reverified():
