@@ -5,8 +5,9 @@ Formal-group arithmetic follows the classical route through the (z, w) plane,
 z = -x/y, w = -1/y, where the curve reads w = z^3 + a1 z w + a2 z^2 w
 + a3 w^2 + a4 z w^2 + a6 w^3 and chord slopes are honest power series.  All
 operations stay over the curve's coefficient ring; no denominators appear.
-formal_group_of_curve builds the w-series once and hands it to
-formal_inverse.
+The w-series is a Newton iteration (Hensel's lemma) checked by one last
+fixed-point pass.  formal_group_of_curve builds it once and hands it to
+formal_inverse; curve_log takes a caller's w-series the same way.
 
 This chord law is run per curve by fgl.fgl_from_curve, by the moduli chart
 transitions, and once per process over Z[A, B] for the universal level-3
@@ -156,26 +157,54 @@ def _gen1(F: Series) -> Series:
 def curve_w_series(E: WeierstrassCurve, prec: int) -> Series:
     """w(z) with w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3.
 
-    An error of order k in w leaves one of order k + 1 after a pass, so pass
-    i (from w = z^3, exact below z^4) runs at precision min(5 + i, prec).  A
-    last pass at full precision must reproduce w."""
+    Newton on G(w) = w - (z^3 + a1 z w + ...), as in Hensel's lemma: from
+    w = z^3, exact below z^4, each step doubles the precision up to prec, so
+    max(0, ceil(log2(prec / 4))) steps.  G'(0) = 1, so no step divides by an
+    integer.  A last fixed-point pass at full precision must reproduce w."""
+    R = E.ring
+    ctx = SeriesCtx(R, ("z",), prec)
+    w = ctx.series({(3,): R.one()})
+    known = 4
+    while known < prec:
+        order = min(2 * known, prec)
+        w = _w_newton_step(E, Series(ctx.at_prec(order), w.terms), known)
+        known = order
+    image = _w_image(E, w, w * w)
+    if image != w:
+        raise AlgebraError(f"w-series did not converge at precision {prec}")
+    return image
+
+
+def _w_image(E: WeierstrassCurve, w: Series, w2: Series) -> Series:
+    """z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3 at w's precision,
+    given w2 = w^2."""
+    a1, a2, a3, a4, a6 = E.coefficients()
+    z = w.ctx.gen("z")
+    return (z * z * z + (z * w).scale(a1) + (z * z * w).scale(a2) + w2.scale(a3)
+            + (z * w2).scale(a4) + (w2 * w).scale(a6))
+
+
+def _w_derivative(E: WeierstrassCurve, w: Series, w2: Series) -> Series:
+    """G'(w) = 1 - a1 z - a2 z^2 - 2 a3 w - 2 a4 z w - 3 a6 w^2 at w's
+    precision, given w2 = w^2."""
     R = E.ring
     a1, a2, a3, a4, a6 = E.coefficients()
-    ctx = SeriesCtx(R, ("z",), prec)
+    ctx = w.ctx
+    z = ctx.gen("z")
+    return (ctx.one() - z.scale(a1) - (z * z).scale(a2) - w.scale(R.scale_int(a3, 2))
+            - (z * w).scale(R.scale_int(a4, 2)) - w2.scale(R.scale_int(a6, 3)))
 
-    def fixed_point_pass(w: Series) -> Series:
-        z = w.ctx.gen("z")
-        w2 = w * w
-        return (z * z * z + (z * w).scale(a1) + (z * z * w).scale(a2) + w2.scale(a3)
-                + (z * w2).scale(a4) + (w2 * w).scale(a6))
 
-    w = ctx.series({(3,): R.one()})
-    for p in range(5, prec + 1):
-        w = fixed_point_pass(Series(ctx.at_prec(p), w.terms))
-    w = Series(ctx, w.terms)
-    if fixed_point_pass(w) != w:
-        raise AlgebraError(f"w-series did not converge at precision {prec}")
-    return w
+def _w_newton_step(E: WeierstrassCurve, w: Series, known: int) -> Series:
+    """w - G(w) * G'(w)^-1 at w's precision P, for w exact below z^known and
+    P <= 2 * known.  G(w) has order >= known, so G'(w)^-1 is needed only
+    below P - known; its terms are then exact enough at P."""
+    ctx = w.ctx
+    w2 = w * w
+    resid = w - _w_image(E, w, w2)
+    lo = ctx.prec - known
+    h = _w_derivative(E, w.truncate(lo), w2.truncate(lo)).inverse()
+    return w - resid * Series(ctx, h.terms)
 
 
 def formal_inverse(E: WeierstrassCurve, prec: int, w: Series | None = None) -> Series:
@@ -218,15 +247,17 @@ def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     return F
 
 
-def curve_log(E: WeierstrassCurve, N: int) -> Series:
+def curve_log(E: WeierstrassCurve, N: int, w: Series | None = None) -> Series:
     """Formal logarithm from the invariant differential (Q-algebra bases only).
 
-    ell'(z) = (dx/dz) / (2y + a1 x + a3) expanded via w(z); exact.
+    ell'(z) = (dx/dz) / (2y + a1 x + a3) expanded via w(z); exact.  A caller
+    that already has the w-series, to precision at least N + 4, passes it
+    as w.
     """
     R = E.ring
     ctx = SeriesCtx(R, ("z",), N)
     z = ctx.gen("z")
-    w = curve_w_series(E, N + 4)
+    w = (w if w is not None else curve_w_series(E, N + 4)).truncate(N + 4)
     V = Laurent(w).S
     Vp = V.derivative("z")
     numer = ctx.from_int(-2) - (V.ctx.gen("z") * Vp * V.inverse()).truncate(N)

@@ -523,14 +523,22 @@ class QuotientResult:
 
 
 def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResult:
+    """The quotient law F/K and the isogeny f(x) = x * (x +_F tau), built over
+    the torsion-free lift of F (Q[[b]] or Q) and reduced into F's ring.
+
+    The lift runs at F's precision P, with no guard degrees.  Over a
+    Q-algebra, truncation mod x^P is a ring map that commutes with compose
+    and reverse when the substituted series have order >= 1, so each step is
+    exact below x^P when its inputs are: the chord with the 2-torsion point
+    (which keeps the three degrees it loses internally), the log L, f^-1,
+    lam = 2 L(f^-1), its reverse, and exp(lam x + lam y)."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
-    work = out_prec + 4
     if isinstance(F.origin, CurveOrigin) and F.origin.lift_curve is not None:
-        fq, tau_q, Lq = _curve_isogeny_data(F.origin.lift_curve, work)
+        fq, tau_q, Lq = _curve_isogeny_data(F.origin.lift_curve, out_prec)
     elif isinstance(F.origin, ConicOrigin) and F.origin.b is not None:
-        fq, tau_q, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, work)
+        fq, tau_q, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, out_prec)
     else:
         raise QuotientPrecisionError(
             "no torsion-free lift attached to this law; build it from a curve "
@@ -599,14 +607,16 @@ def _curve_isogeny_data(EQ: WeierstrassCurve, N: int):
     """(f, tau, log) for the canonical 2-torsion point of the lifted curve:
     f(x) = x * (x +_F tau) computed by chord addition against the torsion
     point, tau its formal coordinate, log the curve logarithm.  Exact."""
-    R = EQ.ring
     x0, y0 = _formal_two_torsion(EQ)
-    s = _sum_with_point(EQ, x0, y0, N)
+    # one w-series serves both: the chord reads it below N + 6, the log
+    # below N + 4
+    w = curve_w_series(EQ, N + 6)
+    s = _sum_with_point(EQ, x0, y0, N, w)
     tau = s.constant_term()
     ctx = s.ctx
     x = ctx.gen(ctx.vars[0])
     f = x * s
-    L = curve_log(EQ, N)
+    L = curve_log(EQ, N, w)
     return f, tau, L
 
 
@@ -663,15 +673,16 @@ def _formal_two_torsion(EQ: WeierstrassCurve):
     return x, y
 
 
-def _sum_with_point(E: WeierstrassCurve, x0, y0, N: int) -> Series:
+def _sum_with_point(E: WeierstrassCurve, x0, y0, N: int, w: Series | None = None) -> Series:
     """z-coordinate of P(z) + (x0, y0) as a power series in z; constant term is
-    the formal coordinate -x0/y0 of the fixed point."""
+    the formal coordinate -x0/y0 of the fixed point.  A caller that already
+    has the w-series, to precision at least N + 6, passes it as w."""
     # V = w/z^3 is known to relative precision P, and X = z^-2/V, Y = -z^-3/V
     # and mu keep it.  y3 sums terms with a pole of order 3 into a result with
     # none, so y3 and s = -x3/y3 are known below P - 3: the chord loses three
     # degrees (to_series raises TruncationError with fewer).
     P = N + 3
-    w = curve_w_series(E, P + 3).rename(("x",))
+    w = (w if w is not None else curve_w_series(E, P + 3)).truncate(P + 3).rename(("x",))
     V = Laurent(w).S
     Vinv = V.inverse()
     a1, a2, a3, a4, a6 = E.coefficients()

@@ -8,8 +8,9 @@ Three levels, each used where it fits:
     for homology over Z localized at a prime.
 
 `lattice_homology` is the one reading of ker/im over Z: the saturated kernel,
-the image written in its basis by the field solve over Fractions, and the
-Smith invariants of that image.  The Koszul Tor (`bp.koszul_tor`) and the
+the image written in its basis by the field solve over Fractions (no solve
+when the kernel map is zero and the kernel is Z^n), and the Smith invariants
+of that image.  The Koszul Tor (`bp.koszul_tor`) and the
 C_2 cohomology (`kforms.c2_lattice_cohomology`) both call it and differ only
 in how they read the invariants.
 
@@ -314,11 +315,11 @@ def lattice_homology(kernel_of: list[list[int]], n: int,
     Z^m -> Z^n with columns image_of: (rank of the saturated kernel, Smith
     invariants of the image written in a kernel basis).  No kernel_of columns,
     or columns of height 0, is the zero map.  IntegralityFailure when an image
-    column leaves the kernel lattice."""
-    if kernel_of and kernel_of[0]:
-        ker = int_kernel(kernel_of, n)
-    else:
-        ker = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    column leaves the kernel lattice.  Under the zero map the kernel is Z^n
+    in its standard basis, where the image columns are their own coordinates."""
+    if not (kernel_of and kernel_of[0]):
+        return n, (smith_normal_form([list(col) for col in image_of]) if image_of else [])
+    ker = int_kernel(kernel_of, n)
     rel = []
     for coords in FieldOps(_FractionField()).solve_many(ker, image_of):
         if coords is None or any(v.denominator != 1 for v in coords):

@@ -242,13 +242,6 @@ class Poly:
         w = self.pring.weights
         return max(sum(e * k for e, k in zip(exp, w)) for exp in self.terms)
 
-    def homogeneous_part(self, d: int):
-        w = self.pring.weights
-        return Poly(self.pring, {
-            e: c for e, c in self.terms.items()
-            if sum(x * k for x, k in zip(e, w)) == d
-        })
-
     def is_homogeneous(self):
         w = self.pring.weights
         degs = {sum(x * k for x, k in zip(e, w)) for e in self.terms}

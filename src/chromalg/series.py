@@ -13,9 +13,12 @@ precision it needs:
   * reverse: Newton reversion g <- g - (f(g) - x) * f'(g)^-1 from precision
     2, doubling up to prec: ceil(log2 prec) - 1 steps of two compose calls
     each.  It divides by no integer, so any ring where f'(0) is a unit works.
-  * elliptic.curve_w_series: the fixed-point pass i runs at min(5 + i, prec),
-    fixing one more degree each, then one full-precision pass must reproduce
-    w (AlgebraError otherwise).
+  * elliptic.curve_w_series: Newton w <- w - G(w) * G'(w)^-1 on
+    G(w) = w - (z^3 + a1 z w + ...) from w = z^3, exact below z^4; step i
+    runs at min(2^(i+3), prec), so max(0, ceil(log2(prec/4))) steps, each
+    inverting G'(w) only below the degrees it gains.  G'(0) = 1, so no step
+    divides by an integer.  Then one full-precision fixed-point pass must
+    reproduce w (AlgebraError otherwise).
   * fgl.find_iso: the powers F^k are made once per call at precision N + 1,
     and degree step d composes only G(phi x, phi y), at precision d + 1.
 

@@ -2,8 +2,9 @@
 
 Each one is the plain algorithm that the library's faster version replaced:
 term-by-term composition, full-precision Newton inversion, degree-by-degree
-reversion, the fixed-point w-series at full precision, full-precision
-`find_iso` with its row-by-row solve, long division, the dict-based
+reversion, the fixed-point w-series at full precision, the Q[[b]] lift of
+`quotient_by_subgroup` at four guard degrees above the output precision,
+full-precision `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, the Milnor product by nested
 recursion over dict-copied budgets, the breadth-first cyclicity search over
 Steenrod elements, one convolution loop per Poincare-series factor, the
@@ -24,7 +25,9 @@ from math import comb, gcd
 
 from chromalg import steenrod as st
 from chromalg.errors import AlgebraError, CompositionError, NotInvertible
-from chromalg.fgl import FormalGroupLaw, IsoResult, Obstruction
+from chromalg.elliptic import curve_log
+from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction,
+                          _conic_isogeny_data, _formal_two_torsion, _sum_with_point)
 from chromalg.linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import monomials_of_weighted_degree
@@ -122,6 +125,31 @@ def curve_w_series_oracle(E, prec: int) -> Series:
             break
         w = new
     return w
+
+
+def quotient_lift_oracle(F: FormalGroupLaw):
+    """(fgl_lift, isogeny_lift, tau) of quotient_by_subgroup, with the lift run
+    at four guard degrees above F.prec and truncated afterwards; the chord and
+    the log each build their own w-series."""
+    out_prec = F.prec
+    work = out_prec + 4
+    if isinstance(F.origin, CurveOrigin):
+        EQ = F.origin.lift_curve
+        x0, y0 = _formal_two_torsion(EQ)
+        s = _sum_with_point(EQ, x0, y0, work)
+        tau = s.constant_term()
+        fq = s.ctx.gen(s.ctx.vars[0]) * s
+        Lq = curve_log(EQ, work)
+    else:
+        fq, tau, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, work)
+    lam = Lq.compose({Lq.ctx.vars[0]: fq.reverse()})
+    lam = lam.scale(lam.ctx.ring.from_int(2))
+    exp_bar = lam.reverse()
+    ctx2 = SeriesCtx(lam.ctx.ring, ("x", "y"), out_prec)
+    var = lam.ctx.vars[0]
+    lam_out = lam.truncate(out_prec)
+    S = lam_out.compose({var: ctx2.gen("x")}) + lam_out.compose({var: ctx2.gen("y")})
+    return exp_bar.truncate(out_prec).compose({var: S}), fq.truncate(out_prec), tau
 
 
 def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",

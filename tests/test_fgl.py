@@ -19,6 +19,8 @@ from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
 from chromalg.report import RunConfig
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
+from oracles import quotient_lift_oracle
+
 
 def test_conic_examples():
     F = fgl.conic_fgl(ZZ, 3, 3, 6)
@@ -282,13 +284,60 @@ def test_sum_with_point_working_precision_is_exact():
         assert exact(s) == exact(fgl._sum_with_point(E, x0, y0, N + 5).truncate(N))
 
 
+def _typed(v):
+    """Variables, precision, terms and value types, recursively."""
+    if isinstance(v, Series):
+        return (v.ctx.vars, v.prec, {e: _typed(c) for e, c in v.terms.items()})
+    return (type(v), v)
+
+
+QUOTIENT_LAWS = {
+    "family(1, 8, 9)": lambda: fgl.two_adic_family_fgl(1, 8, 9),
+    "family(2, 5, 7)": lambda: fgl.two_adic_family_fgl(2, 5, 7),
+    "family(3, 6, 8)": lambda: fgl.two_adic_family_fgl(3, 6, 8),
+    "family(3, 8, 10)": lambda: fgl.two_adic_family_fgl(3, 8, 10),
+    "family(1, 10, 11)": lambda: fgl.two_adic_family_fgl(1, 10, 11),
+    "conic Z/8": lambda: fgl.multiplicative_fgl(ModularIntegers(8), 1, 8),
+}
+
+
+@pytest.mark.parametrize("law", QUOTIENT_LAWS)
+def test_quotient_lift_at_output_precision_matches_guarded_oracle(law):
+    """The lift run at the output precision gives, term for term and type for
+    type, what the lift with four guard degrees gives after truncation."""
+    F = QUOTIENT_LAWS[law]()
+    res = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+    fgl_lift, isogeny_lift, tau = quotient_lift_oracle(F)
+    assert _typed(res.fgl_lift) == _typed(fgl_lift)
+    assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
+    assert _typed(fgl.reduce_scalar(tau, F.ring)) == _typed(res.tau)
+
+
+def test_quotient_builds_one_w_series(monkeypatch):
+    """The chord with the 2-torsion point and the log share one w-series."""
+    F = fgl.two_adic_family_fgl(2, 5, 7)
+    K = fgl.canonical_subgroup(F)
+    precs = []
+    real = elliptic.curve_w_series
+
+    def counted(E, prec):
+        precs.append(prec)
+        return real(E, prec)
+
+    monkeypatch.setattr(elliptic, "curve_w_series", counted)
+    monkeypatch.setattr(fgl, "curve_w_series", counted)
+    fgl.quotient_by_subgroup(F, K)
+    assert precs == [F.prec + 6]
+
+
 def test_quotient_frobenius_twist():
     F1 = fgl.two_adic_family_fgl(1, 8, 9)
     K1 = fgl.canonical_subgroup(F1)
     assert F1.ring.is_zero(K1.alpha)
     q = fgl.quotient_by_subgroup(F1, K1)
     R = F1.ring
-    twist = fgl.family_fgl_at(R, R.mul(R.gen(), R.gen()), 8, check_assoc=False)
+    # the twist at the quotient's x-precision, so its top degree is compared
+    twist = fgl.family_fgl_at(R, R.mul(R.gen(), R.gen()), 9, check_assoc=False)
     assert q.fgl.F == twist.F
     assert q.isogeny.ucoeff(1).is_zero()
     assert R.eq(q.isogeny.ucoeff(2), R.one())

@@ -1,7 +1,8 @@
 """Differential and operation-count tests for the precision-doubling series
-algorithms: Newton inverse and reversion, the growing-precision w-series and
-the degree-truncated find_iso, each against its full-precision oracle."""
+algorithms: Newton inverse and reversion, the Newton w-series and the
+degree-truncated find_iso, each against its full-precision oracle."""
 
+import dataclasses
 from fractions import Fraction
 from math import ceil, log2
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chromalg import fgl
+from chromalg import elliptic, fgl
 from chromalg.elliptic import curve, curve_w_series
+from chromalg.errors import AlgebraError
 from chromalg.rings import QQ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
@@ -116,11 +118,49 @@ def test_reverse_matches_degree_by_degree_oracle(carrier, data, prec):
 
 @pytest.mark.parametrize("carrier", sorted(CARRIERS))
 @SETTINGS
-@given(data=st.data(), prec=st.integers(1, 9))
+@given(data=st.data(), prec=st.integers(1, 24))
 def test_w_series_matches_full_precision_oracle(carrier, data, prec):
     R, elem, _ = CARRIERS[carrier]
     E = curve(R, *(data.draw(elem) for _ in range(5)))
     assert exact(curve_w_series(E, prec)) == exact(curve_w_series_oracle(E, prec))
+
+
+@pytest.mark.parametrize("prec", [1, 3, 4, 5, 8, 9, 16, 17, 24, 33])
+def test_w_series_makes_logarithmically_many_newton_steps(monkeypatch, prec):
+    """From w = z^3, exact below z^4, step i runs at min(2^(i + 3), prec):
+    max(0, ceil(log2(prec / 4))) steps, each with one image of w, and then
+    the one verification pass."""
+    steps, images = [], []
+    real_step, real_image = elliptic._w_newton_step, elliptic._w_image
+
+    def step(E, w, known):
+        steps.append((known, w.prec))
+        return real_step(E, w, known)
+
+    def image(E, w, w2):
+        images.append(w.prec)
+        return real_image(E, w, w2)
+
+    monkeypatch.setattr(elliptic, "_w_newton_step", step)
+    monkeypatch.setattr(elliptic, "_w_image", image)
+    E = curve(QQ, *(QQ.from_int(k) for k in (1, -2, 3, 1, -1)))
+    w = curve_w_series(E, prec)
+    n = max(0, ceil(log2(prec / 4)))
+    assert [p for _, p in steps] == [min(2 ** (i + 3), prec) for i in range(n)]
+    assert [k for k, _ in steps] == [min(2 ** (i + 2), prec) for i in range(n)]
+    assert len(images) == n + 1 and images[-1] == prec
+    assert exact(w) == exact(curve_w_series_oracle(E, prec))
+
+
+def test_w_series_newton_needs_the_whole_derivative(monkeypatch):
+    """Negative control: an update whose G'(w) drops the 3 a6 w^2 term
+    converges only linearly, and the verification pass catches it."""
+    real = elliptic._w_derivative
+    monkeypatch.setattr(elliptic, "_w_derivative", lambda E, w, w2: real(
+        dataclasses.replace(E, a6=E.ring.zero()), w, w2))
+    E = curve(QQ, *(QQ.from_int(k) for k in (1, -2, 3, 1, -1)))
+    with pytest.raises(AlgebraError):
+        curve_w_series(E, 24)
 
 
 def _same_iso_result(new, old):
