@@ -357,55 +357,108 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
              N: int | None = None, unit_candidates=None):
     """phi with phi(F(x,y)) = G(phi x, phi y) to degree N, solved degree by
     degree (Hazewinkel, Formal Groups and Applications, 1978, section 1);
-    returns IsoResult or Obstruction (a value, not an error).
+    returns IsoResult or Obstruction (a value, not an error).  Raises
+    TruncationError unless N < min(F.prec, G.prec).
 
-    The powers F^k are made once per call at precision N + 1, at most N - 1
-    products, and every candidate linear term c1 reads them.  A candidate
-    keeps L = sum of c_k F^k over the degrees k fixed so far, so step d reads
-    phi(F) in total degree d from L and composes only G(phi x, phi y), at
-    precision d + 1.  The rows comb(d, a) c_d = t_a (0 < a < d) of step d
-    are solved as the one row g c_d = T of _solve_degree, and c_d is the
-    first solution that solve_int gives.  Where that row has more than one
-    solution (g is not a unit, in a ring with torsion such as Z/2^k[[b]]),
-    another choice of c_d might reach further, so an Obstruction at a later
-    degree is not a proof that no isomorphism exists."""
+    Step d reads total degree d of G(phi x, phi y) - phi(F), phi without c_d.
+    Its rows comb(d, a) c_d = t_a (0 < a < d) are solved as the one row
+    g c_d = T of _solve_degree, c_d is the first solution that solve_int
+    gives, and the pure coefficients (d, 0) and (0, d) must vanish.  Where
+    that row has more than one solution (g not a unit, in a ring with torsion
+    such as Z/2^k[[b]]), another choice of c_d might reach further, so a
+    later Obstruction is not a proof that no isomorphism exists.
+
+    phi(F) is read from L = sum of c_k F^k.  The powers F^k are made once per
+    call at precision N + 1, at most N - 1 products, and every candidate c1
+    reads them.  G(phi x, phi y) takes no composition (online arithmetic, van
+    der Hoeven, J. Symb. Comput. 34, 2002): for G = sum_i x^i g_i(y) its
+    (a, b) coefficient is sum over i <= a of p[i][a] s[i][b], from two
+    univariate scalar tables filled one column per degree,
+      p[i][a] = [t^a] phi^i = sum_k c_k p[i-1][a-k], i up to G's largest
+                exponent (x + y + u xy needs only phi^0 and phi^1),
+      s[i][b] = [t^b] g_i(phi(t)) = sum_j g_ij p[j][b].
+    Column a is final once c_1..c_a are known, and only p[1][a] = c_a holds
+    c_a itself.  So step d fills column d with c_d = 0, reads degree d, and
+    then puts c_d in p[1][d] and adds g_i1 c_d to s[i][d]."""
     R = F.ring
+    top = min(F.prec, G.prec)
     if N is None:
-        N = min(F.prec, G.prec) - 1
+        N = top - 1
+    if N >= top:
+        raise TruncationError(f"find_iso to degree {N} needs laws of prec > {N}, "
+                              f"not {F.prec} and {G.prec}")
     if mode == "strict":
         candidates = [R.one()]
     else:
         candidates = unit_candidates if unit_candidates is not None else R.unit_candidates(2)
+    g = {}          # g[i] = [(j, g_ij)]: G's terms x^i y^j of total degree <= N
+    for (i, j), gij in G.F.terms.items():
+        if i + j <= N:
+            g.setdefault(i, []).append((j, gij))
+    g = sorted(g.items())
+    g_1 = [(i, gij) for i, row in g for j, gij in row if j == 1]
+    npow = max([1] + [max(i, j) for i, row in g for j, _ in row]) + 1
+    zero = R.zero()
     fails = {}
-    ctx1 = SeriesCtx(R, ("t",), N + 1)
     Fpow = [None, F.F.truncate(N + 1)]      # F^k, shared by the candidates
     for c1 in candidates:
-        phi_terms = {(1,): c1}
         L = Fpow[1].scale(c1)
+        p = [[] for _ in range(npow)]       # p[1] = [c_0, c_1, ...] is phi
+        s = {i: [] for i, _ in g}
+        for a, ca in enumerate((zero, c1)):
+            p[1].append(ca)
+            _fill_column(R, g, p, s, a)
         ok = True
         for d in range(2, N + 1):
-            # only total degree d of the residual is read: work at prec d + 1
-            ctx2 = F.ctx.at_prec(d + 1)
-            phiu = Series(ctx2, {(k, 0): c for (k,), c in phi_terms.items()})
-            phiv = Series(ctx2, {(0, k): c for (k,), c in phi_terms.items()})
-            resid = G.F.truncate(d + 1).compose({"x": phiu, "y": phiv}) - L.truncate(d + 1)
-            cd = _solve_degree(R, d, [resid.coefficient((a, d - a)) for a in range(1, d)])
-            pure_bad = not (R.is_zero(resid.coefficient((d, 0)))
-                            and R.is_zero(resid.coefficient((0, d))))
-            if cd is None or pure_bad:
+            p[1].append(zero)               # c_d, not known yet
+            _fill_column(R, g, p, s, d)
+            deg_d = []
+            for a in range(d + 1):
+                acc = R.neg(L.terms.get((a, d - a), zero))
+                for i, _ in g:
+                    if i > a:
+                        break
+                    acc = R.add(acc, R.mul(p[i][a], s[i][d - a]))
+                deg_d.append(acc)
+            cd = _solve_degree(R, d, deg_d[1:d])
+            if cd is None or not (R.is_zero(deg_d[0]) and R.is_zero(deg_d[d])):
                 fails[R.render(c1)] = d
                 ok = False
                 break
             if not R.is_zero(cd):
-                phi_terms[(d,)] = cd
+                p[1][d] = cd
+                for i, gi1 in g_1:
+                    s[i][d] = R.add(s[i][d], R.mul(gi1, cd))
                 if d < N:           # L is read again only by a later step
                     while len(Fpow) <= d:
                         Fpow.append(Fpow[-1] * Fpow[1])
                     L = L + Fpow[d].scale(cd)
         if ok:
-            phi = Series(ctx1, dict(phi_terms))
+            phi = SeriesCtx(R, ("t",), N + 1).series({(k,): ck for k, ck in enumerate(p[1])})
             return IsoResult(phi, c1)
     return Obstruction(max(fails.values()) if fails else 2, fails)
+
+
+def _fill_column(R: Ring, g: list, p: list, s: dict, a: int):
+    """Column a of find_iso's tables, with p[1][a] = c_a in place:
+    p[0][a] = [a = 0], p[i][a] = sum_k c_k p[i-1][a-k] for i >= 2 (zero for
+    i > a), then s[i][a] = sum_j g_ij p[j][a]."""
+    zero = R.zero()
+    p[0].append(R.one() if a == 0 else zero)
+    c = p[1]
+    for i in range(2, len(p)):
+        acc = zero
+        if i <= a:
+            prev = p[i - 1]
+            for k in range(1, a - i + 2):
+                acc = R.add(acc, R.mul(c[k], prev[a - k]))
+        p[i].append(acc)
+    for i, row in g:
+        acc = zero
+        for j, gij in row:
+            if j <= a:
+                acc = R.add(acc, R.mul(gij, p[j][a]))
+        s[i].append(acc)
 
 
 def _solve_degree(R: Ring, d: int, t: list):

@@ -19,8 +19,12 @@ precision it needs:
     inverting G'(w) only below the degrees it gains.  G'(0) = 1, so no step
     divides by an integer.  Then one full-precision fixed-point pass must
     reproduce w (AlgebraError otherwise).
-  * fgl.find_iso: the powers F^k are made once per call at precision N + 1,
-    and degree step d composes only G(phi x, phi y), at precision d + 1.
+  * fgl.find_iso: raises TruncationError unless N < min(F.prec, G.prec).
+    The powers F^k are made once per call at precision N + 1.  G(phi x,
+    phi y) = sum_i phi(x)^i g_i(phi(y)) for G = sum_i x^i g_i(y) is read
+    degree by degree from two univariate scalar tables, [t^a] phi^i and
+    [t^b] g_i(phi(t)), one column per degree, with no composition; column a
+    is final once c_1..c_a are known.
 
 Composition contract.  f.compose(subs) works at the precision P of the
 least precise of f and the substitutions, and every substitution has order

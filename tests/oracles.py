@@ -31,8 +31,8 @@ from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction,
 from chromalg.linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import monomials_of_weighted_degree
-from chromalg.rings import Ring
-from chromalg.series import Series, SeriesCtx
+from chromalg.rings import QuotientExtension, Ring
+from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
 def compose_oracle(f: Series, subs: dict) -> Series:
@@ -155,8 +155,8 @@ def quotient_lift_oracle(F: FormalGroupLaw):
 def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
                     N: int | None = None, unit_candidates=None):
     """find_iso with every degree step composing phi(F) and G(phi x, phi y)
-    at precision N + 1, and intersecting the rows' solve_int lists (complete
-    over Z, Q, Z_(p) and Z/m, where the tests use it)."""
+    at precision N + 1, and taking the first common solution of the rows
+    comb(d, a) c = t_a (_common_solution)."""
     R = F.ring
     if N is None:
         N = min(F.prec, G.prec) - 1
@@ -174,22 +174,51 @@ def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
             phiu = phi.compose({"t": F.ctx.gen("x")})
             phiv = phi.compose({"t": F.ctx.gen("y")})
             resid = G.F.compose({"x": phiu, "y": phiv}) - phi.compose({"t": F.F})
-            sols = None
-            for a in range(1, d):
-                cand = R.solve_int(comb(d, a), resid.coefficient((a, d - a)))
-                sols = cand if sols is None else [s for s in sols if any(R.eq(s, c) for c in cand)]
-                if not sols:
-                    break
+            cd = _common_solution(R, [(comb(d, a), resid.coefficient((a, d - a)))
+                                      for a in range(1, d)])
             pure_bad = any(not R.is_zero(resid.coefficient(e)) for e in [(d, 0), (0, d)])
-            if not sols or pure_bad:
+            if cd is None or pure_bad:
                 fails[R.render(c1)] = d
                 ok = False
                 break
-            if not R.is_zero(sols[0]):
-                phi_terms[(d,)] = sols[0]
+            if not R.is_zero(cd):
+                phi_terms[(d,)] = cd
         if ok:
             return IsoResult(Series(ctx1, dict(phi_terms)), c1)
     return Obstruction(max(fails.values()) if fails else 2, fails)
+
+
+def _common_solution(R: Ring, rows: list):
+    """The first c with n c = t for every (n, t) in rows, or None.  An integer
+    acts on R[[b]] coefficient by coefficient and on base[w]/(f) coordinate
+    by coordinate, so there the rows are intersected per coefficient (an
+    absent one solves n c = 0 by c = 0); otherwise the rows' solve_int lists,
+    complete and ascending over Z, Q, Z_(p) and Z/m, are intersected in
+    order."""
+    if isinstance(R, SeriesRing):
+        out = {}
+        for e in set().union(*(t.terms for _, t in rows)):
+            c = _common_solution(R.base, [(n, t.terms.get(e, R.base.zero())) for n, t in rows])
+            if c is None:
+                return None
+            if not R.base.is_zero(c):
+                out[e] = c
+        return Series(R.ctx, out)
+    if isinstance(R, QuotientExtension):
+        out = []
+        for k in range(R.deg):
+            c = _common_solution(R.base, [(n, t[k]) for n, t in rows])
+            if c is None:
+                return None
+            out.append(c)
+        return tuple(out)
+    sols = None
+    for n, t in rows:
+        cand = R.solve_int(n, t)
+        sols = cand if sols is None else [s for s in sols if any(R.eq(s, c) for c in cand)]
+        if not sols:
+            return None
+    return sols[0]
 
 
 def series_div_oracle(num: list, den: list, ring: Ring, n: int) -> list:

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromalg.convert import descend_scalar, fraction_mod
 from chromalg.errors import IntegralityFailure
+from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
                             QuotientExtension, Z_inverted, Z_local, ZZ,
                             omega_ring, sqrt_minus3)
+from chromalg.series import Series, SeriesRing
 
 
 def test_localized_at_two_rejects_even_denominators():
@@ -89,6 +93,75 @@ def test_ring_axioms_randomized(ring, sampler):
         assert ring.eq(ring.mul(a, ring.add(b, c)),
                        ring.add(ring.mul(a, b), ring.mul(a, c)))
         assert ring.eq(ring.mul(a, b), ring.mul(b, a))
+
+
+# -- ring axioms on the composite carriers ------------------------------------
+
+def _series_ring(k, prec):
+    """Z/2^k[[b]] to b-precision prec; dense draws take the packed product."""
+    R = SeriesRing(ModularIntegers(2 ** k), "b", prec)
+    coeffs = st.lists(st.integers(0, 2 ** k - 1), min_size=prec, max_size=prec)
+    return R, coeffs.map(lambda cs: R.ctx.series({(i,): c for i, c in enumerate(cs)}))
+
+
+def _omega():
+    W = omega_ring()
+    coord = st.builds(lambda n, j: Fraction(n, 3 ** j), st.integers(-30, 30), st.integers(0, 2))
+    return W, st.tuples(coord, coord)
+
+
+def _laurent():
+    """Z[a, a^-1, s]: a invertible, s not."""
+    P = PolyRing(ZZ, ("a", "s"), laurent=("a",))
+    term = st.tuples(st.tuples(st.integers(-3, 3), st.integers(0, 3)), st.integers(-5, 5))
+    return P, st.lists(term, max_size=4).map(lambda ts: P.poly(dict(ts)))
+
+
+AXIOM_RINGS = {
+    "Z/2[[b]]<4>": _series_ring(1, 4),
+    "Z/8[[b]]<3>": _series_ring(3, 3),
+    "Z/16[[b]]<6>": _series_ring(4, 6),
+    "omega": _omega(),
+    "GF(4)": (GF(4), st.sampled_from(GF(4).elements())),
+    "Z[a^+-1, s]": _laurent(),
+}
+
+
+def _canonical(R, v):
+    """v is in R's normal form: series at the ring's precision with reduced,
+    nonzero coefficients; tuples of the modulus degree; polynomials without
+    zero terms."""
+    if isinstance(R, SeriesRing):
+        m = R.base.m
+        return (isinstance(v, Series) and v.prec == R.prec
+                and all(0 < c < m for c in v.terms.values()))
+    if isinstance(R, QuotientExtension):
+        return isinstance(v, tuple) and len(v) == R.deg
+    return isinstance(v, Poly) and all(c != 0 for c in v.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_RINGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.integers(-7, 7), n=st.integers(-7, 7))
+def test_composite_ring_axioms(name, data, m, n):
+    """Commutative ring axioms, identities, negation and the integer map,
+    with every result in normal form."""
+    R, elem = AXIOM_RINGS[name]
+    a, b, c = (data.draw(elem) for _ in range(3))
+    add, mul, eq = R.add, R.mul, R.eq
+    results = [add(a, b), mul(a, b), R.sub(a, b), R.neg(a), R.scale_int(a, m)]
+    assert all(_canonical(R, v) for v in results)
+    assert eq(add(add(a, b), c), add(a, add(b, c)))
+    assert eq(mul(mul(a, b), c), mul(a, mul(b, c)))
+    assert eq(add(a, b), add(b, a)) and eq(mul(a, b), mul(b, a))
+    assert eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
+    assert eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))
+    assert eq(add(a, R.zero()), a) and eq(mul(a, R.one()), a) and eq(mul(R.one(), a), a)
+    assert R.is_zero(mul(a, R.zero())) and R.is_zero(add(a, R.neg(a)))
+    assert eq(R.sub(a, b), add(a, R.neg(b)))
+    assert eq(R.from_int(m + n), add(R.from_int(m), R.from_int(n)))
+    assert eq(R.from_int(m * n), mul(R.from_int(m), R.from_int(n)))
+    assert eq(R.scale_int(a, m), mul(R.from_int(m), a))
 
 
 def test_divide_semantics():

@@ -1,6 +1,6 @@
 """Differential and operation-count tests for the precision-doubling series
-algorithms: Newton inverse and reversion, the Newton w-series and the
-degree-truncated find_iso, each against its full-precision oracle."""
+algorithms: Newton inverse and reversion, the Newton w-series and find_iso
+with its tables of phi, each against its full-precision oracle."""
 
 import dataclasses
 from fractions import Fraction
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from chromalg import elliptic, fgl
 from chromalg.elliptic import curve, curve_w_series
-from chromalg.errors import AlgebraError
-from chromalg.rings import QQ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
+from chromalg.errors import AlgebraError, TruncationError
+from chromalg.rings import GF, QQ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 from oracles import (curve_w_series_oracle, find_iso_oracle, inverse_oracle,
@@ -207,6 +207,116 @@ def test_find_iso_obstruction_degree_on_noniso_z13_inputs():
                                               unit_candidates=cands))
 
 
+def _gf4():
+    R = GF(4)
+    elems = R.elements()
+    return R, st.sampled_from(elems), st.sampled_from([e for e in elems if not R.is_zero(e)])
+
+
+TWIST_CARRIERS = {
+    "QQ": _rationals(),
+    "Z/8": _mod_2k(3),
+    "GF(4)": _gf4(),
+    "Z/4[[b]]<3>": _series_over_mod_2k(2, 3),
+    "omega": _omega(),
+}
+
+
+def _draw_strict(data, R, elem, N):
+    """A strict phi = t + c_2 t^2 + ... + c_N t^N with drawn c_k."""
+    ctx = SeriesCtx(R, ("t",), N + 1)
+    return ctx.series({(k,): R.one() if k == 1 else data.draw(elem) for k in range(1, N + 1)})
+
+
+@pytest.mark.parametrize("carrier", sorted(TWIST_CARRIERS))
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), N=st.integers(2, 12))
+def test_find_iso_onto_strict_twists_matches_oracle(carrier, data, N):
+    """G = strict_apply(F, phi) for a conic F and a drawn strict phi: the
+    search gives the oracle's result.  Over the domains QQ and omega the
+    strict isomorphism is unique and is found; over Z/8, GF(4) and Z/4[[b]]
+    the first solution of a degree may lead to an Obstruction later, and an
+    isomorphism found must carry F to G below degree N + 1."""
+    R, elem, _ = TWIST_CARRIERS[carrier]
+    F = fgl.conic_fgl(R, data.draw(elem), data.draw(elem), N + 1)
+    G = fgl.strict_apply(F, _draw_strict(data, R, elem, N))
+    res = fgl.find_iso(F, G, "strict", N=N)
+    _same_iso_result(res, find_iso_oracle(F, G, "strict", N=N))
+    if carrier in ("QQ", "omega"):
+        assert isinstance(res, fgl.IsoResult)
+    if isinstance(res, fgl.IsoResult):
+        assert fgl.strict_apply(F, res.phi).F == G.F
+
+
+@pytest.mark.parametrize("R", [QQ, ModularIntegers(8)], ids=["QQ", "Z/8"])
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), N=st.integers(2, 10))
+def test_find_iso_onto_a_family_law_matches_oracle(R, data, N):
+    """G is a family law y^2 + a xy + b y = x^3, dense below degree N + 1,
+    so the tables of phi run to the top power.  F is a strict twist of G,
+    and over QQ also a conic law; over QQ every law is strictly isomorphic
+    to G, and the search finds it."""
+    a, b = (R.from_int(data.draw(st.integers(-3, 3))) for _ in range(2))
+    G = fgl.make_fgl(fgl.family_law(R, a, b, N), R, check_assoc=False)
+    elem = st.integers(-4, 4).map(R.from_int)
+    sources = [fgl.strict_apply(G, _draw_strict(data, R, elem, N))]
+    if R is QQ:
+        sources.append(fgl.conic_fgl(R, R.from_int(2), R.from_int(-1), N + 1))
+    for F in sources:
+        res = fgl.find_iso(F, G, "strict", N=N)
+        _same_iso_result(res, find_iso_oracle(F, G, "strict", N=N))
+        assert isinstance(res, fgl.IsoResult) or R is not QQ
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), N=st.integers(2, 8))
+def test_linear_unit_search_between_conic_twists_matches_oracle(data, N):
+    """Over Z/8 a linear-unit search from one conic law to a strict twist of
+    another ends in an isomorphism or in an Obstruction at degree 2 or 4,
+    after every unit candidate; the oracle's result, either way."""
+    R = ModularIntegers(8)
+    elem = st.integers(0, 7)
+    F = fgl.conic_fgl(R, data.draw(elem), data.draw(elem), N + 1)
+    H = fgl.conic_fgl(R, data.draw(elem), data.draw(elem), N + 1)
+    G = fgl.strict_apply(H, _draw_strict(data, R, elem, N))
+    res = fgl.find_iso(F, G, "linear-unit", N=N)
+    _same_iso_result(res, find_iso_oracle(F, G, "linear-unit", N=N))
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), N=st.integers(2, 8))
+def test_linear_unit_search_ending_in_obstruction_matches_oracle(data, N):
+    """No isomorphism over Z/8, whatever its unit linear term, carries
+    x + y + xy (height 1) to a strict twist of x + y: it would carry
+    [2](x) = 2x + x^2 to 2 phi(x), forcing an even linear term.  Every
+    candidate fails, at the degree the oracle finds."""
+    R = ModularIntegers(8)
+    F = fgl.multiplicative_fgl(R, R.one(), N + 1)
+    elem = st.integers(0, 7)
+    G = fgl.strict_apply(fgl.additive_fgl(R, N + 1), _draw_strict(data, R, elem, N))
+    res = fgl.find_iso(F, G, "linear-unit", N=N)
+    assert isinstance(res, fgl.Obstruction)
+    assert sorted(res.details) == sorted(R.render(u) for u in R.unit_candidates(2))
+    _same_iso_result(res, find_iso_oracle(F, G, "linear-unit", N=N))
+
+
+@pytest.mark.parametrize("short_side", ["F", "G"])
+def test_find_iso_refuses_degrees_beyond_the_shorter_law(short_side):
+    """A law of prec 7 holds total degree 6 and no more: find_iso to degree
+    7 or 9 raises, whichever law is the short one, and degree 6 (also the
+    default) is solved."""
+    short = fgl.multiplicative_fgl(QQ, QQ.from_int(3), 6)
+    long = fgl.conic_fgl(QQ, QQ.from_int(1), QQ.from_int(2), 10)
+    assert (short.prec, long.prec) == (7, 11)
+    F, G = (short, long) if short_side == "F" else (long, short)
+    for N in (7, 9):
+        with pytest.raises(TruncationError):
+            fgl.find_iso(F, G, "strict", N=N)
+    res = fgl.find_iso(F, G, "strict", N=6)
+    assert isinstance(res, fgl.IsoResult) and res.phi.prec == 7
+    assert exact(fgl.find_iso(F, G, "strict").phi) == exact(res.phi)
+
+
 # -- deterministic operation counts --------------------------------------------
 
 @pytest.fixture
@@ -255,10 +365,11 @@ def test_inverse_step_i_multiplies_at_doubling_precision(monkeypatch):
 
 @pytest.fixture
 def find_iso_log(monkeypatch):
-    """Records the compositions and the products of a find_iso call outside
-    compose: each composition as (step d, largest precision among the series
-    composed and the result), each product by its precision.  Step d ends
-    with its one _solve_degree call."""
+    """Records what a find_iso call does with Series: each composition as
+    (step d, largest precision among the series composed and the result),
+    and each product outside a composition by its precision.  Step d ends
+    with its one _solve_degree call.  The tables of phi hold scalars, so
+    their arithmetic over QQ shows in neither list."""
     log = {"steps": 0, "compose": [], "products": [], "depth": 0}
     real_compose, real_mul, real_solve = Series.compose, Series.__mul__, fgl._solve_degree
 
@@ -287,20 +398,25 @@ def find_iso_log(monkeypatch):
     return log
 
 
-def test_find_iso_step_d_composes_once_at_precision_d_plus_one(find_iso_log):
-    """Step d composes only G(phi x, phi y), at precision <= d + 1, and reads
-    phi(F) from the powers of F: at most N - 1 products, all at N + 1."""
+@pytest.mark.parametrize("dense", [False, True], ids=["x+y+3xy", "family"])
+def test_find_iso_composes_nothing_and_multiplies_only_powers_of_F(find_iso_log, dense):
+    """G(phi x, phi y) comes from the tables of phi, never from a
+    composition: find_iso makes no compose call, one _solve_degree step per
+    degree 2..N, and no Series product but the powers of F, at most N - 1
+    of them, all at N + 1.  The dense G runs the tables to the top power."""
     N = 9
     F = fgl.conic_fgl(QQ, QQ.from_int(1), QQ.from_int(2), N + 1)
-    G = fgl.multiplicative_fgl(QQ, QQ.from_int(3), N + 1)
+    G = (fgl.make_fgl(fgl.family_law(QQ, QQ.from_int(1), QQ.from_int(-2), N), QQ,
+                      check_assoc=False) if dense
+         else fgl.multiplicative_fgl(QQ, QQ.from_int(3), N + 1))
     find_iso_log.update(steps=0, compose=[], products=[])
     res = fgl.find_iso(F, G, "strict", N=N)
     assert isinstance(res, fgl.IsoResult)
+    assert find_iso_log["compose"] == []
     assert find_iso_log["steps"] == N - 1
-    assert [d for d, _ in find_iso_log["compose"]] == list(range(2, N + 1))
-    assert all(prec <= d + 1 for d, prec in find_iso_log["compose"])
     assert 0 < len(find_iso_log["products"]) <= N - 1
     assert set(find_iso_log["products"]) == {N + 1}
+    _same_iso_result(res, find_iso_oracle(F, G, "strict", N=N))
 
 
 def test_find_iso_shares_the_powers_of_F_across_candidates(find_iso_log):
