@@ -20,9 +20,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import IntegralityFailure, TruncationError
-from .linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
-                     lattice_homology, p_local_structure, smith_normal_form,
-                     solve_int_exact)
+from .linalg import (f2_nullspace, f2_reduce, f2_rref, int_kernel, lattice_homology,
+                     p_local_structure, smith_normal_form, solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
 from .steenrod import bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims
@@ -74,13 +73,11 @@ def right_unit(p: int, kmax: int) -> RightUnitTable:
     ells = _log_coeffs(P, p, kmax)
     eta_ells = [P.one()] + [_eta_log(P, ells, p, m) for m in range(1, kmax + 1)]
     eta_v = {}
-    etas = [None]
     for m in range(1, kmax + 1):
         acc = eta_ells[m] * P.const(Fraction(p))
         for i in range(1, m):
             acc = acc - eta_ells[i] * (eta_v[m - i] ** (p ** i))
         eta_v[m] = acc
-        etas.append(acc)
     # integrality and the defining recursion re-verified
     PZ = bp_ring(p, kmax, kmax, base=ZZ)
     out = {}
@@ -266,7 +263,7 @@ def _kernel_f2(pring, prefix, s, N):
     for d in range(N + 1):
         cols = [f2_reduce(*ideal(d + e), _f2_mask(c)) for c in _mult_columns(pring, s, d)]
         for vec in f2_nullspace(cols, len(cols)):
-            if not f2_in_span(*ideal(d), vec):
+            if f2_reduce(*ideal(d), vec):
                 mono = _monomials(pring.weights, d)[(vec & -vec).bit_length() - 1]
                 return (d, f"class of {mono} at degree {d}")
     return None

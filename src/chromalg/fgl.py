@@ -1,6 +1,6 @@
 """Formal group laws: construction and validation, m-series and heights,
-logarithms, Hazewinkel generators, isomorphism search, canonical subgroups and
-isogeny quotients.
+logarithms, Hazewinkel generators, isomorphism search, canonical subgroups,
+isogeny quotients and the 2-adic recognition of a quotient in the family.
 
 Quotients follow a torsion-free route: the kernel point is located exactly on
 a characteristic-zero lift (curve chord geometry or the closed conic form),
@@ -13,12 +13,14 @@ family y^2 + A xy + B y = x^3 instead has one universal law over Z[A, B],
 built by the chord once per process and memoised at the largest total
 degree asked for (universal_family_law); every family member over another
 ring is its image under (A, B) -> (a, b) (family_law; Silverman, The
-Arithmetic of Elliptic Curves, IV.1-2).  two_adic_family_fgl, family_fgl_at
-and the F_2[s] law of recognize_in_family are such images, and the checks
-on the universal law read the memo.  The checks whose claim is about
-particular fibers keep the chord as their independent side:
-ell.reduction-table (elliptic.reduction_type) and ell.tate-fgl (against the
-closed form x + y - xy).
+Arithmetic of Elliptic Curves, IV.1-2).  two_adic_family_fgl and
+family_fgl_at are such images, and so is the s-derivative that
+recognize_in_family needs: the law over the dual numbers R[eps]/(eps^2) at
+B = s + eps carries dF_s/ds as its eps-coordinate.  The checks on the
+universal law read the memo.  The checks whose claim is about particular
+fibers keep the chord as their independent side: ell.reduction-table
+(elliptic.reduction_type) and ell.tate-fgl (against the closed form
+x + y - xy).
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
                        formal_group_of_curve, gamma1_3_curve, universal_gamma1_3)
 from .errors import (AlgebraError, HeightExceedsPrecision,
-                     InvalidKernel, NotOrdinary, PreparationFailed,
+                     InvalidKernel, NeedsTorsionFree, NotOrdinary, PreparationFailed,
                      QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
-from .poly import Poly, PolyRing
-from .rings import ModularIntegers, PrimeField, QQ, Ring
+from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring
 from .series import Laurent, Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
@@ -150,21 +151,18 @@ def _to_fraction(ring, v):
         return Fraction(v)
     try:
         _, f = ring.rationalize()
-        out = f(v)
-        return out if isinstance(out, Fraction) else None
-    except Exception:
+    except NeedsTorsionFree:
         return None
+    out = f(v)
+    return out if isinstance(out, Fraction) else None
 
 
 def _rational_origin(E: WeierstrassCurve):
     """CurveOrigin of E over its rationalised ring in characteristic 0, else None."""
     if E.ring.char != 0:
         return None
-    try:
-        Qring, f = E.ring.rationalize()
-        return CurveOrigin(E.map_coefficients(f, Qring))
-    except Exception:
-        return None
+    Qring, f = E.ring.rationalize()
+    return CurveOrigin(E.map_coefficients(f, Qring))
 
 
 def fgl_from_curve(E: WeierstrassCurve, N: int, lift_curve: WeierstrassCurve | None = None,
@@ -510,7 +508,7 @@ def canonical_subgroup(F: FormalGroupLaw) -> KernelPolynomial:
     R = F.ring
     two = m_series(F, 2)
     try:
-        unit, dist, d = weierstrass_prepare(two)
+        dist, d = weierstrass_prepare(two)
     except PreparationFailed as e:
         raise NotOrdinary(f"[2](x) has no distinguished degree-2 factor: {e}") from e
     if d != 2:
@@ -758,161 +756,101 @@ class Recognition:
 
 
 def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
-    """Given a law over Z/2^k[[b]] congruent mod 2 to the family at b^2, solve
-    jointly for b' and a strict iso phi with phi(Fq) = F_family(b')(phi, phi),
-    lifting 2-adically from the Frobenius-twist seed."""
+    """Given a law Fq over Z/2^k[[b]] congruent mod 2 to the family at b^2,
+    find b' = b^2 mod 2 and an isomorphism phi = t mod 2 with phi(Fq) =
+    F_b'(phi x, phi y), one 2-adic digit per level (Hensel's lemma).
+
+    Level l < k starts from a pair (b', phi) that solves the equation mod
+    2^l, so the residual phi(Fq) - F_b'(phi x, phi y) is divisible by 2^l;
+    its next bit, one per coefficient b^m x^i y^j, is the target.  Adding
+    2^l b^m t^d to phi moves that bit by c_d b^m mod 2, where c_d = F0^d -
+    (dF0/dx) x^d - (dF0/dy) y^d and F0 = F_(b^2) over F_2[[b]]; adding
+    2^l b^m to b' moves it by (dF_s/ds at s = b^2) b^m.  That s-derivative
+    is the eps-coordinate of the family law over the dual numbers
+    F_2[[b]][eps]/(eps^2) at s = b^2 + eps (_family_b_direction).  Each c_d
+    is built once and scaled by the powers b^m; the columns run over (d, m),
+    d outer, then over the b'-directions, and one f2_solve per level picks
+    the corrections.  At level k the residual must vanish.  The d = 1
+    corrections keep phi'(0) = 1 only mod 2: the pair (b', phi) has a joint
+    kernel direction, and no lift may exist with phi'(0) = 1 exactly."""
     R = Fq.ring
     if not (isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers)):
         raise RecognitionFailed("expected a Z/2^k[[b]] coefficient ring")
     k = R.base.nilpotent_bound()
     if k is None or 2 ** k != R.base.m:
         raise RecognitionFailed("modulus must be a power of 2")
-    bprec = R.prec
-    xprec = Fq.prec
-    bvar = R.var
-    # mod-2 world
-    R2 = SeriesRing(PrimeField(2), bvar, bprec)
-    red2 = lambda s: s.map_coefficients(lambda c: _mod2_series(c, R2), R2)
+    bprec, xprec = R.prec, Fq.prec
+    R2 = SeriesRing(PrimeField(2), R.var, bprec)
     b2sq = R2.mul(R2.gen(), R2.gen())
-    F0law = family_fgl_at(R2, b2sq, xprec - 1)
-    F0 = F0law.F
-    Fq2 = red2(Fq.F)
-    if not Fq2 == F0:
+    F0 = family_fgl_at(R2, b2sq, xprec - 1).F
+    if not series_reduce(Fq.F, R2) == F0:
         raise RecognitionFailed("mod-2 reduction is not the Frobenius twist of the family")
-    # unknown layout and mod-2 columns
-    rows = []
-    for i in range(xprec):
-        for j in range(xprec - i):
-            for m in range(bprec):
-                rows.append((i, j, m))
-    row_at = {r: n for n, r in enumerate(rows)}
+    row_at = {r: n for n, r in enumerate(
+        (i, j, m) for i in range(xprec) for j in range(xprec - i) for m in range(bprec))}
 
-    def biv_bits(s: Series) -> int:
+    def bits(s: Series, level: int = 0) -> int:
+        """Bit `level` of each b^m x^i y^j coefficient of s, which must
+        vanish below that bit."""
         out = 0
         for (i, j), c in s.terms.items():
-            for (m,), bit in c.terms.items():
-                if bit % 2:
+            for (m,), val in c.terms.items():
+                if val % 2 ** level:
+                    raise RecognitionFailed(f"residual not divisible by 2^{level}")
+                if (val >> level) & 1:
                     out |= 1 << row_at[(i, j, m)]
         return out
 
-    x2, y2 = F0.ctx.gen("x"), F0.ctx.gen("y")
-    G1 = F0.derivative("x")
-    G2 = F0.derivative("y")
-    Gs = _family_param_derivative(R2, b2sq, xprec)
-    Fpow = {1: F0}
-    for d in range(2, xprec):
-        Fpow[d] = Fpow[d - 1] * F0
+    # columns: phi's t^d b^m for d = 1.. (d outer), then b'^m (d = 0)
+    x, y = F0.ctx.gen("x"), F0.ctx.gen("y")
+    G1, G2 = F0.derivative("x"), F0.derivative("y")
+    bpow = [R2.one()]
+    for _ in range(1, bprec):
+        bpow.append(R2.mul(bpow[-1], R2.gen()))
     cols = []
-    col_meta = []
-    bgen = R2.gen()
-    # d = 1 corrections keep phi'(0) = 1 mod 2 only: the pair (b', phi) has a
-    # joint kernel direction and no lift may exist with phi'(0) = 1 exactly
+    Fd, xd, yd = F0, x, y
     for d in range(1, xprec):
-        for m in range(bprec):
-            bm = R2.pow(bgen, m) if m else R2.one()
-            col = (Fpow[d].scale(bm) - G1 * (x2 ** d).scale(bm)
-                   - G2 * (y2 ** d).scale(bm))
-            cols.append(biv_bits(col))
-            col_meta.append(("phi", d, m))
-    for m in range(bprec):
-        bm = R2.pow(bgen, m) if m else R2.one()
-        cols.append(biv_bits(Gs.scale(bm)))
-        col_meta.append(("b", m))
+        if d > 1:
+            Fd, xd, yd = Fd * F0, xd * x, yd * y
+        cd = Fd - G1 * xd - G2 * yd
+        cols.extend(bits(cd.scale(bm)) for bm in bpow)
+    Gs = _family_b_direction(R2, b2sq, xprec)
+    cols.extend(bits(Gs.scale(bm)) for bm in bpow)
+    units = [(d, m) for d in (*range(1, xprec), 0) for m in range(bprec)]
 
     ctx1 = SeriesCtx(R, ("t",), xprec)
     phi = ctx1.gen("t")
     bparam = R.mul(R.gen(), R.gen())
-    for level in range(1, k):
-        Glaw = family_fgl_at(R, bparam, xprec - 1)
-        u, v = Fq.ctx.gen("x"), Fq.ctx.gen("y")
-        phiu = phi.compose({"t": u})
-        phiv = phi.compose({"t": v})
-        resid = phi.compose({"t": Fq.F}) - Glaw.F.compose({"x": phiu, "y": phiv})
-        target = 0
-        scale = 2 ** level
-        for (i, j), c in resid.terms.items():
-            for (m,), val in c.terms.items():
-                if val % scale:
-                    raise RecognitionFailed(f"residual not divisible by 2^{level}")
-                if (val // scale) % 2:
-                    target |= 1 << row_at[(i, j, m)]
+    u, v = Fq.ctx.gen("x"), Fq.ctx.gen("y")
+    for level in range(1, k + 1):
+        G = family_fgl_at(R, bparam, xprec - 1).F
+        resid = (phi.compose({"t": Fq.F})
+                 - G.compose({"x": phi.compose({"t": u}), "y": phi.compose({"t": v})}))
+        if level == k:
+            if not resid.is_zero():
+                raise RecognitionFailed("recognition residual nonzero at full modulus")
+            break
+        target = bits(resid, level)
         if target == 0:
             continue
-        sol = f2_solve(cols, target, len(rows))
+        sol = f2_solve(cols, target, len(row_at))
         if sol is None:
             raise RecognitionFailed(f"no lift at 2-adic level {level}")
-        phi_delta = {}
-        for idx, meta in enumerate(col_meta):
-            if not (sol >> idx) & 1:
-                continue
-            if meta[0] == "phi":
-                _, d, m = meta
-                key = (d,)
-                cur = phi_delta.get(key, R.zero())
-                phi_delta[key] = R.add(cur, _bpow_scaled(R, m, scale))
-            else:
-                _, m = meta
-                bparam = R.add(bparam, _bpow_scaled(R, m, scale))
-        for key, cscal in phi_delta.items():
-            old = phi.terms.get(key, R.zero())
-            phi = Series(ctx1, {**phi.terms, key: R.add(old, cscal)})
-    # final verification at full modulus
-    Glaw = family_fgl_at(R, bparam, xprec - 1)
-    u, v = Fq.ctx.gen("x"), Fq.ctx.gen("y")
-    phiu = phi.compose({"t": u})
-    phiv = phi.compose({"t": v})
-    resid = phi.compose({"t": Fq.F}) - Glaw.F.compose({"x": phiu, "y": phiv})
-    if not resid.is_zero():
-        raise RecognitionFailed("recognition residual nonzero at full modulus")
+        step = {}
+        for idx, (d, m) in enumerate(units):
+            if (sol >> idx) & 1:
+                step.setdefault(d, {})[(m,)] = R.base.from_int(2 ** level)
+        bparam = R.add(bparam, Series(R.ctx, step.pop(0, {})))
+        phi = phi + Series(ctx1, {(d,): Series(R.ctx, c) for d, c in step.items()})
     return Recognition(bparam, phi)
 
 
-def _bpow_scaled(R: SeriesRing, m: int, scale: int) -> Series:
-    return Series(R.ctx, {(m,): R.base.from_int(scale)})
-
-
-def _mod2_series(c: Series, R2: SeriesRing) -> Series:
-    return c.map_coefficients(lambda v: v % 2, R2.base)
-
-
-def _family_param_derivative(R2: SeriesRing, at_param: Series, xprec: int) -> Series:
-    """d/ds of the family law at parameter s, evaluated at s = at_param, mod 2."""
-    P = PolyRing(PrimeField(2), ("s",))
-    Fs = family_law(P, P.one(), P.gen("s"), xprec - 1)
-    ctx = SeriesCtx(R2, ("x", "y"), xprec)
-    out = {}
-    for e, poly in Fs.terms.items():
-        dc = _poly_derivative(poly, 0)
-        if dc.is_zero():
-            continue
-        val = _poly_eval_series(dc, at_param, R2)
-        if not R2.is_zero(val):
-            out[e] = val
-    return Series(ctx, out)
-
-
-def _poly_derivative(p: Poly, var_index: int) -> Poly:
-    out = {}
-    R = p.pring.base
-    for e, c in p.terms.items():
-        if e[var_index] == 0:
-            continue
-        ne = list(e)
-        ne[var_index] -= 1
-        v = R.scale_int(c, e[var_index])
-        if not R.is_zero(v):
-            out[tuple(ne)] = v
-    return Poly(p.pring, out)
-
-
-def _poly_eval_series(p: Poly, val: Series, SR: SeriesRing) -> Series:
-    out = SR.zero()
-    for e, c in p.terms.items():
-        term = SR.const(c)
-        for k in range(e[0]):
-            term = SR.mul(term, val)
-        out = SR.add(out, term)
-    return out
+def _family_b_direction(R2: SeriesRing, param: Series, xprec: int) -> Series:
+    """dF_s/ds at s = param, below total degree xprec: the eps-coordinate of
+    the family law over R2[eps]/(eps^2) at s = param + eps."""
+    D = QuotientExtension(R2, (R2.zero(), R2.zero(), R2.one()))
+    Fd = family_law(D, D.one(), (param, R2.one()), xprec - 1)
+    return Series(SeriesCtx(R2, ("x", "y"), xprec),
+                  {e: c[1] for e, c in Fd.terms.items() if not R2.is_zero(c[1])})
 
 
 def theta_defect(x, psi2_x, ring: Ring | None = None):

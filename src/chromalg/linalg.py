@@ -49,15 +49,8 @@ def f2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
     return basis, pivots
 
 
-def f2_in_span(basis: list[int], pivots: list[int], v: int) -> bool:
-    r = v
-    for b, p in zip(basis, pivots):
-        if (r >> p) & 1:
-            r ^= b
-    return r == 0
-
-
 def f2_reduce(basis: list[int], pivots: list[int], v: int) -> int:
+    """v reduced by an f2_rref basis: 0 exactly when v lies in its span."""
     r = v
     for b, p in zip(basis, pivots):
         if (r >> p) & 1:

@@ -810,12 +810,15 @@ def _mul_packed(a: Series, b: Series):
 # -- Weierstrass preparation -------------------------------------------------
 
 def weierstrass_prepare(f: Series):
-    """Factor f = unit * distinguished over a local ring whose maximal ideal is
-    nilpotent at working precision (e.g. Z/2^k or Z/2^k[[b]] truncated).
+    """The distinguished factor of f = unit * distinguished over a local ring
+    whose maximal ideal is nilpotent at working precision (e.g. Z/2^k or
+    Z/2^k[[b]] truncated).
 
-    Returns (unit Series, distinguished coefficient list low-first, degree d).
-    The distinguished polynomial is monic of degree d = index of the first
-    unit coefficient of f; its lower coefficients lie in the maximal ideal.
+    Returns (distinguished coefficient list low-first, degree d).  The
+    distinguished polynomial is monic of degree d = index of the first unit
+    coefficient of f; its lower coefficients lie in the maximal ideal.  The
+    unit is not returned: its coefficients near f's precision depend on
+    terms of f above that precision, which f does not carry.
     """
     f._univar()
     R = f.ctx.ring
@@ -851,8 +854,7 @@ def weierstrass_prepare(f: Series):
     if any(e[0] >= d for e in r.terms):
         raise PreparationFailed("division remainder not reduced")
     dist = [R.neg(r.ucoeff(k)) for k in range(d)] + [R.one()]
-    unit = q.inverse()
-    return unit, dist, d
+    return dist, d
 
 
 class SeriesRing(Ring):

@@ -9,13 +9,15 @@ integer q-series with its psi operator, the Milnor product by nested
 recursion over dict-copied budgets, the breadth-first cyclicity search over
 Steenrod elements, one convolution loop per Poincare-series factor, the
 dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
-every entry of every row they touch, and the regularity test over Z with its
-own multiplication matrices per path.
+every entry of every row they touch, the regularity test over Z with its
+own multiplication matrices per path, Weierstrass preparation returning its
+unit, and `recognize_in_family` with the F_2[s] law for its b-direction.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
 shares nothing), `milnor_product` and the coset reduction of
-`QuotientModule` that the cyclicity search acts through, and the `linalg`
-eliminations that the regularity oracle calls.
+`QuotientModule` that the cyclicity search acts through, the `linalg`
+eliminations that the regularity oracle calls, and the `family_law`,
+`family_fgl_at` and `f2_solve` that the recognition oracle calls.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ from fractions import Fraction
 from math import comb, gcd
 
 from chromalg import steenrod as st
-from chromalg.errors import AlgebraError, CompositionError, NotInvertible
 from chromalg.elliptic import curve_log
-from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction,
-                          _conic_isogeny_data, _formal_two_torsion, _sum_with_point)
-from chromalg.linalg import (f2_in_span, f2_nullspace, f2_reduce, f2_rref, int_kernel,
+from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
+                             RecognitionFailed)
+from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
+                          _conic_isogeny_data, _formal_two_torsion, _sum_with_point,
+                          family_fgl_at, family_law)
+from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
-from chromalg.poly import monomials_of_weighted_degree
-from chromalg.rings import QuotientExtension, Ring
+from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
+from chromalg.rings import ModularIntegers, PrimeField, QuotientExtension, Ring
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
@@ -416,7 +420,7 @@ def cyclic_check_oracle(qm: st.QuotientModule) -> bool:
             # add to span via simple accumulation and rref later
             elements.setdefault(nd, [])
             elements[nd].append(img)
-            if coords and not f2_in_span(*f2_rref(
+            if coords and f2_reduce(*f2_rref(
                     [qm.coset_coords(nd, x) for x in elements[nd][:-1]]), coords):
                 frontier.append((nd, img))
             reached[nd] = cur | coords
@@ -720,7 +724,7 @@ def _kernel_mod_2_oracle(pring, prefix, prior, s, N):
                     vec ^= 1 << dst_at[tuple(a + b for a, b in zip(m, se))]
             cols.append(f2_reduce(bas_de, piv_de, vec))
         for vec in f2_nullspace(cols, len(src)):
-            if not f2_in_span(bas_d, piv_d, vec):
+            if f2_reduce(bas_d, piv_d, vec):
                 return (d, f"class of {src[(vec & -vec).bit_length() - 1]} at degree {d}")
     return None
 
@@ -748,3 +752,146 @@ def _kernel_lattice_oracle(pring, prefix, s, N):
             if any(x) and solve_int_exact(span_d_cols, x) is None:
                 return (d, f"class of {src[next(i for i, v in enumerate(x) if v)]} at degree {d}")
     return None
+
+
+def weierstrass_prepare_oracle(f: Series):
+    """(unit, distinguished coefficients low-first, d) with f = unit *
+    distinguished: division of x^d by f iterated to a fixed point, and the
+    unit inverted at f's precision."""
+    f._univar()
+    R = f.ctx.ring
+    prec = f.ctx.prec
+    d = next((k for k in range(prec) if R.is_unit(f.ucoeff(k))), None)
+    if d is None:
+        raise PreparationFailed("no unit coefficient below truncation order")
+    ctx = f.ctx
+    A = Series(ctx, {e: c for e, c in f.terms.items() if e[0] < d})
+    B = Series(ctx, {(e[0] - d,): c for e, c in f.terms.items() if e[0] >= d})
+    Binv = B.inverse()
+
+    def tau(h: Series) -> Series:
+        return Series(ctx, {(e[0] - d,): c for e, c in h.terms.items() if e[0] >= d})
+
+    g = Series(ctx, {(d,): R.one()})
+    bound = R.nilpotent_bound()
+    q = ctx.zero()
+    for _ in range((bound + 2) if bound is not None else prec + 4):
+        q_next = Binv * tau(g - q * A)
+        if q_next == q:
+            break
+        q = q_next
+    else:
+        raise PreparationFailed("preparation iteration did not stabilize")
+    r = g - q * f
+    if any(e[0] >= d for e in r.terms):
+        raise PreparationFailed("division remainder not reduced")
+    return q.inverse(), [R.neg(r.ucoeff(k)) for k in range(d)] + [R.one()], d
+
+
+def family_param_derivative_oracle(R2: SeriesRing, at_param: Series, xprec: int) -> Series:
+    """dF_s/ds at s = at_param, below total degree xprec: the family law over
+    F_2[s], differentiated in s coefficient by coefficient and each
+    polynomial evaluated at at_param term by term."""
+    P = PolyRing(PrimeField(2), ("s",))
+    Fs = family_law(P, P.one(), P.gen("s"), xprec - 1)
+    out = {}
+    for e, poly in Fs.terms.items():
+        val = R2.zero()
+        for (n,), c in poly.terms.items():
+            dc = P.base.scale_int(c, n)
+            if P.base.is_zero(dc):
+                continue
+            term = R2.const(dc)
+            for _ in range(n - 1):
+                term = R2.mul(term, at_param)
+            val = R2.add(val, term)
+        if not R2.is_zero(val):
+            out[e] = val
+    return Series(SeriesCtx(R2, ("x", "y"), xprec), out)
+
+
+def recognize_in_family_oracle(Fq: FormalGroupLaw) -> Recognition:
+    """recognize_in_family with its F_2[s] law for the b-direction, each
+    column (d, m) built from F0^d b^m, x^d b^m and y^d b^m, and the final
+    residual check after the level loop."""
+    R = Fq.ring
+    if not (isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers)):
+        raise RecognitionFailed("expected a Z/2^k[[b]] coefficient ring")
+    k = R.base.nilpotent_bound()
+    if k is None or 2 ** k != R.base.m:
+        raise RecognitionFailed("modulus must be a power of 2")
+    bprec = R.prec
+    xprec = Fq.prec
+    R2 = SeriesRing(PrimeField(2), R.var, bprec)
+    b2sq = R2.mul(R2.gen(), R2.gen())
+    F0 = family_fgl_at(R2, b2sq, xprec - 1).F
+    Fq2 = Fq.F.map_coefficients(lambda c: c.map_coefficients(lambda v: v % 2, R2.base), R2)
+    if not Fq2 == F0:
+        raise RecognitionFailed("mod-2 reduction is not the Frobenius twist of the family")
+    rows = [(i, j, m) for i in range(xprec) for j in range(xprec - i) for m in range(bprec)]
+    row_at = {r: n for n, r in enumerate(rows)}
+
+    def biv_bits(s: Series) -> int:
+        out = 0
+        for (i, j), c in s.terms.items():
+            for (m,), bit in c.terms.items():
+                if bit % 2:
+                    out |= 1 << row_at[(i, j, m)]
+        return out
+
+    x2, y2 = F0.ctx.gen("x"), F0.ctx.gen("y")
+    G1 = F0.derivative("x")
+    G2 = F0.derivative("y")
+    Gs = family_param_derivative_oracle(R2, b2sq, xprec)
+    Fpow = {1: F0}
+    for d in range(2, xprec):
+        Fpow[d] = Fpow[d - 1] * F0
+    cols = []
+    col_meta = []
+    for d in range(1, xprec):
+        for m in range(bprec):
+            bm = R2.pow(R2.gen(), m)
+            col = (Fpow[d].scale(bm) - G1 * (x2 ** d).scale(bm)
+                   - G2 * (y2 ** d).scale(bm))
+            cols.append(biv_bits(col))
+            col_meta.append(("phi", d, m))
+    for m in range(bprec):
+        cols.append(biv_bits(Gs.scale(R2.pow(R2.gen(), m))))
+        col_meta.append(("b", m))
+
+    def residual(phi, bparam):
+        G = family_fgl_at(R, bparam, xprec - 1).F
+        u, v = Fq.ctx.gen("x"), Fq.ctx.gen("y")
+        return (phi.compose({"t": Fq.F})
+                - G.compose({"x": phi.compose({"t": u}), "y": phi.compose({"t": v})}))
+
+    ctx1 = SeriesCtx(R, ("t",), xprec)
+    phi = ctx1.gen("t")
+    bparam = R.mul(R.gen(), R.gen())
+    for level in range(1, k):
+        resid = residual(phi, bparam)
+        target = 0
+        scale = 2 ** level
+        for (i, j), c in resid.terms.items():
+            for (m,), val in c.terms.items():
+                if val % scale:
+                    raise RecognitionFailed(f"residual not divisible by 2^{level}")
+                if (val // scale) % 2:
+                    target |= 1 << row_at[(i, j, m)]
+        if target == 0:
+            continue
+        sol = f2_solve(cols, target, len(rows))
+        if sol is None:
+            raise RecognitionFailed(f"no lift at 2-adic level {level}")
+        for idx, meta in enumerate(col_meta):
+            if not (sol >> idx) & 1:
+                continue
+            delta = Series(R.ctx, {(meta[-1],): R.base.from_int(scale)})
+            if meta[0] == "phi":
+                key = (meta[1],)
+                phi = Series(ctx1, {**phi.terms, key: R.add(phi.terms.get(key, R.zero()), delta)})
+            else:
+                bparam = R.add(bparam, delta)
+    if not residual(phi, bparam).is_zero():
+        raise RecognitionFailed("recognition residual nonzero at full modulus")
+    return Recognition(bparam, phi)

@@ -116,7 +116,7 @@ def test_family_constructors_skip_the_chord_once_the_memo_is_warm(cold_memo, mon
     F = fgl.two_adic_family_fgl(2, 5, 8)
     R = SeriesRing(PrimeField(2), "b", 5)
     G = fgl.family_fgl_at(R, R.mul(R.gen(), R.gen()), 9)
-    fgl._family_param_derivative(R, R.mul(R.gen(), R.gen()), 10)
+    fgl._family_b_direction(R, R.mul(R.gen(), R.gen()), 10)
     assert calls == [10]
     # a larger request rebuilds once, and the laws still match the chord
     fgl.two_adic_family_fgl(1, 4, 11)

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromalg import bp, elliptic, fgl
+from chromalg import bp, elliptic, fgl, linalg
 from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.errors import (HeightExceedsPrecision, InvalidKernel,
                              NeedsTorsionFree, NotAFrobeniusLift, NotOrdinary,
-                             TruncationError)
+                             RecognitionFailed, TruncationError)
 from chromalg.poly import PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
                             ZZ, omega_ring, sqrt_minus3)
 from chromalg.report import RunConfig
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
+import oracles
 from oracles import quotient_lift_oracle
 
 
@@ -394,6 +395,69 @@ def test_recognize_family_mod8():
     R = q.fgl.ring
     diff = R.sub(rec.b_param, R.mul(R.gen(), R.gen()))
     assert all(c % 2 == 0 for c in diff.terms.values())
+
+
+@pytest.mark.parametrize("k,bprec,xprec", [(2, 5, 7), (2, 6, 8), (3, 5, 7), (3, 8, 10),
+                                           (4, 5, 8), (4, 6, 8)])
+def test_recognize_in_family_matches_oracle(k, bprec, xprec, monkeypatch):
+    """Same (b', phi), and f2_solve handed the same (columns, target, height)
+    at every level."""
+    F = fgl.two_adic_family_fgl(k, bprec, xprec)
+    q = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+    calls = {fgl: [], oracles: []}
+    for module, log in calls.items():
+        def logged(cols, target, height, log=log):
+            log.append((list(cols), target, height))
+            return linalg.f2_solve(cols, target, height)
+        monkeypatch.setattr(module, "f2_solve", logged)
+    rec = fgl.recognize_in_family(q.fgl)
+    ref = oracles.recognize_in_family_oracle(q.fgl)
+    assert rec.b_param == ref.b_param
+    assert rec.phi == ref.phi and set(rec.phi.terms) == set(ref.phi.terms)
+    assert calls[fgl] == calls[oracles] and calls[fgl]
+
+
+def test_recognize_in_family_final_check_catches_a_wrong_step(monkeypatch):
+    """A level step that solves nothing leaves the residual nonzero at the
+    full modulus, and the last level says so."""
+    F = fgl.two_adic_family_fgl(2, 5, 7)
+    q = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+    monkeypatch.setattr(fgl, "f2_solve", lambda cols, target, height: 0)
+    with pytest.raises(RecognitionFailed, match="residual nonzero at full modulus"):
+        fgl.recognize_in_family(q.fgl)
+
+
+@pytest.mark.parametrize("bprec,xprec", [(5, 7), (6, 8), (8, 10)])
+def test_family_b_direction_matches_the_polynomial_derivative(bprec, xprec):
+    """dF_s/ds read off the dual numbers equals d/ds of the F_2[s] law,
+    evaluated at s = b^2 and at s = b + b^3."""
+    R2 = SeriesRing(PrimeField(2), "b", bprec)
+    b = R2.gen()
+    for s in (R2.mul(b, b), R2.add(b, R2.pow(b, 3))):
+        got = fgl._family_b_direction(R2, s, xprec)
+        assert got.ctx.prec == xprec and got.ctx.ring is R2
+        assert got == oracles.family_param_derivative_oracle(R2, s, xprec)
+
+
+def perturbed_quotient(shift: int):
+    """The quotient of the family over Z/4[[b]] with `shift` added to its
+    x^2 y coefficient, wrapped without validation (it is not commutative)."""
+    F = fgl.two_adic_family_fgl(2, 5, 7)
+    q = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F)).fgl
+    R = q.ring
+    terms = dict(q.F.terms)
+    terms[(2, 1)] = R.add(terms.get((2, 1), R.zero()), R.from_int(shift))
+    return fgl.FormalGroupLaw(Series(q.F.ctx, terms), R, q.prec)
+
+
+@pytest.mark.parametrize("shift,message", [
+    (1, "mod-2 reduction is not the Frobenius twist"),
+    (2, "no lift at 2-adic level 1")])
+def test_recognize_in_family_rejects_a_perturbed_quotient(shift, message):
+    law = perturbed_quotient(shift)
+    for recognize in (fgl.recognize_in_family, oracles.recognize_in_family_oracle):
+        with pytest.raises(RecognitionFailed, match=message):
+            recognize(law)
 
 
 def test_theta_defect_scalars():

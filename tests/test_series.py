@@ -7,7 +7,7 @@ from chromalg.errors import (CompositionError, MixedVariablesError,
 from chromalg.rings import ModularIntegers, QQ, QuotientExtension, ZZ
 from chromalg.series import SeriesCtx, SeriesRing, weierstrass_prepare
 
-from oracles import series_div_oracle
+from oracles import series_div_oracle, weierstrass_prepare_oracle
 
 
 def uni(ring, prec):
@@ -126,9 +126,11 @@ def test_weierstrass_prepare_already_monic():
     Z8 = ModularIntegers(8)
     ctx = uni(Z8, 6)
     x = ctx.gen("x")
-    unit, dist, d = weierstrass_prepare(x.scale(2) + x * x)
+    f = x.scale(2) + x * x
+    unit, dist, d = weierstrass_prepare_oracle(f)
     assert d == 2 and dist == [0, 2, 1]
     assert unit == ctx.one()
+    assert weierstrass_prepare(f) == (dist, d)
 
 
 def test_weierstrass_prepare_unit_five():
@@ -136,12 +138,13 @@ def test_weierstrass_prepare_unit_five():
     ctx = uni(Z8, 6)
     x = ctx.gen("x")
     f = x.scale(2) + (x * x).scale(5)
-    unit, dist, d = weierstrass_prepare(f)
+    unit, dist, d = weierstrass_prepare_oracle(f)
     # distinguished = x^2 + 2 * 5^(-1) x = x^2 + 2x mod 8
     assert d == 2 and dist == [0, 2, 1]
     recomposed = unit * ctx.series({(1,): dist[1], (2,): dist[2]})
     assert recomposed == f
     assert unit.constant_term() == 5
+    assert weierstrass_prepare(f) == (dist, d)
 
 
 def test_weierstrass_prepare_no_unit():
@@ -150,6 +153,26 @@ def test_weierstrass_prepare_no_unit():
     x = ctx.gen("x")
     with pytest.raises(PreparationFailed):
         weierstrass_prepare(ctx.from_int(2) + x.scale(4))
+    with pytest.raises(PreparationFailed):
+        weierstrass_prepare_oracle(ctx.from_int(2) + x.scale(4))
+
+
+def test_weierstrass_prepare_distinguished_factor_is_stable_in_precision():
+    """Over Z/8, f = 2 + 4x + x^2 + 3x^3 + 5x^4 + x^5 + x^6 + x^7 + ...
+    has the distinguished factor x^2 + 6x + 2 at precisions 6 and 12, while
+    the unit of f = unit * distinguished reads 1 + 7x + ... at precision 6
+    and 5 + 3x + ... at 12: only the factor is returned."""
+    Z8 = ModularIntegers(8)
+    found = {}
+    for prec in (6, 12):
+        ctx = uni(Z8, prec)
+        f = ctx.series({(k,): c for k, c in enumerate([2, 4, 1, 3, 5] + [1] * (prec - 5))})
+        unit, dist, d = weierstrass_prepare_oracle(f)
+        assert unit * ctx.series({(k,): c for k, c in enumerate(dist)}) == f
+        assert weierstrass_prepare(f) == (dist, d)
+        found[prec] = (dist, d, [unit.ucoeff(k) for k in range(2)])
+    assert found[6] == ([2, 6, 1], 2, [1, 7])
+    assert found[12] == ([2, 6, 1], 2, [5, 3])
 
 
 def test_prepare_over_series_ring():
@@ -158,10 +181,11 @@ def test_prepare_over_series_ring():
     x = ctx.gen("x")
     b = SR.gen()
     f = x.scale(SR.from_int(2)) + (x * x).scale(SR.add(SR.one(), b))
-    unit, dist, d = weierstrass_prepare(f)
+    unit, dist, d = weierstrass_prepare_oracle(f)
     assert d == 2
     recomposed = unit * ctx.series({(1,): dist[1], (2,): dist[2]})
     assert recomposed == f
+    assert weierstrass_prepare(f) == (dist, d)
 
 
 def test_series_ring_divide_by_positive_order_raises():
