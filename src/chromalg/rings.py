@@ -73,6 +73,8 @@ class Ring:
         return [q] if q is not None else []
 
     def pow(self, a, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}: use inv")
         out = self.one()
         base = a
         while n:
@@ -405,9 +407,84 @@ class PrimeField(ModularIntegers):
         return f"F{self.m}"
 
 
+# -- integer coordinates -------------------------------------------------------
+# QuotientExtension.mul and the packed Series product (series._mul_packed)
+# both compute over these bases on integers.  The helpers are private, so a
+# tracer that wraps public names counts their time under their caller.
+
+def _scalar_modulus(R: Ring):
+    """m when R is Z/m or F_m, 0 when R is Z, Q or a localization of Z, and
+    None for every other ring: the scalars that compute on integers."""
+    t = type(R)
+    if t is ModularIntegers or t is PrimeField:
+        return R.m
+    if t is Integers or t is Rationals or t is LocalizedIntegers:
+        return 0
+    return None
+
+
+def _reduce(c: list, mod: list, m: int) -> list:
+    """c (low first, 2d - 1 integers) modulo the monic modulus mod of degree
+    d, with x^k -> x^k - x^(k-d) * mod from the top; then mod m when m."""
+    d = len(mod) - 1
+    for k in range(len(c) - 1, d - 1, -1):
+        q = c[k]
+        if q:
+            for j in range(d):
+                c[k - d + j] -= q * mod[j]
+    return [v % m for v in c[:d]] if m else c[:d]
+
+
+def _integer_form(base: Ring, modulus: tuple):
+    """(m, the modulus as ints, whether coordinates are Fractions) when
+    base[y]/(modulus) computes on integers, else None.  A Fraction with
+    denominator 1 counts as an integer only over a base whose zero is a
+    Fraction: over Z or Z/m the loop's products with it would give Fractions."""
+    m = _scalar_modulus(base)
+    frac = type(base.zero()) is Fraction
+    mod = []
+    for c in modulus:
+        if frac and type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        if type(c) is not int:
+            return None
+        mod.append(c)
+    return None if m is None else (m, mod, frac)
+
+
+def _mul_integers(a, b, m: int, mod: list, frac: bool):
+    """a*b in a QuotientExtension with integer form (m, mod, frac): both
+    operands over one common denominator (Fractions) or as residues (Z/m),
+    one convolution, one reduction by the integer modulus.  None when an
+    operand over an int-valued base holds a non-int, which the loop keeps."""
+    if frac:
+        da = math.lcm(*[x.denominator for x in a])
+        db = math.lcm(*[x.denominator for x in b])
+        a = [x.numerator * (da // x.denominator) for x in a]
+        b = [x.numerator * (db // x.denominator) for x in b]
+    elif not all(type(x) is int for x in a) or not all(type(x) is int for x in b):
+        return None
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+    c = _reduce(c, mod, m)
+    if frac:
+        den = da * db
+        return tuple([Fraction(v, den) for v in c])
+    return tuple(c)
+
+
 class QuotientExtension(Ring):
     """base[y]/(f) for a monic modulus f.  Scalars are coefficient tuples of
-    length deg(f), low degree first."""
+    length deg(f), low degree first.
+
+    Over Z, Q, Z_(p), Z[1/p], Z/m or F_p with an integer modulus a product
+    is one integer convolution reduced by that modulus, with the values and
+    Python types of the coefficient loop, which every other base runs:
+    Fraction coordinates when the base's zero is a Fraction, residues in
+    [0, m) over Z/m."""
 
     def __init__(self, base: Ring, modulus: tuple, gen_name: str = "w"):
         mod = tuple(modulus)
@@ -420,6 +497,7 @@ class QuotientExtension(Ring):
         self.deg = len(mod) - 1
         self.gen_name = gen_name
         self.char = base.char
+        self._ints = _integer_form(base, mod)
 
     def _tup(self, coeffs):
         return tuple(coeffs)
@@ -465,6 +543,10 @@ class QuotientExtension(Ring):
         return self._tup(coeffs[:d])
 
     def mul(self, a, b):
+        if self._ints is not None:
+            out = _mul_integers(a, b, *self._ints)
+            if out is not None:
+                return out
         B = self.base
         out = [B.zero()] * (2 * self.deg - 1)
         for i, x in enumerate(a):
@@ -473,6 +555,9 @@ class QuotientExtension(Ring):
             for j, y in enumerate(b):
                 out[i + j] = B.add(out[i + j], B.mul(x, y))
         return self._reduce(out)
+
+    def scale_int(self, a, n: int):
+        return self._tup([self.base.scale_int(x, n) for x in a])
 
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))

@@ -60,7 +60,8 @@ everything else with the term-by-term loop _mul_dict:
     LocalizedIntegers, ModularIntegers or PrimeField; a SeriesRing of
     precision Pb over one of those whose coefficients all sit at the ring's
     own context; a QuotientExtension over one of those whose modulus has
-    integer coefficients (omega_ring(), GF(4));
+    integer coefficients, ints when the base's zero is an int (omega_ring(),
+    GF(4));
   * slot layout, for n variables: exponent e has the index
     |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2, and inner slot j of it
     sits at slot index*r + j.  The inner radix r is 1 for scalars (j = 0),
@@ -73,7 +74,9 @@ everything else with the term-by-term loop _mul_dict:
   * QuotientExtension blocks are reduced after unpacking: the 2*deg - 1
     integers of a block are reduced by the monic integer modulus from the
     top, x^k -> x^k - x^(k-deg) * f, then taken mod m or over the common
-    denominator;
+    denominator.  A QuotientExtension scalar product (QuotientExtension.mul,
+    which the loop calls) is the same reduction, rings._reduce, of the
+    convolution of its operands' integer coordinates;
   * density rule: pack only when E_a * E_b >= S, where E counts an operand's
     packed scalar entries (scalars, b-coefficients, or w-coordinates: deg
     per term) and S is the number of slots the product spans, up to the
@@ -119,8 +122,7 @@ from fractions import Fraction
 
 from .errors import (AlgebraError, CompositionError, MixedVariablesError,
                      NotInvertible, PreparationFailed, TruncationError)
-from .rings import (Integers, LocalizedIntegers, ModularIntegers, PrimeField,
-                    QuotientExtension, Rationals, Ring)
+from .rings import QuotientExtension, Ring, _reduce, _scalar_modulus
 
 
 class SeriesCtx:
@@ -271,6 +273,8 @@ class Series:
         return Series(self.ctx, out)
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}: use inverse")
         out = self.ctx.at_prec(self.ctx.prec).one()
         base = self
         while n:
@@ -595,41 +599,6 @@ def _mul_dict(a: Series, b: Series) -> Series:
     return Series(a.ctx, out)
 
 
-def _scalar_modulus(R: Ring):
-    """m when R is Z/m or F_m, 0 when R is Z, Q or a localization of Z, and
-    None for every other ring: the scalars _mul_packed can pack."""
-    t = type(R)
-    if t is ModularIntegers or t is PrimeField:
-        return R.m
-    if t is Integers or t is Rationals or t is LocalizedIntegers:
-        return 0
-    return None
-
-
-def _integral(modulus: tuple):
-    """The modulus as ints, or None when a coefficient is not an integer."""
-    out = []
-    for c in modulus:
-        if type(c) is Fraction and c.denominator == 1:
-            c = c.numerator
-        if type(c) is not int:
-            return None
-        out.append(c)
-    return out
-
-
-def _reduce(c: list, mod: list, m: int) -> list:
-    """c (low first, 2d - 1 integers) modulo the monic modulus mod of degree
-    d, with x^k -> x^k - x^(k-d) * mod from the top; then mod m when m."""
-    d = len(mod) - 1
-    for k in range(len(c) - 1, d - 1, -1):
-        q = c[k]
-        if q:
-            for j in range(d):
-                c[k - d + j] -= q * mod[j]
-    return [v % m for v in c[:d]] if m else c[:d]
-
-
 def _integers(vals: list, m: int):
     """vals as the integers to pack, their common denominator and whether
     they were Fractions.  None when ints and Fractions mix: the loop would
@@ -737,9 +706,9 @@ def _mul_packed(a: Series, b: Series):
         m = _scalar_modulus(R.base)
         inner, stride, width = R.ctx, 2 * R.prec - 1, R.prec
     elif type(R) is QuotientExtension:
-        m, mod = _scalar_modulus(R.base), _integral(R.modulus)
-        if mod is None:
+        if R._ints is None:
             return None
+        m, mod, zero_frac = R._ints
         inner = tuple
         stride = width = 2 * R.deg - 1
     if m is None:
@@ -765,7 +734,6 @@ def _mul_packed(a: Series, b: Series):
     if inner is tuple:
         # the loop adds into the base ring's zero: a Fraction zero makes every
         # coordinate a Fraction, and an int zero beside Fractions mixes types
-        zero_frac = type(R.base.zero()) is Fraction
         if frac and not zero_frac:
             return None
         frac = zero_frac
@@ -890,6 +858,9 @@ class SeriesRing(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    def scale_int(self, a, n: int):
+        return a.scale(self.base.from_int(n))
 
     def eq(self, a, b):
         return a == b

@@ -11,13 +11,15 @@ Steenrod elements, one convolution loop per Poincare-series factor, the
 dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
 every entry of every row they touch, the regularity test over Z with its
 own multiplication matrices per path, Weierstrass preparation returning its
-unit, and `recognize_in_family` with the F_2[s] law for its b-direction.
+unit, `recognize_in_family` with the F_2[s] law for its b-direction, and
+the coefficient loop of `QuotientExtension.mul`.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
 shares nothing), `milnor_product` and the coset reduction of
 `QuotientModule` that the cyclicity search acts through, the `linalg`
-eliminations that the regularity oracle calls, and the `family_law`,
-`family_fgl_at` and `f2_solve` that the recognition oracle calls.
+eliminations that the regularity oracle calls, the `family_law`,
+`family_fgl_at` and `f2_solve` that the recognition oracle calls, and the
+base-ring arithmetic that the quotient product oracle calls.
 """
 
 from __future__ import annotations
@@ -895,3 +897,23 @@ def recognize_in_family_oracle(Fq: FormalGroupLaw) -> Recognition:
     if not residual(phi, bparam).is_zero():
         raise RecognitionFailed("recognition residual nonzero at full modulus")
     return Recognition(bparam, phi)
+
+
+def quotient_mul_oracle(R: QuotientExtension, a, b):
+    """QuotientExtension.mul by the coefficient loop on every base: base-ring
+    sums and products, then reduction by the monic modulus from the top."""
+    B = R.base
+    out = [B.zero()] * (2 * R.deg - 1)
+    for i, x in enumerate(a):
+        if B.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = B.add(out[i + j], B.mul(x, y))
+    d = R.deg
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i]
+        if B.is_zero(c):
+            continue
+        for j in range(d + 1):
+            out[i - d + j] = B.sub(out[i - d + j], B.mul(c, R.modulus[j]))
+    return tuple(out[:d])

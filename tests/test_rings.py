@@ -11,7 +11,9 @@ from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
                             QuotientExtension, Z_inverted, Z_local, ZZ,
                             omega_ring, sqrt_minus3)
-from chromalg.series import Series, SeriesRing
+from chromalg.series import Series, SeriesCtx, SeriesRing
+
+from oracles import quotient_mul_oracle
 
 
 def test_localized_at_two_rejects_even_denominators():
@@ -183,3 +185,119 @@ def test_descend_scalar_keeps_each_coordinate():
     assert descend_scalar((Fraction(1, 3), Fraction(1, 9)), T) == (Fraction(1, 3), Fraction(1, 9))
     with pytest.raises(IntegralityFailure):
         descend_scalar(Fraction(1, 2), Z_local(2))
+
+
+# -- the integer product of QuotientExtension ----------------------------------
+
+def _fraction_coord():
+    """int or Fraction coordinates, zeros of both kinds included."""
+    return st.one_of(st.integers(-30, 30), st.sampled_from([0, Fraction(0)]),
+                     st.builds(lambda n, j: Fraction(n, 3 ** j),
+                               st.integers(-30, 30), st.integers(0, 3)))
+
+
+def _residue_coord(m):
+    """ints around [0, m), residues of every class and unreduced ones."""
+    return st.integers(-m, 2 * m)
+
+
+def _kforms_ring(p):
+    return QuotientExtension(PrimeField(p), tuple(c % p for c in (1,) * p), gen_name="z")
+
+
+PACKED_QUOTIENTS = {
+    "omega": (omega_ring(), _fraction_coord()),
+    "omega rationalized": (omega_ring().rationalize()[0], _fraction_coord()),
+    "GF(4)": (GF(4), _residue_coord(2)),
+    "GF(8)": (GF(8), _residue_coord(2)),
+    "F3[z]/Phi3": (_kforms_ring(3), _residue_coord(3)),
+    "F7[z]/Phi7": (_kforms_ring(7), _residue_coord(7)),
+    "Z[y]/(y^3 - y + 2)": (QuotientExtension(ZZ, (2, -1, 0, 1)), st.integers(-40, 40)),
+    "Z/8[y]/(y^3 + 5y^2 + 3)": (QuotientExtension(ModularIntegers(8), (3, 0, 5, 1)),
+                                _residue_coord(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_QUOTIENTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quotient_mul_matches_the_loop(name, data):
+    """QuotientExtension.mul equals the coefficient loop in every coordinate's
+    value and Python type."""
+    R, coord = PACKED_QUOTIENTS[name]
+    assert R._ints is not None
+    elem = st.lists(coord, min_size=R.deg, max_size=R.deg).map(tuple)
+    a, b = data.draw(elem), data.draw(elem)
+    got, want = R.mul(a, b), quotient_mul_oracle(R, a, b)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_quotient_mul_over_a_series_ring_takes_the_loop(monkeypatch):
+    """Over the dual numbers Z/4[[b]][e]/(e^2) the product is the loop, which
+    multiplies in the base ring."""
+    S = SeriesRing(ModularIntegers(4), "b", 4)
+    R = QuotientExtension(S, (S.zero(), S.zero(), S.one()), gen_name="e")
+    assert R._ints is None
+    calls = []
+    mul = SeriesRing.mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+    monkeypatch.setattr(SeriesRing, "mul", counting)
+    b = S.gen()
+    u, v = (S.one() + b, b * b), (S.from_int(3), S.one() + b + b * b)
+    got = R.mul(u, v)
+    assert calls
+    assert all(x == y for x, y in zip(got, quotient_mul_oracle(R, u, v)))
+
+
+def test_quotient_mul_over_z_takes_the_loop_where_fractions_enter():
+    """Over Z the loop mixes int and Fraction coordinates when a Fraction
+    enters, from an operand or from the modulus; the integer product would
+    give ints, so those products take the loop."""
+    Rf = QuotientExtension(ZZ, (Fraction(1), Fraction(1), Fraction(1)))
+    assert Rf._ints is None
+    Z3 = PACKED_QUOTIENTS["Z[y]/(y^3 - y + 2)"][0]
+    for R, a, b in [(Rf, (2, 3), (4, 5)),
+                    (Z3, (Fraction(2), 0, 3), (1, 4, 5)),
+                    (Z3, (1, 2, 3), (Fraction(-1), 0, Fraction(7)))]:
+        got, want = R.mul(a, b), quotient_mul_oracle(R, a, b)
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+        assert any(type(v) is Fraction for v in got)
+
+
+SCALE_CARRIERS = {**AXIOM_RINGS, **{
+    f"quotient {name}": (R, st.lists(coord, min_size=R.deg, max_size=R.deg).map(tuple))
+    for name, (R, coord) in PACKED_QUOTIENTS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_CARRIERS))
+@pytest.mark.parametrize("n", [0, 1, -3, 5, 16, -16])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scale_int_is_the_product_by_the_integer(name, n, data):
+    """scale_int(a, n) equals mul(a, from_int(n)) in value and in the Python
+    types of its coefficients, for n = 0, negative n and n = 0 mod 2^k, on
+    the carriers of the axiom test and on the integer-product quotients."""
+    R, elem = SCALE_CARRIERS[name]
+    a = data.draw(elem)
+    got, want = R.scale_int(a, n), R.mul(a, R.from_int(n))
+
+    def typed(v):
+        if isinstance(v, tuple):
+            return [(c, type(c)) for c in v]
+        return getattr(v, "prec", None), sorted((e, c, type(c)) for e, c in v.terms.items())
+    assert typed(got) == typed(want)
+
+
+def test_negative_exponents_raise():
+    with pytest.raises(ValueError):
+        ZZ.pow(2, -1)
+    x = SeriesCtx(QQ, ("x",), 5).gen("x")
+    with pytest.raises(ValueError):
+        (1 + x) ** -1
+    P = PolyRing(ZZ, ("t",))
+    with pytest.raises(ValueError):
+        (P.gen("t") + 1) ** -1
