@@ -92,13 +92,14 @@ def validate_fgl(F: Series, ring: Ring, check_assoc: bool = True):
     if not swapped == F:
         raise AlgebraError("commutativity fails")
     if check_assoc:
+        # with F commutative, F(x, F(y, z)) = F(F(y, z), x): associativity is
+        # L(x, y, z) = L(y, z, x) for L = F(F(x, y), z), and the term
+        # x^i y^j z^k of L(y, z, x) is L's (i, j, k) term at (k, i, j)
         ctx3 = SeriesCtx(ring, ("x", "y", "z"), ctx.prec)
         X, Y, Z = (ctx3.gen(v) for v in ("x", "y", "z"))
-        Fxy = F.compose({"x": X, "y": Y})
-        Fyz = F.compose({"x": Y, "y": Z})
-        left = F.compose({"x": Fxy, "y": Z})
-        right = F.compose({"x": X, "y": Fyz})
-        if not left == right:
+        left = F.compose({"x": F.compose({"x": X, "y": Y}), "y": Z})
+        cycled = Series(ctx3, {(k, i, j): c for (i, j, k), c in left.terms.items()})
+        if not left == cycled:
             raise AlgebraError("associativity fails")
 
 
@@ -366,18 +367,21 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
     such as Z/2^k[[b]]), another choice of c_d might reach further, so a
     later Obstruction is not a proof that no isomorphism exists.
 
-    phi(F) is read from L = sum of c_k F^k.  The powers F^k are made once per
-    call at precision N + 1, at most N - 1 products, and every candidate c1
-    reads them.  G(phi x, phi y) takes no composition (online arithmetic, van
-    der Hoeven, J. Symb. Comput. 34, 2002): for G = sum_i x^i g_i(y) its
-    (a, b) coefficient is sum over i <= a of p[i][a] s[i][b], from two
-    univariate scalar tables filled one column per degree,
+    The (a, d - a) coefficient of phi(F) with c_d left out is the sum of
+    c_k [F^k]_(a, d-a) over k < d, read straight from the powers F^k.  They
+    are made once per call at precision N + 1, at most N - 1 products, and
+    every candidate c1 reads them.  G(phi x, phi y) takes no composition
+    (online arithmetic, van der Hoeven, J. Symb. Comput. 34, 2002): for
+    G = sum_i x^i g_i(y) its (a, b) coefficient is sum over i <= a of
+    p[i][a] s[i][b], from two univariate scalar tables filled one column per
+    degree,
       p[i][a] = [t^a] phi^i = sum_k c_k p[i-1][a-k], i up to G's largest
                 exponent (x + y + u xy needs only phi^0 and phi^1),
       s[i][b] = [t^b] g_i(phi(t)) = sum_j g_ij p[j][b].
     Column a is final once c_1..c_a are known, and only p[1][a] = c_a holds
-    c_a itself.  So step d fills column d with c_d = 0, reads degree d, and
-    then puts c_d in p[1][d] and adds g_i1 c_d to s[i][d]."""
+    c_a itself.  So step d fills column d with c_d = 0, reads each
+    coefficient of degree d as one R.dot of both sides, and then puts c_d
+    in p[1][d] and adds g_i1 c_d to s[i][d]."""
     R = F.ring
     top = min(F.prec, G.prec)
     if N is None:
@@ -400,24 +404,26 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
     fails = {}
     Fpow = [None, F.F.truncate(N + 1)]      # F^k, shared by the candidates
     for c1 in candidates:
-        L = Fpow[1].scale(c1)
         p = [[] for _ in range(npow)]       # p[1] = [c_0, c_1, ...] is phi
         s = {i: [] for i, _ in g}
         for a, ca in enumerate((zero, c1)):
             p[1].append(ca)
             _fill_column(R, g, p, s, a)
+        known = [(R.neg(c1), Fpow[1].terms)]    # (-c_k, F^k) for the nonzero c_k
         ok = True
         for d in range(2, N + 1):
             p[1].append(zero)               # c_d, not known yet
             _fill_column(R, g, p, s, d)
             deg_d = []
             for a in range(d + 1):
-                acc = R.neg(L.terms.get((a, d - a), zero))
-                for i, _ in g:
-                    if i > a:
-                        break
-                    acc = R.add(acc, R.mul(p[i][a], s[i][d - a]))
-                deg_d.append(acc)
+                e = (a, d - a)
+                xs = [p[i][a] for i, _ in g if i <= a]
+                ys = [s[i][d - a] for i, _ in g if i <= a]
+                for nc, Fk in known:
+                    if e in Fk:
+                        xs.append(nc)
+                        ys.append(Fk[e])
+                deg_d.append(R.dot(xs, ys))
             cd = _solve_degree(R, d, deg_d[1:d])
             if cd is None or not (R.is_zero(deg_d[0]) and R.is_zero(deg_d[d])):
                 fails[R.render(c1)] = d
@@ -427,10 +433,10 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
                 p[1][d] = cd
                 for i, gi1 in g_1:
                     s[i][d] = R.add(s[i][d], R.mul(gi1, cd))
-                if d < N:           # L is read again only by a later step
+                if d < N:           # F^d is read again only by a later step
                     while len(Fpow) <= d:
                         Fpow.append(Fpow[-1] * Fpow[1])
-                    L = L + Fpow[d].scale(cd)
+                    known.append((R.neg(cd), Fpow[d].terms))
         if ok:
             phi = SeriesCtx(R, ("t",), N + 1).series({(k,): ck for k, ck in enumerate(p[1])})
             return IsoResult(phi, c1)
@@ -440,23 +446,16 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
 def _fill_column(R: Ring, g: list, p: list, s: dict, a: int):
     """Column a of find_iso's tables, with p[1][a] = c_a in place:
     p[0][a] = [a = 0], p[i][a] = sum_k c_k p[i-1][a-k] for i >= 2 (zero for
-    i > a), then s[i][a] = sum_j g_ij p[j][a]."""
-    zero = R.zero()
-    p[0].append(R.one() if a == 0 else zero)
+    i > a), then s[i][a] = sum_j g_ij p[j][a]; each entry is one R.dot."""
+    p[0].append(R.one() if a == 0 else R.zero())
     c = p[1]
     for i in range(2, len(p)):
-        acc = zero
-        if i <= a:
-            prev = p[i - 1]
-            for k in range(1, a - i + 2):
-                acc = R.add(acc, R.mul(c[k], prev[a - k]))
-        p[i].append(acc)
+        prev = p[i - 1]
+        ks = range(1, a - i + 2)
+        p[i].append(R.dot([c[k] for k in ks], [prev[a - k] for k in ks]))
     for i, row in g:
-        acc = zero
-        for j, gij in row:
-            if j <= a:
-                acc = R.add(acc, R.mul(gij, p[j][a]))
-        s[i].append(acc)
+        row = [(j, gij) for j, gij in row if j <= a]
+        s[i].append(R.dot([gij for _, gij in row], [p[j][a] for j, _ in row]))
 
 
 def _solve_degree(R: Ring, d: int, t: list):

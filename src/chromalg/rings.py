@@ -18,9 +18,15 @@ are series whose scalars are ints.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import NeedsTorsionFree, NotInvertible
+
+
+def _check_lengths(xs, ys):
+    if len(xs) != len(ys):
+        raise ValueError(f"dot of {len(xs)} by {len(ys)} scalars")
 
 
 class Ring:
@@ -48,6 +54,19 @@ class Ring:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def dot(self, xs, ys):
+        """x1*y1 + x2*y2 + ... + xn*yn for sequences xs, ys of one length,
+        summed in that order; zero() when they are empty.  A ring whose
+        scalars compute on integers overrides this with one normalisation per
+        result, keeping the value and Python type of this loop."""
+        _check_lengths(xs, ys)
+        if not xs:
+            return self.zero()
+        acc = self.mul(xs[0], ys[0])
+        for k in range(1, len(xs)):
+            acc = self.add(acc, self.mul(xs[k], ys[k]))
+        return acc
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
@@ -136,6 +155,11 @@ class Integers(Ring):
     def mul(self, a, b):
         return a * b
 
+    def dot(self, xs, ys):
+        # 0 + x1*y1 has the value and type of x1*y1
+        _check_lengths(xs, ys)
+        return sum(map(operator.mul, xs, ys))
+
     def eq(self, a, b):
         return a == b
 
@@ -180,6 +204,9 @@ class Rationals(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        return _dot_fractions(xs, ys)
 
     def eq(self, a, b):
         return a == b
@@ -256,6 +283,9 @@ class LocalizedIntegers(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        return _dot_fractions(xs, ys)
 
     def eq(self, a, b):
         return a == b
@@ -337,6 +367,10 @@ class ModularIntegers(Ring):
     def mul(self, a, b):
         return (a * b) % self.m
 
+    def dot(self, xs, ys):
+        _check_lengths(xs, ys)
+        return sum(map(operator.mul, xs, ys)) % self.m
+
     def eq(self, a, b):
         return (a - b) % self.m == 0
 
@@ -408,9 +442,12 @@ class PrimeField(ModularIntegers):
 
 
 # -- integer coordinates -------------------------------------------------------
-# QuotientExtension.mul and the packed Series product (series._mul_packed)
-# both compute over these bases on integers.  The helpers are private, so a
-# tracer that wraps public names counts their time under their caller.
+# Sums of products (Ring.dot), QuotientExtension.mul and the packed Series
+# product (series._mul_packed) compute over these bases on integers: the
+# numerators over one common denominator, or residues, normalised once per
+# result (Knuth, TAOCP vol. 2, 4.5.1: a Fraction operation pays a gcd).  The
+# helpers are private, so a tracer that wraps public names counts their
+# time under their caller.
 
 def _scalar_modulus(R: Ring):
     """m when R is Z/m or F_m, 0 when R is Z, Q or a localization of Z, and
@@ -421,6 +458,25 @@ def _scalar_modulus(R: Ring):
     if t is Integers or t is Rationals or t is LocalizedIntegers:
         return 0
     return None
+
+
+def _dot_fractions(xs, ys):
+    """x1*y1 + ... + xn*yn over Q or a localization of Z, with the value and
+    type of the loop: an int when every operand is one, else one Fraction
+    over the product of the lcms of the xs' and of the ys' denominators.
+    Fraction(0) when empty."""
+    _check_lengths(xs, ys)
+    kinds = set(map(type, xs))
+    kinds.update(map(type, ys))
+    if kinds == {int} or not kinds <= {int, Fraction}:
+        return sum(map(operator.mul, xs, ys))
+    if not xs:
+        return Fraction(0)
+    dx = math.lcm(*[x.denominator for x in xs])
+    dy = math.lcm(*[y.denominator for y in ys])
+    nx = [x.numerator * (dx // x.denominator) for x in xs]
+    ny = [y.numerator * (dy // y.denominator) for y in ys]
+    return Fraction(sum(map(operator.mul, nx, ny)), dx * dy)
 
 
 def _reduce(c: list, mod: list, m: int) -> list:
@@ -476,15 +532,52 @@ def _mul_integers(a, b, m: int, mod: list, frac: bool):
     return tuple(c)
 
 
+def _columns(vs, d: int, frac: bool):
+    """The d coordinate columns of the tuples vs as integers, over their one
+    common denominator (Fractions) or as they are (ints), and that
+    denominator; None when a coordinate over an int-valued base is not an int."""
+    cols = list(zip(*vs)) if vs else [()] * d
+    if frac:
+        den = math.lcm(*[v.denominator for col in cols for v in col])
+        return [[v.numerator * (den // v.denominator) for v in col] for col in cols], den
+    if not all(type(v) is int for col in cols for v in col):
+        return None
+    return cols, 1
+
+
+def _dot_integers(xs, ys, m: int, mod: list, frac: bool):
+    """x1*y1 + ... + xn*yn in a QuotientExtension with integer form
+    (m, mod, frac): one convolution of integer coordinate columns, one
+    reduction by the integer modulus, then Fraction(v, Dx*Dy) or v % m per
+    coordinate.  None when the loop keeps the sum (a non-int over an
+    int-valued base).  A single product keeps _mul_integers, which takes
+    about two thirds of the time of this column form for one pair."""
+    _check_lengths(xs, ys)
+    d = len(mod) - 1
+    cx, cy = _columns(xs, d, frac), _columns(ys, d, frac)
+    if cx is None or cy is None:
+        return None
+    (X, dx), (Y, dy) = cx, cy
+    c = [0] * (2 * d - 1)
+    for i, u in enumerate(X):
+        for j, v in enumerate(Y):
+            c[i + j] += sum(map(operator.mul, u, v))
+    c = _reduce(c, mod, m)
+    if frac:
+        den = dx * dy
+        return tuple([Fraction(v, den) for v in c])
+    return tuple(c)
+
+
 class QuotientExtension(Ring):
     """base[y]/(f) for a monic modulus f.  Scalars are coefficient tuples of
     length deg(f), low degree first.
 
-    Over Z, Q, Z_(p), Z[1/p], Z/m or F_p with an integer modulus a product
-    is one integer convolution reduced by that modulus, with the values and
-    Python types of the coefficient loop, which every other base runs:
-    Fraction coordinates when the base's zero is a Fraction, residues in
-    [0, m) over Z/m."""
+    Over Z, Q, Z_(p), Z[1/p], Z/m or F_p with an integer modulus a product,
+    and a sum of products (dot), is one integer convolution reduced by that
+    modulus, with the values and Python types of the coefficient loop, which
+    every other base runs: Fraction coordinates when the base's zero is a
+    Fraction, residues in [0, m) over Z/m."""
 
     def __init__(self, base: Ring, modulus: tuple, gen_name: str = "w"):
         mod = tuple(modulus)
@@ -555,6 +648,13 @@ class QuotientExtension(Ring):
             for j, y in enumerate(b):
                 out[i + j] = B.add(out[i + j], B.mul(x, y))
         return self._reduce(out)
+
+    def dot(self, xs, ys):
+        if self._ints is not None:
+            out = _dot_integers(xs, ys, *self._ints)
+            if out is not None:
+                return out
+        return super().dot(xs, ys)
 
     def scale_int(self, a, n: int):
         return self._tup([self.base.scale_int(x, n) for x in a])

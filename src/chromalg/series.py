@@ -20,11 +20,14 @@ precision it needs:
     divides by an integer.  Then one full-precision fixed-point pass must
     reproduce w (AlgebraError otherwise).
   * fgl.find_iso: raises TruncationError unless N < min(F.prec, G.prec).
-    The powers F^k are made once per call at precision N + 1.  G(phi x,
-    phi y) = sum_i phi(x)^i g_i(phi(y)) for G = sum_i x^i g_i(y) is read
-    degree by degree from two univariate scalar tables, [t^a] phi^i and
-    [t^b] g_i(phi(t)), one column per degree, with no composition; column a
-    is final once c_1..c_a are known.
+    The powers F^k are made once per call at precision N + 1, up to the
+    largest k < N with c_k != 0.  G(phi x, phi y) = sum_i phi(x)^i
+    g_i(phi(y)) for G = sum_i x^i g_i(y) is read degree by degree from two
+    univariate scalar tables, [t^a] phi^i and [t^b] g_i(phi(t)), one column
+    per degree, with no composition; column a is final once c_1..c_a are
+    known.  phi(F) is not kept as a series: step d reads each coefficient
+    (a, d - a) of G(phi x, phi y) - phi(F) as one R.dot, the tables'
+    products beside -c_k [F^k]_(a, d-a) for the known c_k, k < d.
 
 Composition contract.  f.compose(subs) works at the precision P of the
 least precise of f and the substitutions, and every substitution has order
@@ -55,7 +58,10 @@ variable, h <- g_i(s2..sn) + s1*h from the top i down:
 Multiplication contract.  Series.__mul__ meets both operands at the smaller
 precision P, then multiplies over packed carriers with one big-integer
 product (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), and
-everything else with the term-by-term loop _mul_dict:
+everything else with the term-by-term loop _mul_dict, which groups the term
+pairs by output exponent and makes one R.dot per exponent (a sum of
+products normalised once over Z, Q, Z_(p), Z[1/p], Z/m, F_p and integral
+QuotientExtensions; the R.mul and R.add loop elsewhere):
   * packed carriers: scalars of exactly Integers, Rationals,
     LocalizedIntegers, ModularIntegers or PrimeField; a SeriesRing of
     precision Pb over one of those whose coefficients all sit at the ring's
@@ -74,9 +80,10 @@ everything else with the term-by-term loop _mul_dict:
   * QuotientExtension blocks are reduced after unpacking: the 2*deg - 1
     integers of a block are reduced by the monic integer modulus from the
     top, x^k -> x^k - x^(k-deg) * f, then taken mod m or over the common
-    denominator.  A QuotientExtension scalar product (QuotientExtension.mul,
-    which the loop calls) is the same reduction, rings._reduce, of the
-    convolution of its operands' integer coordinates;
+    denominator.  A QuotientExtension scalar product or sum of products
+    (QuotientExtension.mul and .dot; the loop calls dot) is the same
+    reduction, rings._reduce, of the convolution of its operands' integer
+    coordinates;
   * density rule: pack only when E_a * E_b >= S, where E counts an operand's
     packed scalar entries (scalars, b-coefficients, or w-coordinates: deg
     per term) and S is the number of slots the product spans, up to the
@@ -573,29 +580,31 @@ def _times(a: Series, b: Series) -> Series:
 def _mul_dict(a: Series, b: Series) -> Series:
     """a*b by the term-by-term loop; a and b share one precision.
 
-    The general product: any number of variables, any coefficient ring.  It
-    is also the reference the packed product is tested against."""
+    The general product: any number of variables, any coefficient ring.  The
+    term pairs are grouped by their output exponent, and each group is one
+    R.dot, so a ring that sums products on integers normalises once per
+    coefficient."""
     R = a.ctx.ring
     prec = a.ctx.prec
-    out = {}
+    groups = {}
     bitems = sorted(b.terms.items(), key=lambda kv: sum(kv[0]))
     for e1, c1 in a.terms.items():
         d1 = sum(e1)
         for e2, c2 in bitems:
             if d1 + sum(e2) >= prec:
                 break
-            e = tuple(x + y for x, y in zip(e1, e2))
-            p = R.mul(c1, c2)
-            if R.is_zero(p):
-                continue
-            if e in out:
-                s = R.add(out[e], p)
-                if R.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
+            e = tuple(map(operator.add, e1, e2))
+            if e in groups:
+                xs, ys = groups[e]
+                xs.append(c1)
+                ys.append(c2)
             else:
-                out[e] = p
+                groups[e] = [c1], [c2]
+    out = {}
+    for e, (xs, ys) in groups.items():
+        v = R.dot(xs, ys)
+        if not R.is_zero(v):
+            out[e] = v
     return Series(a.ctx, out)
 
 

@@ -12,7 +12,9 @@ dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
 every entry of every row they touch, the regularity test over Z with its
 own multiplication matrices per path, Weierstrass preparation returning its
 unit, `recognize_in_family` with the F_2[s] law for its b-direction, and
-the coefficient loop of `QuotientExtension.mul`.
+the coefficient loop of `QuotientExtension.mul`, the sum of products
+`Ring.dot` as a loop, and the series product that sums each coefficient
+pair by pair with `R.mul` and `R.add`.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
 shares nothing), `milnor_product` and the coset reduction of
@@ -39,6 +41,34 @@ from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_ker
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
 from chromalg.rings import ModularIntegers, PrimeField, QuotientExtension, Ring
 from chromalg.series import Series, SeriesCtx, SeriesRing
+
+
+def dot_loop_oracle(R: Ring, xs: list, ys: list):
+    """x1*y1 + ... + xn*yn by R.mul and R.add in that order; R.zero() when
+    empty."""
+    if not xs:
+        return R.zero()
+    acc = R.mul(xs[0], ys[0])
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = R.add(acc, R.mul(x, y))
+    return acc
+
+
+def mul_loop_oracle(a: Series, b: Series) -> Series:
+    """a*b term by term at the smaller precision, each coefficient the
+    sum of its pairs' R.mul products by R.add, in the order of a's terms and
+    then of b's terms by total degree; zero sums are dropped at the end."""
+    R = a.ctx.ring
+    prec = min(a.ctx.prec, b.ctx.prec)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in sorted(b.terms.items(), key=lambda kv: sum(kv[0])):
+            if sum(e1) + sum(e2) >= prec:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            p = R.mul(c1, c2)
+            out[e] = R.add(out[e], p) if e in out else p
+    return Series(a.ctx.at_prec(prec), {e: c for e, c in out.items() if not R.is_zero(c)})
 
 
 def compose_oracle(f: Series, subs: dict) -> Series:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from chromalg import bp, elliptic, fgl, linalg
 from chromalg.checks import REGISTRY, CheckFailure
-from chromalg.errors import (HeightExceedsPrecision, InvalidKernel,
-                             NeedsTorsionFree, NotAFrobeniusLift, NotOrdinary,
-                             RecognitionFailed, TruncationError)
+from chromalg.errors import (AlgebraError, HeightExceedsPrecision,
+                             InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift,
+                             NotOrdinary, RecognitionFailed, TruncationError)
 from chromalg.poly import PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
                             ZZ, omega_ring, sqrt_minus3)
@@ -472,3 +472,16 @@ def test_validation_random_conics():
     for _ in range(5):
         F = fgl.conic_fgl(ZZ, rng.randint(-3, 3), rng.randint(-3, 3), 8)
         fgl.validate_fgl(F.F, ZZ, check_assoc=True)
+
+
+def test_commutative_non_associative_law_fails_validation():
+    """x + y + x^2 y + x y^2 is commutative but not associative: the check
+    that compares F(F(x, y), z) with its cyclic permutation must see it."""
+    ctx = SeriesCtx(ZZ, ("x", "y"), 6)
+    x, y = ctx.gen("x"), ctx.gen("y")
+    F = x + y + x * x * y + x * y * y
+    fgl.validate_fgl(F, ZZ, check_assoc=False)
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        fgl.validate_fgl(F, ZZ, check_assoc=True)
+    with pytest.raises(AlgebraError, match="commutativity fails"):
+        fgl.validate_fgl(F + x * x * y, ZZ, check_assoc=True)

@@ -13,7 +13,7 @@ from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
                             omega_ring, sqrt_minus3)
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
-from oracles import quotient_mul_oracle
+from oracles import dot_loop_oracle, quotient_mul_oracle
 
 
 def test_localized_at_two_rejects_even_denominators():
@@ -283,13 +283,17 @@ def test_scale_int_is_the_product_by_the_integer(name, n, data):
     the carriers of the axiom test and on the integer-product quotients."""
     R, elem = SCALE_CARRIERS[name]
     a = data.draw(elem)
-    got, want = R.scale_int(a, n), R.mul(a, R.from_int(n))
+    assert typed(R.scale_int(a, n)) == typed(R.mul(a, R.from_int(n)))
 
-    def typed(v):
-        if isinstance(v, tuple):
-            return [(c, type(c)) for c in v]
-        return getattr(v, "prec", None), sorted((e, c, type(c)) for e, c in v.terms.items())
-    assert typed(got) == typed(want)
+
+def typed(v):
+    """v with the Python type of every scalar in it: coordinates of a tuple,
+    coefficients of a series or polynomial (and the series' precision)."""
+    if isinstance(v, tuple):
+        return [typed(c) for c in v]
+    if hasattr(v, "terms"):
+        return getattr(v, "prec", None), sorted((e, typed(c)) for e, c in v.terms.items())
+    return type(v), v
 
 
 def test_negative_exponents_raise():
@@ -301,3 +305,63 @@ def test_negative_exponents_raise():
     P = PolyRing(ZZ, ("t",))
     with pytest.raises(ValueError):
         (P.gen("t") + 1) ** -1
+
+
+# -- sums of products ---------------------------------------------------------
+
+_third = st.builds(lambda n, j: Fraction(n, 3 ** j), st.integers(-10 ** 6, 10 ** 6),
+                   st.integers(0, 5))
+
+DOT_SCALARS = {
+    "Z": (ZZ, st.integers(-2 ** 80, 2 ** 80)),
+    "Q": (QQ, st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))),
+    "Q(int)": (QQ, st.integers(-10 ** 12, 10 ** 12)),
+    "Q(int, Fraction)": (QQ, st.one_of(st.integers(-9, 9), st.sampled_from([0, Fraction(0)]),
+                                       st.builds(Fraction, st.integers(-9, 9),
+                                                 st.integers(1, 12)))),
+    "Z_(2)": (Z_local(2), st.builds(lambda n, d: Fraction(n, 2 * d + 1),
+                                    st.integers(-10 ** 9, 10 ** 9), st.integers(0, 10 ** 4))),
+    "Z[1/3]": (Z_inverted(3), _third),
+    "Z/8": (ModularIntegers(8), _residue_coord(8)),
+    "F5": (PrimeField(5), _residue_coord(5)),
+}
+
+DOT_CARRIERS = {**DOT_SCALARS, **AXIOM_RINGS, **{
+    f"quotient {name}": (R, st.lists(coord, min_size=R.deg, max_size=R.deg).map(tuple))
+    for name, (R, coord) in PACKED_QUOTIENTS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_CARRIERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 9))
+def test_dot_is_the_sum_of_products_loop(name, data, n):
+    """R.dot(xs, ys) has the value and Python types of x1*y1 + ... + xn*yn
+    summed by R.mul and R.add, R.zero() for n = 0, on the scalar rings and
+    on every carrier of the axiom and integer-product tests."""
+    R, elem = DOT_CARRIERS[name]
+    xs = [data.draw(elem) for _ in range(n)]
+    ys = [data.draw(elem) for _ in range(n)]
+    got, want = R.dot(xs, ys), dot_loop_oracle(R, xs, ys)
+    assert R.eq(got, want)
+    assert typed(got) == typed(want)
+
+
+@pytest.mark.parametrize("name", sorted(DOT_CARRIERS))
+def test_dot_of_nothing_and_of_one_pair(name):
+    R, _ = DOT_CARRIERS[name]
+    assert typed(R.dot([], [])) == typed(R.zero())
+    one, two = R.one(), R.from_int(2)
+    assert typed(R.dot([two], [one])) == typed(R.mul(two, one))
+    with pytest.raises(ValueError):
+        R.dot([one], [])
+
+
+def test_dot_over_z_quotient_keeps_the_loop_where_fractions_enter():
+    """A Fraction coordinate over Z[y]/(y^3 - y + 2): the loop's mixed int
+    and Fraction coordinates, not the integer sum's ints."""
+    R = PACKED_QUOTIENTS["Z[y]/(y^3 - y + 2)"][0]
+    xs = [(1, 2, 3), (Fraction(2), 0, 3), (4, -1, 0)]
+    ys = [(Fraction(-1), 0, 7), (1, 4, 5), (2, 2, 2)]
+    got = R.dot(xs, ys)
+    assert typed(got) == typed(dot_loop_oracle(R, xs, ys))
+    assert any(type(v) is Fraction for v in got)

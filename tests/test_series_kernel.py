@@ -1,6 +1,6 @@
 """Differential and operation-count tests for the packed series product: the
-Kronecker-packed multiplication of series.py against the term-by-term loop
-_mul_dict, for series in one, two and three variables over Z, Q, Z_(p),
+Kronecker-packed multiplication of series.py and its grouped loop _mul_dict
+against the term-by-term loop of tests/oracles.py, for series in one, two and three variables over Z, Q, Z_(p),
 Z[1/3], Z/m and F_p, over one level of SeriesRing over those, and over
 QuotientExtension rings of those with an integral modulus."""
 
@@ -16,6 +16,8 @@ from chromalg.rings import (GF, QQ, ZZ, LocalizedIntegers, ModularIntegers,
                             Z_inverted, Z_local, omega_ring)
 from chromalg.series import (Series, SeriesCtx, SeriesRing, _mul_dict,
                              _mul_packed)
+
+from oracles import mul_loop_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -112,8 +114,9 @@ def tower_series(draw, ctx, elems, inner_prec=None):
 
 def check_packed(a, b):
     """The packed product ran exactly when the density rule asks for it, and
-    it equals the loop, as does a * b."""
-    want = exact(_mul_dict(a, b))
+    it equals the loop, as do a * b and the grouped loop _mul_dict."""
+    want = exact(mul_loop_oracle(a, b))
+    assert exact(_mul_dict(a, b)) == want
     got = _mul_packed(a, b)
     assert (got is not None) == packs(a, b)
     if got is not None:
@@ -140,7 +143,7 @@ def test_unequal_precisions_meet_at_the_smaller(name, data, pa, pb):
     a = data.draw(series(SeriesCtx(R, ("x",), pa), elems))
     b = data.draw(series(SeriesCtx(R, ("x",), pb), elems))
     p = min(pa, pb)
-    assert exact(a * b) == exact(_mul_dict(a.truncate(p), b.truncate(p)))
+    assert exact(a * b) == exact(mul_loop_oracle(a, b))
     assert (a * b).prec == p
 
 
@@ -160,7 +163,7 @@ def test_mixed_int_and_fraction_scalars_take_the_loop():
     b = ctx.series({(0,): Fraction(2), (1,): 7, (3,): 1})
     assert _mul_packed(a, b) is None
     prod = a * b
-    assert exact(prod) == exact(_mul_dict(a, b))
+    assert exact(prod) == exact(mul_loop_oracle(a, b))
     assert {type(c) for c in prod.terms.values()} == {int, Fraction}
 
 
@@ -213,7 +216,7 @@ def test_other_carriers_take_the_loop():
         for vars in (("x",), ("x", "y")):
             a = full(SeriesCtx(R, vars, 4), coeff)
             assert _mul_packed(a, a) is None
-            assert exact(a * a) == exact(_mul_dict(a, a))
+            assert exact(a * a) == exact(mul_loop_oracle(a, a))
 
 
 # -- two levels: x-series over base[[b]] --------------------------------------
@@ -245,7 +248,7 @@ def test_lower_precision_inner_coefficients_take_the_loop(name, data, prec):
     if a.is_zero() or b.is_zero():
         return
     assert _mul_packed(a, b) is None
-    assert exact(a * b) == exact(_mul_dict(a, b))
+    assert exact(a * b) == exact(mul_loop_oracle(a, b))
 
 
 # -- operation counts ---------------------------------------------------------
@@ -277,8 +280,8 @@ def test_tower_product_makes_no_coefficient_ring_calls(monkeypatch):
     prod = a * b
     assert calls == {"SeriesRing.mul": 0, "Rationals.mul": 0}
     # the counters count: the loop calls both, at the outer and inner level
-    assert exact(prod) == exact(_mul_dict(a, b))
-    _mul_dict(a.terms[(1,)], b.terms[(1,)])
+    assert exact(prod) == exact(mul_loop_oracle(a, b))
+    mul_loop_oracle(a.terms[(1,)], b.terms[(1,)])
     assert calls["SeriesRing.mul"] > 0 and calls["Rationals.mul"] > 0
 
 
@@ -383,7 +386,7 @@ def test_mixed_int_and_fraction_multivariate_take_the_loop():
     a = full(ctx, lambda e: Fraction(1, 2) if e[0] else 3)
     b = full(ctx, lambda e: Fraction(e[1] + 1, 5))
     assert _mul_packed(a, b) is None
-    assert exact(a * b) == exact(_mul_dict(a, b))
+    assert exact(a * b) == exact(mul_loop_oracle(a, b))
 
 
 def test_omega_product_makes_no_coefficient_ring_calls(monkeypatch):
@@ -409,5 +412,5 @@ def test_omega_product_makes_no_coefficient_ring_calls(monkeypatch):
     assert calls == {"QuotientExtension.mul": 0, "LocalizedIntegers.mul": 0}
     # the counters count: the loop calls QuotientExtension.mul, whose own
     # integer product calls no base-ring mul
-    assert exact(prod) == exact(_mul_dict(a, b))
+    assert exact(prod) == exact(mul_loop_oracle(a, b))
     assert calls["QuotientExtension.mul"] > 0 and calls["LocalizedIntegers.mul"] == 0

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chromalg import elliptic, fgl
+from chromalg import series as series_module
 from chromalg.elliptic import curve, curve_w_series
 from chromalg.errors import AlgebraError, TruncationError
 from chromalg.rings import GF, QQ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
@@ -205,6 +206,78 @@ def test_find_iso_obstruction_degree_on_noniso_z13_inputs():
         assert isinstance(new, fgl.Obstruction)
         _same_iso_result(new, find_iso_oracle(Fc, Fm, "linear-unit", N=6,
                                               unit_candidates=cands))
+
+
+def _sparse_omega():
+    """x + y + sqrt(-3) xy -> conic(3, 3) over omega at N = 12: the powers
+    of the three-term law fall below the density rule and take _mul_dict."""
+    W = omega_ring()
+    Fm = fgl.conic_fgl(W, sqrt_minus3(W), W.zero(), 13)
+    return Fm, fgl.conic_fgl(W, W.from_int(3), W.from_int(3), 13), 12
+
+
+def _z4b_with_zero_coefficients():
+    """A conic law over Z/4[[b]] and its strict twist by t + b t^3 +
+    (1 + b^2) t^5: c_2 = c_4 = 0 are the first solutions of 2 c = 0, so the
+    search reads no F^2 and no F^4."""
+    S = SeriesRing(ModularIntegers(4), "b", 4)
+    b = S.gen()
+    F = fgl.conic_fgl(S, S.one() + b, b, 8)
+    phi = SeriesCtx(S, ("t",), 8).series({(1,): S.one(), (3,): b, (5,): S.one() + b * b})
+    return F, fgl.strict_apply(F, phi), 7
+
+
+def _z13_obstruction():
+    """conic(3, 3) -> x + y + 3xy over Z[1/3]: no strict isomorphism."""
+    Z13 = Z_inverted(3)
+    return (fgl.conic_fgl(Z13, Fraction(3), Fraction(3), 7),
+            fgl.multiplicative_fgl(Z13, Fraction(3), 7), 6)
+
+
+ISO_CASES = {"omega x+y+sqrt(-3)xy": _sparse_omega,
+             "Z/4[[b]] c_2 = c_4 = 0": _z4b_with_zero_coefficients,
+             "Z[1/3] obstruction": _z13_obstruction}
+
+
+@pytest.mark.parametrize("case", sorted(ISO_CASES))
+def test_find_iso_differential_cases(monkeypatch, case):
+    """find_iso against its full-precision oracle where the phi(F) side is
+    read from sparse powers of F (through _mul_dict), from a candidate with
+    c_d = 0, and where the search ends in an Obstruction: the same phi, or
+    the same degree and fails dict."""
+    F, G, N = ISO_CASES[case]()
+    loops = []
+    real = series_module._mul_dict
+
+    def mul_dict(a, b):
+        loops.append(a.ctx.prec)
+        return real(a, b)
+    monkeypatch.setattr(series_module, "_mul_dict", mul_dict)
+    res = fgl.find_iso(F, G, "strict", N=N)
+    monkeypatch.undo()
+    _same_iso_result(res, find_iso_oracle(F, G, "strict", N=N))
+    if case.startswith("omega"):
+        assert isinstance(res, fgl.IsoResult) and loops
+    elif case.startswith("Z/4"):
+        assert isinstance(res, fgl.IsoResult)
+        assert sorted(k for (k,) in res.phi.terms) == [1, 3, 5]
+    else:
+        assert (res.degree, res.details) == (4, {"1": 4})
+
+
+def test_find_iso_makes_no_series_scale_or_sum(monkeypatch):
+    """phi(F) is read from the powers of F one coefficient at a time: no
+    Series.scale and no Series.__add__ in either omega direction."""
+    W = omega_ring()
+    Fc = fgl.conic_fgl(W, W.from_int(3), W.from_int(3), 9)
+    Fm = fgl.conic_fgl(W, sqrt_minus3(W), W.zero(), 9)
+
+    def refuse(*args):
+        raise AssertionError("find_iso made a Series scale or sum")
+    for name in ("scale", "__add__", "__radd__"):
+        monkeypatch.setattr(Series, name, refuse)
+    for F, G in ((Fc, Fm), (Fm, Fc)):
+        assert isinstance(fgl.find_iso(F, G, "strict", N=8), fgl.IsoResult)
 
 
 def _gf4():
