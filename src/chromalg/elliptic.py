@@ -13,8 +13,10 @@ This chord law is run per curve by fgl.fgl_from_curve, by the moduli chart
 transitions, and once per process over Z[A, B] for the universal level-3
 law (fgl.universal_family_law).  Family members over other rings are that
 law's image under base change (fgl.family_law), not chord runs.
-reduction_type keeps its own chord law per fiber: its claim is about
-particular fibers, so base change would make it agree with itself.
+reduction_type reads the height from each fiber's own 2-series: two_series
+puts the tangent line at (z, w(z)) through the same chord formula, all
+univariate, from that fiber's w-series.  Its claim is about particular
+fibers, so base change would make it agree with itself.
 """
 
 from __future__ import annotations
@@ -128,28 +130,19 @@ def reduction_type(E: WeierstrassCurve) -> str:
         return ADDITIVE if R.is_zero(inv.c4) else NODAL
     if R.char != 2:
         raise AlgebraError("supersingularity test implemented for characteristic 2 fields")
-    # height of the 2-series of the formal group, cross-checked with j = 0
-    F = formal_group_of_curve(E, 5)
-    two = F.compose({F.ctx.vars[0]: _gen1(F), F.ctx.vars[1]: _gen1(F)})
-    # F(x, x) over the one-variable context
-    c2 = two.ucoeff(2)
-    c4coeff = two.ucoeff(4)
+    # height of the 2-series, cross-checked with j = 0: [2](z) starts at z^2
+    # at height 1 and at z^4 at height 2; c4 is read only when c2 vanishes
+    c2 = two_series(E, 2).ucoeff(2)
     j_zero = R.is_zero(inv.c4)  # j = c4^3/disc vanishes iff c4 does
     if not R.is_zero(c2):
         if j_zero:
             raise AlgebraError("height-1 series but j = 0: inconsistent classification")
         return SMOOTH_ORDINARY
-    if R.is_zero(c4coeff):
+    if R.is_zero(two_series(E, 4).ucoeff(4)):
         raise AlgebraError("2-series vanishes to precision; cannot read height")
     if not j_zero:
         raise AlgebraError("height-2 series but j != 0: inconsistent classification")
     return SMOOTH_SUPERSINGULAR
-
-
-def _gen1(F: Series) -> Series:
-    """Univariate context generator used to collapse F(x, x)."""
-    ctx = SeriesCtx(F.ctx.ring, ("x",), F.ctx.prec)
-    return ctx.gen("x")
 
 
 # -- formal group --------------------------------------------------------------
@@ -221,7 +214,6 @@ def formal_inverse(E: WeierstrassCurve, prec: int, w: Series | None = None) -> S
 def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     """Group law F(z1, z2) to total degree N, exact over the curve's ring."""
     R = E.ring
-    a1, a2, a3, a4, a6 = E.coefficients()
     prec = N + 1
     wz = curve_w_series(E, N + 2)
     ctx2 = SeriesCtx(R, ("z1", "z2"), prec)
@@ -232,19 +224,41 @@ def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     lam = ctx2.series({(i, n - 1 - i): wn for n, wn in ws for i in range(n)})
     w1 = ctx2.series({(n, 0): wn for n, wn in ws})
     nu = w1 - lam * z1
-    lam2 = lam * lam
-    den = ctx2.one() + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)
-    num = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
-           + (lam * nu).scale(R.scale_int(a4, 2)) + (lam2 * nu).scale(R.scale_int(a6, 3)))
-    z3 = (-z1) - z2 - num * den.inverse()
-    inv = formal_inverse(E, prec, wz)
-    F = inv.compose({"z": z3})
+    F = formal_inverse(E, prec, wz).compose({"z": _third_z(E, lam, nu, z1, z2)})
     # unit axiom check F(z, 0) = z
     restr = F.set_var_zero("z2").drop_var("z2")
     zz = SeriesCtx(R, ("z1",), prec).gen("z1")
     if not restr == zz:
         raise AlgebraError("formal group construction failed the unit axiom")
     return F
+
+
+def _third_z(E: WeierstrassCurve, lam: Series, nu: Series, z1: Series, z2: Series) -> Series:
+    """z of the third point where the line w = lam z + nu meets the curve,
+    through the points at z1 and z2 (Silverman IV.1)."""
+    R = E.ring
+    a1, a2, a3, a4, a6 = E.coefficients()
+    lam2 = lam * lam
+    den = lam.ctx.one() + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)
+    num = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
+           + (lam * nu).scale(R.scale_int(a4, 2)) + (lam2 * nu).scale(R.scale_int(a6, 3)))
+    return (-z1) - z2 - num * den.inverse()
+
+
+def two_series(E: WeierstrassCurve, N: int) -> Series:
+    """[2](z) below z^(N+1): F(z, z) of formal_group_of_curve(E, N), from the
+    tangent line at (z, w(z)) and univariate series only.
+
+    The slope is lam = w'(z) and the intercept nu = w - z lam; the chord
+    formula with z1 = z2 = z and formal_inverse, on the same w-series, give
+    [2](z)."""
+    prec = N + 1
+    w = curve_w_series(E, N + 2)
+    z = SeriesCtx(E.ring, ("z",), prec).gen("z")
+    # w' is certified only below z^(N+1): its z^(N+1) term needs w_(N+2)
+    lam = w.derivative().truncate(prec)
+    nu = w.truncate(prec) - z * lam
+    return formal_inverse(E, prec, w).compose({"z": _third_z(E, lam, nu, z, z)})
 
 
 def curve_log(E: WeierstrassCurve, N: int, w: Series | None = None) -> Series:
@@ -338,16 +352,31 @@ def three_torsion_check(E: WeierstrassCurve, P) -> bool:
 
 def transform(E: WeierstrassCurve, u, r, s, t) -> WeierstrassCurve:
     """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
+    return _transform_by_inverse(E, E.ring.inv(u), r, s, t)
+
+
+def _moved_a1(E: WeierstrassCurve, ui, s):
+    """A1 = (a1 + 2s)/u of the transformed curve, given ui = 1/u."""
+    R = E.ring
+    return R.mul(R.add(E.a1, R.scale_int(s, 2)), ui)
+
+
+def _moved_a2(E: WeierstrassCurve, ui2, r, s):
+    """A2 = (a2 - s a1 + 3r - s^2)/u^2 of the transformed curve, given
+    ui2 = 1/u^2."""
+    R = E.ring
+    return R.mul(R.add(R.sub(E.a2, R.mul(s, E.a1)), R.sub(R.scale_int(r, 3), R.mul(s, s))), ui2)
+
+
+def _transform_by_inverse(E: WeierstrassCurve, ui, r, s, t) -> WeierstrassCurve:
+    """transform(E, u, r, s, t) given ui = 1/u."""
     R = E.ring
     a1, a2, a3, a4, a6 = E.coefficients()
-    ui = R.inv(u)
     ui2 = R.mul(ui, ui)
     ui3 = R.mul(ui2, ui)
     ui4 = R.mul(ui2, ui2)
     ui6 = R.mul(ui3, ui3)
     m, ad, sb = R.mul, R.add, R.sub
-    A1 = m(ad(a1, R.scale_int(s, 2)), ui)
-    A2 = m(ad(sb(a2, m(s, a1)), sb(R.scale_int(r, 3), m(s, s))), ui2)
     A3 = m(ad(a3, ad(m(r, a1), R.scale_int(t, 2))), ui3)
     A4 = m(ad(sb(a4, m(s, a3)),
               ad(R.scale_int(m(r, a2), 2),
@@ -357,7 +386,7 @@ def transform(E: WeierstrassCurve, u, r, s, t) -> WeierstrassCurve:
                      ad(m(m(r, r), a2),
                         ad(m(r, m(r, r)),
                            R.neg(ad(m(t, a3), ad(m(t, t), m(m(r, t), a1)))))))), ui6)
-    return WeierstrassCurve(R, A1, A2, A3, A4, A6)
+    return WeierstrassCurve(R, _moved_a1(E, ui, s), _moved_a2(E, ui2, r, s), A3, A4, A6)
 
 
 def compose_transforms(R: Ring, g, h):
@@ -378,16 +407,25 @@ def curves_equal(E1: WeierstrassCurve, E2: WeierstrassCurve) -> bool:
 
 
 def automorphism_group(E: WeierstrassCurve) -> list:
-    """Exhaustive (u, r, s, t) preserving E over a finite field; closure verified."""
+    """Every (u, r, s, t) preserving E over a finite ring, in the
+    lexicographic order of R.elements(); closure verified.
+
+    Each unit u is inverted once here.  A1 depends only on (u, s) and A2
+    only on (u, r, s), so t is searched only where both already match."""
     R = E.ring
     elems = R.elements()
     units = [e for e in elems if R.is_unit(e)]
     out = []
     for u in units:
+        ui = R.inv(u)
+        ui2 = R.mul(ui, ui)
+        ss = [s for s in elems if R.eq(_moved_a1(E, ui, s), E.a1)]
         for r in elems:
-            for s in elems:
+            for s in ss:
+                if not R.eq(_moved_a2(E, ui2, r, s), E.a2):
+                    continue
                 for t in elems:
-                    if curves_equal(transform(E, u, r, s, t), E):
+                    if curves_equal(_transform_by_inverse(E, ui, r, s, t), E):
                         out.append((u, r, s, t))
     # group closure
     keyed = {tuple(map(R.render, g)) for g in out}

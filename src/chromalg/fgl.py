@@ -18,9 +18,9 @@ family_fgl_at are such images, and so is the s-derivative that
 recognize_in_family needs: the law over the dual numbers R[eps]/(eps^2) at
 B = s + eps carries dF_s/ds as its eps-coordinate.  The checks on the
 universal law read the memo.  The checks whose claim is about particular
-fibers keep the chord as their independent side: ell.reduction-table
-(elliptic.reduction_type) and ell.tate-fgl (against the closed form
-x + y - xy).
+fibers keep the curve as their independent side: ell.reduction-table
+(each fiber's own 2-series, elliptic.two_series) and ell.tate-fgl (the
+chord against the closed form x + y - xy).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ are series whose scalars are ints.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -591,6 +592,7 @@ class QuotientExtension(Ring):
         self.gen_name = gen_name
         self.char = base.char
         self._ints = _integer_form(base, mod)
+        self._elems = None
 
     def _tup(self, coeffs):
         return tuple(coeffs)
@@ -677,12 +679,13 @@ class QuotientExtension(Ring):
             raise NotInvertible("zero in quotient extension")
         # finite base: brute force; degree 2: norm trick; else fail loudly
         try:
-            elems = self.base.elements()
+            elems = self._element_tuple()
         except NotImplementedError:
             elems = None
         if elems is not None:
-            for cand in self._all_elements():
-                if self.eq(self.mul(a, cand), self.one()):
+            one = self.one()
+            for cand in elems:
+                if self.eq(self.mul(a, cand), one):
                     return cand
             raise NotInvertible(f"{a} not a unit in {self!r}")
         if self.deg == 2:
@@ -715,19 +718,16 @@ class QuotientExtension(Ring):
         # take first solution per coordinate (unique in domains)
         return [self._tup([s[0] for s in sols_per_coord])]
 
-    def _all_elements(self):
-        elems = self.base.elements()
-        def rec(i):
-            if i == self.deg:
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for e in elems:
-                    yield (e,) + rest
-        return [self._tup(t) for t in rec(0)]
+    def _element_tuple(self):
+        """Every element, the first coordinate varying fastest, built on the
+        first call; NotImplementedError over an infinite base."""
+        if self._elems is None:
+            self._elems = tuple(self._tup(t[::-1]) for t in
+                                itertools.product(self.base.elements(), repeat=self.deg))
+        return self._elems
 
     def elements(self):
-        return self._all_elements()
+        return list(self._element_tuple())
 
     def rationalize(self):
         rbase, f = self.base.rationalize()

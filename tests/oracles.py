@@ -13,15 +13,19 @@ every entry of every row they touch, the regularity test over Z with its
 own multiplication matrices per path, Weierstrass preparation returning its
 unit, `recognize_in_family` with the F_2[s] law for its b-direction, and
 the coefficient loop of `QuotientExtension.mul`, the sum of products
-`Ring.dot` as a loop, and the series product that sums each coefficient
-pair by pair with `R.mul` and `R.add`.
+`Ring.dot` as a loop, the series product that sums each coefficient
+pair by pair with `R.mul` and `R.add`, the 2-series as F(x, x) of the
+bivariate chord law, and the automorphism search that transforms the
+curve by every (u, r, s, t).
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
 shares nothing), `milnor_product` and the coset reduction of
 `QuotientModule` that the cyclicity search acts through, the `linalg`
 eliminations that the regularity oracle calls, the `family_law`,
-`family_fgl_at` and `f2_solve` that the recognition oracle calls, and the
-base-ring arithmetic that the quotient product oracle calls.
+`family_fgl_at` and `f2_solve` that the recognition oracle calls, the
+base-ring arithmetic that the quotient product oracle calls,
+`formal_group_of_curve` behind the 2-series oracle, and `transform`,
+`curves_equal` and `compose_transforms` behind the automorphism oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from chromalg import steenrod as st
-from chromalg.elliptic import curve_log
+from chromalg.elliptic import (compose_transforms, curve_log, curves_equal,
+                               formal_group_of_curve, transform)
 from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
                              RecognitionFailed)
 from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
@@ -947,3 +952,32 @@ def quotient_mul_oracle(R: QuotientExtension, a, b):
         for j in range(d + 1):
             out[i - d + j] = B.sub(out[i - d + j], B.mul(c, R.modulus[j]))
     return tuple(out[:d])
+
+
+def two_series_oracle(E, N: int) -> Series:
+    """[2](x) below x^(N+1) as F(x, x) of the bivariate chord law
+    formal_group_of_curve(E, N)."""
+    F = formal_group_of_curve(E, N)
+    x = SeriesCtx(E.ring, ("z",), N + 1).gen("z")
+    return F.compose({v: x for v in F.ctx.vars})
+
+
+def automorphism_group_oracle(E) -> list:
+    """Every (u, r, s, t) over a finite ring, u a unit, whose transform of E
+    is E, in the lexicographic order of R.elements(); closure verified."""
+    R = E.ring
+    elems = R.elements()
+    units = [e for e in elems if R.is_unit(e)]
+    out = []
+    for u in units:
+        for r in elems:
+            for s in elems:
+                for t in elems:
+                    if curves_equal(transform(E, u, r, s, t), E):
+                        out.append((u, r, s, t))
+    keyed = {tuple(map(R.render, g)) for g in out}
+    for g in out:
+        for h in out:
+            if tuple(map(R.render, compose_transforms(R, g, h))) not in keyed:
+                raise AlgebraError("automorphism set is not closed under composition")
+    return out

@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from chromalg import elliptic, fgl
+from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.elliptic import (ADDITIVE, NODAL, SMOOTH_ORDINARY,
                                SMOOTH_SUPERSINGULAR)
-from chromalg.errors import JUndefined, NotNodal, NotOnCurve
+from chromalg.errors import AlgebraError, JUndefined, NotNodal, NotOnCurve
 from chromalg.poly import PolyRing
-from chromalg.rings import GF, QQ, Z_inverted, ZZ, omega_ring
+from chromalg.report import RunConfig
+from chromalg.rings import GF, ModularIntegers, QQ, Z_inverted, ZZ, omega_ring
+from chromalg.series import Series, SeriesCtx
+
+from oracles import automorphism_group_oracle, two_series_oracle
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,112 @@ def test_reduction_exhaustive_supersingular_locus():
                     assert F.is_zero(A)
                 if not F.is_zero(A) and t not in (NODAL,):
                     assert t == SMOOTH_ORDINARY
+
+
+def smooth_fibers(q):
+    F = GF(q)
+    for A in F.elements():
+        for B in F.elements():
+            E = elliptic.gamma1_3_curve(F, A, B)
+            if not F.is_zero(elliptic.invariants(E).disc):
+                yield E
+
+
+def run_check(cid):
+    check = next(c for c in REGISTRY if c.id == cid)
+    return check.fn(RunConfig(), random.Random(0))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_two_series_is_f_of_x_x_on_every_smooth_fiber(q):
+    fibers = list(smooth_fibers(q))
+    assert len(fibers) == {2: 1, 4: 9, 8: 49}[q]
+    for E in fibers:
+        for N in range(2, 6):
+            two = elliptic.two_series(E, N)
+            assert two.prec == N + 1
+            assert two == two_series_oracle(E, N)
+
+
+def test_two_series_of_the_tate_curve():
+    """F = x + y - xy on y^2 + xy = x^3 over Z, so [2](x) = 2x - x^2."""
+    E = elliptic.gamma1_3_curve(ZZ, 1, 0)
+    for N in range(1, 9):
+        two = elliptic.two_series(E, N)
+        assert two.prec == N + 1
+        assert two == SeriesCtx(ZZ, ("z",), N + 1).series({(1,): 2, (2,): -1})
+
+
+@pytest.mark.parametrize("E", [
+    elliptic.curve(ModularIntegers(8), 3, 5, 7, 2, 6),
+    elliptic.curve(QQ, Fraction(1, 2), Fraction(-3), Fraction(2, 5), Fraction(7), Fraction(-1, 3)),
+], ids=["Z/8", "Q"])
+def test_two_series_with_every_coefficient_nonzero(E):
+    assert all(not E.ring.is_zero(a) for a in E.coefficients())
+    for N in range(1, 9):
+        two = elliptic.two_series(E, N)
+        assert two.prec == N + 1
+        assert two == two_series_oracle(E, N)
+        assert elliptic.two_series(E, N + 1).truncate(N + 1) == two
+
+
+def test_automorphism_group_matches_the_brute_force():
+    F4, F7, F8 = GF(4), GF(7), GF(8)
+    w = F4.gen()
+    C = elliptic.curve(F4, F4.zero(), F4.zero(), F4.one(), F4.zero(), F4.zero())
+    curves = [C, *smooth_fibers(2), *smooth_fibers(4),
+              elliptic.gamma1_3_curve(F8, F8.one(), F8.gen()),
+              # a2 != 0, and an odd characteristic, where the unit powers
+              # in A1 and A2 are seen
+              elliptic.transform(C, w, w, F4.one(), w),
+              elliptic.transform(elliptic.curve(F7, 0, 0, 0, 0, 1), 3, 2, 5, 4)]
+    for E in curves:
+        assert elliptic.automorphism_group(E) == automorphism_group_oracle(E)
+    assert [len(elliptic.automorphism_group(E)) for E in curves[-2:]] == [24, 6]
+
+
+def drop_terms(monkeypatch, *degrees):
+    two_series = elliptic.two_series
+
+    def dropped(E, N):
+        s = two_series(E, N)
+        return Series(s.ctx, {e: c for e, c in s.terms.items() if e[0] not in degrees})
+
+    monkeypatch.setattr(elliptic, "two_series", dropped)
+
+
+def test_reduction_table_fails_without_the_z2_term(monkeypatch):
+    """Negative control: with c2 dropped an ordinary fiber reads as height 2."""
+    run_check("ell.reduction-table")
+    drop_terms(monkeypatch, 2)
+    with pytest.raises(AlgebraError, match="height-2 series but j != 0"):
+        run_check("ell.reduction-table")
+
+
+def test_reduction_table_fails_without_the_z2_and_z4_terms(monkeypatch):
+    drop_terms(monkeypatch, 2, 4)
+    with pytest.raises(AlgebraError, match="vanishes to precision"):
+        run_check("ell.reduction-table")
+
+
+def test_aut_supersingular_fails_when_every_curve_matches(monkeypatch):
+    """Negative control: A1 and A2 alone leave 48 candidates, not 24."""
+    run_check("ell.aut-supersingular")
+    monkeypatch.setattr(elliptic, "curves_equal", lambda E1, E2: True)
+    with pytest.raises(CheckFailure, match="automorphism count 48 != 24"):
+        run_check("ell.aut-supersingular")
+
+
+def test_closure_check_catches_a_wrong_composition(monkeypatch):
+    compose = elliptic.compose_transforms
+
+    def perturbed(R, g, h):
+        u, r, s, t = compose(R, g, h)
+        return (u, R.add(r, R.one()), s, t)
+
+    monkeypatch.setattr(elliptic, "compose_transforms", perturbed)
+    with pytest.raises(AlgebraError, match="not closed under composition"):
+        run_check("ell.aut-supersingular")
 
 
 def test_formal_group_unit_axiom_and_low_terms(family):

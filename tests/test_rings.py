@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromalg.convert import descend_scalar, fraction_mod
-from chromalg.errors import IntegralityFailure
+from chromalg.errors import IntegralityFailure, NotInvertible
 from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
                             QuotientExtension, Z_inverted, Z_local, ZZ,
@@ -231,6 +232,50 @@ def test_quotient_mul_matches_the_loop(name, data):
     got, want = R.mul(a, b), quotient_mul_oracle(R, a, b)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+FINITE_QUOTIENTS = {"GF(4)": GF(4), "GF(8)": GF(8), "F3[z]/Phi3": _kforms_ring(3)}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_QUOTIENTS))
+def test_finite_quotient_units_match_the_brute_force(name):
+    """inv returns the one b with a*b = 1 and raises NotInvertible where there
+    is none; is_unit agrees.  Elements are built here from the base's."""
+    R = FINITE_QUOTIENTS[name]
+    elems = [t[::-1] for t in itertools.product(R.base.elements(), repeat=R.deg)]
+    assert R.elements() == elems
+    units = 0
+    for a in elems:
+        inverses = [b for b in elems if R.eq(R.mul(a, b), R.one())]
+        assert len(inverses) <= 1
+        assert R.is_unit(a) == bool(inverses)
+        if inverses:
+            units += 1
+            assert R.inv(a) == inverses[0]
+        else:
+            with pytest.raises(NotInvertible):
+                R.inv(a)
+    assert units == {"GF(4)": 3, "GF(8)": 7, "F3[z]/Phi3": 6}[name]
+
+
+def test_finite_quotient_builds_its_elements_once(monkeypatch):
+    R = _kforms_ring(3)
+    calls = []
+    base_elements = R.base.elements
+
+    def counted():
+        calls.append(1)
+        return base_elements()
+
+    monkeypatch.setattr(R.base, "elements", counted)
+    for a in R.elements():
+        R.is_unit(a)
+    first = R.elements()
+    first.clear()
+    assert len(R.elements()) == 9 and R.elements() is not R.elements()
+    assert calls == [1]
+    with pytest.raises(NotImplementedError):
+        omega_ring().elements()
 
 
 def test_quotient_mul_over_a_series_ring_takes_the_loop(monkeypatch):
