@@ -427,12 +427,11 @@ def automorphism_group(E: WeierstrassCurve) -> list:
                 for t in elems:
                     if curves_equal(_transform_by_inverse(E, ui, r, s, t), E):
                         out.append((u, r, s, t))
-    # group closure
-    keyed = {tuple(map(R.render, g)) for g in out}
+    # group closure; a finite ring's elements are canonical, so they are keys
+    keyed = set(out)
     for g in out:
         for h in out:
-            c = compose_transforms(R, g, h)
-            if tuple(map(R.render, c)) not in keyed:
+            if compose_transforms(R, g, h) not in keyed:
                 raise AlgebraError("automorphism set is not closed under composition")
     return out
 

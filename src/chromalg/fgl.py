@@ -2,10 +2,19 @@
 logarithms, Hazewinkel generators, isomorphism search, canonical subgroups,
 isogeny quotients and the 2-adic recognition of a quotient in the family.
 
+Every law has one logarithm, read from the law itself: ell' = 1/(dF/dy)(x, 0)
+over the rationalized coefficient ring (fgl_log).  On a curve law it is the
+curve's logarithm (elliptic.curve_log) in the variable x.
+
 Quotients follow a torsion-free route: the kernel point is located exactly on
 a characteristic-zero lift (curve chord geometry or the closed conic form),
 the quotient law is assembled through logarithms, 2-integrality is asserted,
 and only then is everything reduced back.  All heavy lifting is univariate.
+Only the laws that quotient_by_subgroup accepts carry that lift as their
+origin: two_adic_family_fgl its Q[[b]] curve (CurveOrigin), conic_fgl its
+rational parameters (ConicOrigin).  One residual, hom_residual =
+f(F(x, y)) - G(f x, f y), re-verifies each quotient's isogeny and drives
+each level of recognize_in_family.
 
 Curve laws come two ways.  fgl_from_curve runs the chord construction
 (elliptic.formal_group_of_curve) for the curve it is given.  The level-3
@@ -59,27 +68,14 @@ class FormalGroupLaw:
     F: Series                 # bivariate in ("x", "y"), total degree < prec
     ring: Ring
     prec: int
-    origin: object = None
+    origin: object = None     # the lift quotient_by_subgroup reads, if any
 
     @property
     def ctx(self):
         return self.F.ctx
 
-    def x(self):
-        return self.ctx.gen("x")
-
-    def y(self):
-        return self.ctx.gen("y")
-
     def coefficient(self, i, j):
         return self.F.coefficient((i, j))
-
-    def plus(self, a: Series, b: Series) -> Series:
-        return self.F.compose({"x": a, "y": b})
-
-    def map_coefficients(self, fn, target: Ring) -> "FormalGroupLaw":
-        return FormalGroupLaw(self.F.map_coefficients(fn, target), target,
-                              self.prec, self.origin)
 
 
 def validate_fgl(F: Series, ring: Ring, check_assoc: bool = True):
@@ -158,20 +154,10 @@ def _to_fraction(ring, v):
     return out if isinstance(out, Fraction) else None
 
 
-def _rational_origin(E: WeierstrassCurve):
-    """CurveOrigin of E over its rationalised ring in characteristic 0, else None."""
-    if E.ring.char != 0:
-        return None
-    Qring, f = E.ring.rationalize()
-    return CurveOrigin(E.map_coefficients(f, Qring))
-
-
-def fgl_from_curve(E: WeierstrassCurve, N: int, lift_curve: WeierstrassCurve | None = None,
-                   check_assoc=None) -> FormalGroupLaw:
+def fgl_from_curve(E: WeierstrassCurve, N: int, check_assoc=None) -> FormalGroupLaw:
     """The chord law of E to total degree N (elliptic.formal_group_of_curve)."""
     F = formal_group_of_curve(E, N).rename(("x", "y"))
-    origin = CurveOrigin(lift_curve) if lift_curve is not None else _rational_origin(E)
-    return make_fgl(F, E.ring, origin, check_assoc=check_assoc)
+    return make_fgl(F, E.ring, check_assoc=check_assoc)
 
 
 _universal_law = None     # the largest universal family law built so far
@@ -191,11 +177,9 @@ def universal_family_law(N: int) -> Series:
 
 
 def universal_family_fgl(N: int, check_assoc=None) -> FormalGroupLaw:
-    """universal_family_law(N), validated, with its Q[A, B] curve as lift."""
+    """universal_family_law(N), validated."""
     F = universal_family_law(N)
-    P = F.ctx.ring
-    E = gamma1_3_curve(P, P.gen("A"), P.gen("B"))
-    return make_fgl(F, P, _rational_origin(E), check_assoc=check_assoc)
+    return make_fgl(F, F.ctx.ring, check_assoc=check_assoc)
 
 
 def family_law(ring: Ring, a, b, N: int) -> Series:
@@ -240,9 +224,7 @@ def two_adic_family_fgl(k: int, bprec: int, xprec: int, bvar: str = "b") -> Form
 def family_fgl_at(ring: SeriesRing, param: Series, xprec: int,
                   check_assoc=False) -> FormalGroupLaw:
     """Family law at A = 1, B = param (a series in the base of `ring`)."""
-    E = gamma1_3_curve(ring, ring.one(), param)
-    F = family_law(ring, ring.one(), param, xprec)
-    return make_fgl(F, ring, _rational_origin(E), check_assoc=check_assoc)
+    return make_fgl(family_law(ring, ring.one(), param, xprec), ring, check_assoc=check_assoc)
 
 
 # -- m-series and heights --------------------------------------------------------
@@ -283,15 +265,13 @@ def fgl_log(F: FormalGroupLaw, N: int | None = None) -> Series:
     rationalized coefficient ring."""
     N = F.prec - 1 if N is None else N
     Qring, lift = F.ring.rationalize()
-    if isinstance(F.origin, CurveOrigin) and F.origin.lift_curve is not None:
-        return curve_log(F.origin.lift_curve, N).truncate(N + 1)
     # the x^N log coefficient needs F through total degree N
     if N + 1 > F.prec:
         raise TruncationError("log precision exceeds the stored law")
-    FQ = F.F.map_coefficients(lift, Qring).truncate(N + 1)
-    dFy = FQ.derivative("y").set_var_zero("y").drop_var("y").rename(("x",))
-    lp = dFy.truncate(N).inverse()
-    return lp.truncate(N).integrate()
+    # ell' = 1/(dF/dy)(x, 0), read from the x^i y coefficients of F, i < N
+    dFy = SeriesCtx(Qring, ("x",), N).series(
+        {(i,): lift(c) for (i, j), c in F.F.terms.items() if j == 1 and i < N})
+    return dFy.inverse().integrate()
 
 
 def fgl_exp(F: FormalGroupLaw, N: int | None = None) -> Series:
@@ -338,6 +318,15 @@ class Obstruction:
 class IsoResult:
     phi: Series
     linear: object
+
+
+def hom_residual(f: Series, F: Series, G: Series) -> Series:
+    """f(F(x, y)) - G(f(x), f(y)) for a univariate f of order >= 1 and laws
+    F, G in ("x", "y"): zero exactly when f is a homomorphism F -> G below
+    min(f.prec, F.prec, G.prec), the precision the result is exact below."""
+    t = f.ctx.vars[0]
+    u, v = F.ctx.gen("x"), F.ctx.gen("y")
+    return f.compose({t: F}) - G.compose({"x": f.compose({t: u}), "y": f.compose({t: v})})
 
 
 def strict_apply(F: FormalGroupLaw, phi: Series) -> FormalGroupLaw:
@@ -585,7 +574,7 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
-    if isinstance(F.origin, CurveOrigin) and F.origin.lift_curve is not None:
+    if isinstance(F.origin, CurveOrigin):
         fq, tau_q, Lq = _curve_isogeny_data(F.origin.lift_curve, out_prec)
     elif isinstance(F.origin, ConicOrigin) and F.origin.b is not None:
         fq, tau_q, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, out_prec)
@@ -614,12 +603,7 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
                             "kernel polynomial root")
     quotient = make_fgl(Fbar, R, check_assoc=None)
     # isogeny identity f(F(x,y)) = F'(f(x), f(y)) re-verified after construction
-    u, v = F.ctx.gen("x"), F.ctx.gen("y")
-    fu = f_red.compose({f_red.ctx.vars[0]: u})
-    fv = f_red.compose({f_red.ctx.vars[0]: v})
-    lhs = f_red.compose({f_red.ctx.vars[0]: F.F})
-    rhs = quotient.F.compose({"x": fu, "y": fv})
-    if not lhs == rhs:
+    if not hom_residual(f_red, F.F, quotient.F).is_zero():
         raise QuotientPrecisionError("isogeny identity fails after reduction")
     return QuotientResult(quotient, f_red, tau_red, Fbar_q, fq_out)
 
@@ -819,11 +803,8 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
     ctx1 = SeriesCtx(R, ("t",), xprec)
     phi = ctx1.gen("t")
     bparam = R.mul(R.gen(), R.gen())
-    u, v = Fq.ctx.gen("x"), Fq.ctx.gen("y")
     for level in range(1, k + 1):
-        G = family_fgl_at(R, bparam, xprec - 1).F
-        resid = (phi.compose({"t": Fq.F})
-                 - G.compose({"x": phi.compose({"t": u}), "y": phi.compose({"t": v})}))
+        resid = hom_residual(phi, Fq.F, family_fgl_at(R, bparam, xprec - 1).F)
         if level == k:
             if not resid.is_zero():
                 raise RecognitionFailed("recognition residual nonzero at full modulus")

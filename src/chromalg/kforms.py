@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .elliptic import gamma1_3_curve, invariants, transform, curves_equal
+from .fgl import conic_discriminant
 from .linalg import f2_rref, int_kernel, lattice_homology
 from .poly import PolyRing
 from .rings import (PrimeField, QuotientExtension, Ring, omega_ring,
@@ -174,6 +175,20 @@ def _is_3_unit(q: Fraction) -> bool:
 
 # -- cusp restriction ---------------------------------------------------------------
 
+def _cusp_substitution(sign: int = +1, lam_power: int = 0):
+    """(E_sub, moved, target) over Z[w][beta, 1/beta]: the family E_sub at
+    A = sqrt(-3) beta lam and B = sign * A^3/27 with lam = beta^lam_power,
+    E_sub scaled by u = A/3, and the target y^2 + 3xy + y = x^3."""
+    W = omega_ring()
+    S = PolyRing(W, ("beta",), laurent=("beta",))
+    A_img = S.const(sqrt_minus3(W)) * S.gen("beta") * S.gen("beta", lam_power)
+    B_img = (A_img ** 3) * S.const(W.divide(W.one(), W.from_int(27 * sign)))
+    E_sub = gamma1_3_curve(S, A_img, B_img)
+    u = A_img * S.const(W.divide(W.one(), W.from_int(3)))
+    moved = transform(E_sub, u, S.zero(), S.zero(), S.zero())
+    return E_sub, moved, gamma1_3_curve(S, S.from_int(3), S.one())
+
+
 def cusp_restriction_check(sign: int = +1) -> dict:
     """Substitute A = sqrt(-3) beta, B = sign * (1/27) (sqrt(-3) beta)^3 into the
     family and search for a Weierstrass transformation onto y^2+3xy+y = x^3.
@@ -182,14 +197,7 @@ def cusp_restriction_check(sign: int = +1) -> dict:
     u = sqrt(-3) beta / 3 lands exactly on the target; with sign = -1 the
     curve is smooth (discriminant -54 B^4-type), so no transformation can
     exist and the discriminant is returned as the residual witness."""
-    W = omega_ring()
-    S = PolyRing(W, ("beta",), laurent=("beta",))
-    s3 = S.const(sqrt_minus3(W))
-    beta = S.gen("beta")
-    A_img = s3 * beta
-    B_img = (A_img ** 3) * S.const(W.divide(W.one(), W.from_int(27 * sign)))
-    E_sub = gamma1_3_curve(S, A_img, B_img)
-    target = gamma1_3_curve(S, S.from_int(3), S.one())
+    E_sub, moved, target = _cusp_substitution(sign)
     inv_sub = invariants(E_sub)
     inv_t = invariants(target)
     report = {"sign": sign, "sub_disc_zero": inv_sub.disc.is_zero(),
@@ -198,8 +206,6 @@ def cusp_restriction_check(sign: int = +1) -> dict:
         report["found"] = False
         report["residual"] = f"substituted curve is smooth: disc = {inv_sub.disc}"
         return report
-    u = A_img * S.const(W.divide(W.one(), W.from_int(3)))
-    moved = transform(E_sub, u, S.zero(), S.zero(), S.zero())
     if curves_equal(moved, target):
         report["found"] = True
         report["transformation"] = "(u, r, s, t) = (sqrt(-3) beta / 3, 0, 0, 0)"
@@ -212,17 +218,8 @@ def cusp_restriction_check(sign: int = +1) -> dict:
 def cusp_restriction_rescaled(lam_power: int = 1) -> bool:
     """Weight consistency: the lambda-rescaled substitution also lands on the
     target after adjusting u."""
-    W = omega_ring()
-    S = PolyRing(W, ("beta",), laurent=("beta",))
-    s3 = S.const(sqrt_minus3(W))
-    beta = S.gen("beta")
-    lam = S.gen("beta", lam_power)  # any invertible scaling expression
-    A_img = s3 * beta * lam
-    B_img = (A_img ** 3) * S.const(W.divide(W.one(), W.from_int(27)))
-    E_sub = gamma1_3_curve(S, A_img, B_img)
-    target = gamma1_3_curve(S, S.from_int(3), S.one())
-    u = A_img * S.const(W.divide(W.one(), W.from_int(3)))
-    return curves_equal(transform(E_sub, u, S.zero(), S.zero(), S.zero()), target)
+    _, moved, target = _cusp_substitution(lam_power=lam_power)
+    return curves_equal(moved, target)
 
 
 # -- Frobenius lift obstruction -------------------------------------------------------
@@ -252,5 +249,4 @@ def frobenius_lift_obstruction(p: int) -> dict:
 
 
 def discriminant_classification(ring: Ring, b, c) -> str:
-    disc = ring.sub(ring.mul(b, b), ring.scale_int(c, 4))
-    return "form" if ring.is_unit(disc) else "degenerate"
+    return "form" if ring.is_unit(conic_discriminant(ring, b, c)) else "degenerate"

@@ -54,10 +54,6 @@ def milnor_primitive(i: int) -> frozenset:
     return frozenset({_strip((0,) * i + (1,))})
 
 
-def add(a: frozenset, b: frozenset) -> frozenset:
-    return a ^ b
-
-
 UNIT = frozenset({()})
 ZERO = frozenset()
 

@@ -1,7 +1,8 @@
 """Reference implementations kept only as test oracles.
 
 Each one is the plain algorithm that the library's faster version replaced:
-term-by-term composition, full-precision Newton inversion, degree-by-degree
+term-by-term composition, the homomorphism residual f(F) - G(f, f) as four
+such compositions, full-precision Newton inversion, degree-by-degree
 reversion, the fixed-point w-series at full precision, the Q[[b]] lift of
 `quotient_by_subgroup` at four guard degrees above the output precision,
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
@@ -114,6 +115,15 @@ def compose_oracle(f: Series, subs: dict) -> Series:
                 term = term * power(i, k)
         out = out + term
     return out
+
+
+def hom_residual_oracle(f: Series, F: Series, G: Series) -> Series:
+    """f(F(x, y)) - G(f(x), f(y)) as its four compositions, each made by
+    compose_oracle."""
+    t = f.ctx.vars[0]
+    fx = compose_oracle(f, {t: F.ctx.gen("x")})
+    fy = compose_oracle(f, {t: F.ctx.gen("y")})
+    return compose_oracle(f, {t: F}) - compose_oracle(G, {"x": fx, "y": fy})
 
 
 def inverse_oracle(f: Series) -> Series:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +14,7 @@ from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.errors import (AlgebraError, HeightExceedsPrecision,
                              InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift,
                              NotOrdinary, RecognitionFailed, TruncationError)
-from chromalg.poly import PolyRing
+from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
                             ZZ, omega_ring, sqrt_minus3)
 from chromalg.report import RunConfig
@@ -72,6 +73,46 @@ def test_log_exp_roundtrip():
     F = fgl.conic_fgl(QQ, -1, 0, 8)
     l, e = fgl.fgl_log(F), fgl.fgl_exp(F)
     assert l.compose({"x": e.rename(("x",))}) == SeriesCtx(QQ, ("x",), 8).gen("x")
+
+
+CURVES_OVER_Z_AND_Q = {
+    "universal": lambda: elliptic.universal_gamma1_3()[0],
+    "tate over Z": lambda: elliptic.gamma1_3_curve(ZZ, 1, 0),
+    "all a_i nonzero over Q": lambda: elliptic.curve(
+        QQ, Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(5), Fraction(-7, 3)),
+}
+
+
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("make", CURVES_OVER_Z_AND_Q.values(), ids=CURVES_OVER_Z_AND_Q.keys())
+def test_law_log_is_the_curve_log(make, N):
+    """The logarithm read from a curve's chord law, 1/(dF/dy)(x, 0)
+    integrated, is the curve's invariant-differential logarithm over the
+    rationalized ring: the same values of the same types, in x for z."""
+    E = make()
+    Qring, lift = E.ring.rationalize()
+    want = elliptic.curve_log(E.map_coefficients(lift, Qring), N).truncate(N + 1)
+    got = fgl.fgl_log(fgl.fgl_from_curve(E, N, check_assoc=False), N)
+    assert _typed(got) == _typed(want.rename(("x",)))
+    with pytest.raises(TruncationError):
+        fgl.fgl_log(fgl.fgl_from_curve(E, N, check_assoc=False), N + 1)
+
+
+def test_hazewinkel_family_check_reads_the_law_log(monkeypatch):
+    """Negative control: one added to the x^4 coefficient of the law's
+    logarithm makes fgl.hazewinkel-family fail at v2."""
+    check = next(c for c in REGISTRY if c.id == "fgl.hazewinkel-family")
+    log = fgl.fgl_log
+
+    def perturbed(F, N=None):
+        ell = log(F, N)
+        R = ell.ctx.ring
+        return ell + ell.ctx.series({(4,): R.one()})
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "fgl_log", perturbed)
+    with pytest.raises(CheckFailure, match=r"v2 = 2 \+ B != B"):
+        check.fn(RunConfig(), random.Random(0))
 
 
 def test_hazewinkel_family_exact():
@@ -289,6 +330,8 @@ def _typed(v):
     """Variables, precision, terms and value types, recursively."""
     if isinstance(v, Series):
         return (v.ctx.vars, v.prec, {e: _typed(c) for e, c in v.terms.items()})
+    if isinstance(v, Poly):
+        return (type(v), {e: _typed(c) for e, c in v.terms.items()})
     return (type(v), v)
 
 
@@ -365,14 +408,37 @@ def test_quotient_frobenius_check_reads_the_top_degree(monkeypatch):
 
 
 def test_isogeny_identity_reverified():
+    """hom_residual against its four compositions written out term by term:
+    zero for the isogeny of the family quotient over Z/4[[b]], and the same
+    nonzero series once one isogeny coefficient moves."""
     F = fgl.two_adic_family_fgl(2, 5, 7)
     res = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
-    f = res.isogeny
-    u, v = F.ctx.gen("x"), F.ctx.gen("y")
-    lhs = f.compose({f.ctx.vars[0]: F.F})
-    rhs = res.fgl.F.compose({"x": f.compose({f.ctx.vars[0]: u}),
-                             "y": f.compose({f.ctx.vars[0]: v})})
-    assert lhs == rhs
+    f, G = res.isogeny, res.fgl.F
+    got = fgl.hom_residual(f, F.F, G)
+    assert got.is_zero() and got.prec == F.prec
+    assert _typed(got) == _typed(oracles.hom_residual_oracle(f, F.F, G))
+    R = F.ring
+    moved = f + f.ctx.series({(3,): R.one()})
+    got = fgl.hom_residual(moved, F.F, G)
+    assert not got.is_zero()
+    assert _typed(got) == _typed(oracles.hom_residual_oracle(moved, F.F, G))
+
+
+def test_isogeny_identity_check_fails_on_a_moved_isogeny(monkeypatch):
+    """Negative control: the x^3 coefficient of the returned isogeny plus
+    one makes fgl.isogeny-identity fail."""
+    check = next(c for c in REGISTRY if c.id == "fgl.isogeny-identity")
+    quotient = fgl.quotient_by_subgroup
+
+    def perturbed(F, K):
+        res = quotient(F, K)
+        f = res.isogeny
+        return dataclasses.replace(res, isogeny=f + f.ctx.series({(3,): F.ring.one()}))
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "quotient_by_subgroup", perturbed)
+    with pytest.raises(CheckFailure, match=re.escape("f(F(x,y)) != F'(f(x), f(y))")):
+        check.fn(RunConfig(), random.Random(0))
 
 
 def test_recognize_family_mod4():
