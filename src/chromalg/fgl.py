@@ -290,7 +290,7 @@ class PTypicalData:
 def hazewinkel_generators(F: FormalGroupLaw, p: int, n: int) -> PTypicalData:
     """v_i solved from p*ell_m = sum_{i<m} ell_i v_{m-i}^(p^i), with
     ell_k = the x^(p^k) log coefficient; integrality over the base asserted."""
-    need = p ** n + 2
+    need = p ** n + 1
     if F.prec < need:
         raise TruncationError(f"law precision {F.prec} < required {need}")
     ell = fgl_log(F, p ** n)

@@ -21,7 +21,9 @@ precision it needs:
     reproduce w (AlgebraError otherwise).
   * fgl.find_iso: raises TruncationError unless N < min(F.prec, G.prec).
     The powers F^k are made once per call at precision N + 1, up to the
-    largest k < N with c_k != 0.  G(phi x, phi y) = sum_i phi(x)^i
+    largest k < N with c_k != 0; F^(k-1) has order k - 1, so the product
+    F^(k-1)*F packs F only below degree N - k + 2 and unpacks only degrees
+    k..N.  G(phi x, phi y) = sum_i phi(x)^i
     g_i(phi(y)) for G = sum_i x^i g_i(y) is read degree by degree from two
     univariate scalar tables, [t^a] phi^i and [t^b] g_i(phi(t)), one column
     per degree, with no composition; column a is final once c_1..c_a are
@@ -68,9 +70,17 @@ QuotientExtensions; the R.mul and R.add loop elsewhere):
     own context; a QuotientExtension over one of those whose modulus has
     integer coefficients, ints when the base's zero is an int (omega_ring(),
     GF(4));
-  * slot layout, for n variables: exponent e has the index
-    |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2, and inner slot j of it
-    sits at slot index*r + j.  The inner radix r is 1 for scalars (j = 0),
+  * trimming: for operands of orders oa and ob, a term of a of total degree
+    >= P - ob (of b, >= P - oa) meets only product degrees >= P, so it is
+    not packed, and the product is the zero series once oa + ob >= P.  That
+    shortcut comes after the refusals that read whole operands (the
+    carrier, and a SeriesRing coefficient at another context);
+  * slot layout, for n variables: exponent e of an operand of order o has
+    the index (|e| - o)*P^(n-1) + sum of e_k*P^(n-k) over k >= 2, so each
+    packed integer starts at its lowest block, and inner slot j of it sits
+    at slot index*r + j.  Product slot index i then holds the exponent of
+    index i + (oa + ob)*P^(n-1), and only total degrees oa + ob to P - 1
+    are unpacked.  The inner radix r is 1 for scalars (j = 0),
     2Pb - 1 for a SeriesRing (j the b-degree) and 2*deg - 1 for a
     QuotientExtension (j the w-coordinate), so an inner product stays in its
     block.  Total degree is the top digit: a product term of total degree
@@ -85,9 +95,10 @@ QuotientExtensions; the R.mul and R.add loop elsewhere):
     reduction, rings._reduce, of the convolution of its operands' integer
     coordinates;
   * density rule: pack only when E_a * E_b >= S, where E counts an operand's
-    packed scalar entries (scalars, b-coefficients, or w-coordinates: deg
-    per term) and S is the number of slots the product spans, up to the
-    last slot of total degree < P.  E_a * E_b is the number of scalar
+    packed scalar entries after trimming (scalars, b-coefficients, or
+    w-coordinates: deg per term) and S is the number of slots the product
+    spans, from block (oa + ob)*P^(n-1) up to the last slot of total
+    degree < P.  E_a * E_b is the number of scalar
     products the loop makes, so sparse operands take the loop;
   * scalars: Z/m residues pack unsigned in [0, m) and unpack with % m;
     Z, Q and Z_(p) pack as signed integers, Q and Z_(p) scaled by the lcm of
@@ -213,7 +224,7 @@ class Series:
         """Least total degree of a nonzero term; None if zero to precision."""
         if not self.terms:
             return None
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self.terms))
 
     def truncate(self, prec: int) -> "Series":
         if prec >= self.ctx.prec:
@@ -621,18 +632,27 @@ def _integers(vals: list, m: int):
     return None
 
 
-def _operand(s: Series, inner, P: int):
-    """(blocks, slots, scalars) of a series for packing: blocks lists (block
-    index, entry count) in the order of the flat slots and scalars.  Exponent
-    e has index |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2.  Over scalars
-    (inner None) the series is one block, e at slot index(e).  Otherwise e is
-    block index(e): a SeriesRing coefficient (inner its elements' context)
-    puts b^j at slot j, a QuotientExtension coefficient (inner tuple) its
-    coordinate j at slot j.  None when a SeriesRing coefficient is not at
-    that context."""
+def _operand(s: Series, inner, P: int, low: int, top: int):
+    """(blocks, slots, scalars) of the terms of s of total degree < top, for
+    packing: blocks lists (block index, entry count) in the order of the flat
+    slots and scalars.  Exponent e has index (|e| - low)*P^(n-1) + sum of
+    e_k*P^(n-k) over k >= 2, so a series of order low starts at index 0.
+    Over scalars (inner None) the series is one block, e at slot index(e).
+    Otherwise e is block index(e): a SeriesRing coefficient (inner its
+    elements' context) puts b^j at slot j, a QuotientExtension coefficient
+    (inner tuple) its coordinate j at slot j.  None when any SeriesRing
+    coefficient of s, kept or not, is not at that context."""
     blocks, slots, vals = [], [], []
     for e, c in s.terms.items():
+        if inner is not None and inner is not tuple:
+            cc = c.ctx
+            if cc is not inner and (cc.prec != inner.prec or cc.vars != inner.vars
+                                    or cc.ring is not inner.ring):
+                return None
         i = sum(e)
+        if i >= top:
+            continue
+        i -= low
         for k in e[1:]:
             i = i * P + k
         if inner is None:
@@ -644,10 +664,6 @@ def _operand(s: Series, inner, P: int):
             slots += range(len(c))
             vals += c
             continue
-        cc = c.ctx
-        if cc is not inner and (cc.prec != inner.prec or cc.vars != inner.vars
-                                or cc.ring is not inner.ring):
-            return None
         blocks.append((i, len(c.terms)))
         slots += [j for (j,) in c.terms]
         vals += c.terms.values()
@@ -669,17 +685,18 @@ def _pack(blocks: list, slots: list, ints: list, w: int, stride: int) -> int:
     return x
 
 
-def _exponents(n: int, P: int, nblocks: int):
-    """(block index, exponent) for every exponent of n variables and total
-    degree < P whose block index is below nblocks."""
+def _exponents(n: int, P: int, low: int, nblocks: int):
+    """(block index - low*P^(n-1), exponent) for every exponent of n
+    variables and total degree in [low, P) whose shifted block index is below
+    nblocks."""
     tails = [((), 0, 0)]            # (e_2..e_n, their part of the index, sum)
     for _ in range(n - 1):
         tails = [(t + (k,), i * P + k, s + k) for t, i, s in tails for k in range(P - s)]
     base = P ** (n - 1)
-    for d in range(min(P, -(-nblocks // base))):
+    for d in range(low, min(P, low - (-nblocks // base))):
         for t, i, s in tails:
-            if s <= d and d * base + i < nblocks:
-                yield d * base + i, (d - s,) + t
+            if s <= d and (d - low) * base + i < nblocks:
+                yield (d - low) * base + i, (d - s,) + t
 
 
 def _mul_monomial(a: Series, b: Series, m: int) -> Series:
@@ -723,16 +740,22 @@ def _mul_packed(a: Series, b: Series):
     if m is None:
         return None
     P, n = ctx.prec, len(ctx.vars)
-    op_a, op_b = _operand(a, inner, P), _operand(b, inner, P)
+    # a term of a of degree >= P - ob meets only degrees >= P in the product,
+    # and the product has no term below degree oa + ob
+    oa, ob = a.order() or 0, b.order() or 0
+    op_a, op_b = _operand(a, inner, P, oa, P - ob), _operand(b, inner, P, ob, P - oa)
     if op_a is None or op_b is None:
         return None
     (blocks_a, slots_a, vals_a), (blocks_b, slots_b, vals_b) = op_a, op_b
+    # a zero operand, or oa + ob >= P: no term is kept
     if not vals_a or not vals_b:
         return Series(ctx, {})
-    # the product spans the slots up to the last one that holds a term of
-    # total degree < P; packing pays when the loop's scalar products cover them
+    # the product spans the slots from block (oa + ob)*P^(n-1) up to the last
+    # one that holds a term of total degree < P; packing pays when the loop's
+    # scalar products cover them
+    low = oa + ob
     top = (max(blocks_a)[0] + max(blocks_b)[0]) * stride + max(slots_a) + max(slots_b)
-    nslots = min((P ** n - 1) * stride + width, top + 1)
+    nslots = min((P ** n - low * P ** (n - 1) - 1) * stride + width, top + 1)
     if len(vals_a) * len(vals_b) < nslots:
         return None
     int_a, int_b = _integers(vals_a, m), _integers(vals_b, m)
@@ -767,7 +790,7 @@ def _mul_packed(a: Series, b: Series):
         digits = [int.from_bytes(data[k:k + size], "little") - half for k in slots]
     den = den_a * den_b
     out = {}
-    for i, e in _exponents(n, P, -(-nslots // stride)):
+    for i, e in _exponents(n, P, low, -(-nslots // stride)):
         if inner is None:
             v = digits[i]
             if v:

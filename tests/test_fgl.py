@@ -151,11 +151,24 @@ def _conic_u(N):
 @pytest.mark.parametrize("law", [_conic_u, fgl.universal_family_fgl],
                          ids=["conic", "family"])
 def test_hazewinkel_precision_guard(law):
-    # hazewinkel_generators(F, p, n) needs F.prec >= p^n + 2
+    # hazewinkel_generators(F, p, n) needs F.prec >= p^n + 1, as fgl_log(F, p^n) does
     with pytest.raises(TruncationError):
-        fgl.hazewinkel_generators(law(2 ** 2), 2, 2)        # prec p^n + 1
-    data = fgl.hazewinkel_generators(law(2 ** 2 + 1), 2, 2)  # prec p^n + 2
+        fgl.hazewinkel_generators(law(2 ** 2 - 1), 2, 2)    # prec p^n
+    data = fgl.hazewinkel_generators(law(2 ** 2), 2, 2)      # prec p^n + 1
     assert data.v == fgl.hazewinkel_generators(law(9), 2, 2).v
+
+
+@pytest.mark.parametrize("law, p, n", [(fgl.universal_family_fgl, 2, 1),
+                                       (fgl.universal_family_fgl, 3, 1),
+                                       (fgl.universal_family_fgl, 2, 2),
+                                       (fgl.universal_family_fgl, 2, 3),
+                                       (_conic_u, 2, 2)])
+def test_hazewinkel_at_the_guard_matches_higher_precision(law, p, n):
+    """The x^(p^n) log coefficient reads only the x^i y terms of the law with
+    i < p^n, so v at precision p^n + 1 is v at precision p^n + 5."""
+    assert law(p ** n).prec == p ** n + 1
+    assert (fgl.hazewinkel_generators(law(p ** n), p, n).v
+            == fgl.hazewinkel_generators(law(p ** n + 4), p, n).v)
 
 
 def test_hazewinkel_naturality_under_strict_isos():

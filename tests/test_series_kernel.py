@@ -14,8 +14,8 @@ from chromalg.poly import PolyRing
 from chromalg.rings import (GF, QQ, ZZ, LocalizedIntegers, ModularIntegers,
                             PrimeField, QuotientExtension, Rationals,
                             Z_inverted, Z_local, omega_ring)
-from chromalg.series import (Series, SeriesCtx, SeriesRing, _mul_dict,
-                             _mul_packed)
+from chromalg.series import (Series, SeriesCtx, SeriesRing, _exponents,
+                             _mul_dict, _mul_packed)
 
 from oracles import mul_loop_oracle
 
@@ -34,10 +34,12 @@ def exact(v):
 
 
 def density(a, b):
-    """(E_a * E_b, S) as the multiplication contract states them: E counts an
-    operand's packed scalar entries, S the slots its product spans.  Exponent
-    e has index |e|*P^(n-1) + sum of e_k*P^(n-k) over k >= 2, and inner slot
-    j of index i sits at slot i*r + j."""
+    """(E_a * E_b, S) as the multiplication contract states them, for
+    operands of orders oa and ob < P - oa: E counts an operand's packed
+    scalar entries, on a's terms of total degree < P - ob and b's of degree
+    < P - oa, and S the slots its product spans from block (oa + ob)*P^(n-1).
+    Exponent e of an operand of order o has index (|e| - o)*P^(n-1) + sum of
+    e_k*P^(n-k) over k >= 2, and inner slot j of index i sits at slot i*r + j."""
     R, P, n = a.ctx.ring, a.ctx.prec, len(a.ctx.vars)
     if isinstance(R, SeriesRing):
         r, width = 2 * R.prec - 1, R.prec
@@ -48,23 +50,31 @@ def density(a, b):
     else:
         r = width = 1
         inner = lambda c: [0]
+    oa, ob = a.order(), b.order()
 
-    def index(e):
-        return sum(e) * P ** (n - 1) + sum(e[k] * P ** (n - 1 - k) for k in range(1, n))
+    def index(e, o):
+        return (sum(e) - o) * P ** (n - 1) + sum(e[k] * P ** (n - 1 - k) for k in range(1, n))
 
-    def top(s):
-        return max(map(index, s.terms)) * r + max(j for c in s.terms.values() for j in inner(c))
+    def kept(s, other):
+        return {e: c for e, c in s.terms.items() if sum(e) < P - other}
+
+    def top(s, o):
+        return (max(index(e, o) for e in s) * r
+                + max(j for c in s.values() for j in inner(c)))
 
     def entries(s):
-        return sum(len(inner(c)) for c in s.terms.values())
+        return sum(len(inner(c)) for c in s.values())
 
-    return entries(a) * entries(b), min((P ** n - 1) * r + width, top(a) + top(b) + 1)
+    ka, kb = kept(a, ob), kept(b, oa)
+    span = (P ** n - (oa + ob) * P ** (n - 1) - 1) * r + width
+    return entries(ka) * entries(kb), min(span, top(ka, oa) + top(kb, ob) + 1)
 
 
 def packs(a, b):
     """Whether the contract packs a * b: a packed carrier (the callers'
-    concern), no one-term operand over scalars, and E_a * E_b >= S."""
-    if not a.terms or not b.terms:
+    concern), and a zero operand, a product of order >= P, a one-term
+    operand over scalars, or E_a * E_b >= S."""
+    if not a.terms or not b.terms or a.order() + b.order() >= a.ctx.prec:
         return True
     if not isinstance(a.ctx.ring, (SeriesRing, QuotientExtension)) and (
             len(a.terms) == 1 or len(b.terms) == 1):
@@ -350,18 +360,26 @@ def test_top_exponents_stay_in_their_block(name):
 
 
 def test_density_rule_boundary():
-    """E_a * E_b >= S packs, and one product fewer takes the loop."""
+    """E_a * E_b >= S packs, and one product fewer takes the loop; E and S
+    count only what an operand's order lets the product reach."""
     Z = SeriesCtx(ZZ, ("x",), 10)
     x = Z.gen("x")
     # univariate: S = top + 1 below the cap
     cases = [(1 + x ** 3, 1 + x + x * x, (6, 6), True),
              (1 + x ** 4, 1 + x + x * x, (6, 7), False)]
+    # orders 4 and 3: a keeps degrees < 7, b degrees < 6 (x^9 is dropped),
+    # and S counts degrees 7..9, so the first packs where the whole
+    # operands, E = 6 against S = 10, took the loop
+    cases += [(x ** 4 + x ** 5, x ** 3 + x ** 4 + x ** 9, (4, 3), True),
+              (x ** 4 + x ** 6, x ** 3 + x ** 9, (2, 3), False)]
     # bivariate over Z at P = 3: index(x) = 3, index(x y) = 7, index(y^2) = 8,
-    # and S reaches the cap P^2 = 9
+    # and S reaches the cap P^2 = 9; an operand of order 2 keeps only b's
+    # constant term and starts at index(x^2) = 6, so S = 3
     Zxy = SeriesCtx(ZZ, ("x", "y"), 3)
     X, Y = Zxy.gen("x"), Zxy.gen("y")
     cases += [(1 + X + X * Y, 1 + Y * Y + X, (9, 9), True),
-              (Y * Y + X * X, 1 + Y + Y * Y + X, (8, 9), False)]
+              (X * X + X * Y + Y * Y, 1 + Y + Y * Y + X, (3, 3), True),
+              (Y * Y + X * X, 1 + Y + Y * Y + X, (2, 3), False)]
     # x, y over Z/8[[b]]<2> at P = 3: r = 3, an entry per b-coefficient;
     # S = (index(y) + index(x)) * 3 + 1 + 1 + 1 = 24
     T = SeriesRing(ModularIntegers(8), "b", 2)
@@ -370,15 +388,82 @@ def test_density_rule_boundary():
     u, v = Txy.gen("x"), Txy.gen("y")
     cases += [((1 + u + v).scale(one_b), (1 + u).scale(one_b), (24, 24), True),
               (1 + (u + v).scale(one_b), (1 + u).scale(one_b), (20, 24), False)]
-    # x, y over GF(4) at P = 3: r = 3, two coordinates per coefficient
+    # x, y over GF(4) at P = 3: r = 3, two coordinates per coefficient.  An
+    # operand of order 1 starts at block 0, so its product with one of order
+    # 0 spans S = 27 - 3 * 3 = 18 slots: (1 + g + h)(g + h), at 24 against
+    # S = 27 from block 0, took the loop
     G = SeriesCtx(GF(4), ("x", "y"), 3)
     g, h = G.gen("x"), G.gen("y")
     cases += [(1 + g + h, 1 + g, (24, 24), True),
-              (1 + g + h, g + h, (24, 27), False)]
+              (1 + g + h, g + h, (24, 18), True),
+              (1 + g, h + g * g, (16, 18), False)]
     for a, b, rule, packed in cases:
         assert density(a, b) == rule
         assert (_mul_packed(a, b) is not None) == packed
         check_packed(a, b)
+
+
+def test_product_of_order_at_least_prec_is_zero():
+    """Orders oa + ob >= P: the packed product is the zero series, with no
+    packing, over scalars and a packed QuotientExtension alike."""
+    for R, c in ((ZZ, 5), (GF(4), (1, 1))):
+        ctx = SeriesCtx(R, ("x", "y"), 3)
+        X, Y = ctx.gen("x"), ctx.gen("y")
+        a, b = (X * X + Y * Y).scale(c), X + Y
+        got = _mul_packed(a, b)
+        assert got is not None and got.is_zero() and got.prec == 3
+        check_packed(a, b)
+
+
+# -- operands of high order ---------------------------------------------------
+
+# every packed carrier: the scalars, one level of [[b]] over them, and the
+# QuotientExtensions with an integral modulus
+HIGH = {**SCALARS,
+        **{name: (R, series(R.ctx, elems)) for name, (R, elems) in TOWERS.items()},
+        "omega": MULTI["omega"], "omega(int)": MULTI["omega(int)"], "GF(4)": MULTI["GF(4)"]}
+
+
+@st.composite
+def high_order(draw, ctx, elems, order):
+    """A series in ctx with terms of total degree >= order only: every such
+    exponent half the time, so of order exactly `order`, else any of them."""
+    exps = [e for e in exponents(len(ctx.vars), ctx.prec) if sum(e) >= order]
+    if not draw(st.booleans()):
+        exps = draw(st.lists(st.sampled_from(exps), unique=True, max_size=len(exps)))
+    return ctx.series({e: draw(elems) for e in exps})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(HIGH))
+@SETTINGS
+@given(data=st.data())
+def test_high_order_operands_match_loop(name, n, data):
+    """Orders oa, ob < P with oa + ob from 0 up to 2P - 2: the trimmed and
+    offset packing gives the loop's values and types, routed by the density
+    rule, and the zero series once oa + ob >= P."""
+    R, elems = HIGH[name]
+    P = data.draw(st.integers(1, (12, 7, 5)[n - 1]))
+    ctx = SeriesCtx(R, ("x", "y", "z")[:n], P)
+    oa, ob = data.draw(st.integers(0, P - 1)), data.draw(st.integers(0, P - 1))
+    a, b = data.draw(high_order(ctx, elems, oa)), data.draw(high_order(ctx, elems, ob))
+    check_packed(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exponents_enumerate_the_blocks_from_the_lowest_degree(n):
+    """_exponents(n, P, low, nblocks) against a brute-force listing: each
+    exponent of total degree in [low, P), with its index less low*P^(n-1),
+    exactly when that shifted index is below nblocks."""
+    for P in range(1, 6):
+        base = P ** (n - 1)
+        every = [(sum(e) * base + sum(e[k] * P ** (n - 1 - k) for k in range(1, n)), e)
+                 for e in exponents(n, P)]
+        for low in range(P + 1):
+            for nblocks in range(P ** n + 2):
+                want = sorted((i - low * base, e) for i, e in every
+                              if sum(e) >= low and i - low * base < nblocks)
+                assert sorted(_exponents(n, P, low, nblocks)) == want
 
 
 def test_mixed_int_and_fraction_multivariate_take_the_loop():
