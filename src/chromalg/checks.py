@@ -147,7 +147,8 @@ def _three_torsion(cfg, rng):
 @check("ell.formal-group-family", "elliptic", "formal-group-family")
 def _formal_group_family(cfg, rng):
     N = min(9, max(6, cfg.series_prec // 2))
-    F = fgl.universal_family_fgl(N, check_assoc=True)
+    F = fgl.universal_family_fgl(N)
+    fgl.validate_fgl(F.F, F.ring)
     A = F.ring.gen("A")
     ensure(F.coefficient(1, 1) == -A, "degree-2 coefficient is -A")
     ensure(F.coefficient(2, 1).is_zero(), "no degree-3 terms")
@@ -162,7 +163,7 @@ def _formal_group_family(cfg, rng):
 def _tate_fgl(cfg, rng):
     N = max(8, cfg.series_prec)
     T = elliptic.gamma1_3_curve(ZZ, 1, 0)
-    F = fgl.fgl_from_curve(T, N, check_assoc=False)
+    F = fgl.fgl_from_curve(T, N)
     M = fgl.conic_fgl(ZZ, -1, 0, N)
     ensure(F.F == M.F, "Tate formal group equals x + y - xy on the nose")
     return f"formal group of y^2+xy=x^3 equals x+y-xy to degree {N}"
@@ -213,7 +214,7 @@ def _node_tate(cfg, rng):
     nd = elliptic.node_uniformization(E, N=8)
     ensure(nd.node == (Fraction(0), Fraction(0)), "node at origin")
     ensure(nd.law.b == 1 and nd.law.c == 0, "split multiplicative parameters")
-    Fz = fgl.fgl_from_curve(E, 8, check_assoc=False)
+    Fz = fgl.fgl_from_curve(E, 8)
     res = fgl.find_iso(nd.fgl_at_infinity, Fz, "linear-unit", N=7,
                        unit_candidates=[QQ.one(), QQ.neg(QQ.one())])
     ensure(isinstance(res, fgl.IsoResult), "node law not isomorphic to the z-coordinate law")
@@ -263,6 +264,7 @@ def _conic_expansion(cfg, rng):
     Fa = PolyRing(ZZ, ("a",))
     a = Fa.gen("a")
     M = fgl.conic_fgl(Fa, Fa.one() - a, -a, 6)
+    fgl.validate_fgl(M.F, Fa)
     ensure(M.coefficient(1, 1) == Fa.one() - a, "second conic form")
     ensure(fgl.additive_fgl(ZZ, 6).coefficient(1, 1) == 0, "additive degenerate case")
     return "(x+y+3xy)/(1-3xy) = x+y+3xy+3x^2y+3xy^2+...; disc(3,3) = -3; "\
@@ -305,7 +307,7 @@ def _log_examples(cfg, rng):
 @check("fgl.hazewinkel-family", "fgl", "hazewinkel-family")
 def _hazewinkel_family(cfg, rng):
     N = max(9, cfg.series_prec)
-    F = fgl.universal_family_fgl(N, check_assoc=False)
+    F = fgl.universal_family_fgl(N)
     A, B = F.ring.gen("A"), F.ring.gen("B")
     data = fgl.hazewinkel_generators(F, 2, 2)
     ensure(data.v[0] == A, f"v1 = {data.v[0]} != A")
@@ -330,7 +332,7 @@ def _hazewinkel_mult(cfg, rng):
 
 @check("fgl.tate-v2-zero", "fgl", "tate-v2-zero")
 def _tate_v2(cfg, rng):
-    F = fgl.universal_family_fgl(9, check_assoc=False)
+    F = fgl.universal_family_fgl(9)
     data = fgl.hazewinkel_generators(F, 2, 2)
     Pb = PolyRing(ZZ, ("beta",))
     sub = {"__ring__": Pb, "A": Pb.gen("beta"), "B": Pb.zero(),
@@ -342,7 +344,7 @@ def _tate_v2(cfg, rng):
 
 @check("fgl.hazewinkel-naturality", "fgl", "hazewinkel-naturality")
 def _hazewinkel_naturality(cfg, rng):
-    F = fgl.universal_family_fgl(9, check_assoc=False)
+    F = fgl.universal_family_fgl(9)
     P = F.ring
     A, B = P.gen("A"), P.gen("B")
     base = fgl.hazewinkel_generators(F, 2, 2)
@@ -444,7 +446,7 @@ def _quotient_frobenius(cfg, rng):
     q = fgl.quotient_by_subgroup(F1, K1)
     R = F1.ring
     # the twist at the quotient's x-precision, so its top degree is compared
-    twist = fgl.family_fgl_at(R, R.mul(R.gen(), R.gen()), 9, check_assoc=False)
+    twist = fgl.family_fgl_at(R, R.mul(R.gen(), R.gen()), 9)
     ensure(q.fgl.F == twist.F, "quotient law is not the b -> b^2 twist")
     f = q.isogeny
     ensure(f.ucoeff(1).is_zero() and R.eq(f.ucoeff(2), R.one()), "isogeny is x^2 mod 2")
@@ -497,9 +499,10 @@ def _validation_random(cfg, rng):
     for _ in range(6):
         b = rng.randint(-4, 4)
         c = rng.randint(-4, 4)
-        F = fgl.conic_fgl(ZZ, b, c, 8)   # construction validates
-        fgl.validate_fgl(F.F, ZZ, check_assoc=True)
-    fgl.universal_family_fgl(8, check_assoc=True)
+        fgl.validate_fgl(fgl.conic_fgl(ZZ, b, c, 8).F, ZZ)
+    # degree 9 is the largest a family-law image reads in a default run
+    U = fgl.universal_family_fgl(9)
+    fgl.validate_fgl(U.F, U.ring)
     return "random conic laws and the family law pass unit/commutativity/associativity"
 
 

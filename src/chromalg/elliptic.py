@@ -27,7 +27,7 @@ from .convert import descend_scalar
 from .errors import (AlgebraError, JUndefined, NotInvertible, NotNodal,
                      NotOnCurve)
 from .poly import PolyRing
-from .rings import Ring
+from .rings import ZZ, Ring
 from .series import Laurent, Series, SeriesCtx
 
 
@@ -57,10 +57,9 @@ def gamma1_3_curve(ring: Ring, A, B) -> WeierstrassCurve:
     return WeierstrassCurve(ring, A, z, B, z, z)
 
 
-def universal_gamma1_3(base: Ring | None = None):
-    """Family curve over base[A, B] with |A| = 1, |B| = 3."""
-    from .rings import ZZ
-    P = PolyRing(base if base is not None else ZZ, ("A", "B"), weights=(1, 3))
+def universal_gamma1_3():
+    """Family curve over Z[A, B] with |A| = 1, |B| = 3."""
+    P = PolyRing(ZZ, ("A", "B"), weights=(1, 3))
     return gamma1_3_curve(P, P.gen("A"), P.gen("B")), P
 
 

@@ -30,6 +30,12 @@ universal law read the memo.  The checks whose claim is about particular
 fibers keep the curve as their independent side: ell.reduction-table
 (each fiber's own 2-series, elliptic.two_series) and ell.tate-fgl (the
 chord against the closed form x + y - xy).
+
+Every constructor returns its law through make_fgl, which checks unit and
+commutativity.  The laws built are associative by construction (Hazewinkel,
+Formal Groups and Applications, section 1), so only the checks that claim
+it have validate_fgl compare F(F(x, y), z) with its cyclic permutation:
+ell.formal-group-family, fgl.conic-expansion and fgl.validation-random.
 """
 
 from __future__ import annotations
@@ -66,13 +72,19 @@ class ConicOrigin:
 @dataclass
 class FormalGroupLaw:
     F: Series                 # bivariate in ("x", "y"), total degree < prec
-    ring: Ring
-    prec: int
     origin: object = None     # the lift quotient_by_subgroup reads, if any
 
     @property
     def ctx(self):
         return self.F.ctx
+
+    @property
+    def ring(self) -> Ring:
+        return self.F.ctx.ring
+
+    @property
+    def prec(self) -> int:
+        return self.F.ctx.prec
 
     def coefficient(self, i, j):
         return self.F.coefficient((i, j))
@@ -99,16 +111,13 @@ def validate_fgl(F: Series, ring: Ring, check_assoc: bool = True):
             raise AlgebraError("associativity fails")
 
 
-ASSOC_LIMIT = 10  # full symbolic associativity on construction up to this prec
-
-
-def make_fgl(F: Series, ring: Ring, origin=None, check_assoc=None) -> FormalGroupLaw:
+def make_fgl(F: Series, origin=None) -> FormalGroupLaw:
+    """F as a law over its own coefficient ring, after the unit and
+    commutativity checks; associativity is left to the checks that claim it."""
     if F.ctx.vars != ("x", "y"):
         F = F.rename(("x", "y"))
-    if check_assoc is None:
-        check_assoc = F.ctx.prec <= ASSOC_LIMIT
-    validate_fgl(F, ring, check_assoc=check_assoc)
-    return FormalGroupLaw(F, ring, F.ctx.prec, origin)
+    validate_fgl(F, F.ctx.ring, check_assoc=False)
+    return FormalGroupLaw(F, origin)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -124,7 +133,7 @@ def conic_fgl(ring: Ring, b, c, N: int) -> FormalGroupLaw:
     den = ctx.one() - xy.scale(c)
     F = num * den.inverse()
     origin = ConicOrigin(_to_fraction(ring, b), _to_fraction(ring, c))
-    return make_fgl(F, ring, origin)
+    return make_fgl(F, origin)
 
 
 def conic_discriminant(ring: Ring, b, c):
@@ -154,10 +163,9 @@ def _to_fraction(ring, v):
     return out if isinstance(out, Fraction) else None
 
 
-def fgl_from_curve(E: WeierstrassCurve, N: int, check_assoc=None) -> FormalGroupLaw:
+def fgl_from_curve(E: WeierstrassCurve, N: int) -> FormalGroupLaw:
     """The chord law of E to total degree N (elliptic.formal_group_of_curve)."""
-    F = formal_group_of_curve(E, N).rename(("x", "y"))
-    return make_fgl(F, E.ring, check_assoc=check_assoc)
+    return make_fgl(formal_group_of_curve(E, N))
 
 
 _universal_law = None     # the largest universal family law built so far
@@ -176,10 +184,9 @@ def universal_family_law(N: int) -> Series:
     return Series(U.ctx.at_prec(N + 1), {e: c for e, c in U.terms.items() if sum(e) <= N})
 
 
-def universal_family_fgl(N: int, check_assoc=None) -> FormalGroupLaw:
-    """universal_family_law(N), validated."""
-    F = universal_family_law(N)
-    return make_fgl(F, F.ctx.ring, check_assoc=check_assoc)
+def universal_family_fgl(N: int) -> FormalGroupLaw:
+    """universal_family_law(N) as a law."""
+    return make_fgl(universal_family_law(N))
 
 
 def family_law(ring: Ring, a, b, N: int) -> Series:
@@ -211,20 +218,23 @@ def family_law(ring: Ring, a, b, N: int) -> Series:
     return Series(SeriesCtx(ring, ("x", "y"), N + 1), out)
 
 
-def two_adic_family_fgl(k: int, bprec: int, xprec: int, bvar: str = "b") -> FormalGroupLaw:
+def two_adic_family_fgl(k: int, bprec: int, xprec: int) -> FormalGroupLaw:
     """The ordinary-locus family law (A = 1, B = b) over Z/2^k[[b]], carrying
     its exact Q[[b]] lift for quotient work."""
-    ring_k = SeriesRing(ModularIntegers(2 ** k), bvar, bprec)
-    ring_q = SeriesRing(QQ, bvar, bprec)
+    ring_k = SeriesRing(ModularIntegers(2 ** k), "b", bprec)
+    ring_q = SeriesRing(QQ, "b", bprec)
     E_q = gamma1_3_curve(ring_q, ring_q.one(), ring_q.gen())
     F = family_law(ring_k, ring_k.one(), ring_k.gen(), xprec)
-    return make_fgl(F, ring_k, CurveOrigin(E_q))
+    return make_fgl(F, CurveOrigin(E_q))
 
 
 def family_fgl_at(ring: SeriesRing, param: Series, xprec: int,
                   check_assoc=False) -> FormalGroupLaw:
-    """Family law at A = 1, B = param (a series in the base of `ring`)."""
-    return make_fgl(family_law(ring, ring.one(), param, xprec), ring, check_assoc=check_assoc)
+    """Family law at A = 1, B = param (a series in the base of `ring`),
+    validated with associativity when check_assoc is set."""
+    F = family_law(ring, ring.one(), param, xprec)
+    validate_fgl(F, ring, check_assoc)
+    return FormalGroupLaw(F)
 
 
 # -- m-series and heights --------------------------------------------------------
@@ -338,7 +348,7 @@ def strict_apply(F: FormalGroupLaw, phi: Series) -> FormalGroupLaw:
     iv = inv.compose({inv.ctx.vars[0]: v})
     inner = F.F.compose({"x": iu, "y": iv})
     G = phi.compose({phi.ctx.vars[0]: inner})
-    return make_fgl(G, F.ring, check_assoc=False)
+    return make_fgl(G)
 
 
 def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
@@ -601,7 +611,7 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     if _two_b_valuation(diff, R) < max(k_bits - 1, 1):
         raise InvalidKernel("lifted kernel point does not reduce onto the "
                             "kernel polynomial root")
-    quotient = make_fgl(Fbar, R, check_assoc=None)
+    quotient = make_fgl(Fbar)
     # isogeny identity f(F(x,y)) = F'(f(x), f(y)) re-verified after construction
     if not hom_residual(f_red, F.F, quotient.F).is_zero():
         raise QuotientPrecisionError("isogeny identity fails after reduction")

@@ -62,47 +62,34 @@ def f2_solve(columns: list[int], target: int, height: int):
     """Solve sum_{j in S} columns[j] = target over GF(2).
 
     Returns a bitmask over column indices, or None.  height = number of rows.
+    The target enters the elimination as column n = len(columns): it is
+    solvable exactly when it reduces to zero, by the columns in its tag.
     """
-    aug = []
-    for j, col in enumerate(columns):
-        aug.append((col, 1 << j))
-    basis: list[tuple[int, int]] = []
-    pivots: list[int] = []
-    for col, tag in aug:
-        r, t = col, tag
-        for (b, bt), p in zip(basis, pivots):
-            if (r >> p) & 1:
-                r ^= b
-                t ^= bt
-        if r:
-            basis.append((r, t))
-            pivots.append(r.bit_length() - 1)
-    r, t = target, 0
-    for (b, bt), p in zip(basis, pivots):
-        if (r >> p) & 1:
-            r ^= b
-            t ^= bt
-    if r != 0:
-        return None
-    return t
+    n = len(columns)
+    null = _f2_tagged_elimination(columns + [target])
+    return null[-1] ^ (1 << n) if null and null[-1] >> n else None
 
 
 def f2_nullspace(columns: list[int], ncols: int) -> list[int]:
     """Nullspace of the matrix with the given columns; vectors as column-index
     bitmasks."""
-    basis: list[tuple[int, int]] = []
-    pivots: list[int] = []
+    return _f2_tagged_elimination(columns[:ncols])
+
+
+def _f2_tagged_elimination(columns: list[int]) -> list[int]:
+    """The tags of the columns that reduce to zero, a nullspace basis: column
+    j enters tagged 1 << j and is reduced by the echelon rows before it, each
+    row carrying the columns that sum to it."""
+    basis: list[tuple[int, int, int]] = []      # (row, tag, pivot)
     null = []
-    for j in range(ncols):
-        col = columns[j]
+    for j, col in enumerate(columns):
         r, t = col, 1 << j
-        for (b, bt), p in zip(basis, pivots):
+        for b, bt, p in basis:
             if (r >> p) & 1:
                 r ^= b
                 t ^= bt
         if r:
-            basis.append((r, t))
-            pivots.append(r.bit_length() - 1)
+            basis.append((r, t, r.bit_length() - 1))
         else:
             null.append(t)
     return null

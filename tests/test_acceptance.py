@@ -78,7 +78,7 @@ def test_criterion_04_hazewinkel():
     def run():
         E, P = elliptic.universal_gamma1_3()
         A, B = P.gen("A"), P.gen("B")
-        F = fgl.fgl_from_curve(E, 12, check_assoc=False)
+        F = fgl.fgl_from_curve(E, 12)
         data = fgl.hazewinkel_generators(F, 2, 2)
         assert data.v[0] == A, "v1 = 1 * A exactly"
         assert data.v[1] == B, "v2 = 1 * B exactly (unit 1, no (A,2)-corrections)"

@@ -92,10 +92,10 @@ def test_law_log_is_the_curve_log(make, N):
     E = make()
     Qring, lift = E.ring.rationalize()
     want = elliptic.curve_log(E.map_coefficients(lift, Qring), N).truncate(N + 1)
-    got = fgl.fgl_log(fgl.fgl_from_curve(E, N, check_assoc=False), N)
+    got = fgl.fgl_log(fgl.fgl_from_curve(E, N), N)
     assert _typed(got) == _typed(want.rename(("x",)))
     with pytest.raises(TruncationError):
-        fgl.fgl_log(fgl.fgl_from_curve(E, N, check_assoc=False), N + 1)
+        fgl.fgl_log(fgl.fgl_from_curve(E, N), N + 1)
 
 
 def test_hazewinkel_family_check_reads_the_law_log(monkeypatch):
@@ -117,7 +117,7 @@ def test_hazewinkel_family_check_reads_the_law_log(monkeypatch):
 
 def test_hazewinkel_family_exact():
     E, P = elliptic.universal_gamma1_3()
-    F = fgl.fgl_from_curve(E, 9, check_assoc=False)
+    F = fgl.fgl_from_curve(E, 9)
     data = fgl.hazewinkel_generators(F, 2, 2)
     assert data.v[0] == P.gen("A")
     assert data.v[1] == P.gen("B")
@@ -134,7 +134,7 @@ def test_hazewinkel_multiplicative():
 
 def test_hazewinkel_tate_specialization():
     E, P = elliptic.universal_gamma1_3()
-    F = fgl.fgl_from_curve(E, 9, check_assoc=False)
+    F = fgl.fgl_from_curve(E, 9)
     data = fgl.hazewinkel_generators(F, 2, 2)
     Pb = PolyRing(ZZ, ("beta",))
     sub = {"__ring__": Pb, "A": Pb.gen("beta"), "B": Pb.zero(),
@@ -174,7 +174,7 @@ def test_hazewinkel_at_the_guard_matches_higher_precision(law, p, n):
 def test_hazewinkel_naturality_under_strict_isos():
     E, P = elliptic.universal_gamma1_3()
     A, B = P.gen("A"), P.gen("B")
-    F = fgl.fgl_from_curve(E, 9, check_assoc=False)
+    F = fgl.fgl_from_curve(E, 9)
     ctx1 = SeriesCtx(P, ("t",), 9)
     phi = ctx1.series({(1,): P.one(), (2,): A, (3,): A * A, (4,): (-2) * (A ** 3)})
     G = fgl.strict_apply(F, phi)
@@ -411,7 +411,7 @@ def test_quotient_frobenius_check_reads_the_top_degree(monkeypatch):
         law, R = res.fgl.F, res.fgl.ring
         terms = dict(law.terms)
         terms[(1, 8)] = R.add(law.coefficient((1, 8)), R.one())
-        bad = fgl.FormalGroupLaw(Series(law.ctx, terms), R, res.fgl.prec, res.fgl.origin)
+        bad = fgl.FormalGroupLaw(Series(law.ctx, terms), res.fgl.origin)
         return dataclasses.replace(res, fgl=bad)
 
     check.fn(RunConfig(), random.Random(0))
@@ -526,7 +526,7 @@ def perturbed_quotient(shift: int):
     R = q.ring
     terms = dict(q.F.terms)
     terms[(2, 1)] = R.add(terms.get((2, 1), R.zero()), R.from_int(shift))
-    return fgl.FormalGroupLaw(Series(q.F.ctx, terms), R, q.prec)
+    return fgl.FormalGroupLaw(Series(q.F.ctx, terms))
 
 
 @pytest.mark.parametrize("shift,message", [
@@ -564,3 +564,56 @@ def test_commutative_non_associative_law_fails_validation():
         fgl.validate_fgl(F, ZZ, check_assoc=True)
     with pytest.raises(AlgebraError, match="commutativity fails"):
         fgl.validate_fgl(F + x * x * y, ZZ, check_assoc=True)
+
+
+def test_constructors_leave_associativity_to_the_checks():
+    """make_fgl checks unit and commutativity only: it accepts the
+    commutative, non-associative x + y + x^2 y + x y^2, and validate_fgl
+    rejects it."""
+    ctx = SeriesCtx(ZZ, ("x", "y"), 6)
+    x, y = ctx.gen("x"), ctx.gen("y")
+    law = fgl.make_fgl(x + y + x * x * y + x * y * y)
+    assert law.ring is ZZ and law.prec == 6
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        fgl.validate_fgl(law.F, law.ring)
+    with pytest.raises(AlgebraError, match="commutativity fails"):
+        fgl.make_fgl(x + y + x * x * y)
+
+
+def _plus_one_at(law: Series, e: tuple) -> Series:
+    """law with 1 added to its x^i y^j coefficient, e = (i, j) with i != j
+    added at (j, i) too, so it stays commutative."""
+    R, terms = law.ctx.ring, dict(law.terms)
+    for k in {e, e[::-1]}:
+        terms[k] = R.add(terms.get(k, R.zero()), R.one())
+    return Series(law.ctx, terms)
+
+
+@pytest.mark.parametrize("check_id", ["ell.formal-group-family", "fgl.validation-random"])
+def test_family_law_checks_own_associativity(monkeypatch, check_id):
+    """Negative control: the universal law plus x^2 y^2 is unital and
+    commutative but not associative, and the checks claiming the family law
+    is a law see it."""
+    check = next(c for c in REGISTRY if c.id == check_id)
+    universal = fgl.universal_family_law
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "universal_family_law",
+                        lambda N: _plus_one_at(universal(N), (2, 2)))
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        check.fn(RunConfig(), random.Random(0))
+
+
+def test_conic_expansion_owns_associativity(monkeypatch):
+    """Negative control: every conic law plus x^3 y^3 is unital and
+    commutative but not associative, and fgl.conic-expansion sees it."""
+    check = next(c for c in REGISTRY if c.id == "fgl.conic-expansion")
+    conic = fgl.conic_fgl
+
+    def perturbed(ring, b, c, N):
+        law = conic(ring, b, c, N)
+        return fgl.FormalGroupLaw(_plus_one_at(law.F, (3, 3)), law.origin)
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "conic_fgl", perturbed)
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        check.fn(RunConfig(), random.Random(0))

@@ -330,7 +330,7 @@ def test_find_iso_onto_a_family_law_matches_oracle(R, data, N):
     and over QQ also a conic law; over QQ every law is strictly isomorphic
     to G, and the search finds it."""
     a, b = (R.from_int(data.draw(st.integers(-3, 3))) for _ in range(2))
-    G = fgl.make_fgl(fgl.family_law(R, a, b, N), R, check_assoc=False)
+    G = fgl.make_fgl(fgl.family_law(R, a, b, N))
     elem = st.integers(-4, 4).map(R.from_int)
     sources = [fgl.strict_apply(G, _draw_strict(data, R, elem, N))]
     if R is QQ:
@@ -479,8 +479,7 @@ def test_find_iso_composes_nothing_and_multiplies_only_powers_of_F(find_iso_log,
     of them, all at N + 1.  The dense G runs the tables to the top power."""
     N = 9
     F = fgl.conic_fgl(QQ, QQ.from_int(1), QQ.from_int(2), N + 1)
-    G = (fgl.make_fgl(fgl.family_law(QQ, QQ.from_int(1), QQ.from_int(-2), N), QQ,
-                      check_assoc=False) if dense
+    G = (fgl.make_fgl(fgl.family_law(QQ, QQ.from_int(1), QQ.from_int(-2), N)) if dense
          else fgl.multiplicative_fgl(QQ, QQ.from_int(3), N + 1))
     find_iso_log.update(steps=0, compose=[], products=[])
     res = fgl.find_iso(F, G, "strict", N=N)
