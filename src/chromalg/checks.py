@@ -149,10 +149,15 @@ def _formal_group_family(cfg, rng):
     N = min(9, max(6, cfg.series_prec // 2))
     F = fgl.universal_family_fgl(N)
     fgl.validate_fgl(F.F, F.ring)
-    A = F.ring.gen("A")
+    # the law is rehomogenised from its A = 1 chart, so homogeneity is read
+    # from the chord over Z[A, B], run here as the independent side
+    E, P = elliptic.universal_gamma1_3()
+    chord = fgl.fgl_from_curve(E, N)
+    ensure(F.F == chord.F, "universal law differs from the chord over Z[A, B]")
+    A = P.gen("A")
     ensure(F.coefficient(1, 1) == -A, "degree-2 coefficient is -A")
     ensure(F.coefficient(2, 1).is_zero(), "no degree-3 terms")
-    for e, c in F.F.terms.items():
+    for e, c in chord.F.terms.items():
         d = sum(e) - 1
         ensure(c.is_homogeneous() and (c.wdegree() in (None, d)),
                f"coefficient at {e} not weight-homogeneous")

@@ -10,9 +10,12 @@ fixed-point pass.  formal_group_of_curve builds it once and hands it to
 formal_inverse; curve_log takes a caller's w-series the same way.
 
 This chord law is run per curve by fgl.fgl_from_curve, by the moduli chart
-transitions, and once per process over Z[A, B] for the universal level-3
-law (fgl.universal_family_law).  Family members over other rings are that
-law's image under base change (fgl.family_law), not chord runs.
+transitions, and once per process on the chart A = 1, B = b over
+Z[[b]]/(b^m) for the universal level-3 law, which fgl.universal_family_law
+rehomogenises to Z[A, B] by weight (exact, as every coefficient is
+weight-homogeneous with b-degree below m).  Family members over other rings
+are that law's image under base change (fgl.family_law), not chord runs;
+ell.formal-group-family runs the chord over Z[A, B] as its check.
 reduction_type reads the height from each fiber's own 2-series: two_series
 puts the tangent line at (z, w(z)) through the same chord formula, all
 univariate, from that fiber's w-series.  Its claim is about particular

@@ -18,18 +18,25 @@ each level of recognize_in_family.
 
 Curve laws come two ways.  fgl_from_curve runs the chord construction
 (elliptic.formal_group_of_curve) for the curve it is given.  The level-3
-family y^2 + A xy + B y = x^3 instead has one universal law over Z[A, B],
-built by the chord once per process and memoised at the largest total
-degree asked for (universal_family_law); every family member over another
-ring is its image under (A, B) -> (a, b) (family_law; Silverman, The
-Arithmetic of Elliptic Curves, IV.1-2).  two_adic_family_fgl and
-family_fgl_at are such images, and so is the s-derivative that
-recognize_in_family needs: the law over the dual numbers R[eps]/(eps^2) at
-B = s + eps carries dF_s/ds as its eps-coordinate.  The checks on the
-universal law read the memo.  The checks whose claim is about particular
-fibers keep the curve as their independent side: ell.reduction-table
-(each fiber's own 2-series, elliptic.two_series) and ell.tate-fgl (the
-chord against the closed form x + y - xy).
+family y^2 + A xy + B y = x^3 instead has one universal law over Z[A, B].
+The chord runs once per process on the chart A = 1, B = b over
+Z[[b]]/(b^m), m = (N - 1)//3 + 1, where series products pack, and is
+memoised at the largest total degree asked for.  Each coefficient is
+weight-homogeneous of weight d = i + j - 1 (|A| = 1, |B| = 3), so its
+chart value sum n_k b^k fixes it: universal_family_law rehomogenises it
+as sum n_k A^(d - 3k) B^k.  That is exact, since b-degrees stay <= d/3 < m.
+Every family member over another ring is the image under (A, B) -> (a, b),
+read from the chart integers as sum n_k a^(d - 3k) b^k (family_law;
+Silverman, The Arithmetic of Elliptic Curves, IV.1-2).
+two_adic_family_fgl and family_fgl_at are such images, and so is the
+s-derivative that recognize_in_family needs: the law over the dual numbers
+R[eps]/(eps^2) at B = s + eps carries dF_s/ds as its eps-coordinate.  The
+checks on the universal law read the memo.  ell.formal-group-family
+compares it with the chord over Z[A, B] at its own degree, where
+homogeneity is not true by construction.  The checks whose claim is about
+particular fibers keep the curve as their independent side:
+ell.reduction-table (each fiber's own 2-series, elliptic.two_series) and
+ell.tate-fgl (the chord against the closed form x + y - xy).
 
 Every constructor returns its law through make_fgl, which checks unit and
 commutativity.  The laws built are associative by construction (Hazewinkel,
@@ -52,7 +59,8 @@ from .errors import (AlgebraError, HeightExceedsPrecision,
                      QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
-from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring
+from .poly import Poly
+from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
 from .series import Laurent, Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
@@ -168,20 +176,51 @@ def fgl_from_curve(E: WeierstrassCurve, N: int) -> FormalGroupLaw:
     return make_fgl(formal_group_of_curve(E, N))
 
 
-_universal_law = None     # the largest universal family law built so far
+_universal_law = None     # the chart law over Z[[b]] of the largest N built so far
+
+
+def _chart_law(N: int) -> dict:
+    """The terms of total degree <= N of the level-3 family law on the chart
+    A = 1, B = b, over Z[[b]]/(b^m), m = (N - 1)//3 + 1.  Built once per
+    process by the chord: the memo keeps the largest law built so far, a
+    smaller N truncates it and a larger N replaces it.  Each call returns a
+    fresh dict."""
+    global _universal_law
+    if _universal_law is None or _universal_law.prec <= N:
+        S = SeriesRing(ZZ, "b", max(N - 1, 0) // 3 + 1)
+        E = gamma1_3_curve(S, S.one(), S.gen())
+        _universal_law = formal_group_of_curve(E, N).rename(("x", "y"))
+    return {e: s for e, s in _universal_law.terms.items() if sum(e) <= N}
+
+
+def _weighted_terms(e: tuple, s: Series) -> list:
+    """The chart coefficient s = sum n_k b^k at x^i y^j, e = (i, j), as the
+    pairs ((d - 3k, k), n_k) with d = i + j - 1: the exponents of A and B
+    in its weight-d lift to Z[A, B]."""
+    d = sum(e) - 1
+    out = []
+    for (k,), n in s.terms.items():
+        if 3 * k > d:
+            raise AlgebraError(f"chart coefficient at {e} has b^{k} above weight {d}")
+        out.append(((d - 3 * k, k), n))
+    return out
 
 
 def universal_family_law(N: int) -> Series:
-    """The chord law of y^2 + A xy + B y = x^3 over Z[A, B] (|A| = 1,
-    |B| = 3) to total degree N, in ("x", "y").  Built once per process: the
-    memo keeps the largest law built so far, a smaller N truncates it and a
-    larger N replaces it.  Each call returns a fresh terms dict."""
-    global _universal_law
-    if _universal_law is None or _universal_law.prec <= N:
-        E, _ = universal_gamma1_3()
-        _universal_law = formal_group_of_curve(E, N).rename(("x", "y"))
-    U = _universal_law
-    return Series(U.ctx.at_prec(N + 1), {e: c for e, c in U.terms.items() if sum(e) <= N})
+    """The law of y^2 + A xy + B y = x^3 over Z[A, B] (|A| = 1, |B| = 3) to
+    total degree N, in ("x", "y"): the chart law (_chart_law) with each
+    coefficient sum n_k b^k rehomogenised as sum n_k A^(d - 3k) B^k,
+    d = i + j - 1 at x^i y^j.
+
+    Exact: the coefficient at x^i y^j is weight-homogeneous of weight d
+    (Silverman, The Arithmetic of Elliptic Curves, IV.1; Mahowald and Rezk,
+    Pure Appl. Math. Q. 5, 2009), and the chord commutes with ring maps.
+    (A, B) -> (1, b) sends sum n_k A^(d - 3k) B^k to sum n_k b^k, so it is
+    injective on weight d, and that image has b-degree <= d/3 <= (N - 1)/3
+    < m, which Z[b] -> Z[[b]]/(b^m) keeps."""
+    _, P = universal_gamma1_3()
+    return Series(SeriesCtx(P, ("x", "y"), N + 1),
+                  {e: Poly(P, dict(_weighted_terms(e, s))) for e, s in _chart_law(N).items()})
 
 
 def universal_family_fgl(N: int) -> FormalGroupLaw:
@@ -191,11 +230,11 @@ def universal_family_fgl(N: int) -> FormalGroupLaw:
 
 def family_law(ring: Ring, a, b, N: int) -> Series:
     """The law of y^2 + a xy + b y = x^3 over `ring` to total degree N, as the
-    image of universal_family_law(N) under (A, B) -> (a, b): each
-    coefficient sum k A^i B^j becomes sum k a^i b^j (Silverman, The
-    Arithmetic of Elliptic Curves, IV.1-2).  The powers of a and b, and each
-    monomial a^i b^j, are made once."""
-    U = universal_family_law(N)
+    image of universal_family_law(N) under (A, B) -> (a, b), read from the
+    chart: the coefficient sum n_k b^k at x^i y^j becomes
+    sum n_k a^(i + j - 1 - 3k) b^k (Silverman, The Arithmetic of Elliptic
+    Curves, IV.1-2).  The powers of a and b, and each monomial a^i b^j, are
+    made once."""
     apow, bpow, mono = [ring.one()], [ring.one()], {}
 
     def monomial(i, j):
@@ -209,9 +248,9 @@ def family_law(ring: Ring, a, b, N: int) -> Series:
         return mono[(i, j)]
 
     out = {}
-    for e, poly in U.terms.items():
+    for e, s in _chart_law(N).items():
         c = ring.zero()
-        for (i, j), k in poly.terms.items():
+        for (i, j), k in _weighted_terms(e, s):
             c = ring.add(c, ring.scale_int(monomial(i, j), k))
         if not ring.is_zero(c):
             out[e] = c

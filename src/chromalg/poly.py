@@ -11,8 +11,10 @@ series in two more variables work without special cases.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import NotInvertible
-from .rings import Ring
+from .rings import Ring, _check_lengths
 
 
 class PolyRing(Ring):
@@ -101,6 +103,34 @@ class PolyRing(Ring):
                         out[e] = s
                 elif not B.is_zero(p):
                     out[e] = p
+        return Poly(self, out)
+
+    def dot(self, xs, ys):
+        """x1*y1 + ... + xn*yn with the products grouped by exponent: one
+        base.dot per exponent and zeros dropped once.  Where the scalars are
+        of more than one Python type (int and Fraction over Q), the type of
+        the loop's sum depends on where its partial sums cancel, so those
+        sums take the loop."""
+        _check_lengths(xs, ys)
+        if len({type(c) for p in (*xs, *ys) for c in p.terms.values()}) > 1:
+            return super().dot(xs, ys)
+        groups = {}
+        for a, b in zip(xs, ys):
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = tuple(map(operator.add, e1, e2))
+                    if e in groups:
+                        us, vs = groups[e]
+                        us.append(c1)
+                        vs.append(c2)
+                    else:
+                        groups[e] = ([c1], [c2])
+        B = self.base
+        out = {}
+        for e, (us, vs) in groups.items():
+            c = B.dot(us, vs)
+            if not B.is_zero(c):
+                out[e] = c
         return Poly(self, out)
 
     def eq(self, a, b):

@@ -63,7 +63,8 @@ product (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), and
 everything else with the term-by-term loop _mul_dict, which groups the term
 pairs by output exponent and makes one R.dot per exponent (a sum of
 products normalised once over Z, Q, Z_(p), Z[1/p], Z/m, F_p and integral
-QuotientExtensions; the R.mul and R.add loop elsewhere):
+QuotientExtensions; over a PolyRing, one base dot per monomial; the R.mul
+and R.add loop elsewhere):
   * packed carriers: scalars of exactly Integers, Rationals,
     LocalizedIntegers, ModularIntegers or PrimeField; a SeriesRing of
     precision Pb over one of those whose coefficients all sit at the ring's

@@ -371,7 +371,27 @@ DOT_SCALARS = {
     "F5": (PrimeField(5), _residue_coord(5)),
 }
 
-DOT_CARRIERS = {**DOT_SCALARS, **AXIOM_RINGS, **{
+def _poly_ring(P, exps, coeff):
+    """P with up to 5 terms, exponents from exps; P.poly drops zero
+    coefficients."""
+    term = st.tuples(exps, coeff)
+    return P, st.lists(term, max_size=5).map(lambda ts: P.poly(dict(ts)))
+
+
+_ab = st.tuples(st.integers(0, 3), st.integers(0, 2))
+
+# the polynomial rings verify multiplies over: the universal law's Z[A, B],
+# the chart transition's Z_(2)[a^+-1] and the rationalized Q[A, B], there
+# with int and Fraction coefficients mixed
+DOT_POLYS = {
+    "Z[A, B]": _poly_ring(PolyRing(ZZ, ("A", "B"), weights=(1, 3)), _ab, DOT_SCALARS["Z"][1]),
+    "Z_(2)[a^+-1]": _poly_ring(PolyRing(Z_local(2), ("a",), laurent=("a",)),
+                               st.tuples(st.integers(-3, 3)), DOT_SCALARS["Z_(2)"][1]),
+    "Q[A, B]": _poly_ring(PolyRing(QQ, ("A", "B"), weights=(1, 3)), _ab,
+                          DOT_SCALARS["Q(int, Fraction)"][1]),
+}
+
+DOT_CARRIERS = {**DOT_SCALARS, **AXIOM_RINGS, **DOT_POLYS, **{
     f"quotient {name}": (R, st.lists(coord, min_size=R.deg, max_size=R.deg).map(tuple))
     for name, (R, coord) in PACKED_QUOTIENTS.items()}}
 
@@ -399,6 +419,17 @@ def test_dot_of_nothing_and_of_one_pair(name):
     assert typed(R.dot([two], [one])) == typed(R.mul(two, one))
     with pytest.raises(ValueError):
         R.dot([one], [])
+
+
+def test_dot_over_q_polys_keeps_the_loop_where_sums_cancel():
+    """Over Q[A, B] the loop's A coefficient 1 - 1 cancels to nothing before
+    the int 2 arrives, so the loop gives the int 2 where one sum of the
+    three products would give Fraction(2)."""
+    P = DOT_POLYS["Q[A, B]"][0]
+    xs = [P.poly({(1, 0): c}) for c in (1, Fraction(-1), 2)]
+    ys = [P.one(), P.poly({(0, 0): 1}), P.poly({(0, 0): 1})]
+    got = P.dot(xs, ys)
+    assert typed(got) == typed(dot_loop_oracle(P, xs, ys)) == (None, [((1, 0), (int, 2))])
 
 
 def test_dot_over_z_quotient_keeps_the_loop_where_fractions_enter():
