@@ -3,14 +3,17 @@
 Monomials are tuples (r1, r2, ...) without trailing zeros, of degree
 sum r_i (2^i - 1); elements are frozensets of monomials (F2 sums).
 
-`milnor_product_mono` enumerates the Milnor matrices of Sq(r) Sq(s) directly:
-one (len r + 1) x (len s + 1) matrix whose row-0 and column-0 entries start at
-s_j and r_i and hold the budgets still unspent; the inner cells are filled in
-row-major order, each value charged against its row (weight 2^j) and column
-budgets in place and refunded after its branch.  A filled matrix contributes
-Sq(t_1, t_2, ...), t_n the sum of its n-th antidiagonal, when that
-multinomial coefficient is odd, i.e. the entries of the antidiagonal share no
-binary digit; an AND/OR accumulator tests this and yields t_n in one pass.
+`milnor_product_mono` enumerates the Milnor matrices of Sq(r) Sq(s) directly.
+A matrix X has weighted row sums sum_j 2^j X[i][j] = r_i and column sums
+sum_i X[i][j] = s_j; it contributes Sq(t_1, t_2, ...), t_n the sum of its
+n-th antidiagonal, when that multinomial coefficient is odd, i.e. the entries
+of each antidiagonal share no binary digit.  The inner cells are filled row by
+row against the budgets still unspent, keeping one OR accumulator per
+antidiagonal.  A cell tries only the values v that share no bit with its
+antidiagonal's accumulator, stepping v <- ((v | a) + 1) & ~a; each row
+remainder X[i][0] is tested when its row closes, and each column remainder
+X[0][j] after the last row.  A matrix with a carry is cut where the carry
+first appears, and the accumulators of a complete one are the t_n.
 The product is memoised with `lru_cache` like `basis` and `adem_expand`:
 its arguments are tuples and its result a frozenset, so the cached values are
 immutable and no caller can change what another receives.
@@ -125,37 +128,44 @@ def milnor_product_mono(r: tuple, s: tuple) -> frozenset:
     """Product of two Milnor monomials: the F2 sum over the Milnor matrices
     with weighted row sums r and column sums s (see the module docstring)."""
     k, l = len(r), len(s)
-    X = [[0] * (l + 1) for _ in range(k + 1)]
-    X[0][1:] = s
-    for i in range(1, k + 1):
-        X[i][0] = r[i - 1]
-    cells = [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
+    col = list(s)                 # col[j - 1]: what column j leaves for X[0][j]
+    acc = [0] * (k + l + 1)       # acc[n]: OR of the entries on antidiagonal n
     results = set()
 
-    def fill(c):
-        if c == len(cells):
-            t = []
-            for n in range(1, k + l + 1):
-                acc = 0
-                for i in range(max(0, n - l), min(k, n) + 1):
-                    x = X[i][n - i]
-                    if acc & x:
-                        return
-                    acc |= x
-                t.append(acc)
-            results.symmetric_difference_update({_strip(t)})
+    def fill(i, j, rem):
+        # rem: what row i leaves for X[i][0] once cells (i, 1..j-1) are set
+        if j <= l:
+            n = i + j
+            a, c = acc[n], col[j - 1]
+            cap = min(rem >> j, c)
+            v = 0
+            while v <= cap:
+                acc[n] = a | v
+                col[j - 1] = c - v
+                fill(i, j + 1, rem - (v << j))
+                v = ((v | a) + 1) & ~a      # next v sharing no bit with a
+            acc[n], col[j - 1] = a, c
             return
-        i, j = cells[c]
-        for v in range(min(X[i][0] >> j, X[0][j]) + 1):
-            X[i][j] = v
-            X[i][0] -= v << j
-            X[0][j] -= v
-            fill(c + 1)
-            X[i][0] += v << j
-            X[0][j] += v
-        X[i][j] = 0
+        a = acc[i]
+        if rem & a:
+            return
+        acc[i] = a | rem
+        if i < k:
+            fill(i + 1, 1, r[i])
+        else:
+            t = acc[1:]
+            for j, x in enumerate(col):
+                if x & t[j]:
+                    break
+                t[j] |= x
+            else:
+                results.symmetric_difference_update({_strip(t)})
+        acc[i] = a
 
-    fill(0)
+    if k:
+        fill(1, 1, r[0])
+    else:
+        results.add(s)
     return frozenset(results)
 
 
@@ -322,6 +332,8 @@ class Profile:
     def __init__(self, kind: str, n: int):
         if kind not in ("E", "A"):
             raise ValueError("profile kind must be 'E' or 'A'")
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"profile index must be an int >= 0, not {n!r}")
         self.kind = kind
         self.n = n
 
@@ -329,6 +341,13 @@ class Profile:
         if self.kind == "E":
             return 2 if i <= self.n + 1 else 1
         return 2 ** max(self.n + 2 - i, 0)
+
+    def generators(self) -> list[tuple]:
+        """Algebra generators as Milnor monomials: Q_0, ..., Q_n for E(n),
+        Sq(1), Sq(2), ..., Sq(2^n) for A(n)."""
+        if self.kind == "E":
+            return [(0,) * i + (1,) for i in range(self.n + 1)]
+        return [(2 ** i,) for i in range(self.n + 1)]
 
     def member(self, r: tuple) -> bool:
         return all(ri < self.bound(i + 1) for i, ri in enumerate(r))
@@ -384,6 +403,13 @@ class QuotientModule:
 
     Per degree: `index[d]` (monomial -> position in basis(d)), `reps[d]`
     (indices into basis(d)) and the rref of the ideal span.
+
+    The ideal is spanned by the products a.g, a in basis(d - |g|), over the
+    algebra generators g of B (`Profile.generators`): every element of B+ is
+    a sum of words in them, so A.B+ = sum_g A.g.  `f2_rref` fully reduces its
+    rows, so the pivots, the reps and the set of reduced rows depend only on
+    the span, and `f2_reduce` against them does not depend on row order:
+    the tables equal those spanned by all of B+.
     """
 
     def __init__(self, profile: Profile, N: int):
@@ -393,17 +419,14 @@ class QuotientModule:
         self.ideal_basis = {}
         self.ideal_pivots = {}
         self.reps = {}
-        bplus = [r for r in profile.algebra_basis() if r != ()]
+        gens = [(g, mono_degree(g)) for g in profile.generators()]
         for d in range(N + 1):
             mons = basis(d)
             index = self.index[d] = {m: i for i, m in enumerate(mons)}
             span_rows = []
-            for b in bplus:
-                e = mono_degree(b)
-                if e > d:
-                    continue
+            for g, e in gens:
                 for a in basis(d - e):
-                    prod = milnor_product_mono(a, b)
+                    prod = milnor_product_mono(a, g)
                     vec = 0
                     for m in prod:
                         vec |= 1 << index[m]

@@ -7,7 +7,8 @@ reversion, the fixed-point w-series at full precision, the Q[[b]] lift of
 `quotient_by_subgroup` at four guard degrees above the output precision,
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, the Milnor product by nested
-recursion over dict-copied budgets, the breadth-first cyclicity search over
+recursion over dict-copied budgets, the left ideal A.B+ spanned from every
+element of B+, the breadth-first cyclicity search over
 Steenrod elements, one convolution loop per Poincare-series factor, the
 dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
 every entry of every row they touch, the regularity test over Z with its
@@ -21,7 +22,8 @@ curve by every (u, r, s, t).
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
 shares nothing), `milnor_product` and the coset reduction of
-`QuotientModule` that the cyclicity search acts through, the `linalg`
+`QuotientModule` that the cyclicity search acts through, the
+`milnor_product_mono` and `f2_rref` that the ideal oracle calls, the `linalg`
 eliminations that the regularity oracle calls, the `family_law`,
 `family_fgl_at` and `f2_solve` that the recognition oracle calls, the
 base-ring arithmetic that the quotient product oracle calls,
@@ -441,6 +443,31 @@ def milnor_product_mono_oracle(r: tuple, s: tuple) -> frozenset:
 
     rec(1, {a: r[a - 1] for a in range(1, k + 1)}, {j: 0 for j in range(1, l + 1)}, {})
     return frozenset(results)
+
+
+def quotient_ideal_oracle(profile: st.Profile, N: int) -> dict:
+    """The left ideal A.B+ spanned degree by degree from every product a.b,
+    a in basis(d - |b|), b in B+: degree -> (reduced rows, pivots, reps)."""
+    bplus = [b for b in profile.algebra_basis() if b != ()]
+    out = {}
+    for d in range(N + 1):
+        mons = st.basis(d)
+        index = {m: i for i, m in enumerate(mons)}
+        rows = []
+        for b in bplus:
+            e = st.mono_degree(b)
+            if e > d:
+                continue
+            for a in st.basis(d - e):
+                vec = 0
+                for m in st.milnor_product_mono(a, b):
+                    vec |= 1 << index[m]
+                if vec:
+                    rows.append(vec)
+        bas, piv = f2_rref(rows)
+        pivset = set(piv)
+        out[d] = (bas, piv, [i for i in range(len(mons)) if i not in pivset])
+    return out
 
 
 def cyclic_check_oracle(qm: st.QuotientModule) -> bool:

@@ -6,6 +6,9 @@ from hypothesis import strategies as hs
 
 import oracles
 from chromalg import steenrod as st
+from chromalg.checks import REGISTRY, CheckFailure
+from chromalg.linalg import f2_reduce, f2_rref
+from chromalg.report import RunConfig
 
 # every Milnor monomial of degree <= 30, with its degree
 POOL = [(m, st.mono_degree(m)) for d in range(31) for m in st.basis(d)]
@@ -70,6 +73,31 @@ def test_product_matches_oracle_large(a, b):
     assert st.milnor_product_mono(a, b) == oracles.milnor_product_mono_oracle(a, b)
 
 
+# the profiles whose quotient modules `square_check` and the coset tables build
+SQUARE_PROFILES = [("E", 1), ("E", 2), ("A", 1), ("A", 2)]
+
+
+def test_product_matches_oracle_on_the_a2_basis():
+    bs = st.Profile("A", 2).algebra_basis()
+    assert len(bs) == 64
+    for a in bs:
+        for b in bs:
+            assert st.milnor_product_mono(a, b) == oracles.milnor_product_mono_oracle(a, b), (a, b)
+
+
+def test_product_matches_oracle_on_generator_products():
+    """The products the coset tables and action matrices take: each algebra
+    generator of the square's profiles against every monomial through
+    degree 24, on both sides."""
+    gens = sorted({g for kind, n in SQUARE_PROFILES for g in st.Profile(kind, n).generators()})
+    assert gens == [(0, 0, 1), (0, 1), (1,), (2,), (4,)]
+    pairs = [(a, g) for g in gens for d in range(25) for a in st.basis(d)]
+    assert len(pairs) == 1180
+    for a, g in pairs:
+        assert st.milnor_product_mono(a, g) == oracles.milnor_product_mono_oracle(a, g), (a, g)
+        assert st.milnor_product_mono(g, a) == oracles.milnor_product_mono_oracle(g, a), (g, a)
+
+
 def test_adem_oracle():
     nv = 3
     tp = frozenset({(1, 1, 1)})
@@ -100,6 +128,9 @@ def test_milnor_primitives():
     assert comm == st.milnor_primitive(1)
 
 
+ALL_PROFILES = [("E", 0), ("E", 1), ("E", 2), ("E", 3), ("A", 0), ("A", 1), ("A", 2)]
+
+
 @pytest.mark.parametrize("kind,n,total", [
     ("E", 0, 2), ("E", 1, 4), ("E", 2, 8), ("E", 3, 16),
     ("A", 0, 2), ("A", 1, 8), ("A", 2, 64),
@@ -108,6 +139,69 @@ def test_profile_dims(kind, n, total):
     pr = st.Profile(kind, n)
     assert pr.total_dim() == total
     assert pr.closure_check()
+
+
+def test_profile_rejects_a_bad_index():
+    for n in (-1, -3, 1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="profile index"):
+            st.Profile("A", n)
+        with pytest.raises(ValueError, match="profile index"):
+            st.Profile("E", n)
+    with pytest.raises(ValueError, match="profile kind"):
+        st.Profile("B", 1)
+
+
+@pytest.mark.parametrize("kind,n", ALL_PROFILES)
+def test_generators_are_members_and_generate(kind, n):
+    """Each generator lies in the profile, and breadth-first left
+    multiplication by the generators from the unit spans its whole basis."""
+    pr = st.Profile(kind, n)
+    gens = pr.generators()
+    assert len(gens) == n + 1 and all(pr.member(g) for g in gens)
+    bs = pr.algebra_basis()
+    index = {m: i for i, m in enumerate(bs)}
+
+    def vector(elem):
+        return sum(1 << index[m] for m in elem)   # KeyError if elem leaves B
+
+    rows, pivots = f2_rref([vector(st.UNIT)])
+    frontier = [st.UNIT]
+    while frontier:
+        x = frontier.pop(0)
+        for g in gens:
+            y = st.milnor_product(frozenset({g}), x)
+            if f2_reduce(rows, pivots, vector(y)):
+                rows, pivots = f2_rref(rows + [vector(y)])
+                frontier.append(y)
+    assert len(rows) == len(bs) == pr.total_dim()
+
+
+@pytest.mark.parametrize("kind,n", ALL_PROFILES)
+def test_quotient_ideal_matches_the_b_plus_span(kind, n):
+    pr = st.Profile(kind, n)
+    qm = st.QuotientModule(pr, 24)
+    ref = oracles.quotient_ideal_oracle(pr, 24)
+    for d in range(25):
+        rows, pivots, reps = ref[d]
+        assert set(qm.ideal_pivots[d]) == set(pivots), (pr, d)
+        assert qm.reps[d] == reps, (pr, d)
+        assert set(qm.ideal_basis[d]) == set(rows), (pr, d)
+
+
+def test_quotient_tables_fail_without_sq2_in_a1(monkeypatch):
+    """Negative control: with Sq(2) dropped, A(1) spans only the ideal of
+    E(0) and its coset table no longer matches the convolution."""
+    check = next(c for c in REGISTRY if c.id == "st.quotient-tables")
+    check.fn(RunConfig(), random.Random(0))
+    full = st.Profile.generators
+
+    def without_sq2(self):
+        gens = full(self)
+        return [g for g in gens if g != (2,)] if repr(self) == "A(1)" else gens
+
+    monkeypatch.setattr(st.Profile, "generators", without_sq2)
+    with pytest.raises(CheckFailure, match="coset table vs convolution for A\\(1\\)"):
+        check.fn(RunConfig(), random.Random(0))
 
 
 def test_exterior_inside_full_profile():
