@@ -9,7 +9,10 @@ curve's logarithm (elliptic.curve_log) in the variable x.
 Quotients follow a torsion-free route: the kernel point is located exactly on
 a characteristic-zero lift (curve chord geometry or the closed conic form),
 the quotient law is assembled through logarithms, 2-integrality is asserted,
-and only then is everything reduced back.  All heavy lifting is univariate.
+and only then is everything reduced back.  All heavy lifting is univariate:
+law_from_log reads exp(lam(x) + lam(y)) from the Lie series of the invariant
+vector field 1/lam' d/dx, with no reversion of lam and no bivariate
+composition.
 Only the laws that quotient_by_subgroup accepts carry that lift as their
 origin: two_adic_family_fgl its Q[[b]] curve (CurveOrigin), conic_fgl its
 rational parameters (ConicOrigin).  One residual, hom_residual =
@@ -55,8 +58,8 @@ from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
                        formal_group_of_curve, gamma1_3_curve, universal_gamma1_3)
 from .errors import (AlgebraError, HeightExceedsPrecision,
-                     InvalidKernel, NeedsTorsionFree, NotOrdinary, PreparationFailed,
-                     QuotientPrecisionError, RecognitionFailed,
+                     InvalidKernel, NeedsTorsionFree, NotInvertible, NotOrdinary,
+                     PreparationFailed, QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
 from .poly import Poly
@@ -325,6 +328,64 @@ def fgl_log(F: FormalGroupLaw, N: int | None = None) -> Series:
 
 def fgl_exp(F: FormalGroupLaw, N: int | None = None) -> Series:
     return fgl_log(F, N).reverse()
+
+
+def law_from_log(lam: Series, P: int) -> Series:
+    """exp(lam(x) + lam(y)) below total degree P, for a univariate lam over a
+    Q-algebra with lam(0) = 0 and lam'(0) a unit, known below P.
+
+    No reversion and no composition: for E the inverse of lam, the flow of
+    the invariant vector field D = w d/dx, w = 1/lam', gives
+    E(lam(x) + t) = sum_n t^n A_n(x) with A_n = D^n(x)/n!, so the law is
+    sum_n A_n(x) lam(y)^n (Hazewinkel, Formal Groups and Applications, 1978,
+    section 1).  A_n is exact below P - n (_flow_terms), and coefficient
+    (i, j) reads A_n only at i < P - j <= P - n.  Only the half i >= j is
+    assembled, column j as one product of A_n by [y^j] lam^n per n <= j,
+    and mirrored: the law is symmetric.  So (P - 1)//2 products with w, and
+    the powers lam^n below y^((P + 1)//2)."""
+    R = lam.ctx.ring
+    if P > lam.prec:
+        raise TruncationError(f"law below degree {P} from a log known below {lam.prec}")
+    if not R.is_zero(lam.constant_term()):
+        raise NotInvertible("the logarithm has a nonzero constant term")
+    if not R.is_unit(lam.ucoeff(1)):
+        raise NotInvertible("linear coefficient of the logarithm is not a unit")
+    out = SeriesCtx(R, ("x", "y"), P)
+    if P == 1:
+        return out.zero()
+    half = (P - 1) // 2          # the largest j with j <= i and i + j < P
+    A = _flow_terms(lam, P, half)
+    terms = {(1, 0): R.one(), (0, 1): R.one()}      # column 0: A_0 = x
+    lam_low = lam.truncate(half + 1)
+    powers = [lam_low]                              # lam^(n + 1)
+    while len(powers) < half:
+        powers.append(powers[-1] * lam_low)
+    for j in range(1, half + 1):
+        cctx = lam.ctx.at_prec(P - j)
+        col = cctx.zero()
+        for n in range(1, j + 1):
+            c = powers[n - 1].ucoeff(j)
+            if not R.is_zero(c):
+                low = Series(cctx, {e: v for e, v in A[n].terms.items() if j <= e[0] < P - j})
+                col = col + low * cctx.const(c)
+        for (i,), v in col.terms.items():
+            terms[(i, j)] = v
+            terms[(j, i)] = v
+    return Series(out, terms)
+
+
+def _flow_terms(lam: Series, P: int, top: int) -> list:
+    """[A_0, ..., A_top] for A_0 = x and A_n = w A_(n-1)'/n, w = 1/lam', where
+    lam is known below P, each A_n at its honest precision P - n.  w is known
+    below P - 1, and A_(n-1)' is cut to P - n before the product, since a
+    derivative's top coefficient is not certified."""
+    R = lam.ctx.ring
+    A = [lam.ctx.at_prec(P).gen(lam.ctx.vars[0])]
+    w = lam.truncate(P).derivative().truncate(P - 1).inverse()
+    for n in range(1, top + 1):
+        dA = A[-1].derivative().truncate(P - n)
+        A.append((w * dA).scale(R.inv(R.from_int(n))))
+    return A
 
 
 # -- Hazewinkel generators ---------------------------------------------------------
@@ -618,8 +679,9 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     Q-algebra, truncation mod x^P is a ring map that commutes with compose
     and reverse when the substituted series have order >= 1, so each step is
     exact below x^P when its inputs are: the chord with the 2-torsion point
-    (which keeps the three degrees it loses internally), the log L, f^-1,
-    lam = 2 L(f^-1), its reverse, and exp(lam x + lam y)."""
+    (which keeps the three degrees it loses internally), the log L, f^-1 and
+    lam = 2 L(f^-1).  The quotient law exp(lam x + lam y) is then read from
+    lam by law_from_log, with neither reversion nor composition."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
@@ -633,11 +695,7 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
             "or conic constructor")
     lam = Lq.compose({Lq.ctx.vars[0]: fq.reverse()})
     lam = lam.scale(lam.ctx.ring.from_int(2))
-    exp_bar = lam.reverse()
-    ctxq2 = SeriesCtx(lam.ctx.ring, ("x", "y"), out_prec)
-    S = (lam.truncate(out_prec).compose({lam.ctx.vars[0]: ctxq2.gen("x")})
-         + lam.truncate(out_prec).compose({lam.ctx.vars[0]: ctxq2.gen("y")}))
-    Fbar_q = exp_bar.truncate(out_prec).compose({exp_bar.ctx.vars[0]: S})
+    Fbar_q = law_from_log(lam, out_prec)
     assert_two_integral(Fbar_q, "quotient law")
     fq_out = fq.truncate(out_prec)
     assert_two_integral(fq_out, "isogeny")

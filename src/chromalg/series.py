@@ -19,6 +19,13 @@ precision it needs:
     inverting G'(w) only below the degrees it gains.  G'(0) = 1, so no step
     divides by an integer.  Then one full-precision fixed-point pass must
     reproduce w (AlgebraError otherwise).
+  * fgl.law_from_log: exp(lam(x) + lam(y)) below P from lam known below P,
+    as sum_n A_n(x) lam(y)^n with A_0 = x and A_n = w A_(n-1)'/n for
+    w = 1/lam' (known below P - 1).  A_(n-1)' is cut to P - n before the
+    product, so A_n is exact below P - n, and coefficient (i, j) reads it
+    only at i < P - j <= P - n.  Only i >= j is assembled, then mirrored:
+    (P - 1)//2 products with w, one product per term of each column j,
+    the powers lam^n below y^((P + 1)//2), no compose and no reverse.
   * fgl.find_iso: raises TruncationError unless N < min(F.prec, G.prec).
     The powers F^k are made once per call at precision N + 1, up to the
     largest k < N with c_k != 0; F^(k-1) has order k - 1, so the product
@@ -141,7 +148,9 @@ from fractions import Fraction
 
 from .errors import (AlgebraError, CompositionError, MixedVariablesError,
                      NotInvertible, PreparationFailed, TruncationError)
-from .rings import QuotientExtension, Ring, _reduce, _scalar_modulus
+from .linalg import solve_int_exact
+from .rings import (Integers, ModularIntegers, QuotientExtension, Ring, _reduce,
+                     _scalar_modulus)
 
 
 class SeriesCtx:
@@ -424,6 +433,11 @@ class Series:
         return g
 
     def derivative(self, name: str | None = None) -> "Series":
+        """d/d(name) at the precision of self.  The top degree is not
+        certified: a series known below n has a derivative known only below
+        n - 1, since its degree n - 1 term needs the unknown degree n.  The
+        callers that read that degree cut it first: elliptic.two_series,
+        reverse and fgl.law_from_log."""
         i = 0 if name is None and len(self.ctx.vars) == 1 else self.ctx.vars.index(name)
         R = self.ctx.ring
         out = {}
@@ -920,7 +934,7 @@ class SeriesRing(Ring):
             raise TruncationError(f"a quotient by an element of {self.var}-order {ob} "
                                   f"is known only below {self.prec - ob}, not {self.prec}")
         # non-unit constant term: coefficientwise attempt when b is constant
-        if len(b.terms) == 1 and (0,) in b.terms:
+        if len(b.terms) == 1:
             c = b.terms[(0,)]
             out = {}
             for e, x in a.terms.items():
@@ -929,7 +943,26 @@ class SeriesRing(Ring):
                     return None
                 out[e] = q
             return Series(self.ctx, out)
-        return None
+        base = self.base
+        if type(base) is Integers:
+            m = 0
+        elif isinstance(base, ModularIntegers):
+            m = base.m
+        else:
+            return None
+        # q*b = a is the lower-triangular Toeplitz system
+        # sum_(i <= k) b_(k - i) q_i = a_k, k < prec, solved over Z; over Z/m
+        # each row k gets the column m*e_k, so the solve is complete there too
+        P = self.prec
+        bs = [b.terms.get((k,), 0) for k in range(P)]
+        columns = [[0] * i + bs[:P - i] for i in range(P)]
+        if m:
+            columns += [[m if k == r else 0 for k in range(P)] for r in range(P)]
+        x = solve_int_exact(columns, [a.terms.get((k,), 0) for k in range(P)])
+        if x is None:
+            return None
+        q = {(i,): v % m if m else v for i, v in enumerate(x[:P])}
+        return Series(self.ctx, {e: v for e, v in q.items() if v})
 
     def solve_int(self, n, b):
         out = {}

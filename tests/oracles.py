@@ -5,6 +5,7 @@ term-by-term composition, the homomorphism residual f(F) - G(f, f) as four
 such compositions, full-precision Newton inversion, degree-by-degree
 reversion, the fixed-point w-series at full precision, the Q[[b]] lift of
 `quotient_by_subgroup` at four guard degrees above the output precision,
+its quotient law as the reverse of the log composed with lam(x) + lam(y),
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, the Milnor product by nested
 recursion over dict-copied budgets, the left ideal A.B+ spanned from every
@@ -197,12 +198,18 @@ def quotient_lift_oracle(F: FormalGroupLaw):
         fq, tau, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, work)
     lam = Lq.compose({Lq.ctx.vars[0]: fq.reverse()})
     lam = lam.scale(lam.ctx.ring.from_int(2))
+    return law_from_log_oracle(lam, out_prec), fq.truncate(out_prec), tau
+
+
+def law_from_log_oracle(lam: Series, P: int) -> Series:
+    """exp(lam(x) + lam(y)) below total degree P as the exponential, the
+    reverse of lam, composed with the bivariate sum lam(x) + lam(y)."""
     exp_bar = lam.reverse()
-    ctx2 = SeriesCtx(lam.ctx.ring, ("x", "y"), out_prec)
+    ctx2 = SeriesCtx(lam.ctx.ring, ("x", "y"), P)
     var = lam.ctx.vars[0]
-    lam_out = lam.truncate(out_prec)
+    lam_out = lam.truncate(P)
     S = lam_out.compose({var: ctx2.gen("x")}) + lam_out.compose({var: ctx2.gen("y")})
-    return exp_bar.truncate(out_prec).compose({var: S}), fq.truncate(out_prec), tau
+    return exp_bar.truncate(P).compose({var: S})
 
 
 def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",

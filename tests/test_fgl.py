@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chromalg import bp, elliptic, fgl, linalg
 from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.errors import (AlgebraError, HeightExceedsPrecision,
-                             InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift,
+                             InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift, NotInvertible,
                              NotOrdinary, RecognitionFailed, TruncationError)
 from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
@@ -21,7 +21,7 @@ from chromalg.report import RunConfig
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 import oracles
-from oracles import quotient_lift_oracle
+from oracles import law_from_log_oracle, quotient_lift_oracle
 
 
 def test_conic_examples():
@@ -368,6 +368,101 @@ def test_quotient_lift_at_output_precision_matches_guarded_oracle(law):
     assert _typed(res.fgl_lift) == _typed(fgl_lift)
     assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
     assert _typed(fgl.reduce_scalar(tau, F.ring)) == _typed(res.tau)
+
+
+def _random_log(R, prec: int, rng: random.Random, bprec: int = 0):
+    """A random lam over R = Q or Q[[b]] (bprec b-degrees) below x^prec, with
+    zero constant term, a unit linear coefficient and some zero terms."""
+    def scalar(unit=False):
+        if not bprec:
+            return Fraction(rng.choice([-3, -1, 1, 2, 5]) if unit else rng.randint(-4, 4),
+                            rng.randint(1, 6))
+        terms = {(k,): Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for k in range(bprec)}
+        if unit:
+            terms[(0,)] = Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))
+        return R.ctx.series(terms)
+    terms = {(1,): scalar(unit=True)}
+    terms.update({(k,): scalar() for k in range(2, prec) if rng.random() < 0.8})
+    return SeriesCtx(R, ("x",), prec).series(terms)
+
+
+@pytest.mark.parametrize("P", range(1, 14))
+def test_law_from_log_matches_reverse_and_compose(P):
+    """exp(lam(x) + lam(y)) from the Lie series of 1/lam' equals, term for
+    term and type for type, the reverse of lam composed with the bivariate
+    sum, over Q and over Q[[b]] at b-precisions 1 to 6, from a lam known at
+    P or a few degrees above it."""
+    def outcome(build, lam):
+        try:
+            return _typed(build(lam, P))
+        except NotInvertible:         # a lam known only below x^1
+            return NotInvertible
+
+    rng = random.Random(P)
+    rings = [(QQ, 0)] + [(SeriesRing(QQ, "b", bp), bp) for bp in range(1, 7)]
+    for R, bp in rings:
+        lam = _random_log(R, P + rng.randint(0, 2), rng, bp)
+        assert outcome(fgl.law_from_log, lam) == outcome(law_from_log_oracle, lam)
+
+
+@pytest.mark.parametrize("P", [2, 5, 9, 13])
+def test_flow_terms_are_exact_below_their_precision(P):
+    """A_n = D^n(x)/n! built from lam known below P claims precision P - n,
+    and each coefficient it claims agrees with the A_n built from a lam known
+    six degrees further."""
+    rng = random.Random(P)
+    for R, bp in [(QQ, 0), (SeriesRing(QQ, "b", 4), 4)]:
+        lam = _random_log(R, P + 6, rng, bp)
+        short = fgl._flow_terms(lam.truncate(P), P, P - 1)
+        long = fgl._flow_terms(lam, P + 6, P - 1)
+        assert [a.prec for a in short] == [P - n for n in range(P)]
+        for a, b in zip(short, long):
+            assert _typed(a) == _typed(b.truncate(a.prec))
+
+
+def test_law_from_log_refuses_what_is_not_a_logarithm():
+    x = SeriesCtx(QQ, ("x",), 6).gen("x")
+    with pytest.raises(NotInvertible):
+        fgl.law_from_log(x * x + x * x * x, 6)
+    Rb = SeriesRing(QQ, "b", 3)
+    xb = SeriesCtx(Rb, ("x",), 6).gen("x")
+    with pytest.raises(NotInvertible):
+        fgl.law_from_log(xb.scale(Rb.gen()) + xb * xb, 6)
+    with pytest.raises(NotInvertible):
+        fgl.law_from_log(x + x.ctx.one(), 6)
+    with pytest.raises(TruncationError):
+        fgl.law_from_log(x, 7)
+    assert fgl.law_from_log(x, 6) == fgl.additive_fgl(QQ, 5).F
+
+
+def test_quotient_lift_reverses_only_the_isogeny(monkeypatch):
+    """Over the Q-algebra lift, quotient_by_subgroup reverses one series (f)
+    and composes nothing into two variables."""
+    calls = []
+    reverse, compose = Series.reverse, Series.compose
+
+    def over_q(R):
+        return (R.base if isinstance(R, SeriesRing) else R) is QQ
+
+    def counted_reverse(self):
+        calls.append("reverse")
+        return reverse(self)
+
+    def counted_compose(self, subs):
+        target = next(iter(subs.values())).ctx
+        if over_q(target.ring) and len(target.vars) > 1:
+            calls.append("bivariate compose")
+        return compose(self, subs)
+
+    for law in ("family(3, 8, 10)", "conic Z/8"):
+        F = QUOTIENT_LAWS[law]()
+        K = fgl.canonical_subgroup(F)
+        calls.clear()
+        monkeypatch.setattr(Series, "reverse", counted_reverse)
+        monkeypatch.setattr(Series, "compose", counted_compose)
+        fgl.quotient_by_subgroup(F, K)
+        monkeypatch.undo()
+        assert calls == ["reverse"], law
 
 
 def test_quotient_builds_one_w_series(monkeypatch):

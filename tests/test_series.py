@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -198,6 +200,56 @@ def test_series_ring_divide_by_positive_order_raises():
         SR.divide(SR.ctx.series({(2,): 1, (4,): 1}), b)
     assert SR.divide(b, b * b) is None
     assert SR.divide(b, SR.add(SR.one(), b)) == SR.ctx.series({(1,): 1, (2,): 3, (3,): 1})
+
+
+def test_series_ring_divide_by_a_non_unit_of_order_zero():
+    """Over Z/4 a divisor 2 + 2b has quotients: q = 1 for itself, and one for
+    2 + 2b + 2b^2, though its constant term is no unit; 1 has none."""
+    SR = SeriesRing(ModularIntegers(4), "b", 4)
+    d = SR.ctx.series({(0,): 2, (1,): 2})
+    for a in (d, SR.ctx.series({(0,): 2, (1,): 2, (2,): 2})):
+        q = SR.divide(a, d)
+        assert q is not None and q * d == a
+    assert SR.divide(SR.one(), d) is None
+
+
+@pytest.mark.parametrize("prec", [1, 2, 3])
+def test_series_ring_divide_over_z4_matches_brute_force(prec):
+    """Every dividend a and every divisor b of order 0 over Z/4[[b]]: a
+    quotient comes back exactly when some q has q*b = a, and it is one."""
+    SR = SeriesRing(ModularIntegers(4), "b", prec)
+    elements = [SR.ctx.series({(k,): c for k, c in enumerate(cs)})
+                for cs in itertools.product(range(4), repeat=prec)]
+    for b in elements:
+        if b.constant_term() == 0:
+            continue
+        products = [q * b for q in elements]
+        for a in elements:
+            q = SR.divide(a, b)
+            if q is None:
+                assert not any(p == a for p in products)
+            else:
+                assert q * b == a
+
+
+def test_series_ring_divide_over_z_matches_long_division():
+    """Over Z the quotient by b with b(0) = 2 is unique when it exists: long
+    division over Q decides it."""
+    rng = random.Random(0)
+    SR = SeriesRing(ZZ, "b", 6)
+    for _ in range(40):
+        b = [2] + [rng.randint(-3, 3) for _ in range(5)]
+        a = [rng.randint(-6, 6) for _ in range(6)]
+        if rng.random() < 0.5:
+            q = [rng.randint(-3, 3) for _ in range(6)]
+            a = [sum(q[i] * b[k - i] for i in range(k + 1)) for k in range(6)]
+        want = series_div_oracle(a, b, QQ, 6)
+        got = SR.divide(SR.ctx.series({(k,): c for k, c in enumerate(a)}),
+                        SR.ctx.series({(k,): c for k, c in enumerate(b)}))
+        if any(v.denominator != 1 for v in want):
+            assert got is None
+        else:
+            assert got is not None and [got.ucoeff(k) for k in range(6)] == want
 
 
 def test_integrate_needs_divisibility():
