@@ -311,8 +311,8 @@ def _log_examples(cfg, rng):
 
 @check("fgl.hazewinkel-family", "fgl", "hazewinkel-family")
 def _hazewinkel_family(cfg, rng):
-    N = max(9, cfg.series_prec)
-    F = fgl.universal_family_fgl(N)
+    # hazewinkel_generators(F, 2, 2) reads the law below degree 2^2 + 1
+    F = fgl.universal_family_fgl(2 ** 2)
     A, B = F.ring.gen("A"), F.ring.gen("B")
     data = fgl.hazewinkel_generators(F, 2, 2)
     ensure(data.v[0] == A, f"v1 = {data.v[0]} != A")

@@ -6,8 +6,12 @@ z = -x/y, w = -1/y, where the curve reads w = z^3 + a1 z w + a2 z^2 w
 + a3 w^2 + a4 z w^2 + a6 w^3 and chord slopes are honest power series.  All
 operations stay over the curve's coefficient ring; no denominators appear.
 The w-series is a Newton iteration (Hensel's lemma) checked by one last
-fixed-point pass.  formal_group_of_curve builds it once and hands it to
-formal_inverse; curve_log takes a caller's w-series the same way.
+fixed-point pass.  Every group operation is one chord and one negation
+(_chord_sum; Silverman IV.1): the line w = lam z + nu through two points meets
+the curve again at (z3, lam z3 + nu), and the sum is -z3/(1 - a1 z3 - a3 w3).
+The law takes the chord through two generic points, two_series the tangent at
+(z, w(z)), sum_with_point the chord through (z, w(z)) and a fixed point, and
+curve_log integrates dz/G_w: none composes series or leaves the (z, w) plane.
 
 This chord law is run per curve by fgl.fgl_from_curve, by the moduli chart
 transitions, and once per process on the chart A = 1, B = b over
@@ -16,8 +20,7 @@ rehomogenises to Z[A, B] by weight (exact, as every coefficient is
 weight-homogeneous with b-degree below m).  Family members over other rings
 are that law's image under base change (fgl.family_law), not chord runs;
 ell.formal-group-family runs the chord over Z[A, B] as its check.
-reduction_type reads the height from each fiber's own 2-series: two_series
-puts the tangent line at (z, w(z)) through the same chord formula, all
+reduction_type reads the height from each fiber's own 2-series, all
 univariate, from that fiber's w-series.  Its claim is about particular
 fibers, so base change would make it agree with itself.
 """
@@ -31,7 +34,7 @@ from .errors import (AlgebraError, JUndefined, NotInvertible, NotNodal,
                      NotOnCurve)
 from .poly import PolyRing
 from .rings import ZZ, Ring
-from .series import Laurent, Series, SeriesCtx
+from .series import Series, SeriesCtx
 
 
 @dataclass(frozen=True)
@@ -202,17 +205,6 @@ def _w_newton_step(E: WeierstrassCurve, w: Series, known: int) -> Series:
     return w - resid * Series(ctx, h.terms)
 
 
-def formal_inverse(E: WeierstrassCurve, prec: int, w: Series | None = None) -> Series:
-    """i(z) with [-1](z) = i(z): i = -z / (1 - a1 z - a3 w(z)).  A caller that
-    already has the w-series, to precision at least prec, passes it as w."""
-    R = E.ring
-    ctx = SeriesCtx(R, ("z",), prec)
-    z = ctx.gen("z")
-    w = (w if w is not None else curve_w_series(E, prec)).truncate(prec)
-    den = ctx.one() - z.scale(E.a1) - w.scale(E.a3)
-    return (-z) * den.inverse()
-
-
 def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     """Group law F(z1, z2) to total degree N, exact over the curve's ring."""
     R = E.ring
@@ -225,8 +217,7 @@ def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     ws = [(n, wz.ucoeff(n)) for n in range(3, N + 2)]
     lam = ctx2.series({(i, n - 1 - i): wn for n, wn in ws for i in range(n)})
     w1 = ctx2.series({(n, 0): wn for n, wn in ws})
-    nu = w1 - lam * z1
-    F = formal_inverse(E, prec, wz).compose({"z": _third_z(E, lam, nu, z1, z2)})
+    F = _chord_sum(E, lam, w1 - lam * z1, z1, z2)
     # unit axiom check F(z, 0) = z
     restr = F.set_var_zero("z2").drop_var("z2")
     zz = SeriesCtx(R, ("z1",), prec).gen("z1")
@@ -235,16 +226,22 @@ def formal_group_of_curve(E: WeierstrassCurve, N: int) -> Series:
     return F
 
 
-def _third_z(E: WeierstrassCurve, lam: Series, nu: Series, z1: Series, z2: Series) -> Series:
-    """z of the third point where the line w = lam z + nu meets the curve,
-    through the points at z1 and z2 (Silverman IV.1)."""
+def _chord_sum(E: WeierstrassCurve, lam: Series, nu: Series, z1: Series, z2: Series) -> Series:
+    """z of P1 + P2 for the points at z1 and z2 on the line w = lam z + nu
+    (Silverman IV.1): the line meets the curve again at z3, w3 = lam z3 + nu,
+    and P1 + P2 is that third point's negation -z3/(1 - a1 z3 - a3 w3)."""
     R = E.ring
     a1, a2, a3, a4, a6 = E.coefficients()
+    one = lam.ctx.one()
     lam2 = lam * lam
-    den = lam.ctx.one() + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)
-    num = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
-           + (lam * nu).scale(R.scale_int(a4, 2)) + (lam2 * nu).scale(R.scale_int(a6, 3)))
-    return (-z1) - z2 - num * den.inverse()
+    num = lam.scale(a1) + lam2.scale(a3)
+    if not all(map(R.is_zero, (a2, a4, a6))):   # the level-3 family has them all zero
+        num = (num + nu.scale(a2) + (lam * nu).scale(R.scale_int(a4, 2))
+               + (lam2 * nu).scale(R.scale_int(a6, 3)))
+        num = num * (one + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)).inverse()
+    z3 = (-z1) - z2 - num
+    w3 = lam * z3 + nu
+    return (-z3) * (one - z3.scale(a1) - w3.scale(a3)).inverse()
 
 
 def two_series(E: WeierstrassCurve, N: int) -> Series:
@@ -252,35 +249,46 @@ def two_series(E: WeierstrassCurve, N: int) -> Series:
     tangent line at (z, w(z)) and univariate series only.
 
     The slope is lam = w'(z) and the intercept nu = w - z lam; the chord
-    formula with z1 = z2 = z and formal_inverse, on the same w-series, give
-    [2](z)."""
+    formula with z1 = z2 = z, on the same w-series, gives [2](z)."""
     prec = N + 1
     w = curve_w_series(E, N + 2)
     z = SeriesCtx(E.ring, ("z",), prec).gen("z")
     # w' is certified only below z^(N+1): its z^(N+1) term needs w_(N+2)
     lam = w.derivative().truncate(prec)
-    nu = w.truncate(prec) - z * lam
-    return formal_inverse(E, prec, w).compose({"z": _third_z(E, lam, nu, z, z)})
+    return _chord_sum(E, lam, w.truncate(prec) - z * lam, z, z)
+
+
+def sum_with_point(E: WeierstrassCurve, x0, y0, N: int, w: Series | None = None) -> Series:
+    """z of P(z) + T for the point T = (x0, y0), as a power series in z known
+    below N; its constant term is T's formal coordinate z0 = -x0/y0.
+
+    The chord through (z, w(z)) and (z0, w0), w0 = -1/y0, has slope
+    lam = (w(z) - w0)/(z - z0), so y0 and x0 must be units (NotInvertible
+    otherwise), and so must the constant terms of the denominators in
+    _chord_sum.  No step reads w at or above N.  A caller that already has
+    the w-series, to precision at least N, passes it as w."""
+    R = E.ring
+    w = (w if w is not None else curve_w_series(E, N)).truncate(N)
+    ctx = w.ctx
+    z = ctx.gen("z")
+    yi = R.inv(y0)
+    z0 = ctx.const(R.neg(R.mul(x0, yi)))
+    lam = (w + ctx.const(yi)) * (z - z0).inverse()
+    return _chord_sum(E, lam, w - z * lam, z, z0)
 
 
 def curve_log(E: WeierstrassCurve, N: int, w: Series | None = None) -> Series:
-    """Formal logarithm from the invariant differential (Q-algebra bases only).
+    """Formal logarithm below z^(N+1), the integral of the invariant
+    differential (Q-algebra bases only; exact).
 
-    ell'(z) = (dx/dz) / (2y + a1 x + a3) expanded via w(z); exact.  A caller
-    that already has the w-series, to precision at least N + 4, passes it
-    as w.
+    On the curve G(z, w) = w - (z^3 + a1 z w + ...) = 0, the Euler relation
+    z G_z + w G_w = -w (2 - a1 z - a3 w) turns omega = dx/(2y + a1 x + a3)
+    into dz/G_w, G_w = 1 - a1 z - a2 z^2 - 2 a3 w - 2 a4 z w - 3 a6 w^2
+    (Silverman IV.1), so the log reads w only below z^N.  A caller that
+    already has the w-series, to precision at least N, passes it as w.
     """
-    R = E.ring
-    ctx = SeriesCtx(R, ("z",), N)
-    z = ctx.gen("z")
-    w = (w if w is not None else curve_w_series(E, N + 4)).truncate(N + 4)
-    V = Laurent(w).S
-    Vp = V.derivative("z")
-    numer = ctx.from_int(-2) - (V.ctx.gen("z") * Vp * V.inverse()).truncate(N)
-    wN = w.truncate(N)
-    den = ctx.from_int(-2) + z.scale(E.a1) + wN.scale(E.a3)
-    lp = numer * den.inverse()
-    return lp.truncate(N).integrate().truncate(N + 1)
+    w = (w if w is not None else curve_w_series(E, N)).truncate(N)
+    return _w_derivative(E, w, w * w).inverse().integrate()
 
 
 # -- points --------------------------------------------------------------------

@@ -9,7 +9,9 @@ curve's logarithm (elliptic.curve_log) in the variable x.
 Quotients follow a torsion-free route: the kernel point is located exactly on
 a characteristic-zero lift (curve chord geometry or the closed conic form),
 the quotient law is assembled through logarithms, 2-integrality is asserted,
-and only then is everything reduced back.  All heavy lifting is univariate:
+and only then is everything reduced back.  On a curve lift the isogeny and
+the log (elliptic.sum_with_point with the 2-torsion point, elliptic.curve_log)
+read one w-series at the output precision.  All heavy lifting is univariate:
 law_from_log reads exp(lam(x) + lam(y)) from the Lie series of the invariant
 vector field 1/lam' d/dx, with no reversion of lam and no bivariate
 composition.
@@ -56,7 +58,8 @@ from math import comb
 
 from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
-                       formal_group_of_curve, gamma1_3_curve, universal_gamma1_3)
+                       formal_group_of_curve, gamma1_3_curve, sum_with_point,
+                       universal_gamma1_3)
 from .errors import (AlgebraError, HeightExceedsPrecision,
                      InvalidKernel, NeedsTorsionFree, NotInvertible, NotOrdinary,
                      PreparationFailed, QuotientPrecisionError, RecognitionFailed,
@@ -64,7 +67,7 @@ from .errors import (AlgebraError, HeightExceedsPrecision,
 from .linalg import f2_solve
 from .poly import Poly
 from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
-from .series import Laurent, Series, SeriesCtx, SeriesRing, weierstrass_prepare
+from .series import Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
 # -- the law object ------------------------------------------------------------
@@ -679,8 +682,8 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     Q-algebra, truncation mod x^P is a ring map that commutes with compose
     and reverse when the substituted series have order >= 1, so each step is
     exact below x^P when its inputs are: the chord with the 2-torsion point
-    (which keeps the three degrees it loses internally), the log L, f^-1 and
-    lam = 2 L(f^-1).  The quotient law exp(lam x + lam y) is then read from
+    (its denominators are units, so it loses no degree), the log L, f^-1
+    and lam = 2 L(f^-1).  The quotient law exp(lam x + lam y) is then read from
     lam by law_from_log, with neither reversion nor composition."""
     R = F.ring
     _check_kernel(F, K)
@@ -747,16 +750,14 @@ def _modulus_bits(R: Ring) -> int:
 def _curve_isogeny_data(EQ: WeierstrassCurve, N: int):
     """(f, tau, log) for the canonical 2-torsion point of the lifted curve:
     f(x) = x * (x +_F tau) computed by chord addition against the torsion
-    point, tau its formal coordinate, log the curve logarithm.  Exact."""
+    point, tau its formal coordinate, log the curve logarithm.  Exact below
+    x^N, and x^(N + 1) for the log."""
     x0, y0 = _formal_two_torsion(EQ)
-    # one w-series serves both: the chord reads it below N + 6, the log
-    # below N + 4
-    w = curve_w_series(EQ, N + 6)
-    s = _sum_with_point(EQ, x0, y0, N, w)
+    # one w-series serves both, and each reads it below N
+    w = curve_w_series(EQ, N)
+    s = sum_with_point(EQ, x0, y0, N, w).rename(("x",))
     tau = s.constant_term()
-    ctx = s.ctx
-    x = ctx.gen(ctx.vars[0])
-    f = x * s
+    f = s.ctx.gen("x") * s
     L = curve_log(EQ, N, w)
     return f, tau, L
 
@@ -812,29 +813,6 @@ def _formal_two_torsion(EQ: WeierstrassCurve):
         raise QuotientPrecisionError("two-torsion Newton did not terminate")
     y = R.divide(R.neg(R.add(R.mul(EQ.a1, x), EQ.a3)), R.from_int(2))
     return x, y
-
-
-def _sum_with_point(E: WeierstrassCurve, x0, y0, N: int, w: Series | None = None) -> Series:
-    """z-coordinate of P(z) + (x0, y0) as a power series in z; constant term is
-    the formal coordinate -x0/y0 of the fixed point.  A caller that already
-    has the w-series, to precision at least N + 6, passes it as w."""
-    # V = w/z^3 is known to relative precision P, and X = z^-2/V, Y = -z^-3/V
-    # and mu keep it.  y3 sums terms with a pole of order 3 into a result with
-    # none, so y3 and s = -x3/y3 are known below P - 3: the chord loses three
-    # degrees (to_series raises TruncationError with fewer).
-    P = N + 3
-    w = (w if w is not None else curve_w_series(E, P + 3)).truncate(P + 3).rename(("x",))
-    V = Laurent(w).S
-    Vinv = V.inverse()
-    a1, a2, a3, a4, a6 = E.coefficients()
-    X = Laurent(Vinv, -2)
-    Yl = Laurent(-Vinv, -3)
-    c = lambda v: Laurent(V.ctx.const(v))
-    mu = (Yl - c(y0)) * (X - c(x0)).inverse()
-    x3 = mu * mu + c(a1) * mu - c(a2) - X - c(x0)
-    y3 = mu * (X - x3) - Yl - c(a1) * x3 - c(a3)
-    s = -x3 * y3.inverse()
-    return s.to_series(N)
 
 
 # -- recognition in the family and the Frobenius defect ------------------------------

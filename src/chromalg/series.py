@@ -149,7 +149,7 @@ from fractions import Fraction
 from .errors import (AlgebraError, CompositionError, MixedVariablesError,
                      NotInvertible, PreparationFailed, TruncationError)
 from .linalg import solve_int_exact
-from .rings import (Integers, ModularIntegers, QuotientExtension, Ring, _reduce,
+from .rings import (ModularIntegers, QuotientExtension, Ring, _reduce,
                      _scalar_modulus)
 
 
@@ -437,7 +437,9 @@ class Series:
         certified: a series known below n has a derivative known only below
         n - 1, since its degree n - 1 term needs the unknown degree n.  The
         callers that read that degree cut it first: elliptic.two_series,
-        reverse and fgl.law_from_log."""
+        reverse and fgl.law_from_log; fgl.recognize_in_family reads dF/dx
+        and dF/dy only times x^d and y^d, d >= 1, which drops it.
+        elliptic.curve_log integrates dz/G_w and differentiates nothing."""
         i = 0 if name is None and len(self.ctx.vars) == 1 else self.ctx.vars.index(name)
         R = self.ctx.ring
         out = {}
@@ -944,25 +946,32 @@ class SeriesRing(Ring):
                 out[e] = q
             return Series(self.ctx, out)
         base = self.base
-        if type(base) is Integers:
-            m = 0
-        elif isinstance(base, ModularIntegers):
-            m = base.m
-        else:
+        m = _scalar_modulus(base)
+        if m == 0:
+            # over Z, Z_(p) or Z[1/p] the quotient is the one over Q, if any:
+            # q_k = (a_k - sum_(i < k) b_(k - i) q_i) / b_0, each in the base
+            bs = [b.terms.get((k,), base.zero()) for k in range(self.prec)]
+            q = []
+            for k in range(self.prec):
+                rest = base.sub(a.terms.get((k,), base.zero()), base.dot(bs[k:0:-1], q))
+                qk = base.divide(rest, bs[0])
+                if qk is None:
+                    return None
+                q.append(qk)
+            return Series(self.ctx, {(k,): v for k, v in enumerate(q) if not base.is_zero(v)})
+        if not isinstance(base, ModularIntegers):
             return None
-        # q*b = a is the lower-triangular Toeplitz system
-        # sum_(i <= k) b_(k - i) q_i = a_k, k < prec, solved over Z; over Z/m
-        # each row k gets the column m*e_k, so the solve is complete there too
+        # over Z/m, q*b = a is the lower-triangular Toeplitz system
+        # sum_(i <= k) b_(k - i) q_i = a_k, k < prec, solved over Z with the
+        # column m*e_k beside each row k, so the solve is complete
         P = self.prec
         bs = [b.terms.get((k,), 0) for k in range(P)]
         columns = [[0] * i + bs[:P - i] for i in range(P)]
-        if m:
-            columns += [[m if k == r else 0 for k in range(P)] for r in range(P)]
+        columns += [[m if k == r else 0 for k in range(P)] for r in range(P)]
         x = solve_int_exact(columns, [a.terms.get((k,), 0) for k in range(P)])
         if x is None:
             return None
-        q = {(i,): v % m if m else v for i, v in enumerate(x[:P])}
-        return Series(self.ctx, {e: v for e, v in q.items() if v})
+        return Series(self.ctx, {(i,): v % m for i, v in enumerate(x[:P]) if v % m})
 
     def solve_int(self, n, b):
         out = {}

@@ -3,9 +3,12 @@
 Each one is the plain algorithm that the library's faster version replaced:
 term-by-term composition, the homomorphism residual f(F) - G(f, f) as four
 such compositions, full-precision Newton inversion, degree-by-degree
-reversion, the fixed-point w-series at full precision, the Q[[b]] lift of
-`quotient_by_subgroup` at four guard degrees above the output precision,
-its quotient law as the reverse of the log composed with lam(x) + lam(y),
+reversion, the fixed-point w-series at full precision, the chord law as
+the formal inverse composed with the chord's third point, the chord with a
+fixed point on Laurent (X, Y) and the curve log through the Laurent
+series w/z^3, the Q[[b]] lift of `quotient_by_subgroup` on those two at
+four guard degrees above the output precision, its quotient law as the
+reverse of the log composed with lam(x) + lam(y),
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, the Milnor product by nested
 recursion over dict-copied budgets, the left ideal A.B+ spanned from every
@@ -21,14 +24,13 @@ pair by pair with `R.mul` and `R.add`, the 2-series as F(x, x) of the
 bivariate chord law, and the automorphism search that transforms the
 curve by every (u, r, s, t).
 They share no code path with the functions they check, beyond `Series`
-arithmetic and `compose` (`compose_oracle` uses no `compose`, and `QSeries`
-shares nothing), `milnor_product` and the coset reduction of
+arithmetic, `Laurent` and `compose` (`compose_oracle` uses no `compose`,
+and `QSeries` shares nothing), `milnor_product` and the coset reduction of
 `QuotientModule` that the cyclicity search acts through, the
 `milnor_product_mono` and `f2_rref` that the ideal oracle calls, the `linalg`
 eliminations that the regularity oracle calls, the `family_law`,
 `family_fgl_at` and `f2_solve` that the recognition oracle calls, the
-base-ring arithmetic that the quotient product oracle calls,
-`formal_group_of_curve` behind the 2-series oracle, and `transform`,
+base-ring arithmetic that the quotient product oracle calls, and `transform`,
 `curves_equal` and `compose_transforms` behind the automorphism oracle.
 """
 
@@ -38,18 +40,17 @@ from fractions import Fraction
 from math import comb, gcd
 
 from chromalg import steenrod as st
-from chromalg.elliptic import (compose_transforms, curve_log, curves_equal,
-                               formal_group_of_curve, transform)
+from chromalg.elliptic import compose_transforms, curves_equal, transform
 from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
                              RecognitionFailed)
 from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
-                          _conic_isogeny_data, _formal_two_torsion, _sum_with_point,
-                          family_fgl_at, family_law)
+                          _conic_isogeny_data, _formal_two_torsion, family_fgl_at,
+                          family_law)
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
 from chromalg.rings import ModularIntegers, PrimeField, QuotientExtension, Ring
-from chromalg.series import Series, SeriesCtx, SeriesRing
+from chromalg.series import Laurent, Series, SeriesCtx, SeriesRing
 
 
 def dot_loop_oracle(R: Ring, xs: list, ys: list):
@@ -181,19 +182,76 @@ def curve_w_series_oracle(E, prec: int) -> Series:
     return w
 
 
+def formal_group_of_curve_oracle(E, N: int) -> Series:
+    """F(z1, z2) to total degree N as the formal inverse
+    i(z) = -z/(1 - a1 z - a3 w(z)) composed with the z of the third point
+    on the chord through (z1, w(z1)) and (z2, w(z2)) (Silverman IV.1)."""
+    R = E.ring
+    a1, a2, a3, a4, a6 = E.coefficients()
+    prec = N + 1
+    wz = curve_w_series_oracle(E, N + 2)
+    ctx2 = SeriesCtx(R, ("z1", "z2"), prec)
+    z1, z2 = ctx2.gen("z1"), ctx2.gen("z2")
+    ws = [(n, wz.ucoeff(n)) for n in range(3, N + 2)]
+    lam = ctx2.series({(i, n - 1 - i): wn for n, wn in ws for i in range(n)})
+    nu = ctx2.series({(n, 0): wn for n, wn in ws}) - lam * z1
+    lam2 = lam * lam
+    den = ctx2.one() + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)
+    num = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
+           + (lam * nu).scale(R.scale_int(a4, 2)) + (lam2 * nu).scale(R.scale_int(a6, 3)))
+    z3 = (-z1) - z2 - num * den.inverse()
+    z = SeriesCtx(R, ("z",), prec).gen("z")
+    inverse = (-z) * (z.ctx.one() - z.scale(a1) - wz.truncate(prec).scale(a3)).inverse()
+    return inverse.compose({"z": z3})
+
+
+def sum_with_point_oracle(E, x0, y0, N: int) -> Series:
+    """z of P(z) + (x0, y0) below z^N by the chord on Laurent (X, Y):
+    X = z^-2/V and Y = -z^-3/V for V = w/z^3.  y3 sums terms with a pole of
+    order 3 into a result with none, so the chord loses three degrees, and
+    it works at N + 3."""
+    P = N + 3
+    V = Laurent(curve_w_series_oracle(E, P + 3)).S
+    Vinv = V.inverse()
+    a1, a2, a3, a4, a6 = E.coefficients()
+    X = Laurent(Vinv, -2)
+    Yl = Laurent(-Vinv, -3)
+
+    def c(v):
+        return Laurent(V.ctx.const(v))
+
+    mu = (Yl - c(y0)) * (X - c(x0)).inverse()
+    x3 = mu * mu + c(a1) * mu - c(a2) - X - c(x0)
+    y3 = mu * (X - x3) - Yl - c(a1) * x3 - c(a3)
+    return (-x3 * y3.inverse()).to_series(N)
+
+
+def curve_log_oracle(E, N: int) -> Series:
+    """Formal logarithm below z^(N+1) from ell' = (dx/dz)/(2y + a1 x + a3),
+    with x = z/w and y = -1/w written through the Laurent series V = w/z^3:
+    ell' = (-2 - z V'/V)/(-2 + a1 z + a3 w)."""
+    ctx = SeriesCtx(E.ring, ("z",), N)
+    z = ctx.gen("z")
+    w = curve_w_series_oracle(E, N + 4)
+    V = Laurent(w).S
+    numer = ctx.from_int(-2) - (V.ctx.gen("z") * V.derivative("z") * V.inverse()).truncate(N)
+    den = ctx.from_int(-2) + z.scale(E.a1) + w.truncate(N).scale(E.a3)
+    return (numer * den.inverse()).truncate(N).integrate().truncate(N + 1)
+
+
 def quotient_lift_oracle(F: FormalGroupLaw):
     """(fgl_lift, isogeny_lift, tau) of quotient_by_subgroup, with the lift run
-    at four guard degrees above F.prec and truncated afterwards; the chord and
-    the log each build their own w-series."""
+    at four guard degrees above F.prec and truncated afterwards; the Laurent
+    chord and the Laurent log each build their own w-series."""
     out_prec = F.prec
     work = out_prec + 4
     if isinstance(F.origin, CurveOrigin):
         EQ = F.origin.lift_curve
         x0, y0 = _formal_two_torsion(EQ)
-        s = _sum_with_point(EQ, x0, y0, work)
+        s = sum_with_point_oracle(EQ, x0, y0, work).rename(("x",))
         tau = s.constant_term()
-        fq = s.ctx.gen(s.ctx.vars[0]) * s
-        Lq = curve_log(EQ, work)
+        fq = s.ctx.gen("x") * s
+        Lq = curve_log_oracle(EQ, work)
     else:
         fq, tau, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, work)
     lam = Lq.compose({Lq.ctx.vars[0]: fq.reverse()})
@@ -1000,8 +1058,8 @@ def quotient_mul_oracle(R: QuotientExtension, a, b):
 
 def two_series_oracle(E, N: int) -> Series:
     """[2](x) below x^(N+1) as F(x, x) of the bivariate chord law
-    formal_group_of_curve(E, N)."""
-    F = formal_group_of_curve(E, N)
+    formal_group_of_curve_oracle(E, N)."""
+    F = formal_group_of_curve_oracle(E, N)
     x = SeriesCtx(E.ring, ("z",), N + 1).gen("z")
     return F.compose({v: x for v in F.ctx.vars})
 

@@ -7,13 +7,15 @@ from chromalg import elliptic, fgl
 from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.elliptic import (ADDITIVE, NODAL, SMOOTH_ORDINARY,
                                SMOOTH_SUPERSINGULAR)
-from chromalg.errors import AlgebraError, JUndefined, NotNodal, NotOnCurve
+from chromalg.errors import AlgebraError, JUndefined, NotInvertible, NotNodal, NotOnCurve
 from chromalg.poly import PolyRing
 from chromalg.report import RunConfig
-from chromalg.rings import GF, ModularIntegers, QQ, Z_inverted, ZZ, omega_ring
-from chromalg.series import Series, SeriesCtx
+from chromalg.rings import GF, ModularIntegers, QQ, Z_inverted, Z_local, ZZ, omega_ring
+from chromalg.series import Series, SeriesCtx, SeriesRing
 
-from oracles import automorphism_group_oracle, two_series_oracle
+from oracles import (automorphism_group_oracle, curve_log_oracle, formal_group_of_curve_oracle,
+                     sum_with_point_oracle, two_series_oracle)
+from test_fgl import _typed
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,7 @@ def test_two_series_is_f_of_x_x_on_every_smooth_fiber(q):
         for N in range(2, 6):
             two = elliptic.two_series(E, N)
             assert two.prec == N + 1
-            assert two == two_series_oracle(E, N)
+            assert _typed(two) == _typed(two_series_oracle(E, N))
 
 
 def test_two_series_of_the_tate_curve():
@@ -139,7 +141,7 @@ def test_two_series_with_every_coefficient_nonzero(E):
     for N in range(1, 9):
         two = elliptic.two_series(E, N)
         assert two.prec == N + 1
-        assert two == two_series_oracle(E, N)
+        assert _typed(two) == _typed(two_series_oracle(E, N))
         assert elliptic.two_series(E, N + 1).truncate(N + 1) == two
 
 
@@ -235,6 +237,129 @@ def test_curve_log_values():
     assert l.ucoeff(2) == A * Fraction(1, 2)
     assert l.ucoeff(3) == (A * A) * Fraction(1, 3)
     assert l.ucoeff(4) == (B * 2 + A ** 3) * Fraction(1, 4)
+
+
+# -- the chord and its negation against the reference constructions ----------
+
+def q_curve(*a):
+    return elliptic.curve(QQ, *(Fraction(v) for v in a))
+
+
+def family_lift(bprec):
+    """The level-3 family on the chart A = 1 over Q[[b]], as two_adic_family_fgl
+    carries it."""
+    S = SeriesRing(QQ, "b", bprec)
+    return elliptic.gamma1_3_curve(S, S.one(), S.gen())
+
+
+# two curves with every a_i nonzero (the family has a2 = a4 = a6 = 0):
+# y^2 - xy - y = x^3 + 3x^2 + 5x - 10 with T = (1, 1) of order 2, and
+# y^2 + xy + 3y = x^3 - 2x^2 + 5x + 14 with T = (2, 3), not 2-torsion
+POINTED_CURVES = [
+    (q_curve(-1, 3, -1, 5, -10), (Fraction(1), Fraction(1))),
+    (q_curve(1, -2, 3, 5, 14), (Fraction(2), Fraction(3))),
+]
+
+
+def test_sum_with_point_matches_the_laurent_chord():
+    """The (z, w)-plane chord with a fixed point and its negation give, value
+    for value and type for type, what the chord on Laurent (X, Y) gives: on
+    the family lift with its 2-torsion point, and on two curves over Q."""
+    for bprec, N in [(8, 9), (5, 7), (6, 8), (8, 10), (10, 11), (10, 16)]:
+        E = family_lift(bprec)
+        x0, y0 = fgl._formal_two_torsion(E)
+        got = elliptic.sum_with_point(E, x0, y0, N)
+        assert got.prec == N
+        assert _typed(got) == _typed(sum_with_point_oracle(E, x0, y0, N))
+    for E, (x0, y0) in POINTED_CURVES:
+        assert elliptic.on_curve(E, (x0, y0))
+        for N in range(1, 12):
+            got = elliptic.sum_with_point(E, x0, y0, N)
+            assert _typed(got) == _typed(sum_with_point_oracle(E, x0, y0, N))
+
+
+def test_sum_with_point_needs_a_unit_formal_coordinate():
+    """(0, 1) on y^2 + xy - 2y = x^3 - 1 has formal coordinate -x0/y0 = 0, so
+    the chord's slope (w - w0)/(z - z0) divides by z: NotInvertible."""
+    E = q_curve(1, 0, -2, 0, -1)
+    T = (Fraction(0), Fraction(1))
+    assert elliptic.on_curve(E, T)
+    with pytest.raises(NotInvertible):
+        elliptic.sum_with_point(E, *T, 6)
+
+
+def test_curve_log_matches_the_laurent_log():
+    """The integral of dz/G_w equals, value for value and type for type, the
+    log read through the Laurent series w/z^3, for N = 2..14: over Q, over
+    Q[[b]] at four b-precisions and on the Tate curve."""
+    curves = [E for E, _ in POINTED_CURVES]
+    curves += [family_lift(bprec) for bprec in (1, 3, 5, 8)]
+    curves.append(elliptic.gamma1_3_curve(QQ, Fraction(1), Fraction(0)))
+    for E in curves:
+        for N in range(2, 15):
+            got = elliptic.curve_log(E, N)
+            assert got.prec == N + 1
+            assert _typed(got) == _typed(curve_log_oracle(E, N))
+
+
+def chart_curve(N):
+    S = SeriesRing(ZZ, "b", max(N - 1, 0) // 3 + 1)
+    return elliptic.gamma1_3_curve(S, S.one(), S.gen())
+
+
+def chart_transition_curve():
+    R = PolyRing(Z_local(2), ("a",), laurent=("a",))
+    return elliptic.gamma1_3_curve(R, R.one(), R.gen("a", -3))
+
+
+LAW_CURVES = {
+    "Z[[b]] chart, N = 6": (lambda: chart_curve(6), 6),
+    "Z[[b]] chart, N = 9": (lambda: chart_curve(9), 9),
+    "Z[[b]] chart, N = 12": (lambda: chart_curve(12), 12),
+    "Z[[b]] chart, N = 20": (lambda: chart_curve(20), 20),
+    "Z[A, B]": (lambda: elliptic.universal_gamma1_3()[0], 8),
+    "Z_(2)[a^+-1]": (chart_transition_curve, 8),
+    "GF(4)": (lambda: elliptic.gamma1_3_curve(GF(4), GF(4).gen(), GF(4).one()), 7),
+    "Q": (lambda: q_curve(1, -2, 3, 5, 14), 8),
+    "Q[[b]]": (lambda: family_lift(5), 8),
+}
+
+
+@pytest.mark.parametrize("name", LAW_CURVES)
+def test_formal_group_of_curve_matches_the_inverse_composed_with_the_chord(name):
+    """The negation of the chord's third point gives, value for value and type
+    for type, the formal inverse composed with that point's z."""
+    make, N = LAW_CURVES[name]
+    E = make()
+    assert _typed(elliptic.formal_group_of_curve(E, N)) == _typed(formal_group_of_curve_oracle(E, N))
+
+
+def test_the_chord_law_and_the_log_compose_and_differentiate_nothing(monkeypatch):
+    """formal_group_of_curve and two_series make no Series.compose call, and
+    curve_log no Series.derivative call."""
+    calls = []
+    compose, derivative = Series.compose, Series.derivative
+
+    def counted_compose(self, subs):
+        calls.append("compose")
+        return compose(self, subs)
+
+    def counted_derivative(self, name=None):
+        calls.append("derivative")
+        return derivative(self, name)
+
+    monkeypatch.setattr(Series, "compose", counted_compose)
+    monkeypatch.setattr(Series, "derivative", counted_derivative)
+    E = q_curve(1, -2, 3, 5, 14)
+    elliptic.formal_group_of_curve(E, 8)
+    elliptic.formal_group_of_curve(chart_curve(9), 9)
+    assert calls == []
+    elliptic.two_series(E, 8)
+    assert calls == ["derivative"]
+    calls.clear()
+    elliptic.curve_log(E, 8)
+    elliptic.curve_log(family_lift(5), 8)
+    assert calls == []
 
 
 def test_three_torsion(family):

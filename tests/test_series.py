@@ -6,7 +6,7 @@ import pytest
 
 from chromalg.errors import (CompositionError, MixedVariablesError,
                              NotInvertible, PreparationFailed, TruncationError)
-from chromalg.rings import ModularIntegers, QQ, QuotientExtension, ZZ
+from chromalg.rings import ModularIntegers, QQ, QuotientExtension, Z_inverted, Z_local, ZZ
 from chromalg.series import SeriesCtx, SeriesRing, weierstrass_prepare
 
 from oracles import series_div_oracle, weierstrass_prepare_oracle
@@ -250,6 +250,61 @@ def test_series_ring_divide_over_z_matches_long_division():
             assert got is None
         else:
             assert got is not None and [got.ucoeff(k) for k in range(6)] == want
+
+
+def test_series_ring_divide_over_localized_integers_by_a_non_unit():
+    """Over Z_(2) and Z[1/3] a divisor 2 + 2b of order 0 is no unit, yet it
+    divides itself and 2 + 2b + 2b^2 (quotient 1 + b^2/(1 + b)); 1 it does
+    not divide."""
+    for base in (Z_local(2), Z_inverted(3)):
+        SR = SeriesRing(base, "b", 4)
+        d = SR.ctx.series({(0,): Fraction(2), (1,): Fraction(2)})
+        assert not SR.is_unit(d)
+        assert SR.divide(d, d) == SR.one()
+        a = SR.ctx.series({(0,): Fraction(2), (1,): Fraction(2), (2,): Fraction(2)})
+        q = SR.divide(a, d)
+        assert q == SR.ctx.series({(0,): Fraction(1), (2,): Fraction(1), (3,): Fraction(-1)})
+        assert all(type(v) is Fraction for v in q.terms.values())
+        assert SR.divide(SR.one(), d) is None
+
+
+@pytest.mark.parametrize("base", [Z_local(2), Z_inverted(3)], ids=["Z_(2)", "Z[1/3]"])
+def test_series_ring_divide_over_localized_integers_matches_q(base):
+    """Over Z_(2)[[b]] and Z[1/3][[b]], by 2 + 2b and by random divisors whose
+    constant term 2 is no unit: a quotient comes back exactly when the one
+    over Q has every coefficient in the base, and then it is that one."""
+    rng = random.Random(5)
+    P = 6
+
+    def in_base(v):
+        try:
+            base.check(v)
+        except ValueError:
+            return False
+        return True
+
+    def scalar():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 3, 5, 9]))
+
+    SR = SeriesRing(base, "b", P)
+    divisors = [[Fraction(2), Fraction(2)] + [Fraction(0)] * (P - 2)]
+    divisors += [[Fraction(2)] + [scalar() for _ in range(P - 1)] for _ in range(20)]
+    divisors = [[v if in_base(v) else Fraction(v.numerator) for v in b] for b in divisors]
+    for b in divisors:
+        for _ in range(4):
+            a = [scalar() for _ in range(P)]
+            if rng.random() < 0.5:
+                q = [scalar() for _ in range(P)]
+                a = [sum((q[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(P)]
+            a = [v if in_base(v) else Fraction(v.numerator) for v in a]
+            want = series_div_oracle(a, b, QQ, P)
+            got = SR.divide(SR.ctx.series({(k,): c for k, c in enumerate(a)}),
+                            SR.ctx.series({(k,): c for k, c in enumerate(b)}))
+            if all(in_base(v) for v in want):
+                assert got is not None
+                assert [got.ucoeff(k) for k in range(P)] == want
+            else:
+                assert got is None
 
 
 def test_integrate_needs_divisibility():
