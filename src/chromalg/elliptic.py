@@ -175,22 +175,31 @@ def curve_w_series(E: WeierstrassCurve, prec: int) -> Series:
 
 def _w_image(E: WeierstrassCurve, w: Series, w2: Series) -> Series:
     """z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3 at w's precision,
-    given w2 = w^2."""
+    given w2 = w^2; a term whose coefficient is zero is not built."""
+    R = E.ring
     a1, a2, a3, a4, a6 = E.coefficients()
     z = w.ctx.gen("z")
-    return (z * z * z + (z * w).scale(a1) + (z * z * w).scale(a2) + w2.scale(a3)
-            + (z * w2).scale(a4) + (w2 * w).scale(a6))
+    out = z * z * z
+    for c, term in ((a1, lambda: z * w), (a2, lambda: z * z * w), (a3, lambda: w2),
+                    (a4, lambda: z * w2), (a6, lambda: w2 * w)):
+        if not R.is_zero(c):
+            out = out + term().scale(c)
+    return out
 
 
 def _w_derivative(E: WeierstrassCurve, w: Series, w2: Series) -> Series:
     """G'(w) = 1 - a1 z - a2 z^2 - 2 a3 w - 2 a4 z w - 3 a6 w^2 at w's
-    precision, given w2 = w^2."""
+    precision, given w2 = w^2; a term whose coefficient is zero is not built."""
     R = E.ring
     a1, a2, a3, a4, a6 = E.coefficients()
     ctx = w.ctx
     z = ctx.gen("z")
-    return (ctx.one() - z.scale(a1) - (z * z).scale(a2) - w.scale(R.scale_int(a3, 2))
-            - (z * w).scale(R.scale_int(a4, 2)) - w2.scale(R.scale_int(a6, 3)))
+    out = ctx.one()
+    for c, term in ((a1, lambda: z), (a2, lambda: z * z), (R.scale_int(a3, 2), lambda: w),
+                    (R.scale_int(a4, 2), lambda: z * w), (R.scale_int(a6, 3), lambda: w2)):
+        if not R.is_zero(c):
+            out = out - term().scale(c)
+    return out
 
 
 def _w_newton_step(E: WeierstrassCurve, w: Series, known: int) -> Series:
@@ -418,10 +427,21 @@ def curves_equal(E1: WeierstrassCurve, E2: WeierstrassCurve) -> bool:
 
 def automorphism_group(E: WeierstrassCurve) -> list:
     """Every (u, r, s, t) preserving E over a finite ring, in the
-    lexicographic order of R.elements(); closure verified.
+    lexicographic order of R.elements(); closure verified from generators.
 
     Each unit u is inverted once here.  A1 depends only on (u, s) and A2
-    only on (u, r, s), so t is searched only where both already match."""
+    only on (u, r, s), so t is searched only where both already match.
+
+    The closure check grows words from the identity.  It takes generators
+    from the found set S in order, an element becoming one only when it is
+    not yet a word in the earlier ones, and composes each word on the right
+    with each generator once; every product must lie in S.  If none leaves
+    S, the words are S (the identity is a power of a generator), and for a
+    in S and a word b = g1...gk, a.b = ((a.g1)...).gk is a word again: S is
+    closed.  A closed S keeps every product, so the check raises exactly
+    when some pair of S composes outside it.  Each generator at least
+    doubles the words of a group, so a group takes at most |S| log2 |S|
+    compositions."""
     R = E.ring
     elems = R.elements()
     units = [e for e in elems if R.is_unit(e)]
@@ -439,10 +459,26 @@ def automorphism_group(E: WeierstrassCurve) -> list:
                         out.append((u, r, s, t))
     # group closure; a finite ring's elements are canonical, so they are keys
     keyed = set(out)
-    for g in out:
-        for h in out:
-            if compose_transforms(R, g, h) not in keyed:
+    identity = (R.one(), R.zero(), R.zero(), R.zero())
+    words, seen, gens = [identity], {identity}, []
+    for x in out:
+        if x in seen:
+            continue
+        gens.append(x)
+        pairs = [(w, x) for w in words]         # the old words by the new generator
+        done = len(words)
+        words.append(x)
+        seen.add(x)
+        while pairs or done < len(words):
+            if not pairs:                       # a new word by every generator
+                pairs = [(words[done], g) for g in gens]
+                done += 1
+            p = compose_transforms(R, *pairs.pop())
+            if p not in keyed:
                 raise AlgebraError("automorphism set is not closed under composition")
+            if p not in seen:
+                seen.add(p)
+                words.append(p)
     return out
 
 

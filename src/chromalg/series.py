@@ -293,6 +293,8 @@ class Series:
 
     def scale(self, c):
         R = self.ctx.ring
+        if R.is_zero(c):
+            return Series(self.ctx, {})
         out = {}
         for e, x in self.terms.items():
             p = R.mul(c, x)

@@ -363,14 +363,37 @@ class Profile:
         return sorted(out, key=lambda r: (mono_degree(r), r))
 
     def closure_check(self) -> bool:
+        """True when the span of `algebra_basis()` is closed under the product,
+        proven from `generators()`: for each generator g and basis member b,
+        every monomial of g.b is a member (with b = 1, so is g), and the
+        words in the generators span the basis.  A product x.y of members is
+        then a sum of g1.(g2.(... (gk.y))), each step inside the span.
+
+        The words are grown from the unit by F2 elimination over the bitmasks
+        of those |gens| * |basis| products, so no further product is made."""
         bs = self.algebra_basis()
-        members = set(bs)
-        for a in bs:
+        index = {b: i for i, b in enumerate(bs)}
+        left = []                  # left[k][i]: generator k . bs[i] as a bitmask
+        for g in self.generators():
+            row = []
             for b in bs:
-                prod = milnor_product_mono(a, b)
-                if not all(m in members for m in prod):
-                    return False
-        return True
+                mask = 0
+                for m in milnor_product_mono(g, b):
+                    if m not in index:
+                        return False
+                    mask |= 1 << index[m]
+                row.append(mask)
+            left.append(row)
+        rows = {}                  # leading bit -> row: the words' echelon basis
+        todo = [1 << index[()]]
+        while todo:
+            v = todo.pop()
+            while v and v.bit_length() - 1 in rows:
+                v ^= rows[v.bit_length() - 1]
+            if v:
+                rows[v.bit_length() - 1] = v
+                todo.extend(_apply_left(row, v) for row in left)
+        return len(rows) == len(bs)
 
     def dims(self, N: int) -> list[int]:
         out = [0] * (N + 1)
@@ -385,6 +408,16 @@ class Profile:
 
     def __repr__(self):
         return f"{self.kind}({self.n})"
+
+
+def _apply_left(row: list[int], v: int) -> int:
+    """g.v for v a bitmask over a basis, given row[i] = g.(basis member i)."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= row[low.bit_length() - 1]
+        v ^= low
+    return out
 
 
 def exterior_generators_span(n: int) -> list[frozenset]:

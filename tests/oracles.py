@@ -21,13 +21,15 @@ unit, `recognize_in_family` with the F_2[s] law for its b-direction, and
 the coefficient loop of `QuotientExtension.mul`, the sum of products
 `Ring.dot` as a loop, the series product that sums each coefficient
 pair by pair with `R.mul` and `R.add`, the 2-series as F(x, x) of the
-bivariate chord law, and the automorphism search that transforms the
-curve by every (u, r, s, t).
+bivariate chord law, the automorphism search that transforms the
+curve by every (u, r, s, t) and composes every pair of what it finds, and
+the profile closure that multiplies every pair of basis members.
 They share no code path with the functions they check, beyond `Series`
 arithmetic, `Laurent` and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
 `QuotientModule` that the cyclicity search acts through, the
-`milnor_product_mono` and `f2_rref` that the ideal oracle calls, the `linalg`
+`milnor_product_mono` that the ideal and closure oracles call, the
+`f2_rref` that the ideal oracle calls, the `linalg`
 eliminations that the regularity oracle calls, the `family_law`,
 `family_fgl_at` and `f2_solve` that the recognition oracle calls, the
 base-ring arithmetic that the quotient product oracle calls, and `transform`,
@@ -533,6 +535,14 @@ def quotient_ideal_oracle(profile: st.Profile, N: int) -> dict:
         pivset = set(piv)
         out[d] = (bas, piv, [i for i in range(len(mons)) if i not in pivset])
     return out
+
+
+def profile_closure_oracle(profile: st.Profile) -> bool:
+    """The span of `profile.algebra_basis()` is closed under the product:
+    every monomial of every product of two basis members is a member."""
+    bs = profile.algebra_basis()
+    members = set(bs)
+    return all(m in members for a in bs for b in bs for m in st.milnor_product_mono(a, b))
 
 
 def cyclic_check_oracle(qm: st.QuotientModule) -> bool:

@@ -13,8 +13,8 @@ from chromalg.report import RunConfig
 from chromalg.rings import GF, ModularIntegers, QQ, Z_inverted, Z_local, ZZ, omega_ring
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
-from oracles import (automorphism_group_oracle, curve_log_oracle, formal_group_of_curve_oracle,
-                     sum_with_point_oracle, two_series_oracle)
+from oracles import (automorphism_group_oracle, curve_log_oracle, curve_w_series_oracle,
+                     formal_group_of_curve_oracle, sum_with_point_oracle, two_series_oracle)
 from test_fgl import _typed
 
 
@@ -204,6 +204,67 @@ def test_closure_check_catches_a_wrong_composition(monkeypatch):
         run_check("ell.aut-supersingular")
 
 
+def test_aut_supersingular_fails_without_a_product_of_two_others(monkeypatch):
+    """Negative control: with the search's second match rejected (the first
+    is the identity), the found set misses -1 = (1, 0, 0, 1), the square of
+    (1, 1, 1, w), and is not closed."""
+    F4 = GF(4)
+    C = elliptic.curve(F4, F4.zero(), F4.zero(), F4.one(), F4.zero(), F4.zero())
+    full = automorphism_group_oracle(C)
+    missing = full[1]
+    assert missing != full[0] and missing == (F4.one(), F4.zero(), F4.zero(), F4.one())
+    assert missing in {elliptic.compose_transforms(F4, g, h)
+                       for g in full for h in full if missing not in (g, h)}
+    equal = elliptic.curves_equal
+    matches = []
+
+    def second_rejected(E1, E2):
+        if not equal(E1, E2):
+            return False
+        matches.append(E1)
+        return len(matches) != 2
+
+    monkeypatch.setattr(elliptic, "curves_equal", second_rejected)
+    with pytest.raises(AlgebraError, match="not closed under composition"):
+        run_check("ell.aut-supersingular")
+
+
+def _closed_all_pairs(R, S):
+    keyed = set(S)
+    return all(elliptic.compose_transforms(R, g, h) in keyed for g in S for h in S)
+
+
+@pytest.mark.parametrize("keep", [
+    range(24), range(8), range(2), range(1), (0, 8, 16), range(3), range(12),
+    range(1, 24), [k for k in range(24) if k != 1], (), (0, 9),
+], ids=lambda keep: ",".join(map(str, keep)) or "none")
+def test_automorphism_closure_raises_where_all_pairs_do(monkeypatch, keep):
+    """The closure proven from generators raises exactly when some pair of
+    the found set composes outside it.  The search keeps only the matches
+    whose indices are in `keep`: the first 24, 8, 2 and 1 and (0, 8, 16)
+    are subgroups of the order-24 group, the empty set gives [], and the
+    rest are not closed."""
+    F4 = GF(4)
+    C = elliptic.curve(F4, F4.zero(), F4.zero(), F4.one(), F4.zero(), F4.zero())
+    full = elliptic.automorphism_group(C)
+    kept = [full[k] for k in keep]
+    equal = elliptic.curves_equal
+    matches = []
+
+    def only_kept(E1, E2):
+        if not equal(E1, E2):
+            return False
+        matches.append(E1)
+        return len(matches) - 1 in keep
+
+    monkeypatch.setattr(elliptic, "curves_equal", only_kept)
+    if _closed_all_pairs(F4, kept):
+        assert elliptic.automorphism_group(C) == kept
+    else:
+        with pytest.raises(AlgebraError, match="not closed under composition"):
+            elliptic.automorphism_group(C)
+
+
 def test_formal_group_unit_axiom_and_low_terms(family):
     E, P = family
     A = P.gen("A")
@@ -300,6 +361,35 @@ def test_curve_log_matches_the_laurent_log():
             got = elliptic.curve_log(E, N)
             assert got.prec == N + 1
             assert _typed(got) == _typed(curve_log_oracle(E, N))
+
+
+def test_w_series_matches_the_fixed_point_oracle():
+    """The Newton w-series, which builds no term with a zero coefficient,
+    equals value for value and type for type the fixed point at full
+    precision: on two curves over Q with every a_i nonzero, and on the family
+    over Z[[b]] and Q[[b]], where a2 = a4 = a6 = 0."""
+    curves = [E for E, _ in POINTED_CURVES]
+    curves += [chart_curve(N) for N in (6, 12, 20)] + [family_lift(bprec) for bprec in (1, 5, 10)]
+    for E in curves:
+        for prec in (1, 4, 5, 8, 9, 16, 17):
+            got = elliptic.curve_w_series(E, prec)
+            assert _typed(got) == _typed(curve_w_series_oracle(E, prec))
+
+
+def test_w_series_scales_by_no_zero_coefficient(monkeypatch):
+    """On the family over Q[[b]] (a2 = a4 = a6 = 0) no term of the w-series
+    is built only to be scaled by zero."""
+    scalars = []
+    scale = Series.scale
+
+    def recorded(self, c):
+        scalars.append(self.ctx.ring.is_zero(c))
+        return scale(self, c)
+
+    monkeypatch.setattr(Series, "scale", recorded)
+    E = family_lift(10)
+    elliptic.curve_w_series(E, 16)
+    assert scalars and not any(scalars)
 
 
 def chart_curve(N):

@@ -315,3 +315,20 @@ def test_integrate_needs_divisibility():
     ctxq = uni(QQ, 4)
     out = ctxq.gen("x").integrate()
     assert out.ucoeff(2) == Fraction(1, 2)
+
+
+def test_scale_by_zero_makes_no_ring_product(monkeypatch):
+    """A zero scalar gives the zero series at the same precision, without a
+    product of the base ring (here each would be a b-series product)."""
+    S = SeriesRing(QQ, "b", 4)
+    b = S.gen()
+    ctx = SeriesCtx(S, ("z",), 5)
+    z = ctx.gen("z")
+    f = z.scale(b) + (z * z * z).scale(S.one() + b)
+
+    def no_product(x, y):
+        raise AssertionError("a ring product for a zero scalar")
+
+    monkeypatch.setattr(S, "mul", no_product)
+    zero = f.scale(S.zero())
+    assert zero.terms == {} and zero.prec == f.prec

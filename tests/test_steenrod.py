@@ -141,6 +141,91 @@ def test_profile_dims(kind, n, total):
     assert pr.closure_check()
 
 
+@pytest.mark.parametrize("kind,n", ALL_PROFILES)
+def test_closure_check_matches_the_all_pairs_oracle(kind, n):
+    pr = st.Profile(kind, n)
+    assert pr.closure_check() is oracles.profile_closure_oracle(pr) is True
+
+
+@pytest.mark.parametrize("kind,n", ALL_PROFILES)
+def test_closure_check_with_a_basis_monomial_dropped(monkeypatch, kind, n):
+    """With any member but the unit dropped the words leave the set, so
+    closure_check fails.  The all-pairs oracle agrees except on the
+    generators: no product of two other members reaches those, so the
+    smaller set is still closed, but the generators do not span it."""
+    pr = st.Profile(kind, n)
+    full = pr.algebra_basis()
+    for m in full[1:]:
+        monkeypatch.setattr(pr, "algebra_basis", lambda m=m: [b for b in full if b != m])
+        assert not pr.closure_check(), m
+        assert oracles.profile_closure_oracle(pr) is (m in pr.generators()), m
+
+
+@pytest.mark.parametrize("kind,n", ALL_PROFILES)
+def test_closure_check_with_a_stray_monomial_in_a_generator_product(monkeypatch, kind, n):
+    """One monomial outside the profile, of the right degree, added to g.top
+    (zero in the algebra) for one generator g: both checks fail."""
+    pr = st.Profile(kind, n)
+    top = pr.algebra_basis()[-1]
+    product = st.milnor_product_mono
+    for g in pr.generators():
+        stray = st.basis(st.mono_degree(g) + st.mono_degree(top))[0]
+        assert not pr.member(stray)
+
+        def perturbed(r, s, g=g, stray=stray):
+            out = product(r, s)
+            return out | {stray} if (r, s) == (g, top) else out
+
+        monkeypatch.setattr(st, "milnor_product_mono", perturbed)
+        assert not pr.closure_check() and not oracles.profile_closure_oracle(pr)
+
+
+@pytest.mark.parametrize("kind,n", ALL_PROFILES)
+def test_closure_check_with_a_generator_missing(monkeypatch, kind, n):
+    """Without one generator the words span a proper subspace, so
+    closure_check fails; the all-pairs oracle does not read the generators
+    and still holds."""
+    pr = st.Profile(kind, n)
+    gens = pr.generators()
+    for g in gens:
+        monkeypatch.setattr(pr, "generators", lambda g=g: [h for h in gens if h != g])
+        assert not pr.closure_check(), g
+        assert oracles.profile_closure_oracle(pr)
+
+
+def run_profiles_check():
+    check = next(c for c in REGISTRY if c.id == "st.profiles")
+    return check.fn(RunConfig(), random.Random(0))
+
+
+def test_profiles_fail_with_a_monomial_outside_a2(monkeypatch):
+    """Negative control: Sq(8), outside A(2), added to Sq(4).Sq(4)."""
+    run_profiles_check()
+    product = st.milnor_product_mono
+
+    def perturbed(r, s):
+        out = product(r, s)
+        return out | {(8,)} if (r, s) == ((4,), (4,)) else out
+
+    monkeypatch.setattr(st, "milnor_product_mono", perturbed)
+    with pytest.raises(CheckFailure, match="A\\(2\\) not closed under the product"):
+        run_profiles_check()
+
+
+def test_profiles_fail_without_sq4_in_a2(monkeypatch):
+    """Negative control: without Sq(4) the words in Sq(1), Sq(2) span only
+    A(1), not the 64 members of A(2)."""
+    full = st.Profile.generators
+
+    def without_sq4(self):
+        gens = full(self)
+        return [g for g in gens if g != (4,)] if repr(self) == "A(2)" else gens
+
+    monkeypatch.setattr(st.Profile, "generators", without_sq4)
+    with pytest.raises(CheckFailure, match="A\\(2\\) not closed under the product"):
+        run_profiles_check()
+
+
 def test_profile_rejects_a_bad_index():
     for n in (-1, -3, 1.0, 1.5, "1", None):
         with pytest.raises(ValueError, match="profile index"):
