@@ -13,7 +13,7 @@ from .elliptic import (formal_group_of_curve, gamma1_3_curve, transform,
 from .errors import AlgebraError
 from .poly import PolyRing
 from .rings import ZZ, Z_local
-from .series import Laurent, Series, SeriesCtx
+from .series import Series, SeriesRing
 
 
 WEIGHTS = (1, 3)
@@ -104,11 +104,6 @@ def annihilation_check() -> dict:
     return out
 
 
-def vanishing_above_one() -> bool:
-    """Two-chart complex: no C^s for s >= 2, so H^s = 0 structurally."""
-    return True
-
-
 def h0_ring_check(m: int, n: int) -> bool:
     """Multiplication H^0(m) x H^0(n) -> H^0(m+n) is monomial multiplication."""
     prods = {(i1 + i2, j1 + j2)
@@ -139,35 +134,38 @@ def chart_transition_check(prec: int = 8) -> dict:
 
 # -- q-expansions -----------------------------------------------------------------
 
-def QSeries(coeffs: dict, prec: int) -> Laurent:
-    """The integer Laurent q-series with these coefficients, known below q^prec."""
-    coeffs = {n: c for n, c in coeffs.items() if c and n < prec}
-    val = min(coeffs, default=min(0, prec - 1))
-    ctx = SeriesCtx(ZZ, ("q",), prec - val)
-    return Laurent(Series(ctx, {(n - val,): c for n, c in coeffs.items()}), val)
-
-
 def _sigma(k: int, n: int) -> int:
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
 def eisenstein_j(nterms: int):
-    """(E4, E6, Delta, j, j_inverse) to nterms q-coefficients, exact."""
+    """(E4, E6, Delta, q*j, j^-1) as integer Series in q, exact.  E4, E6,
+    Delta and j^-1 are known below q^nterms.  j = q^-1 + 744 + ... has a
+    pole, so it is returned as the power series q*j = E4^3 * (Delta/q)^-1,
+    known below q^(nterms - 1): j's own terms below q^(nterms - 2).
+    AlgebraError when E4^3 - E6^2 is not divisible by 1728."""
     if nterms < 2:
         raise AlgebraError("need at least two terms")
-    e4 = QSeries({0: 1, **{n: 240 * _sigma(3, n) for n in range(1, nterms)}}, nterms)
-    e6 = QSeries({0: 1, **{n: -504 * _sigma(5, n) for n in range(1, nterms)}}, nterms)
-    delta = (e4 ** 3 - e6 ** 2).divide_exact(1728)
-    j = e4 ** 3 * delta.inverse()
-    j_inv = delta * (e4 ** 3).inverse()
-    return e4, e6, delta, j, j_inv
+    Q = SeriesRing(ZZ, "q", nterms)
+    e4 = Q.ctx.series({(0,): 1, **{(n,): 240 * _sigma(3, n) for n in range(1, nterms)}})
+    e6 = Q.ctx.series({(0,): 1, **{(n,): -504 * _sigma(5, n) for n in range(1, nterms)}})
+    e4_cubed = e4 ** 3
+    delta = Q.divide(e4_cubed - e6 ** 2, Q.from_int(1728))
+    if delta is None:
+        raise AlgebraError("E4^3 - E6^2 is not divisible by 1728")
+    # Delta = q + ..., so Delta/q is a unit known one degree less far
+    delta_over_q = Series(Q.ctx.at_prec(nterms - 1),
+                          {(k - 1,): c for (k,), c in delta.terms.items()})
+    q_j = e4_cubed * delta_over_q.inverse()
+    j_inv = delta * e4_cubed.inverse()
+    return e4, e6, delta, q_j, j_inv
 
 
-def psi_operator(f: Laurent) -> Laurent:
+def psi_operator(f: Series) -> Series:
     """f(q) -> f(q^2), known below twice the precision of f."""
-    return QSeries({2 * n: c for n, c in f.coeffs.items()}, 2 * f.prec)
+    return Series(f.ctx.at_prec(2 * f.prec), {(2 * k,): c for (k,), c in f.terms.items()})
 
 
-def psi_defect(f: Laurent) -> Laurent:
+def psi_defect(f: Series) -> Series:
     """f(q^2) - f(q); its constant term always vanishes."""
     return psi_operator(f) - f

@@ -125,19 +125,6 @@ and R.add loop elsewhere):
     QuotientExtension with a non-integral modulus or another base), tower
     coefficients at another precision or context, mixed int/Fraction
     operands and operands below the density rule.
-
-Laurent precision contract.  A Laurent is x^val * S with S a univariate
-Series whose constant term is nonzero (or S = 0); it is known below the
-absolute degree val + S.prec.  Products and inverses run on S, so they use
-the multiplication above and Newton inversion:
-  * a sum is known below the smaller absolute precision of its operands; when
-    it cancels k leading terms, val rises by k and S.prec falls by k, so the
-    absolute precision never grows past what the operands knew;
-  * a product x^(v1 + v2) * S1 * S2 is known to the smaller relative
-    precision of S1 and S2, and an inverse x^-val * S^-1 to the relative
-    precision of S;
-  * [n] raises TruncationError for n >= prec and to_series(n) for n > prec;
-    to_series raises AlgebraError while a pole remains.
 """
 
 from __future__ import annotations
@@ -146,8 +133,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import (AlgebraError, CompositionError, MixedVariablesError,
-                     NotInvertible, PreparationFailed, TruncationError)
+from .errors import (CompositionError, MixedVariablesError, NotInvertible,
+                     PreparationFailed, TruncationError)
 from .linalg import solve_int_exact
 from .rings import (ModularIntegers, QuotientExtension, Ring, _reduce,
                      _scalar_modulus)
@@ -1014,96 +1001,3 @@ class SeriesRing(Ring):
     def __repr__(self):
         return f"{self.base!r}[[{self.var}]]<{self.prec}>"
 
-
-class Laurent:
-    """x^val * S for a univariate Series S with a nonzero constant term (or
-    S = 0), known below the absolute degree val + S.prec."""
-
-    __slots__ = ("S", "val")
-
-    def __init__(self, S: Series, val: int = 0):
-        S._univar()
-        m = S.order()
-        if m:
-            # x^m moves into val, and S is known m degrees less far
-            S = Series(S.ctx.at_prec(S.ctx.prec - m),
-                       {(k - m,): c for (k,), c in S.terms.items()})
-            val += m
-        self.S = S
-        self.val = val
-
-    @property
-    def prec(self) -> int:
-        return self.val + self.S.ctx.prec
-
-    @property
-    def coeffs(self) -> dict:
-        """The nonzero coefficients by absolute degree."""
-        return {k + self.val: c for (k,), c in self.S.terms.items()}
-
-    def __getitem__(self, n: int):
-        if n >= self.prec:
-            raise TruncationError(f"degree {n} >= prec {self.prec}")
-        return self.S.terms.get((n - self.val,), self.S.ctx.ring.zero())
-
-    def _at(self, val: int, prec: int) -> Series:
-        """x^(self.val - val) * S as a Series known below prec - val."""
-        d = self.val - val
-        if not d and prec == self.prec:
-            return self.S
-        top = prec - val
-        return Series(self.S.ctx.at_prec(top),
-                      {(k + d,): c for (k,), c in self.S.terms.items() if k + d < top})
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        val, prec = min(self.val, other.val), min(self.prec, other.prec)
-        return Laurent(self._at(val, prec) + other._at(val, prec), val)
-
-    def __neg__(self) -> "Laurent":
-        return Laurent(-self.S, self.val)
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        return Laurent(self.S * other.S, self.val + other.val)
-
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            return self.inverse() ** -n
-        return Laurent(self.S ** n, self.val * n)
-
-    def __eq__(self, other: "Laurent") -> bool:
-        """Equality below the smaller precision, as for Series."""
-        return (self - other).S.is_zero()
-
-    def scale(self, c) -> "Laurent":
-        return Laurent(self.S.scale(c), self.val)
-
-    def shift(self, m: int) -> "Laurent":
-        """x^m * self."""
-        return Laurent(self.S, self.val + m)
-
-    def inverse(self) -> "Laurent":
-        """Inverse when the constant term of S is a unit."""
-        return Laurent(self.S.inverse(), -self.val)
-
-    def divide_exact(self, k: int) -> "Laurent":
-        """self / k; AlgebraError when a coefficient is not divisible by k."""
-        R = self.S.ctx.ring
-        d = R.from_int(k)
-        out = {}
-        for (j,), c in self.S.terms.items():
-            q = R.divide(c, d)
-            if q is None:
-                raise AlgebraError(f"coefficient {c} of x^{j + self.val} not divisible by {k}")
-            out[(j,)] = q
-        return Laurent(self.S.ctx.series(out), self.val)
-
-    def to_series(self, n: int) -> Series:
-        """The power series, known below n."""
-        if n > self.prec:
-            raise TruncationError(f"precision {n} > known precision {self.prec}")
-        if self.val < 0 and not self.S.is_zero():
-            raise AlgebraError("pole remains; not a power series")
-        return self._at(0, n)

@@ -5,12 +5,14 @@ term-by-term composition, the homomorphism residual f(F) - G(f, f) as four
 such compositions, full-precision Newton inversion, degree-by-degree
 reversion, the fixed-point w-series at full precision, the chord law as
 the formal inverse composed with the chord's third point, the chord with a
-fixed point on Laurent (X, Y) and the curve log through the Laurent
-series w/z^3, the Q[[b]] lift of `quotient_by_subgroup` on those two at
+fixed point on (X, Y) with each pole kept as a power of z and the curve
+log through the power series w/z^3, the Q[[b]] lift of
+`quotient_by_subgroup` on those two at
 four guard degrees above the output precision, its quotient law as the
 reverse of the log composed with lam(x) + lam(y),
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
-integer q-series with its psi operator, the Milnor product by nested
+integer q-series with its psi operator, E4, E6, Delta and j, the Milnor
+product by nested
 recursion over dict-copied budgets, the left ideal A.B+ spanned from every
 element of B+, the breadth-first cyclicity search over
 Steenrod elements, one convolution loop per Poincare-series factor, the
@@ -25,7 +27,7 @@ bivariate chord law, the automorphism search that transforms the
 curve by every (u, r, s, t) and composes every pair of what it finds, and
 the profile closure that multiplies every pair of basis members.
 They share no code path with the functions they check, beyond `Series`
-arithmetic, `Laurent` and `compose` (`compose_oracle` uses no `compose`,
+arithmetic and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
 `QuotientModule` that the cyclicity search acts through, the
 `milnor_product_mono` that the ideal and closure oracles call, the
@@ -52,7 +54,7 @@ from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_ker
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
 from chromalg.rings import ModularIntegers, PrimeField, QuotientExtension, Ring
-from chromalg.series import Laurent, Series, SeriesCtx, SeriesRing
+from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
 def dot_loop_oracle(R: Ring, xs: list, ys: list):
@@ -207,35 +209,43 @@ def formal_group_of_curve_oracle(E, N: int) -> Series:
     return inverse.compose({"z": z3})
 
 
+def _over_z(s: Series, k: int) -> Series:
+    """s/z^k, known k degrees less far than s; AlgebraError unless z^k
+    divides s."""
+    if any(e < k for (e,) in s.terms):
+        raise AlgebraError(f"z^{k} does not divide the series")
+    return Series(s.ctx.at_prec(s.prec - k), {(e - k,): c for (e,), c in s.terms.items()})
+
+
 def sum_with_point_oracle(E, x0, y0, N: int) -> Series:
-    """z of P(z) + (x0, y0) below z^N by the chord on Laurent (X, Y):
-    X = z^-2/V and Y = -z^-3/V for V = w/z^3.  y3 sums terms with a pole of
-    order 3 into a result with none, so the chord loses three degrees, and
-    it works at N + 3."""
+    """z of P(z) + (x0, y0) below z^N by the chord on X = z^-2 U and
+    Y = -z^-3 U, for U = (w/z^3)^-1, with each pole kept as a power of z:
+    the slope is z^-1 M, x3 = z^-2 S and y3 = z^-3 T.  y3 sums terms with a
+    pole of order 3 into a result with none, so the chord loses three
+    degrees, and it works at N + 3."""
     P = N + 3
-    V = Laurent(curve_w_series_oracle(E, P + 3)).S
-    Vinv = V.inverse()
+    U = _over_z(curve_w_series_oracle(E, P + 3), 3).inverse()
+    ctx = U.ctx
+    z = ctx.gen("z")
     a1, a2, a3, a4, a6 = E.coefficients()
-    X = Laurent(Vinv, -2)
-    Yl = Laurent(-Vinv, -3)
 
-    def c(v):
-        return Laurent(V.ctx.const(v))
+    def times_z(v, k):
+        return ctx.series({(k,): v})
 
-    mu = (Yl - c(y0)) * (X - c(x0)).inverse()
-    x3 = mu * mu + c(a1) * mu - c(a2) - X - c(x0)
-    y3 = mu * (X - x3) - Yl - c(a1) * x3 - c(a3)
-    return (-x3 * y3.inverse()).to_series(N)
+    M = (-U - times_z(y0, 3)) * (U - times_z(x0, 2)).inverse()
+    S = M * M + (z * M).scale(a1) - times_z(a2, 2) - U - times_z(x0, 2)
+    T = M * (U - S) + U - (z * S).scale(a1) - times_z(a3, 3)
+    return -(_over_z(S, 2) * _over_z(T, 3).inverse())
 
 
 def curve_log_oracle(E, N: int) -> Series:
     """Formal logarithm below z^(N+1) from ell' = (dx/dz)/(2y + a1 x + a3),
-    with x = z/w and y = -1/w written through the Laurent series V = w/z^3:
+    with x = z/w and y = -1/w written through the power series V = w/z^3:
     ell' = (-2 - z V'/V)/(-2 + a1 z + a3 w)."""
     ctx = SeriesCtx(E.ring, ("z",), N)
     z = ctx.gen("z")
     w = curve_w_series_oracle(E, N + 4)
-    V = Laurent(w).S
+    V = _over_z(w, 3)
     numer = ctx.from_int(-2) - (V.ctx.gen("z") * V.derivative("z") * V.inverse()).truncate(N)
     den = ctx.from_int(-2) + z.scale(E.a1) + w.truncate(N).scale(E.a3)
     return (numer * den.inverse()).truncate(N).integrate().truncate(N + 1)
@@ -243,8 +253,8 @@ def curve_log_oracle(E, N: int) -> Series:
 
 def quotient_lift_oracle(F: FormalGroupLaw):
     """(fgl_lift, isogeny_lift, tau) of quotient_by_subgroup, with the lift run
-    at four guard degrees above F.prec and truncated afterwards; the Laurent
-    chord and the Laurent log each build their own w-series."""
+    at four guard degrees above F.prec and truncated afterwards; the chord
+    oracle and the log oracle each build their own w-series."""
     out_prec = F.prec
     work = out_prec + 4
     if isinstance(F.origin, CurveOrigin):
@@ -425,17 +435,25 @@ class QSeries:
             inv[n] = -lead * acc
         return QSeries(inv, prec).shift(-m)
 
-    def __eq__(self, o):
-        prec = min(self.prec, o.prec)
-        for n in set(self.coeffs) | set(o.coeffs):
-            if n < prec and self[n] != o[n]:
-                return False
-        return True
-
 
 def psi_defect_oracle(f: QSeries) -> QSeries:
     """f(q^2) - f(q), with f(q^2) taken at the precision of f."""
     return QSeries({2 * n: c for n, c in f.coeffs.items()}, f.prec) - f
+
+
+def eisenstein_j_oracle(nterms: int):
+    """(E4, E6, Delta, j, j^-1) on the dict q-series: the divisor sums by
+    trial division, Delta = (E4^3 - E6^2)/1728 and both quotients by the
+    degree-by-degree inverse.  j = q^-1 + ... is known below q^(nterms - 2),
+    the others below q^nterms."""
+    def sigma(k, n):
+        return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+    e4 = QSeries({0: 1, **{n: 240 * sigma(3, n) for n in range(1, nterms)}}, nterms)
+    e6 = QSeries({0: 1, **{n: -504 * sigma(5, n) for n in range(1, nterms)}}, nterms)
+    e4_cubed = e4 ** 3
+    delta = (e4_cubed - e6 ** 2).divide_exact(1728)
+    return e4, e6, delta, e4_cubed * delta.inverse_unit(), delta * e4_cubed.inverse_unit()
 
 
 # -- Steenrod algebra ---------------------------------------------------------

@@ -324,8 +324,9 @@ POINTED_CURVES = [
 
 def test_sum_with_point_matches_the_laurent_chord():
     """The (z, w)-plane chord with a fixed point and its negation give, value
-    for value and type for type, what the chord on Laurent (X, Y) gives: on
-    the family lift with its 2-torsion point, and on two curves over Q."""
+    for value and type for type, what the chord on (X, Y) with its poles
+    kept as powers of z gives: on the family lift with its 2-torsion point,
+    and on two curves over Q."""
     for bprec, N in [(8, 9), (5, 7), (6, 8), (8, 10), (10, 11), (10, 16)]:
         E = family_lift(bprec)
         x0, y0 = fgl._formal_two_torsion(E)
@@ -351,7 +352,7 @@ def test_sum_with_point_needs_a_unit_formal_coordinate():
 
 def test_curve_log_matches_the_laurent_log():
     """The integral of dz/G_w equals, value for value and type for type, the
-    log read through the Laurent series w/z^3, for N = 2..14: over Q, over
+    log read through the power series w/z^3, for N = 2..14: over Q, over
     Q[[b]] at four b-precisions and on the Tate curve."""
     curves = [E for E, _ in POINTED_CURVES]
     curves += [family_lift(bprec) for bprec in (1, 3, 5, 8)]

@@ -3,8 +3,34 @@ import random
 import pytest
 
 from chromalg import moduli
-from chromalg.errors import AlgebraError
-from chromalg.moduli import QSeries
+from chromalg.checks import CheckFailure
+from chromalg.errors import AlgebraError, NotInvertible, TruncationError
+from chromalg.rings import ZZ
+from chromalg.series import SeriesCtx, SeriesRing
+
+from oracles import QSeries as Oracle
+from oracles import eisenstein_j_oracle, psi_defect_oracle
+from test_elliptic import run_check
+
+
+def q_series(coeffs: dict, prec: int):
+    """The integer series in q with these coefficients, known below q^prec."""
+    return SeriesCtx(ZZ, ("q",), prec).series({(n,): c for n, c in coeffs.items()})
+
+
+def same(f, ora):
+    """The same precision and the same coefficients, not `==`."""
+    return f.prec == ora.prec and {n: c for (n,), c in f.terms.items()} == ora.coeffs
+
+
+def seeded_series(seed: int, count: int):
+    """(oracle, Series) pairs for `count` integer q-series, some coefficients
+    zero, known below q^1 .. q^20."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        prec = rng.randint(1, 20)
+        coeffs = {n: rng.choice([0, rng.randint(-99, 99)]) for n in range(prec)}
+        yield Oracle(coeffs, prec), q_series(coeffs, prec)
 
 
 def test_h0_examples():
@@ -31,7 +57,6 @@ def test_annihilation():
 
 
 def test_vanishing_and_euler():
-    assert moduli.vanishing_above_one()
     for n in range(-40, 41):
         assert moduli.euler_characteristic_check(n)
 
@@ -48,38 +73,94 @@ def test_chart_transition():
 
 
 def test_eisenstein_values():
-    e4, e6, delta, j, j_inv = moduli.eisenstein_j(16)
-    assert e4[0] == 1 and e4[1] == 240 and e4[2] == 240 * 9
-    assert e6[0] == 1 and e6[1] == -504
-    assert [delta[n] for n in range(1, 5)] == [1, -24, 252, -1472]
-    assert delta[0] == 0
+    e4, e6, delta, _, _ = moduli.eisenstein_j(16)
+    assert [e4.coefficient((n,)) for n in range(3)] == [1, 240, 240 * 9]
+    assert [e6.coefficient((n,)) for n in range(2)] == [1, -504]
+    assert [delta.coefficient((n,)) for n in range(5)] == [0, 1, -24, 252, -1472]
 
 
 def test_j_expansions():
-    _, _, _, j, j_inv = moduli.eisenstein_j(16)
-    assert j_inv[0] == 0 and j_inv[1] == 1 and j_inv[2] == -744
-    assert j[-1] == 1 and j[0] == 744 and j[1] == 196884
+    _, _, _, q_j, j_inv = moduli.eisenstein_j(16)
+    assert [j_inv.coefficient((n,)) for n in range(3)] == [0, 1, -744]
+    # j = q^-1 + 744 + 196884 q + ...
+    assert [q_j.coefficient((n,)) for n in range(3)] == [1, 744, 196884]
 
 
-def test_delta_integrality_guard():
-    # 1728-divisibility is asserted during construction; a wrong normalization
-    # would raise
-    q = QSeries({0: 1, 1: 1}, 4)
-    with pytest.raises(AlgebraError):
-        q.divide_exact(2)
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 40])
+def test_q_expansions_match_the_dict_oracle(n):
+    """E4, E6, Delta and j^-1 known below q^n, and q*j below q^(n-1), equal
+    the dict q-series at the same precision; a coefficient at or above it
+    raises."""
+    e4, e6, delta, j, j_inv = eisenstein_j_oracle(n)
+    got = moduli.eisenstein_j(n)
+    for f, ora in zip(got, (e4, e6, delta, j.shift(1), j_inv)):
+        assert same(f, ora)
+        with pytest.raises(TruncationError):
+            f.coefficient((f.prec,))
+    assert got[3].prec == n - 1
+
+
+def test_delta_integrality_guard(monkeypatch):
+    """Negative control: with sigma_5 off by one, E4^3 - E6^2 is not divisible
+    by 1728, so Delta, j and j^-1 are not built."""
+    for cid in ("mf.eisenstein", "mf.j-inverse"):
+        run_check(cid)
+    sigma = moduli._sigma
+    monkeypatch.setattr(moduli, "_sigma", lambda k, n: sigma(k, n) + (k == 5))
+    with pytest.raises(AlgebraError, match="not divisible by 1728"):
+        moduli.eisenstein_j(16)
+    for cid in ("mf.eisenstein", "mf.j-inverse"):
+        with pytest.raises(AlgebraError):
+            run_check(cid)
+
+
+def test_psi_defect_fails_with_psi_as_the_identity(monkeypatch):
+    """Negative control: f(q) in place of f(q^2)."""
+    run_check("mf.psi-defect")
+    monkeypatch.setattr(moduli, "psi_operator", lambda f: f)
+    with pytest.raises(CheckFailure, match=r"psi\(q\) = q\^2"):
+        run_check("mf.psi-defect")
 
 
 def test_psi_operator_and_defect():
-    assert moduli.psi_operator(QSeries({1: 1}, 8)) == QSeries({2: 1}, 8)
-    assert moduli.psi_defect(QSeries({0: 9}, 8)).coeffs == {}
+    assert moduli.psi_operator(q_series({1: 1}, 8)) == q_series({2: 1}, 8)
+    assert moduli.psi_defect(q_series({0: 9}, 8)).is_zero()
     rng = random.Random(0)
     for _ in range(100):
-        f = QSeries({n: rng.randint(-99, 99) for n in range(12)}, 12)
-        assert moduli.psi_defect(f)[0] == 0
+        f = q_series({n: rng.randint(-99, 99) for n in range(12)}, 12)
+        assert moduli.psi_defect(f).coefficient((0,)) == 0
+
+
+def test_psi_defect_matches_oracle():
+    for ora, f in seeded_series(1, 100):
+        assert same(moduli.psi_defect(f), psi_defect_oracle(ora))
+
+
+def test_psi_operator_doubles_the_known_precision():
+    g = moduli.psi_operator(q_series({1: 1, 2: -3}, 5))
+    assert g.prec == 10 and g.terms == {(2,): 1, (4,): -3}
+
+
+def test_divide_by_an_integer_matches_oracle():
+    """The coefficientwise quotient that builds Delta: exact where the dict
+    oracle divides, and None where it raises."""
+    for k, (ora, f) in enumerate(seeded_series(2, 100)):
+        d = k % 6 + 1
+        Q = SeriesRing(ZZ, "q", f.prec)
+        assert same(Q.divide(f.scale(d), Q.from_int(d)), ora)
+        got = Q.divide(f, Q.from_int(d))
+        try:
+            want = ora.divide_exact(d)
+        except AlgebraError:
+            assert got is None
+        else:
+            assert same(got, want)
 
 
 def test_qseries_inverse():
-    f = QSeries({0: 1, 1: -24}, 6)
+    f = q_series({0: 1, 1: -24}, 6)
     g = f.inverse()
-    assert (f * g) == QSeries({0: 1}, 6)
-    assert g[3] == 24 ** 3
+    assert (f * g) == q_series({0: 1}, 6)
+    assert g.coefficient((3,)) == 24 ** 3
+    with pytest.raises(NotInvertible):
+        q_series({0: 2, 1: 1}, 6).inverse()
