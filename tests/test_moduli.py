@@ -162,5 +162,12 @@ def test_qseries_inverse():
     g = f.inverse()
     assert (f * g) == q_series({0: 1}, 6)
     assert g.coefficient((3,)) == 24 ** 3
-    with pytest.raises(NotInvertible):
-        q_series({0: 2, 1: 1}, 6).inverse()
+
+
+def test_inverse_refuses_a_non_unit_constant_term():
+    rng = random.Random(3)
+    for _, f in seeded_series(3, 60):
+        c = rng.choice([-1, 1]) * rng.randint(2, 30)
+        g = f + q_series({0: c - f.coefficient((0,))}, f.prec)
+        with pytest.raises(NotInvertible):
+            g.inverse()
