@@ -818,7 +818,7 @@ def _mod_chart(cfg, rng):
 @check("mf.eisenstein", "modularforms", "eisenstein")
 def _mf_eisenstein(cfg, rng):
     n = max(16, cfg.q_terms)
-    e4, e6, delta, _, _ = moduli.eisenstein_j(n)
+    e4, e6, delta = moduli.eisenstein(n)
     ensure(e4.coefficient((0,)) == 1 and e6.coefficient((0,)) == 1, "constant terms")
     ensure(e4.coefficient((1,)) == 240 and e6.coefficient((1,)) == -504, "first coefficients")
     ensure(e4.coefficient((3,)) == 240 * (1 + 27) and e6.coefficient((2,)) == -504 * 33,

@@ -679,12 +679,14 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     the torsion-free lift of F (Q[[b]] or Q) and reduced into F's ring.
 
     The lift runs at F's precision P, with no guard degrees.  Over a
-    Q-algebra, truncation mod x^P is a ring map that commutes with compose
-    and reverse when the substituted series have order >= 1, so each step is
+    Q-algebra, truncation mod x^P is a ring map that commutes with
+    composition into series of order >= 1 and with reversion, so each step is
     exact below x^P when its inputs are: the chord with the 2-torsion point
-    (its denominators are units, so it loses no degree), the log L, f^-1
-    and lam = 2 L(f^-1).  The quotient law exp(lam x + lam y) is then read from
-    lam by law_from_log, with neither reversion nor composition."""
+    (its denominators are units, so it loses no degree), the log L and
+    lam = 2 L(f^-1), solved by L.compose_reverse(f) one degree at a time
+    from the powers of f.  The quotient law exp(lam x + lam y) is then read
+    from lam by law_from_log.  No step of the lift reverses or composes a
+    series."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
@@ -696,7 +698,7 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
         raise QuotientPrecisionError(
             "no torsion-free lift attached to this law; build it from a curve "
             "or conic constructor")
-    lam = Lq.compose({Lq.ctx.vars[0]: fq.reverse()})
+    lam = Lq.compose_reverse(fq)
     lam = lam.scale(lam.ctx.ring.from_int(2))
     Fbar_q = law_from_log(lam, out_prec)
     assert_two_integral(Fbar_q, "quotient law")

@@ -138,23 +138,30 @@ def _sigma(k: int, n: int) -> int:
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
-def eisenstein_j(nterms: int):
-    """(E4, E6, Delta, q*j, j^-1) as integer Series in q, exact.  E4, E6,
-    Delta and j^-1 are known below q^nterms.  j = q^-1 + 744 + ... has a
-    pole, so it is returned as the power series q*j = E4^3 * (Delta/q)^-1,
-    known below q^(nterms - 1): j's own terms below q^(nterms - 2).
+def eisenstein(nterms: int):
+    """(E4, E6, Delta) as integer Series in q, exact below q^nterms.
     AlgebraError when E4^3 - E6^2 is not divisible by 1728."""
     if nterms < 2:
         raise AlgebraError("need at least two terms")
     Q = SeriesRing(ZZ, "q", nterms)
     e4 = Q.ctx.series({(0,): 1, **{(n,): 240 * _sigma(3, n) for n in range(1, nterms)}})
     e6 = Q.ctx.series({(0,): 1, **{(n,): -504 * _sigma(5, n) for n in range(1, nterms)}})
-    e4_cubed = e4 ** 3
-    delta = Q.divide(e4_cubed - e6 ** 2, Q.from_int(1728))
+    delta = Q.divide(e4 ** 3 - e6 ** 2, Q.from_int(1728))
     if delta is None:
         raise AlgebraError("E4^3 - E6^2 is not divisible by 1728")
+    return e4, e6, delta
+
+
+def eisenstein_j(nterms: int):
+    """(E4, E6, Delta, q*j, j^-1) as integer Series in q, exact.  E4, E6,
+    Delta and j^-1 are known below q^nterms.  j = q^-1 + 744 + ... has a
+    pole, so it is returned as the power series q*j = E4^3 * (Delta/q)^-1,
+    known below q^(nterms - 1): j's own terms below q^(nterms - 2).
+    AlgebraError as for eisenstein."""
+    e4, e6, delta = eisenstein(nterms)
+    e4_cubed = e4 ** 3
     # Delta = q + ..., so Delta/q is a unit known one degree less far
-    delta_over_q = Series(Q.ctx.at_prec(nterms - 1),
+    delta_over_q = Series(delta.ctx.at_prec(nterms - 1),
                           {(k - 1,): c for (k,), c in delta.terms.items()})
     q_j = e4_cubed * delta_over_q.inverse()
     j_inv = delta * e4_cubed.inverse()

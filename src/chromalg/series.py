@@ -10,9 +10,13 @@ Precision contracts of the iterative algorithms (Brent & Kung, J. ACM 25,
 precision it needs:
   * inverse: Newton g <- g*(2 - f*g); step i runs at min(2^i, prec), so
     ceil(log2 prec) steps of two multiplications each.
-  * reverse: Newton reversion g <- g - (f(g) - x) * f'(g)^-1 from precision
-    2, doubling up to prec: ceil(log2 prec) - 1 steps of two compose calls
-    each.  It divides by no integer, so any ring where f'(0) is a unit works.
+  * compose_reverse: g = h(f^-1) at P = min(h.prec, f.prec) solves
+    g(f) = h one degree at a time, g_n = (h_n - sum_(0<k<n) g_k [f^k]_n)
+    * f1^-n, reading [f^k]_n only for 1 <= k < n < P: the powers f^2 ..
+    f^(P-2) are made once at P, max(P - 3, 0) products, and each g_n is
+    one R.dot over the pairs with both factors nonzero.  It divides only by
+    the unit f1 = f'(0), never by an integer, and makes no composition.
+    reverse is x(f^-1).
   * elliptic.curve_w_series: Newton w <- w - G(w) * G'(w)^-1 on
     G(w) = w - (z^3 + a1 z w + ...) from w = z^3, exact below z^4; step i
     runs at min(2^(i+3), prec), so max(0, ceil(log2(prec/4))) steps, each
@@ -425,8 +429,8 @@ class Series:
         """d/d(name) at the precision of self.  The top degree is not
         certified: a series known below n has a derivative known only below
         n - 1, since its degree n - 1 term needs the unknown degree n.  The
-        callers that read that degree cut it first: elliptic.two_series,
-        reverse and fgl.law_from_log; fgl.recognize_in_family reads dF/dx
+        callers that read that degree cut it first: elliptic.two_series and
+        fgl.law_from_log; fgl.recognize_in_family reads dF/dx
         and dF/dy only times x^d and y^d, d >= 1, which drops it.
         elliptic.curve_log integrates dz/G_w and differentiates nothing."""
         i = 0 if name is None and len(self.ctx.vars) == 1 else self.ctx.vars.index(name)
@@ -458,33 +462,47 @@ class Series:
         return Series(ctx, out)
 
     def reverse(self) -> "Series":
-        """Compositional inverse g with f(g(x)) = x, for f(0)=0, f'(0) a unit.
+        """Compositional inverse g with f(g(x)) = x, for f(0)=0, f'(0) a unit:
+        x composed with f^-1, by compose_reverse."""
+        return self.ctx.gen(self.ctx.vars[0]).compose_reverse(self)
 
-        Newton reversion g <- g - (f(g) - x) * f'(g)^-1 doubles the correct
-        precision per step, from 2 up to prec: two compose calls per step and
-        no division by integers."""
+    def compose_reverse(self, f: "Series") -> "Series":
+        """h(f^-1) for this univariate h and a univariate f with f(0) = 0 and
+        f'(0) a unit, in f's variable at precision min(h.prec, f.prec): what
+        h.compose({v: f.reverse()}) gives, with no reversion and no
+        composition.  g = h(f^-1) is the series with g(f) = h, so
+        h_n = sum_(k <= n) g_k [f^k]_n and [f^n]_n = f1^n, solved one degree
+        at a time; see the precision contract in the module docstring."""
         self._univar()
-        R = self.ctx.ring
-        if not R.is_zero(self.constant_term()):
+        f._univar()
+        R = f.ctx.ring
+        if not R.is_zero(f.constant_term()):
             raise NotInvertible("reversion needs zero constant term")
-        f1 = self.ucoeff(1)
+        f1 = f.ucoeff(1)
         if not R.is_unit(f1):
             raise NotInvertible("linear coefficient is not a unit")
-        var = self.ctx.vars[0]
-        df = self.derivative()
-        order = 2
-        g = Series(self.ctx.at_prec(order), {(1,): R.inv(f1)})
-        while order < self.ctx.prec:
-            known, order = order, min(2 * order, self.ctx.prec)
-            ctx = self.ctx.at_prec(order)
-            g = Series(ctx, g.terms)
-            resid = self.truncate(order).compose({var: g}) - ctx.gen(var)
-            # resid has order >= known, so f'(g)^-1 is needed only below
-            # order - known; its terms are then exact enough at prec `order`.
-            lo = order - known
-            h = df.truncate(lo).compose({var: g.truncate(lo)}).inverse()
-            g = g - resid * Series(ctx, h.terms)
-        return Series(self.ctx, g.terms)
+        P = min(self.ctx.prec, f.ctx.prec)
+        f = f.truncate(P)
+        # [f^k]_n is read only for 1 <= k < n < P: the powers up to f^(P-2)
+        cols, p = [{}], f
+        for k in range(1, P - 1):
+            if k > 1:
+                p = _times(p, f)
+            cols.append({n: c for (n,), c in p.terms.items()})
+        inv1 = R.inv(f1)
+        scale = R.one()
+        g = {}
+        for n in range(P):
+            v = self.terms.get((n,), R.zero())
+            ks = [k for k in g if n in cols[k]]
+            if ks:
+                v = R.sub(v, R.dot([g[k] for k in ks], [cols[k][n] for k in ks]))
+            if n:
+                scale = R.mul(scale, inv1)
+                v = R.mul(v, scale)
+            if not R.is_zero(v):
+                g[n] = v
+        return Series(f.ctx, {(n,): c for n, c in g.items()})
 
 
 # -- composition -----------------------------------------------------------------

@@ -3,12 +3,13 @@
 Each one is the plain algorithm that the library's faster version replaced:
 term-by-term composition, the homomorphism residual f(F) - G(f, f) as four
 such compositions, full-precision Newton inversion, degree-by-degree
-reversion, the fixed-point w-series at full precision, the chord law as
-the formal inverse composed with the chord's third point, the chord with a
-fixed point on (X, Y) with each pole kept as a power of z and the curve
-log through the power series w/z^3, the Q[[b]] lift of
-`quotient_by_subgroup` on those two at
-four guard degrees above the output precision, its quotient law as the
+reversion, Newton reversion with two compositions per step, the
+fixed-point w-series at full precision, the chord law as the formal inverse
+composed with the chord's third point, the chord with a fixed point on
+(X, Y) with each pole kept as a power of z and the curve log through the
+power series w/z^3, the Q[[b]] lift of `quotient_by_subgroup` on those two
+at four guard degrees above the output precision, with lam = 2 L(f^-1)
+from the degree-by-degree reversion of f, its quotient law as the
 reverse of the log composed with lam(x) + lam(y),
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, E4, E6, Delta and j, the Milnor
@@ -169,6 +170,33 @@ def reverse_oracle(f: Series) -> Series:
     return Series(ctx, g_terms)
 
 
+def reverse_newton_oracle(f: Series) -> Series:
+    """Newton reversion g <- g - (f(g) - x) * f'(g)^-1, doubling the correct
+    precision per step from 2 up to prec: two compositions per step and no
+    division by integers."""
+    R = f.ctx.ring
+    if not R.is_zero(f.constant_term()):
+        raise NotInvertible("reversion needs zero constant term")
+    f1 = f.ucoeff(1)
+    if not R.is_unit(f1):
+        raise NotInvertible("linear coefficient is not a unit")
+    var = f.ctx.vars[0]
+    df = f.derivative()
+    order = 2
+    g = Series(f.ctx.at_prec(order), {(1,): R.inv(f1)})
+    while order < f.ctx.prec:
+        known, order = order, min(2 * order, f.ctx.prec)
+        ctx = f.ctx.at_prec(order)
+        g = Series(ctx, g.terms)
+        resid = f.truncate(order).compose({var: g}) - ctx.gen(var)
+        # resid has order >= known, so f'(g)^-1 is needed only below
+        # order - known; its terms are then exact enough at prec `order`.
+        lo = order - known
+        h = df.truncate(lo).compose({var: g.truncate(lo)}).inverse()
+        g = g - resid * Series(ctx, h.terms)
+    return Series(f.ctx, g.terms)
+
+
 def curve_w_series_oracle(E, prec: int) -> Series:
     """Fixed-point iteration for w(z), every pass at full precision."""
     a1, a2, a3, a4, a6 = E.coefficients()
@@ -266,7 +294,7 @@ def quotient_lift_oracle(F: FormalGroupLaw):
         Lq = curve_log_oracle(EQ, work)
     else:
         fq, tau, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, work)
-    lam = Lq.compose({Lq.ctx.vars[0]: fq.reverse()})
+    lam = Lq.compose({Lq.ctx.vars[0]: reverse_oracle(fq)})
     lam = lam.scale(lam.ctx.ring.from_int(2))
     return law_from_log_oracle(lam, out_prec), fq.truncate(out_prec), tau
 
@@ -274,7 +302,7 @@ def quotient_lift_oracle(F: FormalGroupLaw):
 def law_from_log_oracle(lam: Series, P: int) -> Series:
     """exp(lam(x) + lam(y)) below total degree P as the exponential, the
     reverse of lam, composed with the bivariate sum lam(x) + lam(y)."""
-    exp_bar = lam.reverse()
+    exp_bar = reverse_oracle(lam)
     ctx2 = SeriesCtx(lam.ctx.ring, ("x", "y"), P)
     var = lam.ctx.vars[0]
     lam_out = lam.truncate(P)

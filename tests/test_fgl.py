@@ -436,9 +436,10 @@ def test_law_from_log_refuses_what_is_not_a_logarithm():
     assert fgl.law_from_log(x, 6) == fgl.additive_fgl(QQ, 5).F
 
 
-def test_quotient_lift_reverses_only_the_isogeny(monkeypatch):
-    """Over the Q-algebra lift, quotient_by_subgroup reverses one series (f)
-    and composes nothing into two variables."""
+def test_quotient_lift_neither_reverses_nor_composes(monkeypatch):
+    """Over the Q-algebra lift, quotient_by_subgroup reverses no series and
+    composes nothing, into one variable or two: lam = 2 L(f^-1) is one
+    compose_reverse, and the law is read from lam by law_from_log."""
     calls = []
     reverse, compose = Series.reverse, Series.compose
 
@@ -451,8 +452,8 @@ def test_quotient_lift_reverses_only_the_isogeny(monkeypatch):
 
     def counted_compose(self, subs):
         target = next(iter(subs.values())).ctx
-        if over_q(target.ring) and len(target.vars) > 1:
-            calls.append("bivariate compose")
+        if over_q(target.ring):
+            calls.append(f"compose into {len(target.vars)} variables")
         return compose(self, subs)
 
     for law in ("family(3, 8, 10)", "conic Z/8"):
@@ -463,7 +464,7 @@ def test_quotient_lift_reverses_only_the_isogeny(monkeypatch):
         monkeypatch.setattr(Series, "compose", counted_compose)
         fgl.quotient_by_subgroup(F, K)
         monkeypatch.undo()
-        assert calls == ["reverse"], law
+        assert calls == [], law
 
 
 def test_quotient_builds_one_w_series(monkeypatch):

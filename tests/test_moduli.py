@@ -89,8 +89,8 @@ def test_j_expansions():
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 40])
 def test_q_expansions_match_the_dict_oracle(n):
     """E4, E6, Delta and j^-1 known below q^n, and q*j below q^(n-1), equal
-    the dict q-series at the same precision; a coefficient at or above it
-    raises."""
+    the dict q-series at the same precision, from eisenstein_j and, for the
+    first three, from eisenstein; a coefficient at or above it raises."""
     e4, e6, delta, j, j_inv = eisenstein_j_oracle(n)
     got = moduli.eisenstein_j(n)
     for f, ora in zip(got, (e4, e6, delta, j.shift(1), j_inv)):
@@ -98,6 +98,8 @@ def test_q_expansions_match_the_dict_oracle(n):
         with pytest.raises(TruncationError):
             f.coefficient((f.prec,))
     assert got[3].prec == n - 1
+    for f, ora in zip(moduli.eisenstein(n), (e4, e6, delta)):
+        assert same(f, ora)
 
 
 def test_delta_integrality_guard(monkeypatch):
@@ -107,8 +109,9 @@ def test_delta_integrality_guard(monkeypatch):
         run_check(cid)
     sigma = moduli._sigma
     monkeypatch.setattr(moduli, "_sigma", lambda k, n: sigma(k, n) + (k == 5))
-    with pytest.raises(AlgebraError, match="not divisible by 1728"):
-        moduli.eisenstein_j(16)
+    for build in (moduli.eisenstein, moduli.eisenstein_j):
+        with pytest.raises(AlgebraError, match="not divisible by 1728"):
+            build(16)
     for cid in ("mf.eisenstein", "mf.j-inverse"):
         with pytest.raises(AlgebraError):
             run_check(cid)

@@ -1,6 +1,7 @@
-"""Differential and operation-count tests for the precision-doubling series
-algorithms: Newton inverse and reversion, the Newton w-series and find_iso
-with its tables of phi, each against its full-precision oracle."""
+"""Differential and operation-count tests for the series algorithms with a
+precision contract: the Newton inverse, reversion as a triangular solve
+(reverse and compose_reverse), the Newton w-series and find_iso with its
+tables of phi, each against its full-precision oracle."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,23 +14,29 @@ from hypothesis import strategies as st
 from chromalg import elliptic, fgl
 from chromalg import series as series_module
 from chromalg.elliptic import curve, curve_w_series
-from chromalg.errors import AlgebraError, TruncationError
-from chromalg.rings import GF, QQ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
+from chromalg.errors import AlgebraError, NotInvertible, TruncationError
+from chromalg.poly import Poly, PolyRing
+from chromalg.rings import GF, QQ, ZZ, ModularIntegers, Z_inverted, omega_ring, sqrt_minus3
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 from oracles import (curve_w_series_oracle, find_iso_oracle, inverse_oracle,
-                     reverse_oracle)
+                     reverse_newton_oracle, reverse_oracle)
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def exact(v):
-    """Precision and terms, recursively, for exact comparison: Series.__eq__
-    would compare at the smaller precision."""
+    """Precision, terms and scalar types, recursively, for exact comparison:
+    Series.__eq__ would compare at the smaller precision, and == takes
+    Fraction(2) for 2."""
     if isinstance(v, Series):
         return (v.ctx.prec, {e: exact(c) for e, c in v.terms.items()})
-    return v
+    if isinstance(v, Poly):
+        return {e: exact(c) for e, c in v.terms.items()}
+    if isinstance(v, tuple):
+        return tuple(exact(c) for c in v)
+    return (type(v), v)
 
 
 # -- carriers: (ring, element strategy, unit strategy) ------------------------
@@ -44,8 +51,8 @@ def _mod_2k(k):
     return R, st.integers(0, R.m - 1), st.integers(0, R.m // 2 - 1).map(lambda a: 2 * a + 1)
 
 
-def _series_over_mod_2k(k, bprec):
-    base, belem, bunit = _mod_2k(k)
+def _series_over(carrier, bprec):
+    base, belem, bunit = carrier
     SR = SeriesRing(base, "b", bprec)
 
     def series(first):
@@ -66,10 +73,23 @@ CARRIERS = {
     "QQ": _rationals(),
     "Z/2": _mod_2k(1),
     "Z/32": _mod_2k(5),
-    "Z/8[[b]]<3>": _series_over_mod_2k(3, 3),
-    "Z/4[[b]]<5>": _series_over_mod_2k(2, 5),
+    "Z/8[[b]]<3>": _series_over(_mod_2k(3), 3),
+    "Z/4[[b]]<5>": _series_over(_mod_2k(2), 5),
     "omega": _omega(),
 }
+
+
+def _polys_zab():
+    R = PolyRing(ZZ, ("A", "B"))
+    monos = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
+    elem = st.dictionaries(monos, st.integers(-3, 3), max_size=3).map(R.poly)
+    return R, elem, st.sampled_from([R.one(), R.from_int(-1)])
+
+
+# reversion also runs over Q[[b]] (the quotient's lift) and Z[A, B] (strict
+# twists of the universal law)
+REVERSE_CARRIERS = {**CARRIERS, "Q[[b]]<4>": _series_over(_rationals(), 4),
+                    "Z[A,B]": _polys_zab()}
 
 
 def _draw_series(data, ctx, elems, units, unit_at):
@@ -105,16 +125,73 @@ def test_bivariate_inverse_matches_oracle(data, prec):
     assert exact(f.inverse()) == exact(inverse_oracle(f))
 
 
-@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+def _outcome(fn, *args):
+    """exact(fn(*args)), or the NotInvertible refusal and its message."""
+    try:
+        return exact(fn(*args))
+    except NotInvertible as e:
+        return "NotInvertible", str(e)
+
+
+@pytest.mark.parametrize("carrier", sorted(REVERSE_CARRIERS))
 @SETTINGS
-@given(data=st.data(), prec=st.integers(2, 10))
+@given(data=st.data(), prec=st.integers(1, 10))
 def test_reverse_matches_degree_by_degree_oracle(carrier, data, prec):
-    R, elem, unit = CARRIERS[carrier]
+    """The triangular solve gives the terms and types of the degree-by-degree
+    oracle and of Newton reversion, and f(g) = x; at prec 1 all three
+    refuse, since the linear coefficient is not known."""
+    R, elem, unit = REVERSE_CARRIERS[carrier]
     f = _draw_series(data, SeriesCtx(R, ("x",), prec), elem, unit, 1)
-    g = f.reverse()
-    assert exact(g) == exact(reverse_oracle(f))
-    x = SeriesCtx(R, ("x",), prec).gen("x")
-    assert exact(f.compose({"x": g})) == exact(x)
+    got = _outcome(Series.reverse, f)
+    assert got == _outcome(reverse_oracle, f)
+    assert got == _outcome(reverse_newton_oracle, f)
+    if prec == 1:
+        assert got == ("NotInvertible", "linear coefficient is not a unit")
+    else:
+        x = SeriesCtx(R, ("x",), prec).gen("x")
+        assert exact(f.compose({"x": f.reverse()})) == exact(x)
+
+
+@pytest.mark.parametrize("carrier", sorted(REVERSE_CARRIERS))
+@SETTINGS
+@given(data=st.data(), fprec=st.integers(1, 10), hprec=st.integers(1, 10))
+def test_compose_reverse_matches_composition_with_the_oracle_reverses(carrier, data,
+                                                                      fprec, hprec):
+    """h(f^-1) for an h with a unit constant term, in its own variable, at
+    min(h.prec, f.prec): h composed with either oracle's reverse of f."""
+    R, elem, unit = REVERSE_CARRIERS[carrier]
+    f = _draw_series(data, SeriesCtx(R, ("x",), fprec), elem, unit, 1)
+    h = _draw_series(data, SeriesCtx(R, ("t",), hprec), elem, unit, 0)
+    got = _outcome(h.compose_reverse, f)
+    for oracle in (reverse_newton_oracle, reverse_oracle):
+        assert got == _outcome(lambda f: h.compose({"t": oracle(f)}), f)
+    if fprec > 1:
+        g = h.compose_reverse(f)
+        assert g.ctx.vars == ("x",) and g.prec == min(fprec, hprec)
+
+
+@pytest.mark.parametrize("carrier", sorted(REVERSE_CARRIERS))
+@SETTINGS
+@given(data=st.data(), prec=st.integers(2, 8))
+def test_reversion_refuses_what_the_oracles_refuse(carrier, data, prec):
+    """A nonzero constant term, or a linear coefficient that is not a unit:
+    reverse and compose_reverse raise the oracles' NotInvertible."""
+    R, elem, unit = REVERSE_CARRIERS[carrier]
+    ctx = SeriesCtx(R, ("x",), prec)
+    h = _draw_series(data, SeriesCtx(R, ("t",), prec), elem, unit, 0)
+    shifted = _draw_series(data, ctx, elem, unit, 0)
+    # 2c is not a unit where 2 is not; over QQ and Q[[b]] the linear term is 0
+    two = R.from_int(2)
+    lame = dict(_draw_series(data, ctx, elem, unit, 1).terms)
+    lame[(1,)] = R.mul(R.zero() if R.is_unit(two) else two, data.draw(elem))
+    lame = ctx.series(lame)
+    for f, message in ((shifted, "reversion needs zero constant term"),
+                       (lame, "linear coefficient is not a unit")):
+        refusal = ("NotInvertible", message)
+        assert _outcome(Series.reverse, f) == refusal
+        assert _outcome(h.compose_reverse, f) == refusal
+        assert _outcome(reverse_newton_oracle, f) == refusal
+        assert _outcome(reverse_oracle, f) == refusal
 
 
 @pytest.mark.parametrize("carrier", sorted(CARRIERS))
@@ -290,7 +367,7 @@ TWIST_CARRIERS = {
     "QQ": _rationals(),
     "Z/8": _mod_2k(3),
     "GF(4)": _gf4(),
-    "Z/4[[b]]<3>": _series_over_mod_2k(2, 3),
+    "Z/4[[b]]<3>": _series_over(_mod_2k(2), 3),
     "omega": _omega(),
 }
 
@@ -409,12 +486,35 @@ def compose_log(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 33])
-def test_reverse_makes_logarithmically_many_compositions(compose_log, n):
+def test_reverse_makes_logarithmically_many_compositions(monkeypatch, compose_log, n):
+    """Reversion solves g(f) = x one degree at a time: it makes no
+    composition at all, and no Series product but the powers f^2 .. f^(n-2),
+    at most n - 2 of them over QQ.  A product is a call of Series.__mul__ or
+    of series._times (a product with a one-term operand) from outside
+    another product."""
+    log = {"products": 0, "depth": 0}
+
+    def counting(real):
+        def product(a, b):
+            log["products"] += not log["depth"]
+            log["depth"] += 1
+            try:
+                return real(a, b)
+            finally:
+                log["depth"] -= 1
+        return product
+
+    monkeypatch.setattr(Series, "__mul__", counting(Series.__mul__))
+    monkeypatch.setattr(series_module, "_times", counting(series_module._times))
     ctx = SeriesCtx(QQ, ("x",), n)
     x = ctx.gen("x")
     f = x + (x * x).scale(Fraction(1, 2)) - (x * x * x).scale(3)
+    log["products"] = 0
     g = f.reverse()
-    assert len(compose_log) <= 2 * ceil(log2(n))
+    assert compose_log == []
+    assert log["products"] <= max(n - 2, 0)
+    monkeypatch.undo()
+    assert exact(g) == exact(reverse_newton_oracle(f))
     assert exact(f.compose({"x": g})) == exact(x)
 
 
