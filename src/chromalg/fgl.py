@@ -17,9 +17,14 @@ vector field 1/lam' d/dx, with no reversion of lam and no bivariate
 composition.
 Only the laws that quotient_by_subgroup accepts carry that lift as their
 origin: two_adic_family_fgl its Q[[b]] curve (CurveOrigin), conic_fgl its
-rational parameters (ConicOrigin).  One residual, hom_residual =
-f(F(x, y)) - G(f x, f y), re-verifies each quotient's isogeny and drives
-each level of recognize_in_family.
+rational parameters (ConicOrigin).  The family curve's lift is the same
+rational object for every 2-adic modulus, so, like the universal law below,
+it is built once per process: the memo keeps the lift of the largest
+b-precision and x-precision asked for, and a smaller request truncates it,
+exactly, since reduction mod b^m is a ring map and the 2-torsion point is a
+Hensel root.  One residual, hom_residual = f(F(x, y)) - G(f x, f y),
+re-verifies each quotient's isogeny, on every call, and drives each level
+of recognize_in_family.
 
 Curve laws come two ways.  fgl_from_curve runs the chord construction
 (elliptic.formal_group_of_curve) for the curve it is given.  The level-3
@@ -66,7 +71,8 @@ from .errors import (AlgebraError, HeightExceedsPrecision,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
 from .poly import Poly
-from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
+from .rings import (ModularIntegers, PrimeField, QQ, QuotientExtension, Rationals, Ring,
+                    ZZ)
 from .series import Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
@@ -686,21 +692,25 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     lam = 2 L(f^-1), solved by L.compose_reverse(f) one degree at a time
     from the powers of f.  The quotient law exp(lam x + lam y) is then read
     from lam by law_from_log.  No step of the lift reverses or composes a
-    series."""
+    series.
+
+    The family curve y^2 + xy + by = x^3 over Q[[b]]/(b^m), the lift of
+    two_adic_family_fgl, has one lift for every 2-adic modulus, so it is
+    built once per process (_family_lift_data): the memo keeps the lift
+    (f, tau, Fbar) of the largest (m, P) built so far, serves a request at
+    or below it in both coordinates by truncation in b and in x, and
+    rebuilds at the componentwise maximum otherwise.  Truncation in x is
+    the contract above.  Truncation in b is exact because
+    Q[[b]]/(b^M) -> Q[[b]]/(b^m) is a ring map and every step of the lift is
+    ring arithmetic, the inverse of a unit or a division by a nonzero
+    integer; the 2-torsion point is the unique Newton root, by Hensel's
+    lemma, since B'(-1/4) = 1/4 + 2b is a unit.  Every other origin builds
+    its own lift.  The checks below (2-integrality, the kernel point and the
+    isogeny identity) run on every call, served from the memo or not."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
-    if isinstance(F.origin, CurveOrigin):
-        fq, tau_q, Lq = _curve_isogeny_data(F.origin.lift_curve, out_prec)
-    elif isinstance(F.origin, ConicOrigin) and F.origin.b is not None:
-        fq, tau_q, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, out_prec)
-    else:
-        raise QuotientPrecisionError(
-            "no torsion-free lift attached to this law; build it from a curve "
-            "or conic constructor")
-    lam = Lq.compose_reverse(fq)
-    lam = lam.scale(lam.ctx.ring.from_int(2))
-    Fbar_q = law_from_log(lam, out_prec)
+    fq, tau_q, Fbar_q = _quotient_lift(F.origin, out_prec)
     assert_two_integral(Fbar_q, "quotient law")
     fq_out = fq.truncate(out_prec)
     assert_two_integral(fq_out, "isogeny")
@@ -747,6 +757,65 @@ def _modulus_bits(R: Ring) -> int:
     if isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers):
         return R.base.nilpotent_bound() or 1
     return 1
+
+
+def _quotient_lift(origin, P: int):
+    """(f, tau, Fbar) over the origin's Q-algebra, exact below x^P: the
+    isogeny, the kernel point and the quotient law exp(lam x + lam y) for
+    lam = 2 L(f^-1).  The family curve's lift comes from _family_lift_data."""
+    if isinstance(origin, CurveOrigin):
+        if _is_family_curve(origin.lift_curve):
+            return _family_lift_data(origin.lift_curve.ring, P)
+        f, tau, L = _curve_isogeny_data(origin.lift_curve, P)
+    elif isinstance(origin, ConicOrigin) and origin.b is not None:
+        f, tau, L = _conic_isogeny_data(origin.b, origin.c, P)
+    else:
+        raise QuotientPrecisionError(
+            "no torsion-free lift attached to this law; build it from a curve "
+            "or conic constructor")
+    return f, tau, _quotient_law(f, L, P)
+
+
+def _quotient_law(f: Series, L: Series, P: int) -> Series:
+    """exp(lam x + lam y) below total degree P for lam = 2 L(f^-1)."""
+    lam = L.compose_reverse(f)
+    return law_from_log(lam.scale(lam.ctx.ring.from_int(2)), P)
+
+
+_family_lift = None     # (f, tau, Fbar) of the family curve, the largest built so far
+
+
+def _is_family_curve(E: WeierstrassCurve) -> bool:
+    """Whether E is y^2 + xy + by = x^3 over Q[[b]]/(b^m), the lift that
+    two_adic_family_fgl attaches."""
+    R = E.ring
+    return (isinstance(R, SeriesRing) and isinstance(R.base, Rationals)
+            and R.eq(E.a1, R.one()) and R.eq(E.a3, R.gen())
+            and all(R.is_zero(a) for a in (E.a2, E.a4, E.a6)))
+
+
+def _family_lift_data(S: SeriesRing, P: int):
+    """_quotient_lift of y^2 + xy + by = x^3 over S = Q[[b]]/(b^m) below x^P.
+    Built once per process: the memo keeps the lift of the largest (m, P)
+    built so far, a request at or below it in both coordinates truncates it
+    in b and in x, and any other rebuilds it at the componentwise maximum.
+    Each call returns fresh series."""
+    global _family_lift
+    have = (0, 0) if _family_lift is None else (_family_lift[0].ctx.ring.prec,
+                                                  _family_lift[2].prec)
+    m, top = max(S.prec, have[0]), max(P, have[1])
+    if (m, top) != have:
+        R = SeriesRing(QQ, "b", m)
+        f, tau, L = _curve_isogeny_data(gamma1_3_curve(R, R.one(), R.gen()), top)
+        _family_lift = f, tau, _quotient_law(f, L, top)
+    f, tau, Fbar = _family_lift
+
+    def cut(c: Series) -> Series:
+        """The image of c under Q[[b]]/(b^m') -> S = Q[[b]]/(b^m), m <= m'."""
+        return Series(S.ctx, {e: v for e, v in c.terms.items() if e[0] < S.prec})
+
+    return (f.truncate(P).map_coefficients(cut, S), cut(tau),
+            Fbar.truncate(P).map_coefficients(cut, S))
 
 
 def _curve_isogeny_data(EQ: WeierstrassCurve, N: int):
@@ -924,7 +993,8 @@ def theta_defect(x, psi2_x, ring: Ring | None = None):
     """theta with psi^2(x) = x^2 + 2 theta(x).
 
     Integers/rationals: exact division by 2.  Series over Z/2^k[[b]]: the
-    result lives over Z/2^(k-1)[[b]].
+    result lives over Z/2^(k-1)[[b]], so k >= 2; over Z/2[[b]] theta is not
+    defined and NotAFrobeniusLift is raised.
     """
     if isinstance(x, (int, Fraction)):
         diff = Fraction(psi2_x) - Fraction(x) ** 2
@@ -933,10 +1003,12 @@ def theta_defect(x, psi2_x, ring: Ring | None = None):
         return diff / 2
     if isinstance(x, Series) and ring is not None and isinstance(ring, SeriesRing):
         base = ring.base
-        if not isinstance(base, ModularIntegers) or base.m % 2:
+        k = base.nilpotent_bound() if isinstance(base, ModularIntegers) else None
+        if k is None or 2 ** k != base.m:
             raise NotAFrobeniusLift("need a 2-power modulus")
-        k = base.nilpotent_bound()
-        half = ModularIntegers(2 ** (k - 1)) if k > 1 else PrimeField(2)
+        if k < 2:
+            raise NotAFrobeniusLift("theta is defined mod 2^(k-1), so it needs k >= 2")
+        half = ModularIntegers(2 ** (k - 1))
         target = SeriesRing(half, ring.var, ring.prec)
         diff = ring.sub(psi2_x, ring.mul(x, x))
         out = {}

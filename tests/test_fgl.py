@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,12 @@ from chromalg import bp, elliptic, fgl, linalg
 from chromalg.checks import REGISTRY, CheckFailure
 from chromalg.errors import (AlgebraError, HeightExceedsPrecision,
                              InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift, NotInvertible,
-                             NotOrdinary, RecognitionFailed, TruncationError)
+                             NotOrdinary, QuotientPrecisionError, RecognitionFailed,
+                             TruncationError)
 from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ, Z_inverted,
                             ZZ, omega_ring, sqrt_minus3)
-from chromalg.report import RunConfig
+from chromalg.report import RunConfig, run_checks
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 import oracles
@@ -349,6 +352,12 @@ def _typed(v):
     return (type(v), v)
 
 
+@pytest.fixture
+def cold_lift(monkeypatch):
+    """An empty family-lift memo, restored after the test."""
+    monkeypatch.setattr(fgl, "_family_lift", None)
+
+
 QUOTIENT_LAWS = {
     "family(1, 8, 9)": lambda: fgl.two_adic_family_fgl(1, 8, 9),
     "family(2, 5, 7)": lambda: fgl.two_adic_family_fgl(2, 5, 7),
@@ -360,7 +369,7 @@ QUOTIENT_LAWS = {
 
 
 @pytest.mark.parametrize("law", QUOTIENT_LAWS)
-def test_quotient_lift_at_output_precision_matches_guarded_oracle(law):
+def test_quotient_lift_at_output_precision_matches_guarded_oracle(cold_lift, law):
     """The lift run at the output precision gives, term for term and type for
     type, what the lift with four guard degrees gives after truncation."""
     F = QUOTIENT_LAWS[law]()
@@ -436,7 +445,7 @@ def test_law_from_log_refuses_what_is_not_a_logarithm():
     assert fgl.law_from_log(x, 6) == fgl.additive_fgl(QQ, 5).F
 
 
-def test_quotient_lift_neither_reverses_nor_composes(monkeypatch):
+def test_quotient_lift_neither_reverses_nor_composes(cold_lift, monkeypatch):
     """Over the Q-algebra lift, quotient_by_subgroup reverses no series and
     composes nothing, into one variable or two: lam = 2 L(f^-1) is one
     compose_reverse, and the law is read from lam by law_from_log."""
@@ -467,11 +476,8 @@ def test_quotient_lift_neither_reverses_nor_composes(monkeypatch):
         assert calls == [], law
 
 
-def test_quotient_builds_one_w_series(monkeypatch):
-    """The chord with the 2-torsion point and the log share one w-series,
-    built at the output precision."""
-    F = fgl.two_adic_family_fgl(2, 5, 7)
-    K = fgl.canonical_subgroup(F)
+def count_w_series(monkeypatch) -> list:
+    """The precisions of the w-series built from now on."""
     precs = []
     real = elliptic.curve_w_series
 
@@ -481,8 +487,160 @@ def test_quotient_builds_one_w_series(monkeypatch):
 
     monkeypatch.setattr(elliptic, "curve_w_series", counted)
     monkeypatch.setattr(fgl, "curve_w_series", counted)
+    return precs
+
+
+def test_quotient_builds_one_w_series(cold_lift, monkeypatch):
+    """The chord with the 2-torsion point and the log share one w-series,
+    built at the output precision."""
+    F = fgl.two_adic_family_fgl(2, 5, 7)
+    K = fgl.canonical_subgroup(F)
+    precs = count_w_series(monkeypatch)
     fgl.quotient_by_subgroup(F, K)
     assert precs == [F.prec]
+
+
+# -- the family's quotient lift, built once per process -------------------------
+
+def quotient_of(k: int, bprec: int, xprec: int) -> fgl.QuotientResult:
+    F = fgl.two_adic_family_fgl(k, bprec, xprec)
+    return fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+
+
+def typed_result(res: fgl.QuotientResult) -> tuple:
+    """All five fields of a quotient, term for term and type for type."""
+    return (_typed(res.fgl.F), res.fgl.origin, _typed(res.isogeny), _typed(res.tau),
+            _typed(res.fgl_lift), _typed(res.isogeny_lift))
+
+
+def lift_shape() -> tuple:
+    """(b-precision, x-precision) of the memoised lift."""
+    f, _, Fbar = fgl._family_lift
+    return f.ctx.ring.prec, Fbar.prec
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("order", [
+    [(8, 9), (5, 7)],           # larger, then smaller: a truncation in b and in x
+    [(5, 7), (8, 9)],           # smaller, then larger: a rebuild
+    [(8, 6), (4, 9)],           # not nested: a rebuild at (8, 10), then both truncate
+])
+def test_memo_served_quotient_equals_a_cold_build(cold_lift, k, order):
+    """A quotient served from the family-lift memo equals, in all five fields,
+    the quotient built from an empty memo, and its lift equals the lift with
+    four guard degrees."""
+    cold = {}
+    for req in order:
+        fgl._family_lift = None
+        cold[req] = typed_result(quotient_of(k, *req))
+    fgl._family_lift = None
+    for req in order + order[:1]:
+        res = quotient_of(k, *req)
+        assert typed_result(res) == cold[req], req
+        F = fgl.two_adic_family_fgl(k, *req)
+        fgl_lift, isogeny_lift, tau = quotient_lift_oracle(F)
+        assert _typed(res.fgl_lift) == _typed(fgl_lift)
+        assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
+        assert _typed(res.tau) == _typed(fgl.reduce_scalar(tau, F.ring))
+    assert lift_shape() == (max(m for m, _ in order), max(p for _, p in order) + 1)
+
+
+def test_a_warm_lift_builds_no_w_series(cold_lift, monkeypatch):
+    """A request at or below the memo in b and in x builds nothing on the
+    lift; one above it in either coordinate rebuilds once, at the
+    componentwise maximum."""
+    quotient_of(2, 6, 8)
+    precs = count_w_series(monkeypatch)
+    quotient_of(3, 6, 8)
+    quotient_of(1, 4, 5)
+    assert precs == [] and lift_shape() == (6, 9)
+    quotient_of(2, 7, 6)
+    assert precs == [9] and lift_shape() == (7, 9)
+
+
+def test_memo_returns_fresh_series(cold_lift):
+    """Clearing the terms of a served result leaves the memo intact."""
+    res = quotient_of(2, 5, 7)
+    want = typed_result(res)
+    for s in (res.fgl_lift, res.isogeny_lift, res.tau, *res.fgl_lift.terms.values(),
+              *res.isogeny_lift.terms.values()):
+        s.terms.clear()
+    assert typed_result(quotient_of(2, 5, 7)) == want
+
+
+def other_curve_law(k: int, bprec: int, xprec: int) -> fgl.FormalGroupLaw:
+    """The family member at B = b + b^2 over Z/2^k[[b]], carrying its own
+    Q[[b]] curve: a CurveOrigin that is not the family curve."""
+    Rk, Rq = SeriesRing(ModularIntegers(2 ** k), "b", bprec), SeriesRing(QQ, "b", bprec)
+    Bk, Bq = (R.add(R.gen(), R.mul(R.gen(), R.gen())) for R in (Rk, Rq))
+    F = fgl.family_law(Rk, Rk.one(), Bk, xprec)
+    return fgl.make_fgl(F, fgl.CurveOrigin(elliptic.gamma1_3_curve(Rq, Rq.one(), Bq)))
+
+
+def test_only_the_family_curve_is_served_from_the_memo(cold_lift, monkeypatch):
+    """A curve that is not y^2 + xy + by = x^3, and a conic, run their own
+    lift: the memo is neither read nor written, and the lift still matches
+    the guarded oracle."""
+    quotient_of(2, 6, 8)
+    memo = fgl._family_lift
+    calls = []
+    monkeypatch.setattr(fgl, "_family_lift_data", lambda S, P: calls.append((S, P)))
+    assert not fgl._is_family_curve(other_curve_law(2, 5, 7).origin.lift_curve)
+    for F in (other_curve_law(2, 5, 7), other_curve_law(3, 4, 6),
+              QUOTIENT_LAWS["conic Z/8"]()):
+        res = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+        fgl_lift, isogeny_lift, _ = quotient_lift_oracle(F)
+        assert _typed(res.fgl_lift) == _typed(fgl_lift)
+        assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
+    assert calls == [] and fgl._family_lift is memo
+
+
+def _bump(Fbar: Series, e: tuple, c) -> Series:
+    """Fbar with c * b added to its coefficient at e."""
+    R, terms = Fbar.ctx.ring, dict(Fbar.terms)
+    terms[e] = R.add(terms.get(e, R.zero()), R.gen().scale(c))
+    return Series(Fbar.ctx, terms)
+
+
+@pytest.mark.parametrize("perturb, match", [
+    (lambda G: _bump(_bump(G, (1, 2), Fraction(1)), (2, 1), Fraction(1)),
+     "isogeny identity fails after reduction"),
+    (lambda G: _bump(G, (1, 2), Fraction(1)), "commutativity fails"),
+    (lambda G: _bump(_bump(G, (1, 2), Fraction(1, 2)), (2, 1), Fraction(1, 2)),
+     "not 2-integral"),
+])
+def test_a_perturbed_memo_fails_the_quotient_and_its_checks(cold_lift, perturb, match):
+    """Negative control: one b-coefficient of the memoised quotient law moved
+    (with its mirror, or alone) makes the next memo-served quotient raise,
+    and fgl.quotient-frobenius and fgl.recognize-family report fail: the
+    per-call verification runs on memo hits."""
+    quotient_of(1, 8, 9)
+    f, tau, Fbar = fgl._family_lift
+    fgl._family_lift = f, tau, perturb(Fbar)
+    memo = fgl._family_lift
+    with pytest.raises((AlgebraError, QuotientPrecisionError), match=match):
+        quotient_of(2, 5, 7)
+    status = {c["id"]: c["status"] for c in run_checks(RunConfig(suites=("fgl",)))["checks"]}
+    assert status["fgl.quotient-frobenius"] == "fail"
+    assert status["fgl.recognize-family"] == "fail"
+    assert fgl._family_lift is memo
+
+
+def test_runs_do_not_leak_through_the_memos(cold_lift, monkeypatch):
+    """The default run, the deeper run of fgl and elliptic and the default run
+    again, in one process: the two default bodies are identical and the
+    deeper one is the recorded body."""
+    monkeypatch.setattr(fgl, "_universal_law", None)
+
+    def body(cfg):
+        report = run_checks(cfg)
+        return {k: report[k] for k in ("checks", "summary")}
+
+    first = body(RunConfig())
+    deep = body(RunConfig(two_adic_prec=8, series_prec=20, suites=("fgl", "elliptic")))
+    again = body(RunConfig())
+    assert first == again and first["summary"]["fail"] == 0
+    assert deep == json.loads((Path(__file__).parent / "data" / "verify_deep_body.json").read_text())
 
 
 def test_quotient_frobenius_twist():
@@ -642,6 +800,21 @@ def test_theta_defect_scalars():
     assert fgl.theta_defect(3, 3) == -3
     with pytest.raises(NotAFrobeniusLift):
         fgl.theta_defect(1, 2)
+
+
+def test_theta_defect_needs_k_at_least_two():
+    """Over Z/2[[b]] theta would live mod 2^0: a usage error, as is a
+    modulus that is not a power of 2."""
+    for base in (PrimeField(2), ModularIntegers(2)):
+        R = SeriesRing(base, "b", 4)
+        with pytest.raises(NotAFrobeniusLift, match="k >= 2"):
+            fgl.theta_defect(R.gen(), R.mul(R.gen(), R.gen()), R)
+    R = SeriesRing(ModularIntegers(12), "b", 4)
+    with pytest.raises(NotAFrobeniusLift, match="2-power modulus"):
+        fgl.theta_defect(R.gen(), R.mul(R.gen(), R.gen()), R)
+    R = SeriesRing(ModularIntegers(4), "b", 4)
+    th = fgl.theta_defect(R.gen(), R.add(R.mul(R.gen(), R.gen()), R.from_int(2)), R)
+    assert th.ctx.ring.m == 2 and th.terms == {(0,): 1}
 
 
 def test_validation_random_conics():
