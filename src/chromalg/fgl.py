@@ -24,7 +24,9 @@ b-precision and x-precision asked for, and a smaller request truncates it,
 exactly, since reduction mod b^m is a ring map and the 2-torsion point is a
 Hensel root.  One residual, hom_residual = f(F(x, y)) - G(f x, f y),
 re-verifies each quotient's isogeny, on every call, and drives each level
-of recognize_in_family.
+of recognize_in_family.  canonical_subgroup and the kernel check of
+quotient_by_subgroup read one [2](x), kept on the law itself
+(FormalGroupLaw.two_series), not in module state.
 
 Curve laws come two ways.  fgl_from_curve runs the chord construction
 (elliptic.formal_group_of_curve) for the curve it is given.  The level-3
@@ -57,9 +59,9 @@ ell.formal-group-family, fgl.conic-expansion and fgl.validation-random.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
@@ -93,6 +95,16 @@ class ConicOrigin:
 class FormalGroupLaw:
     F: Series                 # bivariate in ("x", "y"), total degree < prec
     origin: object = None     # the lift quotient_by_subgroup reads, if any
+    # (F, [2](x)) once two_series has made it
+    _two: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def two_series(self) -> Series:
+        """[2](x), made once per law and shared by canonical_subgroup and the
+        kernel check of quotient_by_subgroup.  It is kept beside the F it was
+        made from, so a law whose F is replaced makes it again."""
+        if self._two is None or self._two[0] is not self.F:
+            self._two = (self.F, m_series(self, 2))
+        return self._two[1]
 
     @property
     def ctx(self):
@@ -430,7 +442,8 @@ def hazewinkel_generators(F: FormalGroupLaw, p: int, n: int) -> PTypicalData:
 @dataclass
 class Obstruction:
     degree: int
-    details: dict
+    details: dict           # the unit candidate rendered -> the degree it failed at
+    proof: bool = True      # False when an earlier c_d was one of several
 
 
 @dataclass
@@ -473,7 +486,10 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
     gives, and the pure coefficients (d, 0) and (0, d) must vanish.  Where
     that row has more than one solution (g not a unit, in a ring with torsion
     such as Z/2^k[[b]]), another choice of c_d might reach further, so a
-    later Obstruction is not a proof that no isomorphism exists.
+    later Obstruction is not a proof that no isomorphism exists, and its
+    proof field says so: g is a zero divisor of R (_zero_divisor) over
+    Z/2^k and Z/2^k[[b]] at d = 2, 4, 8, ..., over F_p at d = p, p^2, ...,
+    never over Z, Q, Z_(p) or Z[1/p].
 
     The (a, d - a) coefficient of phi(F) with c_d left out is the sum of
     c_k [F^k]_(a, d-a) over k < d, read straight from the powers F^k.  They
@@ -510,6 +526,10 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
     npow = max([1] + [max(i, j) for i, row in g for j, _ in row]) + 1
     zero = R.zero()
     fails = {}
+    proof = True
+    # the degrees whose row g c_d = T has several solutions when it has one
+    free = {d for d in range(2, N + 1)
+            if _zero_divisor(R, gcd(*(comb(d, a) for a in range(1, d))))}
     Fpow = [None, F.F.truncate(N + 1)]      # F^k, shared by the candidates
     for c1 in candidates:
         p = [[] for _ in range(npow)]       # p[1] = [c_0, c_1, ...] is phi
@@ -535,6 +555,7 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
             cd = _solve_degree(R, d, deg_d[1:d])
             if cd is None or not (R.is_zero(deg_d[0]) and R.is_zero(deg_d[d])):
                 fails[R.render(c1)] = d
+                proof = proof and free.isdisjoint(range(2, d))
                 ok = False
                 break
             if not R.is_zero(cd):
@@ -548,7 +569,16 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
         if ok:
             phi = SeriesCtx(R, ("t",), N + 1).series({(k,): ck for k, ck in enumerate(p[1])})
             return IsoResult(phi, c1)
-    return Obstruction(max(fails.values()) if fails else 2, fails)
+    return Obstruction(max(fails.values()) if fails else 2, fails, proof)
+
+
+def _zero_divisor(R: Ring, g: int) -> bool:
+    """Whether g r = 0 for some nonzero r in R.  The rings of characteristic
+    0 here (Z, Q, Z_(p), Z[1/p] and the series, polynomial and extension
+    rings over them) are torsion-free.  A ring of characteristic m > 0 is a
+    Z/m-algebra, where (m/q) 1 is nonzero and killed by g for q = gcd(g, m)
+    > 1, and g is a unit when q = 1."""
+    return R.char > 0 and gcd(g, R.char) > 1
 
 
 def _fill_column(R: Ring, g: list, p: list, s: dict, a: int):
@@ -612,8 +642,12 @@ class KernelPolynomial:
 
 
 def canonical_subgroup(F: FormalGroupLaw) -> KernelPolynomial:
+    """x(x + alpha), the distinguished degree-2 factor of [2](x) by Weierstrass
+    preparation, for a law of height one whose kernel points {0, -alpha} are
+    closed under F.  [2](x) comes from F.two_series(), so the
+    quotient_by_subgroup that follows reads it again without making it."""
     R = F.ring
-    two = m_series(F, 2)
+    two = F.two_series()
     try:
         dist, d = weierstrass_prepare(two)
     except PreparationFailed as e:
@@ -741,9 +775,11 @@ def _check_kernel(F: FormalGroupLaw, K: KernelPolynomial):
     subgroup's kernel polynomial, to the depth the law determines it.  The
     law has height one exactly when [2](x) has Weierstrass degree 2: a
     non-unit x coefficient and a unit x^2 coefficient (a law known only
-    below degree 2 shows none)."""
+    below degree 2 shows none).  [2](x) is F's own, F.two_series(): after
+    canonical_subgroup(F) it is not made again, and a kernel polynomial
+    from another law is checked against F's series."""
     R = F.ring
-    two = m_series(F, 2)
+    two = F.two_series()
     if R.is_unit(two.ucoeff(1)) or not R.is_unit(two.ucoeff(2)):
         raise NotOrdinary("Weierstrass degree of [2](x) is not 2 (height != 1)")
     if R.is_unit(K.alpha) or not _divides_two_series(F, two, K.alpha):
@@ -907,11 +943,12 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
     2^l b^m to b' moves it by (dF_s/ds at s = b^2) b^m.  That s-derivative
     is the eps-coordinate of the family law over the dual numbers
     F_2[[b]][eps]/(eps^2) at s = b^2 + eps (_family_b_direction).  Each c_d
-    is built once and scaled by the powers b^m; the columns run over (d, m),
-    d outer, then over the b'-directions, and one f2_solve per level picks
-    the corrections.  At level k the residual must vanish.  The d = 1
-    corrections keep phi'(0) = 1 only mod 2: the pair (b', phi) has a joint
-    kernel direction, and no lift may exist with phi'(0) = 1 exactly."""
+    is built once, and its columns for the b^m are its bits read at b-offset
+    m (_recognition_columns), with no product by b^m; the columns run over
+    (d, m), d outer, then over the b'-directions, and one f2_solve per
+    level picks the corrections.  At level k the residual must vanish.  The
+    d = 1 corrections keep phi'(0) = 1 only mod 2: the pair (b', phi) has a
+    joint kernel direction, and no lift may exist with phi'(0) = 1 exactly."""
     R = Fq.ring
     if not (isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers)):
         raise RecognitionFailed("expected a Z/2^k[[b]] coefficient ring")
@@ -924,36 +961,8 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
     F0 = family_fgl_at(R2, b2sq, xprec - 1).F
     if not series_reduce(Fq.F, R2) == F0:
         raise RecognitionFailed("mod-2 reduction is not the Frobenius twist of the family")
-    row_at = {r: n for n, r in enumerate(
-        (i, j, m) for i in range(xprec) for j in range(xprec - i) for m in range(bprec))}
-
-    def bits(s: Series, level: int = 0) -> int:
-        """Bit `level` of each b^m x^i y^j coefficient of s, which must
-        vanish below that bit."""
-        out = 0
-        for (i, j), c in s.terms.items():
-            for (m,), val in c.terms.items():
-                if val % 2 ** level:
-                    raise RecognitionFailed(f"residual not divisible by 2^{level}")
-                if (val >> level) & 1:
-                    out |= 1 << row_at[(i, j, m)]
-        return out
-
-    # columns: phi's t^d b^m for d = 1.. (d outer), then b'^m (d = 0)
-    x, y = F0.ctx.gen("x"), F0.ctx.gen("y")
-    G1, G2 = F0.derivative("x"), F0.derivative("y")
-    bpow = [R2.one()]
-    for _ in range(1, bprec):
-        bpow.append(R2.mul(bpow[-1], R2.gen()))
-    cols = []
-    Fd, xd, yd = F0, x, y
-    for d in range(1, xprec):
-        if d > 1:
-            Fd, xd, yd = Fd * F0, xd * x, yd * y
-        cd = Fd - G1 * xd - G2 * yd
-        cols.extend(bits(cd.scale(bm)) for bm in bpow)
-    Gs = _family_b_direction(R2, b2sq, xprec)
-    cols.extend(bits(Gs.scale(bm)) for bm in bpow)
+    row_at = _recognition_rows(xprec, bprec)
+    cols = _recognition_columns(F0, _family_b_direction(R2, b2sq, xprec), row_at)
     units = [(d, m) for d in (*range(1, xprec), 0) for m in range(bprec)]
 
     ctx1 = SeriesCtx(R, ("t",), xprec)
@@ -965,7 +974,7 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
             if not resid.is_zero():
                 raise RecognitionFailed("recognition residual nonzero at full modulus")
             break
-        target = bits(resid, level)
+        target = _recognition_bits(resid, row_at, level)
         if target == 0:
             continue
         sol = f2_solve(cols, target, len(row_at))
@@ -978,6 +987,51 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
         bparam = R.add(bparam, Series(R.ctx, step.pop(0, {})))
         phi = phi + Series(ctx1, {(d,): Series(R.ctx, c) for d, c in step.items()})
     return Recognition(bparam, phi)
+
+
+def _recognition_rows(xprec: int, bprec: int) -> dict:
+    """The F_2 row of each coefficient b^m x^i y^j, i + j < xprec, m < bprec:
+    m innermost, so the rows of one x^i y^j are a run of bprec bits."""
+    return {r: n for n, r in enumerate(
+        (i, j, m) for i in range(xprec) for j in range(xprec - i) for m in range(bprec))}
+
+
+def _recognition_bits(s: Series, row_at: dict, level: int = 0) -> int:
+    """Bit `level` of each b^m x^i y^j coefficient of s, which must vanish
+    below that bit."""
+    out = 0
+    for (i, j), c in s.terms.items():
+        for (m,), val in c.terms.items():
+            if val % 2 ** level:
+                raise RecognitionFailed(f"residual not divisible by 2^{level}")
+            if (val >> level) & 1:
+                out |= 1 << row_at[(i, j, m)]
+    return out
+
+
+def _recognition_columns(F0: Series, Gs: Series, row_at: dict) -> list:
+    """recognize_in_family's F_2 columns: c_d b^m for d = 1.. (d outer) and
+    m < bprec, then Gs b^m, for F0 over F_2[[b]]/(b^bprec).  Over that ring
+    b^m moves the b^j coefficient to b^(j + m) and drops it at bprec, so the
+    column of s b^m is the bits of s shifted by m within each run of bprec
+    rows of one x^i y^j, read from s's own bits."""
+    xprec, bprec = F0.prec, F0.ctx.ring.prec
+    runs = sum(1 << n for n in range(0, len(row_at), bprec))     # the b^0 rows
+    masks = [runs * (((1 << bprec) - 1) ^ ((1 << m) - 1)) for m in range(bprec)]
+
+    def at_offsets(s: Series) -> list:
+        low = _recognition_bits(s, row_at)
+        return [(low << m) & mask for m, mask in enumerate(masks)]
+
+    x, y = F0.ctx.gen("x"), F0.ctx.gen("y")
+    G1, G2 = F0.derivative("x"), F0.derivative("y")
+    cols = []
+    Fd, xd, yd = F0, x, y
+    for d in range(1, xprec):
+        if d > 1:
+            Fd, xd, yd = Fd * F0, xd * x, yd * y
+        cols += at_offsets(Fd - G1 * xd - G2 * yd)
+    return cols + at_offsets(Gs)
 
 
 def _family_b_direction(R2: SeriesRing, param: Series, xprec: int) -> Series:

@@ -63,13 +63,25 @@ variable, h <- g_i(s2..sn) + s1*h from the top i down:
     uses one variable, the Horner steps run univariately and h is embedded
     once;
   * no Series product has a one-term operand: a one-term power, group, s1
-    or h is a shift and a scale of the other factor.
+    or h is a shift and a scale of the other factor, and only a shift when
+    its coefficient is the ring's one (see the multiplication contract).
   Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) would make fewer products
   than Horner's P - 2, but keeps a scalar combination of powers, which over
   R[[b]] is one b-series product per term per power.
 
 Multiplication contract.  Series.__mul__ meets both operands at the smaller
-precision P, then multiplies over packed carriers with one big-integer
+precision P.  When one factor is a single term x^e whose coefficient is
+exactly the ring's one, the product is an exponent shift (_unit_shift):
+every term of the other factor moves by e, those of total degree >= P drop,
+and no scalar product is made.  That is the loop's value and Python type
+only where 1*v is v: over Z, Z/m (residues normalised into [0, m)) and F_p,
+whose one is the int 1, and over one level of [[t]] over those, whose one
+is the series 1, when every coefficient of both factors sits at the ring's
+own context.  Over Q, Z_(p) and Z[1/p] the one is Fraction(1), which turns
+an int into a Fraction, so those, QuotientExtensions, PolyRings and deeper
+towers take a product.  Over Z/2^k[[b]] and F_2[[b]] the substitutions
+t -> x and t -> y, phi = t and the products by x^d and y^d are shifts.
+Otherwise Series.__mul__ multiplies over packed carriers with one big-integer
 product (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), and
 everything else with the term-by-term loop _mul_dict, which groups the term
 pairs by output exponent and makes one R.dot per exponent (a sum of
@@ -95,10 +107,12 @@ and R.add loop elsewhere):
     are unpacked.  The inner radix r is 1 for scalars (j = 0),
     2Pb - 1 for a SeriesRing (j the b-degree) and 2*deg - 1 for a
     QuotientExtension (j the w-coordinate), so an inner product stays in its
-    block.  Total degree is the top digit: a product term of total degree
-    < P has digits e_k < P and decodes uniquely, and a digit sum that
-    reaches P carries only into blocks of total degree >= P, which are
-    dropped.  For n = 1 the index is the degree;
+    block.  Of a SeriesRing block only the slots j < Pb are read back, the
+    b-degrees that R[[b]]/(b^Pb) keeps, not all 2Pb - 1.  Total degree is
+    the top digit: a product term of total degree < P has digits e_k < P
+    and decodes uniquely, and a digit sum that reaches P carries only into
+    blocks of total degree >= P, which are dropped.  For n = 1 the index is
+    the degree;
   * QuotientExtension blocks are reduced after unpacking: the 2*deg - 1
     integers of a block are reduced by the monic integer modulus from the
     top, x^k -> x^k - x^(k-deg) * f, then taken mod m or over the common
@@ -124,7 +138,8 @@ and R.add loop elsewhere):
     summed into one slot: |slot| < 2^(w-2), so no slot carries into the
     next and signed slots decode with a borrow-free 2^(w-1) offset;
   * an operand with one term over packed scalars makes no sums: each
-    coefficient is one scalar product, computed as the ring's mul computes it;
+    coefficient is one scalar product, computed as the ring's mul computes it
+    (when its coefficient is not the ring's one, which is a shift);
   * the loop runs for every other ring (PolyRing, deeper towers,
     QuotientExtension with a non-integral modulus or another base), tower
     coefficients at another precision or context, mixed int/Fraction
@@ -140,8 +155,8 @@ from fractions import Fraction
 from .errors import (CompositionError, MixedVariablesError, NotInvertible,
                      PreparationFailed, TruncationError)
 from .linalg import solve_int_exact
-from .rings import (ModularIntegers, QuotientExtension, Ring, _reduce,
-                     _scalar_modulus)
+from .rings import (Integers, ModularIntegers, PrimeField, QuotientExtension, Ring,
+                    _reduce, _scalar_modulus)
 
 
 class SeriesCtx:
@@ -266,7 +281,9 @@ class Series:
 
     def __mul__(self, other):
         a, b = self._meet(self._co(other))
-        out = _mul_packed(a, b)
+        out = _unit_shift(a, b)
+        if out is None:
+            out = _mul_packed(a, b)
         return out if out is not None else _mul_dict(a, b)
 
     __radd__ = __add__
@@ -600,17 +617,61 @@ def _grouped(terms: dict, pows: list, prec: int) -> Series:
 def _times(a: Series, b: Series) -> Series:
     """a*b at the smaller precision of a and b.  When an operand has at most
     one term there the product is a shift and a scale of the other:
-    _mul_dict makes it with no sums, and without the packing that
-    Series.__mul__ would try."""
+    _unit_shift or _mul_dict makes it with no sums, and without the packing
+    that Series.__mul__ would try."""
     a, b = a._meet(b)
     if len(a.terms) > 1 and len(b.terms) > 1:
         return a * b
-    return _mul_dict(a, b)
+    out = _unit_shift(a, b)
+    return out if out is not None else _mul_dict(a, b)
 
 
 # -- multiplication ------------------------------------------------------------
 # Both products are private module functions, so a tracer that wraps public
 # names counts their time as Series.__mul__.
+
+_INT_ONE = (Integers, ModularIntegers, PrimeField)     # scalars whose one is the int 1
+
+
+def _unit_shift(a: Series, b: Series):
+    """a*b as an exponent shift when one factor is a single term whose
+    coefficient is exactly the ring's one, on the carriers the
+    multiplication contract names, else None; a and b share one precision."""
+    if len(a.terms) != 1 and len(b.terms) != 1:
+        return None
+    R = a.ctx.ring
+    t = type(R)
+    if t is SeriesRing:
+        if type(R.base) not in _INT_ONE:
+            return None
+        inner = R.ctx
+    elif t in _INT_ONE:
+        inner = None
+    else:
+        return None
+    for s, other in ((a, b), (b, a)):
+        if len(s.terms) != 1:
+            continue
+        ((e, c),) = s.terms.items()
+        one = c == 1 if inner is None else _at(c.ctx, inner) and c.terms == {(0,): 1}
+        if not one:
+            continue
+        top = a.ctx.prec - sum(e)
+        out = {}
+        for f, v in other.terms.items():
+            if inner is not None and not _at(v.ctx, inner):
+                return None
+            if sum(f) < top:
+                out[tuple(map(operator.add, e, f))] = v
+        return Series(a.ctx, out)
+    return None
+
+
+def _at(cc: SeriesCtx, inner: SeriesCtx) -> bool:
+    """Whether a coefficient's context cc is the coefficient ring's own."""
+    return cc is inner or (cc.prec == inner.prec and cc.vars == inner.vars
+                           and cc.ring is inner.ring)
+
 
 def _mul_dict(a: Series, b: Series) -> Series:
     """a*b by the term-by-term loop; a and b share one precision.
@@ -668,11 +729,8 @@ def _operand(s: Series, inner, P: int, low: int, top: int):
     coefficient of s, kept or not, is not at that context."""
     blocks, slots, vals = [], [], []
     for e, c in s.terms.items():
-        if inner is not None and inner is not tuple:
-            cc = c.ctx
-            if cc is not inner and (cc.prec != inner.prec or cc.vars != inner.vars
-                                    or cc.ring is not inner.ring):
-                return None
+        if inner is not None and inner is not tuple and not _at(c.ctx, inner):
+            return None
         i = sum(e)
         if i >= top:
             continue
@@ -807,7 +865,14 @@ def _mul_packed(a: Series, b: Series):
     if half:
         prod += int.from_bytes((bytes(size - 1) + b"\x80") * nslots, "little")
     data = (prod & ((1 << (w * nslots)) - 1)).to_bytes(size * nslots, "little")
-    slots = range(0, size * nslots, size)
+    # a SeriesRing block spans b-degrees 0 to 2Pb - 2 and keeps the first
+    # width = Pb, so only those are read
+    if width == stride:
+        slots = range(0, size * nslots, size)
+    else:
+        end = size * nslots
+        slots = [k for i in range(0, end, size * stride)
+                 for k in range(i, min(i + size * width, end), size)]
     if m:
         digits = [int.from_bytes(data[k:k + size], "little") % m for k in slots]
     else:
@@ -825,7 +890,7 @@ def _mul_packed(a: Series, b: Series):
                 out[e] = tuple(Fraction(v, den) for v in c) if frac else tuple(c)
         else:
             terms = {(j,): Fraction(v, den) if frac else v
-                     for j, v in enumerate(digits[i * stride:i * stride + width]) if v}
+                     for j, v in enumerate(digits[i * width:(i + 1) * width]) if v}
             if terms:
                 out[e] = Series(inner, terms)
     return Series(ctx, out)

@@ -20,7 +20,8 @@ Steenrod elements, one convolution loop per Poincare-series factor, the
 dense eliminations (field Gauss-Jordan, row HNF, Smith form) that rewrite
 every entry of every row they touch, the regularity test over Z with its
 own multiplication matrices per path, Weierstrass preparation returning its
-unit, `recognize_in_family` with the F_2[s] law for its b-direction, and
+unit, `recognize_in_family` with the F_2[s] law for its b-direction, its
+columns as each c_d and G_s scaled by every power b^m, and
 the coefficient loop of `QuotientExtension.mul`, the sum of products
 `Ring.dot` as a loop, the series product that sums each coefficient
 pair by pair with `R.mul` and `R.add`, the 2-series as F(x, x) of the
@@ -34,7 +35,8 @@ and `QSeries` shares nothing), `milnor_product` and the coset reduction of
 `milnor_product_mono` that the ideal and closure oracles call, the
 `f2_rref` that the ideal oracle calls, the `linalg`
 eliminations that the regularity oracle calls, the `family_law`,
-`family_fgl_at` and `f2_solve` that the recognition oracle calls, the
+`family_fgl_at` and `f2_solve` that the recognition oracle calls,
+`_family_b_direction` that the column oracle calls, the
 base-ring arithmetic that the quotient product oracle calls, and `transform`,
 `curves_equal` and `compose_transforms` behind the automorphism oracle.
 """
@@ -49,8 +51,8 @@ from chromalg.elliptic import compose_transforms, curves_equal, transform
 from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
                              RecognitionFailed)
 from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
-                          _conic_isogeny_data, _formal_two_torsion, family_fgl_at,
-                          family_law)
+                          _conic_isogeny_data, _family_b_direction, _formal_two_torsion,
+                          family_fgl_at, family_law)
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
@@ -314,7 +316,9 @@ def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
                     N: int | None = None, unit_candidates=None):
     """find_iso with every degree step composing phi(F) and G(phi x, phi y)
     at precision N + 1, and taking the first common solution of the rows
-    comb(d, a) c = t_a (_common_solution)."""
+    comb(d, a) c = t_a (_common_solution).  The Obstruction is a proof
+    unless a degree solved before a failure had another common solution
+    (_rows_have_kernel)."""
     R = F.ring
     if N is None:
         N = min(F.prec, G.prec) - 1
@@ -323,10 +327,12 @@ def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
     else:
         candidates = unit_candidates if unit_candidates is not None else R.unit_candidates(2)
     fails = {}
+    proof = True
     ctx1 = SeriesCtx(R, ("t",), N + 1)
     for c1 in candidates:
         phi_terms = {(1,): c1}
         ok = True
+        chosen = False
         for d in range(2, N + 1):
             phi = Series(ctx1, dict(phi_terms))
             phiu = phi.compose({"t": F.ctx.gen("x")})
@@ -337,13 +343,28 @@ def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
             pure_bad = any(not R.is_zero(resid.coefficient(e)) for e in [(d, 0), (0, d)])
             if cd is None or pure_bad:
                 fails[R.render(c1)] = d
+                proof = proof and not chosen
                 ok = False
                 break
+            chosen = chosen or _rows_have_kernel(R, [comb(d, a) for a in range(1, d)])
             if not R.is_zero(cd):
                 phi_terms[(d,)] = cd
         if ok:
             return IsoResult(Series(ctx1, dict(phi_terms)), c1)
-    return Obstruction(max(fails.values()) if fails else 2, fails)
+    return Obstruction(max(fails.values()) if fails else 2, fails, proof)
+
+
+def _rows_have_kernel(R: Ring, ns: list) -> bool:
+    """Whether some nonzero c has n c = 0 for every n in ns, so that rows
+    n c = t with a solution have another: coefficientwise over R[[b]] and
+    base[w]/(f), from the complete solve_int lists of the base otherwise."""
+    if isinstance(R, (SeriesRing, QuotientExtension)):
+        return _rows_have_kernel(R.base, ns)
+    common = None
+    for n in ns:
+        sols = R.solve_int(n, R.zero())
+        common = sols if common is None else [s for s in common if any(R.eq(s, c) for c in sols)]
+    return any(not R.is_zero(s) for s in common)
 
 
 def _common_solution(R: Ring, rows: list):
@@ -1003,6 +1024,47 @@ def family_param_derivative_oracle(R2: SeriesRing, at_param: Series, xprec: int)
         if not R2.is_zero(val):
             out[e] = val
     return Series(SeriesCtx(R2, ("x", "y"), xprec), out)
+
+
+def recognition_columns_oracle(bprec: int, xprec: int):
+    """(row_at, cols) of recognize_in_family over F_2[[b]]/(b^bprec) below
+    total degree xprec, as it built them before reading the columns at
+    b-offsets: each c_d and Gs scaled by every power b^m, then read bit by
+    bit."""
+    R2 = SeriesRing(PrimeField(2), "b", bprec)
+    b2sq = R2.mul(R2.gen(), R2.gen())
+    F0 = family_fgl_at(R2, b2sq, xprec - 1).F
+    row_at = {r: n for n, r in enumerate(
+        (i, j, m) for i in range(xprec) for j in range(xprec - i) for m in range(bprec))}
+
+    def bits(s: Series, level: int = 0) -> int:
+        """Bit `level` of each b^m x^i y^j coefficient of s, which must
+        vanish below that bit."""
+        out = 0
+        for (i, j), c in s.terms.items():
+            for (m,), val in c.terms.items():
+                if val % 2 ** level:
+                    raise RecognitionFailed(f"residual not divisible by 2^{level}")
+                if (val >> level) & 1:
+                    out |= 1 << row_at[(i, j, m)]
+        return out
+
+    # columns: phi's t^d b^m for d = 1.. (d outer), then b'^m (d = 0)
+    x, y = F0.ctx.gen("x"), F0.ctx.gen("y")
+    G1, G2 = F0.derivative("x"), F0.derivative("y")
+    bpow = [R2.one()]
+    for _ in range(1, bprec):
+        bpow.append(R2.mul(bpow[-1], R2.gen()))
+    cols = []
+    Fd, xd, yd = F0, x, y
+    for d in range(1, xprec):
+        if d > 1:
+            Fd, xd, yd = Fd * F0, xd * x, yd * y
+        cd = Fd - G1 * xd - G2 * yd
+        cols.extend(bits(cd.scale(bm)) for bm in bpow)
+    Gs = _family_b_direction(R2, b2sq, xprec)
+    cols.extend(bits(Gs.scale(bm)) for bm in bpow)
+    return row_at, cols
 
 
 def recognize_in_family_oracle(Fq: FormalGroupLaw) -> Recognition:

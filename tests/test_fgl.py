@@ -212,6 +212,30 @@ def test_find_iso_obstruction_over_z13():
                          "linear-unit", N=6, unit_candidates=cands)
         assert isinstance(r, fgl.Obstruction)
         assert r.degree <= 4
+        assert r.proof
+
+
+@pytest.mark.parametrize("R,source,target,degree,proof", [
+    (ModularIntegers(8), (1, 0), (1, 1), 4, False),
+    (ModularIntegers(8), (0, 0), (1, 0), 2, True),
+    (PrimeField(2), (1, 1), (1, 0), 4, False),
+    (PrimeField(2), (0, 0), (1, 0), 2, True),
+    (PrimeField(3), (1, 1), (1, 0), 3, True),
+    (Z_inverted(3), (3, 3), (3, 0), 4, True)])
+def test_an_obstruction_is_a_proof_only_without_an_earlier_choice(R, source, target,
+                                                                  degree, proof):
+    """Between conic laws (b, c) -> (x + y + b xy)/(1 - c xy): over Z/8 and
+    F_2 the degree-2 row is 2 c_2 = T, which has two solutions when it has
+    one, so a failure at degree 4 is no proof, and a failure at degree 2 is
+    one.  Over F_3 the rows before degree 3 have unit gcds, and Z[1/3] has
+    no torsion.  The oracle agrees."""
+    F = fgl.conic_fgl(R, R.from_int(source[0]), R.from_int(source[1]), 9)
+    G = fgl.conic_fgl(R, R.from_int(target[0]), R.from_int(target[1]), 9)
+    res = fgl.find_iso(F, G, "strict", N=8)
+    assert isinstance(res, fgl.Obstruction)
+    assert (res.degree, res.proof) == (degree, proof)
+    ref = oracles.find_iso_oracle(F, G, "strict", N=8)
+    assert (ref.degree, ref.details, ref.proof) == (res.degree, res.details, res.proof)
 
 
 def test_find_iso_over_z4_b_finds_every_strict_twist():
@@ -324,6 +348,56 @@ def test_quotient_of_a_law_without_height_one_is_not_ordinary():
         fgl.quotient_by_subgroup(fgl.additive_fgl(Z8, 8), K)
     with pytest.raises(NotOrdinary):
         fgl.quotient_by_subgroup(fgl.multiplicative_fgl(Z8, 1, 1), K)
+
+
+def count_m_series(monkeypatch) -> list:
+    """The m of every m_series call, in order."""
+    calls = []
+    real = fgl.m_series
+
+    def counting(F, m):
+        calls.append(m)
+        return real(F, m)
+    monkeypatch.setattr(fgl, "m_series", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: fgl.multiplicative_fgl(ModularIntegers(8), 1, 8),
+                                  lambda: fgl.two_adic_family_fgl(3, 5, 7)],
+                         ids=["mu2", "family"])
+def test_canonical_subgroup_and_quotient_make_one_two_series(make, monkeypatch):
+    """canonical_subgroup then quotient_by_subgroup on one law make [2](x)
+    once, a second pass on that law makes none, and another law its own."""
+    calls = count_m_series(monkeypatch)
+    F = make()
+    fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+    assert calls == [2]
+    fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+    assert calls == [2]
+    fgl.canonical_subgroup(make())
+    assert calls == [2, 2]
+
+
+def test_a_kernel_from_another_law_is_refused():
+    """Negative control for the shared [2](x): G is F with its xy coefficient
+    moved by 2, so its kernel polynomial differs.  After both canonical
+    subgroups have made their series, each law's quotient refuses the other's
+    kernel, and a law whose F is replaced checks against the new F's [2](x)."""
+    F = fgl.two_adic_family_fgl(3, 5, 7)
+    R = F.ring
+    terms = dict(F.F.terms)
+    terms[(1, 1)] = R.add(terms[(1, 1)], R.from_int(2))
+    G = fgl.make_fgl(Series(F.ctx, terms), F.origin)
+    K, KG = fgl.canonical_subgroup(F), fgl.canonical_subgroup(G)
+    assert not R.eq(K.alpha, KG.alpha)
+    with pytest.raises(InvalidKernel):
+        fgl.quotient_by_subgroup(F, KG)
+    with pytest.raises(InvalidKernel):
+        fgl.quotient_by_subgroup(G, K)
+    F.F = G.F
+    assert F.two_series() == fgl.m_series(G, 2)
+    with pytest.raises(InvalidKernel):
+        fgl.quotient_by_subgroup(F, K)
 
 
 def test_sum_with_point_working_precision_is_exact():
@@ -730,6 +804,19 @@ def test_recognize_family_mod8():
     R = q.fgl.ring
     diff = R.sub(rec.b_param, R.mul(R.gen(), R.gen()))
     assert all(c % 2 == 0 for c in diff.terms.values())
+
+
+@pytest.mark.parametrize("bprec,xprec", [(1, 3), (3, 4), (5, 7), (8, 10)])
+def test_recognition_columns_match_the_scaled_series(bprec, xprec):
+    """The columns read at b-offsets equal the bits of c_d b^m and Gs b^m
+    made by scaling, row for row and column for column."""
+    row_at, want = oracles.recognition_columns_oracle(bprec, xprec)
+    R2 = SeriesRing(PrimeField(2), "b", bprec)
+    b2sq = R2.mul(R2.gen(), R2.gen())
+    F0 = fgl.family_fgl_at(R2, b2sq, xprec - 1).F
+    assert fgl._recognition_rows(xprec, bprec) == row_at
+    got = fgl._recognition_columns(F0, fgl._family_b_direction(R2, b2sq, xprec), row_at)
+    assert got == want and len(got) == xprec * bprec
 
 
 @pytest.mark.parametrize("k,bprec,xprec", [(2, 5, 7), (2, 6, 8), (3, 5, 7), (3, 8, 10),

@@ -1,6 +1,7 @@
 """Differential and operation-count tests for the packed series product: the
-Kronecker-packed multiplication of series.py and its grouped loop _mul_dict
-against the term-by-term loop of tests/oracles.py, for series in one, two and three variables over Z, Q, Z_(p),
+Kronecker-packed multiplication of series.py, its grouped loop _mul_dict and
+its exponent shift for unit monomials against the term-by-term loop of
+tests/oracles.py, for series in one, two and three variables over Z, Q, Z_(p),
 Z[1/3], Z/m and F_p, over one level of SeriesRing over those, and over
 QuotientExtension rings of those with an integral modulus."""
 
@@ -15,7 +16,7 @@ from chromalg.rings import (GF, QQ, ZZ, LocalizedIntegers, ModularIntegers,
                             PrimeField, QuotientExtension, Rationals,
                             Z_inverted, Z_local, omega_ring)
 from chromalg.series import (Series, SeriesCtx, SeriesRing, _exponents,
-                             _mul_dict, _mul_packed)
+                             _mul_dict, _mul_packed, _times, _unit_shift)
 
 from oracles import mul_loop_oracle
 
@@ -261,6 +262,20 @@ def test_lower_precision_inner_coefficients_take_the_loop(name, data, prec):
     assert exact(a * b) == exact(mul_loop_oracle(a, b))
 
 
+def test_packed_tower_reads_a_partial_last_block():
+    """x-series dense in degrees 0..4 at precision 10, with b-coefficients
+    that stop at b^1, over Q[[b]]<6> and Z/8[[b]]<5>: they pack, and the
+    product's last block, degree 8, spans b-degrees 0 to 2 only, so the
+    slots of that block past the packed integer are not read."""
+    for R, coeff in ((SeriesRing(QQ, "b", 6), lambda i, j: Fraction(2 * i - 4 * j - 3, 1 + j)),
+                     (SeriesRing(ModularIntegers(8), "b", 5), lambda i, j: (2 * i + j + 1) % 8 or 1)):
+        ctx = SeriesCtx(R, ("x",), 10)
+        a, b = (ctx.series({(i,): R.ctx.series({(j,): coeff(i + k, j) for j in range(2)})
+                            for i in range(5)}) for k in (0, 1))
+        assert _mul_packed(a, b) is not None
+        check_packed(a, b)
+
+
 # -- operation counts ---------------------------------------------------------
 
 def test_tower_product_makes_no_coefficient_ring_calls(monkeypatch):
@@ -499,3 +514,94 @@ def test_omega_product_makes_no_coefficient_ring_calls(monkeypatch):
     # integer product calls no base-ring mul
     assert exact(prod) == exact(mul_loop_oracle(a, b))
     assert calls["QuotientExtension.mul"] > 0 and calls["LocalizedIntegers.mul"] == 0
+
+
+# -- products by a unit monomial ----------------------------------------------
+
+# every carrier above, and two whose ring one is Fraction(1) beside int
+# coefficients: Fraction(1)*int is a Fraction, so the shift must decline
+UNIT = {**HIGH, **MULTI,
+        "Z_(2)(int)": (Z_local(2), st.integers(-10 ** 12, 10 ** 12)),
+        "Q[[b]](int)": (TOWERS["Q[[b]]"][0], series(TOWERS["Q[[b]]"][0].ctx,
+                                                    st.integers(-10 ** 6, 10 ** 6)))}
+# the carriers whose one is the int 1: Z, Z/m, F_p and one level of [[b]] over them
+SHIFTS = {"Z", "F2", "F3", "Z/8", "Z/2^64", "Z/8[[b]]", "Z[[b]]<1>"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(UNIT))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_unit_monomial_products_match_loop(name, n, data):
+    """x^e times a series, on either side, through Series.__mul__ and
+    _times: the loop's values and Python types, and an exponent shift
+    exactly on the carriers whose one is the int 1."""
+    R, elems = UNIT[name]
+    P = data.draw(st.integers(1, (12, 7, 5)[n - 1]))
+    ctx = SeriesCtx(R, ("x", "y", "z")[:n], P)
+    e = data.draw(st.sampled_from(exponents(n, P)))
+    mono = ctx.series({e: R.one()})
+    s = data.draw(multi_series(ctx, elems))
+    want = exact(mul_loop_oracle(mono, s))
+    for a, b in ((mono, s), (s, mono)):
+        assert exact(a * b) == want
+        assert exact(_times(a, b)) == want
+        shifted = _unit_shift(a, b)
+        assert (shifted is not None) == (name in SHIFTS)
+        if shifted is not None:
+            assert exact(shifted) == want
+
+
+@pytest.mark.parametrize("name", ["Z/8[[b]]", "Z[[b]]<1>"])
+@SETTINGS
+@given(data=st.data(), prec=st.integers(1, 8))
+def test_unit_monomial_declines_coefficients_at_another_context(name, data, prec):
+    """Over R[[b]] the shift keeps each coefficient as it is, so it declines
+    when a coefficient, of either factor, is not at the ring's own context:
+    the loop truncates it to the lower b-precision."""
+    R, elems = TOWERS[name]
+    ctx = SeriesCtx(R, ("x",), prec)
+    # another coefficient context: a lower b-precision, or at b-precision 1
+    # another variable
+    other = R.ctx.at_prec(R.prec - 1) if R.prec > 1 else SeriesCtx(R.base, ("c",), 1)
+    e = data.draw(st.integers(0, prec - 1))
+    mono = ctx.series({(e,): R.one()})
+    if R.prec > 1:
+        s = data.draw(tower_series(ctx, elems, inner_prec=R.prec - 1))
+        if not s.is_zero():
+            assert _unit_shift(mono, s) is None and _unit_shift(s, mono) is None
+        assert exact(mono * s) == exact(mul_loop_oracle(mono, s))
+    other_one = Series(ctx, {(e,): other.one()})
+    assert _unit_shift(other_one, ctx.one()) is None
+    assert _unit_shift(ctx.one(), other_one) is None
+
+
+def test_unit_monomial_product_makes_no_coefficient_products(monkeypatch):
+    """x^3 and the series 1 times a dense x-series over Z/8[[b]]: no
+    SeriesRing.mul or dot, and the other factor's coefficients come back
+    as they are; the ring's one at another b-precision takes the loop."""
+    calls = []
+    for name in ("mul", "dot"):
+        orig = getattr(SeriesRing, name)
+
+        def fn(self, *args, orig=orig, name=name):
+            calls.append(name)
+            return orig(self, *args)
+        monkeypatch.setattr(SeriesRing, name, fn)
+    R = SeriesRing(ModularIntegers(8), "b", 5)
+    ctx = SeriesCtx(R, ("x",), 9)
+    s = ctx.series({(i,): R.ctx.series({(j,): (i + 3 * j) % 8 for j in range(5)})
+                    for i in range(9)})
+    for mono in (ctx.series({(3,): R.one()}), ctx.one()):
+        calls.clear()
+        prod = mono * s
+        assert calls == []
+        assert exact(prod) == exact(mul_loop_oracle(mono, s))
+        top = ctx.prec - mono.order()
+        assert all(prod.terms[(i + mono.order(),)] is s.terms[(i,)] for i in range(top))
+    # the counters count: a one below the ring's b-precision multiplies
+    low_one = Series(ctx, {(3,): R.ctx.at_prec(4).one()})
+    calls.clear()
+    prod = low_one * s
+    assert calls
+    assert exact(prod) == exact(mul_loop_oracle(low_one, s))

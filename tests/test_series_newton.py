@@ -247,7 +247,7 @@ def _same_iso_result(new, old):
         assert exact(new.phi) == exact(old.phi)
         assert new.linear == old.linear
     else:
-        assert (new.degree, new.details) == (old.degree, old.details)
+        assert (new.degree, new.details, new.proof) == (old.degree, old.details, old.proof)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
