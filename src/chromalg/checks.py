@@ -148,7 +148,7 @@ def _three_torsion(cfg, rng):
 def _formal_group_family(cfg, rng):
     N = min(9, max(6, cfg.series_prec // 2))
     F = fgl.universal_family_fgl(N)
-    fgl.validate_fgl(F.F, F.ring)
+    fgl.validate_fgl(F.F)
     # the law is rehomogenised from its A = 1 chart, so homogeneity is read
     # from the chord over Z[A, B], run here as the independent side
     E, P = elliptic.universal_gamma1_3()
@@ -269,7 +269,7 @@ def _conic_expansion(cfg, rng):
     Fa = PolyRing(ZZ, ("a",))
     a = Fa.gen("a")
     M = fgl.conic_fgl(Fa, Fa.one() - a, -a, 6)
-    fgl.validate_fgl(M.F, Fa)
+    fgl.validate_fgl(M.F)
     ensure(M.coefficient(1, 1) == Fa.one() - a, "second conic form")
     ensure(fgl.additive_fgl(ZZ, 6).coefficient(1, 1) == 0, "additive degenerate case")
     return "(x+y+3xy)/(1-3xy) = x+y+3xy+3x^2y+3xy^2+...; disc(3,3) = -3; "\
@@ -504,10 +504,10 @@ def _validation_random(cfg, rng):
     for _ in range(6):
         b = rng.randint(-4, 4)
         c = rng.randint(-4, 4)
-        fgl.validate_fgl(fgl.conic_fgl(ZZ, b, c, 8).F, ZZ)
+        fgl.validate_fgl(fgl.conic_fgl(ZZ, b, c, 8).F)
     # degree 9 is the largest a family-law image reads in a default run
     U = fgl.universal_family_fgl(9)
-    fgl.validate_fgl(U.F, U.ring)
+    fgl.validate_fgl(U.F)
     return "random conic laws and the family law pass unit/commutativity/associativity"
 
 

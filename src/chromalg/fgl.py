@@ -122,8 +122,12 @@ class FormalGroupLaw:
         return self.F.coefficient((i, j))
 
 
-def validate_fgl(F: Series, ring: Ring, check_assoc: bool = True):
+def validate_fgl(F: Series, check_assoc: bool = True):
+    """The unit and commutativity axioms of F over its own coefficient ring,
+    and associativity when check_assoc is set; AlgebraError names the first
+    that fails."""
     ctx = F.ctx
+    ring = ctx.ring
     x = ctx.gen("x")
     restr = F.set_var_zero("y").drop_var("y").rename(("x",))
     if not restr == SeriesCtx(ring, ("x",), ctx.prec).gen("x"):
@@ -148,7 +152,7 @@ def make_fgl(F: Series, origin=None) -> FormalGroupLaw:
     commutativity checks; associativity is left to the checks that claim it."""
     if F.ctx.vars != ("x", "y"):
         F = F.rename(("x", "y"))
-    validate_fgl(F, F.ctx.ring, check_assoc=False)
+    validate_fgl(F, check_assoc=False)
     return FormalGroupLaw(F, origin)
 
 
@@ -296,7 +300,7 @@ def family_fgl_at(ring: SeriesRing, param: Series, xprec: int,
     """Family law at A = 1, B = param (a series in the base of `ring`),
     validated with associativity when check_assoc is set."""
     F = family_law(ring, ring.one(), param, xprec)
-    validate_fgl(F, ring, check_assoc)
+    validate_fgl(F, check_assoc)
     return FormalGroupLaw(F)
 
 

@@ -594,36 +594,33 @@ class QuotientExtension(Ring):
         self._ints = _integer_form(base, mod)
         self._elems = None
 
-    def _tup(self, coeffs):
-        return tuple(coeffs)
-
     def zero(self):
         z = self.base.zero()
-        return self._tup([z] * self.deg)
+        return tuple([z] * self.deg)
 
     def one(self):
         out = [self.base.zero()] * self.deg
         out[0] = self.base.one()
-        return self._tup(out)
+        return tuple(out)
 
     def gen(self):
         out = [self.base.zero()] * self.deg
         if self.deg == 1:
             # y = -f0 in a degree-one quotient
-            return self._tup([self.base.neg(self.modulus[0])])
+            return tuple([self.base.neg(self.modulus[0])])
         out[1] = self.base.one()
-        return self._tup(out)
+        return tuple(out)
 
     def from_int(self, n):
         out = [self.base.zero()] * self.deg
         out[0] = self.base.from_int(n)
-        return self._tup(out)
+        return tuple(out)
 
     def add(self, a, b):
-        return self._tup([self.base.add(x, y) for x, y in zip(a, b)])
+        return tuple([self.base.add(x, y) for x, y in zip(a, b)])
 
     def neg(self, a):
-        return self._tup([self.base.neg(x) for x in a])
+        return tuple([self.base.neg(x) for x in a])
 
     def _reduce(self, coeffs: list):
         # coeffs: low-first, possibly long; reduce modulo the monic modulus
@@ -635,7 +632,7 @@ class QuotientExtension(Ring):
                 continue
             for j in range(d + 1):
                 coeffs[i - d + j] = B.sub(coeffs[i - d + j], B.mul(c, self.modulus[j]))
-        return self._tup(coeffs[:d])
+        return tuple(coeffs[:d])
 
     def mul(self, a, b):
         if self._ints is not None:
@@ -659,7 +656,7 @@ class QuotientExtension(Ring):
         return super().dot(xs, ys)
 
     def scale_int(self, a, n: int):
-        return self._tup([self.base.scale_int(x, n) for x in a])
+        return tuple([self.base.scale_int(x, n) for x in a])
 
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))
@@ -702,7 +699,7 @@ class QuotientExtension(Ring):
             q = B.divide(B.one(), n)
             if q is None:
                 raise NotInvertible(f"norm {B.render(n)} not a unit")
-            return self._tup([B.mul(c0, q), B.mul(c1, q)])
+            return tuple([B.mul(c0, q), B.mul(c1, q)])
         raise NotInvertible("inversion unsupported for this extension")
 
     def divide(self, a, b):
@@ -716,13 +713,13 @@ class QuotientExtension(Ring):
         if any(not s for s in sols_per_coord):
             return []
         # take first solution per coordinate (unique in domains)
-        return [self._tup([s[0] for s in sols_per_coord])]
+        return [tuple([s[0] for s in sols_per_coord])]
 
     def _element_tuple(self):
         """Every element, the first coordinate varying fastest, built on the
         first call; NotImplementedError over an infinite base."""
         if self._elems is None:
-            self._elems = tuple(self._tup(t[::-1]) for t in
+            self._elems = tuple(tuple(t[::-1]) for t in
                                 itertools.product(self.base.elements(), repeat=self.deg))
         return self._elems
 

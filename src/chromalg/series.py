@@ -61,33 +61,34 @@ variable, h <- g_i(s2..sn) + s1*h from the top i down:
     target (phi(x), phi(y), a bare generator) is powered as a univariate
     series, where it packs, and then embedded.  When f is univariate and s1
     uses one variable, the Horner steps run univariately and h is embedded
-    once;
-  * no Series product has a one-term operand: a one-term power, group, s1
-    or h is a shift and a scale of the other factor, and only a shift when
-    its coefficient is the ring's one (see the multiplication contract).
+    once.
   Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) would make fewer products
   than Horner's P - 2, but keeps a scalar combination of powers, which over
   R[[b]] is one b-series product per term per power.
 
-Multiplication contract.  Series.__mul__ meets both operands at the smaller
-precision P.  When one factor is a single term x^e whose coefficient is
-exactly the ring's one, the product is an exponent shift (_unit_shift):
-every term of the other factor moves by e, those of total degree >= P drop,
-and no scalar product is made.  That is the loop's value and Python type
+Multiplication contract.  Series.__mul__ is the only product: it meets both
+operands at the smaller precision P, and the product is the zero series when
+either is zero.  A factor with one term c*x^e is a shift and a scale of the
+other (_mul_term, which Series.scale also runs with e = 0): every term of the
+other factor moves by e, those of total degree >= P drop, and each
+coefficient v becomes R.mul(c, v) (the operands' order kept), dropped when
+it vanishes, as over Z/8 where 4*2 = 0.  No two of these products share an
+exponent, so none is summed.  When c is exactly the ring's one, a term only
+moves, with no scalar product.  That is the loop's value and Python type
 only where 1*v is v: over Z, Z/m (residues normalised into [0, m)) and F_p,
-whose one is the int 1, and over one level of [[t]] over those, whose one
-is the series 1, when every coefficient of both factors sits at the ring's
-own context.  Over Q, Z_(p) and Z[1/p] the one is Fraction(1), which turns
-an int into a Fraction, so those, QuotientExtensions, PolyRings and deeper
-towers take a product.  Over Z/2^k[[b]] and F_2[[b]] the substitutions
-t -> x and t -> y, phi = t and the products by x^d and y^d are shifts.
-Otherwise Series.__mul__ multiplies over packed carriers with one big-integer
-product (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), and
-everything else with the term-by-term loop _mul_dict, which groups the term
-pairs by output exponent and makes one R.dot per exponent (a sum of
-products normalised once over Z, Q, Z_(p), Z[1/p], Z/m, F_p and integral
-QuotientExtensions; over a PolyRing, one base dot per monomial; the R.mul
-and R.add loop elsewhere):
+whose one is the int 1, and over one level of [[t]] over those, whose one is
+the series 1, when c and every coefficient of the other factor sit at the
+ring's own context.  Over Q, Z_(p) and Z[1/p] the one is Fraction(1), which
+turns an int into a Fraction, so those, QuotientExtensions, PolyRings and
+deeper towers take a product.  Over Z/2^k[[b]] and F_2[[b]] the
+substitutions t -> x and t -> y, phi = t and the products by x^d and y^d
+are shifts.  Two factors of two or more terms multiply over packed carriers
+with one big-integer product (Kronecker substitution; Harvey, J. Symb.
+Comput. 44, 2009), and otherwise with the term-by-term loop _mul_dict, which
+groups the term pairs by output exponent and makes one R.dot per exponent (a
+sum of products normalised once over Z, Q, Z_(p), Z[1/p], Z/m, F_p and
+integral QuotientExtensions; over a PolyRing, one base dot per monomial; the
+R.mul and R.add loop elsewhere):
   * packed carriers: scalars of exactly Integers, Rationals,
     LocalizedIntegers, ModularIntegers or PrimeField; a SeriesRing of
     precision Pb over one of those whose coefficients all sit at the ring's
@@ -137,9 +138,6 @@ and R.add loop elsewhere):
     + 2 bits, whole bytes, where pairs = min(E_a, E_b) bounds the products
     summed into one slot: |slot| < 2^(w-2), so no slot carries into the
     next and signed slots decode with a borrow-free 2^(w-1) offset;
-  * an operand with one term over packed scalars makes no sums: each
-    coefficient is one scalar product, computed as the ring's mul computes it
-    (when its coefficient is not the ring's one, which is a shift);
   * the loop runs for every other ring (PolyRing, deeper towers,
     QuotientExtension with a non-integral modulus or another base), tower
     coefficients at another precision or context, mixed int/Fraction
@@ -281,10 +279,19 @@ class Series:
 
     def __mul__(self, other):
         a, b = self._meet(self._co(other))
-        out = _unit_shift(a, b)
-        if out is None:
+        if len(a.terms) > 1 and len(b.terms) > 1:
             out = _mul_packed(a, b)
-        return out if out is not None else _mul_dict(a, b)
+            return out if out is not None else _mul_dict(a, b)
+        if not a.terms or not b.terms:
+            return Series(a.ctx, {})
+        # a one-term factor scales the other; of two, b when its coefficient
+        # is the one, which then only shifts a
+        if len(a.terms) == 1 and not (len(b.terms) == 1
+                                      and _is_one(a.ctx.ring, *b.terms.values())):
+            ((e, c),) = a.terms.items()
+            return _mul_term(a.ctx, e, c, b, True)
+        ((e, c),) = b.terms.items()
+        return _mul_term(a.ctx, e, c, a, False)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -300,15 +307,12 @@ class Series:
         return self.ctx.const(other)
 
     def scale(self, c):
-        R = self.ctx.ring
-        if R.is_zero(c):
+        """c times each coefficient, as a product by the one-term factor c:
+        no product when c is zero, and none when c is the ring's one on the
+        carriers that the multiplication contract names."""
+        if self.ctx.ring.is_zero(c):
             return Series(self.ctx, {})
-        out = {}
-        for e, x in self.terms.items():
-            p = R.mul(c, x)
-            if not R.is_zero(p):
-                out[e] = p
-        return Series(self.ctx, out)
+        return _mul_term(self.ctx, (0,) * len(self.ctx.vars), c, self, True)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -504,7 +508,7 @@ class Series:
         cols, p = [{}], f
         for k in range(1, P - 1):
             if k > 1:
-                p = _times(p, f)
+                p = p * f
             cols.append({n: c for (n,), c in p.terms.items()})
         inv1 = R.inv(f1)
         scale = R.one()
@@ -549,7 +553,7 @@ class _Powers:
         """s^k in its own context."""
         own = self.own
         while len(own) <= k:
-            own.append(_times(own[-1], own[1]))
+            own.append(own[-1] * own[1])
         return own[k]
 
     def __getitem__(self, k: int) -> Series:
@@ -590,7 +594,7 @@ def _horner(s: Series, rows: dict, value) -> Series:
     top = max(rows)
     h = value(top, P - top)
     for i in range(top - 1, -1, -1):
-        h = _times(Series(s.ctx.at_prec(P - i), h.terms), s)
+        h = Series(s.ctx.at_prec(P - i), h.terms) * s
         if i in rows:
             h = h + value(i, P - i)
     return h
@@ -609,62 +613,48 @@ def _grouped(terms: dict, pows: list, prec: int) -> Series:
         term = pows[-1].combination(tail, prec - sum(head), prec)
         for k, p in zip(head, pows):
             if k:
-                term = _times(term, p[k])
+                term = term * p[k]
         out = out + term
     return out
 
 
-def _times(a: Series, b: Series) -> Series:
-    """a*b at the smaller precision of a and b.  When an operand has at most
-    one term there the product is a shift and a scale of the other:
-    _unit_shift or _mul_dict makes it with no sums, and without the packing
-    that Series.__mul__ would try."""
-    a, b = a._meet(b)
-    if len(a.terms) > 1 and len(b.terms) > 1:
-        return a * b
-    out = _unit_shift(a, b)
-    return out if out is not None else _mul_dict(a, b)
-
-
 # -- multiplication ------------------------------------------------------------
-# Both products are private module functions, so a tracer that wraps public
-# names counts their time as Series.__mul__.
+# The products are private module functions, so a tracer that wraps public
+# names counts their time as Series.__mul__ (or Series.scale).
 
 _INT_ONE = (Integers, ModularIntegers, PrimeField)     # scalars whose one is the int 1
 
 
-def _unit_shift(a: Series, b: Series):
-    """a*b as an exponent shift when one factor is a single term whose
-    coefficient is exactly the ring's one, on the carriers the
-    multiplication contract names, else None; a and b share one precision."""
-    if len(a.terms) != 1 and len(b.terms) != 1:
-        return None
-    R = a.ctx.ring
+def _is_one(R: Ring, c) -> bool:
+    """Whether c is exactly the one of R on a carrier where 1*v is v: the int
+    1 over Z, Z/m and F_p, the series 1 at R's own context over one level of
+    [[t]] over those."""
     t = type(R)
-    if t is SeriesRing:
-        if type(R.base) not in _INT_ONE:
-            return None
-        inner = R.ctx
-    elif t in _INT_ONE:
-        inner = None
-    else:
-        return None
-    for s, other in ((a, b), (b, a)):
-        if len(s.terms) != 1:
-            continue
-        ((e, c),) = s.terms.items()
-        one = c == 1 if inner is None else _at(c.ctx, inner) and c.terms == {(0,): 1}
-        if not one:
-            continue
-        top = a.ctx.prec - sum(e)
-        out = {}
-        for f, v in other.terms.items():
-            if inner is not None and not _at(v.ctx, inner):
-                return None
-            if sum(f) < top:
-                out[tuple(map(operator.add, e, f))] = v
-        return Series(a.ctx, out)
-    return None
+    if t in _INT_ONE:
+        return c == 1
+    return (t is SeriesRing and type(R.base) in _INT_ONE and _at(c.ctx, R.ctx)
+            and c.terms == {(0,): 1})
+
+
+def _mul_term(ctx: SeriesCtx, e: tuple, c, s: Series, left: bool) -> Series:
+    """s times the one-term factor c*x^e in ctx, c the left factor when left:
+    each term of s below total degree ctx.prec - |e| moves by e and is
+    multiplied by c as R.mul does, a product that vanishes dropped, or only
+    moves when c is the ring's one and, over [[t]], every coefficient of s
+    sits at the ring's own context."""
+    R = ctx.ring
+    top = ctx.prec - sum(e)
+    shift = _is_one(R, c) and (type(R) is not SeriesRing
+                               or all(_at(v.ctx, R.ctx) for v in s.terms.values()))
+    out = {}
+    for f, v in s.terms.items():
+        if sum(f) < top:
+            if not shift:
+                v = R.mul(c, v) if left else R.mul(v, c)
+                if R.is_zero(v):
+                    continue
+            out[tuple(map(operator.add, e, f))] = v
+    return Series(ctx, out)
 
 
 def _at(cc: SeriesCtx, inner: SeriesCtx) -> bool:
@@ -674,7 +664,8 @@ def _at(cc: SeriesCtx, inner: SeriesCtx) -> bool:
 
 
 def _mul_dict(a: Series, b: Series) -> Series:
-    """a*b by the term-by-term loop; a and b share one precision.
+    """a*b by the term-by-term loop; a and b share one precision and have two
+    or more terms each.
 
     The general product: any number of variables, any coefficient ring.  The
     term pairs are grouped by their output exponent, and each group is one
@@ -781,34 +772,14 @@ def _exponents(n: int, P: int, low: int, nblocks: int):
                 yield (d - low) * base + i, (d - s,) + t
 
 
-def _mul_monomial(a: Series, b: Series, m: int) -> Series:
-    """a*b over packed scalars when a or b has one term: no two products
-    share an exponent, so each coefficient is one scalar product, computed
-    as R.mul computes it (c*v, reduced mod m for Z/m)."""
-    prec = a.ctx.prec
-    if len(a.terms) != 1:
-        a, b = b, a
-    ((e, c),) = a.terms.items()
-    top = prec - sum(e)
-    out = {}
-    for f, v in b.terms.items():
-        if sum(f) < top:
-            p = c * v % m if m else c * v
-            if p:
-                out[tuple(map(operator.add, e, f))] = p
-    return Series(a.ctx, out)
-
-
 def _mul_packed(a: Series, b: Series):
     """a*b by one big-integer product (Kronecker substitution), or None when
     the carrier is not packed or the operands are too sparse for it; a and b
-    share one precision."""
+    share one precision and have two or more terms each."""
     ctx = a.ctx
     R = ctx.ring
     m = _scalar_modulus(R)
     if m is not None:
-        if len(a.terms) == 1 or len(b.terms) == 1:
-            return _mul_monomial(a, b, m)
         inner, stride, width = None, 1, 1
     elif type(R) is SeriesRing:
         m = _scalar_modulus(R.base)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chromalg import series as series_module
 from chromalg.errors import CompositionError
 from chromalg.rings import QQ, ZZ, ModularIntegers, omega_ring
 from chromalg.series import Series, SeriesCtx, SeriesRing
@@ -134,20 +135,41 @@ def _dense(ctx, low, axes=None):
                        if axes is None or not any(k for i, k in enumerate(e) if i not in axes)})
 
 
+def _watch(monkeypatch, ring):
+    """Log the products: in "products", (variables, precision) of each
+    Series.__mul__ call over ring whose two operands both have two or more
+    terms at their common precision (a one-term factor is a shift and a
+    scale, not a product); in "kernel", the fewer terms of the two operands
+    of each _mul_packed and _mul_dict call, over any ring."""
+    log = {"products": [], "kernel": []}
+    real = Series.__mul__
+
+    def counted(a, b):
+        p = min(a.ctx.prec, b.ctx.prec)
+        if a.ctx.ring is ring and min(sum(sum(e) < p for e in s.terms) for s in (a, b)) >= 2:
+            log["products"].append((a.ctx.vars, p))
+        return real(a, b)
+
+    def kernel(real):
+        def fn(a, b):
+            log["kernel"].append(min(len(a.terms), len(b.terms)))
+            return real(a, b)
+        return fn
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    for name in ("_mul_packed", "_mul_dict"):
+        monkeypatch.setattr(series_module, name, kernel(getattr(series_module, name)))
+    return log
+
+
 @pytest.mark.parametrize("ring", [QQ, _Z8, omega_ring(), SeriesRing(_Z8, "b", 3)],
                          ids=["Q", "Z/8", "omega", "Z/8[[b]]"])
 def test_compose_makes_no_product_with_a_one_term_operand(monkeypatch, ring):
     """Bare generators, scaled monomials, one-variable and several-variable
-    substitutions, under one, two and three outer variables.  Products of
-    the coefficients themselves (over Z/8[[b]]) are the ring's, not compose's."""
-    operands = []
-    real = Series.__mul__
-
-    def counted(a, b):
-        if a.ctx.ring is ring:
-            operands.append(min(len(a.terms), len(b.terms)))
-        return real(a, b)
-
+    substitutions, under one, two and three outer variables: a one-term
+    power, group, s1 or h is a shift and a scale of the other factor, so no
+    packed or loop product, of the series or of their Z/8[[b]] coefficients,
+    gets a one-term operand."""
     tctx = SeriesCtx(ring, ("x", "y", "z"), 6)
     x, y, z = (tctx.gen(v) for v in tctx.vars)
     one_var = _dense(tctx, 1, {1})
@@ -156,34 +178,30 @@ def test_compose_makes_no_product_with_a_one_term_operand(monkeypatch, ring):
              ({"a": x, "b": y}, 2), ({"a": x.scale(ring.from_int(3)), "b": one_var}, 2),
              ({"a": several, "b": z}, 2), ({"a": one_var, "b": several}, 2),
              ({"a": x, "b": y, "c": z}, 3), ({"a": several, "b": one_var, "c": y}, 3)]
-    monkeypatch.setattr(Series, "__mul__", counted)
+    log = _watch(monkeypatch, ring)
+    done = []
     for subs, n in cases:
         f = _dense(SeriesCtx(ring, OUTER[:n], 6), 0)
-        operands.clear()
-        out = f.compose(subs)
-        assert 1 not in operands, subs
-        monkeypatch.setattr(Series, "__mul__", real)
+        log["kernel"].clear()
+        done.append((f, subs, f.compose(subs)))
+        assert min(log["kernel"], default=2) >= 2, subs
+    assert log["products"]
+    monkeypatch.undo()
+    for f, subs, out in done:
         assert exact(out) == exact(compose_oracle(f, subs))
-        monkeypatch.setattr(Series, "__mul__", counted)
 
 
 def test_univariate_composition_makes_one_product_per_power(monkeypatch):
     """f(g) for f with P terms by Horner's rule: step i runs at precision
     P - i, so the products are at precisions 3 .. P (the step at precision 2
-    has a one-term g), and no product makes a power of g."""
-    calls = []
-    real = Series.__mul__
-
-    def counted(a, b):
-        calls.append(a.ctx.prec)
-        return real(a, b)
-
+    has a one-term g, a scale), and no product makes a power of g."""
     P = 12
     ctx = SeriesCtx(QQ, ("x",), P)
     f, g = _dense(ctx, 0), _dense(ctx, 1)
-    monkeypatch.setattr(Series, "__mul__", counted)
+    log = _watch(monkeypatch, QQ)
     f.compose({"x": g})
-    assert calls == list(range(3, P + 1))
+    assert [p for _, p in log["products"]] == list(range(3, P + 1))
+    assert min(log["kernel"]) >= 2
 
 
 def test_bivariate_composition_makes_no_power_of_the_first_substitution(monkeypatch):
@@ -191,22 +209,16 @@ def test_bivariate_composition_makes_no_power_of_the_first_substitution(monkeypa
     made univariately at P, and one Horner step in x per precision 3 .. P.
     No product has two x-only operands, so no power of phi(x) is made (the
     grouped schedule made 18 products, 6 of them powers of phi(x))."""
-    calls = []
-    real = Series.__mul__
-
-    def counted(a, b):
-        calls.append((a.ctx.vars, a.ctx.prec))
-        return real(a, b)
-
     P = 8
     tctx = SeriesCtx(QQ, ("x", "y"), P)
     f = _dense(SeriesCtx(QQ, ("a", "b"), P), 0)
     subs = {"a": _dense(tctx, 1, {0}), "b": _dense(tctx, 1, {1})}
-    monkeypatch.setattr(Series, "__mul__", counted)
+    log = _watch(monkeypatch, QQ)
     out = f.compose(subs)
-    monkeypatch.setattr(Series, "__mul__", real)
-    assert sorted(calls) == ([(("x", "y"), p) for p in range(3, P + 1)]
-                             + [(("y",), P)] * (P - 2))
+    monkeypatch.undo()
+    assert sorted(log["products"]) == ([(("x", "y"), p) for p in range(3, P + 1)]
+                                       + [(("y",), P)] * (P - 2))
+    assert min(log["kernel"]) >= 2
     assert exact(out) == exact(compose_oracle(f, subs))
 
 

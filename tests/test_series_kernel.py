@@ -1,9 +1,10 @@
-"""Differential and operation-count tests for the packed series product: the
+"""Differential and operation-count tests for the series product: the
 Kronecker-packed multiplication of series.py, its grouped loop _mul_dict and
-its exponent shift for unit monomials against the term-by-term loop of
-tests/oracles.py, for series in one, two and three variables over Z, Q, Z_(p),
-Z[1/3], Z/m and F_p, over one level of SeriesRing over those, and over
-QuotientExtension rings of those with an integral modulus."""
+its product by a one-term factor (a shift and a scale, only a shift for a
+unit monomial) against the term-by-term loop of tests/oracles.py, for series
+in one, two and three variables over Z, Q, Z_(p), Z[1/3], Z/m and F_p, over
+one level of SeriesRing over those, over QuotientExtension rings of those
+with an integral modulus, and over the carriers that take the loop."""
 
 from fractions import Fraction
 
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chromalg import series as series_module
+from chromalg.errors import MixedVariablesError
 from chromalg.poly import PolyRing
 from chromalg.rings import (GF, QQ, ZZ, LocalizedIntegers, ModularIntegers,
                             PrimeField, QuotientExtension, Rationals,
                             Z_inverted, Z_local, omega_ring)
-from chromalg.series import (Series, SeriesCtx, SeriesRing, _exponents,
-                             _mul_dict, _mul_packed, _times, _unit_shift)
+from chromalg.series import Series, SeriesCtx, SeriesRing, _exponents, _mul_dict, _mul_packed
 
 from oracles import mul_loop_oracle
 
@@ -72,16 +74,35 @@ def density(a, b):
 
 
 def packs(a, b):
-    """Whether the contract packs a * b: a packed carrier (the callers'
-    concern), and a zero operand, a product of order >= P, a one-term
-    operand over scalars, or E_a * E_b >= S."""
-    if not a.terms or not b.terms or a.order() + b.order() >= a.ctx.prec:
-        return True
-    if not isinstance(a.ctx.ring, (SeriesRing, QuotientExtension)) and (
-            len(a.terms) == 1 or len(b.terms) == 1):
+    """Whether the contract packs a * b: never with an operand of at most one
+    term, on any carrier (a one-term factor is a shift and a scale); else a
+    packed carrier (the callers' concern), and a product of order >= P, or
+    E_a * E_b >= S."""
+    if len(a.terms) <= 1 or len(b.terms) <= 1:
+        return False
+    if a.order() + b.order() >= a.ctx.prec:
         return True
     products, slots = density(a, b)
     return products >= slots
+
+
+def traced_product(a, b):
+    """a * b, and whether Series.__mul__ ran the packed product on a and b
+    themselves, not on their coefficients."""
+    packed = []
+    real = series_module._mul_packed
+
+    def spy(x, y):
+        out = real(x, y)
+        if x.ctx.ring is a.ctx.ring:
+            packed.append(out is not None)
+        return out
+    series_module._mul_packed = spy
+    try:
+        prod = a * b
+    finally:
+        series_module._mul_packed = real
+    return prod, packed == [True]
 
 
 # -- scalars ------------------------------------------------------------------
@@ -124,15 +145,20 @@ def tower_series(draw, ctx, elems, inner_prec=None):
 
 
 def check_packed(a, b):
-    """The packed product ran exactly when the density rule asks for it, and
-    it equals the loop, as do a * b and the grouped loop _mul_dict."""
+    """a * b equals the loop, and it ran the packed product exactly when the
+    contract packs it, so never with a one-term operand.  With two or more
+    terms in each operand, the grouped loop _mul_dict and the packed product,
+    when it runs, equal the loop too."""
     want = exact(mul_loop_oracle(a, b))
-    assert exact(_mul_dict(a, b)) == want
-    got = _mul_packed(a, b)
-    assert (got is not None) == packs(a, b)
-    if got is not None:
-        assert exact(got) == want
-    assert exact(a * b) == want
+    prod, packed = traced_product(a, b)
+    assert exact(prod) == want
+    assert packed == packs(a, b)
+    if len(a.terms) > 1 and len(b.terms) > 1:
+        assert exact(_mul_dict(a, b)) == want
+        got = _mul_packed(a, b)
+        assert (got is not None) == packed
+        if got is not None:
+            assert exact(got) == want
 
 
 # -- one level ----------------------------------------------------------------
@@ -258,8 +284,9 @@ def test_lower_precision_inner_coefficients_take_the_loop(name, data, prec):
     b = data.draw(tower_series(ctx, elems))
     if a.is_zero() or b.is_zero():
         return
-    assert _mul_packed(a, b) is None
-    assert exact(a * b) == exact(mul_loop_oracle(a, b))
+    prod, packed = traced_product(a, b)
+    assert not packed
+    assert exact(prod) == exact(mul_loop_oracle(a, b))
 
 
 def test_packed_tower_reads_a_partial_last_block():
@@ -528,14 +555,22 @@ UNIT = {**HIGH, **MULTI,
 SHIFTS = {"Z", "F2", "F3", "Z/8", "Z/2^64", "Z/8[[b]]", "Z[[b]]<1>"}
 
 
+def shifted(prod, e, s, ones):
+    """Whether each term of s that prod keeps is, moved by e, the object of s
+    itself or one of the objects in ones: a shift, not a product."""
+    top = prod.ctx.prec - sum(e)
+    return [any(prod.terms[tuple(x + y for x, y in zip(e, f))] is w for w in (v, *ones))
+            for f, v in s.terms.items() if sum(f) < top]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(UNIT))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_unit_monomial_products_match_loop(name, n, data):
-    """x^e times a series, on either side, through Series.__mul__ and
-    _times: the loop's values and Python types, and an exponent shift
-    exactly on the carriers whose one is the int 1."""
+    """x^e times a series, on either side: the loop's values and Python
+    types, and an exponent shift, which returns the other factor's own
+    coefficients, exactly on the carriers whose one is the int 1."""
     R, elems = UNIT[name]
     P = data.draw(st.integers(1, (12, 7, 5)[n - 1]))
     ctx = SeriesCtx(R, ("x", "y", "z")[:n], P)
@@ -544,36 +579,106 @@ def test_unit_monomial_products_match_loop(name, n, data):
     s = data.draw(multi_series(ctx, elems))
     want = exact(mul_loop_oracle(mono, s))
     for a, b in ((mono, s), (s, mono)):
-        assert exact(a * b) == want
-        assert exact(_times(a, b)) == want
-        shifted = _unit_shift(a, b)
-        assert (shifted is not None) == (name in SHIFTS)
-        if shifted is not None:
-            assert exact(shifted) == want
+        prod = a * b
+        assert exact(prod) == want
+        # when s is a one-term one too, either factor may be the one shifted
+        same = shifted(prod, e, s, mono.terms.values())
+        assert all(same) if name in SHIFTS else not any(same)
 
 
 @pytest.mark.parametrize("name", ["Z/8[[b]]", "Z[[b]]<1>"])
 @SETTINGS
 @given(data=st.data(), prec=st.integers(1, 8))
 def test_unit_monomial_declines_coefficients_at_another_context(name, data, prec):
-    """Over R[[b]] the shift keeps each coefficient as it is, so it declines
+    """Over R[[b]] a shift keeps each coefficient as it is, so there is none
     when a coefficient, of either factor, is not at the ring's own context:
-    the loop truncates it to the lower b-precision."""
+    the loop truncates it to the lower b-precision, and refuses a
+    coefficient in another variable."""
     R, elems = TOWERS[name]
     ctx = SeriesCtx(R, ("x",), prec)
-    # another coefficient context: a lower b-precision, or at b-precision 1
-    # another variable
-    other = R.ctx.at_prec(R.prec - 1) if R.prec > 1 else SeriesCtx(R.base, ("c",), 1)
     e = data.draw(st.integers(0, prec - 1))
     mono = ctx.series({(e,): R.one()})
     if R.prec > 1:
         s = data.draw(tower_series(ctx, elems, inner_prec=R.prec - 1))
-        if not s.is_zero():
-            assert _unit_shift(mono, s) is None and _unit_shift(s, mono) is None
-        assert exact(mono * s) == exact(mul_loop_oracle(mono, s))
-    other_one = Series(ctx, {(e,): other.one()})
-    assert _unit_shift(other_one, ctx.one()) is None
-    assert _unit_shift(ctx.one(), other_one) is None
+        other_one = Series(ctx, {(e,): R.ctx.at_prec(R.prec - 1).one()})
+        for a, b in ((mono, s), (s, mono), (other_one, ctx.one()), (ctx.one(), other_one)):
+            prod = a * b
+            assert exact(prod) == exact(mul_loop_oracle(a, b))
+            assert not any(c is v for c in prod.terms.values()
+                           for v in (*a.terms.values(), *b.terms.values()))
+    else:
+        # at b-precision 1, a one in another variable
+        other_one = Series(ctx, {(e,): SeriesCtx(R.base, ("c",), 1).one()})
+        for a, b in ((other_one, ctx.one()), (ctx.one(), other_one)):
+            with pytest.raises(MixedVariablesError):
+                a * b
+
+
+# every carrier of this file: those above, coefficients at another
+# b-precision beside the ring's own, and the carriers that take the loop
+_Z8B, _QB = TOWERS["Z/8[[b]]"][0], TOWERS["Q[[b]]"][0]
+_half = QuotientExtension(QQ, (Fraction(1, 2), Fraction(0), Fraction(1)))
+_deep = SeriesRing(SeriesRing(ZZ, "c", 3), "b", 3)
+_poly = PolyRing(ZZ, ("a",))
+ANY = {**UNIT,
+       "Z/8[[b]](mixed)": (_Z8B, st.one_of(*(series(_Z8B.ctx.at_prec(p), SCALARS["Z/8"][1])
+                                             for p in (_Z8B.prec, _Z8B.prec - 1)))),
+       "Q[[b]](mixed)": (_QB, st.one_of(*(series(_QB.ctx.at_prec(p), _small_q)
+                                          for p in (_QB.prec, 2)))),
+       "half": (_half, st.tuples(_small_q, _small_q)),
+       "deep": (_deep, series(_deep.ctx, series(_deep.base.ctx, st.integers(-9, 9)))),
+       "PolyRing": (_poly, st.dictionaries(st.integers(0, 2), st.integers(-5, 5), max_size=3)
+                    .map(lambda d: _poly.poly({(k,): c for k, c in d.items()})))}
+
+
+@st.composite
+def one_term(draw, ctx, elems):
+    """c*x^e for any e below ctx.prec and any c: the zero series when c is 0."""
+    e = draw(st.sampled_from(exponents(len(ctx.vars), ctx.prec)))
+    return ctx.series({e: draw(elems)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ANY))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_term_products_match_loop(name, n, data):
+    """A one-term factor with any coefficient (or the zero series) times a
+    series or another one-term factor, on either side, and Series.scale by
+    any scalar: the loop's values and Python types, with products that
+    vanish, as over Z/8, dropped."""
+    R, elems = ANY[name]
+    P = data.draw(st.integers(1, (12, 7, 5)[n - 1]))
+    ctx = SeriesCtx(R, ("x", "y", "z")[:n], P)
+    t = data.draw(one_term(ctx, elems))
+    s = data.draw(st.one_of(multi_series(ctx, elems), one_term(ctx, elems)))
+    for a, b in ((t, s), (s, t)):
+        assert exact(a * b) == exact(mul_loop_oracle(a, b))
+    c = data.draw(elems)
+    want = exact(mul_loop_oracle(Series(ctx, {(0,) * n: c}), s))
+    assert exact(s.scale(c)) == want
+
+
+def test_one_term_zero_divisors_are_dropped():
+    """Over Z/8 and Z/8[[b]], 4 and 4 + 4b times a series whose even
+    coefficients make products that vanish: those terms are dropped, by
+    __mul__ on either side and by scale, as the loop drops them."""
+    z8 = SeriesCtx(ModularIntegers(8), ("x", "y"), 5)
+    zb = SeriesCtx(_Z8B, ("x",), 5)
+    four_b = _Z8B.ctx.series({(0,): 4, (1,): 4})
+    cases = [(z8, 4, z8.series({(0, 0): 2, (1, 0): 3, (0, 2): 6, (3, 1): 4})),
+             (zb, four_b, zb.series({(0,): _Z8B.from_int(2), (1,): _Z8B.gen() + 1,
+                                     (3,): _Z8B.ctx.series({(0,): 6, (2,): 1})}))]
+    for ctx, c, s in cases:
+        for e in ((0,) * len(ctx.vars), (1,) + (0,) * (len(ctx.vars) - 1)):
+            t = ctx.series({e: c})
+            for a, b in ((t, s), (s, t)):
+                prod = a * b
+                assert exact(prod) == exact(mul_loop_oracle(a, b))
+                assert len(prod.terms) < len(s.terms)
+        scaled = s.scale(c)
+        assert exact(scaled) == exact(mul_loop_oracle(ctx.const(c), s))
+        assert len(scaled.terms) < len(s.terms)
 
 
 def test_unit_monomial_product_makes_no_coefficient_products(monkeypatch):
