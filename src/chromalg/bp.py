@@ -20,8 +20,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import IntegralityFailure, TruncationError
-from .linalg import (f2_nullspace, f2_reduce, f2_rref, int_kernel, lattice_homology,
-                     p_local_structure, smith_normal_form, solve_int_exact)
+from .linalg import (f2_mask, f2_nullspace, f2_rank, f2_reduce, f2_rref, int_kernel,
+                     lattice_homology, p_local_structure, smith_normal_form, solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
 from .steenrod import bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims
@@ -180,11 +180,6 @@ def _span_columns(pring: PolyRing, gens: list[Poly], d: int) -> list[list[int]]:
     return cols
 
 
-def _f2_mask(col: list[int]) -> int:
-    """An integer column mod 2, as a bitmask."""
-    return sum(1 << i for i, v in enumerate(col) if v & 1)
-
-
 @dataclass
 class RegularityReport:
     regular: bool
@@ -256,12 +251,12 @@ def _kernel_f2(pring, prefix, s, N):
 
     def ideal(d):
         if d not in ideals:
-            ideals[d] = f2_rref([_f2_mask(c) for c in _span_columns(pring, gens, d)])
+            ideals[d] = f2_rref([f2_mask(c) for c in _span_columns(pring, gens, d)])
         return ideals[d]
 
     e = s.wdegree() or 0
     for d in range(N + 1):
-        cols = [f2_reduce(*ideal(d + e), _f2_mask(c)) for c in _mult_columns(pring, s, d)]
+        cols = [f2_reduce(*ideal(d + e), f2_mask(c)) for c in _mult_columns(pring, s, d)]
         for vec in f2_nullspace(cols, len(cols)):
             if f2_reduce(*ideal(d), vec):
                 mono = _monomials(pring.weights, d)[(vec & -vec).bit_length() - 1]
@@ -360,7 +355,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
         diffs = [[]] + [diff_matrix_int(s, basis[s], basis[s - 1])
                         for s in range(1, r + 1)] + [[]]
         if char:
-            rk = [len(f2_rref([_f2_mask(col) for col in cols])[0]) for cols in diffs]
+            rk = [f2_rank(cols) for cols in diffs]
         for s in range(r + 1):
             n_s = len(basis[s])
             if not n_s:

@@ -7,17 +7,18 @@ over the rationalized coefficient ring (fgl_log).  On a curve law it is the
 curve's logarithm (elliptic.curve_log) in the variable x.
 
 Quotients follow a torsion-free route: the kernel point is located exactly on
-a characteristic-zero lift (curve chord geometry or the closed conic form),
-the quotient law is assembled through logarithms, 2-integrality is asserted,
-and only then is everything reduced back.  On a curve lift the isogeny and
-the log (elliptic.sum_with_point with the 2-torsion point, elliptic.curve_log)
-read one w-series at the output precision.  All heavy lifting is univariate:
-law_from_log reads exp(lam(x) + lam(y)) from the Lie series of the invariant
-vector field 1/lam' d/dx, with no reversion of lam and no bivariate
-composition.
-Only the laws that quotient_by_subgroup accepts carry that lift as their
-origin: two_adic_family_fgl its Q[[b]] curve (CurveOrigin), conic_fgl its
-rational parameters (ConicOrigin).  The family curve's lift is the same
+a characteristic-zero lift (the family curve's chord geometry or the closed
+conic form), the quotient law is assembled through logarithms, 2-integrality
+is asserted, and only then is everything reduced back.  On the family curve
+the isogeny and the log (elliptic.sum_with_point with the 2-torsion point,
+elliptic.curve_log) read one w-series at the output precision.  All heavy
+lifting is univariate: law_from_log reads exp(lam(x) + lam(y)) from the Lie
+series of the invariant vector field 1/lam' d/dx, with no reversion of lam
+and no bivariate composition.
+Only the laws that quotient_by_subgroup accepts carry an origin, one for
+each kind of lift: two_adic_family_fgl the b-precision of its lift, the
+family curve y^2 + xy + by = x^3 over Q[[b]] (FamilyOrigin), and conic_fgl
+its rational parameters (ConicOrigin).  The family curve's lift is the same
 rational object for every 2-adic modulus, so, like the universal law below,
 it is built once per process: the memo keeps the lift of the largest
 b-precision and x-precision asked for, and a smaller request truncates it,
@@ -35,11 +36,12 @@ The chord runs once per process on the chart A = 1, B = b over
 Z[[b]]/(b^m), m = (N - 1)//3 + 1, where series products pack, and is
 memoised at the largest total degree asked for.  Each coefficient is
 weight-homogeneous of weight d = i + j - 1 (|A| = 1, |B| = 3), so its
-chart value sum n_k b^k fixes it: universal_family_law rehomogenises it
-as sum n_k A^(d - 3k) B^k.  That is exact, since b-degrees stay <= d/3 < m.
-Every family member over another ring is the image under (A, B) -> (a, b),
-read from the chart integers as sum n_k a^(d - 3k) b^k (family_law;
-Silverman, The Arithmetic of Elliptic Curves, IV.1-2).
+chart value sum n_k b^k fixes it.  Every family member is the image under
+(A, B) -> (a, b), read from the chart integers as sum n_k a^(d - 3k) b^k
+(family_law; Silverman, The Arithmetic of Elliptic Curves, IV.1-2).  The
+universal law itself is that image at (a, b) = (A, B) over Z[A, B]
+(universal_family_law), the rehomogenisation sum n_k A^(d - 3k) B^k, exact
+since b-degrees stay <= d/3 < m.
 two_adic_family_fgl and family_fgl_at are such images, and so is the
 s-derivative that recognize_in_family needs: the law over the dual numbers
 R[eps]/(eps^2) at B = s + eps carries dF_s/ds as its eps-coordinate.  The
@@ -72,17 +74,15 @@ from .errors import (AlgebraError, HeightExceedsPrecision,
                      PreparationFailed, QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
-from .poly import Poly
-from .rings import (ModularIntegers, PrimeField, QQ, QuotientExtension, Rationals, Ring,
-                    ZZ)
+from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
 from .series import Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
 # -- the law object ------------------------------------------------------------
 
 @dataclass
-class CurveOrigin:
-    lift_curve: WeierstrassCurve          # over a Q-algebra carrier
+class FamilyOrigin:
+    bprec: int          # the lift is y^2 + xy + by = x^3 over Q[[b]]/(b^bprec)
 
 
 @dataclass
@@ -236,8 +236,8 @@ def _weighted_terms(e: tuple, s: Series) -> list:
 
 def universal_family_law(N: int) -> Series:
     """The law of y^2 + A xy + B y = x^3 over Z[A, B] (|A| = 1, |B| = 3) to
-    total degree N, in ("x", "y"): the chart law (_chart_law) with each
-    coefficient sum n_k b^k rehomogenised as sum n_k A^(d - 3k) B^k,
+    total degree N, in ("x", "y"): family_law at (A, B), which rehomogenises
+    each chart coefficient sum n_k b^k as sum n_k A^(d - 3k) B^k,
     d = i + j - 1 at x^i y^j.
 
     Exact: the coefficient at x^i y^j is weight-homogeneous of weight d
@@ -247,8 +247,7 @@ def universal_family_law(N: int) -> Series:
     injective on weight d, and that image has b-degree <= d/3 <= (N - 1)/3
     < m, which Z[b] -> Z[[b]]/(b^m) keeps."""
     _, P = universal_gamma1_3()
-    return Series(SeriesCtx(P, ("x", "y"), N + 1),
-                  {e: Poly(P, dict(_weighted_terms(e, s))) for e, s in _chart_law(N).items()})
+    return family_law(P, P.gen("A"), P.gen("B"), N)
 
 
 def universal_family_fgl(N: int) -> FormalGroupLaw:
@@ -287,12 +286,10 @@ def family_law(ring: Ring, a, b, N: int) -> Series:
 
 def two_adic_family_fgl(k: int, bprec: int, xprec: int) -> FormalGroupLaw:
     """The ordinary-locus family law (A = 1, B = b) over Z/2^k[[b]], carrying
-    its exact Q[[b]] lift for quotient work."""
+    the b-precision of its exact Q[[b]] lift for quotient work."""
     ring_k = SeriesRing(ModularIntegers(2 ** k), "b", bprec)
-    ring_q = SeriesRing(QQ, "b", bprec)
-    E_q = gamma1_3_curve(ring_q, ring_q.one(), ring_q.gen())
     F = family_law(ring_k, ring_k.one(), ring_k.gen(), xprec)
-    return make_fgl(F, CurveOrigin(E_q))
+    return make_fgl(F, FamilyOrigin(bprec))
 
 
 def family_fgl_at(ring: SeriesRing, param: Series, xprec: int,
@@ -676,8 +673,14 @@ def _divides_two_series(F: FormalGroupLaw, two: Series, alpha) -> bool:
     alpha: a term a_k x^k of [2](x) with k >= F.prec moves g(-alpha) by
     a_k alpha^(k-1), of valuation at least F.prec - 1."""
     R = F.ring
-    g = Series(two.ctx.at_prec(two.prec - 1), {(k - 1,): c for (k,), c in two.terms.items()})
-    rem = g.eval_scalars({"x": R.neg(alpha)})
+    t = R.neg(alpha)
+    # g(t) by Horner's rule, one product per degree of g
+    top = max((k for (k,) in two.terms), default=1)
+    rem = two.ucoeff(top)
+    for k in range(top - 1, 0, -1):
+        rem = R.mul(rem, t)
+        if (k,) in two.terms:
+            rem = R.add(rem, two.terms[(k,)])
     return _two_b_valuation(rem, R) >= min(F.prec - 1, _nilpotency(R))
 
 
@@ -733,18 +736,19 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     series.
 
     The family curve y^2 + xy + by = x^3 over Q[[b]]/(b^m), the lift of
-    two_adic_family_fgl, has one lift for every 2-adic modulus, so it is
-    built once per process (_family_lift_data): the memo keeps the lift
-    (f, tau, Fbar) of the largest (m, P) built so far, serves a request at
-    or below it in both coordinates by truncation in b and in x, and
-    rebuilds at the componentwise maximum otherwise.  Truncation in x is
+    two_adic_family_fgl (FamilyOrigin(m)), has one lift for every 2-adic
+    modulus, so it is built once per process (_family_lift_data): the memo
+    keeps the lift (f, tau, Fbar) of the largest (m, P) built so far, serves
+    a request at or below it in both coordinates by truncation in b and in
+    x, and rebuilds at the componentwise maximum otherwise.  Truncation in x is
     the contract above.  Truncation in b is exact because
     Q[[b]]/(b^M) -> Q[[b]]/(b^m) is a ring map and every step of the lift is
     ring arithmetic, the inverse of a unit or a division by a nonzero
     integer; the 2-torsion point is the unique Newton root, by Hensel's
-    lemma, since B'(-1/4) = 1/4 + 2b is a unit.  Every other origin builds
-    its own lift.  The checks below (2-integrality, the kernel point and the
-    isogeny identity) run on every call, served from the memo or not."""
+    lemma, since B'(-1/4) = 1/4 + 2b is a unit.  A conic origin builds its
+    own lift from the closed form.  The checks below (2-integrality, the
+    kernel point and the isogeny identity) run on every call, served from the
+    memo or not."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
@@ -802,18 +806,16 @@ def _modulus_bits(R: Ring) -> int:
 def _quotient_lift(origin, P: int):
     """(f, tau, Fbar) over the origin's Q-algebra, exact below x^P: the
     isogeny, the kernel point and the quotient law exp(lam x + lam y) for
-    lam = 2 L(f^-1).  The family curve's lift comes from _family_lift_data."""
-    if isinstance(origin, CurveOrigin):
-        if _is_family_curve(origin.lift_curve):
-            return _family_lift_data(origin.lift_curve.ring, P)
-        f, tau, L = _curve_isogeny_data(origin.lift_curve, P)
-    elif isinstance(origin, ConicOrigin) and origin.b is not None:
+    lam = 2 L(f^-1).  A FamilyOrigin is served by _family_lift_data, a
+    ConicOrigin from the closed form."""
+    if isinstance(origin, FamilyOrigin):
+        return _family_lift_data(origin.bprec, P)
+    if isinstance(origin, ConicOrigin) and origin.b is not None:
         f, tau, L = _conic_isogeny_data(origin.b, origin.c, P)
-    else:
-        raise QuotientPrecisionError(
-            "no torsion-free lift attached to this law; build it from a curve "
-            "or conic constructor")
-    return f, tau, _quotient_law(f, L, P)
+        return f, tau, _quotient_law(f, L, P)
+    raise QuotientPrecisionError(
+        "no torsion-free lift attached to this law; build it with "
+        "two_adic_family_fgl or conic_fgl")
 
 
 def _quotient_law(f: Series, L: Series, P: int) -> Series:
@@ -825,34 +827,26 @@ def _quotient_law(f: Series, L: Series, P: int) -> Series:
 _family_lift = None     # (f, tau, Fbar) of the family curve, the largest built so far
 
 
-def _is_family_curve(E: WeierstrassCurve) -> bool:
-    """Whether E is y^2 + xy + by = x^3 over Q[[b]]/(b^m), the lift that
-    two_adic_family_fgl attaches."""
-    R = E.ring
-    return (isinstance(R, SeriesRing) and isinstance(R.base, Rationals)
-            and R.eq(E.a1, R.one()) and R.eq(E.a3, R.gen())
-            and all(R.is_zero(a) for a in (E.a2, E.a4, E.a6)))
-
-
-def _family_lift_data(S: SeriesRing, P: int):
-    """_quotient_lift of y^2 + xy + by = x^3 over S = Q[[b]]/(b^m) below x^P.
-    Built once per process: the memo keeps the lift of the largest (m, P)
-    built so far, a request at or below it in both coordinates truncates it
-    in b and in x, and any other rebuilds it at the componentwise maximum.
-    Each call returns fresh series."""
+def _family_lift_data(bprec: int, P: int):
+    """_quotient_lift of y^2 + xy + by = x^3 over S = Q[[b]]/(b^bprec) below
+    x^P.  Built once per process: the memo keeps the lift of the largest
+    (b-precision, P) built so far, a request at or below it in both
+    coordinates truncates it in b and in x, and any other rebuilds it at the
+    componentwise maximum.  Each call returns fresh series."""
     global _family_lift
     have = (0, 0) if _family_lift is None else (_family_lift[0].ctx.ring.prec,
                                                   _family_lift[2].prec)
-    m, top = max(S.prec, have[0]), max(P, have[1])
+    m, top = max(bprec, have[0]), max(P, have[1])
     if (m, top) != have:
         R = SeriesRing(QQ, "b", m)
         f, tau, L = _curve_isogeny_data(gamma1_3_curve(R, R.one(), R.gen()), top)
         _family_lift = f, tau, _quotient_law(f, L, top)
     f, tau, Fbar = _family_lift
+    S = SeriesRing(QQ, "b", bprec)
 
     def cut(c: Series) -> Series:
-        """The image of c under Q[[b]]/(b^m') -> S = Q[[b]]/(b^m), m <= m'."""
-        return Series(S.ctx, {e: v for e, v in c.terms.items() if e[0] < S.prec})
+        """The image of c under Q[[b]]/(b^m') -> S, bprec <= m'."""
+        return Series(S.ctx, {e: v for e, v in c.terms.items() if e[0] < bprec})
 
     return (f.truncate(P).map_coefficients(cut, S), cut(tau),
             Fbar.truncate(P).map_coefficients(cut, S))

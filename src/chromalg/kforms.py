@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .elliptic import gamma1_3_curve, invariants, transform, curves_equal
 from .fgl import conic_discriminant
-from .linalg import f2_rref, int_kernel, lattice_homology
+from .linalg import f2_rank, int_kernel, lattice_homology
 from .poly import PolyRing
 from .rings import (PrimeField, QuotientExtension, Ring, omega_ring,
                     sqrt_minus3)
@@ -94,9 +94,7 @@ def c2_f2_cohomology(M: list[list[int]]):
     if any(sum(norm[k][i] * c for k, c in enumerate(col)) % 2
            for col in sm1 for i in range(n)):
         raise ValueError("not a C_2 action mod 2: Norm (sigma - 1) != 0")
-    rk = [len(f2_rref([sum(1 << i for i, v in enumerate(col) if v % 2) for col in cols])[0])
-          for cols in (norm, sm1)]
-    dim = n - rk[0] - rk[1]
+    dim = n - f2_rank(norm) - f2_rank(sm1)
     return {"H1": (0, [2] * dim), "H2": (0, [2] * dim)}
 
 

@@ -1,14 +1,15 @@
 """Exact linear algebra backends.
 
 Three levels, each used where it fits:
-  * GF(2) matrices as lists of int bitmasks (fast rref / solve / nullspace);
-  * generic row reduction over any field-like Ring (Fractions, F_p, quotient
+  * GF(2) matrices as lists of int bitmasks (fast rref / solve / nullspace),
+    with integer columns read mod 2 by f2_mask and ranked by f2_rank;
+  * generic row reduction over any field-like Ring (rings.QQ, F_p, quotient
     fields);
   * integer lattice routines (saturated kernel via row HNF, Smith normal form)
     for homology over Z localized at a prime.
 
 `lattice_homology` is the one reading of ker/im over Z: the saturated kernel,
-the image written in its basis by the field solve over Fractions (no solve
+the image written in its basis by the field solve over rings.QQ (no solve
 when the kernel map is zero and the kernel is Z^n), and the Smith invariants
 of that image.  The Koszul Tor (`bp.koszul_tor`) and the
 C_2 cohomology (`kforms.c2_lattice_cohomology`) both call it and differ only
@@ -23,9 +24,8 @@ the first unit, which is the row-major-first minimum the full scan would pick.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IntegralityFailure
+from .rings import QQ
 
 
 # -- GF(2), rows as bitmasks ---------------------------------------------------
@@ -47,6 +47,16 @@ def f2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
             basis.append(r)
             pivots.append(p)
     return basis, pivots
+
+
+def f2_mask(col: list[int]) -> int:
+    """An integer column mod 2, as a bitmask."""
+    return sum(1 << i for i, v in enumerate(col) if v & 1)
+
+
+def f2_rank(columns: list[list[int]]) -> int:
+    """The rank over GF(2) of integer columns read mod 2."""
+    return len(f2_rref([f2_mask(col) for col in columns])[0])
 
 
 def f2_reduce(basis: list[int], pivots: list[int], v: int) -> int:
@@ -301,7 +311,7 @@ def lattice_homology(kernel_of: list[list[int]], n: int,
         return n, (smith_normal_form([list(col) for col in image_of]) if image_of else [])
     ker = int_kernel(kernel_of, n)
     rel = []
-    for coords in FieldOps(_FractionField()).solve_many(ker, image_of):
+    for coords in FieldOps(QQ).solve_many(ker, image_of):
         if coords is None or any(v.denominator != 1 for v in coords):
             raise IntegralityFailure("image not contained in the saturated kernel")
         rel.append([int(v) for v in coords])
@@ -332,34 +342,3 @@ def solve_int_exact(columns: list[list[int]], target: list[int]):
             resid = [a - q * b for a, b in zip(resid, row)]
             x = [a + q * b for a, b in zip(x, row[height:])]
     return x if not any(resid) else None
-
-
-class _FractionField:
-    char = 0
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def inv(self, a):
-        return Fraction(1, a)

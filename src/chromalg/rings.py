@@ -200,6 +200,9 @@ class Rationals(Ring):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def neg(self, a):
         return -a
 

@@ -405,19 +405,6 @@ class Series:
         h = _horner(s, rows, lambda i, p: s.ctx.at_prec(p).const(rows[i][()]))
         return first.embed(h.terms, prec)
 
-    def eval_scalars(self, values: dict):
-        """Total evaluation at ring scalars (use only for polynomial content
-        or where the argument is topologically small)."""
-        R = self.ctx.ring
-        out = R.zero()
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = R.mul(term, R.pow(values[self.ctx.vars[i]], k))
-            out = R.add(out, term)
-        return out
-
     # -- univariate helpers --------------------------------------------------
 
     def _univar(self):

@@ -1,7 +1,8 @@
 """Reference implementations kept only as test oracles.
 
 Each one is the plain algorithm that the library's faster version replaced:
-term-by-term composition, the homomorphism residual f(F) - G(f, f) as four
+total evaluation at scalars with a power per term, term-by-term
+composition, the homomorphism residual f(F) - G(f, f) as four
 such compositions, full-precision Newton inversion, degree-by-degree
 reversion, Newton reversion with two compositions per step, the
 fixed-point w-series at full precision, the chord law as the formal inverse
@@ -47,16 +48,16 @@ from fractions import Fraction
 from math import comb, gcd
 
 from chromalg import steenrod as st
-from chromalg.elliptic import compose_transforms, curves_equal, transform
+from chromalg.elliptic import compose_transforms, curves_equal, gamma1_3_curve, transform
 from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
                              RecognitionFailed)
-from chromalg.fgl import (CurveOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
+from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
                           _conic_isogeny_data, _family_b_direction, _formal_two_torsion,
                           family_fgl_at, family_law)
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
-from chromalg.rings import ModularIntegers, PrimeField, QuotientExtension, Ring
+from chromalg.rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
@@ -86,6 +87,21 @@ def mul_loop_oracle(a: Series, b: Series) -> Series:
             p = R.mul(c1, c2)
             out[e] = R.add(out[e], p) if e in out else p
     return Series(a.ctx.at_prec(prec), {e: c for e, c in out.items() if not R.is_zero(c)})
+
+
+def eval_scalars_oracle(s: Series, values: dict):
+    """Total evaluation of s at ring scalars, one per variable: each term's
+    coefficient times R.pow of each value to its exponent, summed by R.add
+    in the order of the terms."""
+    R = s.ctx.ring
+    out = R.zero()
+    for e, c in s.terms.items():
+        term = c
+        for v, k in zip(s.ctx.vars, e):
+            if k:
+                term = R.mul(term, R.pow(values[v], k))
+        out = R.add(out, term)
+    return out
 
 
 def compose_oracle(f: Series, subs: dict) -> Series:
@@ -287,8 +303,9 @@ def quotient_lift_oracle(F: FormalGroupLaw):
     oracle and the log oracle each build their own w-series."""
     out_prec = F.prec
     work = out_prec + 4
-    if isinstance(F.origin, CurveOrigin):
-        EQ = F.origin.lift_curve
+    if isinstance(F.origin, FamilyOrigin):
+        Rq = SeriesRing(QQ, "b", F.origin.bprec)
+        EQ = gamma1_3_curve(Rq, Rq.one(), Rq.gen())
         x0, y0 = _formal_two_torsion(EQ)
         s = sum_with_point_oracle(EQ, x0, y0, work).rename(("x",))
         tau = s.constant_term()

@@ -1,8 +1,12 @@
 """Every BENCH_*.json at the repository root is a benchmark record that can
-be read back: it parses, names its parent commit and command, claims a
-workload and a metric that BENCHMARK.json declares, and holds the runs'
-per-workload figures.  BENCHMARK.json is only read."""
+be read back: it parses, names its parent commit and command, and holds the
+runs' per-workload figures.  A record that claims a gain names a workload and
+a metric that BENCHMARK.json declares and has both sides' medians for it; a
+record with "claim": null, which claims no gain, has both sides' medians for
+every end-to-end metric on every workload of BENCHMARK.json.  BENCHMARK.json
+is only read."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -10,13 +14,44 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+SIDES = ("parent", "change")
 
 
 def declared():
-    """(workload names, metric names) of BENCHMARK.json."""
+    """(workload names, end-to-end metric names, all metric names) of
+    BENCHMARK.json."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return ({w["name"] for w in bench["workloads"]},
-            {m["name"] for m in bench["end_to_end"] + bench["per_layer"]})
+    end_to_end = {m["name"] for m in bench["end_to_end"]}
+    return ({w["name"] for w in bench["workloads"]}, end_to_end,
+            end_to_end | {m["name"] for m in bench["per_layer"]})
+
+
+def check_record(rec: dict):
+    """AssertionError unless rec is a readable record (module docstring)."""
+    workloads, end_to_end, metrics = declared()
+    assert isinstance(rec["parent_commit"], str) and rec["parent_commit"]
+    assert isinstance(rec["command"], str) and rec["command"]
+    runs = rec["runs"]
+    assert isinstance(runs, list) and runs
+    for run in runs:
+        assert run["workloads"] and set(run["workloads"]) <= workloads
+    claim = rec["claim"]
+    if claim is None:
+        for run in runs:
+            assert set(run["workloads"]) == workloads
+            for figures in run["workloads"].values():
+                for metric in end_to_end:
+                    for side in SIDES:
+                        assert isinstance(figures[metric][side]["median"], (int, float))
+        return
+    assert claim["workload"] in workloads
+    assert claim["metric"] in metrics
+    claimed = [run["workloads"][claim["workload"]] for run in runs
+               if claim["workload"] in run["workloads"]]
+    assert claimed
+    for figures in claimed:
+        for side in SIDES:
+            assert isinstance(figures[claim["metric"]][side]["median"], (int, float))
 
 
 def test_the_records_are_found():
@@ -25,20 +60,28 @@ def test_the_records_are_found():
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_a_record_carries_its_claim_and_runs(path):
-    rec = json.loads(path.read_text())
-    workloads, metrics = declared()
-    assert isinstance(rec["parent_commit"], str) and rec["parent_commit"]
-    assert isinstance(rec["command"], str) and rec["command"]
-    claim = rec["claim"]
-    assert claim["workload"] in workloads
-    assert claim["metric"] in metrics
-    runs = rec["runs"]
-    assert isinstance(runs, list) and runs
-    for run in runs:
-        assert run["workloads"] and set(run["workloads"]) <= workloads
-    claimed = [run["workloads"][claim["workload"]] for run in runs
-               if claim["workload"] in run["workloads"]]
-    assert claimed
-    for figures in claimed:
-        for side in ("parent", "change"):
-            assert isinstance(figures[claim["metric"]][side]["median"], (int, float))
+    check_record(json.loads(path.read_text()))
+
+
+def _no_claim_record() -> dict:
+    """A complete record that claims no gain."""
+    workloads, end_to_end, _ = declared()
+    figures = {m: {side: {"median": 1.0} for side in SIDES} for m in end_to_end}
+    return {"parent_commit": "p", "command": "c", "claim": None,
+            "runs": [{"workloads": {w: copy.deepcopy(figures) for w in workloads}}]}
+
+
+def test_a_record_without_a_claim_needs_every_end_to_end_median():
+    """Negative controls: a no-gain record that drops a workload, a metric or
+    one side's median is refused; the complete one passes."""
+    check_record(_no_claim_record())
+    workloads, end_to_end, _ = declared()
+    w, m = sorted(workloads)[0], sorted(end_to_end)[0]
+    for cut in (lambda rec: rec["runs"][0]["workloads"].pop(w),
+                lambda rec: rec["runs"][0]["workloads"][w].pop(m),
+                lambda rec: rec["runs"][0]["workloads"][w][m].pop("change"),
+                lambda rec: rec["runs"][0]["workloads"][w][m]["parent"].update(median=None)):
+        rec = _no_claim_record()
+        cut(rec)
+        with pytest.raises((AssertionError, KeyError)):
+            check_record(rec)

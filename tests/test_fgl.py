@@ -341,6 +341,69 @@ def test_kernel_check_certifies_alpha_to_valuation_prec_minus_one():
         fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d), R, F.prec))
 
 
+def _random_scalar(R, rng):
+    """An element of Z/m, or of Z/m[[b]] with every digit drawn."""
+    if isinstance(R, SeriesRing):
+        return R.ctx.series({(i,): rng.randrange(R.base.m) for i in range(R.prec)})
+    return rng.randrange(R.m)
+
+
+def _family_over_f2(bprec: int, xprec: int) -> fgl.FormalGroupLaw:
+    R = SeriesRing(PrimeField(2), "b", bprec)
+    return fgl.make_fgl(fgl.family_law(R, R.one(), R.gen(), xprec))
+
+
+HORNER_LAWS = {
+    "Z/8": lambda: fgl.conic_fgl(ModularIntegers(8), 1, 1, 9),
+    "Z/4[[b]]": lambda: fgl.two_adic_family_fgl(2, 4, 8),
+    "Z/16[[b]]": lambda: fgl.two_adic_family_fgl(4, 3, 7),
+    "F_2[[b]]": lambda: _family_over_f2(5, 8),
+}
+
+
+@pytest.mark.parametrize("law", HORNER_LAWS)
+def test_divides_two_series_matches_per_term_evaluation(monkeypatch, law):
+    """Differential test of the Horner evaluation in _divides_two_series:
+    g(-alpha), g = [2](x)/x, equals the per-term evaluation of
+    oracles.eval_scalars_oracle, and so does the verdict read from it, for
+    the law's own [2](x) and for random series with zero constant term, at
+    alpha = 0, the unit 1 (where every term of g counts), the canonical
+    alpha and random alphas.  One call makes at most deg g products in the
+    ring."""
+    F = HORNER_LAWS[law]()
+    R = F.ring
+    rng = random.Random(31)
+    valuation, seen = fgl._two_b_valuation, []
+    monkeypatch.setattr(fgl, "_two_b_valuation", lambda v, R: seen.append(v) or valuation(v, R))
+    products = [0]
+    mul = R.mul
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(R, "mul", counted)
+    alphas = [R.zero(), R.one(), fgl.canonical_subgroup(F).alpha] + \
+        [_random_scalar(R, rng) for _ in range(4)]
+    ctx = F.two_series().ctx
+    twos = [F.two_series()] + [
+        ctx.series({(k,): _random_scalar(R, rng) for k in range(1, F.prec)
+                    if rng.random() < 0.7}) for _ in range(6)]
+    verdicts = set()
+    for two in twos:
+        deg = max((k for (k,) in two.terms), default=1) - 1
+        g = Series(ctx.at_prec(F.prec - 1), {(k - 1,): c for (k,), c in two.terms.items()})
+        for alpha in alphas:
+            seen.clear()
+            products[0] = 0
+            got = fgl._divides_two_series(F, two, alpha)
+            assert products[0] <= deg
+            want = oracles.eval_scalars_oracle(g, {"x": R.neg(alpha)})
+            assert R.eq(seen[0], want)
+            assert got == (valuation(want, R) >= min(F.prec - 1, fgl._nilpotency(R)))
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_quotient_of_a_law_without_height_one_is_not_ordinary():
     Z8 = ModularIntegers(8)
     K = fgl.KernelPolynomial(2, Z8, 8)
@@ -402,9 +465,10 @@ def test_a_kernel_from_another_law_is_refused():
 
 def test_sum_with_point_working_precision_is_exact():
     """The chord with the 2-torsion point, from a w-series known below N and
-    with no working degree above N, gives what a wider run gives."""
-    F = fgl.two_adic_family_fgl(2, 4, 6)
-    E = F.origin.lift_curve
+    with no working degree above N, gives what a wider run gives, on the
+    family curve y^2 + xy + by = x^3 over Q[[b]]/(b^4)."""
+    Rq = SeriesRing(QQ, "b", 4)
+    E = elliptic.gamma1_3_curve(Rq, Rq.one(), Rq.gen())
     x0, y0 = fgl._formal_two_torsion(E)
 
     def exact(s):
@@ -642,30 +706,18 @@ def test_memo_returns_fresh_series(cold_lift):
     assert typed_result(quotient_of(2, 5, 7)) == want
 
 
-def other_curve_law(k: int, bprec: int, xprec: int) -> fgl.FormalGroupLaw:
-    """The family member at B = b + b^2 over Z/2^k[[b]], carrying its own
-    Q[[b]] curve: a CurveOrigin that is not the family curve."""
-    Rk, Rq = SeriesRing(ModularIntegers(2 ** k), "b", bprec), SeriesRing(QQ, "b", bprec)
-    Bk, Bq = (R.add(R.gen(), R.mul(R.gen(), R.gen())) for R in (Rk, Rq))
-    F = fgl.family_law(Rk, Rk.one(), Bk, xprec)
-    return fgl.make_fgl(F, fgl.CurveOrigin(elliptic.gamma1_3_curve(Rq, Rq.one(), Bq)))
-
-
 def test_only_the_family_curve_is_served_from_the_memo(cold_lift, monkeypatch):
-    """A curve that is not y^2 + xy + by = x^3, and a conic, run their own
-    lift: the memo is neither read nor written, and the lift still matches
-    the guarded oracle."""
+    """A conic runs its own lift: the memo is neither read nor written, and
+    the lift still matches the guarded oracle."""
     quotient_of(2, 6, 8)
     memo = fgl._family_lift
     calls = []
-    monkeypatch.setattr(fgl, "_family_lift_data", lambda S, P: calls.append((S, P)))
-    assert not fgl._is_family_curve(other_curve_law(2, 5, 7).origin.lift_curve)
-    for F in (other_curve_law(2, 5, 7), other_curve_law(3, 4, 6),
-              QUOTIENT_LAWS["conic Z/8"]()):
-        res = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
-        fgl_lift, isogeny_lift, _ = quotient_lift_oracle(F)
-        assert _typed(res.fgl_lift) == _typed(fgl_lift)
-        assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
+    monkeypatch.setattr(fgl, "_family_lift_data", lambda m, P: calls.append((m, P)))
+    F = QUOTIENT_LAWS["conic Z/8"]()
+    res = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
+    fgl_lift, isogeny_lift, _ = quotient_lift_oracle(F)
+    assert _typed(res.fgl_lift) == _typed(fgl_lift)
+    assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
     assert calls == [] and fgl._family_lift is memo
 
 

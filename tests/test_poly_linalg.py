@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import oracles
-from chromalg.linalg import (FieldOps, _FractionField, f2_nullspace, f2_rref,
-                             f2_solve, hnf_rows, int_kernel, p_local_structure,
-                             smith_normal_form, solve_int_exact)
+from chromalg.linalg import (FieldOps, f2_mask, f2_nullspace, f2_rank, f2_rref, f2_solve,
+                             hnf_rows, int_kernel, p_local_structure, smith_normal_form,
+                             solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
-from chromalg.rings import PrimeField, ZZ
+from chromalg.rings import PrimeField, QQ, ZZ
 
 
 def _homogeneous_part(f, d: int):
@@ -66,6 +66,18 @@ def test_f2_machinery():
     assert len(null) == 1 and null[0] == 0b111
 
 
+def test_f2_mask_and_rank_read_integer_columns_mod_2():
+    """Odd entries, negative ones too, set their bit; the rank is over GF(2),
+    so the integer-independent columns (1, 1) and (1, -1) have rank 1 and an
+    all-even column counts for nothing."""
+    assert f2_mask([3, -1, 2, 0, -4, 5]) == 0b100011
+    assert f2_rank([[1, 1], [1, -1]]) == 1
+    assert f2_rank([[2, 4], [0, -6]]) == 0
+    assert f2_rank([[1, 0, 1], [0, 1, 1], [1, 1, 0], [3, 2, 7]]) == 2
+    assert f2_rank([[1, 0, 1], [0, 1, 1], [1, 1, 1]]) == 3
+    assert f2_rank([]) == 0
+
+
 def test_int_kernel_saturated():
     # columns of the map (x, y) -> 2x + 2y: kernel generated by (1, -1), not (2, -2)
     ker = int_kernel([[2], [2]], 2)
@@ -97,12 +109,12 @@ def test_solve_int_exact_needs_no_integral_rational_solution():
 
 
 def test_fraction_field_inverse_is_exact():
-    inv = _FractionField().inv(3)
+    inv = QQ.inv(3)
     assert isinstance(inv, Fraction) and inv == Fraction(1, 3)
 
 
 def test_solve_many_on_int_system_is_exact():
-    sols = FieldOps(_FractionField()).solve_many([[3, 0], [0, 2]], [[1, 1], [6, 4]])
+    sols = FieldOps(QQ).solve_many([[3, 0], [0, 2]], [[1, 1], [6, 4]])
     assert sols == [[Fraction(1, 3), Fraction(1, 2)], [2, 2]]
     assert all(isinstance(v, (int, Fraction)) for x in sols for v in x)
 
@@ -158,7 +170,7 @@ def test_solve_many_matches_oracle(mat, data):
                for cs in coeffs]
     targets += data.draw(hs.lists(hs.lists(hs.integers(-3, 3), min_size=height,
                                            max_size=height), max_size=3))
-    for R, cast in ((_FractionField(), int), (PrimeField(5), lambda v: v % 5)):
+    for R, cast in ((QQ, int), (PrimeField(5), lambda v: v % 5)):
         C = [[cast(v) for v in col] for col in cols]
         T = [[cast(v) for v in t] for t in targets]
         got = FieldOps(R).solve_many(C, T)
