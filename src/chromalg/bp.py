@@ -19,12 +19,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .convert import reduce_scalar
 from .errors import IntegralityFailure, TruncationError
 from .linalg import (f2_mask, f2_nullspace, f2_rank, f2_reduce, f2_rref, int_kernel,
                      lattice_homology, p_local_structure, smith_normal_form, solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
-from .steenrod import bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims
+from .steenrod import (bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims,
+                       monomial_count_dims)
 
 
 # -- right unit ---------------------------------------------------------------
@@ -99,19 +101,14 @@ def right_unit(p: int, kmax: int) -> RightUnitTable:
 
 
 def reduce_poly_modulo(poly: Poly, p: int, kill_gens: tuple = ()) -> Poly:
-    """Image modulo (p, kill_gens): coefficients mod p, named generators -> 0."""
+    """Image modulo (p, kill_gens): named generators -> 0, each other
+    coefficient reduced mod p by `convert.reduce_scalar` (a rational with
+    denominator prime to p goes to its residue, any other raises
+    IntegralityFailure)."""
     P = poly.pring
-    F = PrimeField(p)
-    target = PolyRing(F, P.gens, P.weights)
     idx = [P.gens.index(g) for g in kill_gens]
-    out = {}
-    for e, c in poly.terms.items():
-        if any(e[i] for i in idx):
-            continue
-        v = int(c) % p
-        if v:
-            out[e] = v
-    return Poly(target, out)
+    kept = Poly(P, {e: c for e, c in poly.terms.items() if not any(e[i] for i in idx)})
+    return reduce_scalar(kept, PolyRing(PrimeField(p), P.gens, P.weights))
 
 
 # -- graded modules and sequences ---------------------------------------------
@@ -257,7 +254,7 @@ def _kernel_f2(pring, prefix, s, N):
     e = s.wdegree() or 0
     for d in range(N + 1):
         cols = [f2_reduce(*ideal(d + e), f2_mask(c)) for c in _mult_columns(pring, s, d)]
-        for vec in f2_nullspace(cols, len(cols)):
+        for vec in f2_nullspace(cols):
             if f2_reduce(*ideal(d), vec):
                 mono = _monomials(pring.weights, d)[(vec & -vec).bit_length() - 1]
                 return (d, f"class of {mono} at degree {d}")
@@ -370,10 +367,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
 
 def fp_poly_dims(weights: list[int], N: int) -> list[int]:
     """dims of F_p[t_i] by weighted-monomial count (independent of rref work)."""
-    out = [0] * (N + 1)
-    for d in range(N + 1):
-        out[d] = len(monomials_of_weighted_degree(tuple(weights), d))
-    return out
+    return monomial_count_dims(weights, [], N)
 
 
 def bp2_shadow_sequence(N: int):

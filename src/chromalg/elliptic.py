@@ -23,6 +23,11 @@ ell.formal-group-family runs the chord over Z[A, B] as its check.
 reduction_type reads the height from each fiber's own 2-series, all
 univariate, from that fiber's w-series.  Its claim is about particular
 fibers, so base change would make it agree with itself.
+
+Points need no group law beyond the tangent: three_torsion_check doubles P
+along its tangent line, and find_node reads a nodal fiber's node off the
+closed form x0 = (18 b6 - b2 b4)/c4 of the double root of
+4x^3 + b2 x^2 + 2 b4 x + b6.
 """
 
 from __future__ import annotations
@@ -302,12 +307,7 @@ def curve_log(E: WeierstrassCurve, N: int, w: Series | None = None) -> Series:
 
 # -- points --------------------------------------------------------------------
 
-INFINITY = None
-
-
 def on_curve(E: WeierstrassCurve, P) -> bool:
-    if P is INFINITY:
-        return True
     R = E.ring
     x, y = P
     a1, a2, a3, a4, a6 = E.coefficients()
@@ -317,54 +317,28 @@ def on_curve(E: WeierstrassCurve, P) -> bool:
     return R.eq(lhs, rhs)
 
 
-def point_neg(E: WeierstrassCurve, P):
-    if P is INFINITY:
-        return INFINITY
-    R = E.ring
-    x, y = P
-    return (x, R.neg(R.add(y, R.add(R.mul(E.a1, x), E.a3))))
-
-
-def point_add(E: WeierstrassCurve, P, Q):
-    if P is INFINITY:
-        return Q
-    if Q is INFINITY:
-        return P
-    R = E.ring
-    a1, a2, a3, a4, a6 = E.coefficients()
-    x1, y1 = P
-    x2, y2 = Q
-    if R.eq(x1, x2):
-        negP = point_neg(E, P)
-        if R.eq(y2, negP[1]):
-            return INFINITY
-        # doubling
-        num = R.add(R.scale_int(R.mul(x1, x1), 3),
-                    R.add(R.scale_int(R.mul(a2, x1), 2),
-                          R.sub(a4, R.mul(a1, y1))))
-        den = R.add(R.scale_int(y1, 2), R.add(R.mul(a1, x1), a3))
-    else:
-        num = R.sub(y2, y1)
-        den = R.sub(x2, x1)
-    lam = R.divide(num, den)
-    if lam is None:
-        raise NotInvertible("chord slope needs a division unavailable in this ring")
-    x3 = R.sub(R.add(R.mul(lam, lam), R.mul(a1, lam)),
-               R.add(a2, R.add(x1, x2)))
-    y3 = R.sub(R.mul(lam, R.sub(x1, x3)), R.add(y1, R.add(R.mul(a1, x3), a3)))
-    return (x3, y3)
-
-
 def three_torsion_check(E: WeierstrassCurve, P) -> bool:
-    """True iff [2]P = -P for an affine point P on E (so P has exact order 3)."""
+    """True iff [2]P = -P for an affine point P on E (so P has exact order 3),
+    by tangent doubling.  A vertical tangent, 2y + a1 x + a3 = 0, means
+    P = -P (order 2, or P singular): False.  Otherwise the tangent's slope
+    lam gives [2]P = (x3, y3), x3 = lam^2 + a1 lam - a2 - 2x and
+    y3 = lam (x - x3) - y - a1 x3 - a3; at x3 = x, y3 is the y of -P, so
+    [2]P = -P exactly when x3 = x."""
     if not on_curve(E, P):
         raise NotOnCurve(f"{P} does not satisfy the curve equation")
-    double = point_add(E, P, P)
-    neg = point_neg(E, P)
-    if double is INFINITY:
-        return False
     R = E.ring
-    return R.eq(double[0], neg[0]) and R.eq(double[1], neg[1])
+    a1, a2, a3, a4, a6 = E.coefficients()
+    x, y = P
+    den = R.add(R.scale_int(y, 2), R.add(R.mul(a1, x), a3))
+    if R.is_zero(den):
+        return False
+    num = R.add(R.scale_int(R.mul(x, x), 3),
+                R.add(R.scale_int(R.mul(a2, x), 2), R.sub(a4, R.mul(a1, y))))
+    lam = R.divide(num, den)
+    if lam is None:
+        raise NotInvertible("tangent slope needs a division unavailable in this ring")
+    x3 = R.sub(R.add(R.mul(lam, lam), R.mul(a1, lam)), R.add(a2, R.scale_int(x, 2)))
+    return R.eq(x3, x)
 
 
 # -- isomorphisms and automorphisms ---------------------------------------------
@@ -482,10 +456,13 @@ def automorphism_group(E: WeierstrassCurve) -> list:
     return out
 
 
-def transform_order(R: Ring, g, cap: int = 64) -> int:
+_ORDER_CAP = 64
+
+
+def transform_order(R: Ring, g) -> int:
     ident = (R.one(), R.zero(), R.zero(), R.zero())
     cur = g
-    for k in range(1, cap + 1):
+    for k in range(1, _ORDER_CAP + 1):
         if all(R.eq(a, b) for a, b in zip(cur, ident)):
             return k
         cur = compose_transforms(R, cur, g)
@@ -502,15 +479,6 @@ class NodalGroupLaw:
     b: object
     c: object
 
-    def multiply(self, t1, t2):
-        R = self.ring
-        num = R.sub(R.mul(t1, t2), self.c)
-        den = R.add(R.add(t1, t2), self.b)
-        q = R.divide(num, den)
-        if q is None:
-            raise NotInvertible("nodal law denominator not invertible at these inputs")
-        return q
-
     def as_fraction(self):
         """(numerator, denominator) polynomials in t, u over the base ring."""
         P = PolyRing(self.ring, ("t", "u"))
@@ -526,33 +494,11 @@ class NodeData:
     fgl_at_infinity: "object"  # FormalGroupLaw, import cycle avoided
 
 
-def _poly_gcd_univar(a: list, b: list, field) -> list:
-    """Monic gcd of coefficient lists (low first) over a field adapter."""
-    R = field
-
-    def norm(p):
-        while p and R.is_zero(p[-1]):
-            p.pop()
-        return p
-
-    a, b = norm(list(a)), norm(list(b))
-    while b:
-        # a mod b
-        inv_lead = R.inv(b[-1])
-        while len(a) >= len(b) and a:
-            f = R.mul(a[-1], inv_lead)
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] = R.sub(a[shift + i], R.mul(f, bc))
-            norm(a)
-        a, b = b, a
-    inv_lead = R.inv(a[-1])
-    return [R.mul(c, inv_lead) for c in a]
-
-
 def find_node(E: WeierstrassCurve):
-    """Singular point of a nodal curve: double root of 4x^3 + b2 x^2 + 2 b4 x + b6
-    in characteristic 0; exhaustive search over finite fields."""
+    """Singular point of a nodal curve.  In characteristic 0, x0 is the double
+    root of 4x^3 + b2 x^2 + 2 b4 x + b6, which on a nodal fiber (c4 != 0) has
+    the closed form x0 = (18 b6 - b2 b4)/c4, and y0 = -(a1 x0 + a3)/2; over
+    finite fields, exhaustive search."""
     R = E.ring
     inv = invariants(E)
     if not R.is_zero(inv.disc):
@@ -561,13 +507,10 @@ def find_node(E: WeierstrassCurve):
         raise NotNodal("additive degeneration, not a node")
     if R.char == 0:
         Q, lift = R.rationalize()
-        b2, b4, b6 = (lift(inv.b2), lift(inv.b4), lift(inv.b6))
-        B = [b6, Q.scale_int(b4, 2), b2, Q.from_int(4)]
-        Bp = [Q.scale_int(B[1], 1), Q.scale_int(B[2], 2), Q.scale_int(B[3], 3)]
-        g = _poly_gcd_univar(B, Bp, Q)
-        if len(g) != 2:
-            raise NotNodal("no unique double root (unexpected degeneration)")
-        x0q = Q.neg(g[0])
+        b2, b4, b6, c4 = (lift(inv.b2), lift(inv.b4), lift(inv.b6), lift(inv.c4))
+        x0q = Q.divide(Q.sub(Q.scale_int(b6, 18), Q.mul(b2, b4)), c4)
+        if x0q is None:
+            raise NotNodal("c4 is not invertible over the rational lift")
         a1q, a3q = lift(E.a1), lift(E.a3)
         y0q = Q.divide(Q.neg(Q.add(Q.mul(a1q, x0q), a3q)), Q.from_int(2))
         # map back into the curve ring when possible

@@ -975,7 +975,7 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
         target = _recognition_bits(resid, row_at, level)
         if target == 0:
             continue
-        sol = f2_solve(cols, target, len(row_at))
+        sol = f2_solve(cols, target)
         if sol is None:
             raise RecognitionFailed(f"no lift at 2-adic level {level}")
         step = {}

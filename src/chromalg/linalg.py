@@ -68,10 +68,10 @@ def f2_reduce(basis: list[int], pivots: list[int], v: int) -> int:
     return r
 
 
-def f2_solve(columns: list[int], target: int, height: int):
+def f2_solve(columns: list[int], target: int):
     """Solve sum_{j in S} columns[j] = target over GF(2).
 
-    Returns a bitmask over column indices, or None.  height = number of rows.
+    Returns a bitmask over column indices, or None.
     The target enters the elimination as column n = len(columns): it is
     solvable exactly when it reduces to zero, by the columns in its tag.
     """
@@ -80,10 +80,10 @@ def f2_solve(columns: list[int], target: int, height: int):
     return null[-1] ^ (1 << n) if null and null[-1] >> n else None
 
 
-def f2_nullspace(columns: list[int], ncols: int) -> list[int]:
+def f2_nullspace(columns: list[int]) -> list[int]:
     """Nullspace of the matrix with the given columns; vectors as column-index
     bitmasks."""
-    return _f2_tagged_elimination(columns[:ncols])
+    return _f2_tagged_elimination(columns)
 
 
 def _f2_tagged_elimination(columns: list[int]) -> list[int]:

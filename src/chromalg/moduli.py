@@ -74,10 +74,11 @@ def cech_c1_box(n: int, box: int) -> list:
     return out
 
 
-def h1_from_cech(n: int, box: int | None = None) -> list:
-    """Cokernel basis of the box-truncated differential: exactly the classes
-    with both exponents negative (everything else is hit by one chart)."""
-    box = box if box is not None else 8 + abs(n)
+def h1_from_cech(n: int) -> list:
+    """Cokernel basis of the differential truncated to exponents in
+    [-(8 + |n|), 8 + |n|]: exactly the classes with both exponents negative
+    (everything else is hit by one chart)."""
+    box = 8 + abs(n)
     hit = set()
     for chart, i, j in cech_c0_box(n, box):
         hit.add((i, j))
@@ -85,9 +86,10 @@ def h1_from_cech(n: int, box: int | None = None) -> list:
     return sorted(out)
 
 
-def euler_characteristic_check(n: int, box: int | None = None) -> bool:
-    """Box-stabilized count: rank C^0 - rank C^1 equals h0 - h1."""
-    box = box if box is not None else 24 + abs(n)
+def euler_characteristic_check(n: int) -> bool:
+    """Box-stabilized count: rank C^0 - rank C^1 equals h0 - h1, with
+    exponents in [-(24 + |n|), 24 + |n|]."""
+    box = 24 + abs(n)
     chi = len(cech_c0_box(n, box)) - len(cech_c1_box(n, box))
     return chi == h0_rank(n) - h1_rank(n)
 

@@ -224,7 +224,7 @@ class Rationals(Ring):
     def inv(self, a):
         if a == 0:
             raise NotInvertible("division by zero in Q")
-        return 1 / Fraction(a)
+        return Fraction(1, a)
 
     def divide(self, a, b):
         return None if b == 0 else Fraction(a) / b
@@ -307,7 +307,7 @@ class LocalizedIntegers(Ring):
     def inv(self, a):
         if not self.is_unit(a):
             raise NotInvertible(f"{a} is not a unit in {self!r}")
-        return 1 / Fraction(a)
+        return Fraction(1, a)
 
     def divide(self, a, b):
         if b == 0:

@@ -27,8 +27,11 @@ the coefficient loop of `QuotientExtension.mul`, the sum of products
 `Ring.dot` as a loop, the series product that sums each coefficient
 pair by pair with `R.mul` and `R.add`, the 2-series as F(x, x) of the
 bivariate chord law, the automorphism search that transforms the
-curve by every (u, r, s, t) and composes every pair of what it finds, and
-the profile closure that multiplies every pair of basis members.
+curve by every (u, r, s, t) and composes every pair of what it finds,
+the profile closure that multiplies every pair of basis members, the node
+of a nodal curve as a polynomial gcd by Euclid, the order-3 test that
+adds a point to itself with the chord-tangent law, and the reduction mod p
+of an integer polynomial by int(c) % p per coefficient.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
@@ -38,8 +41,9 @@ and `QSeries` shares nothing), `milnor_product` and the coset reduction of
 eliminations that the regularity oracle calls, the `family_law`,
 `family_fgl_at` and `f2_solve` that the recognition oracle calls,
 `_family_b_direction` that the column oracle calls, the
-base-ring arithmetic that the quotient product oracle calls, and `transform`,
-`curves_equal` and `compose_transforms` behind the automorphism oracle.
+base-ring arithmetic that the quotient product oracle calls, `transform`,
+`curves_equal` and `compose_transforms` behind the automorphism oracle, and
+`invariants` and `descend_scalar` behind the node oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ from fractions import Fraction
 from math import comb, gcd
 
 from chromalg import steenrod as st
-from chromalg.elliptic import compose_transforms, curves_equal, gamma1_3_curve, transform
+from chromalg.convert import descend_scalar
+from chromalg.elliptic import (compose_transforms, curves_equal, gamma1_3_curve, invariants,
+                               transform)
 from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
                              RecognitionFailed)
 from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
@@ -956,7 +962,7 @@ def _kernel_mod_2_oracle(pring, prefix, prior, s, N):
                 if _int_coeff_oracle(sc) % p:
                     vec ^= 1 << dst_at[tuple(a + b for a, b in zip(m, se))]
             cols.append(f2_reduce(bas_de, piv_de, vec))
-        for vec in f2_nullspace(cols, len(src)):
+        for vec in f2_nullspace(cols):
             if f2_reduce(bas_d, piv_d, vec):
                 return (d, f"class of {src[(vec & -vec).bit_length() - 1]} at degree {d}")
     return None
@@ -1154,7 +1160,7 @@ def recognize_in_family_oracle(Fq: FormalGroupLaw) -> Recognition:
                     target |= 1 << row_at[(i, j, m)]
         if target == 0:
             continue
-        sol = f2_solve(cols, target, len(rows))
+        sol = f2_solve(cols, target)
         if sol is None:
             raise RecognitionFailed(f"no lift at 2-adic level {level}")
         for idx, meta in enumerate(col_meta):
@@ -1218,3 +1224,79 @@ def automorphism_group_oracle(E) -> list:
             if tuple(map(R.render, compose_transforms(R, g, h))) not in keyed:
                 raise AlgebraError("automorphism set is not closed under composition")
     return out
+
+
+def _poly_gcd_oracle(a: list, b: list, R: Ring) -> list:
+    """Monic gcd of coefficient lists (low first) over a field, by Euclid."""
+
+    def norm(p):
+        while p and R.is_zero(p[-1]):
+            p.pop()
+        return p
+
+    a, b = norm(list(a)), norm(list(b))
+    while b:
+        inv_lead = R.inv(b[-1])
+        while len(a) >= len(b) and a:
+            f = R.mul(a[-1], inv_lead)
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = R.sub(a[shift + i], R.mul(f, bc))
+            norm(a)
+        a, b = b, a
+    inv_lead = R.inv(a[-1])
+    return [R.mul(c, inv_lead) for c in a]
+
+
+def find_node_oracle(E):
+    """The node of a nodal curve in characteristic 0: x0 = minus the constant
+    term of gcd(B, B') for B = 4x^3 + b2 x^2 + 2 b4 x + b6 over the rational
+    lift, y0 = -(a1 x0 + a3)/2, each descended to the curve's ring."""
+    R = E.ring
+    inv = invariants(E)
+    Q, lift = R.rationalize()
+    b2, b4, b6 = lift(inv.b2), lift(inv.b4), lift(inv.b6)
+    B = [b6, Q.scale_int(b4, 2), b2, Q.from_int(4)]
+    Bp = [B[1], Q.scale_int(B[2], 2), Q.scale_int(B[3], 3)]
+    g = _poly_gcd_oracle(B, Bp, Q)
+    if len(g) != 2:
+        raise AlgebraError("no unique double root")
+    x0 = Q.neg(g[0])
+    y0 = Q.divide(Q.neg(Q.add(Q.mul(lift(E.a1), x0), lift(E.a3))), Q.from_int(2))
+    return (descend_scalar(x0, R), descend_scalar(y0, R))
+
+
+def three_torsion_oracle(E, P) -> bool:
+    """[2]P = -P for an affine point P of E, with [2]P from the chord-tangent
+    addition of P to itself and the point at infinity as None."""
+    R = E.ring
+    a1, a2, a3, a4, a6 = E.coefficients()
+    x1, y1 = P
+    neg_y = R.neg(R.add(y1, R.add(R.mul(a1, x1), a3)))
+    if R.eq(y1, neg_y):
+        return False                        # [2]P is the point at infinity
+    num = R.add(R.scale_int(R.mul(x1, x1), 3),
+                R.add(R.scale_int(R.mul(a2, x1), 2), R.sub(a4, R.mul(a1, y1))))
+    den = R.add(R.scale_int(y1, 2), R.add(R.mul(a1, x1), a3))
+    lam = R.divide(num, den)
+    if lam is None:
+        raise NotInvertible("chord slope needs a division unavailable in this ring")
+    x3 = R.sub(R.add(R.mul(lam, lam), R.mul(a1, lam)), R.add(a2, R.add(x1, x1)))
+    y3 = R.sub(R.mul(lam, R.sub(x1, x3)), R.add(y1, R.add(R.mul(a1, x3), a3)))
+    return R.eq(x3, x1) and R.eq(y3, neg_y)
+
+
+def reduce_poly_modulo_oracle(poly: Poly, p: int, kill_gens: tuple = ()) -> Poly:
+    """The image mod (p, kill_gens) of a polynomial with integer
+    coefficients, each coefficient taken as int(c) % p."""
+    P = poly.pring
+    idx = [P.gens.index(g) for g in kill_gens]
+    out = {}
+    for e, c in poly.terms.items():
+        if any(e[i] for i in idx):
+            continue
+        if c != int(c):
+            raise ValueError(f"{c} is not an integer")
+        if int(c) % p:
+            out[e] = int(c) % p
+    return Poly(PolyRing(PrimeField(p), P.gens, P.weights), out)

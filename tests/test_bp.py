@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import oracles
-from chromalg import bp, steenrod
+from chromalg import bp, fgl, steenrod
 from chromalg.errors import IntegralityFailure
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
-from chromalg.rings import PrimeField, ZZ
+from chromalg.rings import PrimeField, QQ, ZZ
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +250,32 @@ def test_degree_zero_trivial():
 def test_connectivity_evenness():
     for n in (1, 2):
         assert steenrod.evenness_below(n, 2 ** (n + 2) + 4)
+
+
+def test_reduce_poly_modulo_reads_rationals_through_their_residue():
+    """A rational coefficient with odd denominator reduces to its residue
+    mod 2, (1/3) v1 -> v1; an even denominator has no residue and raises."""
+    P = PolyRing(QQ, ("v1",), (2,))
+    third = Poly(P, {(1,): Fraction(1, 3)})
+    got = bp.reduce_poly_modulo(third, 2)
+    assert got == bp.reduce_poly_modulo(P.gen("v1"), 2)
+    assert got.terms == {(1,): 1} and type(got.terms[(1,)]) is int
+    with pytest.raises(IntegralityFailure):
+        bp.reduce_poly_modulo(Poly(P, {(1,): Fraction(1, 2)}), 2)
+
+
+def test_reduce_poly_modulo_keeps_its_callers_values(table):
+    """Terms and types as the int(c) % p loop gives them, on the right units
+    and on the family's Hazewinkel generators."""
+    F = fgl.universal_family_fgl(4)
+    data = fgl.hazewinkel_generators(F, 2, 2)
+    A, B = F.ring.gen("A"), F.ring.gen("B")
+    cases = [(table.eta_v[k], kill) for k, kill in ((1, ()), (2, ("v1",)), (3, ("v1", "v2")))]
+    cases += [(table.eta_v[3], ()), (data.v[0], ()), (data.v[1], ("A",)), (A, ()),
+              (B + 3 * A ** 3, ())]
+    for p in (2, 3):
+        for poly, kill in cases:
+            got = bp.reduce_poly_modulo(poly, p, kill_gens=kill)
+            want = oracles.reduce_poly_modulo_oracle(poly, p, kill_gens=kill)
+            assert got.terms == want.terms
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]

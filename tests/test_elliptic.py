@@ -10,11 +10,13 @@ from chromalg.elliptic import (ADDITIVE, NODAL, SMOOTH_ORDINARY,
 from chromalg.errors import AlgebraError, JUndefined, NotInvertible, NotNodal, NotOnCurve
 from chromalg.poly import PolyRing
 from chromalg.report import RunConfig
-from chromalg.rings import GF, ModularIntegers, QQ, Z_inverted, Z_local, ZZ, omega_ring
+from chromalg.rings import (GF, ModularIntegers, QQ, QuotientExtension, Z_inverted, Z_local, ZZ,
+                            omega_ring)
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 from oracles import (automorphism_group_oracle, curve_log_oracle, curve_w_series_oracle,
-                     formal_group_of_curve_oracle, sum_with_point_oracle, two_series_oracle)
+                     find_node_oracle, formal_group_of_curve_oracle, sum_with_point_oracle,
+                     three_torsion_oracle, two_series_oracle)
 from test_fgl import _typed
 
 
@@ -465,6 +467,81 @@ def test_three_torsion(family):
         elliptic.three_torsion_check(EQ, (Fraction(5), Fraction(5)))
 
 
+def test_three_torsion_matches_the_doubling_oracle():
+    """At every affine point of every fiber y^2 + Axy + By = x^3 over GF(2),
+    GF(4) and GF(8), singular fibers and points of order 2 included, at
+    y^2 + y = x^3 over GF(4), and at the Q control point."""
+    curves = [elliptic.gamma1_3_curve(F, A, B)
+              for F in (GF(2), GF(4), GF(8)) for A in F.elements() for B in F.elements()]
+    F4 = GF(4)
+    curves.append(elliptic.curve(F4, F4.zero(), F4.zero(), F4.one(), F4.zero(), F4.zero()))
+    seen = set()
+    for E in curves:
+        els = E.ring.elements()
+        for P in ((x, y) for x in els for y in els):
+            if not elliptic.on_curve(E, P):
+                with pytest.raises(NotOnCurve):
+                    elliptic.three_torsion_check(E, P)
+                continue
+            got = elliptic.three_torsion_check(E, P)
+            assert got == three_torsion_oracle(E, P), (E, P)
+            # the vertical tangent: 2y + a1 x + a3 = 0
+            vertical = E.ring.is_zero(elliptic.tangent_gradient(E, P)[1])
+            seen.add((got, vertical))
+    assert seen == {(True, False), (False, False), (False, True)}
+    EQ = elliptic.curve(QQ, QQ.one(), QQ.zero(), QQ.one(), QQ.zero(), QQ.one())
+    P = (Fraction(-1), Fraction(0))
+    assert elliptic.three_torsion_check(EQ, P) is three_torsion_oracle(EQ, P) is False
+
+
+def _random_scalar(R, rng):
+    """A small random element of Q, Z[1/3], Z[1/3][w] or Q[beta^+-1]."""
+    over_q = R is QQ or isinstance(R, PolyRing)
+
+    def frac():
+        den = rng.randint(1, 6) if over_q else 3 ** rng.randint(0, 2)
+        return Fraction(rng.randint(-9, 9), den)
+    if isinstance(R, PolyRing):
+        return R.poly({(rng.randint(-2, 2),): frac() for _ in range(rng.randint(1, 2))})
+    if isinstance(R, QuotientExtension):
+        return (frac(), frac())
+    return frac()
+
+
+def _typed_deep(v):
+    """_typed, also inside the coordinate tuples of Z[1/3][w]."""
+    return tuple(map(_typed_deep, v)) if isinstance(v, tuple) else _typed(v)
+
+
+def _nodal_curve(R, rng):
+    """Y^2 + bXY + cX^2 = X^3, c4 = (b^2 - 4c)^2 != 0, moved by x = X + x0,
+    y = Y - sX + y0 (r = -x0, t = -y0 - s x0) to the node (x0, y0)."""
+    b, x0, y0, s = (_random_scalar(R, rng) for _ in range(4))
+    if isinstance(R, PolyRing):
+        # b^2 - 4c a unit monomial, so c4 is a unit of Q[beta^+-1]
+        q = R.poly({(rng.randint(-3, 3),): Fraction(rng.choice([-3, -1, 1, 2, 5]))})
+        c = R.mul(R.sub(R.mul(b, b), q), R.const(Fraction(1, 4)))
+    else:
+        c = _random_scalar(R, rng)
+        while R.is_zero(R.sub(R.mul(b, b), R.scale_int(c, 4))):
+            c = _random_scalar(R, rng)
+    E = elliptic.curve(R, b, R.neg(c), R.zero(), R.zero(), R.zero())
+    r, t = R.neg(x0), R.sub(R.neg(y0), R.mul(s, x0))
+    return elliptic.transform(E, R.one(), r, s, t), (x0, y0)
+
+
+@pytest.mark.parametrize("name", ["Q", "Z[1/3]", "Z[1/3][w]", "Q[beta^+-1]"])
+def test_find_node_closed_form_matches_the_gcd_oracle(name):
+    R = {"Q": QQ, "Z[1/3]": Z_inverted(3), "Z[1/3][w]": omega_ring(),
+         "Q[beta^+-1]": PolyRing(QQ, ("beta",), laurent=("beta",))}[name]
+    rng = random.Random(f"find_node {name}")
+    for _ in range(30):
+        E, node = _nodal_curve(R, rng)
+        got = elliptic.find_node(E)
+        assert _typed_deep(got) == _typed_deep(find_node_oracle(E))
+        assert all(R.eq(a, b) for a, b in zip(got, node))
+
+
 def test_automorphisms_supersingular():
     F4 = GF(4)
     C = elliptic.curve(F4, F4.zero(), F4.zero(), F4.one(), F4.zero(), F4.zero())
@@ -493,7 +570,9 @@ def test_node_appendix_curve():
     assert num == t * u - 3
     assert den == t + u + 3
     # group law spot check: t(0,0) = -1 doubles to t(0,-1) = -2
-    assert nd.law.multiply(Fraction(-1), Fraction(-1)) == Fraction(-2)
+    at = {"__ring__": num.pring, "t": num.pring.const(Fraction(-1)),
+          "u": num.pring.const(Fraction(-1))}
+    assert num.substitute(at) == -2 and den.substitute(at) == 1
     conic = fgl.conic_fgl(R, Fraction(3), Fraction(3), 8)
     assert nd.fgl_at_infinity.F == conic.F
 

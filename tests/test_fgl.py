@@ -876,15 +876,15 @@ def test_recognition_columns_match_the_scaled_series(bprec, xprec):
 @pytest.mark.parametrize("k,bprec,xprec", [(2, 5, 7), (2, 6, 8), (3, 5, 7), (3, 8, 10),
                                            (4, 5, 8), (4, 6, 8)])
 def test_recognize_in_family_matches_oracle(k, bprec, xprec, monkeypatch):
-    """Same (b', phi), and f2_solve handed the same (columns, target, height)
-    at every level."""
+    """Same (b', phi), and f2_solve handed the same (columns, target) at
+    every level."""
     F = fgl.two_adic_family_fgl(k, bprec, xprec)
     q = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
     calls = {fgl: [], oracles: []}
     for module, log in calls.items():
-        def logged(cols, target, height, log=log):
-            log.append((list(cols), target, height))
-            return linalg.f2_solve(cols, target, height)
+        def logged(cols, target, log=log):
+            log.append((list(cols), target))
+            return linalg.f2_solve(cols, target)
         monkeypatch.setattr(module, "f2_solve", logged)
     rec = fgl.recognize_in_family(q.fgl)
     ref = oracles.recognize_in_family_oracle(q.fgl)
@@ -898,7 +898,7 @@ def test_recognize_in_family_final_check_catches_a_wrong_step(monkeypatch):
     full modulus, and the last level says so."""
     F = fgl.two_adic_family_fgl(2, 5, 7)
     q = fgl.quotient_by_subgroup(F, fgl.canonical_subgroup(F))
-    monkeypatch.setattr(fgl, "f2_solve", lambda cols, target, height: 0)
+    monkeypatch.setattr(fgl, "f2_solve", lambda cols, target: 0)
     with pytest.raises(RecognitionFailed, match="residual nonzero at full modulus"):
         fgl.recognize_in_family(q.fgl)
 

@@ -60,9 +60,9 @@ def test_f2_machinery():
     rows = [0b101, 0b011, 0b110]
     basis, pivots = f2_rref(rows)
     assert len(basis) == 2
-    sol = f2_solve([0b101, 0b011], 0b110, 3)
+    sol = f2_solve([0b101, 0b011], 0b110)
     assert sol == 0b11
-    null = f2_nullspace([0b101, 0b011, 0b110], 3)
+    null = f2_nullspace([0b101, 0b011, 0b110])
     assert len(null) == 1 and null[0] == 0b111
 
 

@@ -37,6 +37,22 @@ def test_localized_units():
     assert Fraction(9) in cands and Fraction(-1, 3) in cands
 
 
+@pytest.mark.parametrize("R", [QQ, Z_local(2), Z_inverted(3)], ids=repr)
+def test_rational_inverse_value_and_type(R):
+    """inv gives the Fraction 1/a, as 1 / Fraction(a) does, for int and
+    Fraction units of either sign; zero still raises."""
+    for a in (1, -1, 3, -9, 27, Fraction(5, 9), Fraction(-7, 3), Fraction(1, 3),
+              Fraction(-1, 27)):
+        if not R.is_unit(a):
+            continue
+        got = R.inv(a)
+        assert got == 1 / Fraction(a) and type(got) is Fraction
+        assert R.mul(got, a) == 1
+    for zero in (0, Fraction(0)):
+        with pytest.raises(NotInvertible):
+            R.inv(zero)
+
+
 def test_modular_and_prime_fields():
     Z8 = ModularIntegers(8)
     assert Z8.inv(5) == 5 and Z8.nilpotent_bound() == 3
