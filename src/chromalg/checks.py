@@ -106,13 +106,14 @@ def _tate_cusp(cfg, rng):
 @check("ell.reduction-table", "elliptic", "reduction-table")
 def _reduction_table(cfg, rng):
     counts = {}
+    types = {}      # (q, A, B) -> reduction type (GF(q) elements are ints or tuples)
     for q in (2, 4, 8):
         F = GF(q)
         for A in F.elements():
             for B in F.elements():
                 if F.is_zero(A) and F.is_zero(B):
                     continue
-                t = elliptic.reduction_type(elliptic.gamma1_3_curve(F, A, B))
+                t = types[(q, A, B)] = elliptic.reduction_type(elliptic.gamma1_3_curve(F, A, B))
                 counts[(q, t)] = counts.get((q, t), 0) + 1
                 if t == elliptic.SMOOTH_SUPERSINGULAR:
                     ensure(F.is_zero(A), f"supersingular off A=0 over GF({q})")
@@ -123,8 +124,8 @@ def _reduction_table(cfg, rng):
     for q in (2, 4, 8):
         F = GF(q)
         for b in F.elements():
-            t = elliptic.reduction_type(elliptic.gamma1_3_curve(F, F.one(), b))
-            ensure(t != elliptic.SMOOTH_SUPERSINGULAR, "supersingular fiber on chart A=1")
+            ensure(types[(q, F.one(), b)] != elliptic.SMOOTH_SUPERSINGULAR,
+                   "supersingular fiber on chart A=1")
     return f"exhaustive over GF(2), GF(4), GF(8): {sorted((k, v) for k, v in counts.items())}"
 
 
@@ -393,17 +394,36 @@ def _iso_omega(cfg, rng):
 
 @check("fgl.noniso-z13", "fgl", "noniso-z13")
 def _noniso_z13(cfg, rng):
+    # Over Z[1/3], F_u = x + y + uxy is u^-1 F_1(ux, uy), so phi: Fc -> F_u
+    # with phi'(0) = c holds to degree d exactly when u phi: Fc -> F_1 with
+    # linear coefficient uc does; each c_d is unique (Z[1/3] is torsion-free),
+    # so both fail at the same degree, and one search over the products uc
+    # stands for every pair (u, c).
     Z13 = Z_inverted(3)
     Fc = fgl.conic_fgl(Z13, Fraction(3), Fraction(3), 7)
+    F1 = fgl.conic_fgl(Z13, Fraction(1), Fraction(0), 7)
     cands = Z13.unit_candidates(3)
-    degrees = []
     for u in cands:
-        Fm = fgl.conic_fgl(Z13, u, Fraction(0), 7)
-        r = fgl.find_iso(Fc, Fm, "linear-unit", N=6, unit_candidates=cands)
-        ensure(isinstance(r, fgl.Obstruction), f"unexpected isomorphism at u = {u}")
-        degrees.append(r.degree)
+        Fu = fgl.conic_fgl(Z13, u, Fraction(0), 7)
+        ensure(Fu.prec == F1.prec and Fu.F.terms == {
+            e: u ** (sum(e) - 1) * c for e, c in F1.F.terms.items()},
+            f"x+y+uxy is not u^-1 F_1(ux, uy) at u = {u}")
+    degrees = set(_noniso_degrees(Fc, F1, cands).values())
+    ensure(len(degrees) == 1, f"candidates fail at degrees {sorted(degrees)}")
     return ("no linear-unit isomorphism to any x+y+uxy with u in +-3^k (|k|<=3); "
-            f"first unsolvable degree is {max(degrees)} for every candidate")
+            f"first unsolvable degree is {degrees.pop()} for every candidate")
+
+
+def _noniso_degrees(Fc, F1, cands) -> dict:
+    """{(u, c): the degree where phi: Fc -> x + y + uxy with phi'(0) = c
+    fails}, for u and c in cands, read from one linear-unit find_iso(Fc, F1)
+    over the distinct products uc (the rescaling in _noniso_z13)."""
+    R = F1.ring
+    products = list(dict.fromkeys(R.mul(u, c) for u in cands for c in cands))
+    r = fgl.find_iso(Fc, F1, "linear-unit", N=6, unit_candidates=products)
+    if isinstance(r, fgl.IsoResult):
+        raise CheckFailure(f"unexpected isomorphism with linear coefficient {R.render(r.linear)}")
+    return {(u, c): r.details[R.render(R.mul(u, c))] for u in cands for c in cands}
 
 
 @check("fgl.canonical-subgroup", "fgl", "canonical-subgroup")

@@ -75,10 +75,12 @@ def reduce_scalar(value, target: Ring):
         raise TypeError(f"cannot reduce {type(value)} into {target!r}")
     if isinstance(target, PolyRing):
         if isinstance(value, Poly):
-            return Poly(target, {
-                e: reduce_scalar(c, target.base) for e, c in value.terms.items()
-                if not target.base.is_zero(reduce_scalar(c, target.base))
-            })
+            out = {}
+            for e, c in value.terms.items():
+                v = reduce_scalar(c, target.base)
+                if not target.base.is_zero(v):
+                    out[e] = v
+            return Poly(target, out)
         return target.const(reduce_scalar(value, target.base))
     raise TypeError(f"no reduction into {target!r}")
 

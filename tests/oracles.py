@@ -30,8 +30,10 @@ bivariate chord law, the automorphism search that transforms the
 curve by every (u, r, s, t) and composes every pair of what it finds,
 the profile closure that multiplies every pair of basis members, the node
 of a nodal curve as a polynomial gcd by Euclid, the order-3 test that
-adds a point to itself with the chord-tangent law, and the reduction mod p
-of an integer polynomial by int(c) % p per coefficient.
+adds a point to itself with the chord-tangent law, the reduction mod p
+of an integer polynomial by int(c) % p per coefficient, and the
+non-isomorphism degrees of `fgl.noniso-z13` from one linear-unit search per
+target law.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
@@ -43,7 +45,8 @@ eliminations that the regularity oracle calls, the `family_law`,
 `_family_b_direction` that the column oracle calls, the
 base-ring arithmetic that the quotient product oracle calls, `transform`,
 `curves_equal` and `compose_transforms` behind the automorphism oracle, and
-`invariants` and `descend_scalar` behind the node oracle.
+`invariants` and `descend_scalar` behind the node oracle, and `conic_fgl`
+and `find_iso` behind the non-isomorphism oracle.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, Prep
                              RecognitionFailed)
 from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
                           _conic_isogeny_data, _family_b_direction, _formal_two_torsion,
-                          family_fgl_at, family_law)
+                          conic_fgl, family_fgl_at, family_law, find_iso)
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
@@ -421,6 +424,21 @@ def _common_solution(R: Ring, rows: list):
         if not sols:
             return None
     return sols[0]
+
+
+def noniso_degrees_oracle(Fc: FormalGroupLaw, cands: list) -> dict:
+    """{(u, c): the degree where phi: Fc -> x + y + uxy with phi'(0) = c
+    fails}, from one linear-unit find_iso per u over cands, the 14 x 14 loop
+    fgl.noniso-z13 ran before it searched the rescaled orbit."""
+    R = Fc.ring
+    out = {}
+    for u in cands:
+        r = find_iso(Fc, conic_fgl(R, u, R.zero(), Fc.prec - 1), "linear-unit",
+                     N=6, unit_candidates=cands)
+        assert isinstance(r, Obstruction)
+        for c in cands:
+            out[(u, c)] = r.details[R.render(c)]
+    return out
 
 
 def series_div_oracle(num: list, den: list, ring: Ring, n: int) -> list:

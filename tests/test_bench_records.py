@@ -1,10 +1,10 @@
 """Every BENCH_*.json at the repository root is a benchmark record that can
 be read back: it parses, names its parent commit and command, and holds the
-runs' per-workload figures.  A record that claims a gain names a workload and
-a metric that BENCHMARK.json declares and has both sides' medians for it; a
-record with "claim": null, which claims no gain, has both sides' medians for
-every end-to-end metric on every workload of BENCHMARK.json.  BENCHMARK.json
-is only read."""
+runs' per-workload figures.  Every run of every record has both sides'
+medians for every end-to-end metric on every workload of BENCHMARK.json, so
+that no regression can be left out.  A record that claims a gain also names
+a workload and a metric that BENCHMARK.json declares and has both sides'
+medians for it; "claim": null claims no gain.  BENCHMARK.json is only read."""
 
 import copy
 import json
@@ -34,24 +34,20 @@ def check_record(rec: dict):
     runs = rec["runs"]
     assert isinstance(runs, list) and runs
     for run in runs:
-        assert run["workloads"] and set(run["workloads"]) <= workloads
+        assert set(run["workloads"]) == workloads
+        for figures in run["workloads"].values():
+            for metric in end_to_end:
+                for side in SIDES:
+                    assert isinstance(figures[metric][side]["median"], (int, float))
     claim = rec["claim"]
     if claim is None:
-        for run in runs:
-            assert set(run["workloads"]) == workloads
-            for figures in run["workloads"].values():
-                for metric in end_to_end:
-                    for side in SIDES:
-                        assert isinstance(figures[metric][side]["median"], (int, float))
         return
     assert claim["workload"] in workloads
     assert claim["metric"] in metrics
-    claimed = [run["workloads"][claim["workload"]] for run in runs
-               if claim["workload"] in run["workloads"]]
-    assert claimed
-    for figures in claimed:
+    for run in runs:
         for side in SIDES:
-            assert isinstance(figures[claim["metric"]][side]["median"], (int, float))
+            median = run["workloads"][claim["workload"]][claim["metric"]][side]["median"]
+            assert isinstance(median, (int, float))
 
 
 def test_the_records_are_found():
@@ -82,6 +78,31 @@ def test_a_record_without_a_claim_needs_every_end_to_end_median():
                 lambda rec: rec["runs"][0]["workloads"][w][m].pop("change"),
                 lambda rec: rec["runs"][0]["workloads"][w][m]["parent"].update(median=None)):
         rec = _no_claim_record()
+        cut(rec)
+        with pytest.raises((AssertionError, KeyError)):
+            check_record(rec)
+
+
+def test_a_record_with_a_claim_needs_every_end_to_end_median():
+    """Negative controls: a record claiming wall_s on one workload is still
+    refused when it drops another workload, another end-to-end metric of the
+    claimed workload, or one side's median elsewhere; the complete one
+    passes."""
+    workloads, end_to_end, _ = declared()
+    w, other = sorted(workloads)[:2]
+    m = sorted(end_to_end - {"wall_s"})[0]
+
+    def claim_record():
+        rec = _no_claim_record()
+        rec["claim"] = {"workload": w, "metric": "wall_s"}
+        return rec
+
+    check_record(claim_record())
+    for cut in (lambda rec: rec["runs"][0]["workloads"].pop(other),
+                lambda rec: rec["runs"][0]["workloads"][w].pop(m),
+                lambda rec: rec["runs"][0]["workloads"][other]["wall_s"].pop("parent"),
+                lambda rec: rec["runs"][0]["workloads"][other][m]["change"].update(median=None)):
+        rec = claim_record()
         cut(rec)
         with pytest.raises((AssertionError, KeyError)):
             check_record(rec)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from chromalg import bp, fgl, steenrod
+from chromalg import bp, convert, fgl, steenrod
 from chromalg.errors import IntegralityFailure
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
 from chromalg.rings import PrimeField, QQ, ZZ
@@ -279,3 +279,21 @@ def test_reduce_poly_modulo_keeps_its_callers_values(table):
             want = oracles.reduce_poly_modulo_oracle(poly, p, kill_gens=kill)
             assert got.terms == want.terms
             assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def test_reduce_poly_modulo_reduces_each_coefficient_once(table, monkeypatch):
+    """eta(v3) mod 2 (22 terms, 9 kept) makes one fraction_mod call per
+    term, 22, not one more per kept term; same terms and types as the loop."""
+    poly = table.eta_v[3]
+    want = oracles.reduce_poly_modulo_oracle(poly, 2)
+    fraction_mod, calls = convert.fraction_mod, []
+
+    def counted(q, m):
+        calls.append(q)
+        return fraction_mod(q, m)
+
+    monkeypatch.setattr(convert, "fraction_mod", counted)
+    got = bp.reduce_poly_modulo(poly, 2)
+    assert len(poly.terms) == len(calls) == 22 and len(got.terms) == 9
+    assert got.terms == want.terms
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]

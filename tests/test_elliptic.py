@@ -180,6 +180,20 @@ def test_reduction_table_fails_without_the_z2_term(monkeypatch):
         run_check("ell.reduction-table")
 
 
+def test_reduction_table_classifies_each_fiber_once(monkeypatch):
+    """The 81 fibers (A, B) != (0, 0) over GF(2), GF(4), GF(8) are each
+    classified once; the chart A = 1 reads the sweep's types back."""
+    reduction_type, calls = elliptic.reduction_type, []
+
+    def counted(E):
+        calls.append(E)
+        return reduction_type(E)
+
+    monkeypatch.setattr(elliptic, "reduction_type", counted)
+    run_check("ell.reduction-table")
+    assert len(calls) == 3 + 15 + 63
+
+
 def test_reduction_table_fails_without_the_z2_and_z4_terms(monkeypatch):
     drop_terms(monkeypatch, 2, 4)
     with pytest.raises(AlgebraError, match="vanishes to precision"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromalg import bp, elliptic, fgl, linalg
-from chromalg.checks import REGISTRY, CheckFailure
+from chromalg.checks import REGISTRY, CheckFailure, _noniso_degrees
 from chromalg.errors import (AlgebraError, HeightExceedsPrecision,
                              InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift, NotInvertible,
                              NotOrdinary, QuotientPrecisionError, RecognitionFailed,
@@ -835,6 +835,79 @@ def test_isogeny_identity_check_fails_on_a_moved_isogeny(monkeypatch):
     check.fn(RunConfig(), random.Random(0))
     monkeypatch.setattr(fgl, "quotient_by_subgroup", perturbed)
     with pytest.raises(CheckFailure, match=re.escape("f(F(x,y)) != F'(f(x), f(y))")):
+        check.fn(RunConfig(), random.Random(0))
+
+
+def test_noniso_rescaled_search_matches_the_pairwise_oracle(monkeypatch):
+    """One search of x + y + xy over the 26 products uc gives each of the
+    196 pairs (u, c) the degree where the search of x + y + uxy from linear
+    coefficient c fails, and that degree is 4 for every pair."""
+    Z13 = Z_inverted(3)
+    Fc = fgl.conic_fgl(Z13, Fraction(3), Fraction(3), 7)
+    F1 = fgl.conic_fgl(Z13, Fraction(1), Fraction(0), 7)
+    cands = Z13.unit_candidates(3)
+    want = oracles.noniso_degrees_oracle(Fc, cands)
+    find_iso, searched = fgl.find_iso, []
+
+    def counted(F, G, mode="strict", N=None, unit_candidates=None):
+        searched.append(len(unit_candidates))
+        return find_iso(F, G, mode, N, unit_candidates)
+
+    monkeypatch.setattr(fgl, "find_iso", counted)
+    got = _noniso_degrees(Fc, F1, cands)
+    assert got == want and len(got) == 196 and set(got.values()) == {4}
+    assert searched == [26]
+
+
+def _noniso_check():
+    return next(c for c in REGISTRY if c.id == "fgl.noniso-z13")
+
+
+def test_noniso_check_fails_on_an_isomorphic_law(monkeypatch):
+    """Negative control: x + y + 3xy in place of conic(3, 3) is isomorphic
+    to x + y + xy by x -> 3x, and fgl.noniso-z13 fails."""
+    check, conic = _noniso_check(), fgl.conic_fgl
+
+    def replaced(ring, b, c, N):
+        return conic(ring, b, Fraction(0) if (b, c) == (3, 3) else c, N)
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "conic_fgl", replaced)
+    with pytest.raises(CheckFailure, match="unexpected isomorphism"):
+        check.fn(RunConfig(), random.Random(0))
+
+
+def test_noniso_check_fails_when_a_target_is_not_the_rescaled_law(monkeypatch):
+    """Negative control: the xy coefficient of x + y + 9xy plus one breaks
+    x + y + uxy = u^-1 F_1(ux, uy), and fgl.noniso-z13 fails."""
+    check, conic = _noniso_check(), fgl.conic_fgl
+
+    def perturbed(ring, b, c, N):
+        F = conic(ring, b, c, N)
+        if (b, c) != (9, 0):
+            return F
+        terms = dict(F.F.terms)
+        terms[(1, 1)] = ring.add(terms[(1, 1)], ring.one())
+        return fgl.FormalGroupLaw(Series(F.F.ctx, terms), F.origin)
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "conic_fgl", perturbed)
+    with pytest.raises(CheckFailure, match=re.escape("x+y+uxy is not u^-1 F_1(ux, uy) at u = 9")):
+        check.fn(RunConfig(), random.Random(0))
+
+
+def test_noniso_check_fails_when_the_degrees_differ(monkeypatch):
+    """Negative control: one candidate's failure degree moved to 5, and
+    "degree 4 for every candidate" no longer holds."""
+    check, find_iso = _noniso_check(), fgl.find_iso
+
+    def moved(*args, **kwargs):
+        r = find_iso(*args, **kwargs)
+        return dataclasses.replace(r, details={**r.details, "1": 5})
+
+    check.fn(RunConfig(), random.Random(0))
+    monkeypatch.setattr(fgl, "find_iso", moved)
+    with pytest.raises(CheckFailure, match=re.escape("candidates fail at degrees [4, 5]")):
         check.fn(RunConfig(), random.Random(0))
 
 
