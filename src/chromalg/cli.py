@@ -24,10 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suites", nargs="*", default=["all"],
                    help=f"suites to run: {', '.join(SUITES)}, or 'all' "
                         "(use 'list' to show the table)")
-    p.add_argument("--max-degree", type=int, default=32)
-    p.add_argument("--series-prec", type=int, default=12)
-    p.add_argument("--two-adic-prec", type=int, default=4)
-    p.add_argument("--q-terms", type=int, default=16)
+    defaults = RunConfig()
+    for name in ("max_degree", "series_prec", "two_adic_prec", "q_terms"):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(defaults, name))
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--out", metavar="PATH", help="write the delimited report here")
     p.add_argument("--list", action="store_true", help="list suites and exit")

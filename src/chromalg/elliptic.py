@@ -24,6 +24,11 @@ reduction_type reads the height from each fiber's own 2-series, all
 univariate, from that fiber's w-series.  Its claim is about particular
 fibers, so base change would make it agree with itself.
 
+The canonical-subgroup quotients of fgl take the chord with a 2-torsion point
+(sum_with_point) and curve_log on one lifted curve: the family curve over
+Q[[b]], or for a conic law (x + y + b xy)/(1 - c xy) the nodal cubic
+y^2 - b xy = x^3 - c x^2 over Q, whose formal group it is.
+
 Points need no group law beyond the tangent: three_torsion_check doubles P
 along its tangent line, and find_node reads a nodal fiber's node off the
 closed form x0 = (18 b6 - b2 b4)/c4 of the double root of

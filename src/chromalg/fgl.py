@@ -7,18 +7,21 @@ over the rationalized coefficient ring (fgl_log).  On a curve law it is the
 curve's logarithm (elliptic.curve_log) in the variable x.
 
 Quotients follow a torsion-free route: the kernel point is located exactly on
-a characteristic-zero lift (the family curve's chord geometry or the closed
-conic form), the quotient law is assembled through logarithms, 2-integrality
-is asserted, and only then is everything reduced back.  On the family curve
-the isogeny and the log (elliptic.sum_with_point with the 2-torsion point,
+a characteristic-zero lift (a curve whose chord law reduces to the law),
+the quotient law is assembled through logarithms, 2-integrality is asserted,
+and only then is everything reduced back.  On the lifted curve the isogeny and
+the log (elliptic.sum_with_point with the 2-torsion point,
 elliptic.curve_log) read one w-series at the output precision.  All heavy
 lifting is univariate: law_from_log reads exp(lam(x) + lam(y)) from the Lie
 series of the invariant vector field 1/lam' d/dx, with no reversion of lam
 and no bivariate composition.
-Only the laws that quotient_by_subgroup accepts carry an origin, one for
-each kind of lift: two_adic_family_fgl the b-precision of its lift, the
-family curve y^2 + xy + by = x^3 over Q[[b]] (FamilyOrigin), and conic_fgl
-its rational parameters (ConicOrigin).  The family curve's lift is the same
+Only the laws that quotient_by_subgroup accepts carry an origin, which names
+their lifted curve: two_adic_family_fgl the b-precision of the family curve
+y^2 + xy + by = x^3 over Q[[b]] (FamilyOrigin), and conic_fgl its rational
+parameters (b, c) (ConicOrigin), for the nodal cubic
+y^2 - b xy = x^3 - c x^2 over Q, whose chord law is the conic law
+(Silverman, The Arithmetic of Elliptic Curves, IV.1).  One builder,
+_curve_lift, runs the lift of either curve.  The family curve's lift is the same
 rational object for every 2-adic modulus, so, like the universal law below,
 it is built once per process: the memo keeps the lift of the largest
 b-precision and x-precision asked for, and a smaller request truncates it,
@@ -74,7 +77,7 @@ from .errors import (AlgebraError, HeightExceedsPrecision,
                      PreparationFailed, QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
-from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
+from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ, _valuation
 from .series import Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
@@ -159,15 +162,16 @@ def make_fgl(F: Series, origin=None) -> FormalGroupLaw:
 # -- constructors ---------------------------------------------------------------
 
 def conic_fgl(ring: Ring, b, c, N: int) -> FormalGroupLaw:
-    """(x + y + b xy)/(1 - c xy) to total degree N.  Discriminant b^2 - 4c."""
+    """(x + y + b xy)/(1 - c xy) to total degree N, with no denominator when
+    c = 0.  Discriminant b^2 - 4c."""
     b = ring.from_int(b) if isinstance(b, int) else b
     c = ring.from_int(c) if isinstance(c, int) else c
     ctx = SeriesCtx(ring, ("x", "y"), N + 1)
     x, y = ctx.gen("x"), ctx.gen("y")
     xy = x * y
-    num = x + y + xy.scale(b)
-    den = ctx.one() - xy.scale(c)
-    F = num * den.inverse()
+    F = x + y + xy.scale(b)
+    if not ring.is_zero(c):
+        F = F * (ctx.one() - xy.scale(c)).inverse()
     origin = ConicOrigin(_to_fraction(ring, b), _to_fraction(ring, c))
     return make_fgl(F, origin)
 
@@ -322,12 +326,8 @@ def height_mod_p(F: FormalGroupLaw, p: int) -> int:
     d = sp.order()
     if d is None:
         raise HeightExceedsPrecision("[p](x) vanishes to the stored precision")
-    h = 0
-    dd = d
-    while dd % p == 0:
-        dd //= p
-        h += 1
-    if dd != 1:
+    h, u = _valuation(d, p)
+    if u != 1:
         raise AlgebraError(f"[p](x) has leading degree {d}, not a power of {p}")
     return h
 
@@ -694,12 +694,7 @@ def _two_b_valuation(v, R: Ring) -> int:
     if isinstance(R, ModularIntegers):
         if v % R.m == 0:
             return 10 ** 9
-        val = 0
-        x = v % R.m
-        while x % 2 == 0:
-            x //= 2
-            val += 1
-        return val
+        return _valuation(v % R.m, 2)[0]
     if isinstance(R, SeriesRing):
         if v.is_zero():
             return 10 ** 9
@@ -745,10 +740,13 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     Q[[b]]/(b^M) -> Q[[b]]/(b^m) is a ring map and every step of the lift is
     ring arithmetic, the inverse of a unit or a division by a nonzero
     integer; the 2-torsion point is the unique Newton root, by Hensel's
-    lemma, since B'(-1/4) = 1/4 + 2b is a unit.  A conic origin builds its
-    own lift from the closed form.  The checks below (2-integrality, the
-    kernel point and the isogeny identity) run on every call, served from the
-    memo or not."""
+    lemma, since B'(-1/4) = 1/4 + 2b is a unit.  A conic origin (b, c) runs
+    the same chord and log, unmemoised, on the nodal cubic
+    y^2 - b xy = x^3 - c x^2 over Q, whose chord law is the conic law; a
+    conic with even b has no unit x^2 coefficient in [2](x), so the kernel
+    check refuses it before any lift is built.  The checks below
+    (2-integrality, the kernel point and the isogeny identity) run on every
+    call, served from the memo or not."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
@@ -805,23 +803,19 @@ def _modulus_bits(R: Ring) -> int:
 
 def _quotient_lift(origin, P: int):
     """(f, tau, Fbar) over the origin's Q-algebra, exact below x^P: the
-    isogeny, the kernel point and the quotient law exp(lam x + lam y) for
-    lam = 2 L(f^-1).  A FamilyOrigin is served by _family_lift_data, a
-    ConicOrigin from the closed form."""
+    isogeny, the kernel point and the quotient law, all from _curve_lift.  A
+    FamilyOrigin is served by _family_lift_data.  A ConicOrigin (b, c) lifts
+    to the nodal cubic y^2 - b xy = x^3 - c x^2 over Q, whose chord law is
+    the conic law (x + y + b xy)/(1 - c xy) (Silverman, The Arithmetic of
+    Elliptic Curves, IV.1)."""
     if isinstance(origin, FamilyOrigin):
         return _family_lift_data(origin.bprec, P)
-    if isinstance(origin, ConicOrigin) and origin.b is not None:
-        f, tau, L = _conic_isogeny_data(origin.b, origin.c, P)
-        return f, tau, _quotient_law(f, L, P)
+    if isinstance(origin, ConicOrigin) and None not in (origin.b, origin.c):
+        zero = QQ.zero()
+        return _curve_lift(WeierstrassCurve(QQ, -origin.b, -origin.c, zero, zero, zero), P)
     raise QuotientPrecisionError(
         "no torsion-free lift attached to this law; build it with "
         "two_adic_family_fgl or conic_fgl")
-
-
-def _quotient_law(f: Series, L: Series, P: int) -> Series:
-    """exp(lam x + lam y) below total degree P for lam = 2 L(f^-1)."""
-    lam = L.compose_reverse(f)
-    return law_from_log(lam.scale(lam.ctx.ring.from_int(2)), P)
 
 
 _family_lift = None     # (f, tau, Fbar) of the family curve, the largest built so far
@@ -839,8 +833,7 @@ def _family_lift_data(bprec: int, P: int):
     m, top = max(bprec, have[0]), max(P, have[1])
     if (m, top) != have:
         R = SeriesRing(QQ, "b", m)
-        f, tau, L = _curve_isogeny_data(gamma1_3_curve(R, R.one(), R.gen()), top)
-        _family_lift = f, tau, _quotient_law(f, L, top)
+        _family_lift = _curve_lift(gamma1_3_curve(R, R.one(), R.gen()), top)
     f, tau, Fbar = _family_lift
     S = SeriesRing(QQ, "b", bprec)
 
@@ -852,37 +845,18 @@ def _family_lift_data(bprec: int, P: int):
             Fbar.truncate(P).map_coefficients(cut, S))
 
 
-def _curve_isogeny_data(EQ: WeierstrassCurve, N: int):
-    """(f, tau, log) for the canonical 2-torsion point of the lifted curve:
-    f(x) = x * (x +_F tau) computed by chord addition against the torsion
-    point, tau its formal coordinate, log the curve logarithm.  Exact below
-    x^N, and x^(N + 1) for the log."""
+def _curve_lift(EQ: WeierstrassCurve, P: int):
+    """(f, tau, Fbar) for the canonical 2-torsion point of a curve over Q or
+    Q[[b]], exact below x^P: f(x) = x * (x +_F tau) by chord addition against
+    the torsion point, tau its formal coordinate, and the quotient law
+    Fbar = exp(lam x + lam y) for lam = 2 L(f^-1), L the curve logarithm.
+    The chord and the log read one w-series below x^P."""
     x0, y0 = _formal_two_torsion(EQ)
-    # one w-series serves both, and each reads it below N
-    w = curve_w_series(EQ, N)
-    s = sum_with_point(EQ, x0, y0, N, w).rename(("x",))
-    tau = s.constant_term()
+    w = curve_w_series(EQ, P)
+    s = sum_with_point(EQ, x0, y0, P, w).rename(("x",))
     f = s.ctx.gen("x") * s
-    L = curve_log(EQ, N, w)
-    return f, tau, L
-
-
-def _conic_isogeny_data(b: Fraction, c: Fraction, N: int):
-    """Same data from the closed form (x + y + b xy)/(1 - c xy) over Q."""
-    if b == 0 or Fraction(b).numerator % 2 == 0:
-        raise NotOrdinary("conic parameter b is even; law is not ordinary")
-    ring = QQ
-    tau = Fraction(-2) / b  # root of [2](x) = x(2 + bx)/(1 - c x^2)
-    ctx = SeriesCtx(ring, ("x",), N)
-    x = ctx.gen("x")
-    num = x.scale(1 + b * tau) + ctx.const(tau)
-    den = ctx.one() - x.scale(c * tau)
-    s = num * den.inverse()
-    f = x * s
-    # log of the conic law: integral of dx / (1 + b x + c x^2)
-    lp = (ctx.one() + x.scale(b) + (x * x).scale(c)).inverse()
-    L = lp.truncate(N).integrate()
-    return f, tau, L
+    lam = curve_log(EQ, P, w).compose_reverse(f)
+    return f, s.constant_term(), law_from_log(lam.scale(lam.ctx.ring.from_int(2)), P)
 
 
 def _formal_two_torsion(EQ: WeierstrassCurve):

@@ -13,7 +13,7 @@ from .elliptic import gamma1_3_curve, invariants, transform, curves_equal
 from .fgl import conic_discriminant
 from .linalg import f2_rank, int_kernel, lattice_homology
 from .poly import PolyRing
-from .rings import (PrimeField, QuotientExtension, Ring, omega_ring,
+from .rings import (PrimeField, QuotientExtension, Ring, _valuation, omega_ring,
                     sqrt_minus3)
 
 
@@ -75,8 +75,7 @@ def c2_lattice_cohomology(M: list[list[int]], invert: tuple[int, ...] = ()):
         torsion = []
         for d in diag:
             for p in invert:
-                while d % p == 0:
-                    d //= p
+                d = _valuation(d, p)[1]
             if d != 1:
                 torsion.append(d)
         return (free - len(diag), torsion)
@@ -162,13 +161,8 @@ def twisted_k_check(T: QuotientExtension, sigma, maxdeg: int = 16) -> dict:
 
 
 def _is_3_unit(q: Fraction) -> bool:
-    q = abs(q)
-    n, d = q.numerator, q.denominator
-    while n % 3 == 0:
-        n //= 3
-    while d % 3 == 0:
-        d //= 3
-    return n == 1 and d == 1
+    """Whether q = +-3^k for an integer k; q != 0."""
+    return all(abs(_valuation(n, 3)[1]) == 1 for n in (q.numerator, q.denominator))
 
 
 # -- cusp restriction ---------------------------------------------------------------

@@ -25,7 +25,7 @@ the first unit, which is the row-major-first minimum the full scan would pick.
 from __future__ import annotations
 
 from .errors import IntegralityFailure
-from .rings import QQ
+from .rings import QQ, _valuation
 
 
 # -- GF(2), rows as bitmasks ---------------------------------------------------
@@ -288,14 +288,7 @@ def p_local_structure(diag: list[int], ncols: int, p: int) -> tuple[int, list[in
     """(free rank, torsion exponents) of Z^ncols / <rows with given Smith diag>,
     viewed over Z localized at p."""
     free = ncols - len(diag)
-    torsion = []
-    for d in diag:
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        if v > 0:
-            torsion.append(v)
+    torsion = [v for v in (_valuation(d, p)[0] for d in diag) if v > 0]
     return free, sorted(torsion)
 
 

@@ -16,9 +16,6 @@ from .rings import ZZ, Z_local
 from .series import Series, SeriesRing
 
 
-WEIGHTS = (1, 3)
-
-
 def h0_basis(n: int) -> list[tuple[int, int]]:
     """Monomials A^i B^j with i + 3j = n, i, j >= 0."""
     out = []

@@ -233,6 +233,17 @@ class Rationals(Ring):
         return self, lambda x: x
 
 
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v u and p not dividing u, for n != 0."""
+    if n == 0:
+        raise ValueError("0 has no p-adic valuation")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def _prime_factors(n: int):
     n = abs(n)
     out = set()
@@ -416,13 +427,7 @@ class ModularIntegers(Ring):
         # meaningful for prime-power moduli: (p)^k = 0
         fs = _prime_factors(self.m)
         if len(fs) == 1:
-            p = next(iter(fs))
-            k = 0
-            m = self.m
-            while m % p == 0:
-                m //= p
-                k += 1
-            return k
+            return _valuation(self.m, next(iter(fs)))[0]
         return None
 
     def structure(self):

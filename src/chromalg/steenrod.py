@@ -517,7 +517,7 @@ class QuotientModule:
             e = 1
             while e <= d:
                 act = self.action_matrix(sq(e), d - e)
-                images += compose_f2_matrices(act, span[d - e], self.dim(d - e))
+                images += compose_f2_matrices(act, span[d - e])
                 e *= 2
             span[d] = f2_rref(images)[0]
             if len(span[d]) != self.dim(d):
@@ -550,16 +550,10 @@ def module_map_matrix(src: QuotientModule, dst: QuotientModule, d: int):
     return cols
 
 
-def compose_f2_matrices(later: list[int], earlier: list[int], mid_dim: int):
-    """Columns of later o earlier where earlier columns are masks over mid."""
-    out = []
-    for col in earlier:
-        acc = 0
-        for j in range(mid_dim):
-            if (col >> j) & 1:
-                acc ^= later[j]
-        out.append(acc)
-    return out
+def compose_f2_matrices(later: list[int], earlier: list[int]) -> list[int]:
+    """Columns of later o earlier, each column of earlier a mask over the
+    basis that indexes the columns of later."""
+    return [_apply_left(later, col) for col in earlier]
 
 
 def square_check(N: int) -> dict:
@@ -574,8 +568,8 @@ def square_check(N: int) -> dict:
     maps = {(src, dst): [module_map_matrix(src, dst, d) for d in range(N + 1)]
             for src, dst in pairs}
     for d in range(N + 1):
-        via_top = compose_f2_matrices(maps[E2, A2][d], maps[E1, E2][d], E2.dim(d))
-        via_bottom = compose_f2_matrices(maps[A1, A2][d], maps[E1, A1][d], A1.dim(d))
+        via_top = compose_f2_matrices(maps[E2, A2][d], maps[E1, E2][d])
+        via_bottom = compose_f2_matrices(maps[A1, A2][d], maps[E1, A1][d])
         if via_top != via_bottom:
             out["commutes"] = False
             out["witness"][d] = "square"
@@ -585,8 +579,8 @@ def square_check(N: int) -> dict:
         while e <= N:
             op = sq(e)
             for d in range(N + 1 - e):
-                lhs = compose_f2_matrices(t[d + e], src.action_matrix(op, d), src.dim(d + e))
-                rhs = compose_f2_matrices(dst.action_matrix(op, d), t[d], dst.dim(d))
+                lhs = compose_f2_matrices(t[d + e], src.action_matrix(op, d))
+                rhs = compose_f2_matrices(dst.action_matrix(op, d), t[d])
                 if lhs != rhs:
                     out["linear"] = False
                     out["witness"][(repr(src.profile), repr(dst.profile), e, d)] = "lin"

@@ -11,7 +11,8 @@ composed with the chord's third point, the chord with a fixed point on
 power series w/z^3, the Q[[b]] lift of `quotient_by_subgroup` on those two
 at four guard degrees above the output precision, with lam = 2 L(f^-1)
 from the degree-by-degree reversion of f, its quotient law as the
-reverse of the log composed with lam(x) + lam(y),
+reverse of the log composed with lam(x) + lam(y), a conic's lift from the
+closed forms of its isogeny and log in place of its nodal cubic's chord,
 full-precision `find_iso` with its row-by-row solve, long division, the dict-based
 integer q-series with its psi operator, E4, E6, Delta and j, the Milnor
 product by nested
@@ -33,7 +34,8 @@ of a nodal curve as a polynomial gcd by Euclid, the order-3 test that
 adds a point to itself with the chord-tangent law, the reduction mod p
 of an integer polynomial by int(c) % p per coefficient, and the
 non-isomorphism degrees of `fgl.noniso-z13` from one linear-unit search per
-target law.
+target law, the p-adic valuation as a division loop at each of its call sites,
+and the composite of two F_2 matrices as a loop over the middle basis.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
@@ -61,13 +63,82 @@ from chromalg.elliptic import (compose_transforms, curves_equal, gamma1_3_curve,
 from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
                              RecognitionFailed)
 from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
-                          _conic_isogeny_data, _family_b_direction, _formal_two_torsion,
-                          conic_fgl, family_fgl_at, family_law, find_iso)
+                          _family_b_direction, _formal_two_torsion, conic_fgl, family_fgl_at, family_law, find_iso)
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
 from chromalg.rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring
 from chromalg.series import Series, SeriesCtx, SeriesRing
+
+
+def valuation_loop_oracle(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v u, p not dividing u, by dividing out p one factor
+    at a time; loops forever at n = 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def p_local_structure_oracle(diag: list[int], ncols: int, p: int) -> tuple[int, list[int]]:
+    """linalg.p_local_structure with its valuation loop written out."""
+    torsion = []
+    for d in diag:
+        v = 0
+        while d % p == 0:
+            d //= p
+            v += 1
+        if v > 0:
+            torsion.append(v)
+    return ncols - len(diag), sorted(torsion)
+
+
+def nilpotent_bound_oracle(m: int):
+    """ModularIntegers(m).nilpotent_bound(), m >= 2: k for m = p^k, None when
+    m has another prime factor, by trial division."""
+    p = next(d for d in range(2, m + 1) if m % d == 0)
+    k = 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return k if m == 1 else None
+
+
+def is_3_unit_oracle(q: Fraction) -> bool:
+    """Whether q = +-3^k: numerator and denominator of |q| stripped of 3."""
+    q = abs(q)
+    n, d = q.numerator, q.denominator
+    while n % 3 == 0:
+        n //= 3
+    while d % 3 == 0:
+        d //= 3
+    return n == 1 and d == 1
+
+
+def two_valuation_mod_oracle(v: int, m: int) -> int:
+    """The 2-adic valuation of v in Z/m, 10^9 at zero, by halving."""
+    if v % m == 0:
+        return 10 ** 9
+    val = 0
+    x = v % m
+    while x % 2 == 0:
+        x //= 2
+        val += 1
+    return val
+
+
+def compose_f2_matrices_oracle(later: list[int], earlier: list[int], mid_dim: int) -> list[int]:
+    """Columns of later o earlier, each the XOR of the columns of later at
+    the bits below mid_dim of a column of earlier."""
+    out = []
+    for col in earlier:
+        acc = 0
+        for j in range(mid_dim):
+            if (col >> j) & 1:
+                acc ^= later[j]
+        out.append(acc)
+    return out
 
 
 def dot_loop_oracle(R: Ring, xs: list, ys: list):
@@ -321,10 +392,26 @@ def quotient_lift_oracle(F: FormalGroupLaw):
         fq = s.ctx.gen("x") * s
         Lq = curve_log_oracle(EQ, work)
     else:
-        fq, tau, Lq = _conic_isogeny_data(F.origin.b, F.origin.c, work)
+        fq, tau, Lq = conic_isogeny_oracle(F.origin.b, F.origin.c, work)
     lam = Lq.compose({Lq.ctx.vars[0]: reverse_oracle(fq)})
     lam = lam.scale(lam.ctx.ring.from_int(2))
     return law_from_log_oracle(lam, out_prec), fq.truncate(out_prec), tau
+
+
+def conic_isogeny_oracle(b: Fraction, c: Fraction, N: int):
+    """(f, tau, log) of the conic law (x + y + b xy)/(1 - c xy) over Q from
+    its closed form, b != 0: tau = -2/b is the root of
+    [2](x) = x (2 + b x)/(1 - c x^2), f(x) = x * (x +_F tau), and the log is
+    the integral of dx/(1 + b x + c x^2).  Exact below x^N, and x^(N + 1)
+    for the log."""
+    tau = Fraction(-2) / b
+    ctx = SeriesCtx(QQ, ("x",), N)
+    x = ctx.gen("x")
+    num = x.scale(1 + b * tau) + ctx.const(tau)
+    den = ctx.one() - x.scale(c * tau)
+    f = x * (num * den.inverse())
+    lp = (ctx.one() + x.scale(b) + (x * x).scale(c)).inverse()
+    return f, tau, lp.truncate(N).integrate()
 
 
 def law_from_log_oracle(lam: Series, P: int) -> Series:

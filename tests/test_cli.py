@@ -5,7 +5,7 @@ import re
 import pytest
 
 from chromalg.checks import REGISTRY, SUITES
-from chromalg.cli import main
+from chromalg.cli import build_parser, main
 from chromalg.report import RunConfig, render_json, render_text, run_checks, suite_table
 
 
@@ -96,3 +96,11 @@ def test_junk_seed_is_a_usage_error(monkeypatch, capsys):
         main(["all"])
     assert exc.value.code == 2
     assert "VERIFY_SEED" in capsys.readouterr().err
+
+
+def test_parser_defaults_are_the_run_config_defaults():
+    args = build_parser().parse_args([])
+    cfg = RunConfig()
+    assert (args.max_degree, args.series_prec, args.two_adic_prec, args.q_terms) == \
+        (cfg.max_degree, cfg.series_prec, cfg.two_adic_prec, cfg.q_terms)
+    assert tuple(args.suites) == cfg.suites

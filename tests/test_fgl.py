@@ -40,6 +40,51 @@ def test_conic_examples():
     assert M.coefficient(1, 1) == P.one() - a
 
 
+def _conic_rings():
+    """(ring, b values) pairs over Z, Q, Z[1/3], Z/8, GF(4), Z[omega] and Z[a]."""
+    W, P = omega_ring(), PolyRing(ZZ, ("a",))
+    F4 = GF(4)
+    return [(ZZ, [0, 1, -3, 5]), (QQ, [Fraction(0), Fraction(-2, 3), Fraction(7)]),
+            (Z_inverted(3), [Fraction(1, 3), Fraction(-9), Fraction(2)]),
+            (ModularIntegers(8), [0, 1, 4, 7]), (F4, [F4.zero(), F4.one(), F4.gen()]),
+            (W, [W.zero(), W.one(), sqrt_minus3(W)]), (P, [P.zero(), P.one() - P.gen("a")])]
+
+
+def test_a_conic_without_c_matches_its_quotient_form():
+    """With c = 0 the law x + y + b xy equals, term for term and type for
+    type, (x + y + b xy)/(1 - 0 xy) by Newton inversion, in every carrier;
+    so does the additive law, conic (0, 0)."""
+    for R, bs in _conic_rings():
+        for b in bs:
+            for N in (1, 4, 7):
+                ctx = SeriesCtx(R, ("x", "y"), N + 1)
+                x, y = ctx.gen("x"), ctx.gen("y")
+                want = (x + y + (x * y).scale(b)) * (ctx.one() - (x * y).scale(R.zero())).inverse()
+                assert _typed(fgl.multiplicative_fgl(R, b, N).F) == _typed(want), (R, b, N)
+            assert _typed(fgl.additive_fgl(R, 6).F) == _typed(fgl.conic_fgl(R, R.zero(),
+                                                                            R.zero(), 6).F)
+
+
+def test_only_a_conic_with_c_inverts_its_denominator(monkeypatch):
+    """x + y + b xy is built without Series.inverse; a nonzero c inverts
+    1 - c xy once."""
+    calls = []
+    real = Series.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Series, "inverse", counted)
+    for R, bs in _conic_rings():
+        for b in bs:
+            fgl.multiplicative_fgl(R, b, 7)
+        fgl.additive_fgl(R, 7)
+    assert calls == []
+    fgl.conic_fgl(ZZ, 3, 3, 7)
+    assert len(calls) == 1
+
+
 def test_m_series_and_heights():
     two = fgl.m_series(fgl.multiplicative_fgl(ZZ, 1, 8), 2)
     assert [two.ucoeff(i) for i in range(4)] == [0, 2, 1, 0]
@@ -719,6 +764,54 @@ def test_only_the_family_curve_is_served_from_the_memo(cold_lift, monkeypatch):
     assert _typed(res.fgl_lift) == _typed(fgl_lift)
     assert _typed(res.isogeny_lift) == _typed(isogeny_lift)
     assert calls == [] and fgl._family_lift is memo
+
+
+_sweep_rng = random.Random(34)
+# 60 seeded conics (b, c): b with an odd numerator, c in [-9, 9], each over a
+# denominator in {1, 3, 5}
+CONIC_SWEEP = [(Fraction(2 * _sweep_rng.randint(-5, 4) + 1, _sweep_rng.choice((1, 3, 5))),
+                Fraction(_sweep_rng.randint(-9, 9), _sweep_rng.choice((1, 3, 5))))
+               for _ in range(60)]
+
+
+@pytest.mark.parametrize("P", range(1, 14))
+def test_conic_lift_through_its_nodal_cubic_matches_the_closed_form(P):
+    """The lift of a conic (b, c), run by the chord and the log of
+    y^2 - b xy = x^3 - c x^2, gives term for term and type for type the
+    isogeny, the kernel point and the quotient law of the conic's closed
+    form, or the same refusal (below x^2 the isogeny has no unit linear
+    coefficient)."""
+    def outcome(build):
+        try:
+            return tuple(map(_typed, build()))
+        except NotInvertible:
+            return NotInvertible
+
+    def closed_form():
+        f, tau, L = oracles.conic_isogeny_oracle(b, c, P)
+        lam = L.compose_reverse(f)
+        return f, tau, fgl.law_from_log(lam.scale(Fraction(2)), P)
+
+    for b, c in CONIC_SWEEP:
+        got = outcome(lambda: fgl._quotient_lift(fgl.ConicOrigin(b, c), P))
+        assert got == outcome(closed_form), (b, c)
+        assert (got is NotInvertible) == (P == 1)
+
+
+@pytest.mark.parametrize("law", [lambda R: fgl.multiplicative_fgl(R, 2, 8),
+                                 lambda R: fgl.conic_fgl(R, 2, 3, 8)],
+                         ids=["x + y + 2xy", "conic(2, 3)"])
+def test_an_even_conic_is_refused_before_any_lift(monkeypatch, law):
+    """A conic with even b has [2](x) = 2x + b x^2 + ..., no unit x^2
+    coefficient: the kernel check refuses it before a lift is built."""
+    Z8 = ModularIntegers(8)
+    K = fgl.canonical_subgroup(fgl.multiplicative_fgl(Z8, 1, 8))
+    calls = []
+    for name in ("_quotient_lift", "_curve_lift"):
+        monkeypatch.setattr(fgl, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(NotOrdinary):
+        fgl.quotient_by_subgroup(law(Z8), K)
+    assert calls == []
 
 
 def _bump(Fbar: Series, e: tuple, c) -> Series:

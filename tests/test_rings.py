@@ -14,6 +14,9 @@ from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
                             omega_ring, sqrt_minus3)
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
+import oracles
+from chromalg import fgl, kforms, linalg
+from chromalg.rings import _valuation
 from oracles import dot_loop_oracle, quotient_mul_oracle
 
 
@@ -457,3 +460,33 @@ def test_dot_over_z_quotient_keeps_the_loop_where_fractions_enter():
     got = R.dot(xs, ys)
     assert typed(got) == typed(dot_loop_oracle(R, xs, ys))
     assert any(type(v) is Fraction for v in got)
+
+
+def test_valuation_matches_the_division_loops():
+    """_valuation(n, p) and each of its callers agree with the division loop
+    they replaced, on seeded nonzero integers of either sign; zero raises."""
+    rng = random.Random(34)
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7, 13])
+        n = rng.choice([1, -1]) * p ** rng.randint(0, 12) * rng.randint(1, 10 ** 6)
+        assert _valuation(n, p) == oracles.valuation_loop_oracle(n, p)
+    for p in (2, 3, 5):
+        with pytest.raises(ValueError):
+            _valuation(0, p)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        diag = [rng.choice([1, p, 6, 12, 27, 250]) * rng.randint(1, 9)
+                for _ in range(rng.randint(0, 5))]
+        ncols = len(diag) + rng.randint(0, 3)
+        assert linalg.p_local_structure(diag, ncols, p) == \
+            oracles.p_local_structure_oracle(diag, ncols, p)
+    for m in range(2, 300):
+        assert ModularIntegers(m).nilpotent_bound() == oracles.nilpotent_bound_oracle(m)
+        if m % 2 == 0:
+            R = ModularIntegers(m)
+            for v in range(-m, 2 * m):
+                assert fgl._two_b_valuation(v, R) == oracles.two_valuation_mod_oracle(v, m)
+    for _ in range(500):
+        q = Fraction(rng.choice([1, -1, 2, 5]) * 3 ** rng.randint(0, 5),
+                     rng.choice([1, 2, 7]) * 3 ** rng.randint(0, 5))
+        assert kforms._is_3_unit(q) == oracles.is_3_unit_oracle(q)

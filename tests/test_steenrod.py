@@ -380,3 +380,21 @@ def test_duality_dims():
 def test_evenness_below_bound():
     assert st.evenness_below(1, 24)
     assert st.evenness_below(2, 32)
+
+
+def test_compose_f2_matrices_matches_the_middle_basis_loop():
+    """later o earlier by _apply_left equals the loop over the middle basis,
+    on seeded matrices, empty ones included, and on the square's own maps."""
+    rng = random.Random(34)
+    for _ in range(2000):
+        mid = rng.randint(0, 12)
+        later = [rng.getrandbits(rng.randint(0, 12)) for _ in range(mid)]
+        earlier = [rng.getrandbits(mid) for _ in range(rng.randint(0, 8))]
+        assert st.compose_f2_matrices(later, earlier) == \
+            oracles.compose_f2_matrices_oracle(later, earlier, mid)
+    E1, A1 = st.QuotientModule(st.Profile("E", 1), 8), st.QuotientModule(st.Profile("A", 1), 8)
+    for d in range(8):
+        t = st.module_map_matrix(E1, A1, d)
+        act = A1.action_matrix(st.sq(1), d)
+        assert st.compose_f2_matrices(act, t) == \
+            oracles.compose_f2_matrices_oracle(act, t, A1.dim(d))
