@@ -1,6 +1,6 @@
 """p-typical structure constants and the Tor degeneration bookkeeping.
 
-Right units are solved from the Hazewinkel recursion together with
+Right units are solved by the Hazewinkel recursion of `fgl` run on
 eta(ell_n) = sum ell_i t_j^(p^i); regular sequences and Koszul homology are
 checked degreewise with exact linear algebra.  The regularity test reads the
 integer columns of multiplication by a homogeneous polynomial from one
@@ -19,14 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .convert import reduce_scalar
+from .convert import descend_scalar, reduce_scalar
 from .errors import IntegralityFailure, TruncationError
+from .fgl import _hazewinkel_solve
 from .linalg import (f2_mask, f2_nullspace, f2_rank, f2_reduce, f2_rref, int_kernel,
                      lattice_homology, p_local_structure, smith_normal_form, solve_int_exact)
 from .poly import Poly, PolyRing, monomials_of_weighted_degree
 from .rings import PrimeField, QQ, ZZ
 from .steenrod import (bstar_dims, dims_table, dual_steenrod_dims_odd, exterior_pattern_dims,
-                       monomial_count_dims)
+                       monomial_count_dims, tau_degrees, xi_degrees)
 
 
 # -- right unit ---------------------------------------------------------------
@@ -68,35 +69,16 @@ class RightUnitTable:
 
 
 def right_unit(p: int, kmax: int) -> RightUnitTable:
-    """eta_R(v_k) for k <= kmax, exact with integer coefficients."""
+    """eta_R(v_k) for k <= kmax, exact with integer coefficients
+    (IntegralityFailure when one is not)."""
     if kmax > 3 and p == 2:
         raise TruncationError("desk bound: k <= 3 at p = 2")
     P = bp_ring(p, kmax, kmax)
     ells = _log_coeffs(P, p, kmax)
     eta_ells = [P.one()] + [_eta_log(P, ells, p, m) for m in range(1, kmax + 1)]
-    eta_v = {}
-    for m in range(1, kmax + 1):
-        acc = eta_ells[m] * P.const(Fraction(p))
-        for i in range(1, m):
-            acc = acc - eta_ells[i] * (eta_v[m - i] ** (p ** i))
-        eta_v[m] = acc
-    # integrality and the defining recursion re-verified
+    eta_v = _hazewinkel_solve(P, p, eta_ells)
     PZ = bp_ring(p, kmax, kmax, base=ZZ)
-    out = {}
-    for k, poly in eta_v.items():
-        terms = {}
-        for e, c in poly.terms.items():
-            if c.denominator != 1:
-                raise IntegralityFailure(f"eta(v_{k}) coefficient {c} not integral")
-            terms[e] = int(c)
-        out[k] = Poly(PZ, terms)
-    for m in range(1, kmax + 1):
-        lhs = eta_ells[m] * P.const(Fraction(p))
-        rhs = P.zero()
-        for i in range(m):
-            rhs = rhs + eta_ells[i] * (eta_v[m - i] ** (p ** i))
-        if not lhs == rhs:
-            raise IntegralityFailure("right-unit recursion failed to verify")
+    out = {k: descend_scalar(poly, PZ) for k, poly in enumerate(eta_v, 1)}
     return RightUnitTable(p, out, PZ)
 
 
@@ -373,10 +355,7 @@ def fp_poly_dims(weights: list[int], N: int) -> list[int]:
 def bp2_shadow_sequence(N: int):
     """(2, eta v1, eta v2) acting on Z[v1, v2][t_i] with |t_i| <= N."""
     table = right_unit(2, 2)
-    nt = 0
-    while 2 * (2 ** (nt + 1) - 1) <= N:
-        nt += 1
-    P = bp_ring(2, 2, max(nt, 2), base=ZZ)
+    P = bp_ring(2, 2, max(len(xi_degrees(2, N)), 2), base=ZZ)
     module = GradedModule(P, [])
 
     def promote(poly):
@@ -403,24 +382,10 @@ def tor_degeneration_identity(n: int, p: int, N: int):
     patterns are convolutions; at odd p the other sides are monomial counts
     (`steenrod.monomial_count_dims`) over the same degrees, so the two can
     disagree."""
-    tw = []
-    i = 1
-    while 2 * (p ** i - 1) <= N:
-        tw.append(2 * (p ** i - 1))
-        i += 1
-    ext_hi = []
-    k = n + 1
-    while 2 * p ** k - 1 <= N:
-        ext_hi.append(2 * p ** k - 1)
-        k += 1
-    side_a = exterior_pattern_dims(tw, ext_hi, N)
+    xi, tau = xi_degrees(p, N), tau_degrees(p, N)
+    side_a = exterior_pattern_dims(xi, tau[n + 1:], N)
     side_b = bstar_dims(n, p, N)
-    ext_full = []
-    k = 0
-    while 2 * p ** k - 1 <= N:
-        ext_full.append(2 * p ** k - 1)
-        k += 1
-    full_a = exterior_pattern_dims(tw, ext_full, N)
+    full_a = exterior_pattern_dims(xi, tau, N)
     full_b = dims_table(N) if p == 2 else dual_steenrod_dims_odd(p, N, tau_from=0)
     return {
         "truncated_equal": side_a == side_b,

@@ -106,26 +106,21 @@ def _tate_cusp(cfg, rng):
 @check("ell.reduction-table", "elliptic", "reduction-table")
 def _reduction_table(cfg, rng):
     counts = {}
-    types = {}      # (q, A, B) -> reduction type (GF(q) elements are ints or tuples)
     for q in (2, 4, 8):
         F = GF(q)
         for A in F.elements():
             for B in F.elements():
                 if F.is_zero(A) and F.is_zero(B):
                     continue
-                t = types[(q, A, B)] = elliptic.reduction_type(elliptic.gamma1_3_curve(F, A, B))
+                t = elliptic.reduction_type(elliptic.gamma1_3_curve(F, A, B))
                 counts[(q, t)] = counts.get((q, t), 0) + 1
+                # refuses the chart A = 1 too: each chart fiber (1, b) is swept here
                 if t == elliptic.SMOOTH_SUPERSINGULAR:
                     ensure(F.is_zero(A), f"supersingular off A=0 over GF({q})")
                 if F.is_zero(A) and t in (elliptic.SMOOTH_ORDINARY,):
                     raise CheckFailure(f"A=0 smooth fiber classified ordinary over GF({q})")
                 if t == elliptic.ADDITIVE:
                     raise CheckFailure("additive fiber away from (0,0)")
-    for q in (2, 4, 8):
-        F = GF(q)
-        for b in F.elements():
-            ensure(types[(q, F.one(), b)] != elliptic.SMOOTH_SUPERSINGULAR,
-                   "supersingular fiber on chart A=1")
     return f"exhaustive over GF(2), GF(4), GF(8): {sorted((k, v) for k, v in counts.items())}"
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .errors import IntegralityFailure
 from .poly import Poly, PolyRing
 from .rings import ModularIntegers, Rationals, Ring
-from .series import Series, SeriesCtx, SeriesRing
+from .series import Series, SeriesRing
 
 
 def fraction_mod(q: Fraction, m: int) -> int:
@@ -87,12 +87,7 @@ def reduce_scalar(value, target: Ring):
 
 def series_reduce(s: Series, target_ring: Ring) -> Series:
     """Coefficientwise reduce_scalar over a whole (possibly multivariate) series."""
-    out = {}
-    for e, c in s.terms.items():
-        v = reduce_scalar(c, target_ring)
-        if not target_ring.is_zero(v):
-            out[e] = v
-    return Series(SeriesCtx(target_ring, s.ctx.vars, s.ctx.prec), out)
+    return s.map_coefficients(lambda c: reduce_scalar(c, target_ring), target_ring)
 
 
 def assert_two_integral(s: Series, what: str):

@@ -494,7 +494,6 @@ class NodalGroupLaw:
 @dataclass
 class NodeData:
     node: tuple
-    coordinate: str
     law: NodalGroupLaw
     fgl_at_infinity: "object"  # FormalGroupLaw, import cycle avoided
 
@@ -558,8 +557,8 @@ def _is_singular_at(E: WeierstrassCurve, x0, y0) -> bool:
 
 
 def node_uniformization(E: WeierstrassCurve, N: int = 8) -> NodeData:
-    """Node, rational coordinate, nodal group law, and the formal group law of
-    the smooth locus at infinity.
+    """Node, nodal group law, and the formal group law of the smooth locus at
+    infinity.
 
     After translating the node to the origin the curve reads
     Y^2 + b XY + c X^2 = X^3 with b = a1 and c = -(3 x0 + a2); the smooth locus
@@ -585,5 +584,4 @@ def node_uniformization(E: WeierstrassCurve, N: int = 8) -> NodeData:
         raise NotNodal("parametrization does not satisfy the curve equation")
     law = NodalGroupLaw(R, b, c)
     fgl = conic_fgl(R, b, c, N)
-    coord = "t = (y - y0)/(x - x0), unit at t = infinity"
-    return NodeData((x0, y0), coord, law, fgl)
+    return NodeData((x0, y0), law, fgl)

@@ -414,8 +414,6 @@ def _flow_terms(lam: Series, P: int, top: int) -> list:
 
 @dataclass
 class PTypicalData:
-    p: int
-    log_coeffs: list      # [ell_1, .., ell_n] over the rationalized ring
     v: list               # [v_1, .., v_n] descended to the base ring
 
 
@@ -428,14 +426,20 @@ def hazewinkel_generators(F: FormalGroupLaw, p: int, n: int) -> PTypicalData:
     ell = fgl_log(F, p ** n)
     Qring = ell.ctx.ring
     ells = [Qring.one()] + [ell.ucoeff(p ** k) for k in range(1, n + 1)]
-    vs_q = []
-    for m in range(1, n + 1):
-        acc = Qring.scale_int(ells[m], p)
+    return PTypicalData([descend_scalar(v, F.ring) for v in _hazewinkel_solve(Qring, p, ells)])
+
+
+def _hazewinkel_solve(R: Ring, p: int, ells: list) -> list:
+    """[v_1, .., v_n] from p*ell_m = sum_{0<=i<m} ell_i v_(m-i)^(p^i) over R,
+    given [ell_0 = 1, ell_1, .., ell_n] (Hazewinkel's formula; Ravenel,
+    Complex Cobordism, ch. 4).  `bp.right_unit` runs it on the eta_R(ell_m)."""
+    vs = []
+    for m in range(1, len(ells)):
+        acc = R.scale_int(ells[m], p)
         for i in range(1, m):
-            acc = Qring.sub(acc, Qring.mul(ells[i], Qring.pow(vs_q[m - i - 1], p ** i)))
-        vs_q.append(acc)
-    vs = [descend_scalar(v, F.ring) for v in vs_q]
-    return PTypicalData(p, ells[1:], vs)
+            acc = R.sub(acc, R.mul(ells[i], R.pow(vs[m - i - 1], p ** i)))
+        vs.append(acc)
+    return vs
 
 
 # -- isomorphism search --------------------------------------------------------------

@@ -11,32 +11,20 @@ from __future__ import annotations
 from .elliptic import (formal_group_of_curve, gamma1_3_curve, transform,
                        curves_equal)
 from .errors import AlgebraError
-from .poly import PolyRing
+from .poly import PolyRing, monomials_of_weighted_degree
 from .rings import ZZ, Z_local
 from .series import Series, SeriesRing
 
 
 def h0_basis(n: int) -> list[tuple[int, int]]:
-    """Monomials A^i B^j with i + 3j = n, i, j >= 0."""
-    out = []
-    for j in range(max(n, 0) // 3 + 1):
-        i = n - 3 * j
-        if i >= 0:
-            out.append((i, j))
-    return out
+    """Monomials A^i B^j with i + 3j = n, i, j >= 0, by ascending j."""
+    return monomials_of_weighted_degree((1, 3), n)[::-1]
 
 
 def h1_basis(n: int) -> list[tuple[int, int]]:
-    """Classes A^-i B^-j with i, j >= 1 and -i - 3j = n."""
-    out = []
-    m = -n
-    if m <= 0:
-        return out
-    for j in range(1, m // 3 + 1):
-        i = m - 3 * j
-        if i >= 1:
-            out.append((-i, -j))
-    return out
+    """Classes A^-i B^-j with i, j >= 1 and -i - 3j = n: D = A^-1 B^-1 times
+    the inverse of each monomial of H^0(-n - 4)."""
+    return [(-i - 1, -j - 1) for i, j in h0_basis(-n - 4)]
 
 
 def h0_rank(n: int) -> int:

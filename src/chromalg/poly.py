@@ -303,21 +303,34 @@ class Poly:
 
 
 def monomials_of_weighted_degree(weights: tuple[int, ...], d: int):
-    """All exponent tuples e >= 0 with sum e_i * w_i == d (w_i > 0)."""
+    """All exponent tuples e >= 0 with sum e_i * w_i == d (w_i > 0), in
+    lexicographic order.  A branch stops early: a zero remainder fills the
+    remaining exponents with zeros, a remainder below every remaining weight
+    has no completion, and the last exponent is the remainder over the last
+    weight when it divides."""
+    if not all(w > 0 for w in weights):
+        raise ValueError("weights must be positive for enumeration")
     n = len(weights)
+    if d <= 0 or n == 0:
+        return [(0,) * n] if d == 0 else []
+    floor = [min(weights[i:]) for i in range(n)]
+    last = weights[-1]
+    acc = [0] * n
     out = []
 
-    def rec(i, rem, acc):
-        if i == n:
-            if rem == 0:
-                out.append(tuple(acc))
+    def rec(i, rem):
+        if rem == 0:
+            out.append(tuple(acc[:i]) + (0,) * (n - i))
+        elif rem < floor[i]:
             return
-        w = weights[i]
-        for k in range(rem // w + 1):
-            rec(i + 1, rem - k * w, acc + [k])
+        elif i == n - 1:
+            if rem % last == 0:
+                out.append(tuple(acc[:i]) + (rem // last,))
+        else:
+            w = weights[i]
+            for k in range(rem // w + 1):
+                acc[i] = k
+                rec(i + 1, rem - k * w)
 
-    if all(w > 0 for w in weights):
-        rec(0, d, [])
-    else:
-        raise ValueError("weights must be positive for enumeration")
+    rec(0, d)
     return out

@@ -401,13 +401,9 @@ class ModularIntegers(Ring):
         return pow(a, -1, self.m)
 
     def divide(self, a, b):
-        # gcd solve of b*x = a; returns the smallest solution when several exist
-        g = math.gcd(b, self.m)
-        if a % g != 0:
-            return None
-        mm = self.m // g
-        x0 = (a // g) * pow((b // g) % mm, -1, mm) % mm if mm > 1 else 0
-        return x0 % self.m
+        # the smallest solution of b*x = a when several exist
+        sols = self.solve_int(b, a)
+        return sols[0] if sols else None
 
     def solve_int(self, n: int, b):
         g = math.gcd(n, self.m)

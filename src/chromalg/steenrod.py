@@ -64,22 +64,8 @@ ZERO = frozenset()
 @lru_cache(maxsize=None)
 def basis(d: int) -> tuple:
     """All Milnor monomials of degree d, lexicographically sorted."""
-    if d < 0:
-        return ()
-    out = []
-
-    def rec(i, rem, acc):
-        wt = 2 ** (i + 1) - 1
-        if rem == 0:
-            out.append(_strip(acc))
-            return
-        if wt > rem:
-            return
-        for k in range(rem // wt + 1):
-            rec(i + 1, rem - k * wt, acc + [k])
-
-    rec(0, d, [])
-    return tuple(sorted(out))
+    weights = tuple(tau_degrees(2, d))      # |Sq(0, .., 0, 1)| = 2^i - 1
+    return tuple(sorted(_strip(r) for r in monomials_of_weighted_degree(weights, d)))
 
 
 def dims_table(N: int) -> list[int]:
@@ -88,8 +74,7 @@ def dims_table(N: int) -> list[int]:
 
 def poincare_product_dims(N: int) -> list[int]:
     """Coefficients of prod_{i>=1} 1/(1 - q^(2^i - 1)): an independent count."""
-    weights = [2 ** i - 1 for i in range(1, N.bit_length() + 1) if 2 ** i - 1 <= N]
-    return exterior_pattern_dims(weights, [], N)
+    return exterior_pattern_dims(tau_degrees(2, N), [], N)
 
 
 def exterior_pattern_dims(poly_weights: list[int], ext_degrees: list[int], N: int) -> list[int]:
@@ -605,34 +590,37 @@ def bstar_dims(n: int, p: int, N: int) -> list[int]:
 
 
 def bstar_generator_degrees(n: int, p: int, N: int) -> list[int]:
+    """At p = 2: the squares xi_i^2 for i <= n + 1, then the generators of
+    degree 2^i - 1 (the p = 2 values of |tau_(i-1)|)."""
     if p != 2:
         raise ValueError("generator list is the p = 2 branch")
-    gens = []
-    i = 1
-    while True:
-        d = 2 * (2 ** i - 1) if i <= n + 1 else 2 ** i - 1
-        if d > N:
-            break
-        gens.append(d)
-        i += 1
-    return gens
+    return xi_degrees(2, N)[:n + 1] + tau_degrees(2, N)[n + 1:]
 
 
 def dual_steenrod_dims_odd(p: int, N: int, tau_from: int = 0) -> list[int]:
     """dims of P(xi_1, ...) tensor E(tau_j : j >= tau_from) at an odd prime,
     by monomial count: `bp.tor_degeneration_identity` compares it with the
     convolution over the same degrees, so it must not be that convolution."""
-    xi = []
-    i = 1
-    while 2 * (p ** i - 1) <= N:
-        xi.append(2 * (p ** i - 1))
-        i += 1
-    tau = []
-    j = tau_from
-    while 2 * p ** j - 1 <= N:
-        tau.append(2 * p ** j - 1)
-        j += 1
-    return monomial_count_dims(xi, tau, N)
+    return monomial_count_dims(xi_degrees(p, N), tau_degrees(p, N)[tau_from:], N)
+
+
+def xi_degrees(p: int, N: int) -> list[int]:
+    """|xi_i| = 2(p^i - 1) for i >= 1, up to N."""
+    out, q = [], p
+    while 2 * (q - 1) <= N:
+        out.append(2 * (q - 1))
+        q *= p
+    return out
+
+
+def tau_degrees(p: int, N: int) -> list[int]:
+    """|tau_j| = 2p^j - 1 for j >= 0, up to N; at p = 2 the Milnor weights
+    2^i - 1."""
+    out, q = [], 1
+    while 2 * q - 1 <= N:
+        out.append(2 * q - 1)
+        q *= p
+    return out
 
 
 def duality_dims_check(n: int, N: int) -> bool:

@@ -35,7 +35,12 @@ adds a point to itself with the chord-tangent law, the reduction mod p
 of an integer polynomial by int(c) % p per coefficient, and the
 non-isomorphism degrees of `fgl.noniso-z13` from one linear-unit search per
 target law, the p-adic valuation as a division loop at each of its call sites,
-and the composite of two F_2 matrices as a loop over the middle basis.
+and the composite of two F_2 matrices as a loop over the middle basis,
+the weighted-monomial enumeration without pruning, the Milnor basis by its
+own recursion, the H^0 and H^1 bases of the (1, 3)-weighted line as loops,
+each list of xi and tau degrees as its own loop, the Hazewinkel v-recursion as
+`hazewinkel_generators` and `right_unit` each wrote it, Z/m division by its
+own gcd solve, and `series_reduce` as a loop.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
@@ -47,8 +52,11 @@ eliminations that the regularity oracle calls, the `family_law`,
 `_family_b_direction` that the column oracle calls, the
 base-ring arithmetic that the quotient product oracle calls, `transform`,
 `curves_equal` and `compose_transforms` behind the automorphism oracle, and
-`invariants` and `descend_scalar` behind the node oracle, and `conic_fgl`
-and `find_iso` behind the non-isomorphism oracle.
+`invariants` and `descend_scalar` behind the node oracle, `conic_fgl`
+and `find_iso` behind the non-isomorphism oracle, `fgl_log` and
+`descend_scalar` behind the Hazewinkel oracle, `bp_ring`, `_log_coeffs` and
+`_eta_log` behind the right-unit oracle, and `reduce_scalar` behind the
+`series_reduce` oracle.
 """
 
 from __future__ import annotations
@@ -57,17 +65,19 @@ from fractions import Fraction
 from math import comb, gcd
 
 from chromalg import steenrod as st
-from chromalg.convert import descend_scalar
+from chromalg.bp import _eta_log, _log_coeffs, bp_ring
+from chromalg.convert import descend_scalar, reduce_scalar
 from chromalg.elliptic import (compose_transforms, curves_equal, gamma1_3_curve, invariants,
                                transform)
-from chromalg.errors import (AlgebraError, CompositionError, NotInvertible, PreparationFailed,
-                             RecognitionFailed)
+from chromalg.errors import (AlgebraError, CompositionError, IntegralityFailure, NotInvertible,
+                             PreparationFailed, RecognitionFailed, TruncationError)
 from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
-                          _family_b_direction, _formal_two_torsion, conic_fgl, family_fgl_at, family_law, find_iso)
+                          _family_b_direction, _formal_two_torsion, conic_fgl, family_fgl_at, family_law, find_iso,
+                          fgl_log)
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
-from chromalg.rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring
+from chromalg.rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
@@ -1405,3 +1415,187 @@ def reduce_poly_modulo_oracle(poly: Poly, p: int, kill_gens: tuple = ()) -> Poly
         if int(c) % p:
             out[e] = int(c) % p
     return Poly(PolyRing(PrimeField(p), P.gens, P.weights), out)
+
+
+# -- graded bookkeeping: enumerators, xi/tau degrees, the v-recursion ---------------
+
+def monomials_of_weighted_degree_oracle(weights: tuple[int, ...], d: int):
+    """All exponent tuples e >= 0 with sum e_i * w_i == d (w_i > 0), every
+    exponent tried at every position, without pruning."""
+    n = len(weights)
+    out = []
+
+    def rec(i, rem, acc):
+        if i == n:
+            if rem == 0:
+                out.append(tuple(acc))
+            return
+        w = weights[i]
+        for k in range(rem // w + 1):
+            rec(i + 1, rem - k * w, acc + [k])
+
+    if all(w > 0 for w in weights):
+        rec(0, d, [])
+    else:
+        raise ValueError("weights must be positive for enumeration")
+    return out
+
+
+def milnor_basis_oracle(d: int) -> tuple:
+    """All Milnor monomials of degree d, lexicographically sorted, by the
+    Milnor recursion over the weights 2^(i+1) - 1."""
+    if d < 0:
+        return ()
+    out = []
+
+    def rec(i, rem, acc):
+        wt = 2 ** (i + 1) - 1
+        if rem == 0:
+            out.append(_strip_oracle(acc))
+            return
+        if wt > rem:
+            return
+        for k in range(rem // wt + 1):
+            rec(i + 1, rem - k * wt, acc + [k])
+
+    rec(0, d, [])
+    return tuple(sorted(out))
+
+
+def h0_basis_oracle(n: int) -> list[tuple[int, int]]:
+    """Monomials A^i B^j with i + 3j = n, i, j >= 0."""
+    out = []
+    for j in range(max(n, 0) // 3 + 1):
+        i = n - 3 * j
+        if i >= 0:
+            out.append((i, j))
+    return out
+
+
+def h1_basis_oracle(n: int) -> list[tuple[int, int]]:
+    """Classes A^-i B^-j with i, j >= 1 and -i - 3j = n."""
+    out = []
+    m = -n
+    if m <= 0:
+        return out
+    for j in range(1, m // 3 + 1):
+        i = m - 3 * j
+        if i >= 1:
+            out.append((-i, -j))
+    return out
+
+
+def xi_degrees_oracle(p: int, N: int) -> list[int]:
+    """|xi_i| = 2(p^i - 1) <= N, i >= 1, as `dual_steenrod_dims_odd` and
+    `tor_degeneration_identity` listed them."""
+    xi = []
+    i = 1
+    while 2 * (p ** i - 1) <= N:
+        xi.append(2 * (p ** i - 1))
+        i += 1
+    return xi
+
+
+def tau_degrees_oracle(p: int, N: int, tau_from: int = 0) -> list[int]:
+    """|tau_j| = 2p^j - 1 <= N, j >= tau_from."""
+    tau = []
+    j = tau_from
+    while 2 * p ** j - 1 <= N:
+        tau.append(2 * p ** j - 1)
+        j += 1
+    return tau
+
+
+def bstar_generator_degrees_oracle(n: int, N: int) -> list[int]:
+    """The p = 2 generator degrees of B_*(n), one index at a time."""
+    gens = []
+    i = 1
+    while True:
+        d = 2 * (2 ** i - 1) if i <= n + 1 else 2 ** i - 1
+        if d > N:
+            break
+        gens.append(d)
+        i += 1
+    return gens
+
+
+def poincare_weights_oracle(N: int) -> list[int]:
+    """The weights 2^i - 1 <= N of prod_{i>=1} 1/(1 - q^(2^i - 1))."""
+    return [2 ** i - 1 for i in range(1, N.bit_length() + 1) if 2 ** i - 1 <= N]
+
+
+def shadow_t_count_oracle(N: int) -> int:
+    """How many t_i of `bp.bp2_shadow_sequence` have |t_i| <= N at p = 2."""
+    nt = 0
+    while 2 * (2 ** (nt + 1) - 1) <= N:
+        nt += 1
+    return nt
+
+
+def hazewinkel_v_oracle(F: FormalGroupLaw, p: int, n: int) -> list:
+    """[v_1, .., v_n] of `hazewinkel_generators`, the recursion written out
+    over the rationalized ring."""
+    need = p ** n + 1
+    if F.prec < need:
+        raise TruncationError(f"law precision {F.prec} < required {need}")
+    ell = fgl_log(F, p ** n)
+    Qring = ell.ctx.ring
+    ells = [Qring.one()] + [ell.ucoeff(p ** k) for k in range(1, n + 1)]
+    vs_q = []
+    for m in range(1, n + 1):
+        acc = Qring.scale_int(ells[m], p)
+        for i in range(1, m):
+            acc = Qring.sub(acc, Qring.mul(ells[i], Qring.pow(vs_q[m - i - 1], p ** i)))
+        vs_q.append(acc)
+    return [descend_scalar(v, F.ring) for v in vs_q]
+
+
+def right_unit_eta_v_oracle(p: int, kmax: int) -> dict:
+    """eta_R(v_k) for k <= kmax with Poly operators, each coefficient made an
+    int by hand, and the recursion re-verified."""
+    P = bp_ring(p, kmax, kmax)
+    ells = _log_coeffs(P, p, kmax)
+    eta_ells = [P.one()] + [_eta_log(P, ells, p, m) for m in range(1, kmax + 1)]
+    eta_v = {}
+    for m in range(1, kmax + 1):
+        acc = eta_ells[m] * P.const(Fraction(p))
+        for i in range(1, m):
+            acc = acc - eta_ells[i] * (eta_v[m - i] ** (p ** i))
+        eta_v[m] = acc
+    PZ = bp_ring(p, kmax, kmax, base=ZZ)
+    out = {}
+    for k, poly in eta_v.items():
+        terms = {}
+        for e, c in poly.terms.items():
+            if c.denominator != 1:
+                raise IntegralityFailure(f"eta(v_{k}) coefficient {c} not integral")
+            terms[e] = int(c)
+        out[k] = Poly(PZ, terms)
+    for m in range(1, kmax + 1):
+        lhs = eta_ells[m] * P.const(Fraction(p))
+        rhs = P.zero()
+        for i in range(m):
+            rhs = rhs + eta_ells[i] * (eta_v[m - i] ** (p ** i))
+        if not lhs == rhs:
+            raise IntegralityFailure("right-unit recursion failed to verify")
+    return out
+
+
+def modular_divide_oracle(m: int, a: int, b: int):
+    """Z/m's a/b by its own gcd solve: the smallest x with b*x = a, or None."""
+    g = gcd(b, m)
+    if a % g != 0:
+        return None
+    mm = m // g
+    x0 = (a // g) * pow((b // g) % mm, -1, mm) % mm if mm > 1 else 0
+    return x0 % m
+
+
+def series_reduce_oracle(s: Series, target_ring: Ring) -> Series:
+    """Coefficientwise reduce_scalar over a whole series, as a loop."""
+    out = {}
+    for e, c in s.terms.items():
+        v = reduce_scalar(c, target_ring)
+        if not target_ring.is_zero(v):
+            out[e] = v
+    return Series(SeriesCtx(target_ring, s.ctx.vars, s.ctx.prec), out)

@@ -35,6 +35,31 @@ def test_right_unit_invariance(table):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("p, kmax", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_right_unit_matches_its_own_recursion(p, kmax):
+    """eta_R(v_k) through `fgl`'s Hazewinkel solve and `descend_scalar`
+    equals the recursion written out with an int taken of each coefficient."""
+    got = bp.right_unit(p, kmax).eta_v
+    want = oracles.right_unit_eta_v_oracle(p, kmax)
+    assert got == want
+    assert all(type(c) is int for poly in got.values() for c in poly.terms.values())
+
+
+def test_right_unit_refuses_a_fractional_coefficient(monkeypatch):
+    """Negative control: with eta_R(ell_m) halved, eta_R(v_1) = eta_R(ell_1)
+    has coefficients 1/2, and both routes raise IntegralityFailure."""
+    eta_log = bp._eta_log
+
+    def halved(P, ells, p, m):
+        return eta_log(P, ells, p, m) * P.const(Fraction(1, 2))
+
+    monkeypatch.setattr(bp, "_eta_log", halved)
+    monkeypatch.setattr(oracles, "_eta_log", halved)
+    for route in (bp.right_unit, oracles.right_unit_eta_v_oracle):
+        with pytest.raises(IntegralityFailure):
+            route(2, 2)
+
+
 def test_regular_sequence_bp2():
     seq, module, P = bp.bp2_shadow_sequence(20)
     rep = bp.regular_sequence_check(seq, module, 20)

@@ -104,3 +104,28 @@ def test_parser_defaults_are_the_run_config_defaults():
     assert (args.max_degree, args.series_prec, args.two_adic_prec, args.q_terms) == \
         (cfg.max_degree, cfg.series_prec, cfg.two_adic_prec, cfg.q_terms)
     assert tuple(args.suites) == cfg.suites
+
+
+def test_report_body_script_names_the_differing_keys(tmp_path):
+    """tests/check_report_body.py, which CI runs after each `verify --json`:
+    exit 0 on the recorded body, a failure naming `summary` once the
+    summary changes."""
+    import subprocess
+    import sys
+    here = os.path.dirname(__file__)
+    script = os.path.join(here, "check_report_body.py")
+    expected = os.path.join(here, "data", "verify_default_body.json")
+    with open(expected) as f:
+        body = json.load(f)
+    report = tmp_path / "report.json"
+
+    def run(doc):
+        report.write_text(json.dumps(doc))
+        return subprocess.run([sys.executable, script, str(report), expected, "default"],
+                              capture_output=True, text=True, timeout=60)
+
+    same = run({**body, "header": {"timing_ms": 1}})
+    assert same.returncode == 0, same.stderr
+    changed = run({**body, "summary": {**body["summary"], "pass": 59, "fail": 1}})
+    assert changed.returncode != 0
+    assert changed.stderr.strip() == f"the default report differs from {expected} in: summary"

@@ -182,7 +182,8 @@ def test_reduction_table_fails_without_the_z2_term(monkeypatch):
 
 def test_reduction_table_classifies_each_fiber_once(monkeypatch):
     """The 81 fibers (A, B) != (0, 0) over GF(2), GF(4), GF(8) are each
-    classified once; the chart A = 1 reads the sweep's types back."""
+    classified once; the chart A = 1 is among them, so it is not classified
+    again."""
     reduction_type, calls = elliptic.reduction_type, []
 
     def counted(E):
@@ -192,6 +193,21 @@ def test_reduction_table_classifies_each_fiber_once(monkeypatch):
     monkeypatch.setattr(elliptic, "reduction_type", counted)
     run_check("ell.reduction-table")
     assert len(calls) == 3 + 15 + 63
+
+
+def test_reduction_table_refuses_a_supersingular_chart_fiber(monkeypatch):
+    """Negative control: the chart fiber (1, 1) over GF(2) read as
+    supersingular fails the sweep, which covers the chart A = 1."""
+    reduction_type = elliptic.reduction_type
+
+    def chart_supersingular(E):
+        if isinstance(E.ring, ModularIntegers) and (E.a1, E.a3) == (1, 1):   # GF(2)
+            return SMOOTH_SUPERSINGULAR
+        return reduction_type(E)
+
+    monkeypatch.setattr(elliptic, "reduction_type", chart_supersingular)
+    with pytest.raises(CheckFailure, match="supersingular off A=0 over GF\\(2\\)"):
+        run_check("ell.reduction-table")
 
 
 def test_reduction_table_fails_without_the_z2_and_z4_terms(monkeypatch):

@@ -219,6 +219,18 @@ def test_hazewinkel_at_the_guard_matches_higher_precision(law, p, n):
             == fgl.hazewinkel_generators(law(p ** n + 4), p, n).v)
 
 
+@pytest.mark.parametrize("law, p, n", [(fgl.universal_family_fgl, 2, 1),
+                                       (fgl.universal_family_fgl, 3, 1),
+                                       (fgl.universal_family_fgl, 2, 2),
+                                       (fgl.universal_family_fgl, 2, 3),
+                                       (_conic_u, 2, 2), (_conic_u, 3, 2)])
+def test_hazewinkel_matches_its_own_recursion(law, p, n):
+    """v through the Hazewinkel solve that `bp.right_unit` shares equals the
+    recursion written out over the rationalized ring."""
+    F = law(p ** n + 2)
+    assert fgl.hazewinkel_generators(F, p, n).v == oracles.hazewinkel_v_oracle(F, p, n)
+
+
 def test_hazewinkel_naturality_under_strict_isos():
     E, P = elliptic.universal_gamma1_3()
     A, B = P.gen("A"), P.gen("B")

@@ -9,7 +9,7 @@ from chromalg.rings import ZZ
 from chromalg.series import SeriesCtx, SeriesRing
 
 from oracles import QSeries as Oracle
-from oracles import eisenstein_j_oracle, psi_defect_oracle
+from oracles import eisenstein_j_oracle, h0_basis_oracle, h1_basis_oracle, psi_defect_oracle
 from test_elliptic import run_check
 
 
@@ -44,6 +44,12 @@ def test_h1_examples():
     for n in range(-3, 20):
         assert moduli.h1_rank(n) == 0
     assert moduli.h1_from_cech(-8) == [(-5, -1), (-2, -2)]
+
+
+def test_bases_match_the_loops():
+    for n in range(-60, 61):
+        assert moduli.h0_basis(n) == h0_basis_oracle(n), n
+        assert moduli.h1_basis(n) == h1_basis_oracle(n), n
 
 
 def test_h1_cech_matches_count_deep():

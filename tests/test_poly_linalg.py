@@ -56,6 +56,24 @@ def test_monomials_of_weighted_degree():
     assert len(monomials_of_weighted_degree((2, 2, 6), 8)) == 7  # 5 with c=0, 2 with c=1
 
 
+@pytest.mark.parametrize("weights", [(), (1,), (2,), (1, 3), (2, 6), (2, 2, 6),
+                                     (1, 3, 7, 15, 31), (2, 6, 2, 6, 14, 30)])
+def test_monomials_match_the_unpruned_enumerator(weights):
+    """The pruned enumeration gives the unpruned one's list in its order."""
+    for d in range(-3, 61):
+        assert monomials_of_weighted_degree(weights, d) == \
+            oracles.monomials_of_weighted_degree_oracle(weights, d), d
+
+
+@pytest.mark.parametrize("weights", [(0,), (1, 0), (0, 3), (2, -1)])
+def test_monomials_refuse_a_weight_below_one(weights):
+    for d in (-1, 0, 5):
+        for enumerate_ in (monomials_of_weighted_degree,
+                           oracles.monomials_of_weighted_degree_oracle):
+            with pytest.raises(ValueError, match="weights must be positive"):
+                enumerate_(weights, d)
+
+
 def test_f2_machinery():
     rows = [0b101, 0b011, 0b110]
     basis, pivots = f2_rref(rows)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromalg.convert import descend_scalar, fraction_mod
+from chromalg.convert import descend_scalar, fraction_mod, series_reduce
 from chromalg.errors import IntegralityFailure, NotInvertible
 from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
@@ -191,6 +191,28 @@ def test_divide_semantics():
     Z8 = ModularIntegers(8)
     assert Z8.divide(6, 2) in (3, 7)
     assert Z8.divide(1, 2) is None
+
+
+def test_modular_divide_matches_its_gcd_solve():
+    for m in range(2, 41):
+        R = ModularIntegers(m)
+        for a in range(m):
+            for b in range(-m, m + 1):
+                assert R.divide(a, b) == oracles.modular_divide_oracle(m, a, b), (m, a, b)
+
+
+@pytest.mark.parametrize("target", [ModularIntegers(8), PrimeField(3), ModularIntegers(9)],
+                         ids=["Z/8", "F3", "Z/9"])
+def test_series_reduce_matches_the_loop(target):
+    rng = random.Random(35)
+    for _ in range(40):
+        prec = rng.randint(1, 8)
+        terms = {(i, j): Fraction(rng.randint(-20, 20), rng.choice([1, 5, 7, 35]))
+                 for i in range(prec) for j in range(prec - i) if rng.random() < 0.6}
+        s = SeriesCtx(QQ, ("x", "y"), prec).series(terms)
+        got, want = series_reduce(s, target), oracles.series_reduce_oracle(s, target)
+        assert got == want and got.ctx.ring is target and got.prec == want.prec
+        assert got.terms == want.terms
 
 
 def test_fraction_mod_needs_a_denominator_prime_to_m():

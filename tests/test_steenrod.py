@@ -371,6 +371,28 @@ def test_dims_helpers_match_oracles():
                     oracles.dual_steenrod_dims_odd_oracle(p, N, n), (n, p, N)
 
 
+def test_basis_matches_the_milnor_recursion():
+    for d in range(-2, 65):
+        assert st.basis(d) == oracles.milnor_basis_oracle(d), d
+
+
+def test_xi_tau_builders_match_the_loops():
+    """The two degree builders give every list the old loops made:
+    `dual_steenrod_dims_odd` and `tor_degeneration_identity` (xi, tau from
+    any index), `poincare_product_dims` and `basis` (tau at p = 2),
+    `bstar_generator_degrees` and the t count of `bp2_shadow_sequence`."""
+    for N in range(-2, 101):
+        for p in (2, 3, 5, 7):
+            assert st.xi_degrees(p, N) == oracles.xi_degrees_oracle(p, N), (p, N)
+            for k in range(6):
+                assert st.tau_degrees(p, N)[k:] == oracles.tau_degrees_oracle(p, N, k), (p, N, k)
+        assert st.tau_degrees(2, N) == oracles.poincare_weights_oracle(N), N
+        assert len(st.xi_degrees(2, N)) == oracles.shadow_t_count_oracle(N), N
+        for n in range(6):
+            assert st.bstar_generator_degrees(n, 2, N) == \
+                oracles.bstar_generator_degrees_oracle(n, N), (n, N)
+
+
 def test_duality_dims():
     assert st.duality_dims_check(0, 16)
     assert st.duality_dims_check(1, 24)
