@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .convert import descend_scalar, reduce_scalar
+from .convert import reduce_scalar
 from .errors import IntegralityFailure, TruncationError
 from .fgl import _hazewinkel_solve
 from .linalg import (f2_mask, f2_nullspace, f2_rank, f2_reduce, f2_rref, int_kernel,
@@ -63,7 +63,6 @@ def _eta_log(P: PolyRing, ells: list[Poly], p: int, m: int) -> Poly:
 
 @dataclass
 class RightUnitTable:
-    p: int
     eta_v: dict          # k -> Poly over Z[v,t]
     ring: PolyRing
 
@@ -78,8 +77,8 @@ def right_unit(p: int, kmax: int) -> RightUnitTable:
     eta_ells = [P.one()] + [_eta_log(P, ells, p, m) for m in range(1, kmax + 1)]
     eta_v = _hazewinkel_solve(P, p, eta_ells)
     PZ = bp_ring(p, kmax, kmax, base=ZZ)
-    out = {k: descend_scalar(poly, PZ) for k, poly in enumerate(eta_v, 1)}
-    return RightUnitTable(p, out, PZ)
+    out = {k: reduce_scalar(poly, PZ) for k, poly in enumerate(eta_v, 1)}
+    return RightUnitTable(out, PZ)
 
 
 def reduce_poly_modulo(poly: Poly, p: int, kill_gens: tuple = ()) -> Poly:
@@ -266,7 +265,6 @@ def _kernel_lattice(pring, prefix, s, N):
 @dataclass
 class TorTable:
     entries: dict      # (s, internal degree) -> (free rank, torsion exponents)
-    seq_degrees: list
 
     def dim(self, s: int, d: int) -> int:
         free, tors = self.entries.get((s, d), (0, []))
@@ -344,7 +342,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
             else:
                 free, diag = lattice_homology(diffs[s], n_s, diffs[s + 1])
                 entries[(s, d)] = p_local_structure(diag, free, 2)
-    return TorTable(entries, degs)
+    return TorTable(entries)
 
 
 def fp_poly_dims(weights: list[int], N: int) -> list[int]:

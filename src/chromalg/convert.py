@@ -1,6 +1,8 @@
-"""Scalar transport between coefficient rings (rational lifts, 2-adic
-reductions, integrality checks).  Values are handled structurally: Fractions,
-ints, quotient-extension tuples, Poly and Series recurse."""
+"""Scalar transport between coefficient rings: reduce_scalar is the one map
+from rational values (ints and Fractions, and the QuotientExtension tuples,
+Poly and Series built on them) down into any ring, the inverse of
+Ring.rationalize on the values that are integral there; plus 2-integrality
+checks."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 from .errors import IntegralityFailure
 from .poly import Poly, PolyRing
-from .rings import ModularIntegers, Rationals, Ring
+from .rings import ModularIntegers, QuotientExtension, Ring
 from .series import Series, SeriesRing
 
 
@@ -20,29 +22,6 @@ def fraction_mod(q: Fraction, m: int) -> int:
     except ValueError:
         raise IntegralityFailure(f"{q} is not integral mod {m}") from None
     return (q.numerator * dinv) % m
-
-
-def descend_scalar(value, target: Ring):
-    """Inverse of rationalize on elements that happen to be integral: each
-    Fraction, coordinate and coefficient descends on its own."""
-    if isinstance(value, Fraction):
-        if isinstance(target, Rationals):
-            return value
-        q = target.divide(target.from_int(value.numerator),
-                          target.from_int(value.denominator))
-        if q is None:
-            raise IntegralityFailure(f"{value} not integral for {target!r}")
-        return q
-    if isinstance(value, Poly):
-        out = {}
-        for e, c in value.terms.items():
-            out[e] = descend_scalar(c, target.base)
-        return Poly(target, out)
-    if isinstance(value, Series):
-        return value.map_coefficients(lambda c: descend_scalar(c, target.base), target.base)
-    if isinstance(value, tuple):
-        return tuple(descend_scalar(c, target.base) for c in value)
-    raise IntegralityFailure(f"cannot descend {type(value)}")
 
 
 def is_local_integral(value, p: int = 2) -> bool:
@@ -61,28 +40,32 @@ def is_local_integral(value, p: int = 2) -> bool:
 
 
 def reduce_scalar(value, target: Ring):
-    """Reduce a rational-flavored scalar into target (Z/m, Z/m[[b]], etc.)."""
+    """The image of a rational value in target: an int or Fraction goes to
+    its residue in Z/m (fraction_mod) and to the exact quotient
+    numerator/denominator in any other ring, IntegralityFailure when there
+    is none.  A tuple maps coordinatewise into a QuotientExtension, a Poly or
+    Series coefficientwise into a PolyRing or SeriesRing (the Series cut to
+    the ring's precision), zero coefficients dropped; an int or Fraction
+    goes to a constant of either."""
     if isinstance(target, ModularIntegers):
-        if isinstance(value, (int, Fraction)):
-            return fraction_mod(Fraction(value), target.m)
-        raise TypeError(f"cannot reduce {type(value)} into {target!r}")
-    if isinstance(target, SeriesRing):
-        if isinstance(value, Series):
-            return value.truncate(target.prec).map_coefficients(
-                lambda c: reduce_scalar(c, target.base), target.base)
-        if isinstance(value, (int, Fraction)):
-            return target.const(reduce_scalar(value, target.base))
-        raise TypeError(f"cannot reduce {type(value)} into {target!r}")
-    if isinstance(target, PolyRing):
-        if isinstance(value, Poly):
-            out = {}
-            for e, c in value.terms.items():
-                v = reduce_scalar(c, target.base)
-                if not target.base.is_zero(v):
-                    out[e] = v
-            return Poly(target, out)
+        return fraction_mod(value, target.m)
+    if isinstance(value, Poly) and isinstance(target, PolyRing):
+        B = target.base
+        return Poly(target, {e: v for e, c in value.terms.items()
+                             if not B.is_zero(v := reduce_scalar(c, B))})
+    if isinstance(value, Series) and isinstance(target, SeriesRing):
+        return value.truncate(target.prec).map_coefficients(
+            lambda c: reduce_scalar(c, target.base), target.base)
+    if isinstance(target, (PolyRing, SeriesRing)):
         return target.const(reduce_scalar(value, target.base))
-    raise TypeError(f"no reduction into {target!r}")
+    if isinstance(value, tuple) and isinstance(target, QuotientExtension):
+        return tuple([reduce_scalar(c, target.base) for c in value])
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot reduce {type(value)} into {target!r}")
+    q = target.divide(target.from_int(value.numerator), target.from_int(value.denominator))
+    if q is None:
+        raise IntegralityFailure(f"{value} is not integral in {target!r}")
+    return q
 
 
 def series_reduce(s: Series, target_ring: Ring) -> Series:

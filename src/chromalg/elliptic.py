@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convert import descend_scalar
+from .convert import reduce_scalar
 from .errors import (AlgebraError, JUndefined, NotInvertible, NotNodal,
                      NotOnCurve)
 from .poly import PolyRing
@@ -324,25 +324,22 @@ def on_curve(E: WeierstrassCurve, P) -> bool:
 
 def three_torsion_check(E: WeierstrassCurve, P) -> bool:
     """True iff [2]P = -P for an affine point P on E (so P has exact order 3),
-    by tangent doubling.  A vertical tangent, 2y + a1 x + a3 = 0, means
-    P = -P (order 2, or P singular): False.  Otherwise the tangent's slope
-    lam gives [2]P = (x3, y3), x3 = lam^2 + a1 lam - a2 - 2x and
-    y3 = lam (x - x3) - y - a1 x3 - a3; at x3 = x, y3 is the y of -P, so
+    by tangent doubling.  A vertical tangent, F_y = 0, means P = -P (order 2,
+    or P singular): False.  Otherwise the tangent's slope lam = -F_x/F_y
+    (tangent_gradient) gives [2]P = (x3, y3), x3 = lam^2 + a1 lam - a2 - 2x
+    and y3 = lam (x - x3) - y - a1 x3 - a3; at x3 = x, y3 is the y of -P, so
     [2]P = -P exactly when x3 = x."""
     if not on_curve(E, P):
         raise NotOnCurve(f"{P} does not satisfy the curve equation")
     R = E.ring
-    a1, a2, a3, a4, a6 = E.coefficients()
-    x, y = P
-    den = R.add(R.scale_int(y, 2), R.add(R.mul(a1, x), a3))
-    if R.is_zero(den):
+    fx, fy = tangent_gradient(E, P)
+    if R.is_zero(fy):
         return False
-    num = R.add(R.scale_int(R.mul(x, x), 3),
-                R.add(R.scale_int(R.mul(a2, x), 2), R.sub(a4, R.mul(a1, y))))
-    lam = R.divide(num, den)
+    lam = R.divide(R.neg(fx), fy)
     if lam is None:
         raise NotInvertible("tangent slope needs a division unavailable in this ring")
-    x3 = R.sub(R.add(R.mul(lam, lam), R.mul(a1, lam)), R.add(a2, R.scale_int(x, 2)))
+    x = P[0]
+    x3 = R.sub(R.add(R.mul(lam, lam), R.mul(E.a1, lam)), R.add(E.a2, R.scale_int(x, 2)))
     return R.eq(x3, x)
 
 
@@ -518,8 +515,8 @@ def find_node(E: WeierstrassCurve):
         a1q, a3q = lift(E.a1), lift(E.a3)
         y0q = Q.divide(Q.neg(Q.add(Q.mul(a1q, x0q), a3q)), Q.from_int(2))
         # map back into the curve ring when possible
-        x0 = descend_scalar(x0q, R)
-        y0 = descend_scalar(y0q, R)
+        x0 = reduce_scalar(x0q, R)
+        y0 = reduce_scalar(y0q, R)
     else:
         x0 = y0 = None
         for xe in R.elements():

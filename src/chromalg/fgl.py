@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
-from .convert import assert_two_integral, descend_scalar, reduce_scalar, series_reduce
+from .convert import assert_two_integral, reduce_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
                        formal_group_of_curve, gamma1_3_curve, sum_with_point,
                        universal_gamma1_3)
@@ -426,7 +426,7 @@ def hazewinkel_generators(F: FormalGroupLaw, p: int, n: int) -> PTypicalData:
     ell = fgl_log(F, p ** n)
     Qring = ell.ctx.ring
     ells = [Qring.one()] + [ell.ucoeff(p ** k) for k in range(1, n + 1)]
-    return PTypicalData([descend_scalar(v, F.ring) for v in _hazewinkel_solve(Qring, p, ells)])
+    return PTypicalData([reduce_scalar(v, F.ring) for v in _hazewinkel_solve(Qring, p, ells)])
 
 
 def _hazewinkel_solve(R: Ring, p: int, ells: list) -> list:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .convert import reduce_scalar
 from .elliptic import gamma1_3_curve, invariants, transform, curves_equal
 from .fgl import conic_discriminant
 from .linalg import f2_rank, int_kernel, lattice_homology
 from .poly import PolyRing
-from .rings import (PrimeField, QuotientExtension, Ring, _valuation, omega_ring,
+from .rings import (PrimeField, QuotientExtension, Ring, ZZ, _valuation, omega_ring,
                     sqrt_minus3)
 
 
@@ -27,12 +28,9 @@ def omega_conjugation(T: QuotientExtension):
 
 
 def sigma_matrix(T: QuotientExtension, sigma) -> list[list[int]]:
-    """Integer matrix of sigma on the basis {1, w} (columns are images)."""
-    one = sigma(T.one())
-    w = sigma(T.gen())
-    def ints(v):
-        return [int(Fraction(c)) for c in v]
-    return [ints(one), ints(w)]
+    """Integer matrix of sigma on the basis {1, w} (columns are images);
+    IntegralityFailure when an image has a coordinate outside Z."""
+    return [[reduce_scalar(c, ZZ) for c in sigma(v)] for v in (T.one(), T.gen())]
 
 
 def eigenspace(T: QuotientExtension, sigma, sign: int, degree: int = 0):

@@ -3,8 +3,8 @@
 Three levels, each used where it fits:
   * GF(2) matrices as lists of int bitmasks (fast rref / solve / nullspace),
     with integer columns read mod 2 by f2_mask and ranked by f2_rank;
-  * generic row reduction over any field-like Ring (rings.QQ, F_p, quotient
-    fields);
+  * row reduction over a field (`FieldOps`), which runs over rings.QQ only,
+    for `lattice_homology`;
   * integer lattice routines (saturated kernel via row HNF, Smith normal form)
     for homology over Z localized at a prime.
 

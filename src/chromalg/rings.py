@@ -2,17 +2,19 @@
 
 Every ring is an object operating on plain Python scalars:
 
-  Integers            -> int
   Rationals           -> Fraction
+  Integers            -> int
   LocalizedIntegers   -> Fraction (denominator constrained on construction)
   ModularIntegers(m)  -> int in [0, m)
   PrimeField(p)       -> int in [0, p), p prime
   QuotientExtension   -> tuple of base scalars (length = deg of the monic modulus)
 
-Composite carriers (polynomial rings, truncated power-series rings, fraction
-fields) live in poly.py / series.py and implement the same interface, so the
-whole tower composes: e.g. series in x over Z/4[[b]] are series whose scalars
-are series whose scalars are ints.
+Z, Z_(p) and Z[1/p] subclass Rationals and share its arithmetic, which is
+Python's own on ints and Fractions; each adds its units and exact division,
+and Z its int constants.  Composite carriers (polynomial and truncated power-series rings)
+live in poly.py / series.py and implement the same interface, so the whole
+tower composes: e.g. series in x over Z/4[[b]] are series whose scalars are
+series whose scalars are ints.
 """
 
 from __future__ import annotations
@@ -135,57 +137,13 @@ class Ring:
         return self.__class__.__name__
 
 
-class Integers(Ring):
-    char = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def dot(self, xs, ys):
-        # 0 + x1*y1 has the value and type of x1*y1
-        _check_lengths(xs, ys)
-        return sum(map(operator.mul, xs, ys))
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a in (1, -1)
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise NotInvertible(f"{a} is not a unit in Z")
-
-    def divide(self, a, b):
-        if b == 0:
-            return None
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-
-    def rationalize(self):
-        return Rationals(), Fraction
-
-
 class Rationals(Ring):
+    """Q on Fractions.  Its add, sub, neg, mul, eq and is_zero are Python's
+    own operators, so they serve every ring whose scalars are Python
+    numbers: Z, on ints with its own constants and dot, and Z_(p) and
+    Z[1/p], on Fractions, subclass it and add their units and exact
+    division."""
+
     char = 0
 
     def zero(self):
@@ -233,6 +191,39 @@ class Rationals(Ring):
         return self, lambda x: x
 
 
+class Integers(Rationals):
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n):
+        return int(n)
+
+    def dot(self, xs, ys):
+        # 0 + x1*y1 has the value and type of x1*y1
+        _check_lengths(xs, ys)
+        return sum(map(operator.mul, xs, ys))
+
+    def is_unit(self, a):
+        return a in (1, -1)
+
+    def inv(self, a):
+        if a in (1, -1):
+            return a
+        raise NotInvertible(f"{a} is not a unit in Z")
+
+    def divide(self, a, b):
+        if b == 0:
+            return None
+        q, r = divmod(a, b)
+        return q if r == 0 else None
+
+    def rationalize(self):
+        return Rationals(), Fraction
+
+
 def _valuation(n: int, p: int) -> tuple[int, int]:
     """(v, u) with n = p^v u and p not dividing u, for n != 0."""
     if n == 0:
@@ -258,11 +249,9 @@ def _prime_factors(n: int):
     return out
 
 
-class LocalizedIntegers(Ring):
+class LocalizedIntegers(Rationals):
     """Z localized either at a prime (denominators coprime to p) or by
     inverting a fixed set of primes (denominators supported on that set)."""
-
-    char = 0
 
     def __init__(self, at_prime: int | None = None, inverted: tuple[int, ...] = ()):
         if (at_prime is None) == (not inverted):
@@ -280,33 +269,6 @@ class LocalizedIntegers(Ring):
             if not _prime_factors(d) <= self.inverted:
                 raise ValueError(f"denominator {d} not supported on {sorted(self.inverted)}")
         return a
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def dot(self, xs, ys):
-        return _dot_fractions(xs, ys)
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         if a == 0:
@@ -736,24 +698,7 @@ class QuotientExtension(Ring):
         return target, lambda a: tuple(f(x) for x in a)
 
     def unit_candidates(self, bound: int):
-        # suited to Z[1/3][w]/(w^2+w+1): units are +-w^e (1-w)^m
-        if self.deg != 2:
-            return super().unit_candidates(bound)
-        w = self.gen()
-        one = self.one()
-        omegas = [one, w, self.mul(w, w)]
-        lam = self.sub(one, w)
-        out = []
-        for e in omegas:
-            for m in range(-2 * bound, 2 * bound + 1):
-                try:
-                    lm = self.pow(lam, m) if m >= 0 else self.inv(self.pow(lam, -m))
-                except NotInvertible:
-                    continue
-                u = self.mul(e, lm)
-                out.append(u)
-                out.append(self.neg(u))
-        return out
+        raise NotImplementedError("no unit sweep over an extension; supply candidates explicitly")
 
     def render(self, a):
         B = self.base

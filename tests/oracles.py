@@ -40,7 +40,10 @@ the weighted-monomial enumeration without pruning, the Milnor basis by its
 own recursion, the H^0 and H^1 bases of the (1, 3)-weighted line as loops,
 each list of xi and tau degrees as its own loop, the Hazewinkel v-recursion as
 `hazewinkel_generators` and `right_unit` each wrote it, Z/m division by its
-own gcd solve, and `series_reduce` as a loop.
+own gcd solve, `series_reduce` as a loop, and the descent of rational values
+with `Rationals` tested by type, as `convert.descend_scalar` wrote it.  The
+unit sweep +-w^e (1 - w)^m of Z[1/3][w]/(w^2 + w + 1) is kept here as test
+data: `QuotientExtension.unit_candidates` refuses to list units.
 They share no code path with the functions they check, beyond `Series`
 arithmetic and `compose` (`compose_oracle` uses no `compose`,
 and `QSeries` shares nothing), `milnor_product` and the coset reduction of
@@ -52,9 +55,9 @@ eliminations that the regularity oracle calls, the `family_law`,
 `_family_b_direction` that the column oracle calls, the
 base-ring arithmetic that the quotient product oracle calls, `transform`,
 `curves_equal` and `compose_transforms` behind the automorphism oracle, and
-`invariants` and `descend_scalar` behind the node oracle, `conic_fgl`
-and `find_iso` behind the non-isomorphism oracle, `fgl_log` and
-`descend_scalar` behind the Hazewinkel oracle, `bp_ring`, `_log_coeffs` and
+`invariants` behind the node oracle, `conic_fgl`
+and `find_iso` behind the non-isomorphism oracle, `fgl_log` behind the
+Hazewinkel oracle, `bp_ring`, `_log_coeffs` and
 `_eta_log` behind the right-unit oracle, and `reduce_scalar` behind the
 `series_reduce` oracle.
 """
@@ -66,7 +69,7 @@ from math import comb, gcd
 
 from chromalg import steenrod as st
 from chromalg.bp import _eta_log, _log_coeffs, bp_ring
-from chromalg.convert import descend_scalar, reduce_scalar
+from chromalg.convert import reduce_scalar
 from chromalg.elliptic import (compose_transforms, curves_equal, gamma1_3_curve, invariants,
                                transform)
 from chromalg.errors import (AlgebraError, CompositionError, IntegralityFailure, NotInvertible,
@@ -77,7 +80,8 @@ from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, 
 from chromalg.linalg import (f2_nullspace, f2_reduce, f2_rref, f2_solve, int_kernel,
                              smith_normal_form, solve_int_exact)
 from chromalg.poly import Poly, PolyRing, monomials_of_weighted_degree
-from chromalg.rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ
+from chromalg.rings import (ModularIntegers, PrimeField, QQ, QuotientExtension, Rationals, Ring,
+                            ZZ)
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 
@@ -1378,7 +1382,7 @@ def find_node_oracle(E):
         raise AlgebraError("no unique double root")
     x0 = Q.neg(g[0])
     y0 = Q.divide(Q.neg(Q.add(Q.mul(lift(E.a1), x0), lift(E.a3))), Q.from_int(2))
-    return (descend_scalar(x0, R), descend_scalar(y0, R))
+    return (descend_scalar_oracle(x0, R), descend_scalar_oracle(y0, R))
 
 
 def three_torsion_oracle(E, P) -> bool:
@@ -1547,7 +1551,7 @@ def hazewinkel_v_oracle(F: FormalGroupLaw, p: int, n: int) -> list:
         for i in range(1, m):
             acc = Qring.sub(acc, Qring.mul(ells[i], Qring.pow(vs_q[m - i - 1], p ** i)))
         vs_q.append(acc)
-    return [descend_scalar(v, F.ring) for v in vs_q]
+    return [descend_scalar_oracle(v, F.ring) for v in vs_q]
 
 
 def right_unit_eta_v_oracle(p: int, kmax: int) -> dict:
@@ -1599,3 +1603,49 @@ def series_reduce_oracle(s: Series, target_ring: Ring) -> Series:
         if not target_ring.is_zero(v):
             out[e] = v
     return Series(SeriesCtx(target_ring, s.ctx.vars, s.ctx.prec), out)
+
+
+def descend_scalar_oracle(value, target: Ring):
+    """The rational value in target, each Fraction, coordinate and
+    coefficient on its own: a Fraction into Q as it is, into any other ring
+    as the exact quotient of numerator by denominator; no zero dropped, no
+    Series cut, and an int refused."""
+    if isinstance(value, Fraction):
+        if type(target) is Rationals:
+            return value
+        q = target.divide(target.from_int(value.numerator),
+                          target.from_int(value.denominator))
+        if q is None:
+            raise IntegralityFailure(f"{value} not integral for {target!r}")
+        return q
+    if isinstance(value, Poly):
+        out = {}
+        for e, c in value.terms.items():
+            out[e] = descend_scalar_oracle(c, target.base)
+        return Poly(target, out)
+    if isinstance(value, Series):
+        return value.map_coefficients(lambda c: descend_scalar_oracle(c, target.base), target.base)
+    if isinstance(value, tuple):
+        return tuple(descend_scalar_oracle(c, target.base) for c in value)
+    raise IntegralityFailure(f"cannot descend {type(value)}")
+
+
+def omega_unit_candidates_oracle(W: QuotientExtension, bound: int) -> list:
+    """The units +-w^e (1 - w)^m, e < 3 and |m| <= 2 bound, of a degree-two
+    extension with generator w, such as Z[1/3][w]/(w^2 + w + 1); an m whose
+    power of 1 - w is not invertible is skipped."""
+    w = W.gen()
+    one = W.one()
+    omegas = [one, w, W.mul(w, w)]
+    lam = W.sub(one, w)
+    out = []
+    for e in omegas:
+        for m in range(-2 * bound, 2 * bound + 1):
+            try:
+                lm = W.pow(lam, m) if m >= 0 else W.inv(W.pow(lam, -m))
+            except NotInvertible:
+                continue
+            u = W.mul(e, lm)
+            out.append(u)
+            out.append(W.neg(u))
+    return out

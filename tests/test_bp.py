@@ -37,7 +37,7 @@ def test_right_unit_invariance(table):
 
 @pytest.mark.parametrize("p, kmax", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_right_unit_matches_its_own_recursion(p, kmax):
-    """eta_R(v_k) through `fgl`'s Hazewinkel solve and `descend_scalar`
+    """eta_R(v_k) through `fgl`'s Hazewinkel solve and `reduce_scalar`
     equals the recursion written out with an int taken of each coefficient."""
     got = bp.right_unit(p, kmax).eta_v
     want = oracles.right_unit_eta_v_oracle(p, kmax)

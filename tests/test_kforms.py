@@ -54,6 +54,13 @@ def test_c2_cohomology_refuses_an_action_that_is_not_an_involution(T):
         kforms.c2_cohomology(T, bad)
 
 
+def test_sigma_matrix_refuses_a_coordinate_outside_Z(T):
+    """Multiplication by 3/2 sends 1 to 3/2: its matrix has no integer
+    entries, so sigma_matrix raises where truncation would read the identity."""
+    with pytest.raises(IntegralityFailure):
+        kforms.sigma_matrix(T, lambda x: T.mul(x, (Fraction(3, 2), Fraction(0))))
+
+
 def test_c2_cohomology_of_the_sign_action_on_Z():
     assert kforms.c2_lattice_cohomology([[-1]]) == {"H1": (0, [2]), "H2": (0, [])}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromalg.convert import descend_scalar, fraction_mod, series_reduce
+from chromalg.convert import fraction_mod, reduce_scalar, series_reduce
 from chromalg.errors import IntegralityFailure, NotInvertible
 from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
@@ -15,7 +15,9 @@ from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 import oracles
-from chromalg import fgl, kforms, linalg
+from chromalg import bp, elliptic, fgl, kforms, linalg
+from chromalg.checks import REGISTRY
+from chromalg.report import RunConfig
 from chromalg.rings import _valuation
 from oracles import dot_loop_oracle, quotient_mul_oracle
 
@@ -91,8 +93,10 @@ def test_omega_ring_sqrt_minus_three():
     assert W.is_unit(s3)           # norm 3 is inverted
     inv = W.inv(s3)
     assert W.eq(W.mul(inv, s3), W.one())
-    cands = W.unit_candidates(1)
+    cands = oracles.omega_unit_candidates_oracle(W, 1)
     assert any(W.eq(u, s3) for u in cands)
+    with pytest.raises(NotImplementedError):
+        W.unit_candidates(1)
 
 
 @pytest.mark.parametrize("ring,sampler", [
@@ -224,9 +228,83 @@ def test_fraction_mod_needs_a_denominator_prime_to_m():
 
 def test_descend_scalar_keeps_each_coordinate():
     T = omega_ring()
-    assert descend_scalar((Fraction(1, 3), Fraction(1, 9)), T) == (Fraction(1, 3), Fraction(1, 9))
+    assert reduce_scalar((Fraction(1, 3), Fraction(1, 9)), T) == (Fraction(1, 3), Fraction(1, 9))
     with pytest.raises(IntegralityFailure):
-        descend_scalar(Fraction(1, 2), Z_local(2))
+        reduce_scalar(Fraction(1, 2), Z_local(2))
+
+
+def _typed_leaves(v):
+    """Value and Python type of every leaf inside tuples, Poly and Series."""
+    if isinstance(v, Series):
+        return (v.ctx.vars, v.prec, {e: _typed_leaves(c) for e, c in v.terms.items()})
+    if isinstance(v, Poly):
+        return (v.pring.gens, {e: _typed_leaves(c) for e, c in v.terms.items()})
+    if isinstance(v, tuple):
+        return tuple(map(_typed_leaves, v))
+    return (type(v), v)
+
+
+@pytest.mark.parametrize("target, want", [
+    (QQ, (Fraction, -6)), (ZZ, (int, -6)), (Z_local(2), (Fraction, -6)), (ModularIntegers(8), (int, 2)),
+    (omega_ring(), ((Fraction, -6), (Fraction, 0))), (PolyRing(ZZ, ("x",)), (("x",), {(0,): (int, -6)})),
+    (SeriesRing(Z_local(3), "b", 2), (("b",), 2, {(0,): (Fraction, -6)})),
+], ids=["Q", "Z", "Z_(2)", "Z/8", "Z[1/3][w]", "Z[x]", "Z_(3)[[b]]"])
+def test_reduce_scalar_maps_an_int_leaf(target, want):
+    """An int is a rational value too: it maps to target's own -6."""
+    assert _typed_leaves(reduce_scalar(-6, target)) == want
+
+
+def test_reduce_scalar_into_the_integers():
+    assert _typed_leaves(reduce_scalar(Fraction(6, 2), ZZ)) == (int, 3)
+    assert _typed_leaves(reduce_scalar((Fraction(4), Fraction(-1)),
+                                       QuotientExtension(ZZ, (1, 1, 1)))) == ((int, 4), (int, -1))
+    for q in (Fraction(1, 2), Fraction(-7, 3)):
+        with pytest.raises(IntegralityFailure):
+            reduce_scalar(q, ZZ)
+
+
+@pytest.mark.parametrize("base", [PrimeField(2), ZZ, Z_local(2)], ids=repr)
+def test_reduce_scalar_drops_the_zero_coefficients_of_a_poly(base):
+    """2x + 1 over Q is 1 over F_2: the x term is dropped, not kept as 0.
+    The old descent kept it, so its image was not the one of F_2[x]."""
+    PQ, P = PolyRing(QQ, ("x",)), PolyRing(base, ("x",))
+    p = PQ.poly({(1,): Fraction(2), (0,): Fraction(1)})
+    got = reduce_scalar(p, P)
+    assert got.pring is P and got.terms == P.poly({(1,): base.from_int(2), (0,): base.one()}).terms
+    if base.char:
+        assert got == P.one()
+        assert oracles.descend_scalar_oracle(p, P).terms == {(1,): 0, (0,): 1}
+
+
+def test_reduce_scalar_matches_the_old_descent_on_what_its_callers_descend(monkeypatch):
+    """Every value that find_node, right_unit and hazewinkel_generators send
+    down, in the checks that call them and at p = 3, maps with the same
+    values and Python types as the old descent mapped it."""
+    seen = {}
+
+    def recording(module):
+        def reduce(value, target):
+            if target.char == 0:        # the descents; reductions mod p are not
+                seen.setdefault(module.__name__, []).append((value, target))
+            return reduce_scalar(value, target)
+        return reduce
+
+    for module in (elliptic, bp, fgl):
+        monkeypatch.setattr(module, "reduce_scalar", recording(module))
+    ids = {"ell.node-appendix", "ell.node-tate", "ell.node-beta", "fgl.hazewinkel-family",
+           "fgl.hazewinkel-multiplicative", "fgl.tate-v2-zero", "fgl.hazewinkel-naturality",
+           "bp.right-unit"}
+    cfg = RunConfig()
+    for chk in REGISTRY:
+        if chk.id in ids:
+            chk.fn(cfg, random.Random(cfg.seed))
+    bp.right_unit(3, 2)
+    fgl.hazewinkel_generators(fgl.universal_family_fgl(3 + 2), 3, 1)
+    assert sorted(seen) == ["chromalg.bp", "chromalg.elliptic", "chromalg.fgl"]
+    for pairs in seen.values():
+        for value, target in pairs:
+            assert (_typed_leaves(reduce_scalar(value, target))
+                    == _typed_leaves(oracles.descend_scalar_oracle(value, target))), (value, target)
 
 
 # -- the integer product of QuotientExtension ----------------------------------

@@ -20,6 +20,7 @@ from chromalg.rings import GF, QQ, ZZ, ModularIntegers, Z_inverted, omega_ring, 
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 from oracles import (curve_w_series_oracle, find_iso_oracle, inverse_oracle,
+                     omega_unit_candidates_oracle,
                      reverse_newton_oracle, reverse_oracle)
 
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -66,7 +67,7 @@ def _series_over(carrier, bprec):
 def _omega():
     W = omega_ring()
     coord = st.builds(lambda n, j: Fraction(n, 3 ** j), st.integers(-6, 6), st.integers(0, 1))
-    return W, st.tuples(coord, coord), st.sampled_from(W.unit_candidates(1))
+    return W, st.tuples(coord, coord), st.sampled_from(omega_unit_candidates_oracle(W, 1))
 
 
 CARRIERS = {
