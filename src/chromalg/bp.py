@@ -309,7 +309,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
                 out.append((S, m))
         return out
 
-    def diff_matrix_int(s, src, dst):
+    def diff_matrix_int(src, dst):
         """Integer columns of d_s: C_s -> C_(s-1) on the given chain bases."""
         dst_at = {b: i for i, b in enumerate(dst)}
         cols = []
@@ -329,7 +329,7 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
         basis = [chain_basis(s, d) for s in range(r + 1)]
         # diffs[s] holds d_s in degree d, read both for the kernel at s and the
         # image at s - 1; d_0 = d_(r+1) = 0
-        diffs = [[]] + [diff_matrix_int(s, basis[s], basis[s - 1])
+        diffs = [[]] + [diff_matrix_int(basis[s], basis[s - 1])
                         for s in range(1, r + 1)] + [[]]
         if char:
             rk = [f2_rank(cols) for cols in diffs]

@@ -1,8 +1,8 @@
 """Scalar transport between coefficient rings: reduce_scalar is the one map
 from rational values (ints and Fractions, and the QuotientExtension tuples,
 Poly and Series built on them) down into any ring, the inverse of
-Ring.rationalize on the values that are integral there; plus 2-integrality
-checks."""
+Ring.rationalize on the values that are integral there and IntegralityFailure
+on the others, so reducing into Z/2^k is itself the 2-integrality refusal."""
 
 from __future__ import annotations
 
@@ -22,21 +22,6 @@ def fraction_mod(q: Fraction, m: int) -> int:
     except ValueError:
         raise IntegralityFailure(f"{q} is not integral mod {m}") from None
     return (q.numerator * dinv) % m
-
-
-def is_local_integral(value, p: int = 2) -> bool:
-    """True when every rational inside has denominator prime to p."""
-    if isinstance(value, Fraction):
-        return value.denominator % p != 0
-    if isinstance(value, int):
-        return True
-    if isinstance(value, tuple):
-        return all(is_local_integral(v, p) for v in value)
-    if isinstance(value, Poly):
-        return all(is_local_integral(c, p) for c in value.terms.values())
-    if isinstance(value, Series):
-        return all(is_local_integral(c, p) for c in value.terms.values())
-    raise TypeError(f"unsupported scalar {type(value)}")
 
 
 def reduce_scalar(value, target: Ring):
@@ -72,9 +57,3 @@ def series_reduce(s: Series, target_ring: Ring) -> Series:
     """Coefficientwise reduce_scalar over a whole (possibly multivariate) series."""
     return s.map_coefficients(lambda c: reduce_scalar(c, target_ring), target_ring)
 
-
-def assert_two_integral(s: Series, what: str):
-    from .errors import QuotientPrecisionError
-    for e, c in s.terms.items():
-        if not is_local_integral(c, 2):
-            raise QuotientPrecisionError(f"{what}: coefficient at {e} is not 2-integral: {c}")

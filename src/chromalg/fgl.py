@@ -7,10 +7,10 @@ over the rationalized coefficient ring (fgl_log).  On a curve law it is the
 curve's logarithm (elliptic.curve_log) in the variable x.
 
 Quotients follow a torsion-free route: the kernel point is located exactly on
-a characteristic-zero lift (a curve whose chord law reduces to the law),
-the quotient law is assembled through logarithms, 2-integrality is asserted,
-and only then is everything reduced back.  On the lifted curve the isogeny and
-the log (elliptic.sum_with_point with the 2-torsion point,
+a characteristic-zero lift (a curve whose chord law reduces to the law), the
+quotient law is assembled through logarithms, and reducing it back into
+Z/2^k or Z/2^k[[b]] is the 2-integrality refusal.  On the lifted curve the
+isogeny and the log (elliptic.sum_with_point with the 2-torsion point,
 elliptic.curve_log) read one w-series at the output precision.  All heavy
 lifting is univariate: law_from_log reads exp(lam(x) + lam(y)) from the Lie
 series of the invariant vector field 1/lam' d/dx, with no reversion of lam
@@ -68,16 +68,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
-from .convert import assert_two_integral, reduce_scalar, series_reduce
+from .convert import reduce_scalar, series_reduce
 from .elliptic import (WeierstrassCurve, curve_log, curve_w_series,
                        formal_group_of_curve, gamma1_3_curve, sum_with_point,
                        universal_gamma1_3)
-from .errors import (AlgebraError, HeightExceedsPrecision,
+from .errors import (AlgebraError, HeightExceedsPrecision, IntegralityFailure,
                      InvalidKernel, NeedsTorsionFree, NotInvertible, NotOrdinary,
                      PreparationFailed, QuotientPrecisionError, RecognitionFailed,
                      NotAFrobeniusLift, TruncationError)
 from .linalg import f2_solve
-from .rings import ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ, _valuation
+from .rings import (ModularIntegers, PrimeField, QQ, QuotientExtension, Ring, ZZ, Z_local,
+                    _valuation)
 from .series import Series, SeriesCtx, SeriesRing, weierstrass_prepare
 
 
@@ -642,8 +643,6 @@ class KernelPolynomial:
     """x*(x + alpha): the distinguished degree-2 factor of [2](x); the kernel
     points are {0, -alpha}."""
     alpha: object
-    ring: Ring
-    prec: int
 
 
 def canonical_subgroup(F: FormalGroupLaw) -> KernelPolynomial:
@@ -667,7 +666,7 @@ def canonical_subgroup(F: FormalGroupLaw) -> KernelPolynomial:
     # -alpha is a 2-torsion point, so the kernel is closed under F
     if not _divides_two_series(F, two, alpha):
         raise NotOrdinary("kernel points are not closed under the law")
-    return KernelPolynomial(alpha, R, F.prec)
+    return KernelPolynomial(alpha)
 
 
 def _divides_two_series(F: FormalGroupLaw, two: Series, alpha) -> bool:
@@ -748,23 +747,24 @@ def quotient_by_subgroup(F: FormalGroupLaw, K: KernelPolynomial) -> QuotientResu
     the same chord and log, unmemoised, on the nodal cubic
     y^2 - b xy = x^3 - c x^2 over Q, whose chord law is the conic law; a
     conic with even b has no unit x^2 coefficient in [2](x), so the kernel
-    check refuses it before any lift is built.  The checks below
-    (2-integrality, the kernel point and the isogeny identity) run on every
-    call, served from the memo or not."""
+    check refuses it before any lift is built.  The checks below run on
+    every call, served from the memo or not: 2-integrality, refused by the
+    reduction into F's ring itself (a 2-adic denominator has no image in
+    Z/2^k), the kernel point and the isogeny identity."""
     R = F.ring
     _check_kernel(F, K)
     out_prec = F.prec
     fq, tau_q, Fbar_q = _quotient_lift(F.origin, out_prec)
-    assert_two_integral(Fbar_q, "quotient law")
     fq_out = fq.truncate(out_prec)
-    assert_two_integral(fq_out, "isogeny")
-    Fbar = series_reduce(Fbar_q, R)
-    f_red = series_reduce(fq_out, R)
+    try:
+        Fbar = series_reduce(Fbar_q, R)
+        f_red = series_reduce(fq_out, R)
+    except IntegralityFailure as e:
+        raise QuotientPrecisionError(f"the quotient lift is not 2-integral: {e}") from e
     tau_red = reduce_scalar(tau_q, R)
     # kernel consistency: tau = -alpha up to one lost 2-adic digit
     diff = R.add(tau_red, K.alpha)
-    k_bits = _modulus_bits(R)
-    if _two_b_valuation(diff, R) < max(k_bits - 1, 1):
+    if _two_b_valuation(diff, R) < max((_two_power(R) or 1) - 1, 1):
         raise InvalidKernel("lifted kernel point does not reduce onto the "
                             "kernel polynomial root")
     quotient = make_fgl(Fbar)
@@ -797,12 +797,11 @@ def _check_kernel(F: FormalGroupLaw, K: KernelPolynomial):
                             "distinguished factor")
 
 
-def _modulus_bits(R: Ring) -> int:
-    if isinstance(R, ModularIntegers):
-        return R.nilpotent_bound() or 1
-    if isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers):
-        return R.base.nilpotent_bound() or 1
-    return 1
+def _two_power(R: Ring):
+    """k when R is Z/2^k or Z/2^k[[b]], None for any other ring."""
+    base = R.base if isinstance(R, SeriesRing) else R
+    m = base.m if isinstance(base, ModularIntegers) else 0
+    return m.bit_length() - 1 if m > 1 and m & (m - 1) == 0 else None
 
 
 def _quotient_lift(origin, P: int):
@@ -928,8 +927,8 @@ def recognize_in_family(Fq: FormalGroupLaw) -> Recognition:
     R = Fq.ring
     if not (isinstance(R, SeriesRing) and isinstance(R.base, ModularIntegers)):
         raise RecognitionFailed("expected a Z/2^k[[b]] coefficient ring")
-    k = R.base.nilpotent_bound()
-    if k is None or 2 ** k != R.base.m:
+    k = _two_power(R)
+    if k is None:
         raise RecognitionFailed("modulus must be a power of 2")
     bprec, xprec = R.prec, Fq.prec
     R2 = SeriesRing(PrimeField(2), R.var, bprec)
@@ -1022,31 +1021,26 @@ def _family_b_direction(R2: SeriesRing, param: Series, xprec: int) -> Series:
 def theta_defect(x, psi2_x, ring: Ring | None = None):
     """theta with psi^2(x) = x^2 + 2 theta(x).
 
-    Integers/rationals: exact division by 2.  Series over Z/2^k[[b]]: the
-    result lives over Z/2^(k-1)[[b]], so k >= 2; over Z/2[[b]] theta is not
-    defined and NotAFrobeniusLift is raised.
+    Integers/rationals: the quotient by 2 in Z_(2).  Series over
+    Z/2^k[[b]]: a solution of 2 theta = psi^2(x) - x^2 there, read in
+    Z/2^(k-1)[[b]], where it is unique, so k >= 2; over Z/2[[b]] theta is
+    not defined and NotAFrobeniusLift is raised.
     """
     if isinstance(x, (int, Fraction)):
         diff = Fraction(psi2_x) - Fraction(x) ** 2
-        if diff.numerator % 2 != 0 or diff.denominator % 2 == 0:
+        theta = Z_local(2).divide(diff, 2)
+        if theta is None:
             raise NotAFrobeniusLift(f"psi^2(x) - x^2 = {diff} is not 2-divisible")
-        return diff / 2
+        return theta
     if isinstance(x, Series) and ring is not None and isinstance(ring, SeriesRing):
-        base = ring.base
-        k = base.nilpotent_bound() if isinstance(base, ModularIntegers) else None
-        if k is None or 2 ** k != base.m:
+        k = _two_power(ring)
+        if k is None:
             raise NotAFrobeniusLift("need a 2-power modulus")
         if k < 2:
             raise NotAFrobeniusLift("theta is defined mod 2^(k-1), so it needs k >= 2")
-        half = ModularIntegers(2 ** (k - 1))
-        target = SeriesRing(half, ring.var, ring.prec)
-        diff = ring.sub(psi2_x, ring.mul(x, x))
-        out = {}
-        for e, c in diff.terms.items():
-            if c % 2:
-                raise NotAFrobeniusLift("psi^2(b) - b^2 has an odd coefficient")
-            v = (c // 2) % half.m
-            if v:
-                out[e] = v
-        return Series(target.ctx, out)
+        sols = ring.solve_int(2, ring.sub(psi2_x, ring.mul(x, x)))
+        if not sols:
+            raise NotAFrobeniusLift("psi^2(b) - b^2 has an odd coefficient")
+        half = SeriesRing(ModularIntegers(2 ** (k - 1)), ring.var, ring.prec)
+        return reduce_scalar(sols[0], half)
     raise TypeError("unsupported carrier for theta")

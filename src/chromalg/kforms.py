@@ -130,21 +130,13 @@ def twisted_k_check(T: QuotientExtension, sigma, maxdeg: int = 16) -> dict:
         want = gen if eps == 1 else T.neg(gen)
         if not T.eq(img, want):
             out["pieces"] = False
-        basis = eigenspace(T, sigma, +1, degree=2 * k)
-        # gen must generate the same Z[1/3]-line as the eigenspace basis
-        (v,) = basis
-        g = gen
-        ratios = []
-        for a, b in ((v[0], g[0]), (v[1], g[1])):
-            if b == 0 and a == 0:
-                continue
-            if b == 0 or a == 0:
-                ratios.append(None)
-            else:
-                ratios.append(Fraction(a) / Fraction(b))
-        rr = [r for r in ratios if r is not None]
-        unit3 = all(r is not None for r in ratios) and len({*rr}) == 1 and _is_3_unit(rr[0])
-        if not unit3:
+        # gen must generate the same Z[1/3]-line as the eigenspace basis v:
+        # gen = lam v with lam a unit of T's base
+        (v,) = eigenspace(T, sigma, +1, degree=2 * k)
+        i = 0 if v[0] else 1
+        lam = T.base.divide(gen[i], v[i])
+        if lam is None or not T.base.is_unit(lam) or \
+                not T.eq(gen, tuple(T.base.mul(lam, c) for c in v)):
             out["pieces"] = False
     for k in range(-4, 5):
         for m in range(-4, 5):
@@ -156,11 +148,6 @@ def twisted_k_check(T: QuotientExtension, sigma, maxdeg: int = 16) -> dict:
                 out["products"] = False
     out["ok"] = out["pieces"] and out["products"]
     return out
-
-
-def _is_3_unit(q: Fraction) -> bool:
-    """Whether q = +-3^k for an integer k; q != 0."""
-    return all(abs(_valuation(n, 3)[1]) == 1 for n in (q.numerator, q.denominator))
 
 
 # -- cusp restriction ---------------------------------------------------------------

@@ -176,24 +176,8 @@ def hnf_rows(mat: list[list[int]]) -> list[list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        nz = [j for j, a in enumerate(prow) if a]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r + 1, rows):
-                row = m[i]
-                if row[c]:
-                    q = row[c] // prow[c]
-                    for j in nz:
-                        row[j] -= q * prow[j]
-                    if row[c]:
-                        if abs(row[c]) < abs(prow[c]):
-                            # the smaller remainder becomes the pivot row
-                            m[r], m[i] = row, prow
-                            prow = row
-                            nz = [j for j, a in enumerate(prow) if a]
-                        changed = True
+        while _euclid_pass(m, r, c):
+            pass
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
         r += 1
@@ -202,18 +186,43 @@ def hnf_rows(mat: list[list[int]]) -> list[list[int]]:
     return m
 
 
+def _euclid_pass(m: list[list[int]], top: int, c: int) -> bool:
+    """One Euclidean pass down column c below the pivot row m[top]: each row
+    subtracts its floor quotient by the pivot row, and a nonzero remainder,
+    smaller than the pivot, becomes the pivot row.  True when a remainder
+    was nonzero, so the column is not yet clear.  The pivot row's nonzero
+    columns are listed only once a row needs them."""
+    prow, nz = m[top], None
+    again = False
+    for i in range(top + 1, len(m)):
+        row = m[i]
+        if row[c]:
+            if nz is None:
+                nz = [j for j, a in enumerate(prow) if a]
+            q = row[c] // prow[c]
+            for j in nz:
+                row[j] -= q * prow[j]
+            if row[c]:
+                m[top], m[i] = row, prow
+                prow, nz = row, None
+                again = True
+    return again
+
+
+def _augmented_hnf(columns: list[list[int]], n: int) -> list[list[int]]:
+    """hnf_rows of the rows [columns[j] | e_j], j < n: the identity block of
+    each row records the combination of columns that gives its left part."""
+    return hnf_rows([list(columns[j]) + [0] * j + [1] + [0] * (n - j - 1) for j in range(n)])
+
+
 def int_kernel(columns: list[list[int]], ncols: int) -> list[list[int]]:
     """Saturated Z-basis of {x in Z^ncols : sum x_j columns[j] = 0}.
 
     columns[j] is the image of the j-th basis vector.
     """
     height = len(columns[0]) if columns else 0
-    aug = []
-    for j in range(ncols):
-        aug.append(list(columns[j]) + [1 if k == j else 0 for k in range(ncols)])
-    red = hnf_rows(aug)
     out = []
-    for row in red:
+    for row in _augmented_hnf(columns, ncols):
         if all(v == 0 for v in row[:height]):
             vec = row[height:]
             if any(vec):
@@ -252,20 +261,8 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
         # clear row and column
         dirty = True
         while dirty:
-            dirty = False
+            dirty = _euclid_pass(m, top, left)
             prow = m[top]
-            nz = [j for j, a in enumerate(prow) if a]
-            for i in range(top + 1, rows):
-                row = m[i]
-                if row[left]:
-                    q = row[left] // prow[left]
-                    for j in nz:
-                        row[j] -= q * prow[j]
-                    if row[left]:
-                        m[top], m[i] = row, prow
-                        prow = row
-                        nz = [j for j, a in enumerate(prow) if a]
-                        dirty = True
             # column operations touch only the rows nonzero in the pivot column
             nzr = [row for row in m if row[left]]
             for j in range(left + 1, cols):
@@ -321,10 +318,9 @@ def solve_int_exact(columns: list[list[int]], target: list[int]):
     height = len(target)
     if n == 0:
         return [] if all(t == 0 for t in target) else None
-    aug = [list(columns[j]) + [1 if k == j else 0 for k in range(n)] for j in range(n)]
     resid = list(target)
     x = [0] * n
-    for row in hnf_rows(aug):
+    for row in _augmented_hnf(columns, n):
         piv = next((c for c in range(height) if row[c] != 0), None)
         if piv is None:
             break

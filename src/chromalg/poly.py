@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 
 from .errors import NotInvertible
-from .rings import Ring, _check_lengths
+from .rings import Ring, _check_lengths, _solve_each
 
 
 class PolyRing(Ring):
@@ -175,13 +175,8 @@ class PolyRing(Ring):
         return None
 
     def solve_int(self, n, b):
-        out = {}
-        for e, c in b.terms.items():
-            sols = self.base.solve_int(n, c)
-            if not sols:
-                return []
-            out[e] = sols[0]
-        return [Poly(self, out)]
+        out = _solve_each(self.base, n, b.terms)
+        return [] if out is None else [Poly(self, out)]
 
     def rationalize(self):
         rbase, f = self.base.rationalize()

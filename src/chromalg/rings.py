@@ -235,6 +235,19 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+def _solve_each(base: Ring, n: int, coeffs: dict):
+    """A solution of n*x = c in base for each value c of coeffs, under the
+    same key: the first that base.solve_int lists (the only one over a
+    domain).  None when some c has none."""
+    out = {}
+    for e, c in coeffs.items():
+        sols = base.solve_int(n, c)
+        if not sols:
+            return None
+        out[e] = sols[0]
+    return out
+
+
 def _prime_factors(n: int):
     n = abs(n)
     out = set()
@@ -675,11 +688,8 @@ class QuotientExtension(Ring):
             return None
 
     def solve_int(self, n: int, b):
-        sols_per_coord = [self.base.solve_int(n, x) for x in b]
-        if any(not s for s in sols_per_coord):
-            return []
-        # take first solution per coordinate (unique in domains)
-        return [tuple([s[0] for s in sols_per_coord])]
+        out = _solve_each(self.base, n, dict(enumerate(b)))
+        return [] if out is None else [tuple(out.values())]
 
     def _element_tuple(self):
         """Every element, the first coordinate varying fastest, built on the

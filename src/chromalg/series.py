@@ -154,7 +154,7 @@ from .errors import (CompositionError, MixedVariablesError, NotInvertible,
                      PreparationFailed, TruncationError)
 from .linalg import solve_int_exact
 from .rings import (Integers, ModularIntegers, PrimeField, QuotientExtension, Ring,
-                    _reduce, _scalar_modulus)
+                    _reduce, _scalar_modulus, _solve_each)
 
 
 class SeriesCtx:
@@ -1004,13 +1004,8 @@ class SeriesRing(Ring):
         return Series(self.ctx, {(i,): v % m for i, v in enumerate(x[:P]) if v % m})
 
     def solve_int(self, n, b):
-        out = {}
-        for e, c in b.terms.items():
-            sols = self.base.solve_int(n, c)
-            if not sols:
-                return []
-            out[e] = sols[0]
-        return [Series(self.ctx, out)]
+        out = _solve_each(self.base, n, b.terms)
+        return [] if out is None else [Series(self.ctx, out)]
 
     def rationalize(self):
         rbase, f = self.base.rationalize()

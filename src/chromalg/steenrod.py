@@ -209,17 +209,17 @@ def adem_word_normalize(word: tuple) -> frozenset:
     return frozenset({word})
 
 
-def sq_on_poly(i: int, poly: frozenset, nvars: int) -> frozenset:
+def sq_on_poly(i: int, poly: frozenset) -> frozenset:
     """Sq^i on an F2 polynomial in degree-one generators (set of exponent
     tuples), via the Cartan formula."""
     out = set()
     for mono in poly:
-        out.symmetric_difference_update(_sq_mono(i, mono, nvars))
+        out.symmetric_difference_update(_sq_mono(i, mono))
     return frozenset(out)
 
 
 @lru_cache(maxsize=None)
-def _sq_mono(i: int, mono: tuple, nvars: int) -> frozenset:
+def _sq_mono(i: int, mono: tuple) -> frozenset:
     from math import comb
     if i == 0:
         return frozenset({mono})
@@ -239,8 +239,8 @@ def _sq_mono(i: int, mono: tuple, nvars: int) -> frozenset:
     tail = tuple(0 if j == k else mono[j] for j in range(len(mono)))
     out = set()
     for j in range(i + 1):
-        left = _sq_mono(j, head, nvars)
-        right = _sq_mono(i - j, tail, nvars)
+        left = _sq_mono(j, head)
+        right = _sq_mono(i - j, tail)
         for lm in left:
             for rm in right:
                 prod = tuple(a + b for a, b in zip(lm, rm))
@@ -248,9 +248,9 @@ def _sq_mono(i: int, mono: tuple, nvars: int) -> frozenset:
     return frozenset(out)
 
 
-def word_on_poly(word: tuple, poly: frozenset, nvars: int) -> frozenset:
+def word_on_poly(word: tuple, poly: frozenset) -> frozenset:
     for i in reversed(word):
-        poly = sq_on_poly(i, poly, nvars)
+        poly = sq_on_poly(i, poly)
     return poly
 
 
@@ -268,7 +268,7 @@ def _milnor_mono_on_power(r: tuple, n: int) -> frozenset:
     return frozenset({new})
 
 
-def milnor_on_poly(r: tuple, poly: frozenset, nvars: int) -> frozenset:
+def milnor_on_poly(r: tuple, poly: frozenset) -> frozenset:
     out = set()
     for mono in poly:
         out.symmetric_difference_update(_milnor_mono_on_mono(r, mono))
@@ -302,10 +302,10 @@ def _coproduct_splits(r: tuple):
                  for e in product(*(range(ri + 1) for ri in r)))
 
 
-def element_on_poly(a: frozenset, poly: frozenset, nvars: int) -> frozenset:
+def element_on_poly(a: frozenset, poly: frozenset) -> frozenset:
     out = set()
     for r in a:
-        out.symmetric_difference_update(milnor_on_poly(r, poly, nvars))
+        out.symmetric_difference_update(milnor_on_poly(r, poly))
     return frozenset(out)
 
 

@@ -41,7 +41,11 @@ own recursion, the H^0 and H^1 bases of the (1, 3)-weighted line as loops,
 each list of xi and tau degrees as its own loop, the Hazewinkel v-recursion as
 `hazewinkel_generators` and `right_unit` each wrote it, Z/m division by its
 own gcd solve, `series_reduce` as a loop, and the descent of rational values
-with `Rationals` tested by type, as `convert.descend_scalar` wrote it.  The
+with `Rationals` tested by type, as `convert.descend_scalar` wrote it,
+theta over Z/2^k[[b]] by a parity test and a halving per coefficient, the
+per-coefficient `solve_int` loops of `PolyRing`, `SeriesRing` and
+`QuotientExtension`, and the coordinate-ratio test of the twisted-K
+eigenlines.  The
 unit sweep +-w^e (1 - w)^m of Z[1/3][w]/(w^2 + w + 1) is kept here as test
 data: `QuotientExtension.unit_candidates` refuses to list units.
 They share no code path with the functions they check, beyond `Series`
@@ -72,8 +76,9 @@ from chromalg.bp import _eta_log, _log_coeffs, bp_ring
 from chromalg.convert import reduce_scalar
 from chromalg.elliptic import (compose_transforms, curves_equal, gamma1_3_curve, invariants,
                                transform)
-from chromalg.errors import (AlgebraError, CompositionError, IntegralityFailure, NotInvertible,
-                             PreparationFailed, RecognitionFailed, TruncationError)
+from chromalg.errors import (AlgebraError, CompositionError, IntegralityFailure, NotAFrobeniusLift,
+                             NotInvertible, PreparationFailed, RecognitionFailed,
+                             TruncationError)
 from chromalg.fgl import (FamilyOrigin, FormalGroupLaw, IsoResult, Obstruction, Recognition,
                           _family_b_direction, _formal_two_torsion, conic_fgl, family_fgl_at, family_law, find_iso,
                           fgl_log)
@@ -1649,3 +1654,59 @@ def omega_unit_candidates_oracle(W: QuotientExtension, bound: int) -> list:
             out.append(u)
             out.append(W.neg(u))
     return out
+
+
+def theta_defect_oracle(x, psi2_x, ring: SeriesRing | None = None):
+    """fgl.theta_defect on rationals, and over Z/2^k[[b]] with k >= 2, by
+    reading parities: the rational difference's numerator and denominator,
+    and each series coefficient tested for parity and halved mod 2^(k-1)."""
+    if ring is None:
+        diff = Fraction(psi2_x) - Fraction(x) ** 2
+        if diff.numerator % 2 != 0 or diff.denominator % 2 == 0:
+            raise NotAFrobeniusLift(f"psi^2(x) - x^2 = {diff} is not 2-divisible")
+        return diff / 2
+    half = ModularIntegers(ring.base.m // 2)
+    target = SeriesRing(half, ring.var, ring.prec)
+    diff = ring.sub(psi2_x, ring.mul(x, x))
+    out = {}
+    for e, c in diff.terms.items():
+        if c % 2:
+            raise NotAFrobeniusLift("psi^2(b) - b^2 has an odd coefficient")
+        v = (c // 2) % half.m
+        if v:
+            out[e] = v
+    return Series(target.ctx, out)
+
+
+def solve_int_loop_oracle(R: Ring, n: int, b):
+    """solve_int of a PolyRing, SeriesRing or QuotientExtension as each wrote
+    its own loop: the base's first solution per coefficient or coordinate,
+    [] when one has none."""
+    if isinstance(R, QuotientExtension):
+        sols_per_coord = [R.base.solve_int(n, x) for x in b]
+        if any(not s for s in sols_per_coord):
+            return []
+        return [tuple([s[0] for s in sols_per_coord])]
+    out = {}
+    for e, c in b.terms.items():
+        sols = R.base.solve_int(n, c)
+        if not sols:
+            return []
+        out[e] = sols[0]
+    return [Poly(R, out) if isinstance(R, PolyRing) else Series(R.ctx, out)]
+
+
+def eigenline_ratio_oracle(v: tuple, g: tuple) -> bool:
+    """Whether g spans the Z[1/3]-line of v != 0, as twisted_k_check tested
+    it: the ratio v_i / g_i defined wherever v_i or g_i is nonzero, one ratio
+    for every such i, and that ratio +-3^k."""
+    ratios = []
+    for a, b in zip(v, g):
+        if b == 0 and a == 0:
+            continue
+        if b == 0 or a == 0:
+            ratios.append(None)
+        else:
+            ratios.append(Fraction(a) / Fraction(b))
+    rr = [r for r in ratios if r is not None]
+    return all(r is not None for r in ratios) and len({*rr}) == 1 and is_3_unit_oracle(rr[0])

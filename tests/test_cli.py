@@ -129,3 +129,12 @@ def test_report_body_script_names_the_differing_keys(tmp_path):
     changed = run({**body, "summary": {**body["summary"], "pass": 59, "fail": 1}})
     assert changed.returncode != 0
     assert changed.stderr.strip() == f"the default report differs from {expected} in: summary"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deeper_q_expansion_body_is_the_recorded_one(seed):
+    """The body of `verify moduli modularforms --q-terms 64`, at either seed,
+    is tests/data/verify_q64_body.json, the file CI compares that run with."""
+    report = run_checks(RunConfig(q_terms=64, suites=("moduli", "modularforms"), seed=seed))
+    with open(os.path.join(os.path.dirname(__file__), "data", "verify_q64_body.json")) as f:
+        assert {k: report[k] for k in ("checks", "summary")} == json.load(f)

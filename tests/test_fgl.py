@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chromalg import bp, elliptic, fgl, linalg
 from chromalg.checks import REGISTRY, CheckFailure, _noniso_degrees
-from chromalg.errors import (AlgebraError, HeightExceedsPrecision,
+from chromalg.errors import (AlgebraError, HeightExceedsPrecision, IntegralityFailure,
                              InvalidKernel, NeedsTorsionFree, NotAFrobeniusLift, NotInvertible,
                              NotOrdinary, QuotientPrecisionError, RecognitionFailed,
                              TruncationError)
@@ -362,7 +362,7 @@ def test_quotient_rejects_trivial_kernel():
     Z8 = ModularIntegers(8)
     Fm = fgl.multiplicative_fgl(Z8, 1, 8)
     with pytest.raises(InvalidKernel):
-        fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(Z8.zero(), Z8, 8))
+        fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(Z8.zero()))
 
 
 def test_quotient_checks_the_kernel_without_recomputing_it(monkeypatch):
@@ -378,7 +378,7 @@ def test_quotient_checks_the_kernel_without_recomputing_it(monkeypatch):
     assert res.fgl.coefficient(1, 1) == 7
     for alpha in (6, 1, 4):
         with pytest.raises(InvalidKernel):
-            fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(alpha, Z8, 8))
+            fgl.quotient_by_subgroup(Fm, fgl.KernelPolynomial(alpha))
 
 
 def test_kernel_check_certifies_alpha_to_valuation_prec_minus_one():
@@ -390,12 +390,12 @@ def test_kernel_check_certifies_alpha_to_valuation_prec_minus_one():
     assert F.prec - 1 < fgl._nilpotency(R)
     alpha = fgl.canonical_subgroup(F).alpha
     b, two, four = R.gen(), R.from_int(2), R.from_int(4)
-    fgl._check_kernel(F, fgl.KernelPolynomial(alpha, R, F.prec))
+    fgl._check_kernel(F, fgl.KernelPolynomial(alpha))
     for d in (R.mul(two, b), R.mul(b, b), four):               # valuation P - 2
         with pytest.raises(InvalidKernel):
-            fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d), R, F.prec))
+            fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d)))
     for d in (R.mul(two, R.mul(b, b)), R.mul(four, b)):        # valuation P - 1
-        fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d), R, F.prec))
+        fgl._check_kernel(F, fgl.KernelPolynomial(R.add(alpha, d)))
 
 
 def _random_scalar(R, rng):
@@ -463,7 +463,7 @@ def test_divides_two_series_matches_per_term_evaluation(monkeypatch, law):
 
 def test_quotient_of_a_law_without_height_one_is_not_ordinary():
     Z8 = ModularIntegers(8)
-    K = fgl.KernelPolynomial(2, Z8, 8)
+    K = fgl.KernelPolynomial(2)
     with pytest.raises(NotOrdinary):
         fgl.quotient_by_subgroup(fgl.additive_fgl(Z8, 8), K)
     with pytest.raises(NotOrdinary):
@@ -857,6 +857,20 @@ def test_a_perturbed_memo_fails_the_quotient_and_its_checks(cold_lift, perturb, 
     assert fgl._family_lift is memo
 
 
+@pytest.mark.parametrize("at, e", [(2, (1, 2)), (0, (3,))], ids=["quotient law", "isogeny"])
+def test_a_2_adic_denominator_in_the_lift_is_refused_by_the_reduction(cold_lift, at, e):
+    """A b/2 added to the memoised quotient law, or to the memoised isogeny,
+    has no image in Z/4[[b]]: the reduction's IntegralityFailure comes out as
+    QuotientPrecisionError, with no 2-integrality walk beforehand."""
+    quotient_of(1, 8, 9)
+    lift = list(fgl._family_lift)
+    lift[at] = _bump(lift[at], e, Fraction(1, 2))
+    fgl._family_lift = tuple(lift)
+    with pytest.raises(QuotientPrecisionError, match="not 2-integral") as err:
+        quotient_of(2, 5, 7)
+    assert isinstance(err.value.__cause__, IntegralityFailure)
+
+
 def test_runs_do_not_leak_through_the_memos(cold_lift, monkeypatch):
     """The default run, the deeper run of fgl and elliptic and the default run
     again, in one process: the two default bodies are identical, and each
@@ -1119,6 +1133,47 @@ def test_theta_defect_scalars():
     assert fgl.theta_defect(3, 3) == -3
     with pytest.raises(NotAFrobeniusLift):
         fgl.theta_defect(1, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_theta_defect_matches_the_parity_loop(k):
+    """theta over Z/2^k[[b]], a solve_int by 2 read in Z/2^(k-1)[[b]], equals
+    the parity loop it replaced term for term and type for type on seeded
+    series, and both refuse an odd coefficient; on rationals the Z_(2)
+    quotient equals the numerator and denominator test."""
+    rng = random.Random(370 + k)
+    R = SeriesRing(ModularIntegers(2 ** k), "b", 6)
+
+    def draw():
+        return Series(R.ctx, {(i,): v for i in range(R.prec) if (v := rng.randrange(2 ** k))})
+
+    refused = 0
+    for _ in range(80):
+        x, t = draw(), draw()
+        psi2 = R.add(R.mul(x, x), R.add(t, t))
+        if rng.random() < 0.25:
+            psi2 = R.add(psi2, Series(R.ctx, {(rng.randrange(R.prec),): 1}))
+        try:
+            want = oracles.theta_defect_oracle(x, psi2, R)
+        except NotAFrobeniusLift:
+            refused += 1
+            with pytest.raises(NotAFrobeniusLift, match="odd coefficient"):
+                fgl.theta_defect(x, psi2, R)
+            continue
+        got = fgl.theta_defect(x, psi2, R)
+        assert got.ctx.ring.structure() == want.ctx.ring.structure()
+        assert _typed(got) == _typed(want)
+    assert 0 < refused < 80
+    for _ in range(200):
+        x, psi2 = (Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 5])) for _ in range(2))
+        try:
+            want = oracles.theta_defect_oracle(x, psi2)
+        except NotAFrobeniusLift:
+            with pytest.raises(NotAFrobeniusLift):
+                fgl.theta_defect(x, psi2)
+            continue
+        got = fgl.theta_defect(x, psi2)
+        assert (type(got), got) == (type(want), want)
 
 
 def test_theta_defect_needs_k_at_least_two():

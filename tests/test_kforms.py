@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from chromalg import kforms
 from chromalg.errors import IntegralityFailure
 from chromalg.rings import Z_inverted, ZZ, omega_ring, sqrt_minus3
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,44 @@ def test_twisted_k_graded_ring(T, sigma):
     s3 = sqrt_minus3(T)
     assert T.eq(kforms.twisted_k_generator(T, 2), T.from_int(-3))
     assert T.eq(T.mul(kforms.twisted_k_generator(T, -1), s3), T.one())
+
+
+@pytest.mark.parametrize("scale, pieces", [
+    ((Fraction(1), Fraction(0)), True), ((Fraction(-3), Fraction(0)), True),
+    ((Fraction(1, 9), Fraction(0)), True), ((Fraction(2), Fraction(0)), False),
+    ((Fraction(0), Fraction(1)), False),
+], ids=["1", "-3", "1/9", "2", "w"])
+def test_twisted_k_check_refuses_a_generator_off_its_eigenline(monkeypatch, T, sigma,
+                                                               scale, pieces):
+    """Negative control: every generator scaled by 2 (still a sigma-eigenvector,
+    but not a Z[1/3]-basis of its line) or by w (off the line) gives pieces
+    False; scaled by a unit +-3^j it still spans its piece."""
+    gen = kforms.twisted_k_generator
+    monkeypatch.setattr(kforms, "twisted_k_generator", lambda T, k: T.mul(scale, gen(T, k)))
+    assert kforms.twisted_k_check(T, sigma, 16)["pieces"] is pieces
+
+
+def test_twisted_k_eigenline_test_matches_the_ratio_loop(monkeypatch, T, sigma):
+    """pieces, read from one lam = gen_i / v_i in Z[1/3], equals the sign test
+    and the coordinate-ratio test it replaced, on seeded scalings of every
+    generator; both verdicts occur."""
+    rng = random.Random(37)
+    gen = kforms.twisted_k_generator
+    seen = set()
+    for _ in range(60):
+        c = (Fraction(rng.choice([1, -1, 2, 5]) * 3 ** rng.randint(0, 3), rng.choice([1, 3, 7, 9])),
+             Fraction(rng.choice([0, 0, 0, rng.randint(-3, 3)])))
+        monkeypatch.setattr(kforms, "twisted_k_generator", lambda T, k, c=c: T.mul(c, gen(T, k)))
+        want = True
+        for k in range(-4, 5):
+            g = kforms.twisted_k_generator(T, k)
+            (v,) = kforms.eigenspace(T, sigma, +1, degree=2 * k)
+            want = want and T.eq(sigma(g), T.mul(T.from_int((-1) ** k), g)) \
+                and oracles.eigenline_ratio_oracle(v, g)
+        got = kforms.twisted_k_check(T, sigma, 8)["pieces"]
+        assert got == want, c
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_cusp_restriction_signs():

@@ -15,7 +15,7 @@ from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
 import oracles
-from chromalg import bp, elliptic, fgl, kforms, linalg
+from chromalg import bp, elliptic, fgl, linalg
 from chromalg.checks import REGISTRY
 from chromalg.report import RunConfig
 from chromalg.rings import _valuation
@@ -217,6 +217,49 @@ def test_series_reduce_matches_the_loop(target):
         got, want = series_reduce(s, target), oracles.series_reduce_oracle(s, target)
         assert got == want and got.ctx.ring is target and got.prec == want.prec
         assert got.terms == want.terms
+
+
+def _coefficientwise_rings():
+    Z8 = ModularIntegers(8)
+    return {"Z/8[x]": PolyRing(Z8, ("x",)), "Z/8[[b]]": SeriesRing(Z8, "b", 5),
+            "Z/8[w]/(w^2+w+1)": QuotientExtension(Z8, (1, 1, 1)),
+            "Z[x]": PolyRing(ZZ, ("x",)), "Z[1/3][w]": omega_ring()}
+
+
+@pytest.mark.parametrize("R", list(_coefficientwise_rings().values()),
+                         ids=list(_coefficientwise_rings()))
+def test_solve_int_matches_the_coefficient_loops(R):
+    """solve_int of a PolyRing, SeriesRing or QuotientExtension through the
+    one helper equals the loop each wrote, value and type, on seeded
+    elements, half of them multiples of n; both solvable and unsolvable
+    cases occur."""
+    rng = random.Random(37)
+    B = R.base
+
+    def scalar():
+        if isinstance(B, ModularIntegers):
+            return rng.randrange(B.m)
+        if B is ZZ:
+            return rng.randint(-20, 20)
+        return Fraction(rng.randint(-20, 20), rng.choice([1, 3, 9]))
+
+    seen = set()
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4, 6, 8])
+        size = 2 if isinstance(R, QuotientExtension) else rng.randint(0, 4)
+        cs = [scalar() for _ in range(size)]
+        if rng.random() < 0.5:
+            cs = [B.mul(B.from_int(n), c) for c in cs]
+        if isinstance(R, QuotientExtension):
+            b = tuple(cs)
+        elif isinstance(R, SeriesRing):
+            b = Series(R.ctx, {(i,): c for i, c in enumerate(cs) if not B.is_zero(c)})
+        else:
+            b = Poly(R, {(i,): c for i, c in enumerate(cs) if not B.is_zero(c)})
+        got, want = R.solve_int(n, b), oracles.solve_int_loop_oracle(R, n, b)
+        assert [_typed_leaves(v) for v in got] == [_typed_leaves(v) for v in want]
+        seen.add(bool(got))
+    assert seen == {True, False}
 
 
 def test_fraction_mod_needs_a_denominator_prime_to_m():
@@ -564,7 +607,9 @@ def test_dot_over_z_quotient_keeps_the_loop_where_fractions_enter():
 
 def test_valuation_matches_the_division_loops():
     """_valuation(n, p) and each of its callers agree with the division loop
-    they replaced, on seeded nonzero integers of either sign; zero raises."""
+    they replaced, on seeded nonzero integers of either sign; zero raises.
+    The +-3^k test of the twisted-K eigenlines, Z[1/3] division and then
+    is_unit, agrees with the loop that stripped the 3s."""
     rng = random.Random(34)
     for _ in range(2000):
         p = rng.choice([2, 3, 5, 7, 13])
@@ -589,4 +634,5 @@ def test_valuation_matches_the_division_loops():
     for _ in range(500):
         q = Fraction(rng.choice([1, -1, 2, 5]) * 3 ** rng.randint(0, 5),
                      rng.choice([1, 2, 7]) * 3 ** rng.randint(0, 5))
-        assert kforms._is_3_unit(q) == oracles.is_3_unit_oracle(q)
+        lam = Z_inverted(3).divide(q.numerator, q.denominator)
+        assert (lam is not None and Z_inverted(3).is_unit(lam)) == oracles.is_3_unit_oracle(q)

@@ -43,7 +43,6 @@ def test_product_associative_random():
 
 def test_milnor_vs_operator_oracle():
     rng = random.Random(2)
-    nv = 3
     polys = [frozenset({(1, 1, 1)}), frozenset({(2, 1, 0)}),
              frozenset({(1, 0, 0), (0, 1, 1)})]
     pool = [m for d in range(1, 8) for m in st.basis(d)]
@@ -55,8 +54,8 @@ def test_milnor_vs_operator_oracle():
         tested += 1
         prod = st.milnor_product_mono(r, s)
         for tp in polys:
-            assert st.element_on_poly(prod, tp, nv) == \
-                st.milnor_on_poly(r, st.milnor_on_poly(s, tp, nv), nv)
+            assert st.element_on_poly(prod, tp) == \
+                st.milnor_on_poly(r, st.milnor_on_poly(s, tp))
 
 
 def test_product_matches_oracle_through_degree_30():
@@ -99,23 +98,21 @@ def test_product_matches_oracle_on_generator_products():
 
 
 def test_adem_oracle():
-    nv = 3
     tp = frozenset({(1, 1, 1)})
     for a, b in [(1, 1), (1, 2), (2, 2), (3, 2), (2, 3), (5, 2), (4, 4), (3, 6)]:
-        direct = st.word_on_poly((a, b), tp, nv)
+        direct = st.word_on_poly((a, b), tp)
         via = frozenset()
         for w in st.adem_word_normalize((a, b)):
-            via ^= st.word_on_poly(w, tp, nv)
+            via ^= st.word_on_poly(w, tp)
         assert direct == via, (a, b)
         mp = st.milnor_product(st.sq(a), st.sq(b))
-        assert st.element_on_poly(mp, tp, nv) == direct, (a, b)
+        assert st.element_on_poly(mp, tp) == direct, (a, b)
 
 
 def test_sq_equals_milnor_single_row():
-    nv = 2
     tp = frozenset({(2, 1)})
     for n in range(1, 8):
-        assert st.milnor_on_poly((n,), tp, nv) == st.sq_on_poly(n, tp, nv)
+        assert st.milnor_on_poly((n,), tp) == st.sq_on_poly(n, tp)
 
 
 def test_milnor_primitives():
