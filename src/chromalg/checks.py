@@ -37,17 +37,28 @@ class Check:
 
 REGISTRY: list[Check] = []
 
+# the suites in report order, under the prefix of their check ids
+_SUITE_OF = {"ell": "elliptic", "fgl": "fgl", "bp": "bp", "st": "steenrod",
+             "mod": "moduli", "mf": "modularforms", "kf": "kforms"}
+SUITES = tuple(_SUITE_OF.values())
 
-def check(id: str, suite: str, claim: str):
+
+def check(id: str):
+    """Register a check "<prefix>.<claim>": the prefix names its suite, the
+    claim is its anchor in docs/CLAIMS.md."""
+    prefix, _, claim = id.partition(".")
+    if prefix not in _SUITE_OF or not claim:
+        raise ValueError(f"check id {id!r} is not <prefix>.<claim> with a suite prefix")
+
     def deco(fn):
-        REGISTRY.append(Check(id, suite, claim, fn))
+        REGISTRY.append(Check(id, _SUITE_OF[prefix], claim, fn))
         return fn
     return deco
 
 
 # ---------------------------------------------------------------- elliptic --
 
-@check("ell.family-invariants", "elliptic", "family-invariants")
+@check("ell.family-invariants")
 def _family_invariants(cfg, rng):
     E, P = elliptic.universal_gamma1_3()
     A, B = P.gen("A"), P.gen("B")
@@ -59,7 +70,7 @@ def _family_invariants(cfg, rng):
     return "c4 = A(A^3-24B), c6 = -A^6+36A^3B-216B^2, disc = B^3(A^3-27B)"
 
 
-@check("ell.family-j", "elliptic", "family-j")
+@check("ell.family-j")
 def _family_j(cfg, rng):
     E, P = elliptic.universal_gamma1_3()
     A, B = P.gen("A"), P.gen("B")
@@ -69,7 +80,7 @@ def _family_j(cfg, rng):
     return "j = A^3 (A^3-24B)^3 / (B^3 (A^3-27B)) as an exact fraction"
 
 
-@check("ell.weight-rescaling", "elliptic", "weight-rescaling")
+@check("ell.weight-rescaling")
 def _weight_rescaling(cfg, rng):
     P = PolyRing(ZZ, ("A", "B", "L"), weights=(1, 3, 1), laurent=("L",))
     A, B, L = P.gen("A"), P.gen("B"), P.gen("L")
@@ -85,7 +96,7 @@ def _weight_rescaling(cfg, rng):
     return "(A,B) -> (tA, t^3 B) scales c4, c6, disc by t^4, t^6, t^12 and fixes j"
 
 
-@check("ell.tate-cusp", "elliptic", "tate-cusp")
+@check("ell.tate-cusp")
 def _tate_cusp(cfg, rng):
     P = PolyRing(ZZ, ("beta",))
     beta = P.gen("beta")
@@ -103,7 +114,7 @@ def _tate_cusp(cfg, rng):
     return "y^2 + beta xy = x^3 has c4 = beta^4, c6 = -beta^6; A -> beta, B -> 0"
 
 
-@check("ell.reduction-table", "elliptic", "reduction-table")
+@check("ell.reduction-table")
 def _reduction_table(cfg, rng):
     counts = {}
     for q in (2, 4, 8):
@@ -124,7 +135,7 @@ def _reduction_table(cfg, rng):
     return f"exhaustive over GF(2), GF(4), GF(8): {sorted((k, v) for k, v in counts.items())}"
 
 
-@check("ell.three-torsion", "elliptic", "three-torsion")
+@check("ell.three-torsion")
 def _three_torsion(cfg, rng):
     E, P = elliptic.universal_gamma1_3()
     ensure(elliptic.three_torsion_check(E, (P.zero(), P.zero())), "family origin")
@@ -140,7 +151,7 @@ def _three_torsion(cfg, rng):
     return "(0,0) has exact order 3 on the family and on y^2+y=x^3; control point fails"
 
 
-@check("ell.formal-group-family", "elliptic", "formal-group-family")
+@check("ell.formal-group-family")
 def _formal_group_family(cfg, rng):
     N = min(9, max(6, cfg.series_prec // 2))
     F = fgl.universal_family_fgl(N)
@@ -160,7 +171,7 @@ def _formal_group_family(cfg, rng):
     return f"F = x + y - A xy - ... validated (unit, commutative, associative) to degree {N}"
 
 
-@check("ell.tate-fgl", "elliptic", "tate-fgl")
+@check("ell.tate-fgl")
 def _tate_fgl(cfg, rng):
     N = max(8, cfg.series_prec)
     T = elliptic.gamma1_3_curve(ZZ, 1, 0)
@@ -170,7 +181,7 @@ def _tate_fgl(cfg, rng):
     return f"formal group of y^2+xy=x^3 equals x+y-xy to degree {N}"
 
 
-@check("ell.aut-supersingular", "elliptic", "aut-supersingular")
+@check("ell.aut-supersingular")
 def _aut_ss(cfg, rng):
     F4 = GF(4)
     C = elliptic.curve(F4, F4.zero(), F4.zero(), F4.one(), F4.zero(), F4.zero())
@@ -184,7 +195,7 @@ def _aut_ss(cfg, rng):
            "generates the order-48 symmetry; the x -> w^2 x member has order 3"
 
 
-@check("ell.aut-ordinary", "elliptic", "aut-ordinary")
+@check("ell.aut-ordinary")
 def _aut_ord(cfg, rng):
     F4 = GF(4)
     C = elliptic.gamma1_3_curve(F4, F4.one(), F4.gen())
@@ -193,7 +204,7 @@ def _aut_ord(cfg, rng):
     return "ordinary fiber (A,B) = (1,w) has only the identity and the involution"
 
 
-@check("ell.node-appendix", "elliptic", "node-appendix")
+@check("ell.node-appendix")
 def _node_appendix(cfg, rng):
     R = Z_inverted(3)
     E = elliptic.curve(R, Fraction(3), Fraction(0), Fraction(1), Fraction(0), Fraction(0))
@@ -209,7 +220,7 @@ def _node_appendix(cfg, rng):
     return "node (-1,1); t = (y-1)/(x+1); G(t,t') = (tt'-3)/(t+t'+3); conic law at infinity"
 
 
-@check("ell.node-tate", "elliptic", "node-tate")
+@check("ell.node-tate")
 def _node_tate(cfg, rng):
     E = elliptic.curve(QQ, QQ.one(), QQ.zero(), QQ.zero(), QQ.zero(), QQ.zero())
     nd = elliptic.node_uniformization(E, N=8)
@@ -222,7 +233,7 @@ def _node_tate(cfg, rng):
     return "y^2+xy=x^3: node (0,0), law x+y+xy, linear-unit isomorphic to the formal group"
 
 
-@check("ell.node-beta", "elliptic", "node-beta")
+@check("ell.node-beta")
 def _node_beta(cfg, rng):
     P = PolyRing(QQ, ("beta",), laurent=("beta",))
     beta = P.gen("beta")
@@ -233,7 +244,7 @@ def _node_beta(cfg, rng):
     return "y^2 + beta xy = x^3: node (0,0) and multiplicative law with parameter beta"
 
 
-@check("ell.chart-v-j", "elliptic", "chart-v-j")
+@check("ell.chart-v-j")
 def _chart_v_j(cfg, rng):
     # j^-1 on the chart A = 1: b^3 (1 - 27b) / (1 - 24b)^3, constant term 0
     N = max(8, cfg.q_terms // 2)
@@ -256,7 +267,7 @@ def _chart_v_j(cfg, rng):
 
 # ---------------------------------------------------------------- fgl -------
 
-@check("fgl.conic-expansion", "fgl", "conic-expansion")
+@check("fgl.conic-expansion")
 def _conic_expansion(cfg, rng):
     F = fgl.conic_fgl(ZZ, 3, 3, 6)
     ensure(F.coefficient(1, 1) == 3 and F.coefficient(2, 1) == 3
@@ -272,7 +283,7 @@ def _conic_expansion(cfg, rng):
            "(x+y+(1-a)xy)/(1+axy) builds and validates"
 
 
-@check("fgl.two-series", "fgl", "two-series")
+@check("fgl.two-series")
 def _two_series(cfg, rng):
     Fm = fgl.multiplicative_fgl(ZZ, 1, 8)
     two = fgl.m_series(Fm, 2)
@@ -288,7 +299,7 @@ def _two_series(cfg, rng):
            "y^2+y=x^3 over GF(4) is 2, ordinary chart is 1"
 
 
-@check("fgl.log-examples", "fgl", "log-examples")
+@check("fgl.log-examples")
 def _log_examples(cfg, rng):
     ensure(fgl.fgl_log(fgl.additive_fgl(QQ, 6)).ucoeff(2) == 0, "additive log is x")
     l = fgl.fgl_log(fgl.conic_fgl(QQ, -1, 0, 6))
@@ -305,7 +316,7 @@ def _log_examples(cfg, rng):
     return "log(x+y-xy) = x + x^2/2 + x^3/3 + ...; log(x+y+uxy) alternates; exp o log = id"
 
 
-@check("fgl.hazewinkel-family", "fgl", "hazewinkel-family")
+@check("fgl.hazewinkel-family")
 def _hazewinkel_family(cfg, rng):
     # hazewinkel_generators(F, 2, 2) reads the law below degree 2^2 + 1
     F = fgl.universal_family_fgl(2 ** 2)
@@ -320,7 +331,7 @@ def _hazewinkel_family(cfg, rng):
     return "family law: v1 = A and v2 = B exactly (units both 1), hence the congruences"
 
 
-@check("fgl.hazewinkel-multiplicative", "fgl", "hazewinkel-multiplicative")
+@check("fgl.hazewinkel-multiplicative")
 def _hazewinkel_mult(cfg, rng):
     Pz = PolyRing(ZZ, ("u",))
     u = Pz.gen("u")
@@ -331,7 +342,7 @@ def _hazewinkel_mult(cfg, rng):
     return "multiplicative laws have v2 = 0 exactly; v1 is the (signed) parameter"
 
 
-@check("fgl.tate-v2-zero", "fgl", "tate-v2-zero")
+@check("fgl.tate-v2-zero")
 def _tate_v2(cfg, rng):
     F = fgl.universal_family_fgl(9)
     data = fgl.hazewinkel_generators(F, 2, 2)
@@ -343,7 +354,7 @@ def _tate_v2(cfg, rng):
     return "specializing A -> beta, B -> 0 sends v2 to zero and v1 to beta"
 
 
-@check("fgl.hazewinkel-naturality", "fgl", "hazewinkel-naturality")
+@check("fgl.hazewinkel-naturality")
 def _hazewinkel_naturality(cfg, rng):
     F = fgl.universal_family_fgl(9)
     P = F.ring
@@ -372,7 +383,7 @@ def _hazewinkel_naturality(cfg, rng):
     return "v1 mod 2 and v2 mod (2, v1) unchanged by random strict isomorphisms"
 
 
-@check("fgl.iso-omega", "fgl", "iso-omega")
+@check("fgl.iso-omega")
 def _iso_omega(cfg, rng):
     W = omega_ring()
     N = max(12, cfg.series_prec)
@@ -387,7 +398,7 @@ def _iso_omega(cfg, rng):
     return f"conic(3,3) strictly isomorphic to x+y+sqrt(-3)xy over Z[1/3][w] to degree {N}"
 
 
-@check("fgl.noniso-z13", "fgl", "noniso-z13")
+@check("fgl.noniso-z13")
 def _noniso_z13(cfg, rng):
     # Over Z[1/3], F_u = x + y + uxy is u^-1 F_1(ux, uy), so phi: Fc -> F_u
     # with phi'(0) = c holds to degree d exactly when u phi: Fc -> F_1 with
@@ -421,7 +432,7 @@ def _noniso_degrees(Fc, F1, cands) -> dict:
     return {(u, c): r.details[R.render(R.mul(u, c))] for u in cands for c in cands}
 
 
-@check("fgl.canonical-subgroup", "fgl", "canonical-subgroup")
+@check("fgl.canonical-subgroup")
 def _canonical_subgroup(cfg, rng):
     Z8 = ModularIntegers(8)
     K = fgl.canonical_subgroup(fgl.multiplicative_fgl(Z8, 1, 8))
@@ -441,7 +452,7 @@ def _canonical_subgroup(cfg, rng):
            f"over Z/{2**k}[[b]]; additive law rejected as not ordinary"
 
 
-@check("fgl.quotient-mu2", "fgl", "quotient-mu2")
+@check("fgl.quotient-mu2")
 def _quotient_mu2(cfg, rng):
     Z8 = ModularIntegers(8)
     Fm = fgl.multiplicative_fgl(Z8, 1, 8)
@@ -458,7 +469,7 @@ def _quotient_mu2(cfg, rng):
     return "multiplicative/mu_2 is multiplicative-type again; kernel x(x+0) rejected"
 
 
-@check("fgl.quotient-frobenius", "fgl", "quotient-frobenius")
+@check("fgl.quotient-frobenius")
 def _quotient_frobenius(cfg, rng):
     F1 = fgl.two_adic_family_fgl(1, 8, 9)
     K1 = fgl.canonical_subgroup(F1)
@@ -474,7 +485,7 @@ def _quotient_frobenius(cfg, rng):
            "to b-precision 8; the isogeny reduces to the Frobenius x^2"
 
 
-@check("fgl.isogeny-identity", "fgl", "isogeny-identity")
+@check("fgl.isogeny-identity")
 def _isogeny_identity(cfg, rng):
     k = max(2, cfg.two_adic_prec)
     F = fgl.two_adic_family_fgl(k, 5, 7)
@@ -485,7 +496,7 @@ def _isogeny_identity(cfg, rng):
     return f"f(F(x,y)) = F'(f(x), f(y)) re-verified over Z/{2**k}[[b]]"
 
 
-@check("fgl.recognize-family", "fgl", "recognize-family")
+@check("fgl.recognize-family")
 def _recognize_family(cfg, rng):
     k = max(2, min(cfg.two_adic_prec, 3))
     F = fgl.two_adic_family_fgl(k, 6, 8)
@@ -501,7 +512,7 @@ def _recognize_family(cfg, rng):
             "re-substitution residual vanishes at the full modulus")
 
 
-@check("fgl.theta-defect", "fgl", "theta-defect")
+@check("fgl.theta-defect")
 def _theta_defect(cfg, rng):
     ensure(fgl.theta_defect(2, 4) == 0, "psi^2(x) = x^2 gives theta = 0")
     ensure(fgl.theta_defect(3, 3) == -3, "theta(3) = (3 - 9)/2 = -3 for psi^2 = id")
@@ -514,7 +525,7 @@ def _theta_defect(cfg, rng):
     return "theta(x) = (psi^2(x) - x^2)/2 exactly; non-divisibility rejected"
 
 
-@check("fgl.validation-random", "fgl", "validation-random")
+@check("fgl.validation-random")
 def _validation_random(cfg, rng):
     for _ in range(6):
         b = rng.randint(-4, 4)
@@ -528,7 +539,7 @@ def _validation_random(cfg, rng):
 
 # ---------------------------------------------------------------- bp ---------
 
-@check("bp.right-unit", "bp", "right-unit")
+@check("bp.right-unit")
 def _right_unit(cfg, rng):
     tab = bp.right_unit(2, 3)
     P = tab.ring
@@ -547,7 +558,7 @@ def _right_unit(cfg, rng):
            "integer coefficients; defining recursion re-verified"
 
 
-@check("bp.regular-sequence", "bp", "regular-sequence")
+@check("bp.regular-sequence")
 def _regular_sequence(cfg, rng):
     N = min(20, cfg.max_degree)
     seq, module, P = bp.bp2_shadow_sequence(N)
@@ -566,7 +577,7 @@ def _regular_sequence(cfg, rng):
            "(v1, v1) fails with witness 1; (2) on F_2[t1] fails"
 
 
-@check("bp.koszul-regular", "bp", "koszul-regular")
+@check("bp.koszul-regular")
 def _koszul_regular(cfg, rng):
     N = min(20, cfg.max_degree)
     seq, module, P = bp.bp2_shadow_sequence(N)
@@ -581,7 +592,7 @@ def _koszul_regular(cfg, rng):
            "(independent monomial count agrees)"
 
 
-@check("bp.koszul-exterior", "bp", "koszul-exterior")
+@check("bp.koszul-exterior")
 def _koszul_exterior(cfg, rng):
     N = 16
     F2 = PrimeField(2)
@@ -601,7 +612,7 @@ def _koszul_exterior(cfg, rng):
            f"Lambda[x_0..x_3] with |x_k| = 2^(k+1)-1, through total degree {N}"
 
 
-@check("bp.tor-degeneration", "bp", "tor-degeneration")
+@check("bp.tor-degeneration")
 def _tor_degeneration(cfg, rng):
     r1 = bp.tor_degeneration_identity(1, 2, 24)
     ensure(r1["truncated_equal"] and r1["full_equal"], "n=1, p=2 mismatch")
@@ -614,7 +625,7 @@ def _tor_degeneration(cfg, rng):
            "checked for (n,p) in {(1,2),(2,2),(1,3)}"
 
 
-@check("bp.connectivity-evenness", "bp", "connectivity-evenness")
+@check("bp.connectivity-evenness")
 def _connectivity(cfg, rng):
     for n in (1, 2):
         ensure(steenrod.evenness_below(n, 2 ** (n + 2) + 4),
@@ -625,7 +636,7 @@ def _connectivity(cfg, rng):
 
 # ---------------------------------------------------------------- steenrod ---
 
-@check("st.basis-dims", "steenrod", "basis-dims")
+@check("st.basis-dims")
 def _st_basis(cfg, rng):
     N = max(48, cfg.max_degree)
     ensure(steenrod.basis(0) == ((),), "degree 0")
@@ -636,7 +647,7 @@ def _st_basis(cfg, rng):
     return f"Milnor monomial counts match the product formula through degree {N}"
 
 
-@check("st.product", "steenrod", "product")
+@check("st.product")
 def _st_product(cfg, rng):
     ensure(steenrod.milnor_product(steenrod.sq(1), steenrod.sq(1)) == frozenset(),
            "Sq(1) Sq(1) = 0")
@@ -653,7 +664,7 @@ def _st_product(cfg, rng):
     return "Sq(1)^2 = 0; Q0 Q1 + Q1 Q0 = 0; unital; associative on a random sample"
 
 
-@check("st.product-oracle", "steenrod", "product-oracle")
+@check("st.product-oracle")
 def _st_oracle(cfg, rng):
     polys = [frozenset({(1, 1, 1)}), frozenset({(2, 1, 0)}),
              frozenset({(1, 0, 0), (0, 1, 1)})]
@@ -680,7 +691,7 @@ def _st_oracle(cfg, rng):
            "Adem-relation admissible-word oracle on sampled products"
 
 
-@check("st.milnor-primitives", "steenrod", "milnor-primitives")
+@check("st.milnor-primitives")
 def _st_primitives(cfg, rng):
     for i in range(4):
         Qi = steenrod.milnor_primitive(i)
@@ -693,7 +704,7 @@ def _st_primitives(cfg, rng):
     return "Q^i square to zero, have degree 2^(i+1)-1; Q0 = Sq^1, Q1 = [Sq^2, Sq^1]"
 
 
-@check("st.profiles", "steenrod", "profiles")
+@check("st.profiles")
 def _st_profiles(cfg, rng):
     for kind, n in (("E", 0), ("E", 1), ("E", 2), ("A", 0), ("A", 1), ("A", 2)):
         pr = steenrod.Profile(kind, n)
@@ -717,7 +728,7 @@ def _st_profiles(cfg, rng):
            "E(n) embeds in A(n); Q-products span E(n)"
 
 
-@check("st.quotient-convolution", "steenrod", "quotient-convolution")
+@check("st.quotient-convolution")
 def _st_convolution(cfg, rng):
     N = max(48, cfg.max_degree)
     for kind, n in (("E", 0), ("E", 1), ("E", 2), ("A", 1), ("A", 2)):
@@ -731,7 +742,7 @@ def _st_convolution(cfg, rng):
            "E(0), E(1), E(2), A(1), A(2); all quotient dimensions nonnegative"
 
 
-@check("st.quotient-tables", "steenrod", "quotient-tables")
+@check("st.quotient-tables")
 def _st_tables(cfg, rng):
     qE1 = steenrod.quotient_dims_convolution(steenrod.Profile("E", 1), 12)
     ensure(qE1[:8] == [1, 0, 1, 0, 1, 0, 2, 1], f"A//E(1) dims {qE1[:8]}")
@@ -748,7 +759,7 @@ def _st_tables(cfg, rng):
            "A//E(0) matches the integral Eilenberg-MacLane pattern; coset tables agree"
 
 
-@check("st.square-commutes", "steenrod", "square-commutes")
+@check("st.square-commutes")
 def _st_square(cfg, rng):
     N = 16
     res = steenrod.square_check(N)
@@ -759,7 +770,7 @@ def _st_square(cfg, rng):
            f"degree {N}; maps are A-linear on Sq(2^i); all four modules are cyclic"
 
 
-@check("st.bstar-dims", "steenrod", "bstar-dims")
+@check("st.bstar-dims")
 def _st_bstar(cfg, rng):
     gens = steenrod.bstar_generator_degrees(2, 2, 32)
     ensure(gens == [2, 6, 14, 15, 31], f"B_*(2) generator degrees {gens}")
@@ -769,7 +780,7 @@ def _st_bstar(cfg, rng):
     return "B_*(2) generator degrees are 2, 6, 14, 15, 31; B_*(0) low dims enumerated"
 
 
-@check("st.duality-dims", "steenrod", "duality-dims")
+@check("st.duality-dims")
 def _st_duality(cfg, rng):
     ensure(steenrod.duality_dims_check(1, 24), "n = 1 through degree 24")
     ensure(steenrod.duality_dims_check(2, max(32, cfg.max_degree)), "n = 2")
@@ -779,7 +790,7 @@ def _st_duality(cfg, rng):
 
 # ---------------------------------------------------------------- moduli -----
 
-@check("mod.h0-ranks", "moduli", "h0-ranks")
+@check("mod.h0-ranks")
 def _mod_h0(cfg, rng):
     ensure(moduli.h0_rank(0) == 1 and moduli.h0_rank(3) == 2 and moduli.h0_rank(-1) == 0,
            "examples")
@@ -789,7 +800,7 @@ def _mod_h0(cfg, rng):
     return "H^0(O(n)) is free on A^i B^j with i + 3j = n, rank floor(n/3)+1 for n >= 0"
 
 
-@check("mod.h1-ranks", "moduli", "h1-ranks")
+@check("mod.h1-ranks")
 def _mod_h1(cfg, rng):
     ensure(moduli.h1_rank(-4) == 1 and moduli.h1_from_cech(-4) == [(-1, -1)],
            "duality class at n = -4")
@@ -801,14 +812,14 @@ def _mod_h1(cfg, rng):
     return "H^1(O(-4)) has rank 1 generated by [A^-1 B^-1]; H^1(O(n)) = 0 for n >= -3"
 
 
-@check("mod.annihilation", "moduli", "annihilation")
+@check("mod.annihilation")
 def _mod_ann(cfg, rng):
     rep = moduli.annihilation_check()
     ensure(rep["ok"], str(rep))
     return "A D and B D are coboundaries (preimages (0, -B^-1), (0, -A^-1)); D is not"
 
 
-@check("mod.vanishing-euler", "moduli", "vanishing-euler")
+@check("mod.vanishing-euler")
 def _mod_euler(cfg, rng):
     # H^s = 0 for s >= 2 needs no computation: the complex is C^0 -> C^1
     for n in range(-40, 41):
@@ -819,7 +830,7 @@ def _mod_euler(cfg, rng):
            "h0 - h1 for -40 <= n <= 40; H^0 multiplication is polynomial multiplication"
 
 
-@check("mod.chart-transition", "moduli", "chart-transition")
+@check("mod.chart-transition")
 def _mod_chart(cfg, rng):
     rep = moduli.chart_transition_check(max(8, cfg.series_prec // 2))
     ensure(rep["ok"], str(rep))
@@ -829,7 +840,7 @@ def _mod_chart(cfg, rng):
 
 # ---------------------------------------------------------------- forms ------
 
-@check("mf.eisenstein", "modularforms", "eisenstein")
+@check("mf.eisenstein")
 def _mf_eisenstein(cfg, rng):
     n = max(16, cfg.q_terms)
     e4, e6, delta = moduli.eisenstein(n)
@@ -843,7 +854,7 @@ def _mf_eisenstein(cfg, rng):
            "= q - 24q^2 + 252q^3 - 1472q^4 + ..."
 
 
-@check("mf.j-inverse", "modularforms", "j-inverse")
+@check("mf.j-inverse")
 def _mf_jinv(cfg, rng):
     n = max(16, cfg.q_terms)
     _, _, _, q_j, j_inv = moduli.eisenstein_j(n)
@@ -855,7 +866,7 @@ def _mf_jinv(cfg, rng):
     return "j^-1(q) = q - 744 q^2 + ...; j = q^-1 + 744 + 196884 q + ..."
 
 
-@check("mf.psi-defect", "modularforms", "psi-defect")
+@check("mf.psi-defect")
 def _mf_psi(cfg, rng):
     q8 = SeriesCtx(ZZ, ("q",), 8)
     ensure(moduli.psi_operator(q8.gen("q")) == q8.series({(2,): 1}), "psi(q) = q^2")
@@ -868,7 +879,7 @@ def _mf_psi(cfg, rng):
     return "psi(f)(q) = f(q^2); f(q^2) - f(q) has constant term 0 on 100 seeded series"
 
 
-@check("kf.eigenspaces", "kforms", "eigenspaces")
+@check("kf.eigenspaces")
 def _kf_eigen(cfg, rng):
     T = omega_ring()
     sigma = kforms.omega_conjugation(T)
@@ -881,7 +892,7 @@ def _kf_eigen(cfg, rng):
     return "T^(sigma=+1) = Z[1/3]; T^(sigma=-1) = Z[1/3] (1+2w) = Z[1/3] sqrt(-3)"
 
 
-@check("kf.ku-tau", "kforms", "ku-tau")
+@check("kf.ku-tau")
 def _kf_kutau(cfg, rng):
     T = omega_ring()
     sigma = kforms.omega_conjugation(T)
@@ -891,7 +902,7 @@ def _kf_kutau(cfg, rng):
            "correct eigenspaces ((-1)^k sign rule)"
 
 
-@check("kf.c2-cohomology", "kforms", "c2-cohomology")
+@check("kf.c2-cohomology")
 def _kf_c2(cfg, rng):
     T = omega_ring()
     coh = kforms.c2_cohomology(T, kforms.omega_conjugation(T))
@@ -902,7 +913,7 @@ def _kf_c2(cfg, rng):
            "Z (H^2 = Z/2) and F_2 (H^1 = F_2) show the test has teeth"
 
 
-@check("kf.cusp-restriction", "kforms", "cusp-restriction")
+@check("kf.cusp-restriction")
 def _kf_cusp(cfg, rng):
     plus = kforms.cusp_restriction_check(+1)
     ensure(plus["found"], f"nodal substitution not matched: {plus}")
@@ -917,7 +928,7 @@ def _kf_cusp(cfg, rng):
             "sign sensitivity witnessed")
 
 
-@check("kf.frobenius-obstruction", "kforms", "frobenius-obstruction")
+@check("kf.frobenius-obstruction")
 def _kf_frob(cfg, rng):
     for p in (3, 5):
         rep = kforms.frobenius_lift_obstruction(p)
@@ -927,16 +938,13 @@ def _kf_frob(cfg, rng):
            "p = 3, 5 (witness: the cyclotomic generator); identity works on Z_p"
 
 
-@check("kf.discriminant", "kforms", "discriminant")
+@check("kf.discriminant")
 def _kf_disc(cfg, rng):
     ensure(kforms.discriminant_classification(Z_inverted(3), Fraction(3), Fraction(3))
            == "form", "(3,3) over Z[1/3]")
     ensure(kforms.discriminant_classification(ZZ, 3, 3) == "degenerate", "(3,3) over Z")
     ensure(kforms.discriminant_classification(ZZ, 1, 0) == "form", "(1,0) over Z")
     return "conic (b,c) is a multiplicative-group form iff b^2 - 4c is a unit"
-
-
-SUITES = ("elliptic", "fgl", "bp", "steenrod", "moduli", "modularforms", "kforms")
 
 
 def checks_for(suites) -> list[Check]:

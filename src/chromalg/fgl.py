@@ -483,13 +483,16 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
              N: int | None = None, unit_candidates=None):
     """phi with phi(F(x,y)) = G(phi x, phi y) to degree N, solved degree by
     degree (Hazewinkel, Formal Groups and Applications, 1978, section 1);
-    returns IsoResult or Obstruction (a value, not an error).  Raises
-    TruncationError unless N < min(F.prec, G.prec).
+    returns IsoResult or Obstruction (a value, not an error).  mode "strict"
+    takes c_1 = 1; "linear-unit" tries each c_1 in unit_candidates
+    (R.unit_candidates(2) when None).  Raises ValueError for another mode or
+    for unit_candidates with "strict", and TruncationError unless
+    N < min(F.prec, G.prec).
 
     Step d reads total degree d of G(phi x, phi y) - phi(F), phi without c_d.
     Its rows comb(d, a) c_d = t_a (0 < a < d) are solved as the one row
-    g c_d = T of _solve_degree, c_d is the first solution that solve_int
-    gives, and the pure coefficients (d, 0) and (0, d) must vanish.  Where
+    g c_d = T of _solve_degree, c_d is R.divide(T, g) (the least solution
+    over Z/m, coefficientwise over Z/m[[b]]), and the pure coefficients (d, 0) and (0, d) must vanish.  Where
     that row has more than one solution (g not a unit, in a ring with torsion
     such as Z/2^k[[b]]), another choice of c_d might reach further, so a
     later Obstruction is not a proof that no isomorphism exists, and its
@@ -520,9 +523,13 @@ def find_iso(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
         raise TruncationError(f"find_iso to degree {N} needs laws of prec > {N}, "
                               f"not {F.prec} and {G.prec}")
     if mode == "strict":
+        if unit_candidates is not None:
+            raise ValueError("unit_candidates apply to mode 'linear-unit', not 'strict'")
         candidates = [R.one()]
-    else:
+    elif mode == "linear-unit":
         candidates = unit_candidates if unit_candidates is not None else R.unit_candidates(2)
+    else:
+        raise ValueError(f"find_iso mode {mode!r} is neither 'strict' nor 'linear-unit'")
     g = {}          # g[i] = [(j, g_ij)]: G's terms x^i y^j of total degree <= N
     for (i, j), gij in G.F.terms.items():
         if i + j <= N:
@@ -603,13 +610,12 @@ def _fill_column(R: Ring, g: list, p: list, s: dict, a: int):
 
 
 def _solve_degree(R: Ring, d: int, t: list):
-    """The first c with comb(d, a) c = t[a - 1] for every 0 < a < d, or None.
+    """A c with comb(d, a) c = t[a - 1] for every 0 < a < d, or None.
 
     With g = gcd_a comb(d, a) = sum of u_a comb(d, a) (Bezout), the rows hold
     exactly when g c = T = sum of u_a t_a and t_a = (comb(d, a)/g) T for
-    every a.  One solve_int(g, T) call replaces intersecting the rows'
-    solution lists, which comes out empty whenever solve_int returns one
-    solution per row (SeriesRing, QuotientExtension) and those differ."""
+    every a.  So c is the one division R.divide(T, g), and no solution sets
+    of the separate rows are intersected."""
     combs = [comb(d, a) for a in range(1, d)]
     g, u = 0, []
     for n in combs:
@@ -619,10 +625,10 @@ def _solve_degree(R: Ring, d: int, t: list):
     for ua, ta in zip(u, t):
         if ua:
             T = R.add(T, R.scale_int(ta, ua))
-    sols = R.solve_int(g, T)
-    if not sols or not all(R.eq(ta, R.scale_int(T, n // g)) for n, ta in zip(combs, t)):
+    c = R.divide(T, R.from_int(g))
+    if c is None or not all(R.eq(ta, R.scale_int(T, n // g)) for n, ta in zip(combs, t)):
         return None
-    return sols[0]
+    return c
 
 
 def _bezout(a: int, b: int):
@@ -661,7 +667,7 @@ def canonical_subgroup(F: FormalGroupLaw) -> KernelPolynomial:
     if not R.is_zero(dist[0]):
         raise NotOrdinary("distinguished factor has a nonzero constant term")
     alpha = dist[1]
-    if R.solve_int(2, alpha) == []:
+    if R.divide(alpha, R.from_int(2)) is None:
         raise NotOrdinary("alpha is not divisible by 2")
     # -alpha is a 2-torsion point, so the kernel is closed under F
     if not _divides_two_series(F, two, alpha):
@@ -1038,9 +1044,9 @@ def theta_defect(x, psi2_x, ring: Ring | None = None):
             raise NotAFrobeniusLift("need a 2-power modulus")
         if k < 2:
             raise NotAFrobeniusLift("theta is defined mod 2^(k-1), so it needs k >= 2")
-        sols = ring.solve_int(2, ring.sub(psi2_x, ring.mul(x, x)))
-        if not sols:
+        theta = ring.divide(ring.sub(psi2_x, ring.mul(x, x)), ring.from_int(2))
+        if theta is None:
             raise NotAFrobeniusLift("psi^2(b) - b^2 has an odd coefficient")
         half = SeriesRing(ModularIntegers(2 ** (k - 1)), ring.var, ring.prec)
-        return reduce_scalar(sols[0], half)
+        return reduce_scalar(theta, half)
     raise TypeError("unsupported carrier for theta")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 
 from .errors import NotInvertible
-from .rings import Ring, _check_lengths, _solve_each
+from .rings import Ring, _check_lengths, _divide_each
 
 
 class PolyRing(Ring):
@@ -156,27 +156,16 @@ class PolyRing(Ring):
         return self.poly({tuple(-e for e in exp): self.base.inv(c)})
 
     def divide(self, a, b):
-        if self.is_unit(b):
-            return self.mul(a, self.inv(b))
-        # monomial divisor with non-unit coefficient: coefficientwise attempt
-        if len(b.terms) == 1:
-            (exp, c), = b.terms.items()
-            out = {}
-            for e, x in a.terms.items():
-                q = self.base.divide(x, c)
-                if q is None:
-                    return None
-                ne = tuple(u - v for u, v in zip(e, exp))
-                for i, ev in enumerate(ne):
-                    if ev < 0 and i not in self.laurent:
-                        return None
-                out[ne] = q
-            return Poly(self, out)
-        return None
-
-    def solve_int(self, n, b):
-        out = _solve_each(self.base, n, b.terms)
-        return [] if out is None else [Poly(self, out)]
+        # by a monomial c x^e, a base scalar c when e = 0 (zero included):
+        # each coefficient by c, each exponent minus e; units are such
+        if len(b.terms) > 1:
+            return None
+        (exp, c), = b.terms.items() or [((0,) * self.n, self.base.zero())]
+        shifted = {tuple(map(operator.sub, e, exp)): x for e, x in a.terms.items()}
+        if any(v < 0 and i not in self.laurent for e in shifted for i, v in enumerate(e)):
+            return None
+        out = _divide_each(self.base, shifted, c)
+        return None if out is None else Poly(self, out)
 
     def rationalize(self):
         rbase, f = self.base.rationalize()

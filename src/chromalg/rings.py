@@ -84,15 +84,16 @@ class Ring:
         raise NotImplementedError
 
     def divide(self, a, b):
-        """Exact quotient a/b, or None when it does not exist in the ring."""
+        """Some x with b*x = a, or None: the one exact division of every
+        ring.  Over Z/m x is the least solution.  PolyRing, SeriesRing and
+        QuotientExtension divide by a scalar of their base (a constant, zero
+        included) coefficient by coefficient (_divide_each) before trying an
+        inverse, and may give None where neither applies.  Over Z, Q, Z_(p),
+        Z[1/p] and Z/m None means no x exists, but for 0/0 outside Z/m.
+        n*x = b for an integer n is divide(b, from_int(n))."""
         if self.is_unit(b):
             return self.mul(a, self.inv(b))
         return None
-
-    def solve_int(self, n: int, b):
-        """All solutions x of n*x = b, n an integer scalar.  [] if none."""
-        q = self.divide(b, self.from_int(n))
-        return [q] if q is not None else []
 
     def pow(self, a, n: int):
         if n < 0:
@@ -235,16 +236,15 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _solve_each(base: Ring, n: int, coeffs: dict):
-    """A solution of n*x = c in base for each value c of coeffs, under the
-    same key: the first that base.solve_int lists (the only one over a
-    domain).  None when some c has none."""
+def _divide_each(base: Ring, coeffs: dict, c):
+    """{key: base.divide(x, c)} for the values x of coeffs, or None when
+    some x has no quotient by the base scalar c."""
     out = {}
-    for e, c in coeffs.items():
-        sols = base.solve_int(n, c)
-        if not sols:
+    for e, x in coeffs.items():
+        q = base.divide(x, c)
+        if q is None:
             return None
-        out[e] = sols[0]
+        out[e] = q
     return out
 
 
@@ -376,20 +376,13 @@ class ModularIntegers(Ring):
         return pow(a, -1, self.m)
 
     def divide(self, a, b):
-        # the smallest solution of b*x = a when several exist
-        sols = self.solve_int(b, a)
-        return sols[0] if sols else None
-
-    def solve_int(self, n: int, b):
-        g = math.gcd(n, self.m)
-        if b % g != 0:
-            return []
+        # the solutions of b*x = a are x0 + k*m/g, g = gcd(b, m), with
+        # 0 <= x0 < m/g the least
+        g = math.gcd(b, self.m)
+        if a % g:
+            return None
         mm = self.m // g
-        if mm == 1:
-            x0 = 0
-        else:
-            x0 = (b // g) * pow((n // g) % mm, -1, mm) % mm
-        return [(x0 + k * mm) % self.m for k in range(g)]
+        return (a // g) * pow((b // g) % mm, -1, mm) % mm
 
     def elements(self):
         return list(range(self.m))
@@ -682,14 +675,13 @@ class QuotientExtension(Ring):
         raise NotInvertible("inversion unsupported for this extension")
 
     def divide(self, a, b):
+        if all(self.base.is_zero(y) for y in b[1:]):
+            out = _divide_each(self.base, dict(enumerate(a)), b[0])
+            return None if out is None else tuple(out.values())
         try:
             return self.mul(a, self.inv(b))
         except NotInvertible:
             return None
-
-    def solve_int(self, n: int, b):
-        out = _solve_each(self.base, n, dict(enumerate(b)))
-        return [] if out is None else [tuple(out.values())]
 
     def _element_tuple(self):
         """Every element, the first coordinate varying fastest, built on the

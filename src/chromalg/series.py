@@ -154,7 +154,7 @@ from .errors import (CompositionError, MixedVariablesError, NotInvertible,
                      PreparationFailed, TruncationError)
 from .linalg import solve_int_exact
 from .rings import (Integers, ModularIntegers, PrimeField, QuotientExtension, Ring,
-                    _reduce, _scalar_modulus, _solve_each)
+                    _divide_each, _reduce, _scalar_modulus)
 
 
 class SeriesCtx:
@@ -954,10 +954,12 @@ class SeriesRing(Ring):
         return a.inverse()
 
     def divide(self, a, b):
+        if b.terms.keys() <= {(0,)}:
+            # a base scalar, zero included: coefficient by coefficient
+            out = _divide_each(self.base, a.terms, b.constant_term())
+            return None if out is None else Series(self.ctx, out)
         if self.is_unit(b):
             return a * b.inverse()
-        if b.is_zero():
-            return None
         ob = b.order()
         if ob:
             if not a.is_zero() and a.order() < ob:
@@ -965,16 +967,6 @@ class SeriesRing(Ring):
             # q*b = a fixes q only below prec - ob
             raise TruncationError(f"a quotient by an element of {self.var}-order {ob} "
                                   f"is known only below {self.prec - ob}, not {self.prec}")
-        # non-unit constant term: coefficientwise attempt when b is constant
-        if len(b.terms) == 1:
-            c = b.terms[(0,)]
-            out = {}
-            for e, x in a.terms.items():
-                q = self.base.divide(x, c)
-                if q is None:
-                    return None
-                out[e] = q
-            return Series(self.ctx, out)
         base = self.base
         m = _scalar_modulus(base)
         if m == 0:
@@ -1002,10 +994,6 @@ class SeriesRing(Ring):
         if x is None:
             return None
         return Series(self.ctx, {(i,): v % m for i, v in enumerate(x[:P]) if v % m})
-
-    def solve_int(self, n, b):
-        out = _solve_each(self.base, n, b.terms)
-        return [] if out is None else [Series(self.ctx, out)]
 
     def rationalize(self):
         rbase, f = self.base.rationalize()

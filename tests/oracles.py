@@ -43,8 +43,9 @@ each list of xi and tau degrees as its own loop, the Hazewinkel v-recursion as
 own gcd solve, `series_reduce` as a loop, and the descent of rational values
 with `Rationals` tested by type, as `convert.descend_scalar` wrote it,
 theta over Z/2^k[[b]] by a parity test and a halving per coefficient, the
-per-coefficient `solve_int` loops of `PolyRing`, `SeriesRing` and
-`QuotientExtension`, and the coordinate-ratio test of the twisted-K
+`Ring.solve_int` that each ring wrote before `divide` answered n*x = b
+(every solution over Z/m, the base's first per coefficient of `PolyRing`,
+`SeriesRing` and `QuotientExtension`), and the coordinate-ratio test of the twisted-K
 eigenlines.  The
 unit sweep +-w^e (1 - w)^m of Z[1/3][w]/(w^2 + w + 1) is kept here as test
 data: `QuotientExtension.unit_candidates` refuses to list units.
@@ -489,12 +490,13 @@ def find_iso_oracle(F: FormalGroupLaw, G: FormalGroupLaw, mode: str = "strict",
 def _rows_have_kernel(R: Ring, ns: list) -> bool:
     """Whether some nonzero c has n c = 0 for every n in ns, so that rows
     n c = t with a solution have another: coefficientwise over R[[b]] and
-    base[w]/(f), from the complete solve_int lists of the base otherwise."""
+    base[w]/(f), from the complete solution lists of solve_int_oracle
+    otherwise."""
     if isinstance(R, (SeriesRing, QuotientExtension)):
         return _rows_have_kernel(R.base, ns)
     common = None
     for n in ns:
-        sols = R.solve_int(n, R.zero())
+        sols = solve_int_oracle(R, n, R.zero())
         common = sols if common is None else [s for s in common if any(R.eq(s, c) for c in sols)]
     return any(not R.is_zero(s) for s in common)
 
@@ -503,9 +505,9 @@ def _common_solution(R: Ring, rows: list):
     """The first c with n c = t for every (n, t) in rows, or None.  An integer
     acts on R[[b]] coefficient by coefficient and on base[w]/(f) coordinate
     by coordinate, so there the rows are intersected per coefficient (an
-    absent one solves n c = 0 by c = 0); otherwise the rows' solve_int lists,
-    complete and ascending over Z, Q, Z_(p) and Z/m, are intersected in
-    order."""
+    absent one solves n c = 0 by c = 0); otherwise the rows' solve_int_oracle
+    lists, complete and ascending over Z, Q, Z_(p) and Z/m, are intersected
+    in order."""
     if isinstance(R, SeriesRing):
         out = {}
         for e in set().union(*(t.terms for _, t in rows)):
@@ -525,7 +527,7 @@ def _common_solution(R: Ring, rows: list):
         return tuple(out)
     sols = None
     for n, t in rows:
-        cand = R.solve_int(n, t)
+        cand = solve_int_oracle(R, n, t)
         sols = cand if sols is None else [s for s in sols if any(R.eq(s, c) for c in cand)]
         if not sols:
             return None
@@ -1678,22 +1680,28 @@ def theta_defect_oracle(x, psi2_x, ring: SeriesRing | None = None):
     return Series(target.ctx, out)
 
 
-def solve_int_loop_oracle(R: Ring, n: int, b):
-    """solve_int of a PolyRing, SeriesRing or QuotientExtension as each wrote
-    its own loop: the base's first solution per coefficient or coordinate,
-    [] when one has none."""
-    if isinstance(R, QuotientExtension):
-        sols_per_coord = [R.base.solve_int(n, x) for x in b]
-        if any(not s for s in sols_per_coord):
-            return []
-        return [tuple([s[0] for s in sols_per_coord])]
-    out = {}
-    for e, c in b.terms.items():
-        sols = R.base.solve_int(n, c)
-        if not sols:
-            return []
-        out[e] = sols[0]
-    return [Poly(R, out) if isinstance(R, PolyRing) else Series(R.ctx, out)]
+def solve_int_oracle(R: Ring, n: int, b) -> list:
+    """The solutions x of n*x = b as Ring.solve_int listed them before
+    divide(b, from_int(n)) answered n*x = b: over Z/m all of them, ascending
+    from the least (modular_divide_oracle); over a PolyRing, SeriesRing or
+    QuotientExtension the one whose coefficients or coordinates are the
+    base's first solutions, [] when one has none; over every other ring
+    [divide(b, from_int(n))], or [] when that is None."""
+    if isinstance(R, ModularIntegers):
+        x0, g = modular_divide_oracle(R.m, b, n), gcd(n, R.m)
+        return [] if x0 is None else [(x0 + k * (R.m // g)) % R.m for k in range(g)]
+    if isinstance(R, (PolyRing, SeriesRing, QuotientExtension)):
+        out = {}
+        for e, c in (dict(enumerate(b)) if isinstance(R, QuotientExtension) else b.terms).items():
+            sols = solve_int_oracle(R.base, n, c)
+            if not sols:
+                return []
+            out[e] = sols[0]
+        if isinstance(R, QuotientExtension):
+            return [tuple(out.values())]
+        return [Poly(R, out) if isinstance(R, PolyRing) else Series(R.ctx, out)]
+    q = R.divide(b, R.from_int(n))
+    return [] if q is None else [q]
 
 
 def eigenline_ratio_oracle(v: tuple, g: tuple) -> bool:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from chromalg.checks import REGISTRY, SUITES
+from chromalg.checks import REGISTRY, SUITES, check
 from chromalg.cli import build_parser, main
 from chromalg.report import RunConfig, render_json, render_text, run_checks, suite_table
 
@@ -15,6 +15,18 @@ def test_registry_size_and_suites():
     assert len(SUITES) == 7
     ids = [c.id for c in REGISTRY]
     assert len(ids) == len(set(ids)), "check ids must be unique"
+
+
+def test_a_check_id_names_its_suite_and_claim():
+    """Suite and claim come from the id: SUITES keeps the report order, and
+    an id whose prefix names no suite is refused at registration."""
+    assert SUITES == ("elliptic", "fgl", "bp", "steenrod", "moduli", "modularforms", "kforms")
+    assert all(c.id == f"{c.id.split('.')[0]}.{c.claim}" for c in REGISTRY)
+    before = list(REGISTRY)
+    for bad in ("ellx.family-j", "family-j", "fgl."):
+        with pytest.raises(ValueError, match="is not <prefix>.<claim>"):
+            check(bad)
+    assert REGISTRY == before
 
 
 def test_every_claim_resolves_to_claims_doc():

@@ -272,6 +272,27 @@ def test_find_iso_obstruction_over_z13():
         assert r.proof
 
 
+def test_find_iso_refuses_a_misspelled_mode():
+    """Negative control: a mode other than "strict" or "linear-unit" is a
+    usage error, not a linear-unit search."""
+    Z13 = Z_inverted(3)
+    Fc = fgl.conic_fgl(Z13, Fraction(3), Fraction(3), 7)
+    F1 = fgl.conic_fgl(Z13, Fraction(1), Fraction(0), 7)
+    assert isinstance(fgl.find_iso(Fc, F1, "linear-unit", N=6, unit_candidates=[1]),
+                      fgl.Obstruction)
+    with pytest.raises(ValueError, match="'strcit' is neither"):
+        fgl.find_iso(Fc, F1, "strcit", N=6, unit_candidates=[1])
+
+
+def test_find_iso_refuses_unit_candidates_in_strict_mode():
+    """Negative control: a strict search fixes phi'(0) = 1, so candidates
+    passed to it are refused rather than ignored."""
+    F = fgl.multiplicative_fgl(QQ, QQ.one(), 5)
+    assert isinstance(fgl.find_iso(F, F, "strict", N=4), fgl.IsoResult)
+    with pytest.raises(ValueError, match="unit_candidates"):
+        fgl.find_iso(F, F, "strict", N=4, unit_candidates=[QQ.one()])
+
+
 @pytest.mark.parametrize("R,source,target,degree,proof", [
     (ModularIntegers(8), (1, 0), (1, 1), 4, False),
     (ModularIntegers(8), (0, 0), (1, 0), 2, True),
@@ -296,8 +317,8 @@ def test_an_obstruction_is_a_proof_only_without_an_earlier_choice(R, source, tar
 
 
 def test_find_iso_over_z4_b_finds_every_strict_twist():
-    """Over Z/4[[b]] a row comb(d, a) c = t has many solutions, and solve_int
-    returns only the first; the rows of a degree solved as one still find an
+    """Over Z/4[[b]] a row comb(d, a) c = t has many solutions, and divide
+    returns only one; the rows of a degree solved as one still find an
     isomorphism onto every twist strict_apply(F, phi), and it carries F to
     the twist below degree N + 1."""
     R = SeriesRing(ModularIntegers(4), "b", 3)
@@ -1137,7 +1158,7 @@ def test_theta_defect_scalars():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_theta_defect_matches_the_parity_loop(k):
-    """theta over Z/2^k[[b]], a solve_int by 2 read in Z/2^(k-1)[[b]], equals
+    """theta over Z/2^k[[b]], a division by 2 read in Z/2^(k-1)[[b]], equals
     the parity loop it replaced term for term and type for type on seeded
     series, and both refuse an odd coefficient; on rationals the Z_(2)
     quotient equals the numerator and denominator test."""

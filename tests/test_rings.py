@@ -61,8 +61,8 @@ def test_rational_inverse_value_and_type(R):
 def test_modular_and_prime_fields():
     Z8 = ModularIntegers(8)
     assert Z8.inv(5) == 5 and Z8.nilpotent_bound() == 3
-    assert Z8.solve_int(2, 6) == [3, 7]
-    assert Z8.solve_int(2, 5) == []
+    assert Z8.divide(6, 2) == 3
+    assert Z8.divide(5, 2) is None
     F7 = PrimeField(7)
     assert F7.mul(F7.inv(3), 3) == 1
     with pytest.raises(ValueError):
@@ -229,10 +229,10 @@ def _coefficientwise_rings():
 @pytest.mark.parametrize("R", list(_coefficientwise_rings().values()),
                          ids=list(_coefficientwise_rings()))
 def test_solve_int_matches_the_coefficient_loops(R):
-    """solve_int of a PolyRing, SeriesRing or QuotientExtension through the
-    one helper equals the loop each wrote, value and type, on seeded
-    elements, half of them multiples of n; both solvable and unsolvable
-    cases occur."""
+    """divide(b, from_int(n)) of a PolyRing, SeriesRing or QuotientExtension
+    through the one helper equals the solve_int loop each wrote, value and
+    type, on seeded elements, half of them multiples of n; both solvable
+    and unsolvable cases occur."""
     rng = random.Random(37)
     B = R.base
 
@@ -256,9 +256,59 @@ def test_solve_int_matches_the_coefficient_loops(R):
             b = Series(R.ctx, {(i,): c for i, c in enumerate(cs) if not B.is_zero(c)})
         else:
             b = Poly(R, {(i,): c for i, c in enumerate(cs) if not B.is_zero(c)})
-        got, want = R.solve_int(n, b), oracles.solve_int_loop_oracle(R, n, b)
-        assert [_typed_leaves(v) for v in got] == [_typed_leaves(v) for v in want]
-        seen.add(bool(got))
+        got, want = R.divide(b, R.from_int(n)), oracles.solve_int_oracle(R, n, b)
+        assert [_typed_leaves(v) for v in want[:1]] == ([] if got is None else [_typed_leaves(got)])
+        seen.add(got is not None)
+    assert seen == {True, False}
+
+
+def _division_carriers():
+    """{id: (ring, the integers n of n*x = b)}."""
+    Z8, F2 = ModularIntegers(8), PrimeField(2)
+    return {"Z": (ZZ, [0, 2, 3]), "Q": (QQ, [0, 2, 3]), "Z_(2)": (Z_local(2), [2, 3]),
+            "Z[1/3]": (Z_inverted(3), [2, 3]), "Z/8": (Z8, [0, 2, 6]), "F_2": (F2, [1, 2]),
+            "Z/8[[b]]": (SeriesRing(Z8, "b", 5), [2]), "F_2[[b]]": (SeriesRing(F2, "b", 5), [2]),
+            "Z[x]": (PolyRing(ZZ, ("x",)), [2, 3]), "omega": (omega_ring(), [2, 27]),
+            "GF(4)": (GF(4), [2, 3])}
+
+
+def _draw(R, rng):
+    """A seeded element of R: a small int, residue or Fraction over 1, 3 or
+    9, a tuple of such coordinates, or a series or polynomial of degree < 4."""
+    if isinstance(R, ModularIntegers):
+        return rng.randrange(R.m)
+    if isinstance(R, QuotientExtension):
+        return tuple(_draw(R.base, rng) for _ in range(R.deg))
+    if isinstance(R, (SeriesRing, PolyRing)):
+        cs = {(i,): _draw(R.base, rng) for i in range(4)}
+        terms = {e: c for e, c in cs.items() if not R.base.is_zero(c)}
+        return Series(R.ctx, terms) if isinstance(R, SeriesRing) else Poly(R, terms)
+    if R is ZZ:
+        return rng.randint(-30, 30)
+    return Fraction(rng.randint(-30, 30), rng.choice([1, 3, 9]))
+
+
+@pytest.mark.parametrize("carrier", list(_division_carriers()))
+def test_divide_by_an_integer_is_the_first_solve_int_solution(carrier):
+    """n*x = b answered by divide(b, from_int(n)) is the first solution of
+    the deleted Ring.solve_int (oracles.solve_int_oracle), value and Python
+    type, and None exactly where it listed none; the quotient times n is b.
+    Seeded elements, half of them multiples of n; both outcomes occur."""
+    R, ns = _division_carriers()[carrier]
+    rng = random.Random(38)
+    seen = set()
+    for _ in range(200):
+        n = rng.choice(ns)
+        b = _draw(R, rng)
+        if rng.random() < 0.5:
+            b = R.mul(R.from_int(n), b)
+        got, want = R.divide(b, R.from_int(n)), oracles.solve_int_oracle(R, n, b)
+        if want:
+            assert got is not None and _typed_leaves(got) == _typed_leaves(want[0])
+            assert R.eq(R.mul(R.from_int(n), got), b)
+        else:
+            assert got is None
+        seen.add(got is not None)
     assert seen == {True, False}
 
 
