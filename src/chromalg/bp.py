@@ -14,7 +14,7 @@ Degrees are topological throughout: |v_i| = |t_i| = 2(p^i - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -96,27 +96,25 @@ def reduce_poly_modulo(poly: Poly, p: int, kill_gens: tuple = ()) -> Poly:
 
 @dataclass
 class GradedModule:
-    """Quotient of the free rank-1 module over a weighted polynomial ring."""
+    """The free rank-1 module over a weighted polynomial ring."""
     pring: PolyRing
-    relations: list = field(default_factory=list)
 
 
 @dataclass
 class SequenceElement:
-    name: str
     degree: int
     poly: Poly           # a scalar n is the constant polynomial n
 
 
-def scalar_element(pring: PolyRing, n: int, name: str | None = None) -> SequenceElement:
-    return SequenceElement(name or str(n), 0, pring.from_int(n))
+def scalar_element(pring: PolyRing, n: int) -> SequenceElement:
+    return SequenceElement(0, pring.from_int(n))
 
 
-def poly_element(poly: Poly, name: str) -> SequenceElement:
+def poly_element(poly: Poly) -> SequenceElement:
     d = poly.wdegree()
     if not poly.is_homogeneous():
         raise ValueError("sequence elements must be homogeneous")
-    return SequenceElement(name, d if d is not None else 0, poly)
+    return SequenceElement(d if d is not None else 0, poly)
 
 
 def _poly_int_coeff(c) -> int:
@@ -174,7 +172,7 @@ def regular_sequence_check(seq: list[SequenceElement], module: GradedModule,
     pring = module.pring
     failures = []
     for step, elt in enumerate(seq):
-        prefix = [e.poly for e in seq[:step]] + list(module.relations)
+        prefix = [e.poly for e in seq[:step]]
         s = elt.poly
         if _quotient_char(pring.base.char, prefix) == 2:
             bad = _kernel_f2(pring, prefix, s, N)
@@ -288,8 +286,6 @@ def koszul_tor(seq: list[SequenceElement], module: GradedModule, N: int) -> TorT
     Z (2-local reading) or F_2.  Over F_2, dim H_s = n_s - rk d_s - rk d_(s+1)
     with the ranks taken mod 2; other characteristics are not supported."""
     pring = module.pring
-    if module.relations:
-        raise ValueError("free modules only (present the quotient in the ring)")
     r = len(seq)
     degs = [e.degree for e in seq]
     char = pring.base.char
@@ -354,7 +350,7 @@ def bp2_shadow_sequence(N: int):
     """(2, eta v1, eta v2) acting on Z[v1, v2][t_i] with |t_i| <= N."""
     table = right_unit(2, 2)
     P = bp_ring(2, 2, max(len(xi_degrees(2, N)), 2), base=ZZ)
-    module = GradedModule(P, [])
+    module = GradedModule(P)
 
     def promote(poly):
         src = poly.pring
@@ -367,9 +363,9 @@ def bp2_shadow_sequence(N: int):
             out[tuple(exp)] = c
         return Poly(P, out)
 
-    seq = [scalar_element(P, 2, "p"),
-           poly_element(promote(table.eta_v[1]), "eta_v1"),
-           poly_element(promote(table.eta_v[2]), "eta_v2")]
+    seq = [scalar_element(P, 2),
+           poly_element(promote(table.eta_v[1])),
+           poly_element(promote(table.eta_v[2]))]
     return seq, module, P
 
 

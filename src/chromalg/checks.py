@@ -566,12 +566,11 @@ def _regular_sequence(cfg, rng):
     ensure(rep.regular, f"failures: {rep.failures}")
     Pz = PolyRing(ZZ, ("v1",), (2,))
     rep2 = bp.regular_sequence_check(
-        [bp.poly_element(Pz.gen("v1"), "v1"), bp.poly_element(Pz.gen("v1"), "v1")],
-        bp.GradedModule(Pz, []), 8)
+        [bp.poly_element(Pz.gen("v1")), bp.poly_element(Pz.gen("v1"))],
+        bp.GradedModule(Pz), 8)
     ensure(not rep2.regular and rep2.failures[0][0] == 1, "repeated v1 must fail at step 2")
     Pf = PolyRing(PrimeField(2), ("t1",), (2,))
-    rep3 = bp.regular_sequence_check([bp.scalar_element(Pf, 2, "p")],
-                                     bp.GradedModule(Pf, []), 8)
+    rep3 = bp.regular_sequence_check([bp.scalar_element(Pf, 2)], bp.GradedModule(Pf), 8)
     ensure(not rep3.regular, "2 acts as zero on F_2[t1]")
     return f"(2, eta v1, eta v2) regular on Z[v1,v2][t] through degree {N}; "\
            "(v1, v1) fails with witness 1; (2) on F_2[t1] fails"
@@ -597,11 +596,8 @@ def _koszul_exterior(cfg, rng):
     N = 16
     F2 = PrimeField(2)
     Pt = PolyRing(F2, ("t1", "t2", "t3"), (2, 6, 14))
-    modt = bp.GradedModule(Pt, [])
-    seq0 = [bp.SequenceElement("p", 0, Pt.zero()),
-            bp.SequenceElement("v1", 2, Pt.zero()),
-            bp.SequenceElement("v2", 6, Pt.zero()),
-            bp.SequenceElement("v3", 14, Pt.zero())]
+    modt = bp.GradedModule(Pt)
+    seq0 = [bp.SequenceElement(d, Pt.zero()) for d in (0, 2, 6, 14)]   # p, v1, v2, v3
     tor = bp.koszul_tor(seq0, modt, N)
     pattern = bp.exterior_pattern_dims([2, 6, 14], [1, 3, 7, 15], N)
     ensure(tor.total_dims(N) == pattern, "exterior pattern mismatch")

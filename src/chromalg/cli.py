@@ -1,7 +1,8 @@
 """The `verify` command line.
 
-    verify <suite...> [--max-degree N] [--series-prec N] [--two-adic-prec K]
-           [--q-terms N] [--json PATH] [--out PATH] [--list]
+    verify <suite...> [--<precision> N ...] [--json PATH] [--out PATH] [--list]
+
+with one flag per `report.PRECISIONS` (`--max-degree` sets max_degree).
 
 Exit codes: 0 all checks pass, 1 failures, 2 usage errors.  VERIFY_SEED seeds
 the randomized property checks (default 0); a value that is not an integer
@@ -13,8 +14,8 @@ import argparse
 import sys
 
 from .checks import SUITES
-from .report import (RunConfig, env_seed, render_json, render_suite_table,
-                     render_text, run_checks)
+from .report import (PRECISIONS, RunConfig, env_seed, render_json,
+                     render_suite_table, render_text, run_checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"suites to run: {', '.join(SUITES)}, or 'all' "
                         "(use 'list' to show the table)")
     defaults = RunConfig()
-    for name in ("max_degree", "series_prec", "two_adic_prec", "q_terms"):
+    for name in PRECISIONS:
         p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(defaults, name))
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--out", metavar="PATH", help="write the delimited report here")
@@ -41,14 +42,8 @@ def main(argv=None) -> int:
         sys.stdout.write(render_suite_table())
         return 0
     try:
-        cfg = RunConfig(
-            max_degree=args.max_degree,
-            series_prec=args.series_prec,
-            two_adic_prec=args.two_adic_prec,
-            q_terms=args.q_terms,
-            suites=suites,
-            seed=env_seed(),
-        )
+        cfg = RunConfig(**{name: getattr(args, name) for name in PRECISIONS},
+                        suites=suites, seed=env_seed())
         cfg.validate()
     except ValueError as exc:
         parser.error(str(exc))     # exits with code 2

@@ -349,8 +349,8 @@ def fgl_log(F: FormalGroupLaw, N: int | None = None) -> Series:
     return dFy.inverse().integrate()
 
 
-def fgl_exp(F: FormalGroupLaw, N: int | None = None) -> Series:
-    return fgl_log(F, N).reverse()
+def fgl_exp(F: FormalGroupLaw) -> Series:
+    return fgl_log(F).reverse()
 
 
 def law_from_log(lam: Series, P: int) -> Series:

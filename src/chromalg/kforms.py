@@ -45,10 +45,10 @@ def eigenspace(T: QuotientExtension, sigma, sign: int, degree: int = 0):
     return [tuple(Fraction(c) for c in v) for v in ker]
 
 
-def c2_cohomology(T: QuotientExtension, sigma, invert: tuple[int, ...] = (3,)):
-    """H^1 and H^2 of C_2 acting on T by sigma, with the primes in `invert`
-    discarded from torsion (see c2_lattice_cohomology)."""
-    return c2_lattice_cohomology(sigma_matrix(T, sigma), invert)
+def c2_cohomology(T: QuotientExtension, sigma):
+    """H^1 and H^2 of C_2 acting on T by sigma, with the prime 3, inverted in
+    Z[1/3][w], discarded from torsion (see c2_lattice_cohomology)."""
+    return c2_lattice_cohomology(sigma_matrix(T, sigma), (3,))
 
 
 def _norm_and_sm1(M: list[list[int]]):

@@ -11,7 +11,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .checks import SUITES, checks_for
@@ -19,6 +19,9 @@ from .checks import SUITES, checks_for
 
 @dataclass
 class RunConfig:
+    """The fields but `suites` and `seed` are the precisions (PRECISIONS),
+    positive ints with one `verify` flag each; every field is a key of the
+    report header's config."""
     max_degree: int = 32
     series_prec: int = 12
     two_adic_prec: int = 4
@@ -27,67 +30,43 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
-        for name in ("max_degree", "series_prec", "two_adic_prec", "q_terms"):
-            if getattr(self, name) <= 0:
+        for name in PRECISIONS + ("seed",):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if name != "seed" and value <= 0:
                 raise ValueError(f"{name} must be positive")
         bad = [s for s in self.suites if s not in SUITES + ("all",)]
         if bad:
             raise ValueError(f"unknown suite(s): {', '.join(bad)}")
 
 
-@dataclass
-class CheckResult:
-    id: str
-    suite: str
-    status: str          # pass | fail | skipped
-    claim: str
-    details: str
-    elapsed_ms: int = 0
+PRECISIONS = tuple(f.name for f in fields(RunConfig) if f.name not in ("suites", "seed"))
 
 
 def run_checks(cfg: RunConfig) -> dict:
     cfg.validate()
-    selected = checks_for(cfg.suites)
-    results = []
+    checks = []
     timing = {}
-    for chk in selected:
+    for chk in checks_for(cfg.suites):        # sorted by id
         rng = random.Random(cfg.seed)
         t0 = time.perf_counter()
         try:
-            details = chk.fn(cfg, rng)
-            status = "pass"
-            details = details or ""
+            status, details = "pass", chk.fn(cfg, rng) or ""
         except Exception as exc:                   # noqa: BLE001 - full reports
-            status = "fail"
-            details = f"{type(exc).__name__}: {exc}"
-        ms = int((time.perf_counter() - t0) * 1000)
-        timing[chk.id] = ms
-        results.append(CheckResult(chk.id, chk.suite, status, chk.claim, details, ms))
-    results.sort(key=lambda r: r.id)
-    summary = {
-        "pass": sum(1 for r in results if r.status == "pass"),
-        "fail": sum(1 for r in results if r.status == "fail"),
-        "skipped": sum(1 for r in results if r.status == "skipped"),
-    }
+            status, details = "fail", f"{type(exc).__name__}: {exc}"
+        timing[chk.id] = int((time.perf_counter() - t0) * 1000)
+        checks.append({"id": chk.id, "suite": chk.suite, "status": status,
+                       "claim": chk.claim, "details": details})
     return {
         "header": {
             "version": __version__,
-            "config": {
-                "max_degree": cfg.max_degree,
-                "series_prec": cfg.series_prec,
-                "two_adic_prec": cfg.two_adic_prec,
-                "q_terms": cfg.q_terms,
-                "suites": sorted(cfg.suites),
-                "seed": cfg.seed,
-            },
-            "timing_ms": {k: timing[k] for k in sorted(timing)},
+            "config": {**asdict(cfg), "suites": sorted(cfg.suites)},
+            "timing_ms": timing,
         },
-        "checks": [
-            {"id": r.id, "suite": r.suite, "status": r.status,
-             "claim": r.claim, "details": r.details}
-            for r in results
-        ],
-        "summary": summary,
+        "checks": checks,
+        "summary": {status: sum(1 for c in checks if c["status"] == status)
+                    for status in ("pass", "fail", "skipped")},
     }
 
 
@@ -118,20 +97,19 @@ def suite_table() -> list[dict]:
 
 
 def render_suite_table() -> str:
-    lines = ["suite\tchecks\tclaims"]
-    for row in suite_table():
-        lines.append(f"{row['suite']}\t{row['checks']}\t{', '.join(row['claims'])}")
-    total = sum(r["checks"] for r in suite_table())
-    lines.append(f"# {len(SUITES)} suites, {total} checks")
+    table = suite_table()
+    lines = ["suite\tchecks\tclaims"] + [
+        f"{row['suite']}\t{row['checks']}\t{', '.join(row['claims'])}" for row in table]
+    lines.append(f"# {len(SUITES)} suites, {sum(row['checks'] for row in table)} checks")
     return "\n".join(lines) + "\n"
 
 
-def env_seed(default: int = 0) -> int:
-    """VERIFY_SEED as an int, or default when it is unset or empty; ValueError
+def env_seed() -> int:
+    """VERIFY_SEED as an int, or 0 when it is unset or empty; ValueError
     when it is not an integer."""
     raw = os.environ.get("VERIFY_SEED", "")
     if not raw:
-        return default
+        return 0
     try:
         return int(raw)
     except ValueError:

@@ -103,8 +103,9 @@ class Ring:
         while n:
             if n & 1:
                 out = self.mul(out, base)
-            base = self.mul(base, base)
             n >>= 1
+            if n:
+                base = self.mul(base, base)
         return out
 
     def scale_int(self, a, n: int):

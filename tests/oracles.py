@@ -1008,7 +1008,7 @@ def regular_sequence_check_oracle(seq, module, N: int) -> list:
     pring = module.pring
     failures = []
     for step, elt in enumerate(seq):
-        prefix = [e.poly for e in seq[:step]] + list(module.relations)
+        prefix = [e.poly for e in seq[:step]]
         s = elt.poly
         if _is_int_scalar_oracle(s):
             bad = _scalar_kernel_oracle(pring, prefix, _scalar_value_oracle(s), N)

@@ -69,8 +69,8 @@ def test_regular_sequence_bp2():
 def test_regular_sequence_repeated_generator_fails():
     P = PolyRing(ZZ, ("v1",), (2,))
     rep = bp.regular_sequence_check(
-        [bp.poly_element(P.gen("v1"), "v1"), bp.poly_element(P.gen("v1"), "v1")],
-        bp.GradedModule(P, []), 8)
+        [bp.poly_element(P.gen("v1")), bp.poly_element(P.gen("v1"))],
+        bp.GradedModule(P), 8)
     assert not rep.regular
     step, degree, witness = rep.failures[0]
     assert step == 1 and degree == 0
@@ -78,8 +78,7 @@ def test_regular_sequence_repeated_generator_fails():
 
 def test_regular_sequence_two_on_f2_fails():
     P = PolyRing(PrimeField(2), ("t1",), (2,))
-    rep = bp.regular_sequence_check([bp.scalar_element(P, 2, "p")],
-                                    bp.GradedModule(P, []), 8)
+    rep = bp.regular_sequence_check([bp.scalar_element(P, 2)], bp.GradedModule(P), 8)
     assert not rep.regular
 
 
@@ -87,18 +86,16 @@ def test_regular_sequence_after_odd_scalar_is_unsupported():
     P = PolyRing(ZZ, ("x", "y"), (2, 2))
     x, y = P.gen("x"), P.gen("y")
     for q in (3, 5):
-        seq = [bp.scalar_element(P, q), bp.poly_element(x + y, "x+y"),
-               bp.poly_element(x - y, "x-y")]
+        seq = [bp.scalar_element(P, q), bp.poly_element(x + y), bp.poly_element(x - y)]
         with pytest.raises(ValueError):
-            bp.regular_sequence_check(seq, bp.GradedModule(P, []), 6)
+            bp.regular_sequence_check(seq, bp.GradedModule(P), 6)
 
 
 def test_regular_sequence_after_two_reports_mod_2_failure():
     P = PolyRing(ZZ, ("x", "y"), (2, 2))
     x, y = P.gen("x"), P.gen("y")
-    seq = [bp.scalar_element(P, 2), bp.poly_element(x + y, "x+y"),
-           bp.poly_element(x - y, "x-y")]
-    rep = bp.regular_sequence_check(seq, bp.GradedModule(P, []), 6)
+    seq = [bp.scalar_element(P, 2), bp.poly_element(x + y), bp.poly_element(x - y)]
+    rep = bp.regular_sequence_check(seq, bp.GradedModule(P), 6)
     assert not rep.regular
     assert rep.failures[0][:2] == (2, 0)
 
@@ -107,9 +104,8 @@ def test_regular_sequence_f2_dependent_element_fails():
     # over F_2, y+z = (x+z) + (x+y): it kills the class of 1 in F_2[x,y,z]/(x+z, x+y)
     P = PolyRing(PrimeField(2), ("x", "y", "z"), (1, 1, 1))
     x, y, z = (P.gen(g) for g in "xyz")
-    seq = [bp.poly_element(x + z, "x+z"), bp.poly_element(x + y, "x+y"),
-           bp.poly_element(y + z, "y+z")]
-    rep = bp.regular_sequence_check(seq, bp.GradedModule(P, []), 4)
+    seq = [bp.poly_element(x + z), bp.poly_element(x + y), bp.poly_element(y + z)]
+    rep = bp.regular_sequence_check(seq, bp.GradedModule(P), 4)
     assert [f[:2] for f in rep.failures] == [(2, 0)]
 
 
@@ -124,12 +120,12 @@ def test_regular_sequence_f2_agrees_with_koszul_h1():
     # Koszul criterion: a homogeneous sequence of positive degree is regular
     # exactly when H_1 vanishes
     P = PolyRing(PrimeField(2), ("x", "y", "z"), (1, 1, 1))
-    module = bp.GradedModule(P, [])
+    module = bp.GradedModule(P)
     rng = random.Random(7)
     N = 5
     for _ in range(150):
-        seq = [bp.poly_element(_random_homogeneous(rng, P, [1]), f"s{i}")
-               for i in range(rng.randint(1, 3))]
+        seq = [bp.poly_element(_random_homogeneous(rng, P, [1]))
+               for _ in range(rng.randint(1, 3))]
         rep = bp.regular_sequence_check(seq, module, N)
         tor = bp.koszul_tor(seq, module, N)
         assert rep.regular == all(tor.is_zero(1, d) for d in range(N + 1)), \
@@ -139,25 +135,24 @@ def test_regular_sequence_f2_agrees_with_koszul_h1():
 def test_regular_sequence_odd_characteristic_is_unsupported():
     P = PolyRing(PrimeField(3), ("x",), (1,))
     with pytest.raises(ValueError):
-        bp.regular_sequence_check([bp.poly_element(P.gen("x"), "x")],
-                                  bp.GradedModule(P, []), 3)
+        bp.regular_sequence_check([bp.poly_element(P.gen("x"))], bp.GradedModule(P), 3)
 
 
 def test_regular_sequence_zero_scalar_fails():
     P = PolyRing(ZZ, ("x",), (1,))
-    rep = bp.regular_sequence_check([bp.scalar_element(P, 0)], bp.GradedModule(P, []), 3)
+    rep = bp.regular_sequence_check([bp.scalar_element(P, 0)], bp.GradedModule(P), 3)
     assert [f[:2] for f in rep.failures] == [(0, 0)]
 
 
 @pytest.mark.parametrize("lead_two", [False, True])
 def test_regular_sequence_over_z_matches_oracle(lead_two):
     P = PolyRing(ZZ, ("x", "y", "z"), (1, 1, 1))
-    module = bp.GradedModule(P, [])
+    module = bp.GradedModule(P)
     rng = random.Random(3 + lead_two)
     irregular = 0
     for _ in range(60):
-        seq = [bp.poly_element(_random_homogeneous(rng, P, [-2, -1, 1, 2]), f"s{i}")
-               for i in range(rng.randint(1, 3))]
+        seq = [bp.poly_element(_random_homogeneous(rng, P, [-2, -1, 1, 2]))
+               for _ in range(rng.randint(1, 3))]
         if lead_two:
             seq.insert(0, bp.scalar_element(P, 2))
         rep = bp.regular_sequence_check(seq, module, 5)
@@ -204,9 +199,8 @@ def test_koszul_image_outside_kernel_raises(monkeypatch):
 def test_koszul_exterior_pattern():
     F2 = PrimeField(2)
     P = PolyRing(F2, ("t1", "t2", "t3"), (2, 6, 14))
-    module = bp.GradedModule(P, [])
-    seq = [bp.SequenceElement(nm, d, P.zero())
-           for nm, d in (("p", 0), ("v1", 2), ("v2", 6), ("v3", 14))]
+    module = bp.GradedModule(P)
+    seq = [bp.SequenceElement(d, P.zero()) for d in (0, 2, 6, 14)]   # p, v1, v2, v3
     tor = bp.koszul_tor(seq, module, 16)
     assert tor.total_dims(16) == bp.exterior_pattern_dims([2, 6, 14], [1, 3, 7, 15], 16)
 
@@ -216,9 +210,8 @@ def test_koszul_f2_ranks_taken_mod_2():
     # first two, so F_2[x,y,z]/(x+z, x+y) = F_2[x] and H_1 has one class per degree
     P = PolyRing(PrimeField(2), ("x", "y", "z"), (1, 1, 1))
     x, y, z = (P.gen(g) for g in "xyz")
-    seq = [bp.poly_element(x + z, "x+z"), bp.poly_element(x + y, "x+y"),
-           bp.poly_element(y + z, "y+z")]
-    tor = bp.koszul_tor(seq, bp.GradedModule(P, []), 3)
+    seq = [bp.poly_element(x + z), bp.poly_element(x + y), bp.poly_element(y + z)]
+    tor = bp.koszul_tor(seq, bp.GradedModule(P), 3)
     for d in (1, 2, 3):
         assert (tor.dim(0, d), tor.dim(1, d), tor.dim(2, d)) == (1, 1, 0), d
 
@@ -226,13 +219,13 @@ def test_koszul_f2_ranks_taken_mod_2():
 def test_koszul_odd_characteristic_is_unsupported():
     P = PolyRing(PrimeField(3), ("x",), (1,))
     with pytest.raises(ValueError):
-        bp.koszul_tor([bp.poly_element(P.gen("x"), "x")], bp.GradedModule(P, []), 3)
+        bp.koszul_tor([bp.poly_element(P.gen("x"))], bp.GradedModule(P), 3)
 
 
 def test_koszul_empty_sequence_returns_module():
     F2 = PrimeField(2)
     P = PolyRing(F2, ("t1", "t2"), (2, 6))
-    tor = bp.koszul_tor([], bp.GradedModule(P, []), 10)
+    tor = bp.koszul_tor([], bp.GradedModule(P), 10)
     assert [tor.dim(0, d) for d in range(11)] == bp.fp_poly_dims([2, 6], 10)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from chromalg.checks import REGISTRY, SUITES, check
 from chromalg.cli import build_parser, main
-from chromalg.report import RunConfig, render_json, render_text, run_checks, suite_table
+from chromalg.report import (PRECISIONS, RunConfig, render_json, render_text, run_checks,
+                             suite_table)
 
 
 def test_registry_size_and_suites():
@@ -82,6 +83,16 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     assert out.startswith("suite\t")
     assert "# 7 suites" in out
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_out_writes_the_text_report_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("VERIFY_SEED", raising=False)
+    path = tmp_path / "r.tsv"
+    assert main(["modularforms", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == render_text(run_checks(RunConfig(suites=("modularforms",))))
 
 
 def test_suite_table_counts_stable():
@@ -113,15 +124,39 @@ def test_junk_seed_is_a_usage_error(monkeypatch, capsys):
 def test_parser_defaults_are_the_run_config_defaults():
     args = build_parser().parse_args([])
     cfg = RunConfig()
-    assert (args.max_degree, args.series_prec, args.two_adic_prec, args.q_terms) == \
-        (cfg.max_degree, cfg.series_prec, cfg.two_adic_prec, cfg.q_terms)
+    for name in PRECISIONS:
+        assert getattr(args, name) == getattr(cfg, name), name
     assert tuple(args.suites) == cfg.suites
+
+
+def test_each_precision_is_one_flag_and_one_header_key():
+    """PRECISIONS is every RunConfig field but suites and seed; the parser has
+    one int flag per precision and the header's config one key per field."""
+    assert PRECISIONS == ("max_degree", "series_prec", "two_adic_prec", "q_terms")
+    parser = build_parser()
+    assert [a.dest for a in parser._actions if a.type is int] == list(PRECISIONS)
+    for k, name in enumerate(PRECISIONS, 2):
+        assert getattr(parser.parse_args(["--" + name.replace("_", "-"), str(k)]), name) == k
+    config = run_checks(RunConfig(suites=("moduli",), seed=3))["header"]["config"]
+    assert set(config) == set(PRECISIONS) | {"suites", "seed"}
+    assert (config["suites"], config["seed"]) == (["moduli"], 3)
+
+
+@pytest.mark.parametrize("bad", [True, 16.5, "16"], ids=["bool", "float", "str"])
+def test_run_config_refuses_a_precision_or_seed_that_is_not_an_int(bad):
+    """Negative control: a bool passes `<= 0` and would run as 1, a float
+    would reach the checks; each is refused by name, before any check runs."""
+    RunConfig().validate()
+    for name in PRECISIONS + ("seed",):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            run_checks(RunConfig(**{name: bad}))
 
 
 def test_report_body_script_names_the_differing_keys(tmp_path):
     """tests/check_report_body.py, which CI runs after each `verify --json`:
     exit 0 on the recorded body, a failure naming `summary` once the
-    summary changes."""
+    summary changes, and naming the first five differing check ids, in id
+    order, once checks change or go missing."""
     import subprocess
     import sys
     here = os.path.dirname(__file__)
@@ -141,6 +176,16 @@ def test_report_body_script_names_the_differing_keys(tmp_path):
     changed = run({**body, "summary": {**body["summary"], "pass": 59, "fail": 1}})
     assert changed.returncode != 0
     assert changed.stderr.strip() == f"the default report differs from {expected} in: summary"
+    first = body["checks"][0]
+    checks = [{**first, "details": first["details"] + " (changed)"}] + body["checks"][1:]
+    changed = run({**body, "checks": checks})
+    assert changed.returncode != 0
+    assert changed.stderr.strip() == \
+        f"the default report differs from {expected} in: checks (1 differing: {first['id']})"
+    changed = run({**body, "checks": checks[:-6], "summary": {}})
+    ids = ", ".join([first["id"]] + [c["id"] for c in body["checks"][-6:-2]])
+    assert changed.stderr.strip() == f"the default report differs from {expected} in: " \
+        f"checks (7 differing, the first 5: {ids}), summary"
 
 
 @pytest.mark.parametrize("seed", [0, 1])

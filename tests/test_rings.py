@@ -10,7 +10,7 @@ from chromalg.convert import fraction_mod, reduce_scalar, series_reduce
 from chromalg.errors import IntegralityFailure, NotInvertible
 from chromalg.poly import Poly, PolyRing
 from chromalg.rings import (GF, ModularIntegers, PrimeField, QQ,
-                            QuotientExtension, Z_inverted, Z_local, ZZ,
+                            QuotientExtension, Rationals, Z_inverted, Z_local, ZZ,
                             omega_ring, sqrt_minus3)
 from chromalg.series import Series, SeriesCtx, SeriesRing
 
@@ -562,6 +562,35 @@ def test_negative_exponents_raise():
     P = PolyRing(ZZ, ("t",))
     with pytest.raises(ValueError):
         (P.gen("t") + 1) ** -1
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    """Square-and-multiply makes popcount(n) + bit_length(n) - 1 products for
+    a^n: one per set bit and one square per bit after the lowest; a square
+    after the top bit would be thrown away.  The same count for Ring.pow over
+    a ring whose mul counts its calls and for Series.__pow__."""
+    class Counting(Rationals):
+        calls = 0
+
+        def mul(self, a, b):
+            Counting.calls += 1
+            return super().mul(a, b)
+
+    R = Counting()
+    x = SeriesCtx(QQ, ("x",), 40).gen("x")
+    base = x + x * x
+    series_calls = []
+    real = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: series_calls.append(1) or real(a, b))
+    for n in range(1, 18):
+        expected = bin(n).count("1") + n.bit_length() - 1
+        Counting.calls = 0
+        assert R.pow(Fraction(3, 2), n) == Fraction(3, 2) ** n
+        assert Counting.calls == expected, n
+        series_calls.clear()
+        power = base ** n
+        assert len(series_calls) == expected, n
+        assert set(power.terms) == {(k,) for k in range(n, min(2 * n, 39) + 1)}
 
 
 # -- sums of products ---------------------------------------------------------
